@@ -35,6 +35,7 @@ from .fusion import (
     ml_objective,
     posterior_covariance_grid,
     solve,
+    solve_frames,
 )
 from .geometry import (
     IdealMeasurement,
@@ -123,6 +124,7 @@ __all__ = [
     "run_tracker",
     "save_scenario",
     "solve",
+    "solve_frames",
     "synthesize_measurements",
     "track_level_fusion",
     "transform_track",

@@ -29,18 +29,17 @@ from .experiment import (
     emit_plot_data,
     run_experiment,
     run_monte_carlo,
+    simulate_scenario,
 )
-from .fusion import FusionObservation, ObservationEntry, solve
+from .fusion import FusionObservation, ObservationEntry, solve_frames
 from .geometry import Pose2D
 from .scene import (
     ConfigError,
     builtin_scenario,
     export_measurements_csv,
     export_truth_csv,
-    generate_trajectory,
     load_scenario,
     save_scenario,
-    synthesize_measurements,
     with_seed,
 )
 
@@ -99,10 +98,7 @@ def cmd_simulate(args) -> int:
     config = _resolve_scenario(args)
     out = args.out / config.name / str(config.rng_seed) / "sim"
     out.mkdir(parents=True, exist_ok=True)
-    truth = generate_trajectory(
-        config.trajectory, config.num_frames, config.frame_duration, config.rng_seed
-    )
-    frames = synthesize_measurements(truth, config)
+    truth, frames = simulate_scenario(config)
     save_scenario(config, out / "scenario.json")
     export_truth_csv(truth, out / "truth.csv")
     export_measurements_csv(frames, out / "measurements.csv")
@@ -129,22 +125,33 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
+def _calibrated_poses(path: Path, num_nodes: int) -> list[Pose2D]:
+    """Node poses from the calibration files `calibrate` writes next to `path`."""
+    poses = [Pose2D(0.0, 0.0, 0.0)]
+    for node in range(1, num_nodes):
+        node_path = path if node == 1 else path.with_name(f"result_node{node}.json")
+        if not node_path.is_file():
+            raise ConfigError(
+                f"missing calibration for node {node}: {node_path} "
+                f"(a {num_nodes}-node scenario needs one file per non-reference node)"
+            )
+        res = load_result(node_path)
+        poses.append(Pose2D(res.p21.real, res.p21.imag, res.phi21))
+    return poses
+
+
 def cmd_fuse(args) -> int:
     config = _resolve_scenario(args)
     options = _options(args)
-    truth = generate_trajectory(
-        config.trajectory, config.num_frames, config.frame_duration, config.rng_seed
-    )
-    frames = synthesize_measurements(truth, config)
+    _, frames = simulate_scenario(config)
     if args.calibration is not None:
-        res = load_result(args.calibration)
-        poses = [Pose2D(0.0, 0.0, 0.0), Pose2D(res.p21.real, res.p21.imag, res.phi21)]
+        poses = _calibrated_poses(args.calibration, len(config.nodes))
     else:
         poses = list(config.nodes)
     out = args.out / config.name / str(config.rng_seed) / "fusion"
     out.mkdir(parents=True, exist_ok=True)
-    rows = ["frame,mode,x,y,vx,vy,converged,cond"]
-    solved = 0
+    frame_indices = []
+    observations = []
     for frame in frames:
         entries = [
             ObservationEntry(poses[i], det)
@@ -153,16 +160,23 @@ def cmd_fuse(args) -> int:
         ]
         if len(entries) < 2:
             continue
-        obs = FusionObservation(tuple(entries))
-        for mode in options.modes:
-            est = solve(obs, config.noise, mode=mode,
-                        prior=options.prior if mode == "bayes" else None)
+        frame_indices.append(frame.frame_index)
+        observations.append(FusionObservation(tuple(entries)))
+    estimates = [
+        solve_frames(observations, config.noise, mode=mode,
+                     prior=options.prior if mode == "bayes" else None)
+        for mode in options.modes
+    ]
+    rows = ["frame,mode,x,y,vx,vy,converged,cond"]
+    for k, frame_index in enumerate(frame_indices):
+        for mode, per_mode in zip(options.modes, estimates):
+            est = per_mode[k]
             rows.append(
-                f"{frame.frame_index},{mode},{est.state.x!r},{est.state.y!r},"
+                f"{frame_index},{mode},{est.state.x!r},{est.state.y!r},"
                 f"{est.state.vx!r},{est.state.vy!r},{int(est.converged)},{est.conditioning!r}"
             )
-            solved += 1
     (out / "oneshot_only.csv").write_text("\n".join(rows) + "\n")
+    solved = len(rows) - 1
     print(f"fused {solved} frame-mode estimates -> {out / 'oneshot_only.csv'}")
     return EXIT_OK
 

@@ -6,7 +6,8 @@ sigma-normalized sum of squared measurement residuals (ML), optionally
 regularized by independent Gaussian priors on each state component
 (Bayes / MAP).  The minimization runs a damped Gauss-Newton
 (Levenberg-Marquardt) iteration from closed-form position and velocity
-initializers.
+initializers.  `solve_frames` runs that iteration on many frames at
+once, as arrays with one row per frame; `solve` is its one-frame case.
 
 The posterior covariance is available two ways: the Laplace
 approximation (inverse Gauss-Newton Hessian at the optimum) and a
@@ -20,17 +21,12 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    FOV_HALF_ANGLE,
-    Pose2D,
-    TargetState,
-    angle_off_boresight,
-    measurement_jacobian,
-)
+from .geometry import FOV_HALF_ANGLE, Pose2D, TargetState, angle_off_boresight
 from .scene import Detection, NoiseConfig
 
 _GRADIENT_TOL = 1e-8
@@ -109,16 +105,16 @@ class FusionEstimate:
 
 def initial_position_estimate(obs: FusionObservation) -> np.ndarray:
     """Average of the nodes' detections mapped to the global frame."""
-    acc = np.zeros(2)
+    acc_x = acc_y = 0.0
     for entry in obs.entries:
         det = entry.detection
         theta = math.asin(min(1.0, max(-1.0, det.spatial_freq / math.pi)))
         lx = det.range * math.sin(theta)
         ly = det.range * math.cos(theta)
         c, s = math.cos(entry.node_pose.phi), math.sin(entry.node_pose.phi)
-        acc[0] += c * lx - s * ly + entry.node_pose.x
-        acc[1] += s * lx + c * ly + entry.node_pose.y
-    return acc / obs.num_nodes
+        acc_x += c * lx - s * ly + entry.node_pose.x
+        acc_y += s * lx + c * ly + entry.node_pose.y
+    return np.array([acc_x, acc_y]) / obs.num_nodes
 
 
 def initial_velocity_estimate(obs: FusionObservation) -> np.ndarray:
@@ -127,115 +123,150 @@ def initial_velocity_estimate(obs: FusionObservation) -> np.ndarray:
     For a target at angle theta off boresight, the line of sight from
     node i points along the global angle phi_i + pi/2 - theta.
     """
-    acc = np.zeros(2)
+    acc_x = acc_y = 0.0
     for entry in obs.entries:
         det = entry.detection
         if abs(det.spatial_freq) > math.pi:
             raise ValueError(f"|spatial frequency| exceeds pi: {det.spatial_freq!r}")
         theta = math.asin(det.spatial_freq / math.pi)
         los = entry.node_pose.phi + 0.5 * math.pi - theta
-        acc[0] += det.radial_vel * math.cos(los)
-        acc[1] += det.radial_vel * math.sin(los)
-    return acc / obs.num_nodes
+        acc_x += det.radial_vel * math.cos(los)
+        acc_y += det.radial_vel * math.sin(los)
+    return np.array([acc_x, acc_y]) / obs.num_nodes
 
 
-class _Residuals:
-    """Vectorized residual/Jacobian assembly for one observation.
+class _Frames:
+    """The residual model of F frames with N nodes each.
 
-    Measurement residuals are (measured - predicted)/sigma, stacked as
-    the N range rows, then N spatial-frequency rows, then N radial-
-    velocity rows; with a prior, four prior rows (theta - center)/sigma
-    are appended.
+    `nodes` holds (x, y, pi cos phi, pi sin phi) per node as (4, F, N),
+    `meas` the measured (range, spatial frequency, radial velocity) as
+    (3, F, N), and `center` each frame's prior center as (F, 4), or
+    None for ML.  `evaluate` broadcasts a state array (..., 4) against
+    them: F states of F frames give the LM iterates, M states of one
+    frame (F = 1) give a grid.
+
+    Residuals are (measured - predicted)/sigma, stacked as the N range
+    rows, then N spatial-frequency rows, then N radial-velocity rows;
+    with a prior, four prior rows (theta - center)/sigma are appended.
+    Objective values are +inf where a state sits on a node.
     """
 
-    def __init__(
-        self,
-        obs: FusionObservation,
+    def __init__(self, nodes, meas, noise, prior_sigmas=None, center=None):
+        self.nodes = nodes
+        self.meas = meas
+        self.noise = noise
+        self.prior_sigmas = prior_sigmas
+        self.center = center
+
+    @classmethod
+    def build(
+        cls,
+        observations: list[FusionObservation],
         noise: NoiseConfig,
         prior: PriorConfig | None = None,
-        prior_center: TargetState | None = None,
-    ):
-        self.px = np.array([e.node_pose.x for e in obs.entries])
-        self.py = np.array([e.node_pose.y for e in obs.entries])
-        self.cos_phi = np.array([math.cos(e.node_pose.phi) for e in obs.entries])
-        self.sin_phi = np.array([math.sin(e.node_pose.phi) for e in obs.entries])
-        self.meas_r = np.array([e.detection.range for e in obs.entries])
-        self.meas_w = np.array([e.detection.spatial_freq for e in obs.entries])
-        self.meas_v = np.array([e.detection.radial_vel for e in obs.entries])
-        self.sigma_r = noise.sigma_r
-        self.sigma_w = noise.sigma_omega
-        self.sigma_v = noise.sigma_v
-        self.n = len(obs.entries)
-        if prior is not None and prior_center is None:
+        center: np.ndarray | None = None,
+    ) -> "_Frames":
+        rows = np.array([
+            [
+                (e.node_pose.x, e.node_pose.y, math.pi * math.cos(e.node_pose.phi),
+                 math.pi * math.sin(e.node_pose.phi), e.detection.range,
+                 e.detection.spatial_freq, e.detection.radial_vel)
+                for e in obs.entries
+            ]
+            for obs in observations
+        ])
+        table = np.ascontiguousarray(np.moveaxis(rows, -1, 0))
+        if prior is not None and center is None:
             raise ValueError("prior given without a prior center")
-        self.prior_sigmas = None if prior is None else prior.sigmas
-        self.center = None if prior_center is None else prior_center.as_vector()
+        return cls(table[:4], table[4:], noise, None if prior is None else prior.sigmas, center)
 
-    def residuals(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-        """(residual vector, Jacobian) at theta, or None if infeasible."""
-        x, y, vx, vy = theta
-        dx = x - self.px
-        dy = y - self.py
+    def take(self, index) -> "_Frames":
+        """The model of the frames selected by `index` along F."""
+        center = None if self.center is None else self.center[index]
+        return _Frames(
+            self.nodes[:, index], self.meas[:, index], self.noise, self.prior_sigmas, center
+        )
+
+    def per_candidate(self) -> "_Frames":
+        """The model broadcast against (F, C, 4) states: C candidates per frame."""
+        center = None if self.center is None else self.center[:, None]
+        return _Frames(
+            self.nodes[:, :, None], self.meas[:, :, None], self.noise, self.prior_sigmas, center
+        )
+
+    def evaluate(self, theta: np.ndarray):
+        """Objective values at the states `theta` (..., 4), and the terms `jacobian` reuses."""
+        px, py, pi_cos, pi_sin = self.nodes
+        meas_r, meas_w, meas_v = self.meas
+        noise = self.noise
+        dx = theta[..., 0:1] - px
+        dy = theta[..., 1:2] - py
         r2 = dx * dx + dy * dy
+        infeasible = r2 < _MIN_RANGE * _MIN_RANGE
+        any_infeasible = infeasible.any()
+        if any_infeasible:
+            r2 = np.maximum(r2, _MIN_RANGE * _MIN_RANGE)
         r = np.sqrt(r2)
-        if np.any(r < _MIN_RANGE):
-            return None
-        along = dx * self.cos_phi + dy * self.sin_phi
-        vel_proj = vx * dx + vy * dy
-        omega = math.pi * along / r
-        vel = vel_proj / r
-        res = np.concatenate([
-            (self.meas_r - r) / self.sigma_r,
-            (self.meas_w - omega) / self.sigma_w,
-            (self.meas_v - vel) / self.sigma_v,
-        ])
-        r3 = r2 * r
-        zeros = np.zeros(self.n)
-        jac_r = np.stack([dx / r, dy / r, zeros, zeros], axis=1)
-        jac_w = np.stack([
-            math.pi * (self.cos_phi * r2 - along * dx) / r3,
-            math.pi * (self.sin_phi * r2 - along * dy) / r3,
-            zeros,
-            zeros,
-        ], axis=1)
-        jac_v = np.stack([
-            (vx * r2 - vel_proj * dx) / r3,
-            (vy * r2 - vel_proj * dy) / r3,
-            dx / r,
-            dy / r,
-        ], axis=1)
-        jac = np.concatenate([
-            -jac_r / self.sigma_r,
-            -jac_w / self.sigma_w,
-            -jac_v / self.sigma_v,
-        ])
+        ux = dx / r
+        uy = dy / r
+        omega = ux * pi_cos + uy * pi_sin
+        vel = theta[..., 2:3] * ux + theta[..., 3:4] * uy
+        blocks = (
+            (meas_r - r) / noise.sigma_r,
+            (meas_w - omega) / noise.sigma_omega,
+            (meas_v - vel) / noise.sigma_v,
+        )
+        value = (blocks[0] * blocks[0] + blocks[1] * blocks[1] + blocks[2] * blocks[2]).sum(-1)
+        prior_rows = None
         if self.prior_sigmas is not None:
-            res = np.concatenate([res, (theta - self.center) / self.prior_sigmas])
-            jac = np.concatenate([jac, np.diag(1.0 / self.prior_sigmas)])
+            prior_rows = (theta - self.center) / self.prior_sigmas
+            value += (prior_rows * prior_rows).sum(axis=-1)
+        if any_infeasible:
+            value[infeasible.any(axis=-1)] = np.inf
+        return value, (theta, blocks, prior_rows, r, ux, uy, omega, vel)
+
+    def objective(self, theta: np.ndarray) -> np.ndarray:
+        """Objective values at the states `theta` (..., 4); +inf where infeasible."""
+        return self.evaluate(theta)[0]
+
+    def jacobian(self, terms) -> tuple[np.ndarray, np.ndarray]:
+        """Residuals (..., M) and their Jacobian (..., M, 4) from `evaluate`'s terms."""
+        theta, blocks, prior_rows, r, ux, uy, omega, vel = terms
+        _, _, pi_cos, pi_sin = self.nodes
+        noise = self.noise
+        n = r.shape[-1]
+        rows = list(blocks) if prior_rows is None else [*blocks, prior_rows]
+        res = np.concatenate(rows, axis=-1)
+        jac = np.zeros(res.shape + (4,))
+        r_w = r * noise.sigma_omega
+        r_v = r * noise.sigma_v
+        jac[..., :n, 0] = ux / -noise.sigma_r
+        jac[..., :n, 1] = uy / -noise.sigma_r
+        jac[..., n:2 * n, 0] = (omega * ux - pi_cos) / r_w
+        jac[..., n:2 * n, 1] = (omega * uy - pi_sin) / r_w
+        jac[..., 2 * n:3 * n, 0] = (vel * ux - theta[..., 2:3]) / r_v
+        jac[..., 2 * n:3 * n, 1] = (vel * uy - theta[..., 3:4]) / r_v
+        jac[..., 2 * n:3 * n, 2] = ux / -noise.sigma_v
+        jac[..., 2 * n:3 * n, 3] = uy / -noise.sigma_v
+        if prior_rows is not None:
+            jac[..., 3 * n:, :] = np.diag(1.0 / self.prior_sigmas)
         return res, jac
 
-    def value_batch(self, thetas: np.ndarray) -> np.ndarray:
-        """Objective values for an (M, 4) batch; +inf where infeasible."""
-        x = thetas[:, 0:1]
-        y = thetas[:, 1:2]
-        vx = thetas[:, 2:3]
-        vy = thetas[:, 3:4]
-        dx = x - self.px
-        dy = y - self.py
-        r2 = dx * dx + dy * dy
-        bad = np.any(r2 < _MIN_RANGE * _MIN_RANGE, axis=1)
-        r = np.sqrt(np.maximum(r2, _MIN_RANGE * _MIN_RANGE))
-        omega = math.pi * (dx * self.cos_phi + dy * self.sin_phi) / r
-        vel = (vx * dx + vy * dy) / r
-        value = (
-            np.sum(((self.meas_r - r) / self.sigma_r) ** 2, axis=1)
-            + np.sum(((self.meas_w - omega) / self.sigma_w) ** 2, axis=1)
-            + np.sum(((self.meas_v - vel) / self.sigma_v) ** 2, axis=1)
-        )
-        if self.prior_sigmas is not None:
-            value = value + np.sum(((thetas - self.center) / self.prior_sigmas) ** 2, axis=1)
-        value[bad] = np.inf
-        return value
+
+def _normal_equations(res: np.ndarray, jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-frame Gauss-Newton Hessian J'J (F, 4, 4) and J'r (F, 4)."""
+    jac_t = jac.swapaxes(-1, -2)
+    return jac_t @ jac, (jac_t @ res[..., None])[..., 0]
+
+
+def _objective_terms(theta, obs, noise, prior=None, prior_center=None):
+    center = None if prior_center is None else prior_center.as_vector()[None]
+    frames = _Frames.build([obs], noise, prior, center)
+    value, terms = frames.evaluate(theta.as_vector())
+    if not np.isfinite(value[0]):
+        raise ValueError("state yields (near-)zero range to a node")
+    res, jac = frames.jacobian(terms)
+    return float(value[0]), res[0], jac[0]
 
 
 def ml_objective(
@@ -247,12 +278,7 @@ def ml_objective(
     (V_i-v_i)^2/sv^2]; residuals are sigma-normalized and the Jacobian
     is the analytic 3N x 4 derivative of the residual vector.
     """
-    model = _Residuals(obs, noise)
-    out = model.residuals(theta.as_vector())
-    if out is None:
-        raise ValueError("state yields (near-)zero range to a node")
-    res, jac = out
-    return float(res @ res), res, jac
+    return _objective_terms(theta, obs, noise)
 
 
 def bayes_objective(
@@ -263,22 +289,20 @@ def bayes_objective(
     prior_center: TargetState,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """ML objective plus four normalized prior residual rows."""
-    model = _Residuals(obs, noise, prior, prior_center)
-    out = model.residuals(theta.as_vector())
-    if out is None:
-        raise ValueError("state yields (near-)zero range to a node")
-    res, jac = out
-    return float(res @ res), res, jac
+    return _objective_terms(theta, obs, noise, prior, prior_center)
 
 
-def _resolve_prior_center(obs: FusionObservation, prior: PriorConfig) -> TargetState:
+def _resolve_prior_center(
+    obs: FusionObservation, prior: PriorConfig, position: np.ndarray | None = None
+) -> TargetState:
+    """The prior center; `position` is the closed-form initializer when already known."""
     if prior.position_prior_center == "origin":
         return TargetState(0.0, 0.0, 0.0, 0.0)
-    pos = initial_position_estimate(obs)
+    pos = initial_position_estimate(obs) if position is None else position
     return TargetState(pos[0], pos[1], 0.0, 0.0)
 
 
-def _range_circle_intersections(obs: FusionObservation) -> list[np.ndarray]:
+def _range_circle_intersections(obs: FusionObservation) -> list[tuple[float, float]]:
     """Intersections of the first two nodes' range circles.
 
     The two measured ranges pin the position to (at most) two mirror
@@ -289,11 +313,12 @@ def _range_circle_intersections(obs: FusionObservation) -> list[np.ndarray]:
     if len(obs.entries) < 2:
         return []
     e1, e2 = obs.entries[0], obs.entries[1]
-    p1 = np.array([e1.node_pose.x, e1.node_pose.y])
-    p2 = np.array([e2.node_pose.x, e2.node_pose.y])
+    x1, y1 = e1.node_pose.x, e1.node_pose.y
     r1 = e1.detection.range
     r2 = e2.detection.range
-    d = float(np.linalg.norm(p2 - p1))
+    dx = e2.node_pose.x - x1
+    dy = e2.node_pose.y - y1
+    d = math.hypot(dx, dy)
     if d == 0.0 or d > r1 + r2 or d < abs(r1 - r2):
         return []
     along = (r1 * r1 - r2 * r2 + d * d) / (2.0 * d)
@@ -301,20 +326,21 @@ def _range_circle_intersections(obs: FusionObservation) -> list[np.ndarray]:
     if height_sq < 0.0:
         return []
     height = math.sqrt(height_sq)
-    unit = (p2 - p1) / d
-    perp = np.array([-unit[1], unit[0]])
-    base = p1 + along * unit
+    ux, uy = dx / d, dy / d
+    bx, by = x1 + along * ux, y1 + along * uy
     if height == 0.0:
-        return [base]
-    return [base + height * perp, base - height * perp]
+        return [(bx, by)]
+    return [(bx - height * uy, by + height * ux), (bx + height * uy, by - height * ux)]
 
 
 # Candidate starts farther off boresight than this cannot have produced
 # a detection; the margin absorbs angle noise on edge-of-FoV targets.
 _VISIBILITY_MARGIN = math.radians(15.0)
+# The closed-form initializer and the two range-circle intersections.
+_MAX_STARTS = 3
 
 
-def _start_is_visible(obs: FusionObservation, position: np.ndarray) -> bool:
+def _start_is_visible(obs: FusionObservation, position) -> bool:
     """True when every detecting node could actually see this position."""
     state = TargetState(position[0], position[1], 0.0, 0.0)
     limit = FOV_HALF_ANGLE + _VISIBILITY_MARGIN
@@ -327,6 +353,23 @@ def _start_is_visible(obs: FusionObservation, position: np.ndarray) -> bool:
     return True
 
 
+def _candidate_starts(obs: FusionObservation) -> tuple[np.ndarray, list[tuple]]:
+    """The closed-form position initializer and the candidate LM starts.
+
+    The starts are that initializer and the two range-circle
+    intersections, each with the closed-form velocity: the precise
+    ranges admit a mirror solution the coarse angles may fail to rule
+    out.  Candidates no detecting node could actually see are dropped
+    first (the detection event itself excludes them), unless that would
+    drop them all.
+    """
+    pos0 = initial_position_estimate(obs)
+    vx, vy = initial_velocity_estimate(obs)
+    positions = [(pos0[0], pos0[1])] + _range_circle_intersections(obs)
+    visible = [p for p in positions if _start_is_visible(obs, p)]
+    return pos0, [(x, y, vx, vy) for x, y in (visible or positions)]
+
+
 def solve(
     obs: FusionObservation,
     noise: NoiseConfig,
@@ -335,99 +378,216 @@ def solve(
 ) -> FusionEstimate:
     """Levenberg-Marquardt minimization of the ML or Bayes objective.
 
-    Seeded from the closed-form position/velocity initializers (plus
-    the range-circle intersection candidates, FoV-filtered); stops when
-    the objective gradient infinity-norm falls below 1e-8, a step is
-    shorter than 1e-10, or after 100 iterations.  Steps that leave the
-    feasible region (zero range to a node) are treated as rejections
-    and raise the damping.
+    The one-frame case of `solve_frames`, which describes the starts
+    and stop tests; the result is bit-identical to that frame's entry
+    in any batch.
     """
+    return _solve_frames([obs], noise, mode, prior)[0]
+
+
+def solve_frames(
+    observations: Iterable[FusionObservation],
+    noise: NoiseConfig,
+    mode: str = "bayes",
+    prior: PriorConfig | None = None,
+) -> list[FusionEstimate]:
+    """Levenberg-Marquardt minimization of the ML or Bayes objective, per frame.
+
+    Each frame is solved on its own: its result does not depend on the
+    other frames in the batch.  A frame starts from the best-scoring
+    feasible candidate among the closed-form position/velocity
+    initializer and the two range-circle intersections, FoV-filtered.
+    It stops when the objective gradient infinity-norm falls below
+    1e-8 or a step is shorter than 1e-10 (both `converged`), when its
+    damping reaches the upper limit, or after 100 iterations.  A step
+    that is singular, raises the objective, or leaves the feasible
+    region (zero range to a node) raises that frame's damping tenfold;
+    an accepted step lowers it tenfold.  All frames iterate together
+    as (F, 4) arrays, grouped by node count; results come back in input
+    order.
+    """
+    return _solve_frames(observations, noise, mode, prior)
+
+
+def _solve_frames(observations, noise, mode, prior) -> list[FusionEstimate]:
+    """`solve_frames` behind both public entry points, so that the
+    single-node warning points at the caller of either."""
     mode = mode.lower()
     if mode not in ("ml", "bayes"):
         raise ValueError(f"mode must be 'ml' or 'bayes', got {mode!r}")
     if mode == "bayes" and prior is None:
         raise ValueError("bayes mode requires a PriorConfig")
-    if obs.num_nodes < 2:
+    observations = list(observations)
+    if any(obs.num_nodes < 2 for obs in observations):
         warnings.warn(
             "single-node observation: vector velocity is unobservable",
-            stacklevel=2,
+            stacklevel=3,
         )
-    prior_center = _resolve_prior_center(obs, prior) if mode == "bayes" else None
-    model = _Residuals(
-        obs, noise, prior if mode == "bayes" else None, prior_center
-    )
+    groups: dict[int, list[int]] = {}
+    for k, obs in enumerate(observations):
+        groups.setdefault(obs.num_nodes, []).append(k)
+    results: list[FusionEstimate | None] = [None] * len(observations)
+    for index in groups.values():
+        group = [observations[k] for k in index]
+        for k, est in zip(index, _solve_group(group, noise, mode, prior)):
+            results[k] = est
+    return results
 
-    # Candidate starts: the closed-form initializer, plus the two
-    # range-circle intersections (the precise ranges admit a mirror
-    # solution the coarse angles may fail to rule out).  Candidates no
-    # detecting node could actually see are dropped first: the
-    # detection event itself excludes them.  The best-scoring feasible
-    # candidate seeds the iteration.
-    pos0 = initial_position_estimate(obs)
-    vel0 = initial_velocity_estimate(obs)
-    positions = [pos0] + _range_circle_intersections(obs)
-    visible = [p for p in positions if _start_is_visible(obs, p)]
-    starts = [np.array([p[0], p[1], vel0[0], vel0[1]]) for p in (visible or positions)]
-    theta = res = jac = None
-    value = np.inf
-    for start in starts:
-        out = model.residuals(start)
-        if out is None:
-            continue
-        start_value = float(out[0] @ out[0])
-        if start_value < value:
-            theta, (res, jac), value = start, out, start_value
-    if theta is None:
+
+def _solve_group(observations, noise, mode, prior) -> list[FusionEstimate]:
+    """`solve_frames` on frames that all have the same node count."""
+    count = len(observations)
+    # Each frame's candidate starts, padded with its first; the
+    # best-scoring feasible one seeds the frame.
+    starts = np.empty((count, _MAX_STARTS, 4))
+    padding = np.zeros((count, _MAX_STARTS), dtype=bool)
+    centers = [] if mode == "bayes" else None
+    for k, obs in enumerate(observations):
+        pos0, cands = _candidate_starts(obs)
+        starts[k] = cands + cands[:1] * (_MAX_STARTS - len(cands))
+        padding[k, len(cands):] = True
+        if centers is not None:
+            centers.append(_resolve_prior_center(obs, prior, pos0))
+    frames = _Frames.build(
+        observations,
+        noise,
+        prior if mode == "bayes" else None,
+        None if centers is None else np.array([(c.x, c.y, c.vx, c.vy) for c in centers]),
+    )
+    start_values = frames.per_candidate().objective(starts)
+    start_values[padding] = np.inf
+    best = np.argmin(start_values, axis=1)
+    rows = np.arange(count)
+    value = start_values[rows, best]
+    if not np.all(np.isfinite(value)):
         raise ValueError("initial estimate coincides with a node position")
-
-    lam = _LAMBDA_INIT
-    converged = False
-    iterations = 0
-    for iterations in range(1, _MAX_ITERATIONS + 1):
-        gradient = 2.0 * (jac.T @ res)
-        if np.max(np.abs(gradient)) < _GRADIENT_TOL:
-            converged = True
-            break
-        hessian = jac.T @ jac
-        try:
-            step = np.linalg.solve(hessian + lam * np.eye(4), -(jac.T @ res))
-        except np.linalg.LinAlgError:
-            lam = min(lam * 10.0, _LAMBDA_MAX)
-            continue
-        if float(np.linalg.norm(step)) < _STEP_TOL:
-            converged = True
-            break
-        candidate = theta + step
-        cand_out = model.residuals(candidate)
-        cand_value = float(cand_out[0] @ cand_out[0]) if cand_out is not None else np.inf
-        if not cand_value < value:
-            lam = min(lam * 10.0, _LAMBDA_MAX)
-            if lam >= _LAMBDA_MAX:
-                break
-            continue
-        theta = candidate
-        res, jac = cand_out
-        value = cand_value
-        lam = max(lam / 10.0, _LAMBDA_MIN)
-
-    hessian = jac.T @ jac
-    singular_values = np.linalg.svd(hessian, compute_uv=False)
-    smax = float(singular_values[0])
-    conditioning = float(singular_values[-1] / smax) if smax > 0.0 else 0.0
-    covariance = None
-    if conditioning > 1e-14:
-        covariance = np.linalg.inv(hessian)
-        covariance = 0.5 * (covariance + covariance.T)
-    return FusionEstimate(
-        state=TargetState.from_vector(theta),
-        covariance=covariance,
-        objective_value=value,
-        iterations=iterations,
-        converged=converged,
-        conditioning=conditioning,
-        mode=mode,
-        prior_center=prior_center,
+    theta, value, hessian, iterations, converged = _levenberg_marquardt(
+        frames, starts[rows, best], value
     )
+
+    singular_values = np.linalg.svd(hessian, compute_uv=False)
+    smax = singular_values[:, 0]
+    conditioning = np.divide(
+        singular_values[:, -1], smax, out=np.zeros(count), where=smax > 0.0
+    )
+    invertible = conditioning > 1e-14
+    covariances: list[np.ndarray | None] = [None] * count
+    if invertible.any():
+        inverse = np.linalg.inv(hessian[invertible])
+        inverse = 0.5 * (inverse + inverse.swapaxes(-1, -2))
+        for k, cov in zip(np.flatnonzero(invertible), inverse):
+            covariances[k] = cov
+    return [
+        FusionEstimate(
+            state=TargetState.from_vector(theta[k]),
+            covariance=covariances[k],
+            objective_value=float(value[k]),
+            iterations=int(iterations[k]),
+            converged=bool(converged[k]),
+            conditioning=float(conditioning[k]),
+            mode=mode,
+            prior_center=None if centers is None else centers[k],
+        )
+        for k in range(count)
+    ]
+
+
+_IDENTITY = np.eye(4)
+
+
+def _damped_steps(hessian, gradient_half, lam):
+    """LM steps solving (J'J + lam I) step = -J'r per frame, and which were singular."""
+    damped = hessian + lam[:, None, None] * _IDENTITY
+    rhs = -gradient_half[..., None]
+    try:
+        return np.linalg.solve(damped, rhs)[..., 0], None
+    except np.linalg.LinAlgError:
+        pass
+    # Solve frame by frame to find the singular systems; the others get
+    # the step the stacked solve would have computed.
+    steps = np.zeros_like(gradient_half)
+    singular = np.zeros(len(lam), dtype=bool)
+    for k in range(len(lam)):
+        try:
+            steps[k] = np.linalg.solve(damped[k:k + 1], rhs[k:k + 1])[0, :, 0]
+        except np.linalg.LinAlgError:
+            singular[k] = True
+    return steps, singular
+
+
+def _levenberg_marquardt(frames: _Frames, theta: np.ndarray, value: np.ndarray):
+    """Per-frame LM from `theta`; see `solve_frames` for the stop tests.
+
+    The working arrays hold the frames still iterating.  They are
+    compacted only when some frame stops, and that frame's results are
+    written out then.  A candidate's Jacobian is built only when some
+    frame accepts its step.  Returns the final states, objective values,
+    Hessians J'J, iteration counts and converged flags.
+    """
+    count = len(theta)
+    out_theta = np.empty_like(theta)
+    out_value = np.empty_like(value)
+    out_hessian = np.empty((count, 4, 4))
+    iterations = np.full(count, _MAX_ITERATIONS)
+    converged = np.zeros(count, dtype=bool)
+
+    hessian, gradient_half = _normal_equations(*frames.jacobian(frames.evaluate(theta)[1]))
+    lam = np.full(count, _LAMBDA_INIT)
+    active = np.arange(count)
+
+    def finish(stop, iteration, reached):
+        nonlocal theta, value, hessian, gradient_half, lam, active, frames
+        done = active[stop]
+        out_theta[done] = theta[stop]
+        out_value[done] = value[stop]
+        out_hessian[done] = hessian[stop]
+        iterations[done] = iteration
+        converged[done] = reached[stop]
+        keep = ~stop
+        theta, value, hessian = theta[keep], value[keep], hessian[keep]
+        gradient_half, lam, active = gradient_half[keep], lam[keep], active[keep]
+        frames = frames.take(keep)
+
+    for iteration in range(1, _MAX_ITERATIONS + 1):
+        stationary = np.abs(gradient_half).max(axis=-1) * 2.0 < _GRADIENT_TOL
+        if stationary.any():
+            finish(stationary, iteration, stationary)
+            if len(active) == 0:
+                break
+        step, singular = _damped_steps(hessian, gradient_half, lam)
+        short = np.sqrt((step * step).sum(axis=-1)) < _STEP_TOL
+        moving = ~short
+        if singular is not None:
+            # A singular frame's step is zero, but it has not converged.
+            short &= ~singular
+            moving &= ~singular
+        candidate = theta + step
+        cand_value, cand_terms = frames.evaluate(candidate)
+        accept = (cand_value < value) & moving
+        if accept.all():
+            theta, value = candidate, cand_value
+            hessian, gradient_half = _normal_equations(*frames.jacobian(cand_terms))
+            lam = np.maximum(lam / 10.0, _LAMBDA_MIN)
+            continue
+        if accept.any():
+            cand_hessian, cand_gradient_half = _normal_equations(*frames.jacobian(cand_terms))
+            theta[accept] = candidate[accept]
+            value[accept] = cand_value[accept]
+            hessian[accept] = cand_hessian[accept]
+            gradient_half[accept] = cand_gradient_half[accept]
+        lam = np.where(
+            accept, np.maximum(lam / 10.0, _LAMBDA_MIN), np.minimum(lam * 10.0, _LAMBDA_MAX)
+        )
+        # Singular frames raise their damping but never stop on it.
+        stop = short | (moving & ~accept & (lam >= _LAMBDA_MAX))
+        if stop.any():
+            finish(stop, iteration, short)
+            if len(active) == 0:
+                break
+    else:
+        capped = np.ones(len(active), dtype=bool)
+        finish(capped, _MAX_ITERATIONS, ~capped)
+    return out_theta, out_value, out_hessian, iterations, converged
 
 
 def laplace_covariance(
@@ -490,6 +650,9 @@ def grid_covariance(
     return 0.5 * (cov + cov.T)
 
 
+_GRID_BLOCK = 4096
+
+
 def posterior_covariance_grid(
     obs: FusionObservation,
     noise: NoiseConfig,
@@ -508,13 +671,21 @@ def posterior_covariance_grid(
         if center.prior_center is not None
         else _resolve_prior_center(obs, prior)
     )
-    model = _Residuals(obs, noise, prior, prior_center)
+    model = _Frames.build([obs], noise, prior, prior_center.as_vector()[None])
+
+    def objective(thetas: np.ndarray) -> np.ndarray:
+        # Blocks of states bound the memory the kernel's temporaries take.
+        return np.concatenate([
+            model.objective(thetas[i:i + _GRID_BLOCK])
+            for i in range(0, len(thetas), _GRID_BLOCK)
+        ])
+
     laplace = laplace_covariance(obs, noise, prior, center.state, prior_center)
     sigmas = np.sqrt(np.maximum(np.diag(laplace), 0.0))
     # Guard against a collapsed Laplace direction producing a zero-width axis.
     sigmas = np.maximum(sigmas, 1e-9 * np.max(sigmas))
     return grid_covariance(
-        model.value_batch,
+        objective,
         center.state.as_vector(),
         sigmas,
         half_width_sigmas=half_width_sigmas,

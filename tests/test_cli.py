@@ -18,6 +18,22 @@ def small_config(tmp_path):
     return path
 
 
+@pytest.fixture()
+def three_node_config(tmp_path):
+    import math
+    from dataclasses import replace
+
+    from radarnet.geometry import Pose2D
+
+    base = builtin_scenario("B", "random", seed=2)
+    config = replace(
+        base, num_frames=240, nodes=base.nodes + (Pose2D(4.0, 3.5, math.radians(125.0)),)
+    )
+    path = tmp_path / "scenario3.json"
+    save_scenario(config, path)
+    return path
+
+
 class TestSimulate:
     def test_writes_sim_outputs(self, tmp_path, small_config, capsys):
         code = main(["simulate", "--config", str(small_config), "--out", str(tmp_path / "o")])
@@ -105,6 +121,30 @@ class TestFuseVerb:
         code = main(["fuse", "--config", str(small_config), "--out", str(tmp_path / "o2"),
                      "--calibration", str(calib), "--mode", "ml"])
         assert code == 0
+
+    def test_three_node_calibration_files(self, tmp_path, three_node_config):
+        # `calibrate` writes result.json for node 1 and result_node2.json
+        # for node 2; `fuse` reads both.
+        assert main(["calibrate", "--config", str(three_node_config),
+                     "--out", str(tmp_path / "o")]) == 0
+        calib = tmp_path / "o" / "B" / "2" / "calibration" / "result.json"
+        assert (calib.parent / "result_node2.json").exists()
+        code = main(["fuse", "--config", str(three_node_config), "--out", str(tmp_path / "o2"),
+                     "--calibration", str(calib)])
+        assert code == 0
+        lines = (tmp_path / "o2" / "B" / "2" / "fusion" / "oneshot_only.csv").read_text().split()
+        assert lines[0] == "frame,mode,x,y,vx,vy,converged,cond"
+        assert len(lines) > 30
+
+    def test_three_node_missing_calibration_file(self, tmp_path, three_node_config, capsys):
+        assert main(["calibrate", "--config", str(three_node_config),
+                     "--out", str(tmp_path / "o")]) == 0
+        calib = tmp_path / "o" / "B" / "2" / "calibration" / "result.json"
+        (calib.parent / "result_node2.json").unlink()
+        code = main(["fuse", "--config", str(three_node_config), "--out", str(tmp_path / "o2"),
+                     "--calibration", str(calib)])
+        assert code == 2
+        assert "result_node2.json" in capsys.readouterr().err
 
 
 class TestRunVerb:

@@ -19,6 +19,7 @@ from radarnet.fusion import (
     ml_objective,
     posterior_covariance_grid,
     solve,
+    solve_frames,
 )
 
 TABLE_NOISE = NoiseConfig()
@@ -202,8 +203,12 @@ class TestSolve:
 
     def test_single_node_warns(self):
         obs = FusionObservation((ObservationEntry(Pose2D(0, 0, 0), Detection(5.0, 0.0, 0.0)),))
-        with pytest.warns(UserWarning, match="single-node"):
+        with pytest.warns(UserWarning, match="single-node") as record:
             solve(obs, TABLE_NOISE, mode="ml")
+        assert record[0].filename == __file__
+        with pytest.warns(UserWarning, match="single-node") as record:
+            solve_frames([obs], TABLE_NOISE, mode="ml")
+        assert record[0].filename == __file__
 
     def test_wide_priors_approach_ml(self):
         rng = np.random.default_rng(3)
@@ -365,3 +370,111 @@ class TestGridCovariance:
         assert grid[2, 2] >= 0.5 * PRIOR.sigma_vx**2
         # Along-baseline velocity is pinned by two opposed Doppler reads.
         assert grid[3, 3] < 0.05 * PRIOR.sigma_vy**2
+
+
+def assert_same_estimate(a, b):
+    """Bit-for-bit equality of two FusionEstimates."""
+    assert a.state == b.state
+    assert a.iterations == b.iterations
+    assert a.converged == b.converged
+    assert a.objective_value == b.objective_value
+    assert a.conditioning == b.conditioning
+    assert a.prior_center == b.prior_center
+    if a.covariance is None or b.covariance is None:
+        assert a.covariance is None and b.covariance is None
+    else:
+        np.testing.assert_array_equal(a.covariance, b.covariance)
+
+
+class TestSolveFrames:
+    def test_single_frame_solve_matches_batch_on_builtin_scenario(self):
+        from radarnet.experiment import simulate_scenario
+
+        config = builtin_scenario("A", "random", seed=7)
+        _, frames = simulate_scenario(config)
+        observations = [
+            FusionObservation(tuple(
+                ObservationEntry(node, det) for node, det in zip(config.nodes, frame.per_node)
+            ))
+            for frame in frames
+            if all(det is not None for det in frame.per_node)
+        ]
+        assert len(observations) > 400
+        for mode, prior in (("ml", None), ("bayes", PRIOR)):
+            batch = solve_frames(observations, config.noise, mode=mode, prior=prior)
+            assert len(batch) == len(observations)
+            for obs, est in zip(observations, batch):
+                assert_same_estimate(solve(obs, config.noise, mode=mode, prior=prior), est)
+
+    def test_mixed_node_counts_keep_input_order(self):
+        rng = np.random.default_rng(21)
+        nodes3 = config_b_nodes() + (Pose2D(4.0, 3.5, math.radians(125.0)),)
+        observations = []
+        for k in range(12):
+            target = TargetState(rng.uniform(1.0, 3.0), rng.uniform(2.5, 4.0),
+                                 rng.uniform(-1, 1), rng.uniform(-1, 1))
+            nodes = nodes3 if k % 3 == 1 else nodes3[:2]
+            observations.append(observation_of(nodes, target, TABLE_NOISE, rng))
+        batch = solve_frames(observations, TABLE_NOISE, mode="bayes", prior=PRIOR)
+        for obs, est in zip(observations, batch):
+            assert_same_estimate(solve(obs, TABLE_NOISE, mode="bayes", prior=PRIOR), est)
+
+    def test_start_on_a_node_raises(self):
+        good = observation_of(config_b_nodes(), TargetState(1.5, 3.5, 0.2, 0.1))
+        # A zero-range detection maps back onto the node itself.
+        on_node = FusionObservation(
+            (ObservationEntry(Pose2D(0, 0, 0), Detection(0.0, 0.0, 1.0)),)
+        )
+        message = "initial estimate coincides with a node position"
+        with pytest.warns(UserWarning, match="single-node"):
+            with pytest.raises(ValueError, match=message):
+                solve(on_node, TABLE_NOISE, mode="ml")
+        with pytest.warns(UserWarning, match="single-node"):
+            with pytest.raises(ValueError, match=message):
+                solve_frames([good, on_node], TABLE_NOISE, mode="ml")
+
+    def test_singular_frame_leaves_other_frames_unchanged(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        observations = [
+            observation_of(
+                config_b_nodes(),
+                TargetState(rng.uniform(1.0, 3.0), rng.uniform(2.5, 4.0), 0.5, -0.5),
+                TABLE_NOISE,
+                rng,
+            )
+            for _ in range(3)
+        ]
+        reference = solve_frames(observations, TABLE_NOISE, mode="ml")
+
+        # Record frame 1's first damped system, then have the linear
+        # solver refuse it as singular wherever it appears.
+        real_solve = np.linalg.solve
+        recorded = []
+
+        def recording(a, b):
+            recorded.append(np.array(a))
+            return real_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        solve(observations[1], TABLE_NOISE, mode="ml")
+        singular = recorded[0][0]
+
+        def refusing(a, b):
+            if any(np.array_equal(m, singular) for m in a):
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", refusing)
+        batch = solve_frames(observations, TABLE_NOISE, mode="ml")
+        assert_same_estimate(batch[0], reference[0])
+        assert_same_estimate(batch[2], reference[2])
+        assert_same_estimate(batch[1], solve(observations[1], TABLE_NOISE, mode="ml"))
+        # The refused frame only raised its damping: it went on iterating
+        # and reached the same minimum as without the refusal.
+        assert batch[1].converged
+        assert batch[1].iterations > 1
+        assert batch[1].iterations != reference[1].iterations
+        np.testing.assert_allclose(
+            batch[1].state.as_vector(), reference[1].state.as_vector(), rtol=0, atol=1e-6
+        )
+        assert batch[1].objective_value == pytest.approx(reference[1].objective_value, rel=1e-9)

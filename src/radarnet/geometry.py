@@ -129,19 +129,69 @@ class IdealMeasurement:
     radial_vel: float
 
 
-def _offset(radar: Pose2D, target: TargetState) -> tuple[float, float, float]:
+def _offset(radar: Pose2D, x: float, y: float) -> tuple[float, float, float]:
     """Target offset from the radar and its norm; rejects coincident input."""
-    dx = target.x - radar.x
-    dy = target.y - radar.y
+    dx = x - radar.x
+    dy = y - radar.y
     r = math.hypot(dx, dy)
     if r == 0.0:
         raise ValueError("target coincides with radar position; range is zero")
     return dx, dy, r
 
 
+def measure_with_jacobian(
+    radar: Pose2D, x: float, y: float, vx: float, vy: float, jacobian: bool = True
+) -> tuple[float, float, float, np.ndarray | None]:
+    """Range, spatial frequency, radial velocity and their 3x4 Jacobian.
+
+    The one scalar form of the exact measurement model: the Jacobian is
+    analytic, w.r.t. (x, y, vx, vy), and None unless `jacobian` is set.
+    `measure`, `measurement_jacobian` and the per-quantity `measure_*`
+    functions are views of it, and the EKF calls it on its state vector.
+    """
+    dx, dy, r = _offset(radar, x, y)
+    c, s = math.cos(radar.phi), math.sin(radar.phi)
+    along_array = dx * c + dy * s
+    vel_proj = vx * dx + vy * dy
+    predicted = (r, math.pi * along_array / r, vel_proj / r)
+    if not jacobian:
+        return *predicted, None
+    r2 = r * r
+    r3 = r2 * r
+    jac = np.array([
+        [dx / r, dy / r, 0.0, 0.0],
+        [
+            math.pi * (c * r2 - along_array * dx) / r3,
+            math.pi * (s * r2 - along_array * dy) / r3,
+            0.0,
+            0.0,
+        ],
+        [
+            (vx * r2 - vel_proj * dx) / r3,
+            (vy * r2 - vel_proj * dy) / r3,
+            dx / r,
+            dy / r,
+        ],
+    ])
+    return *predicted, jac
+
+
+def measure(radar: Pose2D, target: TargetState) -> IdealMeasurement:
+    """All three ideal measurements of a target from one node."""
+    r, omega, radial_vel, _ = measure_with_jacobian(
+        radar, target.x, target.y, target.vx, target.vy, jacobian=False
+    )
+    return IdealMeasurement(r, omega, radial_vel)
+
+
+def measurement_jacobian(radar: Pose2D, state: TargetState) -> np.ndarray:
+    """Jacobian of (range, spatial_freq, radial_vel) w.r.t. (x, y, vx, vy)."""
+    return measure_with_jacobian(radar, state.x, state.y, state.vx, state.vy)[3]
+
+
 def measure_range(radar: Pose2D, target: TargetState) -> float:
     """Euclidean distance from the radar to the target, in meters."""
-    return _offset(radar, target)[2]
+    return measure(radar, target).range
 
 
 def measure_radial_velocity(radar: Pose2D, target: TargetState) -> float:
@@ -149,8 +199,7 @@ def measure_radial_velocity(radar: Pose2D, target: TargetState) -> float:
 
     Positive values mean the target is receding from the radar.
     """
-    dx, dy, r = _offset(radar, target)
-    return (target.vx * dx + target.vy * dy) / r
+    return measure(radar, target).radial_vel
 
 
 def measure_spatial_frequency(radar: Pose2D, target: TargetState) -> float:
@@ -158,19 +207,7 @@ def measure_spatial_frequency(radar: Pose2D, target: TargetState) -> float:
 
     theta is the angle off boresight; the result lies in [-pi, pi].
     """
-    dx, dy, r = _offset(radar, target)
-    return math.pi * (dx * math.cos(radar.phi) + dy * math.sin(radar.phi)) / r
-
-
-def measure(radar: Pose2D, target: TargetState) -> IdealMeasurement:
-    """All three ideal measurements of a target from one node."""
-    dx, dy, r = _offset(radar, target)
-    c, s = math.cos(radar.phi), math.sin(radar.phi)
-    return IdealMeasurement(
-        range=r,
-        spatial_freq=math.pi * (dx * c + dy * s) / r,
-        radial_vel=(target.vx * dx + target.vy * dy) / r,
-    )
+    return measure(radar, target).spatial_freq
 
 
 def aoa_from_spatial_frequency(omega: float) -> float:
@@ -185,7 +222,7 @@ def angle_off_boresight(radar: Pose2D, target: TargetState) -> float:
 
     |result| > pi/2 means the target is behind the array plane.
     """
-    dx, dy, r = _offset(radar, target)
+    dx, dy, r = _offset(radar, target.x, target.y)
     c, s = math.cos(radar.phi), math.sin(radar.phi)
     along_array = dx * c + dy * s
     along_boresight = -dx * s + dy * c
@@ -220,31 +257,3 @@ def detection_to_local_cartesian(m: IdealMeasurement) -> np.ndarray:
         raise ValueError(f"range must be positive, got {m.range!r}")
     theta = aoa_from_spatial_frequency(m.spatial_freq)
     return np.array([m.range * math.sin(theta), m.range * math.cos(theta)])
-
-
-def measurement_jacobian(radar: Pose2D, state: TargetState) -> np.ndarray:
-    """Jacobian of (range, spatial_freq, radial_vel) w.r.t. (x, y, vx, vy).
-
-    Analytic 3x4 matrix of the exact measurement model at `state`.
-    """
-    dx, dy, r = _offset(radar, state)
-    c, s = math.cos(radar.phi), math.sin(radar.phi)
-    r2 = r * r
-    r3 = r2 * r
-    along_array = dx * c + dy * s
-    vel_proj = state.vx * dx + state.vy * dy
-    return np.array([
-        [dx / r, dy / r, 0.0, 0.0],
-        [
-            math.pi * (c * r2 - along_array * dx) / r3,
-            math.pi * (s * r2 - along_array * dy) / r3,
-            0.0,
-            0.0,
-        ],
-        [
-            (state.vx * r2 - vel_proj * dx) / r3,
-            (state.vy * r2 - vel_proj * dy) / r3,
-            dx / r,
-            dy / r,
-        ],
-    ])

@@ -22,6 +22,7 @@ from .geometry import (
     detection_to_local_cartesian,
     IdealMeasurement,
     measure,
+    measure_with_jacobian,
     measurement_jacobian,
     rotation_matrix,
 )
@@ -52,6 +53,11 @@ class EkfConfig:
         for name in ("init_pos_var", "init_vel_var"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"EkfConfig.{name} must be > 0")
+        # NaN fails both tests: a NaN gate never rejects, a NaN min_range skips every update.
+        if self.gate_threshold is not None and not self.gate_threshold > 0.0:
+            raise ValueError("EkfConfig.gate_threshold must be None or > 0")
+        if not self.min_range >= 0.0:
+            raise ValueError("EkfConfig.min_range must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -110,19 +116,118 @@ def _symmetrize(p: np.ndarray) -> np.ndarray:
     return 0.5 * (p + p.T)
 
 
+def _is_positive_definite_4(a: list, shift: float) -> bool:
+    """Whether the unrolled scalar Cholesky of a - shift*I succeeds.
+
+    Reads only the upper triangle of the symmetric 4x4 nested list `a`.
+    """
+    (a00, a01, a02, a03), (_, a11, a12, a13), (_, _, a22, a23), (_, _, _, a33) = a
+    d0 = a00 - shift
+    if not d0 > 0.0:
+        return False
+    l0 = math.sqrt(d0)
+    l10, l20, l30 = a01 / l0, a02 / l0, a03 / l0
+    d1 = a11 - shift - l10 * l10
+    if not d1 > 0.0:
+        return False
+    l1 = math.sqrt(d1)
+    l21 = (a12 - l20 * l10) / l1
+    l31 = (a13 - l30 * l10) / l1
+    d2 = a22 - shift - l20 * l20 - l21 * l21
+    if not d2 > 0.0:
+        return False
+    l32 = (a23 - l30 * l20 - l31 * l21) / math.sqrt(d2)
+    return a33 - shift - l30 * l30 - l31 * l31 - l32 * l32 > 0.0
+
+
+def _is_positive_definite_3(a: list) -> bool:
+    """Whether the unrolled scalar Cholesky of the symmetric 3x3 `a` succeeds."""
+    (a00, a01, a02), (_, a11, a12), (_, _, a22) = a
+    if not a00 > 0.0:
+        return False
+    l0 = math.sqrt(a00)
+    l10, l20 = a01 / l0, a02 / l0
+    d1 = a11 - l10 * l10
+    if not d1 > 0.0:
+        return False
+    l21 = (a12 - l20 * l10) / math.sqrt(d1)
+    return a22 - l20 * l20 - l21 * l21 > 0.0
+
+
 def _project_psd(p: np.ndarray) -> np.ndarray:
     """Clip the tiny negative eigenvalues rounding can leave behind.
 
     Clipping lands on a small positive floor (relative to the largest
     eigenvalue) rather than exactly zero, so downstream information-
-    form operations keep an invertible matrix.
+    form operations keep an invertible matrix.  A scalar Cholesky of
+    sym - 1e-12*trace(sym)*I that succeeds proves every eigenvalue above
+    1e-12*trace, hence above the floor, so only the matrices it rejects
+    reach `eigh`.
     """
     sym = _symmetrize(p)
+    a = sym.tolist()
+    if _is_positive_definite_4(a, 1e-12 * (a[0][0] + a[1][1] + a[2][2] + a[3][3])):
+        return sym
     eigenvalues, vectors = np.linalg.eigh(sym)
     floor = 1e-12 * max(eigenvalues[-1], 0.0)
     if eigenvalues[0] > floor:
         return sym
     return _symmetrize((vectors * np.maximum(eigenvalues, floor)) @ vectors.T)
+
+
+_EYE4 = np.eye(4)
+_FOLD = np.diag([1.0, -1.0, 1.0, -1.0])
+
+
+def _transition(dt: float) -> np.ndarray:
+    f = np.eye(4)
+    f[0, 2] = f[1, 3] = dt
+    return f
+
+
+def _measurement_noise(noise: NoiseConfig) -> np.ndarray:
+    return np.diag([noise.sigma_r**2, noise.sigma_omega**2, noise.sigma_v**2])
+
+
+def _predict(
+    theta: tuple, cov: np.ndarray, dt: float, f: np.ndarray, q: np.ndarray
+) -> tuple[tuple, np.ndarray]:
+    """The CV prediction step on an (x, y, vx, vy) tuple of floats."""
+    x, y, vx, vy = theta
+    return (x + vx * dt, y + vy * dt, vx, vy), _project_psd(f @ cov @ f.T + q)
+
+
+def _update(
+    theta: tuple, cov: np.ndarray, model: tuple, detection: Detection, r: np.ndarray,
+    gate_threshold: float | None,
+) -> tuple[tuple, np.ndarray, np.ndarray, bool]:
+    """The EKF update of `theta` given the measurement model's output there.
+
+    `model` is (range, spatial frequency, radial velocity, Jacobian), as
+    `measure_with_jacobian` returns it.  Also returns the innovation and
+    whether the gate let the update through.
+    """
+    *predicted, h = model
+    innovation = np.subtract(
+        (detection.range, detection.spatial_freq, detection.radial_vel), predicted
+    )
+    hp = h @ cov
+    s = _symmetrize(hp @ h.T + r)
+    # A Cholesky proves S positive definite; one jitter retry absorbs the
+    # rounding dust extreme noise scales can leave on a weak direction.
+    if not _is_positive_definite_3(s.tolist()):
+        s = s + (1e-12 * np.trace(s) / 3.0 + 1e-300) * np.eye(3)
+        if not _is_positive_definite_3(s.tolist()):
+            raise np.linalg.LinAlgError("singular innovation covariance")
+    gain = np.linalg.solve(s, hp).T
+    if gate_threshold is not None:
+        mahalanobis_sq = float(innovation @ np.linalg.solve(s, innovation))
+        if mahalanobis_sq > gate_threshold:
+            return theta, cov, innovation, False
+    posterior = tuple((np.array(theta) + gain @ innovation).tolist())
+    identity_kh = _EYE4 - gain @ h
+    cov_out = _project_psd(identity_kh @ cov @ identity_kh.T + gain @ r @ gain.T)
+    return posterior, cov_out, innovation, True
 
 
 def ekf_predict(
@@ -131,14 +236,9 @@ def ekf_predict(
     """Constant-velocity prediction: x += vx*dt, P <- F P F' + Q."""
     if not dt > 0.0:
         raise ValueError("dt must be > 0")
-    f = np.eye(4)
-    f[0, 2] = dt
-    f[1, 3] = dt
-    cov_out = _project_psd(f @ cov @ f.T + process_noise(dt, cfg.process_noise_accel))
-    return (
-        TargetState(state.x + state.vx * dt, state.y + state.vy * dt, state.vx, state.vy),
-        cov_out,
-    )
+    q = process_noise(dt, cfg.process_noise_accel)
+    theta, cov_out = _predict((state.x, state.y, state.vx, state.vy), cov, dt, _transition(dt), q)
+    return TargetState(*theta), cov_out
 
 
 def ekf_update(
@@ -155,34 +255,13 @@ def ekf_update(
     (range, spatial frequency, radial velocity order).  When a gate is
     given and the innovation fails it, the prior is returned unchanged.
     """
-    predicted = measure(radar, state)
-    innovation = np.array([
-        detection.range - predicted.range,
-        detection.spatial_freq - predicted.spatial_freq,
-        detection.radial_vel - predicted.radial_vel,
-    ])
-    h = measurement_jacobian(radar, state)
-    r = np.diag([noise.sigma_r**2, noise.sigma_omega**2, noise.sigma_v**2])
-    s = _symmetrize(h @ cov @ h.T + r)
-    # Cholesky proves S positive definite; one jitter retry absorbs the
-    # rounding dust extreme noise scales can leave on a weak direction.
-    for attempt in range(2):
-        try:
-            np.linalg.cholesky(s)
-            break
-        except np.linalg.LinAlgError:
-            if attempt == 1:
-                raise np.linalg.LinAlgError("singular innovation covariance") from None
-            s = s + (1e-12 * np.trace(s) / 3.0 + 1e-300) * np.eye(3)
-    gain = np.linalg.solve(s, h @ cov).T
-    if gate_threshold is not None:
-        mahalanobis_sq = float(innovation @ np.linalg.solve(s, innovation))
-        if mahalanobis_sq > gate_threshold:
-            return state, cov, innovation
-    theta = state.as_vector() + gain @ innovation
-    identity_kh = np.eye(4) - gain @ h
-    cov_out = _project_psd(identity_kh @ cov @ identity_kh.T + gain @ r @ gain.T)
-    return TargetState.from_vector(theta), cov_out, innovation
+    m = measure(radar, state)
+    model = (m.range, m.spatial_freq, m.radial_vel, measurement_jacobian(radar, state))
+    theta, cov_out, innovation, applied = _update(
+        (state.x, state.y, state.vx, state.vy), cov, model, detection,
+        _measurement_noise(noise), gate_threshold,
+    )
+    return (TargetState(*theta) if applied else state), cov_out, innovation
 
 
 def run_tracker(
@@ -198,7 +277,8 @@ def run_tracker(
     The filter initializes from the node's first detection (position
     from the detection, zero velocity, configured variances), then
     predicts every frame and updates whenever a detection is present.
-    Predict-only frames still emit track points, flagged updated=False.
+    Predict-only frames, and frames whose detection the gate rejected,
+    still emit track points, flagged updated=False.
     `node_pose` is kept as track metadata only; filtering happens in
     the node-local frame, where the radar sits at the identity pose.
 
@@ -207,35 +287,41 @@ def run_tracker(
     and Doppler), so states that cross into the back half-plane are
     folded to the front, where the field of view lives.
     """
+    if not dt > 0.0:
+        raise ValueError("dt must be > 0")
+    f = _transition(dt)
+    q = process_noise(dt, cfg.process_noise_accel)
+    r = _measurement_noise(noise)
     track = Track(node_index=node_index, frame="local")
-    state: TargetState | None = None
+    theta: tuple | None = None
     cov = np.zeros((4, 4))
     for frame in frames:
         det = frame.per_node[node_index]
         updated = False
-        if state is None:
+        if theta is None:
             if det is None:
                 continue
             pos = detection_to_local_cartesian(
                 IdealMeasurement(det.range, det.spatial_freq, det.radial_vel)
             )
-            state = TargetState(pos[0], pos[1], 0.0, 0.0)
+            theta = (float(pos[0]), float(pos[1]), 0.0, 0.0)
             cov = np.diag([cfg.init_pos_var, cfg.init_pos_var, cfg.init_vel_var, cfg.init_vel_var])
             updated = True
         else:
-            state, cov = ekf_predict(state, cov, dt, cfg)
-            if det is not None and math.hypot(state.x, state.y) >= cfg.min_range:
-                state, cov, _ = ekf_update(
-                    state, cov, det, _LOCAL_POSE, noise, cfg.gate_threshold
-                )
-                updated = True
-        if state.y < 0.0:
-            state, cov = _fold_to_front(state, cov)
+            theta, cov = _predict(theta, cov, dt, f, q)
+            if det is not None and math.hypot(theta[0], theta[1]) >= cfg.min_range:
+                model = measure_with_jacobian(_LOCAL_POSE, *theta)
+                theta, cov, _, updated = _update(theta, cov, model, det, r, cfg.gate_threshold)
+        if not all(map(math.isfinite, theta)):
+            raise ValueError(f"EKF state must be finite, got {theta!r}")
+        if theta[1] < 0.0:
+            # Reflect a behind-the-array state across the array line (cost-free).
+            theta, cov = (theta[0], -theta[1], theta[2], -theta[3]), _FOLD @ cov @ _FOLD
         track.frames.append(
             TrackPoint(
                 frame_index=frame.frame_index,
-                position=complex(state.x, state.y),
-                velocity=state.velocity,
+                position=complex(theta[0], theta[1]),
+                velocity=np.array(theta[2:]),
                 covariance=cov.copy(),
                 updated=updated,
             )
@@ -243,17 +329,6 @@ def run_tracker(
     if not track.frames:
         raise ValueError(f"node {node_index} produced no detections; track is empty")
     return track
-
-
-_FOLD = np.diag([1.0, -1.0, 1.0, -1.0])
-
-
-def _fold_to_front(state: TargetState, cov: np.ndarray) -> tuple[TargetState, np.ndarray]:
-    """Reflect a behind-the-array state across the array line (cost-free)."""
-    return (
-        TargetState(state.x, -state.y, state.vx, -state.vy),
-        _FOLD @ cov @ _FOLD,
-    )
 
 
 def transform_track(track: Track, p21: complex, phi21: float) -> Track:

@@ -26,6 +26,7 @@ from radarnet.geometry import (
     measure_radial_velocity,
     measure_range,
     measure_spatial_frequency,
+    measure_with_jacobian,
     measurement_jacobian,
     wrap_angle,
 )
@@ -259,3 +260,15 @@ class TestMeasurementJacobian:
             scale = np.maximum(np.abs(fd), 1.0)
             worst = max(worst, float(np.max(np.abs(jac - fd) / scale)))
         assert worst < 1e-5
+
+    def test_kernel_serves_every_view(self):
+        rng = np.random.default_rng(100)
+        for _ in range(50):
+            radar, target = random_geometry(rng)
+            r, omega, radial_vel, jac = measure_with_jacobian(radar, *target.as_vector())
+            assert measure(radar, target) == IdealMeasurement(r, omega, radial_vel)
+            assert (measure_range(radar, target), measure_spatial_frequency(radar, target),
+                    measure_radial_velocity(radar, target)) == (r, omega, radial_vel)
+            assert measurement_jacobian(radar, target).tobytes() == jac.tobytes()
+            assert measure_with_jacobian(radar, *target.as_vector(), jacobian=False) == (
+                r, omega, radial_vel, None)

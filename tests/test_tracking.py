@@ -5,12 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from radarnet.geometry import Pose2D, TargetState, measure
+from radarnet.experiment import PipelineOptions, simulate_scenario
+from radarnet.geometry import (
+    IdealMeasurement,
+    Pose2D,
+    TargetState,
+    detection_to_local_cartesian,
+    measure,
+)
 from radarnet.scene import (
     Detection,
     NoiseConfig,
     ScenarioConfig,
     TrajectorySpec,
+    builtin_scenario,
     generate_trajectory,
     synthesize_measurements,
 )
@@ -18,6 +26,7 @@ from radarnet.tracking import (
     EkfConfig,
     Track,
     TrackPoint,
+    _project_psd,
     ekf_predict,
     ekf_update,
     export_track_csv,
@@ -40,6 +49,67 @@ def random_psd(rng, scale=1.0):
 def detection_of(radar, target):
     m = measure(radar, target)
     return Detection(m.range, m.spatial_freq, m.radial_vel)
+
+
+class TestEkfConfig:
+    @pytest.mark.parametrize("gate", [0.0, -1.0, math.nan])
+    def test_gate_must_be_positive(self, gate):
+        with pytest.raises(ValueError, match="gate_threshold"):
+            EkfConfig(gate_threshold=gate)
+
+    @pytest.mark.parametrize("min_range", [-0.1, math.nan])
+    def test_min_range_must_be_nonnegative(self, min_range):
+        with pytest.raises(ValueError, match="min_range"):
+            EkfConfig(min_range=min_range)
+
+    def test_valid_edges_accepted(self):
+        assert EkfConfig(gate_threshold=None, min_range=0.0).min_range == 0.0
+        assert EkfConfig(gate_threshold=1e-9).gate_threshold == 1e-9
+
+
+def eigh_projection(p):
+    """Reference PSD projection: symmetrize, then clip eigenvalues at 1e-12 * the largest."""
+    sym = 0.5 * (p + p.T)
+    eigenvalues, vectors = np.linalg.eigh(sym)
+    floor = 1e-12 * max(eigenvalues[-1], 0.0)
+    if eigenvalues[0] > floor:
+        return sym
+    sym_clipped = (vectors * np.maximum(eigenvalues, floor)) @ vectors.T
+    return 0.5 * (sym_clipped + sym_clipped.T)
+
+
+class TestProjectPsd:
+    @staticmethod
+    def clipped_vs_reference(p):
+        """Assert the projection equals the reference bit for bit; return whether it clipped."""
+        got = _project_psd(p)
+        want = eigh_projection(p)
+        assert got.tobytes() == want.tobytes()
+        return not np.array_equal(want, 0.5 * (p + p.T))
+
+    def test_positive_definite_kept_bit_for_bit(self):
+        rng = np.random.default_rng(10)
+        for _ in range(200):
+            p = random_psd(rng, scale=10.0 ** rng.uniform(-6, 3))
+            p = p + 1e-15 * rng.standard_normal((4, 4))  # the asymmetry rounding leaves
+            assert not self.clipped_vs_reference(p)
+
+    def test_rank_deficient_clipped_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        clipped = 0
+        for rank in (0, 1, 2, 3):
+            for _ in range(50):
+                a = rng.standard_normal((4, rank))
+                clipped += self.clipped_vs_reference(a @ a.T)
+        assert clipped >= 150
+
+    def test_indefinite_clipped_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            a = rng.standard_normal((4, 4))
+            eigenvalues, vectors = np.linalg.eigh(a + a.T)
+            eigenvalues[0] = -abs(eigenvalues[0]) - 1e-3
+            assert self.clipped_vs_reference((vectors * eigenvalues) @ vectors.T)
 
 
 class TestPredict:
@@ -217,6 +287,18 @@ class TestRunTracker:
         config, truth, frames = self.straight_scenario(TINY_NOISE, num_frames=200, seed=1)
         assert self._average_nis(frames, truth, TABLE_NOISE, config.frame_duration) < 0.05
 
+    def test_gate_rejected_detection_is_not_flagged_updated(self):
+        config, truth, frames = self.straight_scenario(TABLE_NOISE, num_frames=60, seed=3)
+        outlier_frame = 40
+        det, other = frames[outlier_frame].per_node
+        outlier = Detection(det.range + 3.0, det.spatial_freq, det.radial_vel)
+        frames[outlier_frame] = frames[outlier_frame].__class__(outlier_frame, (outlier, other))
+        cfg = EkfConfig(gate_threshold=16.27)  # chi-square(3) at p = 0.001
+        track = run_tracker(frames, 0, config.nodes[0], cfg, TABLE_NOISE, config.frame_duration)
+        by_frame = track.by_frame()
+        assert by_frame[outlier_frame].updated is False
+        assert by_frame[outlier_frame - 1].updated and by_frame[outlier_frame + 1].updated
+
     @staticmethod
     def _average_nis(frames, truth, noise, dt):
         from radarnet.geometry import detection_to_local_cartesian, IdealMeasurement
@@ -252,6 +334,80 @@ class TestRunTracker:
             state, cov, _ = ekf_update(state, cov, det, ORIGIN, noise)
         # Skip the initialization transient.
         return float(np.mean(values[20:]))
+
+
+def manual_chain(frames, node_index, cfg, noise, dt):
+    """The tracker's recursion written with the public predict/update steps."""
+    points = []
+    state = None
+    for frame in frames:
+        det = frame.per_node[node_index]
+        updated = False
+        if state is None:
+            if det is None:
+                continue
+            pos = detection_to_local_cartesian(
+                IdealMeasurement(det.range, det.spatial_freq, det.radial_vel)
+            )
+            state = TargetState(pos[0], pos[1], 0.0, 0.0)
+            cov = np.diag([cfg.init_pos_var, cfg.init_pos_var, cfg.init_vel_var, cfg.init_vel_var])
+            updated = True
+        else:
+            state, cov = ekf_predict(state, cov, dt, cfg)
+            if det is not None and math.hypot(state.x, state.y) >= cfg.min_range:
+                prior = state
+                state, cov, _ = ekf_update(state, cov, det, ORIGIN, noise, cfg.gate_threshold)
+                updated = state is not prior
+        if state.y < 0.0:
+            fold = np.diag([1.0, -1.0, 1.0, -1.0])
+            state, cov = TargetState(state.x, -state.y, state.vx, -state.vy), fold @ cov @ fold
+        points.append(
+            (frame.frame_index, state.x, state.y, state.vx, state.vy, cov.tobytes(), updated)
+        )
+    return points
+
+
+class TestStepWrappersMatchTracker:
+    @pytest.mark.parametrize("gate", [None, 7.81])
+    @pytest.mark.parametrize("name", ["A", "C"])
+    def test_tracker_equals_public_step_chain(self, name, gate):
+        config = builtin_scenario(name, "random", seed=7)
+        _, frames = simulate_scenario(config)
+        cfg = EkfConfig(process_noise_accel=0.4, gate_threshold=gate)
+        for i, node in enumerate(config.nodes):
+            track = run_tracker(frames, i, node, cfg, config.noise, config.frame_duration)
+            got = [
+                (p.frame_index, p.position.real, p.position.imag, p.velocity[0], p.velocity[1],
+                 p.covariance.tobytes(), p.updated)
+                for p in track.frames
+            ]
+            expected = manual_chain(frames, i, cfg, config.noise, config.frame_duration)
+            assert got == expected
+            if gate is not None:
+                # The gate rejected at least one detection.
+                detected = [p for p in track.frames[1:] if frames[p.frame_index].per_node[i]]
+                assert not all(p.updated for p in detected)
+
+    def test_builtin_scenarios_make_no_decomposition_calls(self, monkeypatch):
+        calls = {"eigh": 0, "cholesky": 0, "inv": 0}
+        for name in calls:
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        options = PipelineOptions()
+        for name in ("A", "B", "C"):
+            for kind in ("straight", "random"):
+                config = builtin_scenario(name, kind, seed=7)
+                _, frames = simulate_scenario(config)
+                for i, node in enumerate(config.nodes):
+                    run_tracker(frames, i, node, options.ekf, config.noise, config.frame_duration)
+        assert calls == {"eigh": 0, "cholesky": 0, "inv": 0}
+        np.linalg.eigh(np.eye(2))  # the counter itself is live
+        assert calls["eigh"] == 1
 
 
 class TestTransformTrack:

@@ -141,9 +141,12 @@ class _Frames:
     `nodes` holds (x, y, pi cos phi, pi sin phi) per node as (4, F, N),
     `meas` the measured (range, spatial frequency, radial velocity) as
     (3, F, N), and `center` each frame's prior center as (F, 4), or
-    None for ML.  `evaluate` broadcasts a state array (..., 4) against
-    them: F states of F frames give the LM iterates, M states of one
-    frame (F = 1) give a grid.
+    None for ML.  `evaluate` broadcasts states against them.  A state
+    array (..., 4) of F states of F frames gives the LM iterates.  A
+    grid of one frame (F = 1) is passed as its four axes x, y, vx, vy,
+    shaped (P, 1, 1, 1) ... (1, 1, 1, P): the terms that depend on
+    position alone then take P^2 points, and only the Doppler and prior
+    terms take all P^4.
 
     Residuals are (measured - predicted)/sigma, stacked as the N range
     rows, then N spatial-frequency rows, then N radial-velocity rows;
@@ -194,13 +197,31 @@ class _Frames:
             self.nodes[:, :, None], self.meas[:, :, None], self.noise, self.prior_sigmas, center
         )
 
-    def evaluate(self, theta: np.ndarray):
-        """Objective values at the states `theta` (..., 4), and the terms `jacobian` reuses."""
+    def evaluate(self, theta):
+        """Objective values at the states `theta`, and the terms `jacobian` reuses.
+
+        `theta` is a state array (..., 4), or a grid's four axes.
+        """
+        prior = prior_rows = None
+        # A state array keeps its prior rows as one array: term by term
+        # would add a dozen small numpy calls to every LM evaluation.
+        if isinstance(theta, np.ndarray):
+            x, y, vx, vy = theta[..., 0:1], theta[..., 1:2], theta[..., 2:3], theta[..., 3:4]
+            if self.prior_sigmas is not None:
+                prior_rows = (theta - self.center) / self.prior_sigmas
+                prior = (prior_rows * prior_rows).sum(axis=-1)
+        else:
+            x, y, vx, vy = (axis[..., None] for axis in theta)
+            if self.prior_sigmas is not None:
+                q = [((a - c) / s) ** 2
+                     for a, c, s in zip(theta, self.center[0], self.prior_sigmas)]
+                # Summed in the order of the four-term sum above.
+                prior = ((q[0] + q[1]) + q[2]) + q[3]
         px, py, pi_cos, pi_sin = self.nodes
         meas_r, meas_w, meas_v = self.meas
         noise = self.noise
-        dx = theta[..., 0:1] - px
-        dy = theta[..., 1:2] - py
+        dx = x - px
+        dy = y - py
         r2 = dx * dx + dy * dy
         infeasible = r2 < _MIN_RANGE * _MIN_RANGE
         any_infeasible = infeasible.any()
@@ -210,28 +231,26 @@ class _Frames:
         ux = dx / r
         uy = dy / r
         omega = ux * pi_cos + uy * pi_sin
-        vel = theta[..., 2:3] * ux + theta[..., 3:4] * uy
+        vel = vx * ux + vy * uy
         blocks = (
             (meas_r - r) / noise.sigma_r,
             (meas_w - omega) / noise.sigma_omega,
             (meas_v - vel) / noise.sigma_v,
         )
         value = (blocks[0] * blocks[0] + blocks[1] * blocks[1] + blocks[2] * blocks[2]).sum(-1)
-        prior_rows = None
-        if self.prior_sigmas is not None:
-            prior_rows = (theta - self.center) / self.prior_sigmas
-            value += (prior_rows * prior_rows).sum(axis=-1)
+        if prior is not None:
+            value += prior
         if any_infeasible:
-            value[infeasible.any(axis=-1)] = np.inf
-        return value, (theta, blocks, prior_rows, r, ux, uy, omega, vel)
+            value[np.broadcast_to(infeasible.any(axis=-1), value.shape)] = np.inf
+        return value, (vx, vy, blocks, prior_rows, r, ux, uy, omega, vel)
 
-    def objective(self, theta: np.ndarray) -> np.ndarray:
-        """Objective values at the states `theta` (..., 4); +inf where infeasible."""
+    def objective(self, theta) -> np.ndarray:
+        """Objective values at the states `theta`, as for `evaluate`; +inf where infeasible."""
         return self.evaluate(theta)[0]
 
     def jacobian(self, terms) -> tuple[np.ndarray, np.ndarray]:
         """Residuals (..., M) and their Jacobian (..., M, 4) from `evaluate`'s terms."""
-        theta, blocks, prior_rows, r, ux, uy, omega, vel = terms
+        vx, vy, blocks, prior_rows, r, ux, uy, omega, vel = terms
         _, _, pi_cos, pi_sin = self.nodes
         noise = self.noise
         n = r.shape[-1]
@@ -244,8 +263,8 @@ class _Frames:
         jac[..., :n, 1] = uy / -noise.sigma_r
         jac[..., n:2 * n, 0] = (omega * ux - pi_cos) / r_w
         jac[..., n:2 * n, 1] = (omega * uy - pi_sin) / r_w
-        jac[..., 2 * n:3 * n, 0] = (vel * ux - theta[..., 2:3]) / r_v
-        jac[..., 2 * n:3 * n, 1] = (vel * uy - theta[..., 3:4]) / r_v
+        jac[..., 2 * n:3 * n, 0] = (vel * ux - vx) / r_v
+        jac[..., 2 * n:3 * n, 1] = (vel * uy - vy) / r_v
         jac[..., 2 * n:3 * n, 2] = ux / -noise.sigma_v
         jac[..., 2 * n:3 * n, 3] = uy / -noise.sigma_v
         if prior_rows is not None:
@@ -605,6 +624,52 @@ def laplace_covariance(
     return 0.5 * (cov + cov.T)
 
 
+def _grid_axes(center, sigmas, half_width_sigmas, points_per_dim):
+    """The grid's offsets from `center` per dimension, and its axes."""
+    if points_per_dim < 5 or points_per_dim % 2 == 0:
+        raise ValueError("points_per_dim must be odd and >= 5")
+    if not (math.isfinite(half_width_sigmas) and half_width_sigmas > 0.0):
+        raise ValueError(f"half_width_sigmas must be finite and > 0, got {half_width_sigmas!r}")
+    center = np.asarray(center, dtype=float)
+    sigmas = np.asarray(sigmas, dtype=float)
+    if center.shape != (4,) or not np.all(np.isfinite(center)):
+        raise ValueError(f"center must be a finite length-4 vector, got {center!r}")
+    if sigmas.shape != (4,) or not np.all(np.isfinite(sigmas) & (sigmas > 0.0)):
+        raise ValueError(f"sigmas must be a finite length-4 vector, all > 0, got {sigmas!r}")
+    offsets = [np.linspace(-1.0, 1.0, points_per_dim) * half_width_sigmas * s for s in sigmas]
+    return offsets, [c + o for c, o in zip(center, offsets)]
+
+
+def _grid_moments(values: np.ndarray, offsets: list[np.ndarray]) -> np.ndarray:
+    """Covariance of exp(-L/2) from the objective values L on a (P, P, P, P) grid.
+
+    Non-finite values get zero weight.  The moments are taken about the
+    grid centre, `offsets` being each axis's offsets from it, from the
+    marginals of the (x, y) and (vx, vy) planes and their cross moments.
+    """
+    finite = np.isfinite(values)
+    low = np.min(values, where=finite, initial=np.inf)
+    if low == np.inf:
+        raise ArithmeticError(
+            "posterior density underflowed everywhere on the grid; "
+            "widen the noise/prior sigmas or shrink the grid"
+        )
+    weights = np.exp(-0.5 * (values - low), out=np.zeros_like(values), where=finite)
+    p = len(offsets[0])
+    # Rows are the (x, y) plane's points, columns the (vx, vy) plane's.
+    joint = weights.reshape(p * p, p * p)
+    joint /= joint.sum()
+    pos, vel = (np.column_stack([np.repeat(a, p), np.tile(b, p)])
+                for a, b in (offsets[:2], offsets[2:]))
+    pos_weights, vel_weights = joint.sum(axis=1), joint.sum(axis=0)
+    mean = np.concatenate([pos_weights @ pos, vel_weights @ vel])
+    cross = pos.T @ joint @ vel
+    second = np.block([[(pos.T * pos_weights) @ pos, cross],
+                       [cross.T, (vel.T * vel_weights) @ vel]])
+    cov = second - np.outer(mean, mean)
+    return 0.5 * (cov + cov.T)
+
+
 def grid_covariance(
     value_fn,
     center: np.ndarray,
@@ -618,39 +683,14 @@ def grid_covariance(
     L (sum of squared normalized residuals).  The grid spans
     center +/- half_width_sigmas * sigmas per dimension and the density
     is normalized over the grid before taking moments about the grid
-    mean.
+    mean.  `half_width_sigmas` must be finite and > 0, and `center` and
+    `sigmas` finite length-4 vectors with all sigmas > 0 (else
+    ValueError).
     """
-    if points_per_dim < 5 or points_per_dim % 2 == 0:
-        raise ValueError("points_per_dim must be odd and >= 5")
-    axes = [
-        center[d] + np.linspace(-1.0, 1.0, points_per_dim) * half_width_sigmas * sigmas[d]
-        for d in range(4)
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    thetas = np.stack([m.ravel() for m in mesh], axis=1)
-    values = np.asarray(value_fn(thetas), dtype=float)
-    finite = np.isfinite(values)
-    if not np.any(finite):
-        raise ArithmeticError(
-            "posterior density underflowed everywhere on the grid; "
-            "widen the noise/prior sigmas or shrink the grid"
-        )
-    weights = np.zeros_like(values)
-    weights[finite] = np.exp(-0.5 * (values[finite] - np.min(values[finite])))
-    total = float(np.sum(weights))
-    if total <= 0.0:
-        raise ArithmeticError(
-            "posterior density underflowed everywhere on the grid; "
-            "widen the noise/prior sigmas or shrink the grid"
-        )
-    weights /= total
-    mean = weights @ thetas
-    centered = thetas - mean
-    cov = (centered * weights[:, None]).T @ centered
-    return 0.5 * (cov + cov.T)
-
-
-_GRID_BLOCK = 4096
+    offsets, axes = _grid_axes(center, sigmas, half_width_sigmas, points_per_dim)
+    thetas = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    values = np.asarray(value_fn(thetas), dtype=float).reshape((points_per_dim,) * 4)
+    return _grid_moments(values, offsets)
 
 
 def posterior_covariance_grid(
@@ -664,30 +704,17 @@ def posterior_covariance_grid(
     """Grid-based posterior covariance centered on the Bayesian estimate.
 
     Grid half-widths default to 3 posterior sigmas per dimension, taken
-    from the Laplace approximation at the center.
+    from the Laplace approximation at the center.  The objective is
+    evaluated on the grid's four axes: position terms on its P^2
+    positions, Doppler and prior terms on all P^4 states.
     """
-    prior_center = (
-        center.prior_center
-        if center.prior_center is not None
-        else _resolve_prior_center(obs, prior)
-    )
+    prior_center = center.prior_center or _resolve_prior_center(obs, prior)
     model = _Frames.build([obs], noise, prior, prior_center.as_vector()[None])
-
-    def objective(thetas: np.ndarray) -> np.ndarray:
-        # Blocks of states bound the memory the kernel's temporaries take.
-        return np.concatenate([
-            model.objective(thetas[i:i + _GRID_BLOCK])
-            for i in range(0, len(thetas), _GRID_BLOCK)
-        ])
-
     laplace = laplace_covariance(obs, noise, prior, center.state, prior_center)
     sigmas = np.sqrt(np.maximum(np.diag(laplace), 0.0))
     # Guard against a collapsed Laplace direction producing a zero-width axis.
     sigmas = np.maximum(sigmas, 1e-9 * np.max(sigmas))
-    return grid_covariance(
-        objective,
-        center.state.as_vector(),
-        sigmas,
-        half_width_sigmas=half_width_sigmas,
-        points_per_dim=points_per_dim,
-    )
+    offsets, axes = _grid_axes(center.state.as_vector(), sigmas, half_width_sigmas, points_per_dim)
+    # Axis d varies along dimension d only.
+    grid = [axis.reshape([-1 if k == d else 1 for k in range(4)]) for d, axis in enumerate(axes)]
+    return _grid_moments(model.objective(grid), offsets)

@@ -345,24 +345,46 @@ def _trajectory_to_dict(spec: TrajectorySpec) -> dict:
     return d
 
 
-def _trajectory_from_dict(d: dict) -> TrajectorySpec:
+def _section(value, where: str) -> dict:
+    """`value` if it is a JSON object, else a ConfigError naming `where`."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {value!r}")
+    return value
+
+
+def _number(section: dict, where: str, key: str, default=None, kind=float):
+    """`section[key]` (or `default`) as a `kind`, else a ConfigError naming the field."""
+    value = section.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        field = f"{where}.{key}" if where else key
+        raise ConfigError(f"{field} must be a number, got {value!r}") from None
+
+
+def _trajectory_from_dict(d, where: str = "trajectory") -> TrajectorySpec:
+    d = _section(d, where)
     missing = [k for k in ("kind", "start") if k not in d]
     if missing:
-        raise ConfigError(f"trajectory section missing keys: {', '.join(missing)}")
+        raise ConfigError(f"{where} section missing keys: {', '.join(missing)}")
     kind = d["kind"]
-    start = tuple(float(v) for v in d["start"])
+    try:
+        x, y = (float(v) for v in d["start"])
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}.start must be two numbers [x, y], got {d['start']!r}") from None
+    start = (x, y)
     if kind == "straight":
         return TrajectorySpec(
             kind,
             start=start,
-            speed=float(d.get("speed", 1.0)),
-            heading=math.radians(float(d.get("heading_deg", 0.0))),
+            speed=_number(d, where, "speed", 1.0),
+            heading=math.radians(_number(d, where, "heading_deg", 0.0)),
         )
     return TrajectorySpec(
         kind,
         start=start,
-        speed_cap=float(d.get("speed_cap", 1.0)),
-        smoothness=float(d.get("smoothness", 2.0)),
+        speed_cap=_number(d, where, "speed_cap", 1.0),
+        smoothness=_number(d, where, "smoothness", 2.0),
     )
 
 
@@ -390,20 +412,26 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
 
 
 def scenario_from_dict(d: dict) -> ScenarioConfig:
+    d = _section(d, "config")
     missing = [k for k in _REQUIRED_KEYS if k not in d]
     if missing:
         raise ConfigError(f"config missing keys: {', '.join(missing)}")
+    if not isinstance(d["nodes"], list):
+        raise ConfigError(f"nodes must be a list of node objects, got {d['nodes']!r}")
     nodes = []
     for i, nd in enumerate(d["nodes"]):
+        where = f"nodes[{i}]"
+        nd = _section(nd, where)
         bad = [k for k in ("x", "y", "phi_deg") if k not in nd]
         if bad:
-            raise ConfigError(f"nodes[{i}] missing keys: {', '.join(bad)}")
-        nodes.append(Pose2D(float(nd["x"]), float(nd["y"]), math.radians(float(nd["phi_deg"]))))
-    noise_d = d.get("noise", {})
+            raise ConfigError(f"{where} missing keys: {', '.join(bad)}")
+        x, y, phi_deg = (_number(nd, where, k) for k in ("x", "y", "phi_deg"))
+        nodes.append(Pose2D(x, y, math.radians(phi_deg)))
+    noise_d = _section(d.get("noise", {}), "noise")
     noise = NoiseConfig(
-        sigma_r=float(noise_d.get("sigma_r", DEFAULT_SIGMA_R)),
-        sigma_omega=float(noise_d.get("sigma_omega", DEFAULT_SIGMA_OMEGA)),
-        sigma_v=float(noise_d.get("sigma_v", DEFAULT_SIGMA_V)),
+        sigma_r=_number(noise_d, "noise", "sigma_r", DEFAULT_SIGMA_R),
+        sigma_omega=_number(noise_d, "noise", "sigma_omega", DEFAULT_SIGMA_OMEGA),
+        sigma_v=_number(noise_d, "noise", "sigma_v", DEFAULT_SIGMA_V),
     )
     calib = d.get("calibration_trajectory")
     return ScenarioConfig(
@@ -411,12 +439,16 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
         nodes=tuple(nodes),
         trajectory=_trajectory_from_dict(d["trajectory"]),
         noise=noise,
-        frame_duration=float(d.get("frame_duration", DEFAULT_FRAME_DURATION)),
-        num_frames=int(d.get("num_frames", DEFAULT_NUM_FRAMES)),
-        rng_seed=int(d.get("seed", 0)),
-        max_range=float(d.get("max_range", MAX_UNAMBIGUOUS_RANGE)),
-        fov_half_angle=math.radians(float(d.get("fov_half_angle_deg", math.degrees(FOV_HALF_ANGLE)))),
-        calibration_trajectory=None if calib is None else _trajectory_from_dict(calib),
+        frame_duration=_number(d, "", "frame_duration", DEFAULT_FRAME_DURATION),
+        num_frames=_number(d, "", "num_frames", DEFAULT_NUM_FRAMES, int),
+        rng_seed=_number(d, "", "seed", 0, int),
+        max_range=_number(d, "", "max_range", MAX_UNAMBIGUOUS_RANGE),
+        fov_half_angle=math.radians(
+            _number(d, "", "fov_half_angle_deg", math.degrees(FOV_HALF_ANGLE))
+        ),
+        calibration_trajectory=(
+            None if calib is None else _trajectory_from_dict(calib, "calibration_trajectory")
+        ),
     )
 
 

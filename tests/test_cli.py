@@ -65,6 +65,22 @@ class TestExitCodes:
         assert main(["run", "--config", str(path)]) == 2
         assert "trajectory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, edit", [
+        ("nodes[1].x", lambda d: d["nodes"][1].update(x="abc")),
+        ("nodes", lambda d: d.update(nodes=5)),
+        ("trajectory.start", lambda d: d["trajectory"].update(start=[0])),
+    ])
+    def test_malformed_config_field_is_config_error(self, tmp_path, small_config, capsys,
+                                                    field, edit):
+        d = json.loads(small_config.read_text())
+        edit(d)
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(d))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {field} " in err
+        assert "Traceback" not in err
+
     def test_both_scenario_sources_rejected(self, tmp_path, small_config, capsys):
         assert main(["run", "--config", str(small_config), "--builtin", "A"]) == 2
 

@@ -11,6 +11,7 @@ from radarnet.fusion import (
     FusionObservation,
     ObservationEntry,
     PriorConfig,
+    _Frames,
     bayes_objective,
     grid_covariance,
     initial_position_estimate,
@@ -340,6 +341,22 @@ class TestGridCovariance:
         with pytest.raises(ValueError):
             grid_covariance(lambda t: np.zeros(len(t)), np.zeros(4), np.ones(4), 3.0, 3)
 
+    @pytest.mark.parametrize("center, sigmas, half_width", [
+        (np.zeros(4), np.ones(4), 0.0),
+        (np.zeros(4), np.ones(4), -1.0),
+        (np.zeros(4), np.ones(4), math.inf),
+        (np.zeros(4), np.ones(4), math.nan),
+        (np.array([0.0, math.nan, 0.0, 0.0]), np.ones(4), 3.0),
+        (np.zeros(3), np.ones(4), 3.0),
+        (np.zeros(4), np.array([1.0, 0.0, 1.0, 1.0]), 3.0),
+        (np.zeros(4), np.array([1.0, 1.0, -1.0, 1.0]), 3.0),
+        (np.zeros(4), np.array([1.0, 1.0, 1.0, math.inf]), 3.0),
+        (np.zeros(4), np.ones(5), 3.0),
+    ])
+    def test_invalid_grid_raises_value_error(self, center, sigmas, half_width):
+        with pytest.raises(ValueError):
+            grid_covariance(lambda t: np.zeros(len(t)), center, sigmas, half_width, 5)
+
     def test_underflow_raises(self):
         def value_fn(thetas):
             return np.full(len(thetas), np.inf)
@@ -370,6 +387,89 @@ class TestGridCovariance:
         assert grid[2, 2] >= 0.5 * PRIOR.sigma_vx**2
         # Along-baseline velocity is pinned by two opposed Doppler reads.
         assert grid[3, 3] < 0.05 * PRIOR.sigma_vy**2
+
+
+def dense_grid(center, sigmas, points=15, half_width=3.0):
+    """The grid's axes and its (P^4, 4) state matrix, ordered as a C-order (P, P, P, P)."""
+    axes = [c + np.linspace(-1.0, 1.0, points) * half_width * s for c, s in zip(center, sigmas)]
+    thetas = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    return axes, thetas
+
+
+def grid_frames():
+    """Bayes frames of 2 and 3 nodes on built-ins A, B and C, with their estimates."""
+    rng = np.random.default_rng(31)
+    extra = Pose2D(4.0, 3.5, math.radians(125.0))
+    targets = {"A": TargetState(1.5, 3.0, 0.4, 0.3), "B": TargetState(1.8, 3.6, 0.6, -0.4),
+               "C": TargetState(0.1, 3.5, 0.0, 1.0)}
+    for name, target in targets.items():
+        nodes = builtin_scenario(name).nodes
+        for frame_nodes in (nodes, nodes + (extra,)):
+            obs = observation_of(frame_nodes, target, TABLE_NOISE, rng)
+            yield obs, solve(obs, TABLE_NOISE, mode="bayes", prior=PRIOR)
+
+
+def laplace_sigmas(obs, est):
+    laplace = laplace_covariance(obs, TABLE_NOISE, PRIOR, est.state, est.prior_center)
+    sigmas = np.sqrt(np.maximum(np.diag(laplace), 0.0))
+    return np.maximum(sigmas, 1e-9 * np.max(sigmas))
+
+
+class TestSeparableGrid:
+    """The grid posterior evaluated on the grid's axes against the dense state matrix."""
+
+    @staticmethod
+    def model(obs, est):
+        return _Frames.build([obs], TABLE_NOISE, PRIOR, est.prior_center.as_vector()[None])
+
+    @staticmethod
+    def separable(model, axes):
+        return model.objective(
+            [a.reshape([-1 if k == d else 1 for k in range(4)]) for d, a in enumerate(axes)]
+        )
+
+    def test_objective_matches_dense_bit_for_bit(self):
+        grids = []
+        for obs, est in grid_frames():
+            grids.append((obs, est, est.state.as_vector(), laplace_sigmas(obs, est)))
+        # A grid centred on node 0 (the origin): its central position
+        # coincides with the node, so those states are infeasible.
+        obs, est, _, sigmas = grids[2]
+        grids.append((obs, est, np.array([0.0, 0.0, est.state.vx, est.state.vy]), sigmas))
+        for obs, est, center, sigmas in grids:
+            model = self.model(obs, est)
+            axes, thetas = dense_grid(center, sigmas)
+            values = self.separable(model, axes)
+            assert values.shape == (15,) * 4
+            np.testing.assert_array_equal(values.ravel(), model.objective(thetas))
+        # The last grid is the node-centred one.
+        infeasible = np.isinf(values)
+        assert infeasible[7, 7].all() and infeasible.sum() == 15**2
+
+    def test_covariance_matches_dense_moments(self):
+        for obs, est in grid_frames():
+            model = self.model(obs, est)
+            _, thetas = dense_grid(est.state.as_vector(), laplace_sigmas(obs, est))
+            values = model.objective(thetas)
+            finite = np.isfinite(values)
+            weights = np.zeros_like(values)
+            weights[finite] = np.exp(-0.5 * (values[finite] - np.min(values[finite])))
+            weights /= np.sum(weights)
+            centered = thetas - weights @ thetas
+            want = (centered * weights[:, None]).T @ centered
+            want = 0.5 * (want + want.T)
+            got = posterior_covariance_grid(obs, TABLE_NOISE, PRIOR, est)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_all_infeasible_grid_raises(self):
+        obs, est = next(grid_frames())
+        model = self.model(obs, est)
+        # Every position lies within 1e-12 m of node 0.
+        center, sigmas = np.zeros(4), np.array([1e-14, 1e-14, 1.0, 1.0])
+        axes, _ = dense_grid(center, sigmas, points=5)
+        assert np.isinf(self.separable(model, axes)).all()
+        with pytest.raises(ArithmeticError, match="widen"):
+            grid_covariance(model.objective, center, sigmas, 3.0, 5)
 
 
 def assert_same_estimate(a, b):

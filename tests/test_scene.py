@@ -271,6 +271,23 @@ class TestConfigIO:
         with pytest.raises(ConfigError, match="phi_deg"):
             scenario_from_dict(d)
 
+    @pytest.mark.parametrize("field, edit", [
+        ("nodes[1].x", lambda d: d["nodes"][1].update(x="abc")),
+        ("nodes", lambda d: d.update(nodes=5)),
+        ("nodes[0]", lambda d: d["nodes"].__setitem__(0, 3)),
+        ("trajectory.start", lambda d: d["trajectory"].update(start=[0])),
+        ("trajectory", lambda d: d.update(trajectory=7)),
+        ("calibration_trajectory.speed", lambda d: d["calibration_trajectory"].update(speed=[1])),
+        ("noise.sigma_r", lambda d: d["noise"].update(sigma_r=None)),
+        ("num_frames", lambda d: d.update(num_frames="many")),
+    ])
+    def test_malformed_field_is_config_error_naming_it(self, field, edit):
+        d = scenario_to_dict(builtin_scenario("B", "random", seed=2))
+        edit(d)
+        with pytest.raises(ConfigError) as info:
+            scenario_from_dict(d)
+        assert str(info.value).startswith(field + " ")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_scenario(tmp_path / "nope.json")

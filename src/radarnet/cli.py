@@ -41,6 +41,7 @@ from .scene import (
     load_scenario,
     save_scenario,
     with_seed,
+    write_csv,
 )
 
 EXIT_OK = 0
@@ -167,17 +168,15 @@ def cmd_fuse(args) -> int:
                      prior=options.prior if mode == "bayes" else None)
         for mode in options.modes
     ]
-    rows = ["frame,mode,x,y,vx,vy,converged,cond"]
+    rows = []
     for k, frame_index in enumerate(frame_indices):
         for mode, per_mode in zip(options.modes, estimates):
             est = per_mode[k]
-            rows.append(
-                f"{frame_index},{mode},{est.state.x!r},{est.state.y!r},"
-                f"{est.state.vx!r},{est.state.vy!r},{int(est.converged)},{est.conditioning!r}"
-            )
-    (out / "oneshot_only.csv").write_text("\n".join(rows) + "\n")
-    solved = len(rows) - 1
-    print(f"fused {solved} frame-mode estimates -> {out / 'oneshot_only.csv'}")
+            rows.append([frame_index, mode, est.state.x, est.state.y, est.state.vx,
+                         est.state.vy, int(est.converged), est.conditioning])
+    path = out / "oneshot_only.csv"
+    write_csv(path, "frame,mode,x,y,vx,vy,converged,cond", rows)
+    print(f"fused {len(rows)} frame-mode estimates -> {path}")
     return EXIT_OK
 
 

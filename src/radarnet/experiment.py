@@ -48,6 +48,7 @@ from .scene import (
     save_scenario,
     scenario_to_dict,
     synthesize_measurements,
+    write_csv,
 )
 from .tracking import (
     EkfConfig,
@@ -246,22 +247,6 @@ def _estimated_poses(calibrations: list[CalibrationResult]) -> list[Pose2D]:
     return poses
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
-
-
 def run_experiment(
     config: ScenarioConfig | str | Path, options: PipelineOptions | None = None
 ) -> ExperimentReport:
@@ -404,20 +389,20 @@ def _write_run_outputs(
     for mode in options.modes:
         for k in eval_frames:
             est = estimates[mode][k]
+            state = est.state
             cov = est.covariance
             cov_cells = (
-                [cov[i, j] for i in range(4) for j in range(i, 4)]
+                [v for i, row in enumerate(cov.tolist()) for v in row[i:]]  # c11, c12, ..., c44
                 if cov is not None
                 else [math.nan] * 10
             )
             oneshot_rows.append(
-                [k, mode, est.state.x, est.state.y, est.state.vx, est.state.vy,
-                 est.converged, est.conditioning] + cov_cells
+                [k, mode, state.x, state.y, state.vx, state.vy,
+                 int(est.converged), est.conditioning, *cov_cells]
             )
-    _write_csv(
+    write_csv(
         run_dir / "fusion" / "oneshot.csv",
-        ["frame", "mode", "x", "y", "vx", "vy", "converged", "cond",
-         "c11", "c12", "c13", "c14", "c22", "c23", "c24", "c33", "c34", "c44"],
+        "frame,mode,x,y,vx,vy,converged,cond,c11,c12,c13,c14,c22,c23,c24,c33,c34,c44",
         oneshot_rows,
     )
 
@@ -435,21 +420,18 @@ def _write_run_outputs(
     rows = []
     for k in eval_frames:
         t = truth[k]
-        p0 = track_by[0][k]
-        p1 = track_by[1][k]
-        pf = fused_by[k]
-        row = [k, t.x, t.y, t.vx, t.vy,
-               p0.position.real, p0.position.imag, p0.velocity[0], p0.velocity[1],
-               p1.position.real, p1.position.imag, p1.velocity[0], p1.velocity[1],
-               pf.position.real, pf.position.imag, pf.velocity[0], pf.velocity[1]]
+        row = [k, t.x, t.y, t.vx, t.vy]
+        for point in (track_by[0][k], track_by[1][k], fused_by[k]):
+            row += [point.position.real, point.position.imag, *point.velocity.tolist()]
         for mode in ("bayes", "ml"):
             if mode in options.modes:
                 est = estimates[mode][k]
-                row += [est.state.x, est.state.y, est.state.vx, est.state.vy,
-                        est.converged, est.conditioning]
-        row.append(k in rmse_set)
+                state = est.state
+                row += [state.x, state.y, state.vx, state.vy,
+                        int(est.converged), est.conditioning]
+        row.append(int(k in rmse_set))
         rows.append(row)
-    _write_csv(run_dir / "fusion" / "per_frame.csv", header, rows)
+    write_csv(run_dir / "fusion" / "per_frame.csv", ",".join(header), rows)
 
     (run_dir / "report" / "report.json").write_text(
         json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -592,31 +574,18 @@ def emit_plot_data(
     out_dir.mkdir(parents=True, exist_ok=True)
     written: dict[str, Path] = {}
     for q in _PLOT_QUANTITIES:
+        columns = [index[name] for name in (
+            "frame", f"truth_{q}", f"ekf1_{q}", f"ekf2_in_1_{q}", f"track_fusion_{q}",
+            f"oneshot_bayes_{q}", f"oneshot_ml_{q}",
+        )]
         path = out_dir / f"plot_{q}.csv"
-        out_rows = []
-        for row in rows:
-            out_rows.append([
-                row[index["frame"]],
-                row[index[f"truth_{q}"]],
-                row[index[f"ekf1_{q}"]],
-                row[index[f"ekf2_in_1_{q}"]],
-                row[index[f"track_fusion_{q}"]],
-                row[index[f"oneshot_bayes_{q}"]],
-                row[index[f"oneshot_ml_{q}"]],
-            ])
-        lines = ["frame,truth,ekf1,ekf2_in_1,track_fusion,oneshot_bayes,oneshot_ml"]
-        lines.extend(",".join(r) for r in out_rows)
-        path.write_text("\n".join(lines) + "\n")
+        write_csv(path, "frame,truth,ekf1,ekf2_in_1,track_fusion,oneshot_bayes,oneshot_ml",
+                  ([row[i] for i in columns] for row in rows))
         written[q] = path
 
+    columns = [index[name] for name in ("frame", "ekf1_x", "ekf1_y", "ekf2_in_1_x", "ekf2_in_1_y")]
     overlay = out_dir / "overlay.csv"
-    lines = ["frame,ekf1_x,ekf1_y,ekf2_in_1_x,ekf2_in_1_y"]
-    for row in rows:
-        lines.append(",".join([
-            row[index["frame"]],
-            row[index["ekf1_x"]], row[index["ekf1_y"]],
-            row[index["ekf2_in_1_x"]], row[index["ekf2_in_1_y"]],
-        ]))
-    overlay.write_text("\n".join(lines) + "\n")
+    write_csv(overlay, "frame,ekf1_x,ekf1_y,ekf2_in_1_x,ekf2_in_1_y",
+              ([row[i] for i in columns] for row in rows))
     written["overlay"] = overlay
     return written

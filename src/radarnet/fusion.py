@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import FOV_HALF_ANGLE, Pose2D, TargetState, angle_off_boresight
+from .geometry import FOV_HALF_ANGLE, Pose2D, TargetState, boresight_angle
 from .scene import Detection, NoiseConfig
 
 _GRADIENT_TOL = 1e-8
@@ -105,6 +105,20 @@ class FusionEstimate:
 
 def initial_position_estimate(obs: FusionObservation) -> np.ndarray:
     """Average of the nodes' detections mapped to the global frame."""
+    return np.array(_position_start(obs))
+
+
+def initial_velocity_estimate(obs: FusionObservation) -> np.ndarray:
+    """Average of the radial velocities redistributed along each line of sight.
+
+    For a target at angle theta off boresight, the line of sight from
+    node i points along the global angle phi_i + pi/2 - theta.
+    """
+    return np.array(_velocity_start(obs))
+
+
+def _position_start(obs: FusionObservation) -> tuple[float, float]:
+    """`initial_position_estimate` as floats."""
     acc_x = acc_y = 0.0
     for entry in obs.entries:
         det = entry.detection
@@ -114,15 +128,11 @@ def initial_position_estimate(obs: FusionObservation) -> np.ndarray:
         c, s = math.cos(entry.node_pose.phi), math.sin(entry.node_pose.phi)
         acc_x += c * lx - s * ly + entry.node_pose.x
         acc_y += s * lx + c * ly + entry.node_pose.y
-    return np.array([acc_x, acc_y]) / obs.num_nodes
+    return acc_x / obs.num_nodes, acc_y / obs.num_nodes
 
 
-def initial_velocity_estimate(obs: FusionObservation) -> np.ndarray:
-    """Average of the radial velocities redistributed along each line of sight.
-
-    For a target at angle theta off boresight, the line of sight from
-    node i points along the global angle phi_i + pi/2 - theta.
-    """
+def _velocity_start(obs: FusionObservation) -> tuple[float, float]:
+    """`initial_velocity_estimate` as floats."""
     acc_x = acc_y = 0.0
     for entry in obs.entries:
         det = entry.detection
@@ -132,7 +142,7 @@ def initial_velocity_estimate(obs: FusionObservation) -> np.ndarray:
         los = entry.node_pose.phi + 0.5 * math.pi - theta
         acc_x += det.radial_vel * math.cos(los)
         acc_y += det.radial_vel * math.sin(los)
-    return np.array([acc_x, acc_y]) / obs.num_nodes
+    return acc_x / obs.num_nodes, acc_y / obs.num_nodes
 
 
 class _Frames:
@@ -312,12 +322,12 @@ def bayes_objective(
 
 
 def _resolve_prior_center(
-    obs: FusionObservation, prior: PriorConfig, position: np.ndarray | None = None
+    obs: FusionObservation, prior: PriorConfig, position: tuple[float, float] | None = None
 ) -> TargetState:
     """The prior center; `position` is the closed-form initializer when already known."""
     if prior.position_prior_center == "origin":
         return TargetState(0.0, 0.0, 0.0, 0.0)
-    pos = initial_position_estimate(obs) if position is None else position
+    pos = _position_start(obs) if position is None else position
     return TargetState(pos[0], pos[1], 0.0, 0.0)
 
 
@@ -354,25 +364,23 @@ def _range_circle_intersections(obs: FusionObservation) -> list[tuple[float, flo
 
 # Candidate starts farther off boresight than this cannot have produced
 # a detection; the margin absorbs angle noise on edge-of-FoV targets.
-_VISIBILITY_MARGIN = math.radians(15.0)
+_VISIBILITY_LIMIT = FOV_HALF_ANGLE + math.radians(15.0)
 # The closed-form initializer and the two range-circle intersections.
 _MAX_STARTS = 3
 
 
-def _start_is_visible(obs: FusionObservation, position) -> bool:
-    """True when every detecting node could actually see this position."""
-    state = TargetState(position[0], position[1], 0.0, 0.0)
-    limit = FOV_HALF_ANGLE + _VISIBILITY_MARGIN
-    for entry in obs.entries:
-        node = entry.node_pose
-        if position[0] == node.x and position[1] == node.y:
+def _start_is_visible(nodes: list[tuple], x: float, y: float) -> bool:
+    """True when every detecting node, given as (x, y, cos phi, sin phi),
+    could actually see the position (x, y)."""
+    for nx, ny, c, s in nodes:
+        if x == nx and y == ny:
             return False
-        if abs(angle_off_boresight(node, state)) > limit:
+        if abs(boresight_angle(x - nx, y - ny, c, s)) > _VISIBILITY_LIMIT:
             return False
     return True
 
 
-def _candidate_starts(obs: FusionObservation) -> tuple[np.ndarray, list[tuple]]:
+def _candidate_starts(obs: FusionObservation) -> tuple[tuple[float, float], list[tuple]]:
     """The closed-form position initializer and the candidate LM starts.
 
     The starts are that initializer and the two range-circle
@@ -382,10 +390,14 @@ def _candidate_starts(obs: FusionObservation) -> tuple[np.ndarray, list[tuple]]:
     first (the detection event itself excludes them), unless that would
     drop them all.
     """
-    pos0 = initial_position_estimate(obs)
-    vx, vy = initial_velocity_estimate(obs)
-    positions = [(pos0[0], pos0[1])] + _range_circle_intersections(obs)
-    visible = [p for p in positions if _start_is_visible(obs, p)]
+    pos0 = _position_start(obs)
+    vx, vy = _velocity_start(obs)
+    positions = [pos0] + _range_circle_intersections(obs)
+    nodes = [
+        (pose.x, pose.y, math.cos(pose.phi), math.sin(pose.phi))
+        for pose in (entry.node_pose for entry in obs.entries)
+    ]
+    visible = [(x, y) for x, y in positions if _start_is_visible(nodes, x, y)]
     return pos0, [(x, y, vx, vy) for x, y in (visible or positions)]
 
 
@@ -458,15 +470,17 @@ def _solve_group(observations, noise, mode, prior) -> list[FusionEstimate]:
     count = len(observations)
     # Each frame's candidate starts, padded with its first; the
     # best-scoring feasible one seeds the frame.
-    starts = np.empty((count, _MAX_STARTS, 4))
-    padding = np.zeros((count, _MAX_STARTS), dtype=bool)
+    starts = []
+    counts = []
     centers = [] if mode == "bayes" else None
-    for k, obs in enumerate(observations):
+    for obs in observations:
         pos0, cands = _candidate_starts(obs)
-        starts[k] = cands + cands[:1] * (_MAX_STARTS - len(cands))
-        padding[k, len(cands):] = True
+        starts.append(cands + cands[:1] * (_MAX_STARTS - len(cands)))
+        counts.append(len(cands))
         if centers is not None:
             centers.append(_resolve_prior_center(obs, prior, pos0))
+    starts = np.array(starts)
+    padding = np.arange(_MAX_STARTS) >= np.array(counts)[:, None]
     frames = _Frames.build(
         observations,
         noise,
@@ -496,14 +510,18 @@ def _solve_group(observations, noise, mode, prior) -> list[FusionEstimate]:
         inverse = 0.5 * (inverse + inverse.swapaxes(-1, -2))
         for k, cov in zip(np.flatnonzero(invertible), inverse):
             covariances[k] = cov
+    # Python floats, ints and bools for the per-frame results.
+    theta, value, iterations, converged, conditioning = (
+        a.tolist() for a in (theta, value, iterations, converged, conditioning)
+    )
     return [
         FusionEstimate(
-            state=TargetState.from_vector(theta[k]),
+            state=TargetState(*theta[k]),
             covariance=covariances[k],
-            objective_value=float(value[k]),
-            iterations=int(iterations[k]),
-            converged=bool(converged[k]),
-            conditioning=float(conditioning[k]),
+            objective_value=value[k],
+            iterations=iterations[k],
+            converged=converged[k],
+            conditioning=conditioning[k],
             mode=mode,
             prior_center=None if centers is None else centers[k],
         )

@@ -94,10 +94,12 @@ class TargetState:
 
     def __post_init__(self):
         for name in ("x", "y", "vx", "vy"):
-            value = float(getattr(self, name))
+            value = getattr(self, name)
+            if type(value) is not float:
+                value = float(value)
+                object.__setattr__(self, name, value)
             if not math.isfinite(value):
                 raise ValueError(f"TargetState.{name} must be finite")
-            object.__setattr__(self, name, value)
 
     @property
     def position(self) -> np.ndarray:
@@ -217,16 +219,23 @@ def aoa_from_spatial_frequency(omega: float) -> float:
     return math.asin(omega / math.pi)
 
 
+def boresight_angle(dx: float, dy: float, c: float, s: float) -> float:
+    """Angle off boresight of the offset (dx, dy) from a node whose
+    array direction is (c, s) = (cos phi, sin phi), in (-pi, pi].
+
+    The float form of `angle_off_boresight`, for callers that hold a
+    node's cosine and sine already; the offset must be nonzero.
+    """
+    return math.atan2(dx * c + dy * s, -dx * s + dy * c)
+
+
 def angle_off_boresight(radar: Pose2D, target: TargetState) -> float:
     """Angle between boresight and the line of sight, in (-pi, pi].
 
     |result| > pi/2 means the target is behind the array plane.
     """
-    dx, dy, r = _offset(radar, target.x, target.y)
-    c, s = math.cos(radar.phi), math.sin(radar.phi)
-    along_array = dx * c + dy * s
-    along_boresight = -dx * s + dy * c
-    return math.atan2(along_array, along_boresight)
+    dx, dy, _ = _offset(radar, target.x, target.y)
+    return boresight_angle(dx, dy, math.cos(radar.phi), math.sin(radar.phi))
 
 
 def local_to_global(node: Pose2D, local_point) -> np.ndarray:

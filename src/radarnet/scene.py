@@ -23,7 +23,7 @@ from .geometry import (
     FOV_HALF_ANGLE,
     Pose2D,
     TargetState,
-    angle_off_boresight,
+    boresight_angle,
     measure,
 )
 
@@ -73,10 +73,12 @@ class Detection:
 
     def __post_init__(self):
         for name in ("range", "spatial_freq", "radial_vel"):
-            value = float(getattr(self, name))
+            value = getattr(self, name)
+            if type(value) is not float:
+                value = float(value)
+                object.__setattr__(self, name, value)
             if not math.isfinite(value):
                 raise ValueError(f"Detection.{name} must be finite")
-            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -179,22 +181,36 @@ def generate_trajectory(
     spring = 0.25 * gamma * gamma
     sigma_axis = spec.speed_cap / 2.5
     kick = sigma_axis * math.sqrt(2.0 * gamma * dt)
-    center = np.array(spec.start, dtype=float)
-    pos = center.copy()
-    vel = sigma_axis * rng.standard_normal(2)
+    # The initial velocity, then one kick per frame (the last unused),
+    # each drawn in one call; the walk steps on floats per axis.
+    n0, n1 = rng.standard_normal(2).tolist()
+    kicks = rng.standard_normal((num_frames, 2))
+    cx, cy = (float(v) for v in spec.start)
+    px, py = cx, cy
+    vx, vy = sigma_axis * n0, sigma_axis * n1
     states = []
-    for _ in range(num_frames):
-        speed = math.hypot(vel[0], vel[1])
+    for k0, k1 in map(np.ndarray.tolist, kicks):
+        speed = math.hypot(vx, vy)
         if speed > spec.speed_cap:
-            vel *= spec.speed_cap / speed
-        states.append(TargetState(pos[0], pos[1], vel[0], vel[1]))
-        pos = pos + vel * dt
-        vel = (
-            vel
-            - (gamma * vel + spring * (pos - center)) * dt
-            + kick * rng.standard_normal(2)
-        )
+            scale = spec.speed_cap / speed
+            vx *= scale
+            vy *= scale
+        states.append(TargetState(px, py, vx, vy))
+        px = px + vx * dt
+        py = py + vy * dt
+        vx = vx - (gamma * vx + spring * (px - cx)) * dt + kick * k0
+        vy = vy - (gamma * vy + spring * (py - cy)) * dt + kick * k1
     return states
+
+
+def _visible(
+    dx: float, dy: float, c: float, s: float, max_range: float, fov_half_angle: float
+) -> bool:
+    """`is_visible` for the offset (dx, dy) from a node with array direction (c, s)."""
+    r = math.hypot(dx, dy)
+    if r == 0.0 or r > max_range:
+        return False
+    return abs(boresight_angle(dx, dy, c, s)) <= fov_half_angle
 
 
 def is_visible(
@@ -204,12 +220,10 @@ def is_visible(
     fov_half_angle: float = FOV_HALF_ANGLE,
 ) -> bool:
     """True iff the target is within the node's range and azimuth FoV."""
-    dx = target.x - node.x
-    dy = target.y - node.y
-    r = math.hypot(dx, dy)
-    if r == 0.0 or r > max_range:
-        return False
-    return abs(angle_off_boresight(node, target)) <= fov_half_angle
+    return _visible(
+        target.x - node.x, target.y - node.y, math.cos(node.phi), math.sin(node.phi),
+        max_range, fov_half_angle,
+    )
 
 
 def synthesize_measurements(
@@ -219,32 +233,36 @@ def synthesize_measurements(
 
     Noise draws are independent across frames, nodes, and modalities;
     the spatial frequency is clamped to [-pi, pi] after noise addition.
-    Nodes that cannot see the target contribute None.
+    Nodes that cannot see the target contribute None.  The scenario's
+    noise is drawn in one call, frame by frame, node by node, three
+    draws each, whether or not the node sees the target.
     """
     if len(truth) != config.num_frames:
         raise ConfigError(
             f"truth length {len(truth)} != num_frames {config.num_frames}"
         )
     rng = np.random.default_rng([config.rng_seed, _MEASUREMENT_STREAM])
+    draws = rng.standard_normal((len(truth), len(config.nodes), 3))
     noise = config.noise
+    max_range, fov = config.max_range, config.fov_half_angle
+    nodes = [
+        (node, node.x, node.y, math.cos(node.phi), math.sin(node.phi)) for node in config.nodes
+    ]
     frames = []
-    for k, target in enumerate(truth):
+    for k, (target, frame_draws) in enumerate(zip(truth, draws)):
         per_node: list[Detection | None] = []
-        for node in config.nodes:
-            draws = rng.standard_normal(3)
-            if not is_visible(node, target, config.max_range, config.fov_half_angle):
+        for (node, nx, ny, c, s), (d_r, d_omega, d_v) in zip(nodes, frame_draws.tolist()):
+            if not _visible(target.x - nx, target.y - ny, c, s, max_range, fov):
                 per_node.append(None)
                 continue
             ideal = measure(node, target)
-            omega = ideal.spatial_freq + noise.sigma_omega * draws[1]
-            per_node.append(
-                Detection(
-                    range=ideal.range + noise.sigma_r * draws[0],
-                    spatial_freq=min(math.pi, max(-math.pi, omega)),
-                    radial_vel=ideal.radial_vel + noise.sigma_v * draws[2],
-                )
-            )
-        frames.append(MeasurementFrame(frame_index=k, per_node=tuple(per_node)))
+            omega = ideal.spatial_freq + noise.sigma_omega * d_omega
+            per_node.append(Detection(
+                ideal.range + noise.sigma_r * d_r,
+                min(math.pi, max(-math.pi, omega)),
+                ideal.radial_vel + noise.sigma_v * d_v,
+            ))
+        frames.append(MeasurementFrame(k, tuple(per_node)))
     return frames
 
 
@@ -353,13 +371,16 @@ def _section(value, where: str) -> dict:
 
 
 def _number(section: dict, where: str, key: str, default=None, kind=float):
-    """`section[key]` (or `default`) as a `kind`, else a ConfigError naming the field."""
+    """`section[key]` (or `default`) as a finite `kind`, else a ConfigError naming the field."""
     value = section.get(key, default)
+    field = f"{where}.{key}" if where else key
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError, OverflowError):
-        field = f"{where}.{key}" if where else key
         raise ConfigError(f"{field} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{field} must be finite, got {value!r}")
+    return number
 
 
 def _trajectory_from_dict(d, where: str = "trajectory") -> TrajectorySpec:
@@ -369,10 +390,13 @@ def _trajectory_from_dict(d, where: str = "trajectory") -> TrajectorySpec:
         raise ConfigError(f"{where} section missing keys: {', '.join(missing)}")
     kind = d["kind"]
     try:
-        x, y = (float(v) for v in d["start"])
+        start = tuple(float(v) for v in d["start"])
+        if len(start) != 2 or not all(map(math.isfinite, start)):
+            raise ValueError
     except (TypeError, ValueError):
-        raise ConfigError(f"{where}.start must be two numbers [x, y], got {d['start']!r}") from None
-    start = (x, y)
+        raise ConfigError(
+            f"{where}.start must be two finite numbers [x, y], got {d['start']!r}"
+        ) from None
     if kind == "straight":
         return TrajectorySpec(
             kind,
@@ -472,22 +496,28 @@ def with_seed(config: ScenarioConfig, seed: int) -> ScenarioConfig:
     return replace(config, rng_seed=seed)
 
 
+def write_csv(path: str | Path, header: str, rows) -> None:
+    """Write `header` (one or more lines), then each row's cells joined by commas.
+
+    Cells must be Python ints, floats or strings; each is written as its
+    `str`, which for a float is the shortest repr that parses back to
+    the same bits.
+    """
+    lines = [header]
+    lines.extend(",".join(map(str, row)) for row in rows)
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 def export_measurements_csv(frames: list[MeasurementFrame], path: str | Path) -> None:
     """Write detections as CSV rows frame,node,range,omega,vr."""
-    lines = ["frame,node,range,omega,vr"]
-    for frame in frames:
-        for i, det in enumerate(frame.per_node):
-            if det is None:
-                continue
-            lines.append(
-                f"{frame.frame_index},{i},{det.range!r},{det.spatial_freq!r},{det.radial_vel!r}"
-            )
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, "frame,node,range,omega,vr", (
+        (frame.frame_index, i, det.range, det.spatial_freq, det.radial_vel)
+        for frame in frames
+        for i, det in enumerate(frame.per_node)
+        if det is not None
+    ))
 
 
 def export_truth_csv(truth: list[TargetState], path: str | Path) -> None:
     """Write ground-truth states as CSV rows frame,x,y,vx,vy."""
-    lines = ["frame,x,y,vx,vy"]
-    for k, s in enumerate(truth):
-        lines.append(f"{k},{s.x!r},{s.y!r},{s.vx!r},{s.vy!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, "frame,x,y,vx,vy", ((k, s.x, s.y, s.vx, s.vy) for k, s in enumerate(truth)))

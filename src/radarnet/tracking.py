@@ -26,7 +26,7 @@ from .geometry import (
     measurement_jacobian,
     rotation_matrix,
 )
-from .scene import Detection, MeasurementFrame, NoiseConfig
+from .scene import Detection, MeasurementFrame, NoiseConfig, write_csv
 
 _LOCAL_POSE = Pose2D(0.0, 0.0, 0.0)
 
@@ -395,12 +395,8 @@ def track_level_fusion(track1: Track, track2_in_frame1: Track) -> Track:
 
 def export_track_csv(track: Track, path: str | Path) -> None:
     """Write a track as CSV: frame,x,y,vx,vy,p11,p22,p33,p44."""
-    lines = [f"# frame={track.frame}", "frame,x,y,vx,vy,p11,p22,p33,p44"]
-    for p in track.frames:
-        c = p.covariance
-        values = [
-            p.position.real, p.position.imag, p.velocity[0], p.velocity[1],
-            c[0, 0], c[1, 1], c[2, 2], c[3, 3],
-        ]
-        lines.append(f"{p.frame_index}," + ",".join(repr(float(v)) for v in values))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, f"# frame={track.frame}\nframe,x,y,vx,vy,p11,p22,p33,p44", (
+        [p.frame_index, p.position.real, p.position.imag,
+         *p.velocity.tolist(), *p.covariance.diagonal().tolist()]
+        for p in track.frames
+    ))

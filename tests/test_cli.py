@@ -81,6 +81,24 @@ class TestExitCodes:
         assert f"config error: {field} " in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("verb", ["simulate", "run"])
+    @pytest.mark.parametrize("field, edit", [
+        ("nodes[1].x", lambda d: d["nodes"][1].update(x=float("nan"))),
+        ("max_range", lambda d: d.update(max_range=float("inf"))),
+        ("trajectory.start", lambda d: d["trajectory"].update(start=[0.0, float("-inf")])),
+    ])
+    def test_non_finite_config_number_is_config_error(self, tmp_path, small_config, capsys,
+                                                      verb, field, edit):
+        d = json.loads(small_config.read_text())
+        edit(d)
+        path = tmp_path / "non_finite.json"
+        path.write_text(json.dumps(d))  # writes the NaN / Infinity tokens
+        assert main([verb, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {field} " in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_both_scenario_sources_rejected(self, tmp_path, small_config, capsys):
         assert main(["run", "--config", str(small_config), "--builtin", "A"]) == 2
 
@@ -130,6 +148,42 @@ class TestFuseVerb:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "frame,mode,x,y,vx,vy,converged,cond"
         assert len(lines) > 30
+
+    def test_csv_bytes_match_inline_format(self, tmp_path):
+        from dataclasses import replace
+
+        from radarnet.experiment import PipelineOptions, simulate_scenario
+        from radarnet.fusion import FusionObservation, ObservationEntry, solve_frames
+
+        config = replace(builtin_scenario("C", "random", seed=4), num_frames=40)
+        path = tmp_path / "short.json"
+        save_scenario(config, path)
+        assert main(["fuse", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+
+        # The file as cmd_fuse formatted it with its own f-strings.
+        _, frames = simulate_scenario(config)
+        kept = [f for f in frames if sum(det is not None for det in f.per_node) >= 2]
+        observations = [
+            FusionObservation(tuple(
+                ObservationEntry(node, det)
+                for node, det in zip(config.nodes, f.per_node) if det is not None
+            ))
+            for f in kept
+        ]
+        prior = PipelineOptions().prior
+        estimates = [solve_frames(observations, config.noise, mode="ml"),
+                     solve_frames(observations, config.noise, mode="bayes", prior=prior)]
+        rows = ["frame,mode,x,y,vx,vy,converged,cond"]
+        for k, frame in enumerate(kept):
+            for mode, per_mode in zip(("ml", "bayes"), estimates):
+                est = per_mode[k]
+                rows.append(
+                    f"{frame.frame_index},{mode},{est.state.x!r},{est.state.y!r},"
+                    f"{est.state.vx!r},{est.state.vy!r},{int(est.converged)},{est.conditioning!r}"
+                )
+        written = tmp_path / "o" / "C" / "4" / "fusion" / "oneshot_only.csv"
+        assert len(rows) > 40
+        assert written.read_text() == "\n".join(rows) + "\n"
 
     def test_with_calibration_file(self, tmp_path, small_config):
         assert main(["calibrate", "--config", str(small_config), "--out", str(tmp_path / "o")]) == 0

@@ -242,6 +242,109 @@ class TestDeterminism:
         assert report_a == report_b
 
 
+class TestCsvRoundTrip:
+    """Every float cell parses back to the in-memory value's exact bits."""
+
+    def test_cells_round_trip(self, tmp_path, monkeypatch):
+        import struct
+
+        import radarnet.experiment as experiment
+        from radarnet.experiment import simulate_scenario
+
+        tracks, estimates = {}, {}
+
+        def export_track_csv(track, path):
+            tracks[Path(path).name] = track
+            real_export_track_csv(track, path)
+
+        def solve_frames(observations, noise, mode, prior=None):
+            estimates[mode] = real_solve_frames(observations, noise, mode=mode, prior=prior)
+            return estimates[mode]
+
+        real_export_track_csv = experiment.export_track_csv
+        real_solve_frames = experiment.solve_frames
+        monkeypatch.setattr(experiment, "export_track_csv", export_track_csv)
+        monkeypatch.setattr(experiment, "solve_frames", solve_frames)
+        config = small_scenario(seed=3, num_frames=100)
+        report = run_experiment(config, PipelineOptions(out_dir=tmp_path))
+        run_dir = Path(report.out_dir)
+        truth, frames = simulate_scenario(config)
+
+        def bits(value):
+            return struct.pack("<d", value)
+
+        def check(cells, values):
+            """Cells against (kind, value): f floats, i ints, b 0/1 flags, s strings."""
+            assert len(cells) == len(values)
+            for cell, (kind, value) in zip(cells, values):
+                if kind == "f":
+                    assert type(value) is float
+                    assert bits(float(cell)) == bits(value), (cell, value)
+                elif kind == "b":
+                    assert cell in ("0", "1") and cell == str(int(value))
+                else:
+                    assert cell == str(value)
+
+        def rows(rel):
+            lines = (run_dir / rel).read_text().split("\n")
+            assert lines.pop() == ""
+            return [line.split(",") for line in lines if not line.startswith("#")][1:]
+
+        def f(*values):
+            return [("f", v) for v in values]
+
+        truth_rows = rows("fusion/truth.csv")
+        assert len(truth_rows) == len(truth)
+        for k, (cells, t) in enumerate(zip(truth_rows, truth)):
+            check(cells, [("i", k)] + f(t.x, t.y, t.vx, t.vy))
+
+        detections = [(frame.frame_index, i, det) for frame in frames
+                      for i, det in enumerate(frame.per_node) if det is not None]
+        meas_rows = rows("fusion/measurements.csv")
+        assert len(meas_rows) == len(detections)
+        for cells, (k, i, det) in zip(meas_rows, detections):
+            check(cells, [("i", k), ("i", i)] + f(det.range, det.spatial_freq, det.radial_vel))
+
+        def point_values(p):
+            return f(p.position.real, p.position.imag, *p.velocity.tolist())
+
+        assert set(tracks) == {"node0.csv", "node1_in_ref.csv", "track_fusion.csv"}
+        for name, track in tracks.items():
+            track_rows = rows(f"tracks/{name}")
+            assert len(track_rows) == len(track.frames)
+            for cells, p in zip(track_rows, track.frames):
+                check(cells, [("i", p.frame_index)] + point_values(p)
+                      + f(*p.covariance.diagonal().tolist()))
+
+        eval_frames = [int(cells[0]) for cells in rows("fusion/per_frame.csv")]
+        by_frame = {mode: dict(zip(eval_frames, ests)) for mode, ests in estimates.items()}
+        oneshot_rows = rows("fusion/oneshot.csv")
+        assert len(oneshot_rows) == 2 * len(eval_frames)
+        keys = [(mode, k) for mode in ("ml", "bayes") for k in eval_frames]
+        for cells, (mode, k) in zip(oneshot_rows, keys):
+            est = by_frame[mode][k]
+            cov = (est.covariance[np.triu_indices(4)].tolist() if est.covariance is not None
+                   else [math.nan] * 10)
+            s = est.state
+            check(cells, [("i", k), ("s", mode)] + f(s.x, s.y, s.vx, s.vy)
+                  + [("b", est.converged)] + f(est.conditioning, *cov))
+
+        track_by = [tracks[name].by_frame()
+                    for name in ("node0.csv", "node1_in_ref.csv", "track_fusion.csv")]
+        rmse_set = {k for k in eval_frames if k >= PipelineOptions().burn_in_frames}
+        for cells in rows("fusion/per_frame.csv"):
+            k = int(cells[0])
+            t = truth[k]
+            values = [("i", k)] + f(t.x, t.y, t.vx, t.vy)
+            for by in track_by:
+                values += point_values(by[k])
+            for mode in ("bayes", "ml"):
+                est = by_frame[mode][k]
+                s = est.state
+                values += f(s.x, s.y, s.vx, s.vy) + [("b", est.converged)] + f(est.conditioning)
+            check(cells, values + [("b", k in rmse_set)])
+
+
 class TestMonteCarlo:
     def test_single_trial_matches_run_experiment(self):
         config = small_scenario(seed=11, num_frames=60)

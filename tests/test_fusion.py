@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from radarnet.geometry import Pose2D, TargetState, measure
+from radarnet.geometry import FOV_HALF_ANGLE, Pose2D, TargetState, measure
 from radarnet.scene import Detection, NoiseConfig, builtin_scenario
 from radarnet.fusion import (
     FusionObservation,
     ObservationEntry,
     PriorConfig,
     _Frames,
+    _candidate_starts,
+    _range_circle_intersections,
     bayes_objective,
     grid_covariance,
     initial_position_estimate,
@@ -578,3 +580,87 @@ class TestSolveFrames:
             batch[1].state.as_vector(), reference[1].state.as_vector(), rtol=0, atol=1e-6
         )
         assert batch[1].objective_value == pytest.approx(reference[1].objective_value, rel=1e-9)
+
+
+def reference_candidate_starts(obs):
+    """The LM starts as built with array initializers and one TargetState
+    per start, the off-boresight angle written out per node."""
+    n = obs.num_nodes
+    px = py = vx = vy = 0.0
+    for entry in obs.entries:
+        node, det = entry.node_pose, entry.detection
+        theta = math.asin(min(1.0, max(-1.0, det.spatial_freq / math.pi)))
+        lx, ly = det.range * math.sin(theta), det.range * math.cos(theta)
+        c, s = math.cos(node.phi), math.sin(node.phi)
+        px += c * lx - s * ly + node.x
+        py += s * lx + c * ly + node.y
+        los = node.phi + 0.5 * math.pi - math.asin(det.spatial_freq / math.pi)
+        vx += det.radial_vel * math.cos(los)
+        vy += det.radial_vel * math.sin(los)
+    pos0 = np.array([px, py]) / n
+    vx, vy = np.array([vx, vy]) / n
+    positions = [(pos0[0], pos0[1])] + _range_circle_intersections(obs)
+    limit = FOV_HALF_ANGLE + math.radians(15.0)
+
+    def visible(position):
+        state = TargetState(position[0], position[1], 0.0, 0.0)
+        for entry in obs.entries:
+            node = entry.node_pose
+            if position[0] == node.x and position[1] == node.y:
+                return False
+            dx, dy = state.x - node.x, state.y - node.y
+            c, s = math.cos(node.phi), math.sin(node.phi)
+            if abs(math.atan2(dx * c + dy * s, -dx * s + dy * c)) > limit:
+                return False
+        return True
+
+    kept = [p for p in positions if visible(p)]
+    return pos0, [(x, y, vx, vy) for x, y in (kept or positions)]
+
+
+def assert_same_starts(obs):
+    pos0, starts = _candidate_starts(obs)
+    want_pos0, want_starts = reference_candidate_starts(obs)
+    assert np.asarray(pos0, dtype=float).tobytes() == want_pos0.tobytes()
+    assert np.asarray(starts, dtype=float).tobytes() == np.asarray(want_starts).tobytes()
+    return starts
+
+
+class TestCandidateStarts:
+    """The float visibility filter picks the same starts, bit for bit."""
+
+    @pytest.mark.parametrize("name", ["A", "B", "C"])
+    def test_every_frame_of_builtin_random(self, name):
+        from radarnet.experiment import simulate_scenario
+
+        config = builtin_scenario(name, "random", seed=7)
+        _, frames = simulate_scenario(config)
+        checked = 0
+        for frame in frames:
+            if all(det is not None for det in frame.per_node):
+                assert_same_starts(FusionObservation(tuple(
+                    ObservationEntry(node, det) for node, det in zip(config.nodes, frame.per_node)
+                )))
+                checked += 1
+        assert checked > 400
+
+    def test_start_on_a_node_is_dropped(self):
+        # A zero range on node 2 and node 1's range equal to the baseline
+        # put the single range-circle intersection exactly on node 2; the
+        # initializer, 60 deg off node 2's boresight, stays in view.
+        nodes = config_c_nodes()
+        obs = FusionObservation((
+            ObservationEntry(nodes[0], Detection(7.0, math.pi * math.sin(math.pi / 3), 0.1)),
+            ObservationEntry(nodes[1], Detection(0.0, 0.0, 0.0)),
+        ))
+        assert _range_circle_intersections(obs) == [(0.0, 7.0)]
+        starts = assert_same_starts(obs)
+        assert len(starts) == 1 and starts[0][:2] != (0.0, 7.0)
+
+    def test_all_candidates_invisible_keeps_them_all(self):
+        # A target far off both boresights: the initializer and both
+        # mirror intersections lie outside every widened field of view.
+        nodes = config_c_nodes()
+        obs = observation_of(nodes, TargetState(30.0, 1.0, 0.2, -0.1))
+        starts = assert_same_starts(obs)
+        assert len(starts) == 3

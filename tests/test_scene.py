@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -172,6 +173,103 @@ class TestSynthesize:
             synthesize_measurements(truth[:-1], config)
 
 
+def reference_random_walk(spec, num_frames, dt, seed):
+    """The random walk as written when it drew its noise one step at a
+    time; returns the states and how many frames the speed cap clipped."""
+    rng = np.random.default_rng([seed, 0])
+    gamma = 1.0 / spec.smoothness
+    spring = 0.25 * gamma * gamma
+    sigma_axis = spec.speed_cap / 2.5
+    kick = sigma_axis * math.sqrt(2.0 * gamma * dt)
+    center = np.array(spec.start, dtype=float)
+    pos = center.copy()
+    vel = sigma_axis * rng.standard_normal(2)
+    states, clipped = [], 0
+    for _ in range(num_frames):
+        speed = math.hypot(vel[0], vel[1])
+        if speed > spec.speed_cap:
+            vel *= spec.speed_cap / speed
+            clipped += 1
+        states.append((pos[0], pos[1], vel[0], vel[1]))
+        pos = pos + vel * dt
+        vel = (
+            vel
+            - (gamma * vel + spring * (pos - center)) * dt
+            + kick * rng.standard_normal(2)
+        )
+    return states, clipped
+
+
+def reference_measurements(truth, config):
+    """Detections as written with one three-value draw per node-frame and
+    the visibility rule inline; None where a node cannot see the target."""
+    rng = np.random.default_rng([config.rng_seed, 1])
+    noise = config.noise
+    frames = []
+    for target in truth:
+        per_node = []
+        for node in config.nodes:
+            draws = rng.standard_normal(3)
+            dx, dy = target.x - node.x, target.y - node.y
+            r = math.hypot(dx, dy)
+            c, s = math.cos(node.phi), math.sin(node.phi)
+            angle = math.atan2(dx * c + dy * s, -dx * s + dy * c)
+            if r == 0.0 or r > config.max_range or abs(angle) > config.fov_half_angle:
+                per_node.append(None)
+                continue
+            ideal = measure(node, target)
+            omega = ideal.spatial_freq + noise.sigma_omega * draws[1]
+            per_node.append((
+                ideal.range + noise.sigma_r * draws[0],
+                min(math.pi, max(-math.pi, omega)),
+                ideal.radial_vel + noise.sigma_v * draws[2],
+            ))
+        frames.append(per_node)
+    return frames
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestRandomStreams:
+    """The one-call noise draws give the per-step streams bit for bit."""
+
+    @pytest.mark.parametrize("spec, seed", [
+        (TrajectorySpec("random", start=(1.0, 3.2), speed_cap=0.6), 7),
+        (TrajectorySpec("random", start=(0.8, 4.4), speed_cap=0.7, smoothness=2.5), 8),
+        (TrajectorySpec("random", start=(0, 2), speed_cap=3.5, smoothness=0.5), 11),
+    ])
+    def test_random_walk_matches_per_step_draws(self, spec, seed):
+        want, clipped = reference_random_walk(spec, 600, 0.15, seed)
+        got = generate_trajectory(spec, 600, 0.15, seed)
+        assert clipped > 0  # the speed cap engaged on this stream
+        assert bits([(s.x, s.y, s.vx, s.vy) for s in got]) == bits(want)
+
+    def test_detections_match_per_node_frame_draws(self):
+        base = builtin_scenario("B", "random", seed=2)
+        configs = [builtin_scenario(name, kind, seed=7)
+                   for name in "ABC" for kind in ("straight", "random")]
+        configs.append(replace(
+            base, nodes=base.nodes + (Pose2D(4.0, 3.5, math.radians(125.0)),)
+        ))
+        misses = 0
+        for config in configs:
+            truth = generate_trajectory(
+                config.trajectory, config.num_frames, config.frame_duration, config.rng_seed
+            )
+            got = synthesize_measurements(truth, config)
+            want = reference_measurements(truth, config)
+            assert [f.frame_index for f in got] == list(range(config.num_frames))
+            for frame, expected in zip(got, want):
+                assert [det is None for det in frame.per_node] == [e is None for e in expected]
+                for det, e in zip(frame.per_node, expected):
+                    if det is not None:
+                        assert bits((det.range, det.spatial_freq, det.radial_vel)) == bits(e)
+                misses += sum(e is None for e in expected)
+        assert misses > 0  # some frames have a node that cannot see the target
+
+
 class TestBuiltins:
     def test_config_c_node_pose(self):
         config = builtin_scenario("C")
@@ -280,6 +378,23 @@ class TestConfigIO:
         ("calibration_trajectory.speed", lambda d: d["calibration_trajectory"].update(speed=[1])),
         ("noise.sigma_r", lambda d: d["noise"].update(sigma_r=None)),
         ("num_frames", lambda d: d.update(num_frames="many")),
+        # Non-finite numbers (JSON NaN / Infinity) in any numeric field.
+        pytest.param("nodes[1].x", lambda d: d["nodes"][1].update(x=math.nan), id="x-nan"),
+        pytest.param("nodes[1].phi_deg", lambda d: d["nodes"][1].update(phi_deg=math.inf),
+                     id="phi-inf"),
+        pytest.param("max_range", lambda d: d.update(max_range=math.inf), id="range-inf"),
+        pytest.param("fov_half_angle_deg", lambda d: d.update(fov_half_angle_deg=math.nan),
+                     id="fov-nan"),
+        pytest.param("frame_duration", lambda d: d.update(frame_duration=math.inf), id="dt-inf"),
+        pytest.param("noise.sigma_v", lambda d: d["noise"].update(sigma_v=-math.inf),
+                     id="sigma-minus-inf"),
+        pytest.param("trajectory.start", lambda d: d["trajectory"].update(start=[math.nan, 3.0]),
+                     id="start-nan"),
+        pytest.param("trajectory.smoothness",
+                     lambda d: d["trajectory"].update(smoothness=math.inf), id="smoothness-inf"),
+        pytest.param("calibration_trajectory.heading_deg",
+                     lambda d: d["calibration_trajectory"].update(heading_deg=math.nan),
+                     id="heading-nan"),
     ])
     def test_malformed_field_is_config_error_naming_it(self, field, edit):
         d = scenario_to_dict(builtin_scenario("B", "random", seed=2))
@@ -287,6 +402,13 @@ class TestConfigIO:
         with pytest.raises(ConfigError) as info:
             scenario_from_dict(d)
         assert str(info.value).startswith(field + " ")
+
+    def test_non_finite_json_tokens_rejected(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        save_scenario(builtin_scenario("A"), path)
+        path.write_text(path.read_text().replace('"max_range": 18.07', '"max_range": Infinity'))
+        with pytest.raises(ConfigError, match="^max_range "):
+            load_scenario(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):

@@ -191,6 +191,15 @@ def result_from_dict(d: dict) -> CalibrationResult:
     )
 
 
+def result_path(directory: str | Path, node: int) -> Path:
+    """Where node `node`'s calibration result lives in a calibration directory.
+
+    Node 1's is `result.json`; node i >= 2 has `result_node<i>.json`
+    beside it.
+    """
+    return Path(directory) / ("result.json" if node == 1 else f"result_node{node}.json")
+
+
 def save_result(result: CalibrationResult, path: str | Path) -> None:
     Path(path).write_text(json.dumps(result_to_dict(result), indent=2, sort_keys=True) + "\n")
 

@@ -20,7 +20,7 @@ import math
 import sys
 from pathlib import Path
 
-from .calibration import DegenerateTrackError, load_result, save_result
+from .calibration import DegenerateTrackError, load_result, result_path, save_result
 from .experiment import (
     PipelineError,
     PipelineOptions,
@@ -115,8 +115,7 @@ def cmd_calibrate(args) -> int:
     out = args.out / config.name / str(config.rng_seed) / "calibration"
     out.mkdir(parents=True, exist_ok=True)
     for i, res in enumerate(results, start=1):
-        path = out / ("result.json" if i == 1 else f"result_node{i}.json")
-        save_result(res, path)
+        save_result(res, result_path(out, i))
         print(
             f"node {i} pose: ({res.p21.real:.3f} m, {res.p21.imag:.3f} m, "
             f"{math.degrees(res.phi21):.2f} deg)  rmse={res.rmse:.4f} m  K={res.num_frames}"
@@ -130,7 +129,7 @@ def _calibrated_poses(path: Path, num_nodes: int) -> list[Pose2D]:
     """Node poses from the calibration files `calibrate` writes next to `path`."""
     poses = [Pose2D(0.0, 0.0, 0.0)]
     for node in range(1, num_nodes):
-        node_path = path if node == 1 else path.with_name(f"result_node{node}.json")
+        node_path = path if node == 1 else result_path(path.parent, node)
         if not node_path.is_file():
             raise ConfigError(
                 f"missing calibration for node {node}: {node_path} "

@@ -11,7 +11,7 @@ Output layout, fixed so tools and tests can rely on it:
     <out>/<scenario>/<seed>/
         scenario.json
         tracks/node0.csv, node<i>_in_ref.csv, track_fusion.csv
-        calibration/result.json
+        calibration/result.json, result_node<i>.json (node i >= 2)
         fusion/oneshot.csv, fusion/per_frame.csv
         report/report.json
 """
@@ -26,7 +26,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import CalibrationResult, calibrate_pair, result_to_dict, save_result
+from .calibration import (
+    CalibrationResult,
+    calibrate_pair,
+    result_path,
+    result_to_dict,
+    save_result,
+)
 from .fusion import (
     FusionEstimate,
     FusionObservation,
@@ -355,7 +361,7 @@ def run_experiment(
     if options.write_outputs:
         _write_run_outputs(
             run_dir, config, options, truth, frames, transformed, fused,
-            estimates, eval_frames, rmse_frames, cal, report,
+            estimates, eval_frames, rmse_frames, calibrations, report,
         )
     return report
 
@@ -371,7 +377,7 @@ def _write_run_outputs(
     estimates,
     eval_frames,
     rmse_frames,
-    calibration: CalibrationResult,
+    calibrations: list[CalibrationResult],
     report: ExperimentReport,
 ) -> None:
     for sub in ("tracks", "calibration", "fusion", "report"):
@@ -383,7 +389,8 @@ def _write_run_outputs(
     for i, track in enumerate(transformed[1:], start=1):
         export_track_csv(track, run_dir / "tracks" / f"node{i}_in_ref.csv")
     export_track_csv(fused, run_dir / "tracks" / "track_fusion.csv")
-    save_result(calibration, run_dir / "calibration" / "result.json")
+    for node, result in enumerate(calibrations, start=1):
+        save_result(result, result_path(run_dir / "calibration", node))
 
     oneshot_rows = []
     for mode in options.modes:

@@ -141,49 +141,63 @@ def _offset(radar: Pose2D, x: float, y: float) -> tuple[float, float, float]:
     return dx, dy, r
 
 
-def measure_with_jacobian(
-    radar: Pose2D, x: float, y: float, vx: float, vy: float, jacobian: bool = True
-) -> tuple[float, float, float, np.ndarray | None]:
-    """Range, spatial frequency, radial velocity and their 3x4 Jacobian.
+def _measure_floats(
+    radar: Pose2D, x: float, y: float, vx: float, vy: float, jacobian: bool
+) -> tuple[float, ...]:
+    """The exact measurement model on floats, written once.
 
-    The one scalar form of the exact measurement model: the Jacobian is
-    analytic, w.r.t. (x, y, vx, vy), and None unless `jacobian` is set.
-    `measure`, `measurement_jacobian` and the per-quantity `measure_*`
-    functions are views of it, and the EKF calls it on its state vector.
+    Returns (range, spatial frequency, radial velocity) and, with
+    `jacobian`, six more floats: the Jacobian entries h00, h01, h10,
+    h11, h20, h21 w.r.t. (x, y, vx, vy).  The other six entries follow
+    from them: h22 = h00 and h23 = h01 (the line-of-sight direction),
+    and the velocity columns of the first two rows are zero.
     """
     dx, dy, r = _offset(radar, x, y)
     c, s = math.cos(radar.phi), math.sin(radar.phi)
     along_array = dx * c + dy * s
     vel_proj = vx * dx + vy * dy
-    predicted = (r, math.pi * along_array / r, vel_proj / r)
     if not jacobian:
-        return *predicted, None
+        return r, math.pi * along_array / r, vel_proj / r
     r2 = r * r
     r3 = r2 * r
+    return (
+        r, math.pi * along_array / r, vel_proj / r,
+        dx / r, dy / r,
+        math.pi * (c * r2 - along_array * dx) / r3,
+        math.pi * (s * r2 - along_array * dy) / r3,
+        (vx * r2 - vel_proj * dx) / r3,
+        (vy * r2 - vel_proj * dy) / r3,
+    )
+
+
+def measure_with_jacobian(
+    radar: Pose2D, x: float, y: float, vx: float, vy: float, jacobian: bool = True
+) -> tuple[float, float, float, np.ndarray | None]:
+    """Range, spatial frequency, radial velocity and their 3x4 Jacobian.
+
+    The Jacobian is analytic, w.r.t. (x, y, vx, vy), and None unless
+    `jacobian` is set.  Like `measure`, `measurement_jacobian` and the
+    per-quantity `measure_*` functions, this is a view of the one float
+    kernel the EKF step calls directly.
+    """
+    if not jacobian:
+        return *_measure_floats(radar, x, y, vx, vy, False), None
+    r, omega, radial_vel, h00, h01, h10, h11, h20, h21 = _measure_floats(
+        radar, x, y, vx, vy, True
+    )
     jac = np.array([
-        [dx / r, dy / r, 0.0, 0.0],
-        [
-            math.pi * (c * r2 - along_array * dx) / r3,
-            math.pi * (s * r2 - along_array * dy) / r3,
-            0.0,
-            0.0,
-        ],
-        [
-            (vx * r2 - vel_proj * dx) / r3,
-            (vy * r2 - vel_proj * dy) / r3,
-            dx / r,
-            dy / r,
-        ],
+        [h00, h01, 0.0, 0.0],
+        [h10, h11, 0.0, 0.0],
+        [h20, h21, h00, h01],
     ])
-    return *predicted, jac
+    return r, omega, radial_vel, jac
 
 
 def measure(radar: Pose2D, target: TargetState) -> IdealMeasurement:
     """All three ideal measurements of a target from one node."""
-    r, omega, radial_vel, _ = measure_with_jacobian(
-        radar, target.x, target.y, target.vx, target.vy, jacobian=False
+    return IdealMeasurement(
+        *_measure_floats(radar, target.x, target.y, target.vx, target.vy, False)
     )
-    return IdealMeasurement(r, omega, radial_vel)
 
 
 def measurement_jacobian(radar: Pose2D, state: TargetState) -> np.ndarray:

@@ -216,6 +216,16 @@ class TestFuseVerb:
         assert code == 2
         assert "result_node2.json" in capsys.readouterr().err
 
+    def test_three_node_run_writes_calibration_fuse_reads(self, tmp_path, three_node_config):
+        # `run` writes every node's calibration file, so `fuse --calibration`
+        # can take the run's result.json.
+        assert main(["run", "--config", str(three_node_config), "--out", str(tmp_path / "o")]) == 0
+        calib = tmp_path / "o" / "B" / "2" / "calibration" / "result.json"
+        assert (calib.parent / "result_node2.json").exists()
+        code = main(["fuse", "--config", str(three_node_config), "--out", str(tmp_path / "o2"),
+                     "--calibration", str(calib)])
+        assert code == 0
+
 
 class TestRunVerb:
     def test_full_run_and_plots(self, tmp_path, small_config, capsys):

@@ -12,6 +12,7 @@ from radarnet.geometry import (
     TargetState,
     detection_to_local_cartesian,
     measure,
+    measurement_jacobian,
 )
 from radarnet.scene import (
     Detection,
@@ -27,6 +28,8 @@ from radarnet.tracking import (
     Track,
     TrackPoint,
     _project_psd,
+    _psd,
+    _upper,
     ekf_predict,
     ekf_update,
     export_track_csv,
@@ -61,6 +64,17 @@ class TestEkfConfig:
     def test_min_range_must_be_nonnegative(self, min_range):
         with pytest.raises(ValueError, match="min_range"):
             EkfConfig(min_range=min_range)
+
+    @pytest.mark.parametrize("accel", [math.nan, math.inf, -1.0])
+    def test_process_noise_must_be_finite_nonnegative(self, accel):
+        with pytest.raises(ValueError, match="process_noise_accel"):
+            EkfConfig(process_noise_accel=accel)
+
+    @pytest.mark.parametrize("name", ["init_pos_var", "init_vel_var"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0])
+    def test_init_variances_must_be_finite_positive(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            EkfConfig(**{name: value})
 
     def test_valid_edges_accepted(self):
         assert EkfConfig(gate_threshold=None, min_range=0.0).min_range == 0.0
@@ -410,6 +424,124 @@ class TestStepWrappersMatchTracker:
         assert calls["eigh"] == 1
 
 
+def reference_numpy_tracker(frames, node_index, cfg, noise, dt):
+    """The EKF step as numpy arrays: F P F' + Q, a `np.linalg.solve` gain
+    and gate, and the Joseph update, each covariance projected by
+    `eigh_projection`.  Returns the track as (frame, state, covariance,
+    updated) tuples."""
+    f = np.eye(4)
+    f[0, 2] = f[1, 3] = dt
+    q = process_noise(dt, cfg.process_noise_accel)
+    r = np.diag([noise.sigma_r**2, noise.sigma_omega**2, noise.sigma_v**2])
+    fold = np.diag([1.0, -1.0, 1.0, -1.0])
+    points = []
+    theta = None
+    for frame in frames:
+        det = frame.per_node[node_index]
+        updated = False
+        if theta is None:
+            if det is None:
+                continue
+            pos = detection_to_local_cartesian(
+                IdealMeasurement(det.range, det.spatial_freq, det.radial_vel)
+            )
+            theta = np.array([pos[0], pos[1], 0.0, 0.0])
+            cov = np.diag([cfg.init_pos_var, cfg.init_pos_var, cfg.init_vel_var, cfg.init_vel_var])
+            updated = True
+        else:
+            theta = f @ theta
+            cov = eigh_projection(f @ cov @ f.T + q)
+            if det is not None and math.hypot(theta[0], theta[1]) >= cfg.min_range:
+                state = TargetState(*theta)
+                m = measure(ORIGIN, state)
+                h = measurement_jacobian(ORIGIN, state)
+                innovation = np.array([det.range - m.range, det.spatial_freq - m.spatial_freq,
+                                       det.radial_vel - m.radial_vel])
+                s = h @ cov @ h.T + r
+                gain = np.linalg.solve(s, h @ cov).T
+                gated_out = (cfg.gate_threshold is not None
+                             and innovation @ np.linalg.solve(s, innovation) > cfg.gate_threshold)
+                if not gated_out:
+                    theta = theta + gain @ innovation
+                    a = np.eye(4) - gain @ h
+                    cov = eigh_projection(a @ cov @ a.T + gain @ r @ gain.T)
+                    updated = True
+        if theta[1] < 0.0:
+            theta, cov = fold @ theta, fold @ cov @ fold
+        points.append((frame.frame_index, theta.copy(), cov.copy(), updated))
+    return points
+
+
+class TestFloatStep:
+    def test_tracker_matches_numpy_step_on_builtins(self):
+        coasted = {}  # detected frames left without an update, per gate
+        for gate in (None, 7.81):
+            cfg = EkfConfig(gate_threshold=gate)
+            coasted[gate] = 0
+            for name in ("A", "B", "C"):
+                for kind in ("straight", "random"):
+                    config = builtin_scenario(name, kind, seed=7)
+                    _, frames = simulate_scenario(config)
+                    for i, node in enumerate(config.nodes):
+                        track = run_tracker(
+                            frames, i, node, cfg, config.noise, config.frame_duration
+                        )
+                        expected = reference_numpy_tracker(
+                            frames, i, cfg, config.noise, config.frame_duration
+                        )
+                        assert [p.frame_index for p in track.frames] == [e[0] for e in expected]
+                        assert [p.updated for p in track.frames] == [e[3] for e in expected]
+                        for p, (_, theta, cov, _) in zip(track.frames, expected):
+                            got = np.array([p.position.real, p.position.imag, *p.velocity])
+                            np.testing.assert_allclose(got, theta, rtol=0.0, atol=1e-9)
+                            assert np.max(np.abs(p.covariance - cov)) <= 1e-9 * np.max(np.abs(cov))
+                        coasted[gate] += sum(
+                            frames[p.frame_index].per_node[i] is not None and not p.updated
+                            for p in track.frames[1:]
+                        )
+        assert coasted[7.81] > coasted[None]  # the gate rejected detections
+
+    def test_failed_psd_test_goes_through_eigh_clip(self, monkeypatch):
+        # Rank-1 prior, dyadic entries and dt, no process noise: F P F' is
+        # exact in floats and arrays alike, and singular, so it is clipped.
+        v = np.array([1.0, 2.0, 0.5, -1.0])
+        cov = np.outer(v, v)
+        f = np.eye(4)
+        f[0, 2] = f[1, 3] = 0.25
+        unprojected = f @ cov @ f.T
+        calls = []
+        original = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or original(a))
+        _, predicted = ekf_predict(
+            TargetState(0, 5, 1, 0), cov, 0.25, EkfConfig(process_noise_accel=0.0)
+        )
+        assert len(calls) == 1
+        monkeypatch.setattr(np.linalg, "eigh", original)
+        assert predicted.tobytes() == _project_psd(unprojected).tobytes()
+        assert not np.array_equal(predicted, unprojected)
+        assert np.min(np.linalg.eigvalsh(predicted)) > 0.0
+
+    def test_ten_float_projection_matches_array_projection(self):
+        rng = np.random.default_rng(13)
+        for rank in (1, 2, 3, 4):
+            for _ in range(30):
+                a = rng.standard_normal((4, rank))
+                sym = eigh_projection(a @ a.T)  # exactly symmetric input
+                assert _psd(_upper(sym)) == _upper(_project_psd(sym))
+
+    def test_singular_innovation_covariance_raises_after_jitter_retry(self):
+        target = TargetState(1.0, 4.0, 0.3, -0.2)
+        det = detection_of(ORIGIN, target)
+        # An all-zero S (zero prior, variances that underflow to 0) fails the
+        # first factorization and passes after the jitter retry.
+        underflow = NoiseConfig(sigma_r=1e-200, sigma_omega=1e-200, sigma_v=1e-200)
+        state, cov, _ = ekf_update(target, np.zeros((4, 4)), det, ORIGIN, underflow)
+        assert state == target and np.all(cov == 0.0)
+        # An indefinite S fails both.
+        with pytest.raises(np.linalg.LinAlgError, match="singular innovation covariance"):
+            ekf_update(target, -np.eye(4), det, ORIGIN, TABLE_NOISE)
+
+
 class TestTransformTrack:
     def test_rigid_map(self):
         rng = np.random.default_rng(3)
@@ -479,6 +611,54 @@ class TestTrackFusion:
             fused_errs.append(np.mean([abs(p.position - truth) for p in fused.frames]))
             best_single_errs.append(min(err1, err2))
         assert np.mean(fused_errs) <= np.mean(best_single_errs)
+
+
+def per_frame_track_fusion(track1, track2):
+    """Track-level fusion with one 4x4 solve per frame.
+
+    Returns (frame, state bytes, covariance bytes) per fused frame.
+    """
+    by_frame2 = track2.by_frame()
+    out = []
+    for p1 in track1.frames:
+        p2 = by_frame2.get(p1.frame_index)
+        if p2 is None:
+            continue
+        gain = np.linalg.solve(p1.covariance + p2.covariance, p1.covariance).T
+        x1 = np.array([p1.position.real, p1.position.imag, p1.velocity[0], p1.velocity[1]])
+        x2 = np.array([p2.position.real, p2.position.imag, p2.velocity[0], p2.velocity[1]])
+        fused = x1 + gain @ (x2 - x1)
+        fused_cov = p1.covariance - gain @ p1.covariance
+        out.append((p1.frame_index, fused.tobytes(), (0.5 * (fused_cov + fused_cov.T)).tobytes()))
+    return out
+
+
+class TestStackedTrackFusion:
+    @pytest.mark.parametrize("name", ["A", "B", "C"])
+    def test_stacked_solve_matches_per_frame_solves_bit_for_bit(self, name):
+        config = builtin_scenario(name, "random", seed=7)
+        _, frames = simulate_scenario(config)
+        cfg = PipelineOptions().ekf
+        tracks = [
+            run_tracker(frames, i, node, cfg, config.noise, config.frame_duration)
+            for i, node in enumerate(config.nodes)
+        ]
+        node = config.nodes[1]
+        moved = transform_track(tracks[1], complex(node.x, node.y), node.phi)
+        fused = track_level_fusion(tracks[0], moved)
+        got = [
+            (p.frame_index,
+             np.array([p.position.real, p.position.imag, *p.velocity]).tobytes(),
+             p.covariance.tobytes())
+            for p in fused.frames
+        ]
+        assert got == per_frame_track_fusion(tracks[0], moved)
+        assert len(got) > 100
+
+    def test_singular_total_covariance_is_wrapped(self):
+        singular = TrackPoint(0, 0j, np.zeros(2), np.zeros((4, 4)))
+        with pytest.raises(np.linalg.LinAlgError, match="singular track covariances"):
+            track_level_fusion(Track(frames=[singular]), Track(frames=[singular]))
 
 
 class TestExport:

@@ -29,7 +29,6 @@ from .experiment import (
     emit_plot_data,
     run_experiment,
     run_monte_carlo,
-    simulate_scenario,
 )
 from .fusion import FusionObservation, ObservationEntry, solve_frames
 from .geometry import Pose2D
@@ -40,6 +39,7 @@ from .scene import (
     export_truth_csv,
     load_scenario,
     save_scenario,
+    simulate,
     with_seed,
     write_csv,
 )
@@ -99,11 +99,11 @@ def cmd_simulate(args) -> int:
     config = _resolve_scenario(args)
     out = args.out / config.name / str(config.rng_seed) / "sim"
     out.mkdir(parents=True, exist_ok=True)
-    truth, frames = simulate_scenario(config)
+    sim = simulate(config)
     save_scenario(config, out / "scenario.json")
-    export_truth_csv(truth, out / "truth.csv")
-    export_measurements_csv(frames, out / "measurements.csv")
-    detections = sum(det is not None for f in frames for det in f.per_node)
+    export_truth_csv(sim.truth.tolist(), out / "truth.csv")
+    export_measurements_csv(sim, out / "measurements.csv")
+    detections = int(sim.seen.sum())
     print(f"simulated {config.name}: {config.num_frames} frames, {detections} detections -> {out}")
     return EXIT_OK
 
@@ -143,7 +143,7 @@ def _calibrated_poses(path: Path, num_nodes: int) -> list[Pose2D]:
 def cmd_fuse(args) -> int:
     config = _resolve_scenario(args)
     options = _options(args)
-    _, frames = simulate_scenario(config)
+    frames = simulate(config).measurement_frames()
     if args.calibration is not None:
         poses = _calibrated_poses(args.calibration, len(config.nodes))
     else:

@@ -45,17 +45,22 @@ from .fusion import (
 from .fusion import solve  # noqa: F401
 from .geometry import Pose2D, angle_difference
 from .scene import (
+    Detection,
     ScenarioConfig,
+    Simulation,
     counterpart_trajectory,
     export_measurements_csv,
     export_truth_csv,
-    generate_trajectory,
     load_scenario,
     save_scenario,
     scenario_to_dict,
-    synthesize_measurements,
+    simulate,
     write_csv,
 )
+# Not called here since the pipeline simulates through `simulate`; kept
+# as experiment.generate_trajectory and experiment.synthesize_measurements,
+# names perfbench/spans.py traces.
+from .scene import generate_trajectory, synthesize_measurements  # noqa: F401
 from .tracking import (
     EkfConfig,
     Track,
@@ -191,17 +196,17 @@ def paired_positions(
 
 
 def simulate_scenario(config: ScenarioConfig):
-    """Ground-truth trajectory and per-frame detections of a scenario."""
-    truth = generate_trajectory(
-        config.trajectory, config.num_frames, config.frame_duration, config.rng_seed
-    )
-    frames = synthesize_measurements(truth, config)
-    return truth, frames
+    """Ground-truth trajectory and per-frame detections of a scenario.
+
+    The TargetState and MeasurementFrame list views of `scene.simulate`.
+    """
+    sim = simulate(config)
+    return sim.target_states(), sim.measurement_frames()
 
 
-def _run_trackers(config: ScenarioConfig, frames, options: PipelineOptions) -> list[Track]:
+def _run_trackers(config: ScenarioConfig, sim: Simulation, options: PipelineOptions) -> list[Track]:
     return [
-        run_tracker(frames, i, node, options.ekf, config.noise, config.frame_duration)
+        run_tracker(sim, i, node, options.ekf, config.noise, config.frame_duration)
         for i, node in enumerate(config.nodes)
     ]
 
@@ -212,8 +217,7 @@ def calibrate_scenario(
     """Self-calibration stage: one pairwise result per non-reference node."""
     options = options or PipelineOptions()
     calib_config = calibration_stage_config(config, options)
-    _, frames = simulate_scenario(calib_config)
-    tracks = _run_trackers(calib_config, frames, options)
+    tracks = _run_trackers(calib_config, simulate(calib_config), options)
     # Short sequences cannot afford the full 50-frame transient skip.
     skip = options.pair_skip
     if skip is None:
@@ -275,8 +279,8 @@ def run_experiment(
         math.degrees(angle_difference(cal.phi21, node2_true.phi))
     )
 
-    truth, frames = simulate_scenario(config)
-    tracks = _run_trackers(config, frames, options)
+    sim = simulate(config)
+    tracks = _run_trackers(config, sim, options)
     est_poses = _estimated_poses(calibrations)
     transformed = [tracks[0]]
     transformed.extend(
@@ -289,23 +293,18 @@ def run_experiment(
     fused_by_frame = fused.by_frame()
     track_by_frame = [t.by_frame() for t in transformed]
 
-    eval_frames = []
-    observations = []
-    for frame in frames:
-        if any(det is None for det in frame.per_node):
-            continue
-        if frame.frame_index not in fused_by_frame:
-            continue
-        if any(frame.frame_index not in by for by in track_by_frame):
-            continue
-        observations.append(FusionObservation(tuple(
-            ObservationEntry(est_poses[i], det)
-            for i, det in enumerate(frame.per_node)
-        )))
-        eval_frames.append(frame.frame_index)
-
+    eval_frames = [
+        k for k in np.flatnonzero(sim.seen.all(axis=1)).tolist()
+        if k in fused_by_frame and all(k in by for by in track_by_frame)
+    ]
     if not eval_frames:
         raise PipelineError("no frames with detections from every node")
+    observations = [
+        FusionObservation(tuple(
+            ObservationEntry(pose, Detection(*det)) for pose, det in zip(est_poses, dets)
+        ))
+        for dets in sim.detections[eval_frames].tolist()
+    ]
 
     estimates: dict[str, dict[int, FusionEstimate]] = {
         mode: dict(zip(eval_frames, solve_frames(
@@ -318,6 +317,7 @@ def run_experiment(
     }
 
     rmse_frames = [k for k in eval_frames if k >= options.burn_in_frames]
+    truth = sim.truth.tolist()
     rmse = {"truth": {}, "track_fusion": {}}
     for mode in options.modes:
         for bench_key in ("truth", "track_fusion"):
@@ -326,8 +326,8 @@ def run_experiment(
             for k in rmse_frames:
                 est = estimates[mode][k].state
                 if bench_key == "truth":
-                    ref_pos = (truth[k].x, truth[k].y)
-                    ref_vel = (truth[k].vx, truth[k].vy)
+                    ref_pos = truth[k][:2]
+                    ref_vel = truth[k][2:]
                 else:
                     point = fused_by_frame[k]
                     ref_pos = (point.position.real, point.position.imag)
@@ -360,7 +360,7 @@ def run_experiment(
 
     if options.write_outputs:
         _write_run_outputs(
-            run_dir, config, options, truth, frames, transformed, fused,
+            run_dir, config, options, sim, transformed, fused,
             estimates, eval_frames, rmse_frames, calibrations, report,
         )
     return report
@@ -370,8 +370,7 @@ def _write_run_outputs(
     run_dir: Path,
     config: ScenarioConfig,
     options: PipelineOptions,
-    truth,
-    frames,
+    sim: Simulation,
     transformed: list[Track],
     fused: Track,
     estimates,
@@ -383,8 +382,11 @@ def _write_run_outputs(
     for sub in ("tracks", "calibration", "fusion", "report"):
         (run_dir / sub).mkdir(parents=True, exist_ok=True)
     save_scenario(config, run_dir / "scenario.json")
-    export_truth_csv(truth, run_dir / "fusion" / "truth.csv")
-    export_measurements_csv(frames, run_dir / "fusion" / "measurements.csv")
+    # Truth and one-shot floats are formatted once and written twice:
+    # to their own file and to per_frame.csv.
+    truth_cells = [list(map(str, row)) for row in sim.truth.tolist()]
+    export_truth_csv(truth_cells, run_dir / "fusion" / "truth.csv")
+    export_measurements_csv(sim, run_dir / "fusion" / "measurements.csv")
     export_track_csv(transformed[0], run_dir / "tracks" / "node0.csv")
     for i, track in enumerate(transformed[1:], start=1):
         export_track_csv(track, run_dir / "tracks" / f"node{i}_in_ref.csv")
@@ -393,7 +395,9 @@ def _write_run_outputs(
         save_result(result, result_path(run_dir / "calibration", node))
 
     oneshot_rows = []
+    oneshot_cells = {}  # per mode and frame: x, y, vx, vy, converged, cond
     for mode in options.modes:
+        cells_by_frame = oneshot_cells[mode] = {}
         for k in eval_frames:
             est = estimates[mode][k]
             state = est.state
@@ -403,10 +407,11 @@ def _write_run_outputs(
                 if cov is not None
                 else [math.nan] * 10
             )
-            oneshot_rows.append(
-                [k, mode, state.x, state.y, state.vx, state.vy,
-                 int(est.converged), est.conditioning, *cov_cells]
-            )
+            cells = cells_by_frame[k] = [
+                str(state.x), str(state.y), str(state.vx), str(state.vy),
+                int(est.converged), str(est.conditioning),
+            ]
+            oneshot_rows.append([k, mode, *cells, *cov_cells])
     write_csv(
         run_dir / "fusion" / "oneshot.csv",
         "frame,mode,x,y,vx,vy,converged,cond,c11,c12,c13,c14,c22,c23,c24,c33,c34,c44",
@@ -416,26 +421,21 @@ def _write_run_outputs(
     fused_by = fused.by_frame()
     track_by = [t.by_frame() for t in transformed]
     rmse_set = set(rmse_frames)
+    modes = [mode for mode in ("bayes", "ml") if mode in options.modes]
     header = ["frame"]
     for prefix in ("truth", "ekf1", "ekf2_in_1", "track_fusion"):
         header += [f"{prefix}_{q}" for q in ("x", "y", "vx", "vy")]
-    for mode in ("bayes", "ml"):
-        if mode in options.modes:
-            header += [f"oneshot_{mode}_{q}" for q in ("x", "y", "vx", "vy")]
-            header += [f"oneshot_{mode}_converged", f"oneshot_{mode}_cond"]
+    for mode in modes:
+        header += [f"oneshot_{mode}_{q}" for q in ("x", "y", "vx", "vy")]
+        header += [f"oneshot_{mode}_converged", f"oneshot_{mode}_cond"]
     header.append("in_rmse_set")
     rows = []
     for k in eval_frames:
-        t = truth[k]
-        row = [k, t.x, t.y, t.vx, t.vy]
+        row = [k, *truth_cells[k]]
         for point in (track_by[0][k], track_by[1][k], fused_by[k]):
             row += [point.position.real, point.position.imag, *point.velocity.tolist()]
-        for mode in ("bayes", "ml"):
-            if mode in options.modes:
-                est = estimates[mode][k]
-                state = est.state
-                row += [state.x, state.y, state.vx, state.vy,
-                        int(est.converged), est.conditioning]
+        for mode in modes:
+            row += oneshot_cells[mode][k]
         row.append(int(k in rmse_set))
         rows.append(row)
     write_csv(run_dir / "fusion" / "per_frame.csv", ",".join(header), rows)

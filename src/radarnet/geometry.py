@@ -268,6 +268,14 @@ def global_to_local(node: Pose2D, global_point) -> np.ndarray:
     return rotation_matrix(-node.phi) @ (p - node.position)
 
 
+def _local_cartesian(range_: float, spatial_freq: float) -> tuple[float, float]:
+    """`detection_to_local_cartesian` on floats."""
+    if not range_ > 0.0:
+        raise ValueError(f"range must be positive, got {range_!r}")
+    theta = aoa_from_spatial_frequency(spatial_freq)
+    return range_ * math.sin(theta), range_ * math.cos(theta)
+
+
 def detection_to_local_cartesian(m: IdealMeasurement) -> np.ndarray:
     """Convert a (range, spatial frequency) pair to node-local x/y.
 
@@ -276,7 +284,4 @@ def detection_to_local_cartesian(m: IdealMeasurement) -> np.ndarray:
     Re-measuring the result from the identity pose reproduces the
     inputs exactly.
     """
-    if not m.range > 0.0:
-        raise ValueError(f"range must be positive, got {m.range!r}")
-    theta = aoa_from_spatial_frequency(m.spatial_freq)
-    return np.array([m.range * math.sin(theta), m.range * math.cos(theta)])
+    return np.array(_local_cartesian(m.range, m.spatial_freq))

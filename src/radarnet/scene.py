@@ -24,7 +24,7 @@ from .geometry import (
     Pose2D,
     TargetState,
     boresight_angle,
-    measure,
+    measure,  # noqa: F401  (trace target: radarnet.scene.measure)
 )
 
 # Table-driven defaults for the desk-scale experiments: 150 ms frames,
@@ -151,24 +151,66 @@ class MeasurementFrame:
     per_node: tuple[Detection | None, ...]
 
 
-def generate_trajectory(
-    spec: TrajectorySpec, num_frames: int, dt: float, seed: int
-) -> list[TargetState]:
-    """Generate `num_frames` target states, deterministic in `seed`.
+@dataclass(frozen=True, eq=False)
+class Simulation:
+    """A simulated scenario as arrays; frame k is row k of each.
 
-    Positions integrate the per-frame velocity with step dt, so frame
-    k+1 sits at p[k] + v[k]*dt.
+    `truth` holds the (F, 4) target states (x, y, vx, vy), `detections`
+    the (F, N, 3) noisy (range, spatial frequency, radial velocity)
+    triples, NaN where a node cannot see the target, and `seen` the
+    (F, N) visibility mask.  `len()` is the number of frames F.
     """
+
+    truth: np.ndarray
+    detections: np.ndarray
+    seen: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.truth)
+
+    def target_states(self) -> list[TargetState]:
+        """`truth` as one TargetState per frame."""
+        return [TargetState(*row) for row in self.truth.tolist()]
+
+    def measurement_frames(self) -> list[MeasurementFrame]:
+        """`detections` as one MeasurementFrame per frame, None where unseen."""
+        return [
+            MeasurementFrame(k, tuple(
+                Detection(*det) if seen else None for det, seen in zip(dets, visible)
+            ))
+            for k, (dets, visible) in enumerate(
+                zip(self.detections.tolist(), self.seen.tolist())
+            )
+        ]
+
+
+def simulate(config: ScenarioConfig) -> Simulation:
+    """A scenario's trajectory and per-node detections, deterministic in its seed.
+
+    The array form of `generate_trajectory` followed by
+    `synthesize_measurements`, bit for bit.
+    """
+    truth = _trajectory(
+        config.trajectory, config.num_frames, config.frame_duration, config.rng_seed
+    )
+    return Simulation(truth, *_detect(truth, config))
+
+
+def _trajectory(spec: TrajectorySpec, num_frames: int, dt: float, seed: int) -> np.ndarray:
+    """`generate_trajectory` as an (F, 4) array."""
     if num_frames < 2:
         raise ConfigError("num_frames must be >= 2")
     if spec.kind == "straight":
         vx = spec.speed * math.cos(spec.heading)
         vy = spec.speed * math.sin(spec.heading)
         x0, y0 = spec.start
-        return [
-            TargetState(x0 + k * dt * vx, y0 + k * dt * vy, vx, vy)
-            for k in range(num_frames)
-        ]
+        elapsed = np.arange(num_frames) * dt
+        truth = np.empty((num_frames, 4))
+        truth[:, 0] = x0 + elapsed * vx
+        truth[:, 1] = y0 + elapsed * vy
+        truth[:, 2] = vx
+        truth[:, 3] = vy
+        return truth
 
     rng = np.random.default_rng([seed, _TRAJECTORY_STREAM])
     # Mean-reverting velocity walk with a weak critically-damped pull
@@ -189,28 +231,72 @@ def generate_trajectory(
     px, py = cx, cy
     vx, vy = sigma_axis * n0, sigma_axis * n1
     states = []
-    for k0, k1 in map(np.ndarray.tolist, kicks):
+    for k0, k1 in kicks.tolist():
         speed = math.hypot(vx, vy)
         if speed > spec.speed_cap:
             scale = spec.speed_cap / speed
             vx *= scale
             vy *= scale
-        states.append(TargetState(px, py, vx, vy))
+        states.append((px, py, vx, vy))
         px = px + vx * dt
         py = py + vy * dt
         vx = vx - (gamma * vx + spring * (px - cx)) * dt + kick * k0
         vy = vy - (gamma * vy + spring * (py - cy)) * dt + kick * k1
-    return states
+    return np.array(states)
 
 
-def _visible(
-    dx: float, dy: float, c: float, s: float, max_range: float, fov_half_angle: float
-) -> bool:
-    """`is_visible` for the offset (dx, dy) from a node with array direction (c, s)."""
-    r = math.hypot(dx, dy)
-    if r == 0.0 or r > max_range:
-        return False
-    return abs(boresight_angle(dx, dy, c, s)) <= fov_half_angle
+def _elementwise(fn, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`fn` of two same-shape float arrays, element by element in Python.
+
+    For `math` functions whose numpy counterparts round differently.
+    """
+    return np.array(list(map(fn, a.ravel().tolist(), b.ravel().tolist()))).reshape(a.shape)
+
+
+def _detect(truth: np.ndarray, config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The (F, N, 3) detections and (F, N) visibility of (F, 4) truth rows.
+
+    The exact measurement model and the visibility rule of `is_visible`,
+    broadcast over frames and nodes with each element's operations in
+    the scalar order; the range and angle use `math`.
+    """
+    if len(truth) != config.num_frames:
+        raise ConfigError(
+            f"truth length {len(truth)} != num_frames {config.num_frames}"
+        )
+    rng = np.random.default_rng([config.rng_seed, _MEASUREMENT_STREAM])
+    draws = rng.standard_normal((len(truth), len(config.nodes), 3))
+    noise = config.noise
+    node_x = np.array([node.x for node in config.nodes], dtype=float)
+    node_y = np.array([node.y for node in config.nodes], dtype=float)
+    c = np.array([math.cos(node.phi) for node in config.nodes])
+    s = np.array([math.sin(node.phi) for node in config.nodes])
+    x, y, vx, vy = (truth[:, i, None] for i in range(4))
+    dx = x - node_x
+    dy = y - node_y
+    r = _elementwise(math.hypot, dx, dy)
+    along_array = dx * c + dy * s
+    angle = _elementwise(math.atan2, along_array, -dx * s + dy * c)
+    seen = (r != 0.0) & ~(r > config.max_range) & (np.abs(angle) <= config.fov_half_angle)
+    detections = np.empty(draws.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):  # r = 0 only where unseen
+        omega = math.pi * along_array / r + noise.sigma_omega * draws[..., 1]
+        detections[..., 0] = r + noise.sigma_r * draws[..., 0]
+        detections[..., 1] = np.minimum(math.pi, np.maximum(-math.pi, omega))
+        detections[..., 2] = (vx * dx + vy * dy) / r + noise.sigma_v * draws[..., 2]
+    detections[~seen] = np.nan
+    return detections, seen
+
+
+def generate_trajectory(
+    spec: TrajectorySpec, num_frames: int, dt: float, seed: int
+) -> list[TargetState]:
+    """Generate `num_frames` target states, deterministic in `seed`.
+
+    Positions integrate the per-frame velocity with step dt, so frame
+    k+1 sits at p[k] + v[k]*dt.  A list view of `simulate`'s truth.
+    """
+    return [TargetState(*row) for row in _trajectory(spec, num_frames, dt, seed).tolist()]
 
 
 def is_visible(
@@ -220,10 +306,11 @@ def is_visible(
     fov_half_angle: float = FOV_HALF_ANGLE,
 ) -> bool:
     """True iff the target is within the node's range and azimuth FoV."""
-    return _visible(
-        target.x - node.x, target.y - node.y, math.cos(node.phi), math.sin(node.phi),
-        max_range, fov_half_angle,
-    )
+    dx, dy = target.x - node.x, target.y - node.y
+    r = math.hypot(dx, dy)
+    if r == 0.0 or r > max_range:
+        return False
+    return abs(boresight_angle(dx, dy, math.cos(node.phi), math.sin(node.phi))) <= fov_half_angle
 
 
 def synthesize_measurements(
@@ -235,35 +322,11 @@ def synthesize_measurements(
     the spatial frequency is clamped to [-pi, pi] after noise addition.
     Nodes that cannot see the target contribute None.  The scenario's
     noise is drawn in one call, frame by frame, node by node, three
-    draws each, whether or not the node sees the target.
+    draws each, whether or not the node sees the target.  A list view
+    of `simulate`'s detections.
     """
-    if len(truth) != config.num_frames:
-        raise ConfigError(
-            f"truth length {len(truth)} != num_frames {config.num_frames}"
-        )
-    rng = np.random.default_rng([config.rng_seed, _MEASUREMENT_STREAM])
-    draws = rng.standard_normal((len(truth), len(config.nodes), 3))
-    noise = config.noise
-    max_range, fov = config.max_range, config.fov_half_angle
-    nodes = [
-        (node, node.x, node.y, math.cos(node.phi), math.sin(node.phi)) for node in config.nodes
-    ]
-    frames = []
-    for k, (target, frame_draws) in enumerate(zip(truth, draws)):
-        per_node: list[Detection | None] = []
-        for (node, nx, ny, c, s), (d_r, d_omega, d_v) in zip(nodes, frame_draws.tolist()):
-            if not _visible(target.x - nx, target.y - ny, c, s, max_range, fov):
-                per_node.append(None)
-                continue
-            ideal = measure(node, target)
-            omega = ideal.spatial_freq + noise.sigma_omega * d_omega
-            per_node.append(Detection(
-                ideal.range + noise.sigma_r * d_r,
-                min(math.pi, max(-math.pi, omega)),
-                ideal.radial_vel + noise.sigma_v * d_v,
-            ))
-        frames.append(MeasurementFrame(k, tuple(per_node)))
-    return frames
+    rows = np.array([(t.x, t.y, t.vx, t.vy) for t in truth]).reshape(-1, 4)
+    return Simulation(rows, *_detect(rows, config)).measurement_frames()
 
 
 # Built-in two-node geometries.  Node 0 is always the origin reference.
@@ -508,16 +571,28 @@ def write_csv(path: str | Path, header: str, rows) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def export_measurements_csv(frames: list[MeasurementFrame], path: str | Path) -> None:
+def export_measurements_csv(frames: Simulation | list[MeasurementFrame], path: str | Path) -> None:
     """Write detections as CSV rows frame,node,range,omega,vr."""
-    write_csv(path, "frame,node,range,omega,vr", (
-        (frame.frame_index, i, det.range, det.spatial_freq, det.radial_vel)
-        for frame in frames
-        for i, det in enumerate(frame.per_node)
-        if det is not None
+    if isinstance(frames, Simulation):
+        k, node = np.nonzero(frames.seen)
+        rows = zip(k.tolist(), node.tolist(), *frames.detections[k, node].T.tolist())
+    else:
+        rows = (
+            (frame.frame_index, i, det.range, det.spatial_freq, det.radial_vel)
+            for frame in frames
+            for i, det in enumerate(frame.per_node)
+            if det is not None
+        )
+    write_csv(path, "frame,node,range,omega,vr", rows)
+
+
+def export_truth_csv(truth, path: str | Path) -> None:
+    """Write ground-truth states as CSV rows frame,x,y,vx,vy.
+
+    `truth` holds one TargetState or one (x, y, vx, vy) row per frame; a
+    row's cells are floats or the strings to write for them.
+    """
+    write_csv(path, "frame,x,y,vx,vy", (
+        (k, *((s.x, s.y, s.vx, s.vy) if isinstance(s, TargetState) else s))
+        for k, s in enumerate(truth)
     ))
-
-
-def export_truth_csv(truth: list[TargetState], path: str | Path) -> None:
-    """Write ground-truth states as CSV rows frame,x,y,vx,vy."""
-    write_csv(path, "frame,x,y,vx,vy", ((k, s.x, s.y, s.vx, s.vy) for k, s in enumerate(truth)))

@@ -19,14 +19,13 @@ import numpy as np
 from .geometry import (
     Pose2D,
     TargetState,
-    detection_to_local_cartesian,
-    IdealMeasurement,
+    _local_cartesian,
     _measure_floats,
     measure,  # noqa: F401  (trace target: radarnet.tracking.measure)
     measurement_jacobian,  # noqa: F401  (trace target)
     rotation_matrix,
 )
-from .scene import Detection, MeasurementFrame, NoiseConfig, write_csv
+from .scene import Detection, MeasurementFrame, NoiseConfig, Simulation, write_csv
 
 _LOCAL_POSE = Pose2D(0.0, 0.0, 0.0)
 
@@ -240,19 +239,21 @@ def _predict(theta: tuple, p: tuple, dt: float, q: tuple) -> tuple[tuple, tuple]
 
 
 def _update(
-    theta: tuple, p: tuple, model: tuple, detection: Detection, r: tuple,
-    gate_threshold: float | None,
+    theta: tuple, p: tuple, model: tuple, z, r: tuple, gate_threshold: float | None,
 ) -> tuple[tuple, tuple, tuple, bool]:
     """The EKF update of `theta` given the measurement model's output there.
 
     `model` is the nine floats `geometry._measure_floats` returns with
-    the Jacobian; `r` is the three measurement noise variances.  Also
-    returns the innovation and whether the gate let the update through.
+    the Jacobian; `z` is the detection's (range, spatial frequency,
+    radial velocity) floats and `r` the three measurement noise
+    variances.  Also returns the innovation and whether the gate let
+    the update through.
     """
     pred_r, pred_omega, pred_v, h00, h01, h10, h11, h20, h21 = model
-    e0 = detection.range - pred_r
-    e1 = detection.spatial_freq - pred_omega
-    e2 = detection.radial_vel - pred_v
+    z0, z1, z2 = z
+    e0 = z0 - pred_r
+    e1 = z1 - pred_omega
+    e2 = z2 - pred_v
     p00, p01, p02, p03, p11, p12, p13, p22, p23, p33 = p
     # B = P H' with row i = (ui, vi, wi), for the Jacobian
     # H = [[h00 h01 0 0] [h10 h11 0 0] [h20 h21 h00 h01]].
@@ -383,7 +384,8 @@ def ekf_update(
     """
     theta = (state.x, state.y, state.vx, state.vy)
     theta, p, innovation, applied = _update(
-        theta, _upper(_symmetrize(cov)), _measure_floats(radar, *theta, True), detection,
+        theta, _upper(_symmetrize(cov)), _measure_floats(radar, *theta, True),
+        (detection.range, detection.spatial_freq, detection.radial_vel),
         _noise_variances(noise), gate_threshold,
     )
     if not applied:
@@ -391,8 +393,21 @@ def ekf_update(
     return TargetState(*theta), _full(p), np.array(innovation)
 
 
+def _node_rows(frames: Simulation | list[MeasurementFrame], node_index: int) -> tuple:
+    """The frame indices and one node's detections as (range, spatial
+    frequency, radial velocity) float rows, None where it saw nothing."""
+    if isinstance(frames, Simulation):
+        rows = frames.detections[:, node_index].tolist()
+        seen = frames.seen[:, node_index].tolist()
+        return range(len(rows)), [row if v else None for row, v in zip(rows, seen)]
+    detections = [frame.per_node[node_index] for frame in frames]
+    return [frame.frame_index for frame in frames], [
+        None if d is None else (d.range, d.spatial_freq, d.radial_vel) for d in detections
+    ]
+
+
 def run_tracker(
-    frames: list[MeasurementFrame],
+    frames: Simulation | list[MeasurementFrame],
     node_index: int,
     node_pose: Pose2D,
     cfg: EkfConfig,
@@ -401,11 +416,13 @@ def run_tracker(
 ) -> Track:
     """Filter one node's detections into a local-frame track.
 
-    The filter initializes from the node's first detection (position
-    from the detection, zero velocity, configured variances), then
-    predicts every frame and updates whenever a detection is present.
-    Predict-only frames, and frames whose detection the gate rejected,
-    still emit track points, flagged updated=False.
+    `frames` is a `scene.Simulation` or a list of MeasurementFrame;
+    both give the same track bit for bit.  The filter initializes from
+    the node's first detection (position from the detection, zero
+    velocity, configured variances), then predicts every frame and
+    updates whenever a detection is present.  Predict-only frames, and
+    frames whose detection the gate rejected, still emit track points,
+    flagged updated=False.
     `node_pose` is kept as track metadata only; filtering happens in
     the node-local frame, where the radar sits at the identity pose.
 
@@ -421,24 +438,20 @@ def run_tracker(
     frame_indices, states, covariances, flags = [], [], [], []
     theta: tuple | None = None
     p: tuple = ()
-    for frame in frames:
-        det = frame.per_node[node_index]
+    for k, z in zip(*_node_rows(frames, node_index)):
         updated = False
         if theta is None:
-            if det is None:
+            if z is None:
                 continue
-            pos = detection_to_local_cartesian(
-                IdealMeasurement(det.range, det.spatial_freq, det.radial_vel)
-            )
-            theta = (float(pos[0]), float(pos[1]), 0.0, 0.0)
+            theta = (*_local_cartesian(z[0], z[1]), 0.0, 0.0)
             pos_var, vel_var = cfg.init_pos_var, cfg.init_vel_var
             p = (pos_var, 0.0, 0.0, 0.0, pos_var, 0.0, 0.0, vel_var, 0.0, vel_var)
             updated = True
         else:
             theta, p = _predict(theta, p, dt, q)
-            if det is not None and math.hypot(theta[0], theta[1]) >= cfg.min_range:
+            if z is not None and math.hypot(theta[0], theta[1]) >= cfg.min_range:
                 model = _measure_floats(_LOCAL_POSE, *theta, True)
-                theta, p, _, updated = _update(theta, p, model, det, r, cfg.gate_threshold)
+                theta, p, _, updated = _update(theta, p, model, z, r, cfg.gate_threshold)
         if not all(map(math.isfinite, theta)):
             raise ValueError(f"EKF state must be finite, got {theta!r}")
         if theta[1] < 0.0:
@@ -448,7 +461,7 @@ def run_tracker(
             p00, p01, p02, p03, p11, p12, p13, p22, p23, p33 = p
             theta = (x, -y, vx, -vy)
             p = (p00, -p01, p02, -p03, p11, -p12, p13, p22, -p23, p33)
-        frame_indices.append(frame.frame_index)
+        frame_indices.append(k)
         states.append(theta)
         covariances.append(p)
         flags.append(updated)
@@ -467,24 +480,22 @@ def transform_track(track: Track, p21: complex, phi21: float) -> Track:
     """Rigidly map a node-2 local track into node 1's frame.
 
     Positions rotate and translate; velocities rotate; covariances are
-    conjugated by the block-diagonal rotation.
+    conjugated by the block-diagonal rotation, all points at once.
     """
     rot2 = rotation_matrix(phi21)
     rot4 = np.zeros((4, 4))
     rot4[:2, :2] = rot2
     rot4[2:, 2:] = rot2
     rot_c = complex(math.cos(phi21), math.sin(phi21))
-    out = Track(node_index=track.node_index, frame="reference")
-    for p in track.frames:
-        out.frames.append(
-            TrackPoint(
-                frame_index=p.frame_index,
-                position=p21 + rot_c * p.position,
-                velocity=rot2 @ p.velocity,
-                covariance=_symmetrize(rot4 @ p.covariance @ rot4.T),
-            )
-        )
-    return out
+    # (rot2 @ v[..., None])[..., 0] rounds as rot2 @ v per point; v @ rot2.T does not.
+    velocity = (rot2 @ np.array([p.velocity for p in track.frames]).reshape(-1, 2, 1))[..., 0]
+    cov = rot4 @ np.array([p.covariance for p in track.frames]).reshape(-1, 4, 4) @ rot4.T
+    cov = 0.5 * (cov + cov.transpose(0, 2, 1))
+    return Track(node_index=track.node_index, frame="reference", frames=[
+        TrackPoint(frame_index=p.frame_index, position=p21 + rot_c * p.position,
+                   velocity=velocity[t], covariance=cov[t])
+        for t, p in enumerate(track.frames)
+    ])
 
 
 def track_level_fusion(track1: Track, track2_in_frame1: Track) -> Track:

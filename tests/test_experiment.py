@@ -345,6 +345,21 @@ class TestCsvRoundTrip:
             check(cells, values + [("b", k in rmse_set)])
 
 
+    def test_truth_and_measurements_match_list_exports(self, tmp_path):
+        from radarnet.experiment import simulate_scenario
+        from radarnet.scene import export_measurements_csv, export_truth_csv
+
+        config = builtin_scenario("B", "random", seed=7)
+        truth, frames = simulate_scenario(config)
+        assert any(det is None for frame in frames for det in frame.per_node)
+        export_truth_csv(truth, tmp_path / "truth.csv")
+        export_measurements_csv(frames, tmp_path / "measurements.csv")
+        report = run_experiment(config, PipelineOptions(out_dir=tmp_path / "run"))
+        for name in ("truth.csv", "measurements.csv"):
+            written = (Path(report.out_dir) / "fusion" / name).read_bytes()
+            assert written == (tmp_path / name).read_bytes(), name
+
+
 class TestMonteCarlo:
     def test_single_trial_matches_run_experiment(self):
         config = small_scenario(seed=11, num_frames=60)

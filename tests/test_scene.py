@@ -24,6 +24,7 @@ from radarnet.scene import (
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
+    simulate,
     synthesize_measurements,
 )
 from radarnet.geometry import measure
@@ -230,6 +231,24 @@ def reference_measurements(truth, config):
 
 def bits(values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
+
+
+class TestSimulate:
+    @pytest.mark.parametrize("kind", ["straight", "random"])
+    def test_arrays_match_list_functions(self, kind):
+        config = builtin_scenario("C", kind, seed=4)
+        sim = simulate(config)
+        truth = generate_trajectory(
+            config.trajectory, config.num_frames, config.frame_duration, config.rng_seed
+        )
+        frames = synthesize_measurements(truth, config)
+        assert len(sim) == config.num_frames
+        assert sim.detections.shape == (config.num_frames, len(config.nodes), 3)
+        assert bits(sim.truth) == bits([(s.x, s.y, s.vx, s.vy) for s in truth])
+        assert sim.target_states() == truth
+        assert sim.measurement_frames() == frames
+        assert sim.seen.tolist() == [[det is not None for det in f.per_node] for f in frames]
+        assert np.isnan(sim.detections[~sim.seen]).all()
 
 
 class TestRandomStreams:

@@ -18,9 +18,11 @@ from radarnet.scene import (
     Detection,
     NoiseConfig,
     ScenarioConfig,
+    Simulation,
     TrajectorySpec,
     builtin_scenario,
     generate_trajectory,
+    simulate,
     synthesize_measurements,
 )
 from radarnet.tracking import (
@@ -381,6 +383,43 @@ def manual_chain(frames, node_index, cfg, noise, dt):
     return points
 
 
+def track_bits(track):
+    """A track's frame indices, flags and the exact bytes of every state and covariance."""
+    return [
+        (p.frame_index, p.updated,
+         np.array([p.position.real, p.position.imag, *p.velocity]).tobytes(),
+         p.covariance.tobytes())
+        for p in track.frames
+    ]
+
+
+class TestSimulationInput:
+    def test_record_and_frame_list_give_identical_tracks(self):
+        base = builtin_scenario("B", "random", seed=2)
+        config = ScenarioConfig(
+            name="three", nodes=base.nodes + (Pose2D(4.0, 3.5, math.radians(125.0)),),
+            trajectory=base.trajectory, rng_seed=2,
+        )
+        sim = simulate(config)
+        # An outlier the gate rejects, on a frame every node sees.
+        outlier_frame = 300
+        assert sim.seen[outlier_frame].all()
+        detections = sim.detections.copy()
+        detections[outlier_frame, :, 0] += 3.0
+        sim = Simulation(sim.truth, detections, sim.seen)
+        frames = sim.measurement_frames()
+        assert len(sim) == len(frames) == config.num_frames
+        cfg = EkfConfig(process_noise_accel=0.4, gate_threshold=16.27)
+        missing = 0
+        for i, node in enumerate(config.nodes):
+            from_record = run_tracker(sim, i, node, cfg, config.noise, config.frame_duration)
+            from_list = run_tracker(frames, i, node, cfg, config.noise, config.frame_duration)
+            assert track_bits(from_record) == track_bits(from_list)
+            assert from_record.by_frame()[outlier_frame].updated is False
+            missing += int((~sim.seen[:, i]).sum())
+        assert missing > 0  # some node misses the target on some frames
+
+
 class TestStepWrappersMatchTracker:
     @pytest.mark.parametrize("gate", [None, 7.81])
     @pytest.mark.parametrize("name", ["A", "C"])
@@ -564,6 +603,25 @@ class TestTransformTrack:
                 np.sort(np.linalg.eigvalsh(before.covariance[:2, :2])),
                 atol=1e-9,
             )
+
+
+    def test_stacked_map_matches_per_point_bit_for_bit(self):
+        config = builtin_scenario("A", "random", seed=7)
+        track = run_tracker(
+            simulate(config), 1, config.nodes[1], PipelineOptions().ekf, config.noise,
+            config.frame_duration,
+        )
+        phi = 2.5
+        moved = transform_track(track, complex(3.5, 6.1), phi)
+        rot2 = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
+        rot4 = np.zeros((4, 4))
+        rot4[:2, :2] = rot4[2:, 2:] = rot2
+        assert len(moved) == len(track) > 100
+        for before, after in zip(track.frames, moved.frames):
+            cov = rot4 @ before.covariance @ rot4.T
+            assert after.frame_index == before.frame_index
+            assert (rot2 @ before.velocity).tobytes() == after.velocity.tobytes()
+            assert (0.5 * (cov + cov.T)).tobytes() == after.covariance.tobytes()
 
 
 class TestTrackFusion:

@@ -33,19 +33,12 @@ from .calibration import (
     result_to_dict,
     save_result,
 )
-from .fusion import (
-    FusionEstimate,
-    FusionObservation,
-    ObservationEntry,
-    PriorConfig,
-    solve_frames,
-)
+from .fusion import FusionEstimates, PriorConfig, solve_frames
 # Not called here since fusion runs batched; kept as experiment.solve,
 # one of the names perfbench/spans.py traces.
 from .fusion import solve  # noqa: F401
 from .geometry import Pose2D, angle_difference
 from .scene import (
-    Detection,
     ScenarioConfig,
     Simulation,
     counterpart_trajectory,
@@ -66,6 +59,7 @@ from .tracking import (
     Track,
     export_track_csv,
     run_tracker,
+    track_csv_states,
     track_level_fusion,
     transform_track,
 )
@@ -281,7 +275,6 @@ def run_experiment(
 
     sim = simulate(config)
     tracks = _run_trackers(config, sim, options)
-    est_poses = _estimated_poses(calibrations)
     transformed = [tracks[0]]
     transformed.extend(
         transform_track(tracks[i], calibrations[i - 1].p21, calibrations[i - 1].phi21)
@@ -290,57 +283,46 @@ def run_experiment(
     fused = transformed[0]
     for other in transformed[1:]:
         fused = track_level_fusion(fused, other)
-    fused_by_frame = fused.by_frame()
-    track_by_frame = [t.by_frame() for t in transformed]
+    fused_rows = {p.frame_index: t for t, p in enumerate(fused.frames)}
+    track_frames = [{p.frame_index for p in t.frames} for t in transformed]
 
     eval_frames = [
         k for k in np.flatnonzero(sim.seen.all(axis=1)).tolist()
-        if k in fused_by_frame and all(k in by for by in track_by_frame)
+        if k in fused_rows and all(k in frames for frames in track_frames)
     ]
     if not eval_frames:
         raise PipelineError("no frames with detections from every node")
-    observations = [
-        FusionObservation(tuple(
-            ObservationEntry(pose, Detection(*det)) for pose, det in zip(est_poses, dets)
-        ))
-        for dets in sim.detections[eval_frames].tolist()
-    ]
-
-    estimates: dict[str, dict[int, FusionEstimate]] = {
-        mode: dict(zip(eval_frames, solve_frames(
-            observations,
+    # solve_frames' frame array: every frame's estimated node poses and detections.
+    detections = sim.detections[eval_frames]
+    poses = np.array([(pose.x, pose.y, pose.phi) for pose in _estimated_poses(calibrations)])
+    frames = np.concatenate((np.broadcast_to(poses, detections.shape), detections), axis=-1)
+    estimates = {
+        mode: solve_frames(
+            frames,
             config.noise,
             mode=mode,
             prior=options.prior if mode == "bayes" else None,
-        )))
+        )
         for mode in options.modes
     }
 
+    in_rmse = np.array(eval_frames) >= options.burn_in_frames
     rmse_frames = [k for k in eval_frames if k >= options.burn_in_frames]
-    truth = sim.truth.tolist()
+    references = {
+        "truth": sim.truth[rmse_frames],
+        "track_fusion": fused.table()[[fused_rows[k] for k in rmse_frames], :4],
+    }
     rmse = {"truth": {}, "track_fusion": {}}
     for mode in options.modes:
-        for bench_key in ("truth", "track_fusion"):
-            pos_sq = []
-            vel_sq = []
-            for k in rmse_frames:
-                est = estimates[mode][k].state
-                if bench_key == "truth":
-                    ref_pos = truth[k][:2]
-                    ref_vel = truth[k][2:]
-                else:
-                    point = fused_by_frame[k]
-                    ref_pos = (point.position.real, point.position.imag)
-                    ref_vel = (point.velocity[0], point.velocity[1])
-                pos_sq.append((est.x - ref_pos[0]) ** 2 + (est.y - ref_pos[1]) ** 2)
-                vel_sq.append((est.vx - ref_vel[0]) ** 2 + (est.vy - ref_vel[1]) ** 2)
-            rmse[bench_key][f"position_{mode}"] = math.sqrt(np.mean(pos_sq))
-            rmse[bench_key][f"velocity_{mode}"] = math.sqrt(np.mean(vel_sq))
+        states = estimates[mode].states[in_rmse]
+        for bench_key, reference in references.items():
+            # np.float_power squares with the C library's pow, as Python's
+            # `**` does; numpy's `**` multiplies, which can round differently.
+            sq = np.float_power(states - reference, 2)
+            rmse[bench_key][f"position_{mode}"] = math.sqrt(np.mean(sq[:, 0] + sq[:, 1]))
+            rmse[bench_key][f"velocity_{mode}"] = math.sqrt(np.mean(sq[:, 2] + sq[:, 3]))
 
-    nonconverged = {
-        mode: np.mean([not estimates[mode][k].converged for k in eval_frames])
-        for mode in options.modes
-    }
+    nonconverged = {mode: np.mean(~estimates[mode].converged) for mode in options.modes}
 
     benchmark_key = "truth" if options.benchmark == "truth" else "track_fusion"
     run_dir = Path(options.out_dir) / config.name / str(config.rng_seed)
@@ -373,69 +355,63 @@ def _write_run_outputs(
     sim: Simulation,
     transformed: list[Track],
     fused: Track,
-    estimates,
-    eval_frames,
-    rmse_frames,
+    estimates: dict[str, FusionEstimates],
+    eval_frames: list[int],
+    rmse_frames: list[int],
     calibrations: list[CalibrationResult],
     report: ExperimentReport,
 ) -> None:
     for sub in ("tracks", "calibration", "fusion", "report"):
         (run_dir / sub).mkdir(parents=True, exist_ok=True)
     save_scenario(config, run_dir / "scenario.json")
-    # Truth and one-shot floats are formatted once and written twice:
-    # to their own file and to per_frame.csv.
+    # Truth, track and one-shot floats are formatted once and written
+    # twice: to their own file and to per_frame.csv.
     truth_cells = [list(map(str, row)) for row in sim.truth.tolist()]
     export_truth_csv(truth_cells, run_dir / "fusion" / "truth.csv")
     export_measurements_csv(sim, run_dir / "fusion" / "measurements.csv")
-    export_track_csv(transformed[0], run_dir / "tracks" / "node0.csv")
-    for i, track in enumerate(transformed[1:], start=1):
-        export_track_csv(track, run_dir / "tracks" / f"node{i}_in_ref.csv")
-    export_track_csv(fused, run_dir / "tracks" / "track_fusion.csv")
+    track_paths = [run_dir / "tracks" / "node0.csv"]
+    track_paths += [run_dir / "tracks" / f"node{i}_in_ref.csv" for i in range(1, len(transformed))]
+    track_paths.append(run_dir / "tracks" / "track_fusion.csv")
+    for track, path in zip([*transformed, fused], track_paths):
+        export_track_csv(track, path)
+    track_cells = [track_csv_states(path) for path in track_paths]
     for node, result in enumerate(calibrations, start=1):
         save_result(result, result_path(run_dir / "calibration", node))
 
+    upper = np.triu_indices(4)  # c11, c12, ..., c44
     oneshot_rows = []
-    oneshot_cells = {}  # per mode and frame: x, y, vx, vy, converged, cond
+    oneshot_cells = {}  # per mode, per evaluated frame: x, y, vx, vy, converged, cond
     for mode in options.modes:
-        cells_by_frame = oneshot_cells[mode] = {}
-        for k in eval_frames:
-            est = estimates[mode][k]
-            state = est.state
-            cov = est.covariance
-            cov_cells = (
-                [v for i, row in enumerate(cov.tolist()) for v in row[i:]]  # c11, c12, ..., c44
-                if cov is not None
-                else [math.nan] * 10
+        est = estimates[mode]
+        cells = oneshot_cells[mode] = [
+            [*map(str, state), int(converged), str(cond)]
+            for state, converged, cond in zip(
+                est.states.tolist(), est.converged.tolist(), est.conditioning.tolist()
             )
-            cells = cells_by_frame[k] = [
-                str(state.x), str(state.y), str(state.vx), str(state.vy),
-                int(est.converged), str(est.conditioning),
-            ]
-            oneshot_rows.append([k, mode, *cells, *cov_cells])
+        ]
+        covariances = est.covariances[:, upper[0], upper[1]].tolist()
+        oneshot_rows += [[k, mode, *c, *cov] for k, c, cov in zip(eval_frames, cells, covariances)]
     write_csv(
         run_dir / "fusion" / "oneshot.csv",
         "frame,mode,x,y,vx,vy,converged,cond,c11,c12,c13,c14,c22,c23,c24,c33,c34,c44",
         oneshot_rows,
     )
 
-    fused_by = fused.by_frame()
-    track_by = [t.by_frame() for t in transformed]
     rmse_set = set(rmse_frames)
     modes = [mode for mode in ("bayes", "ml") if mode in options.modes]
     header = ["frame"]
-    for prefix in ("truth", "ekf1", "ekf2_in_1", "track_fusion"):
+    prefixes = ["truth", "ekf1", *(f"ekf{i + 1}_in_1" for i in range(1, len(transformed)))]
+    for prefix in prefixes + ["track_fusion"]:
         header += [f"{prefix}_{q}" for q in ("x", "y", "vx", "vy")]
     for mode in modes:
         header += [f"oneshot_{mode}_{q}" for q in ("x", "y", "vx", "vy")]
         header += [f"oneshot_{mode}_converged", f"oneshot_{mode}_cond"]
     header.append("in_rmse_set")
     rows = []
-    for k in eval_frames:
-        row = [k, *truth_cells[k]]
-        for point in (track_by[0][k], track_by[1][k], fused_by[k]):
-            row += [point.position.real, point.position.imag, *point.velocity.tolist()]
+    for t, k in enumerate(eval_frames):
+        row = [k, *truth_cells[k], *(cells[k] for cells in track_cells)]
         for mode in modes:
-            row += oneshot_cells[mode][k]
+            row += oneshot_cells[mode][t]
         row.append(int(k in rmse_set))
         rows.append(row)
     write_csv(run_dir / "fusion" / "per_frame.csv", ",".join(header), rows)

@@ -6,8 +6,8 @@ sigma-normalized sum of squared measurement residuals (ML), optionally
 regularized by independent Gaussian priors on each state component
 (Bayes / MAP).  The minimization runs a damped Gauss-Newton
 (Levenberg-Marquardt) iteration from closed-form position and velocity
-initializers.  `solve_frames` runs that iteration on many frames at
-once, as arrays with one row per frame; `solve` is its one-frame case.
+initializers.  `solve_frames` runs the whole solve, starts included, on
+many frames at once as arrays; `solve` is its one-frame case.
 
 The posterior covariance is available two ways: the Laplace
 approximation (inverse Gauss-Newton Hessian at the optimum) and a
@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import FOV_HALF_ANGLE, Pose2D, TargetState, boresight_angle
-from .scene import Detection, NoiseConfig
+from .geometry import FOV_HALF_ANGLE, Pose2D, TargetState
+from .scene import Detection, NoiseConfig, _elementwise
 
 _GRADIENT_TOL = 1e-8
 _STEP_TOL = 1e-10
@@ -36,6 +37,8 @@ _LAMBDA_INIT = 1e-3
 _LAMBDA_MIN = 1e-12
 _LAMBDA_MAX = 1e12
 _MIN_RANGE = 1e-12
+# J'J with a smaller singular-value ratio has no covariance.
+_MIN_CONDITIONING = 1e-14
 
 
 @dataclass(frozen=True)
@@ -103,9 +106,111 @@ class FusionEstimate:
     prior_center: TargetState | None = None
 
 
+@dataclass(frozen=True, eq=False)
+class FusionEstimates(Sequence):
+    """The results of `solve_frames` as arrays with one row per frame.
+
+    `states` (F, 4), `covariances` (F, 4, 4), NaN where J'J is too
+    ill-conditioned to invert, `objective_values`, `iterations`,
+    `converged` and `conditioning` (F,), and `prior_centers` (F, 4) in
+    Bayes mode (else None).  Indexing or iterating gives one
+    FusionEstimate per frame, built on access.
+    """
+
+    states: np.ndarray
+    covariances: np.ndarray
+    objective_values: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    conditioning: np.ndarray
+    mode: str
+    prior_centers: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    def __getitem__(self, k: int) -> FusionEstimate:
+        conditioning = float(self.conditioning[k])
+        return FusionEstimate(
+            state=TargetState(*self.states[k].tolist()),
+            covariance=self.covariances[k] if conditioning > _MIN_CONDITIONING else None,
+            objective_value=float(self.objective_values[k]),
+            iterations=int(self.iterations[k]),
+            converged=bool(self.converged[k]),
+            conditioning=conditioning,
+            mode=self.mode,
+            prior_center=(None if self.prior_centers is None
+                          else TargetState(*self.prior_centers[k].tolist())),
+        )
+
+
+class _Columns(NamedTuple):
+    """A frame table's columns, node axis first: each is (N, F)."""
+
+    x: np.ndarray
+    y: np.ndarray
+    phi: np.ndarray
+    range: np.ndarray
+    omega: np.ndarray
+    vr: np.ndarray
+    cos: np.ndarray
+    sin: np.ndarray
+
+
+def _frame_table(observations: list[FusionObservation]) -> np.ndarray:
+    """The (F, N, 6) frame table of observations that all have N nodes."""
+    return np.array([
+        [(e.node_pose.x, e.node_pose.y, e.node_pose.phi,
+          e.detection.range, e.detection.spatial_freq, e.detection.radial_vel)
+         for e in obs.entries]
+        for obs in observations
+    ], dtype=float)
+
+
+def _columns(table: np.ndarray) -> _Columns:
+    """The node-first columns of an (F, N, 6) frame table, with cos and sin of phi."""
+    x, y, phi, range_, omega, vr = np.ascontiguousarray(table.T)
+    return _Columns(x, y, phi, range_, omega, vr,
+                    _elementwise(math.cos, phi), _elementwise(math.sin, phi))
+
+
+def _angles(omega: np.ndarray) -> np.ndarray:
+    """Angles off boresight asin(omega/pi), omega clipped to [-pi, pi]."""
+    return _elementwise(math.asin, np.minimum(1.0, np.maximum(-1.0, omega / math.pi)))
+
+
+# The array start code below keeps the scalar formulas' operation order
+# and takes asin, sin, cos, atan2 and hypot from `math`, so every frame's
+# starts are the bits the one-frame float code gives.  Sums over nodes
+# run node by node from 0.0, as a float accumulator does.
+
+def _start_positions(nodes: _Columns, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`initial_position_estimate` of every frame, as x and y arrays (F,)."""
+    lx = nodes.range * _elementwise(math.sin, theta)
+    ly = nodes.range * _elementwise(math.cos, theta)
+    c, s, n = nodes.cos, nodes.sin, len(theta)
+    return sum(c * lx - s * ly + nodes.x, 0.0) / n, sum(s * lx + c * ly + nodes.y, 0.0) / n
+
+
+def _start_velocities(nodes: _Columns, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`initial_velocity_estimate` of every frame, as vx and vy arrays (F,).
+
+    `theta` holds the angles of `_angles`, which clips nothing once
+    every |omega| <= pi has been checked.
+    """
+    beyond = np.abs(nodes.omega.T) > math.pi
+    if beyond.any():
+        raise ValueError(f"|spatial frequency| exceeds pi: {float(nodes.omega.T[beyond][0])!r}")
+    los = nodes.phi + 0.5 * math.pi - theta
+    n = len(theta)
+    return (sum(nodes.vr * _elementwise(math.cos, los), 0.0) / n,
+            sum(nodes.vr * _elementwise(math.sin, los), 0.0) / n)
+
+
 def initial_position_estimate(obs: FusionObservation) -> np.ndarray:
     """Average of the nodes' detections mapped to the global frame."""
-    return np.array(_position_start(obs))
+    nodes = _columns(_frame_table([obs]))
+    return np.concatenate(_start_positions(nodes, _angles(nodes.omega)))
 
 
 def initial_velocity_estimate(obs: FusionObservation) -> np.ndarray:
@@ -114,49 +219,24 @@ def initial_velocity_estimate(obs: FusionObservation) -> np.ndarray:
     For a target at angle theta off boresight, the line of sight from
     node i points along the global angle phi_i + pi/2 - theta.
     """
-    return np.array(_velocity_start(obs))
-
-
-def _position_start(obs: FusionObservation) -> tuple[float, float]:
-    """`initial_position_estimate` as floats."""
-    acc_x = acc_y = 0.0
-    for entry in obs.entries:
-        det = entry.detection
-        theta = math.asin(min(1.0, max(-1.0, det.spatial_freq / math.pi)))
-        lx = det.range * math.sin(theta)
-        ly = det.range * math.cos(theta)
-        c, s = math.cos(entry.node_pose.phi), math.sin(entry.node_pose.phi)
-        acc_x += c * lx - s * ly + entry.node_pose.x
-        acc_y += s * lx + c * ly + entry.node_pose.y
-    return acc_x / obs.num_nodes, acc_y / obs.num_nodes
-
-
-def _velocity_start(obs: FusionObservation) -> tuple[float, float]:
-    """`initial_velocity_estimate` as floats."""
-    acc_x = acc_y = 0.0
-    for entry in obs.entries:
-        det = entry.detection
-        if abs(det.spatial_freq) > math.pi:
-            raise ValueError(f"|spatial frequency| exceeds pi: {det.spatial_freq!r}")
-        theta = math.asin(det.spatial_freq / math.pi)
-        los = entry.node_pose.phi + 0.5 * math.pi - theta
-        acc_x += det.radial_vel * math.cos(los)
-        acc_y += det.radial_vel * math.sin(los)
-    return acc_x / obs.num_nodes, acc_y / obs.num_nodes
+    nodes = _columns(_frame_table([obs]))
+    return np.concatenate(_start_velocities(nodes, _angles(nodes.omega)))
 
 
 class _Frames:
-    """The residual model of F frames with N nodes each.
+    """The residual model of F frames with N nodes each, node axis first.
 
-    `nodes` holds (x, y, pi cos phi, pi sin phi) per node as (4, F, N),
+    `nodes` holds (x, y, pi cos phi, pi sin phi) per node as (4, N, F),
     `meas` the measured (range, spatial frequency, radial velocity) as
-    (3, F, N), and `center` each frame's prior center as (F, 4), or
+    (3, N, F), and `center` each frame's prior center as (F, 4), or
     None for ML.  `evaluate` broadcasts states against them.  A state
-    array (..., 4) of F states of F frames gives the LM iterates.  A
-    grid of one frame (F = 1) is passed as its four axes x, y, vx, vy,
-    shaped (P, 1, 1, 1) ... (1, 1, 1, P): the terms that depend on
-    position alone then take P^2 points, and only the Doppler and prior
-    terms take all P^4.
+    array (F, 4) gives the LM iterates, (F, C, 4) C candidates per frame
+    with `per_candidate`.  A grid of one frame (F = 1) is passed as its
+    four axes x, y, vx, vy, shaped (P, 1, 1, 1) ... (1, 1, 1, P): the
+    terms that depend on position alone then take P^2 points, and only
+    the Doppler and prior terms take all P^4.  Every term is computed
+    per node with the state axes innermost, and the objective sums the
+    nodes in order.
 
     Residuals are (measured - predicted)/sigma, stacked as the N range
     rows, then N spatial-frequency rows, then N radial-velocity rows;
@@ -172,6 +252,20 @@ class _Frames:
         self.center = center
 
     @classmethod
+    def of(
+        cls,
+        columns: _Columns,
+        noise: NoiseConfig,
+        prior: PriorConfig | None = None,
+        center: np.ndarray | None = None,
+    ) -> "_Frames":
+        if prior is not None and center is None:
+            raise ValueError("prior given without a prior center")
+        nodes = np.array([columns.x, columns.y, math.pi * columns.cos, math.pi * columns.sin])
+        meas = np.array([columns.range, columns.omega, columns.vr])
+        return cls(nodes, meas, noise, None if prior is None else prior.sigmas, center)
+
+    @classmethod
     def build(
         cls,
         observations: list[FusionObservation],
@@ -179,32 +273,20 @@ class _Frames:
         prior: PriorConfig | None = None,
         center: np.ndarray | None = None,
     ) -> "_Frames":
-        rows = np.array([
-            [
-                (e.node_pose.x, e.node_pose.y, math.pi * math.cos(e.node_pose.phi),
-                 math.pi * math.sin(e.node_pose.phi), e.detection.range,
-                 e.detection.spatial_freq, e.detection.radial_vel)
-                for e in obs.entries
-            ]
-            for obs in observations
-        ])
-        table = np.ascontiguousarray(np.moveaxis(rows, -1, 0))
-        if prior is not None and center is None:
-            raise ValueError("prior given without a prior center")
-        return cls(table[:4], table[4:], noise, None if prior is None else prior.sigmas, center)
+        return cls.of(_columns(_frame_table(observations)), noise, prior, center)
 
     def take(self, index) -> "_Frames":
         """The model of the frames selected by `index` along F."""
         center = None if self.center is None else self.center[index]
         return _Frames(
-            self.nodes[:, index], self.meas[:, index], self.noise, self.prior_sigmas, center
+            self.nodes[..., index], self.meas[..., index], self.noise, self.prior_sigmas, center
         )
 
     def per_candidate(self) -> "_Frames":
         """The model broadcast against (F, C, 4) states: C candidates per frame."""
         center = None if self.center is None else self.center[:, None]
         return _Frames(
-            self.nodes[:, :, None], self.meas[:, :, None], self.noise, self.prior_sigmas, center
+            self.nodes[..., None], self.meas[..., None], self.noise, self.prior_sigmas, center
         )
 
     def evaluate(self, theta):
@@ -213,22 +295,25 @@ class _Frames:
         `theta` is a state array (..., 4), or a grid's four axes.
         """
         prior = prior_rows = None
+        nodes, meas = self.nodes, self.meas
         # A state array keeps its prior rows as one array: term by term
         # would add a dozen small numpy calls to every LM evaluation.
         if isinstance(theta, np.ndarray):
-            x, y, vx, vy = theta[..., 0:1], theta[..., 1:2], theta[..., 2:3], theta[..., 3:4]
+            x, y, vx, vy = theta[..., 0], theta[..., 1], theta[..., 2], theta[..., 3]
             if self.prior_sigmas is not None:
                 prior_rows = (theta - self.center) / self.prior_sigmas
                 prior = (prior_rows * prior_rows).sum(axis=-1)
         else:
-            x, y, vx, vy = (axis[..., None] for axis in theta)
+            x, y, vx, vy = theta
+            # The frame axis (F = 1) lines up with the grid's first.
+            nodes, meas = nodes[..., None, None, None], meas[..., None, None, None]
             if self.prior_sigmas is not None:
                 q = [((a - c) / s) ** 2
                      for a, c, s in zip(theta, self.center[0], self.prior_sigmas)]
                 # Summed in the order of the four-term sum above.
                 prior = ((q[0] + q[1]) + q[2]) + q[3]
-        px, py, pi_cos, pi_sin = self.nodes
-        meas_r, meas_w, meas_v = self.meas
+        px, py, pi_cos, pi_sin = nodes
+        meas_r, meas_w, meas_v = meas
         noise = self.noise
         dx = x - px
         dy = y - py
@@ -247,11 +332,11 @@ class _Frames:
             (meas_w - omega) / noise.sigma_omega,
             (meas_v - vel) / noise.sigma_v,
         )
-        value = (blocks[0] * blocks[0] + blocks[1] * blocks[1] + blocks[2] * blocks[2]).sum(-1)
+        value = (blocks[0] * blocks[0] + blocks[1] * blocks[1] + blocks[2] * blocks[2]).sum(0)
         if prior is not None:
             value += prior
         if any_infeasible:
-            value[np.broadcast_to(infeasible.any(axis=-1), value.shape)] = np.inf
+            value[np.broadcast_to(infeasible.any(axis=0), value.shape)] = np.inf
         return value, (vx, vy, blocks, prior_rows, r, ux, uy, omega, vel)
 
     def objective(self, theta) -> np.ndarray:
@@ -259,24 +344,28 @@ class _Frames:
         return self.evaluate(theta)[0]
 
     def jacobian(self, terms) -> tuple[np.ndarray, np.ndarray]:
-        """Residuals (..., M) and their Jacobian (..., M, 4) from `evaluate`'s terms."""
+        """Residuals (F, M) and their Jacobian (F, M, 4) from `evaluate`'s terms
+        at (F, 4) states."""
         vx, vy, blocks, prior_rows, r, ux, uy, omega, vel = terms
         _, _, pi_cos, pi_sin = self.nodes
         noise = self.noise
-        n = r.shape[-1]
-        rows = list(blocks) if prior_rows is None else [*blocks, prior_rows]
-        res = np.concatenate(rows, axis=-1)
+        n = len(r)
+        # Frame-major and C-ordered, as J'J's matmul expects.
+        res = np.empty((r.shape[1], 3 * n + (0 if prior_rows is None else 4)))
+        res[:, :3 * n] = np.concatenate(blocks).T
+        if prior_rows is not None:
+            res[:, 3 * n:] = prior_rows
         jac = np.zeros(res.shape + (4,))
         r_w = r * noise.sigma_omega
         r_v = r * noise.sigma_v
-        jac[..., :n, 0] = ux / -noise.sigma_r
-        jac[..., :n, 1] = uy / -noise.sigma_r
-        jac[..., n:2 * n, 0] = (omega * ux - pi_cos) / r_w
-        jac[..., n:2 * n, 1] = (omega * uy - pi_sin) / r_w
-        jac[..., 2 * n:3 * n, 0] = (vel * ux - vx) / r_v
-        jac[..., 2 * n:3 * n, 1] = (vel * uy - vy) / r_v
-        jac[..., 2 * n:3 * n, 2] = ux / -noise.sigma_v
-        jac[..., 2 * n:3 * n, 3] = uy / -noise.sigma_v
+        jac[..., :n, 0] = (ux / -noise.sigma_r).T
+        jac[..., :n, 1] = (uy / -noise.sigma_r).T
+        jac[..., n:2 * n, 0] = ((omega * ux - pi_cos) / r_w).T
+        jac[..., n:2 * n, 1] = ((omega * uy - pi_sin) / r_w).T
+        jac[..., 2 * n:3 * n, 0] = ((vel * ux - vx) / r_v).T
+        jac[..., 2 * n:3 * n, 1] = ((vel * uy - vy) / r_v).T
+        jac[..., 2 * n:3 * n, 2] = (ux / -noise.sigma_v).T
+        jac[..., 2 * n:3 * n, 3] = (uy / -noise.sigma_v).T
         if prior_rows is not None:
             jac[..., 3 * n:, :] = np.diag(1.0 / self.prior_sigmas)
         return res, jac
@@ -291,7 +380,7 @@ def _normal_equations(res: np.ndarray, jac: np.ndarray) -> tuple[np.ndarray, np.
 def _objective_terms(theta, obs, noise, prior=None, prior_center=None):
     center = None if prior_center is None else prior_center.as_vector()[None]
     frames = _Frames.build([obs], noise, prior, center)
-    value, terms = frames.evaluate(theta.as_vector())
+    value, terms = frames.evaluate(theta.as_vector()[None])
     if not np.isfinite(value[0]):
         raise ValueError("state yields (near-)zero range to a node")
     res, jac = frames.jacobian(terms)
@@ -321,14 +410,11 @@ def bayes_objective(
     return _objective_terms(theta, obs, noise, prior, prior_center)
 
 
-def _resolve_prior_center(
-    obs: FusionObservation, prior: PriorConfig, position: tuple[float, float] | None = None
-) -> TargetState:
-    """The prior center; `position` is the closed-form initializer when already known."""
+def _resolve_prior_center(obs: FusionObservation, prior: PriorConfig) -> TargetState:
     if prior.position_prior_center == "origin":
         return TargetState(0.0, 0.0, 0.0, 0.0)
-    pos = _position_start(obs) if position is None else position
-    return TargetState(pos[0], pos[1], 0.0, 0.0)
+    x, y = initial_position_estimate(obs).tolist()
+    return TargetState(x, y, 0.0, 0.0)
 
 
 def _range_circle_intersections(obs: FusionObservation) -> list[tuple[float, float]]:
@@ -337,29 +423,37 @@ def _range_circle_intersections(obs: FusionObservation) -> list[tuple[float, flo
     The two measured ranges pin the position to (at most) two mirror
     candidates across the inter-node chord; the coarse angle
     measurements do not always disambiguate them, so the solver seeds
-    from both and keeps the better fit.
+    from both and keeps the better fit.  The one-frame view of
+    `_range_circles`.
     """
-    if len(obs.entries) < 2:
-        return []
-    e1, e2 = obs.entries[0], obs.entries[1]
-    x1, y1 = e1.node_pose.x, e1.node_pose.y
-    r1 = e1.detection.range
-    r2 = e2.detection.range
-    dx = e2.node_pose.x - x1
-    dy = e2.node_pose.y - y1
-    d = math.hypot(dx, dy)
-    if d == 0.0 or d > r1 + r2 or d < abs(r1 - r2):
-        return []
-    along = (r1 * r1 - r2 * r2 + d * d) / (2.0 * d)
-    height_sq = r1 * r1 - along * along
-    if height_sq < 0.0:
-        return []
-    height = math.sqrt(height_sq)
-    ux, uy = dx / d, dy / d
-    bx, by = x1 + along * ux, y1 + along * uy
-    if height == 0.0:
-        return [(bx, by)]
-    return [(bx - height * uy, by + height * ux), (bx + height * uy, by - height * ux)]
+    xs, ys, meet = _range_circles(_columns(_frame_table([obs])))
+    return [(x, y) for x, y, m in zip(xs[:, 0].tolist(), ys[:, 0].tolist(), meet[:, 0]) if m]
+
+
+def _range_circles(nodes: _Columns) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_range_circle_intersections` of every frame: x and y of the two
+    intersections as (2, F), and whether each exists (a tangent pair
+    meets once; disjoint or concentric circles never)."""
+    frames = nodes.x.shape[1]
+    if len(nodes.x) < 2:
+        return np.zeros((2, frames)), np.zeros((2, frames)), np.zeros((2, frames), dtype=bool)
+    x1, y1, r1, r2 = nodes.x[0], nodes.y[0], nodes.range[0], nodes.range[1]
+    dx = nodes.x[1] - x1
+    dy = nodes.y[1] - y1
+    d = _elementwise(math.hypot, dx, dy)
+    # Frames whose circles do not meet (d = 0 among them) compute
+    # garbage here, masked out by `meet`.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        along = (r1 * r1 - r2 * r2 + d * d) / (2.0 * d)
+        height_sq = r1 * r1 - along * along
+        meet = ~((d == 0.0) | (d > r1 + r2) | (d < np.abs(r1 - r2)) | (height_sq < 0.0))
+        height = np.sqrt(height_sq)
+        ux, uy = dx / d, dy / d
+        bx, by = x1 + along * ux, y1 + along * uy
+        tangent = height == 0.0
+        xs = np.array([np.where(tangent, bx, bx - height * uy), bx + height * uy])
+        ys = np.array([np.where(tangent, by, by + height * ux), by - height * ux])
+    return xs, ys, np.array([meet, meet & ~tangent])
 
 
 # Candidate starts farther off boresight than this cannot have produced
@@ -369,36 +463,47 @@ _VISIBILITY_LIMIT = FOV_HALF_ANGLE + math.radians(15.0)
 _MAX_STARTS = 3
 
 
-def _start_is_visible(nodes: list[tuple], x: float, y: float) -> bool:
-    """True when every detecting node, given as (x, y, cos phi, sin phi),
-    could actually see the position (x, y)."""
-    for nx, ny, c, s in nodes:
-        if x == nx and y == ny:
-            return False
-        if abs(boresight_angle(x - nx, y - ny, c, s)) > _VISIBILITY_LIMIT:
-            return False
-    return True
+def _start_table(nodes: _Columns) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every frame's closed-form position start and candidate LM starts.
+
+    The candidates are that initializer and the two range-circle
+    intersections, each with the closed-form velocity: the precise
+    ranges admit a mirror solution the coarse angles may fail to rule
+    out.  A frame keeps those that exist and that every detecting node
+    could actually see (within its widened field of view, and not on
+    the node itself), since the detection event excludes the others;
+    if that would drop them all, it keeps every one that exists.
+    Returns the position starts x and y (F,), the candidates as
+    (F, 3, 4), a missing one standing in as the initializer, and which
+    candidates each frame keeps (F, 3).
+    """
+    theta = _angles(nodes.omega)
+    px, py = _start_positions(nodes, theta)
+    vx, vy = _start_velocities(nodes, theta)
+    xs, ys, meet = _range_circles(nodes)
+    exists = np.concatenate([np.ones_like(meet[:1]), meet])
+    cx = np.concatenate([px[None], np.where(meet, xs, px)])
+    cy = np.concatenate([py[None], np.where(meet, ys, py)])
+    dx = cx[:, None] - nodes.x
+    dy = cy[:, None] - nodes.y
+    along, across = dx * nodes.cos + dy * nodes.sin, -dx * nodes.sin + dy * nodes.cos
+    angle = _elementwise(math.atan2, along, across)
+    on_node = (cx[:, None] == nodes.x) & (cy[:, None] == nodes.y)
+    visible = exists & ~(on_node | (np.abs(angle) > _VISIBILITY_LIMIT)).any(axis=1)
+    keep = np.where(visible.any(axis=0), visible, exists)
+    starts = np.empty((len(px), _MAX_STARTS, 4))
+    starts[..., 0], starts[..., 1] = cx.T, cy.T
+    starts[..., 2], starts[..., 3] = vx[:, None], vy[:, None]
+    return px, py, starts, keep.T
 
 
 def _candidate_starts(obs: FusionObservation) -> tuple[tuple[float, float], list[tuple]]:
-    """The closed-form position initializer and the candidate LM starts.
-
-    The starts are that initializer and the two range-circle
-    intersections, each with the closed-form velocity: the precise
-    ranges admit a mirror solution the coarse angles may fail to rule
-    out.  Candidates no detecting node could actually see are dropped
-    first (the detection event itself excludes them), unless that would
-    drop them all.
-    """
-    pos0 = _position_start(obs)
-    vx, vy = _velocity_start(obs)
-    positions = [pos0] + _range_circle_intersections(obs)
-    nodes = [
-        (pose.x, pose.y, math.cos(pose.phi), math.sin(pose.phi))
-        for pose in (entry.node_pose for entry in obs.entries)
+    """The closed-form position initializer and the kept candidate LM
+    starts of one frame: the one-frame view of `_start_table`."""
+    px, py, starts, keep = _start_table(_columns(_frame_table([obs])))
+    return (px[0].item(), py[0].item()), [
+        tuple(start) for start, kept in zip(starts[0].tolist(), keep[0]) if kept
     ]
-    visible = [(x, y) for x, y in positions if _start_is_visible(nodes, x, y)]
-    return pos0, [(x, y, vx, vy) for x, y in (visible or positions)]
 
 
 def solve(
@@ -417,12 +522,19 @@ def solve(
 
 
 def solve_frames(
-    observations: Iterable[FusionObservation],
+    observations: Iterable[FusionObservation] | np.ndarray,
     noise: NoiseConfig,
     mode: str = "bayes",
     prior: PriorConfig | None = None,
-) -> list[FusionEstimate]:
+) -> FusionEstimates:
     """Levenberg-Marquardt minimization of the ML or Bayes objective, per frame.
+
+    `observations` is an iterable of FusionObservation, or the frames as
+    one (F, N, 6) array whose row (f, i) holds node i's pose and
+    detection in frame f: x, y, phi, range, spatial frequency, radial
+    velocity.  Either way the frames run as arrays, grouped by node
+    count, node axis first; results come back in input order, as
+    arrays that also index as FusionEstimates.
 
     Each frame is solved on its own: its result does not depend on the
     other frames in the batch.  A frame starts from the best-scoring
@@ -433,14 +545,12 @@ def solve_frames(
     damping reaches the upper limit, or after 100 iterations.  A step
     that is singular, raises the objective, or leaves the feasible
     region (zero range to a node) raises that frame's damping tenfold;
-    an accepted step lowers it tenfold.  All frames iterate together
-    as (F, 4) arrays, grouped by node count; results come back in input
-    order.
+    an accepted step lowers it tenfold.
     """
     return _solve_frames(observations, noise, mode, prior)
 
 
-def _solve_frames(observations, noise, mode, prior) -> list[FusionEstimate]:
+def _solve_frames(observations, noise, mode, prior) -> FusionEstimates:
     """`solve_frames` behind both public entry points, so that the
     single-node warning points at the caller of either."""
     mode = mode.lower()
@@ -448,49 +558,61 @@ def _solve_frames(observations, noise, mode, prior) -> list[FusionEstimate]:
         raise ValueError(f"mode must be 'ml' or 'bayes', got {mode!r}")
     if mode == "bayes" and prior is None:
         raise ValueError("bayes mode requires a PriorConfig")
-    observations = list(observations)
-    if any(obs.num_nodes < 2 for obs in observations):
+    groups = _frame_tables(observations)
+    if any(table.shape[1] < 2 for _, table in groups):
         warnings.warn(
             "single-node observation: vector velocity is unobservable",
             stacklevel=3,
         )
-    groups: dict[int, list[int]] = {}
+    parts = [_solve_group(table, noise, mode, prior) for _, table in groups]
+    if len(parts) == 1:
+        return parts[0]
+    # Several node counts: put each group's rows back in input order.
+    order = np.argsort(np.concatenate([rows for rows, _ in groups]))
+    fields = ("states", "covariances", "objective_values", "iterations", "converged",
+              "conditioning") + (("prior_centers",) if mode == "bayes" else ())
+    return FusionEstimates(mode=mode, **{
+        name: np.concatenate([getattr(part, name) for part in parts])[order] for name in fields
+    })
+
+
+def _frame_tables(observations) -> list[tuple[range | list[int], np.ndarray]]:
+    """`solve_frames`' input as one (F, N, 6) frame table per node count,
+    each with the input positions of its frames."""
+    if isinstance(observations, np.ndarray):
+        table = np.asarray(observations, dtype=float)
+        if table.ndim != 3 or table.shape[1] < 1 or table.shape[2] != 6:
+            raise ValueError(f"frame array must be (F, N, 6) with N >= 1, got shape {table.shape}")
+        if not np.all(np.isfinite(table)):
+            raise ValueError("frame array must be finite")
+        return [(range(len(table)), table)]
+    observations = list(observations)
+    index: dict[int, list[int]] = {}
     for k, obs in enumerate(observations):
-        groups.setdefault(obs.num_nodes, []).append(k)
-    results: list[FusionEstimate | None] = [None] * len(observations)
-    for index in groups.values():
-        group = [observations[k] for k in index]
-        for k, est in zip(index, _solve_group(group, noise, mode, prior)):
-            results[k] = est
-    return results
+        index.setdefault(obs.num_nodes, []).append(k)
+    # No frames at all solve as an empty two-node batch.
+    return [
+        (rows, _frame_table([observations[k] for k in rows])) for rows in index.values()
+    ] or [([], np.empty((0, 2, 6)))]
 
 
-def _solve_group(observations, noise, mode, prior) -> list[FusionEstimate]:
-    """`solve_frames` on frames that all have the same node count."""
-    count = len(observations)
-    # Each frame's candidate starts, padded with its first; the
-    # best-scoring feasible one seeds the frame.
-    starts = []
-    counts = []
-    centers = [] if mode == "bayes" else None
-    for obs in observations:
-        pos0, cands = _candidate_starts(obs)
-        starts.append(cands + cands[:1] * (_MAX_STARTS - len(cands)))
-        counts.append(len(cands))
-        if centers is not None:
-            centers.append(_resolve_prior_center(obs, prior, pos0))
-    starts = np.array(starts)
-    padding = np.arange(_MAX_STARTS) >= np.array(counts)[:, None]
-    frames = _Frames.build(
-        observations,
-        noise,
-        prior if mode == "bayes" else None,
-        None if centers is None else np.array([(c.x, c.y, c.vx, c.vy) for c in centers]),
-    )
+def _solve_group(table: np.ndarray, noise, mode, prior) -> FusionEstimates:
+    """`solve_frames` on an (F, N, 6) frame table."""
+    nodes = _columns(table)
+    px, py, starts, keep = _start_table(nodes)
+    frames_count = len(px)
+    centers = None
+    if mode == "bayes":
+        centers = np.zeros((frames_count, 4))
+        if prior.position_prior_center == "initial_estimate":
+            centers[:, 0], centers[:, 1] = px, py
+    frames = _Frames.of(nodes, noise, prior if mode == "bayes" else None, centers)
+    # The best-scoring feasible kept start seeds each frame; ties go to
+    # the first in candidate order.
     start_values = frames.per_candidate().objective(starts)
-    start_values[padding] = np.inf
+    start_values[~keep] = np.inf
     best = np.argmin(start_values, axis=1)
-    rows = np.arange(count)
+    rows = np.arange(frames_count)
     value = start_values[rows, best]
     if not np.all(np.isfinite(value)):
         raise ValueError("initial estimate coincides with a node position")
@@ -501,32 +623,15 @@ def _solve_group(observations, noise, mode, prior) -> list[FusionEstimate]:
     singular_values = np.linalg.svd(hessian, compute_uv=False)
     smax = singular_values[:, 0]
     conditioning = np.divide(
-        singular_values[:, -1], smax, out=np.zeros(count), where=smax > 0.0
+        singular_values[:, -1], smax, out=np.zeros(frames_count), where=smax > 0.0
     )
-    invertible = conditioning > 1e-14
-    covariances: list[np.ndarray | None] = [None] * count
+    invertible = conditioning > _MIN_CONDITIONING
+    covariances = np.full((frames_count, 4, 4), np.nan)
     if invertible.any():
         inverse = np.linalg.inv(hessian[invertible])
-        inverse = 0.5 * (inverse + inverse.swapaxes(-1, -2))
-        for k, cov in zip(np.flatnonzero(invertible), inverse):
-            covariances[k] = cov
-    # Python floats, ints and bools for the per-frame results.
-    theta, value, iterations, converged, conditioning = (
-        a.tolist() for a in (theta, value, iterations, converged, conditioning)
-    )
-    return [
-        FusionEstimate(
-            state=TargetState(*theta[k]),
-            covariance=covariances[k],
-            objective_value=value[k],
-            iterations=iterations[k],
-            converged=converged[k],
-            conditioning=conditioning[k],
-            mode=mode,
-            prior_center=None if centers is None else centers[k],
-        )
-        for k in range(count)
-    ]
+        covariances[invertible] = 0.5 * (inverse + inverse.swapaxes(-1, -2))
+    return FusionEstimates(theta, covariances, value, iterations, converged, conditioning,
+                           mode, centers)
 
 
 _IDENTITY = np.eye(4)

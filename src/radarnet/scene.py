@@ -245,12 +245,13 @@ def _trajectory(spec: TrajectorySpec, num_frames: int, dt: float, seed: int) -> 
     return np.array(states)
 
 
-def _elementwise(fn, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`fn` of two same-shape float arrays, element by element in Python.
+def _elementwise(fn, *arrays: np.ndarray) -> np.ndarray:
+    """`fn` of same-shape float arrays, element by element in Python.
 
     For `math` functions whose numpy counterparts round differently.
     """
-    return np.array(list(map(fn, a.ravel().tolist(), b.ravel().tolist()))).reshape(a.shape)
+    args = (a.ravel().tolist() for a in arrays)
+    return np.array(list(map(fn, *args)), dtype=float).reshape(arrays[0].shape)
 
 
 def _detect(truth: np.ndarray, config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:

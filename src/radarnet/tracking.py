@@ -92,6 +92,13 @@ class Track:
     def by_frame(self) -> dict[int, TrackPoint]:
         return {p.frame_index: p for p in self.frames}
 
+    def table(self) -> np.ndarray:
+        """The points as one (T, 8) array of rows x, y, vx, vy, p11, p22, p33, p44."""
+        position = self.positions()
+        velocity = np.array([p.velocity for p in self.frames]).reshape(-1, 2)
+        variance = np.array([p.covariance for p in self.frames]).reshape(-1, 16)[:, ::5]
+        return np.column_stack([position.real, position.imag, velocity, variance])
+
 
 def _process_noise_terms(dt: float, accel_std: float) -> tuple[float, float, float]:
     """The position, cross and velocity entries of `process_noise`."""
@@ -536,7 +543,14 @@ def track_level_fusion(track1: Track, track2_in_frame1: Track) -> Track:
 def export_track_csv(track: Track, path: str | Path) -> None:
     """Write a track as CSV: frame,x,y,vx,vy,p11,p22,p33,p44."""
     write_csv(path, f"# frame={track.frame}\nframe,x,y,vx,vy,p11,p22,p33,p44", (
-        [p.frame_index, p.position.real, p.position.imag,
-         *p.velocity.tolist(), *p.covariance.diagonal().tolist()]
-        for p in track.frames
+        [k, *row] for k, row in zip(track.frame_indices().tolist(), track.table().tolist())
     ))
+
+
+def track_csv_states(path: str | Path) -> dict[int, str]:
+    """The "x,y,vx,vy" text of each frame of a track CSV `export_track_csv` wrote."""
+    lines = Path(path).read_text().split("\n")[2:-1]
+    return {
+        int(frame): cells.rsplit(",", 4)[0]
+        for frame, _, cells in (line.partition(",") for line in lines)
+    }

@@ -360,6 +360,50 @@ class TestCsvRoundTrip:
             assert written == (tmp_path / name).read_bytes(), name
 
 
+class TestArrayFusion:
+    """run_experiment feeds fusion arrays and reads arrays back."""
+
+    def test_run_builds_no_observation_objects(self, tmp_path, monkeypatch):
+        from radarnet.fusion import FusionObservation, ObservationEntry
+        from radarnet.geometry import Pose2D
+        from radarnet.scene import Detection
+
+        calls = {}
+        for cls in (Detection, ObservationEntry, FusionObservation):
+            calls[cls.__name__] = 0
+
+            def counted(self, *args, _name=cls.__name__, _original=cls.__init__, **kwargs):
+                calls[_name] += 1
+                _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        run_experiment(small_scenario(seed=7), PipelineOptions(out_dir=tmp_path))
+        assert calls == {"Detection": 0, "ObservationEntry": 0, "FusionObservation": 0}
+        FusionObservation((ObservationEntry(Pose2D(0.0, 0.0), Detection(1.0, 0.0, 0.0)),))
+        assert calls == {"Detection": 1, "ObservationEntry": 1, "FusionObservation": 1}
+
+    def test_per_frame_carries_every_track(self, tmp_path):
+        import math
+        from radarnet.geometry import Pose2D
+
+        base = small_scenario("B", "random", seed=7, num_frames=240)
+        config = replace(base, nodes=base.nodes + (Pose2D(4.0, 3.5, math.radians(125.0)),))
+        report = run_experiment(config, PipelineOptions(out_dir=tmp_path))
+        run_dir = Path(report.out_dir)
+        per_frame = (run_dir / "fusion" / "per_frame.csv").read_text().splitlines()
+        header, *rows = [line.split(",") for line in per_frame]
+        prefixes = [name[:-2] for name in header if name.endswith("_x")]
+        assert prefixes == ["truth", "ekf1", "ekf2_in_1", "ekf3_in_1", "track_fusion",
+                            "oneshot_bayes", "oneshot_ml"]
+        start = header.index("ekf3_in_1_x")
+        assert header[start:start + 4] == [f"ekf3_in_1_{q}" for q in ("x", "y", "vx", "vy")]
+        lines = (run_dir / "tracks" / "node2_in_ref.csv").read_text().splitlines()[2:]
+        track = {cells[0]: cells[1:5] for cells in (line.split(",") for line in lines)}
+        assert len(rows) > 50
+        for row in rows:
+            assert row[start:start + 4] == track[row[0]]
+
+
 class TestMonteCarlo:
     def test_single_trial_matches_run_experiment(self):
         config = small_scenario(seed=11, num_frames=60)

@@ -5,15 +5,19 @@ import math
 import numpy as np
 import pytest
 
+import radarnet.fusion as fusion_module
 from radarnet.geometry import FOV_HALF_ANGLE, Pose2D, TargetState, measure
-from radarnet.scene import Detection, NoiseConfig, builtin_scenario
+from radarnet.scene import Detection, NoiseConfig, builtin_scenario, simulate
 from radarnet.fusion import (
     FusionObservation,
     ObservationEntry,
     PriorConfig,
+    _columns,
     _Frames,
+    _frame_tables,
     _candidate_starts,
     _range_circle_intersections,
+    _start_table,
     bayes_objective,
     grid_covariance,
     initial_position_estimate,
@@ -664,3 +668,235 @@ class TestCandidateStarts:
         obs = observation_of(nodes, TargetState(30.0, 1.0, 0.2, -0.1))
         starts = assert_same_starts(obs)
         assert len(starts) == 3
+
+
+def builtin_frame_tables(name):
+    """Each run of built-in `name` (straight and random, seeds 7-9) as the
+    (F, N, 6) frame table of its fully detected frames, with those frames
+    as FusionObservations."""
+    for kind in ("straight", "random"):
+        for seed in (7, 8, 9):
+            config = builtin_scenario(name, kind, seed=seed)
+            sim = simulate(config)
+            detections = sim.detections[sim.seen.all(axis=1)]
+            poses = np.array([(node.x, node.y, node.phi) for node in config.nodes])
+            table = np.concatenate(
+                (np.broadcast_to(poses, detections.shape), detections), axis=-1
+            )
+            observations = [
+                FusionObservation(tuple(
+                    ObservationEntry(node, Detection(*det)) for node, det in zip(config.nodes, dets)
+                ))
+                for dets in detections.tolist()
+            ]
+            yield table, observations
+
+
+def assert_array_starts_match_reference(table, observations):
+    """The array front end on a whole frame table against the reference, frame by frame."""
+    px, py, starts, keep = _start_table(_columns(table))
+    assert starts.shape == (len(observations), 3, 4)
+    for j, obs in enumerate(observations):
+        want_pos0, want_starts = reference_candidate_starts(obs)
+        assert np.array([px[j], py[j]]).tobytes() == want_pos0.tobytes()
+        assert starts[j][keep[j]].tobytes() == np.asarray(want_starts, dtype=float).tobytes()
+
+
+class TestArrayCandidateStarts:
+    """The array front end over whole batches, bit for bit against the reference starts."""
+
+    @pytest.mark.parametrize("name", ["A", "B", "C"])
+    def test_every_frame_of_builtin_runs(self, name):
+        checked = 0
+        for table, observations in builtin_frame_tables(name):
+            assert_array_starts_match_reference(table, observations)
+            checked += len(observations)
+        assert checked > 2400
+
+    def test_mixed_call_of_edge_cases(self):
+        rng = np.random.default_rng(23)
+        apart = (Pose2D(0.0, 0.0, 0.0), Pose2D(4.0, 0.0, math.pi))
+
+        def pair(nodes, r1, r2):
+            return FusionObservation((
+                ObservationEntry(nodes[0], Detection(r1, 0.3, 0.1)),
+                ObservationEntry(nodes[1], Detection(r2, -0.2, 0.2)),
+            ))
+
+        nodes_c = config_c_nodes()
+        cases = {
+            "tangent": pair(apart, 1.5, 2.5),  # d = r1 + r2: one intersection
+            "three_node": observation_of(
+                config_b_nodes() + (Pose2D(4.0, 3.5, math.radians(125.0)),),
+                TargetState(1.8, 3.6, 0.6, -0.4), TABLE_NOISE, rng,
+            ),
+            "disjoint": pair(apart, 1.0, 1.0),  # d > r1 + r2
+            "single_node": FusionObservation(
+                (ObservationEntry(Pose2D(0.0, 0.0, 0.0), Detection(5.0, 0.3, 0.4)),)
+            ),
+            "nested": pair(apart, 6.0, 1.0),  # d < |r1 - r2|
+            "concentric": pair((Pose2D(1.0, 1.0, 0.0), Pose2D(1.0, 1.0, 1.0)), 2.0, 2.0),
+            "all_invisible": observation_of(nodes_c, TargetState(30.0, 1.0, 0.2, -0.1)),
+            "start_on_node": FusionObservation((
+                ObservationEntry(nodes_c[0], Detection(7.0, math.pi * math.sin(math.pi / 3), 0.1)),
+                ObservationEntry(nodes_c[1], Detection(0.0, 0.0, 0.0)),
+            )),
+            # The tangent point is node 0 itself, where atan2(0, 0) = 0
+            # alone would call it in view; the initializer is out of view.
+            "start_on_facing_node": pair(
+                (Pose2D(0.0, 0.0, 0.0), Pose2D(0.0, 4.0, math.pi)), 0.0, 4.0
+            ),
+        }
+        assert _range_circle_intersections(cases["tangent"]) == [(1.5, 0.0)]
+        assert _range_circle_intersections(cases["start_on_facing_node"]) == [(0.0, 0.0)]
+        for name in ("disjoint", "nested", "concentric", "single_node"):
+            assert _range_circle_intersections(cases[name]) == []
+        mixed = list(cases.values())
+        groups = _frame_tables(mixed)
+        assert sorted(table.shape[1] for _, table in groups) == [1, 2, 3]
+        for rows, table in groups:
+            assert_array_starts_match_reference(table, [mixed[k] for k in rows])
+        kept = {name: len(_candidate_starts(obs)[1]) for name, obs in cases.items()}
+        assert kept["all_invisible"] == 3 and kept["start_on_node"] == 1
+        assert kept["start_on_facing_node"] == 2
+
+
+class NodeLastFrames(_Frames):
+    """The residual model with the node axis last: tables (4, F, N) and
+    (3, F, N), each term computed with the nodes innermost and summed
+    over the last axis.  The reference the node-first layout must match
+    bit for bit."""
+
+    @classmethod
+    def of(cls, columns, noise, prior=None, center=None):
+        model = _Frames.of(columns, noise, prior, center)
+        nodes, meas = (
+            np.ascontiguousarray(np.moveaxis(t, 1, -1)) for t in (model.nodes, model.meas)
+        )
+        return cls(nodes, meas, noise, model.prior_sigmas, center)
+
+    def take(self, index):
+        center = None if self.center is None else self.center[index]
+        return type(self)(
+            self.nodes[:, index], self.meas[:, index], self.noise, self.prior_sigmas, center
+        )
+
+    def per_candidate(self):
+        center = None if self.center is None else self.center[:, None]
+        return type(self)(
+            self.nodes[:, :, None], self.meas[:, :, None], self.noise, self.prior_sigmas, center
+        )
+
+    def evaluate(self, theta):
+        prior = prior_rows = None
+        if isinstance(theta, np.ndarray):
+            x, y, vx, vy = theta[..., 0:1], theta[..., 1:2], theta[..., 2:3], theta[..., 3:4]
+            if self.prior_sigmas is not None:
+                prior_rows = (theta - self.center) / self.prior_sigmas
+                prior = (prior_rows * prior_rows).sum(axis=-1)
+        else:
+            x, y, vx, vy = (axis[..., None] for axis in theta)
+            if self.prior_sigmas is not None:
+                q = [((a - c) / s) ** 2
+                     for a, c, s in zip(theta, self.center[0], self.prior_sigmas)]
+                prior = ((q[0] + q[1]) + q[2]) + q[3]
+        px, py, pi_cos, pi_sin = self.nodes
+        meas_r, meas_w, meas_v = self.meas
+        noise = self.noise
+        dx = x - px
+        dy = y - py
+        r2 = dx * dx + dy * dy
+        infeasible = r2 < 1e-24
+        any_infeasible = infeasible.any()
+        if any_infeasible:
+            r2 = np.maximum(r2, 1e-24)
+        r = np.sqrt(r2)
+        ux = dx / r
+        uy = dy / r
+        omega = ux * pi_cos + uy * pi_sin
+        vel = vx * ux + vy * uy
+        blocks = (
+            (meas_r - r) / noise.sigma_r,
+            (meas_w - omega) / noise.sigma_omega,
+            (meas_v - vel) / noise.sigma_v,
+        )
+        value = (blocks[0] * blocks[0] + blocks[1] * blocks[1] + blocks[2] * blocks[2]).sum(-1)
+        if prior is not None:
+            value += prior
+        if any_infeasible:
+            value[np.broadcast_to(infeasible.any(axis=-1), value.shape)] = np.inf
+        return value, (vx, vy, blocks, prior_rows, r, ux, uy, omega, vel)
+
+    def jacobian(self, terms):
+        vx, vy, blocks, prior_rows, r, ux, uy, omega, vel = terms
+        _, _, pi_cos, pi_sin = self.nodes
+        noise = self.noise
+        n = r.shape[-1]
+        rows = list(blocks) if prior_rows is None else [*blocks, prior_rows]
+        res = np.concatenate(rows, axis=-1)
+        jac = np.zeros(res.shape + (4,))
+        r_w = r * noise.sigma_omega
+        r_v = r * noise.sigma_v
+        jac[..., :n, 0] = ux / -noise.sigma_r
+        jac[..., :n, 1] = uy / -noise.sigma_r
+        jac[..., n:2 * n, 0] = (omega * ux - pi_cos) / r_w
+        jac[..., n:2 * n, 1] = (omega * uy - pi_sin) / r_w
+        jac[..., 2 * n:3 * n, 0] = (vel * ux - vx) / r_v
+        jac[..., 2 * n:3 * n, 1] = (vel * uy - vy) / r_v
+        jac[..., 2 * n:3 * n, 2] = ux / -noise.sigma_v
+        jac[..., 2 * n:3 * n, 3] = uy / -noise.sigma_v
+        if prior_rows is not None:
+            jac[..., 3 * n:, :] = np.diag(1.0 / self.prior_sigmas)
+        return res, jac
+
+
+class TestNodeFirstKernel:
+    """The node-first model against the node-last reference, bit for bit."""
+
+    @staticmethod
+    def node_last(monkeypatch, shapes):
+        """Make fusion build NodeLastFrames models that record each state shape evaluated."""
+
+        class Recording(NodeLastFrames):
+            def evaluate(self, theta):
+                shapes.append(theta.shape if isinstance(theta, np.ndarray) else "axes")
+                return super().evaluate(theta)
+
+        monkeypatch.setattr(fusion_module, "_Frames", Recording)
+
+    @pytest.mark.parametrize("name", ["A", "B", "C"])
+    def test_solve_frames_matches_node_last_reference(self, name, monkeypatch):
+        config = builtin_scenario(name, "random", seed=7)
+        sim = simulate(config)
+        observations = [
+            FusionObservation(tuple(
+                ObservationEntry(node, Detection(*det)) for node, det in zip(config.nodes, dets)
+            ))
+            for dets in sim.detections[sim.seen.all(axis=1)].tolist()
+        ]
+        for mode, prior in (("ml", None), ("bayes", PRIOR)):
+            got = solve_frames(observations, config.noise, mode=mode, prior=prior)
+            shapes = []
+            with monkeypatch.context() as patch:
+                self.node_last(patch, shapes)
+                want = solve_frames(observations, config.noise, mode=mode, prior=prior)
+            # The reference scored the candidate starts and ran the LM.
+            assert (len(observations), 3, 4) in shapes and len(shapes) > 50
+            for field in ("states", "covariances", "objective_values", "iterations",
+                          "converged", "conditioning"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+            if prior is not None:
+                assert got.prior_centers.tobytes() == want.prior_centers.tobytes()
+
+    def test_grid_posterior_matches_node_last_reference(self, monkeypatch):
+        checked = 0
+        for obs, est in grid_frames():
+            got = posterior_covariance_grid(obs, TABLE_NOISE, PRIOR, est)
+            shapes = []
+            with monkeypatch.context() as patch:
+                self.node_last(patch, shapes)
+                want = posterior_covariance_grid(obs, TABLE_NOISE, PRIOR, est)
+            assert shapes == [(1, 4), "axes"]  # the Laplace Jacobian, then the grid
+            assert got.tobytes() == want.tobytes()
+            checked += 1
+        assert checked == 6

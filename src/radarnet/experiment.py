@@ -166,27 +166,21 @@ def paired_positions(
     pairs are dropped after any detection gap longer than `gap` frames
     (re-acquisition transient).
     """
-    by1 = track1.by_frame()
-    by2 = track2.by_frame()
-    good = []
-    last = None
-    cooldown = 0
-    for k in sorted(set(by1) & set(by2)):
-        if not (by1[k].updated and by2[k].updated):
-            continue
-        if last is not None and k - last > gap:
-            cooldown = settle
-        last = k
-        if cooldown > 0:
-            cooldown -= 1
-            continue
-        good.append(k)
-    good = good[skip:]
+    frames, rows1, rows2 = np.intersect1d(
+        track1.frame_index, track2.frame_index, assume_unique=True, return_indices=True
+    )
+    both = track1.updated[rows1] & track2.updated[rows2]
+    frames, rows1, rows2 = frames[both], rows1[both], rows2[both]
+    # A pair after a gap longer than `gap` frames starts a cooldown of
+    # `settle` pairs (itself included); a later gap restarts it.
+    steps = np.arange(len(frames))
+    starts = np.zeros(len(frames), dtype=bool)
+    starts[1:] = np.diff(frames) > gap
+    last_start = np.maximum.accumulate(np.where(starts, steps, -len(frames) - abs(settle)))
+    good = np.flatnonzero(steps - last_start >= settle)[skip:]
     if len(good) < 2:
         raise PipelineError("fewer than 2 usable track pairs for calibration")
-    z1 = np.array([by1[k].position for k in good])
-    z2 = np.array([by2[k].position for k in good])
-    return z1, z2
+    return track1.positions()[rows1[good]], track2.positions()[rows2[good]]
 
 
 def simulate_scenario(config: ScenarioConfig):
@@ -283,13 +277,9 @@ def run_experiment(
     fused = transformed[0]
     for other in transformed[1:]:
         fused = track_level_fusion(fused, other)
-    fused_rows = {p.frame_index: t for t, p in enumerate(fused.frames)}
-    track_frames = [{p.frame_index for p in t.frames} for t in transformed]
-
-    eval_frames = [
-        k for k in np.flatnonzero(sim.seen.all(axis=1)).tolist()
-        if k in fused_rows and all(k in frames for frames in track_frames)
-    ]
+    # The fused track holds exactly the frames every node's track holds.
+    fused_rows = np.flatnonzero(sim.seen.all(axis=1)[fused.frame_index])
+    eval_frames = fused.frame_index[fused_rows].tolist()
     if not eval_frames:
         raise PipelineError("no frames with detections from every node")
     # solve_frames' frame array: every frame's estimated node poses and detections.
@@ -310,7 +300,7 @@ def run_experiment(
     rmse_frames = [k for k in eval_frames if k >= options.burn_in_frames]
     references = {
         "truth": sim.truth[rmse_frames],
-        "track_fusion": fused.table()[[fused_rows[k] for k in rmse_frames], :4],
+        "track_fusion": fused.states[fused_rows[in_rmse]],
     }
     rmse = {"truth": {}, "track_fusion": {}}
     for mode in options.modes:

@@ -11,7 +11,9 @@ benchmark for the one-shot estimates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -71,33 +73,83 @@ class TrackPoint:
     updated: bool = True
 
 
-@dataclass
 class Track:
-    """Time-indexed state estimates from one node (or from fusion)."""
+    """Time-indexed state estimates from one node (or from fusion), as arrays.
 
-    frames: list[TrackPoint] = field(default_factory=list)
-    node_index: int | None = None
-    frame: str = "local"
+    Row t is one point: `frame_index` (T,), strictly increasing,
+    `states` (T, 4) rows x, y, vx, vy, `covariances` (T, 4, 4) and
+    `updated` (T,), whether a measurement updated the point.
+    `Track(frames=[TrackPoint, ...])` converts a point list once;
+    `frames` gives the points back, built on first access.
+    """
+
+    def __init__(
+        self,
+        frames: Iterable[TrackPoint] | None = None,
+        node_index: int | None = None,
+        frame: str = "local",
+        *,
+        frame_index: np.ndarray | None = None,
+        states: np.ndarray | None = None,
+        covariances: np.ndarray | None = None,
+        updated: np.ndarray | None = None,
+    ):
+        arrays = (frame_index, states, covariances, updated)
+        if frames is not None:
+            if any(a is not None for a in arrays):
+                raise ValueError("give a Track either frames or arrays, not both")
+            points = list(frames)
+            frame_index = [p.frame_index for p in points]
+            states = [(p.position.real, p.position.imag, *np.ravel(p.velocity).tolist())
+                      for p in points]
+            covariances = [p.covariance for p in points]
+            updated = [p.updated for p in points]
+        elif all(a is None for a in arrays):
+            frame_index, states, covariances, updated = [], [], [], []
+        elif any(a is None for a in arrays):
+            raise ValueError("a Track needs frame_index, states, covariances and updated")
+        self.frame_index = np.asarray(frame_index, dtype=int).reshape(-1)
+        count = len(self.frame_index)
+        self.states = np.asarray(states, dtype=float).reshape(count, 4)
+        self.covariances = np.asarray(covariances, dtype=float).reshape(count, 4, 4)
+        self.updated = np.asarray(updated, dtype=bool).reshape(count)
+        if np.any(self.frame_index[1:] <= self.frame_index[:-1]):
+            raise ValueError("track frame indices must strictly increase")
+        self.node_index = node_index
+        self.frame = frame
 
     def __len__(self) -> int:
-        return len(self.frames)
+        return len(self.frame_index)
+
+    def __repr__(self) -> str:
+        return f"Track({len(self)} points, node_index={self.node_index!r}, frame={self.frame!r})"
+
+    @cached_property
+    def frames(self) -> list[TrackPoint]:
+        """The points as TrackPoints, views of the arrays."""
+        return [
+            TrackPoint(frame_index=k, position=complex(x, y), velocity=self.states[t, 2:],
+                       covariance=self.covariances[t], updated=u)
+            for t, (k, (x, y), u) in enumerate(zip(
+                self.frame_index.tolist(), self.states[:, :2].tolist(), self.updated.tolist()
+            ))
+        ]
 
     def frame_indices(self) -> np.ndarray:
-        return np.array([p.frame_index for p in self.frames], dtype=int)
+        return self.frame_index
 
     def positions(self) -> np.ndarray:
         """Positions as complex numbers z = x + j*y."""
-        return np.array([p.position for p in self.frames], dtype=complex)
+        positions = np.empty(len(self), dtype=complex)
+        positions.real, positions.imag = self.states[:, 0], self.states[:, 1]
+        return positions
 
     def by_frame(self) -> dict[int, TrackPoint]:
-        return {p.frame_index: p for p in self.frames}
+        return dict(zip(self.frame_index.tolist(), self.frames))
 
     def table(self) -> np.ndarray:
         """The points as one (T, 8) array of rows x, y, vx, vy, p11, p22, p33, p44."""
-        position = self.positions()
-        velocity = np.array([p.velocity for p in self.frames]).reshape(-1, 2)
-        variance = np.array([p.covariance for p in self.frames]).reshape(-1, 16)[:, ::5]
-        return np.column_stack([position.real, position.imag, velocity, variance])
+        return np.column_stack([self.states, self.covariances.reshape(-1, 16)[:, ::5]])
 
 
 def _process_noise_terms(dt: float, accel_std: float) -> tuple[float, float, float]:
@@ -474,13 +526,10 @@ def run_tracker(
         flags.append(updated)
     if not frame_indices:
         raise ValueError(f"node {node_index} produced no detections; track is empty")
-    velocity = np.array(states)[:, 2:].copy()
-    cov = _full(covariances)
-    return Track(node_index=node_index, frame="local", frames=[
-        TrackPoint(frame_index=k, position=complex(s[0], s[1]), velocity=velocity[t],
-                   covariance=cov[t], updated=u)
-        for t, (k, s, u) in enumerate(zip(frame_indices, states, flags))
-    ])
+    return Track(
+        node_index=node_index, frame="local", frame_index=frame_indices, states=states,
+        covariances=_full(covariances), updated=flags,
+    )
 
 
 def transform_track(track: Track, p21: complex, phi21: float) -> Track:
@@ -493,16 +542,21 @@ def transform_track(track: Track, p21: complex, phi21: float) -> Track:
     rot4 = np.zeros((4, 4))
     rot4[:2, :2] = rot2
     rot4[2:, 2:] = rot2
-    rot_c = complex(math.cos(phi21), math.sin(phi21))
+    p21 = complex(p21)
+    cos, sin = math.cos(phi21), math.sin(phi21)
+    x, y = track.states[:, 0], track.states[:, 1]
+    states = np.empty_like(track.states)
+    # p21 + e^(j phi21) z in the order of Python's complex product and sum.
+    states[:, 0] = p21.real + (cos * x - sin * y)
+    states[:, 1] = p21.imag + (cos * y + sin * x)
     # (rot2 @ v[..., None])[..., 0] rounds as rot2 @ v per point; v @ rot2.T does not.
-    velocity = (rot2 @ np.array([p.velocity for p in track.frames]).reshape(-1, 2, 1))[..., 0]
-    cov = rot4 @ np.array([p.covariance for p in track.frames]).reshape(-1, 4, 4) @ rot4.T
-    cov = 0.5 * (cov + cov.transpose(0, 2, 1))
-    return Track(node_index=track.node_index, frame="reference", frames=[
-        TrackPoint(frame_index=p.frame_index, position=p21 + rot_c * p.position,
-                   velocity=velocity[t], covariance=cov[t])
-        for t, p in enumerate(track.frames)
-    ])
+    states[:, 2:] = (rot2 @ track.states[:, 2:, None])[..., 0]
+    cov = rot4 @ track.covariances @ rot4.T
+    return Track(
+        node_index=track.node_index, frame="reference", frame_index=track.frame_index,
+        states=states, covariances=0.5 * (cov + cov.transpose(0, 2, 1)),
+        updated=np.ones(len(track), dtype=bool),
+    )
 
 
 def track_level_fusion(track1: Track, track2_in_frame1: Track) -> Track:
@@ -513,31 +567,29 @@ def track_level_fusion(track1: Track, track2_in_frame1: Track) -> Track:
     expression (without the x's) for the fused covariance.  Cross-
     correlation between the tracks is ignored.
     """
-    by_frame2 = track2_in_frame1.by_frame()
-    pairs = [(p1, by_frame2[p1.frame_index]) for p1 in track1.frames
-             if p1.frame_index in by_frame2]
-    if not pairs:
+    frame_index, rows1, rows2 = np.intersect1d(
+        track1.frame_index, track2_in_frame1.frame_index, assume_unique=True,
+        return_indices=True,
+    )
+    if not len(frame_index):
         raise ValueError("tracks share no common frames")
-    cov1 = np.array([p1.covariance for p1, _ in pairs])
-    total = cov1 + np.array([p2.covariance for _, p2 in pairs])
+    cov1 = track1.covariances[rows1]
+    total = cov1 + track2_in_frame1.covariances[rows2]
     # Gain form of (P1^-1 + P2^-1)^-1 (P1^-1 x1 + P2^-1 x2): one stacked
     # solve on P1+P2, stable when the inputs are nearly singular.
     try:
         gain = np.linalg.solve(total, cov1).transpose(0, 2, 1)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"singular track covariances: {exc}") from exc
-    x1 = np.array([[p1.position.real, p1.position.imag, *p1.velocity.tolist()] for p1, _ in pairs])
-    x2 = np.array([[p2.position.real, p2.position.imag, *p2.velocity.tolist()] for _, p2 in pairs])
-    fused = x1 + (gain @ (x2 - x1)[:, :, None])[:, :, 0]
+    x1 = track1.states[rows1]
+    fused = x1 + (gain @ (track2_in_frame1.states[rows2] - x1)[:, :, None])[:, :, 0]
     fused_cov = cov1 - gain @ cov1
-    fused_cov = 0.5 * (fused_cov + fused_cov.transpose(0, 2, 1))
-    velocity = fused[:, 2:].copy()
     frame = track1.frame if track1.frame == track2_in_frame1.frame else "reference"
-    return Track(frame=frame, frames=[
-        TrackPoint(frame_index=p1.frame_index, position=complex(x, y),
-                   velocity=velocity[t], covariance=fused_cov[t])
-        for t, ((p1, _), (x, y)) in enumerate(zip(pairs, fused[:, :2].tolist()))
-    ])
+    return Track(
+        frame=frame, frame_index=frame_index, states=fused,
+        covariances=0.5 * (fused_cov + fused_cov.transpose(0, 2, 1)),
+        updated=np.ones(len(frame_index), dtype=bool),
+    )
 
 
 def export_track_csv(track: Track, path: str | Path) -> None:

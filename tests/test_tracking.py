@@ -730,3 +730,182 @@ class TestExport:
         values = lines[2].split(",")
         assert values[0] == "3"
         assert [float(v) for v in values[1:]] == [1.5, -0.5, 0.1, 0.2, 1.0, 2.0, 3.0, 4.0]
+
+
+# -- Array-backed tracks against the point-list code they replaced ---------
+
+def list_table(points):
+    """`Track.table` as the point-list code computed it."""
+    position = np.array([p.position for p in points], dtype=complex)
+    velocity = np.array([p.velocity for p in points]).reshape(-1, 2)
+    variance = np.array([p.covariance for p in points]).reshape(-1, 16)[:, ::5]
+    return np.column_stack([position.real, position.imag, velocity, variance])
+
+
+def list_transform_track(points, p21, phi21):
+    """`transform_track` as the point-list code computed it."""
+    rot2 = np.array([[math.cos(phi21), -math.sin(phi21)], [math.sin(phi21), math.cos(phi21)]])
+    rot4 = np.zeros((4, 4))
+    rot4[:2, :2] = rot4[2:, 2:] = rot2
+    rot_c = complex(math.cos(phi21), math.sin(phi21))
+    velocity = (rot2 @ np.array([p.velocity for p in points]).reshape(-1, 2, 1))[..., 0]
+    cov = rot4 @ np.array([p.covariance for p in points]).reshape(-1, 4, 4) @ rot4.T
+    cov = 0.5 * (cov + cov.transpose(0, 2, 1))
+    return [
+        TrackPoint(p.frame_index, p21 + rot_c * p.position, velocity[t], cov[t])
+        for t, p in enumerate(points)
+    ]
+
+
+def list_track_level_fusion(points1, points2):
+    """`track_level_fusion` as the point-list code computed it."""
+    by_frame2 = {p.frame_index: p for p in points2}
+    pairs = [(p1, by_frame2[p1.frame_index]) for p1 in points1 if p1.frame_index in by_frame2]
+    cov1 = np.array([p1.covariance for p1, _ in pairs])
+    total = cov1 + np.array([p2.covariance for _, p2 in pairs])
+    gain = np.linalg.solve(total, cov1).transpose(0, 2, 1)
+    x1 = np.array([[p1.position.real, p1.position.imag, *p1.velocity.tolist()] for p1, _ in pairs])
+    x2 = np.array([[p2.position.real, p2.position.imag, *p2.velocity.tolist()] for _, p2 in pairs])
+    fused = x1 + (gain @ (x2 - x1)[:, :, None])[:, :, 0]
+    fused_cov = cov1 - gain @ cov1
+    fused_cov = 0.5 * (fused_cov + fused_cov.transpose(0, 2, 1))
+    velocity = fused[:, 2:].copy()
+    return [
+        TrackPoint(p1.frame_index, complex(x, y), velocity[t], fused_cov[t])
+        for t, ((p1, _), (x, y)) in enumerate(zip(pairs, fused[:, :2].tolist()))
+    ]
+
+
+def list_paired_positions(points1, points2, skip, gap, settle):
+    """`experiment.paired_positions` as the point-list code computed it."""
+    by1 = {p.frame_index: p for p in points1}
+    by2 = {p.frame_index: p for p in points2}
+    good = []
+    last = None
+    cooldown = 0
+    for k in sorted(set(by1) & set(by2)):
+        if not (by1[k].updated and by2[k].updated):
+            continue
+        if last is not None and k - last > gap:
+            cooldown = settle
+        last = k
+        if cooldown > 0:
+            cooldown -= 1
+            continue
+        good.append(k)
+    good = good[skip:]
+    return np.array([by1[k].position for k in good]), np.array([by2[k].position for k in good])
+
+
+def point_bits(points):
+    """Every field of every point, floats as their exact bytes."""
+    return [
+        (p.frame_index, p.updated, np.array([p.position.real, p.position.imag]).tobytes(),
+         np.asarray(p.velocity, dtype=float).tobytes(), p.covariance.tobytes())
+        for p in points
+    ]
+
+
+@pytest.fixture(scope="module")
+def builtin_tracks():
+    """Every node's track of built-ins A and C (random, seed 7), and the true poses."""
+    out = {}
+    for name in ("A", "C"):
+        config = builtin_scenario(name, "random", seed=7)
+        sim = simulate(config)
+        out[name] = config.nodes, [
+            run_tracker(sim, i, node, PipelineOptions().ekf, config.noise, config.frame_duration)
+            for i, node in enumerate(config.nodes)
+        ]
+    return out
+
+
+class TestArrayTrack:
+    def test_point_list_round_trips(self):
+        rng = np.random.default_rng(20)
+        points = [
+            TrackPoint(k, complex(*rng.uniform(-3, 3, 2)), rng.uniform(-1, 1, 2),
+                       random_psd(rng), bool(k % 3))
+            for k in (0, 2, 3, 7, 8)
+        ]
+        track = Track(frames=points, node_index=1, frame="reference")
+        assert len(track) == 5 and (track.node_index, track.frame) == (1, "reference")
+        assert point_bits(track.frames) == point_bits(points)
+        assert all(type(p.frame_index) is int and type(p.updated) is bool for p in track.frames)
+        again = Track(frame_index=track.frame_index, states=track.states,
+                      covariances=track.covariances, updated=track.updated)
+        assert point_bits(again.frames) == point_bits(points)
+        assert len(Track()) == 0 and Track().table().shape == (0, 8)
+
+    def test_views_equal_point_list_values(self, builtin_tracks):
+        for _, tracks in builtin_tracks.values():
+            for track in tracks:
+                points = list(track.frames)
+                rebuilt = Track(frames=points)
+                for t in (track, rebuilt):
+                    assert point_bits(t.frames) == point_bits(points)
+                    assert t.frame_indices().tolist() == [p.frame_index for p in points]
+                    assert t.positions().tobytes() == np.array(
+                        [p.position for p in points], dtype=complex).tobytes()
+                    assert t.table().tobytes() == list_table(points).tobytes()
+                    by_frame = t.by_frame()
+                    assert list(by_frame) == [p.frame_index for p in points]
+                    assert point_bits(by_frame.values()) == point_bits(points)
+
+    def test_bad_construction_rejected(self):
+        point = TrackPoint(3, 0j, np.zeros(2), np.eye(4))
+        with pytest.raises(ValueError, match="strictly increase"):
+            Track(frames=[point, point])
+        with pytest.raises(ValueError, match="not both"):
+            Track(frames=[point], frame_index=[3])
+        with pytest.raises(ValueError, match="needs"):
+            Track(frame_index=[3], states=np.zeros((1, 4)))
+
+    def test_transform_and_fusion_equal_point_list_code(self, builtin_tracks):
+        for nodes, tracks in builtin_tracks.values():
+            for node, track in zip(nodes[1:], tracks[1:]):
+                p21 = complex(node.x, node.y)
+                moved = transform_track(track, p21, node.phi)
+                assert moved.frame == "reference" and moved.node_index == track.node_index
+                expected = list_transform_track(track.frames, p21, node.phi)
+                assert point_bits(moved.frames) == point_bits(expected)
+                fused = track_level_fusion(tracks[0], moved)
+                assert len(fused) > 100
+                assert point_bits(fused.frames) == point_bits(
+                    list_track_level_fusion(tracks[0].frames, expected))
+
+    def test_export_equals_point_list_code(self, builtin_tracks, tmp_path):
+        from radarnet.scene import write_csv
+
+        _, tracks = builtin_tracks["C"]
+        track = tracks[1]
+        export_track_csv(track, tmp_path / "arrays.csv")
+        rows = ([p.frame_index, *row] for p, row in zip(track.frames, list_table(track.frames).tolist()))
+        write_csv(tmp_path / "points.csv", "# frame=local\nframe,x,y,vx,vy,p11,p22,p33,p44", rows)
+        assert (tmp_path / "arrays.csv").read_bytes() == (tmp_path / "points.csv").read_bytes()
+
+    @pytest.mark.parametrize("skip,gap,settle", [(50, 5, 10), (0, 0, 0), (3, 2, 25), (10, 1, -2)])
+    def test_paired_positions_equal_point_list_code(self, builtin_tracks, skip, gap, settle):
+        from radarnet.experiment import paired_positions
+
+        for _, tracks in builtin_tracks.values():
+            for track in tracks[1:]:
+                z1, z2 = paired_positions(tracks[0], track, skip, gap, settle)
+                e1, e2 = list_paired_positions(tracks[0].frames, track.frames, skip, gap, settle)
+                assert len(z1) > 100
+                assert (z1.tobytes(), z2.tobytes()) == (e1.tobytes(), e2.tobytes())
+
+    def test_pipeline_builds_no_track_points(self, monkeypatch, tmp_path):
+        from radarnet.experiment import calibrate_scenario, run_experiment
+
+        built = []
+        original = TrackPoint.__init__
+        monkeypatch.setattr(
+            TrackPoint, "__init__", lambda self, *a, **k: built.append(1) or original(self, *a, **k)
+        )
+        config = builtin_scenario("B", "random", seed=7)
+        calibrate_scenario(config, PipelineOptions())
+        run_experiment(config, PipelineOptions(out_dir=tmp_path))
+        assert built == []
+        TrackPoint(0, 0j, np.zeros(2), np.eye(4))  # the counter itself is live
+        assert built == [1]

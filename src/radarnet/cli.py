@@ -20,6 +20,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .calibration import DegenerateTrackError, load_result, result_path, save_result
 from .experiment import (
     PipelineError,
@@ -30,7 +32,7 @@ from .experiment import (
     run_experiment,
     run_monte_carlo,
 )
-from .fusion import FusionObservation, ObservationEntry, solve_frames
+from .fusion import solve_frames
 from .geometry import Pose2D
 from .scene import (
     ConfigError,
@@ -143,36 +145,33 @@ def _calibrated_poses(path: Path, num_nodes: int) -> list[Pose2D]:
 def cmd_fuse(args) -> int:
     config = _resolve_scenario(args)
     options = _options(args)
-    frames = simulate(config).measurement_frames()
+    sim = simulate(config)
     if args.calibration is not None:
         poses = _calibrated_poses(args.calibration, len(config.nodes))
     else:
         poses = list(config.nodes)
     out = args.out / config.name / str(config.rng_seed) / "fusion"
     out.mkdir(parents=True, exist_ok=True)
-    frame_indices = []
-    observations = []
-    for frame in frames:
-        entries = [
-            ObservationEntry(poses[i], det)
-            for i, det in enumerate(frame.per_node)
-            if det is not None
-        ]
-        if len(entries) < 2:
-            continue
-        frame_indices.append(frame.frame_index)
-        observations.append(FusionObservation(tuple(entries)))
-    estimates = [
-        solve_frames(observations, config.noise, mode=mode,
-                     prior=options.prior if mode == "bayes" else None)
-        for mode in options.modes
-    ]
-    rows = []
-    for k, frame_index in enumerate(frame_indices):
-        for mode, per_mode in zip(options.modes, estimates):
-            est = per_mode[k]
-            rows.append([frame_index, mode, est.state.x, est.state.y, est.state.vx,
-                         est.state.vy, int(est.converged), est.conditioning])
+    # Frames seen by at least two nodes, solved as one (F, N, 6) frame
+    # table per set of detecting nodes.
+    frame_indices = np.flatnonzero(sim.seen.sum(axis=1) >= 2)
+    seen = sim.seen[frame_indices]
+    pose_table = np.array([(pose.x, pose.y, pose.phi) for pose in poses])
+    cells = {mode: [None] * len(frame_indices) for mode in options.modes}
+    for nodes in np.unique(seen, axis=0):
+        rows = np.flatnonzero((seen == nodes).all(axis=1))
+        detections = sim.detections[frame_indices[rows]][:, nodes]
+        table = np.concatenate(
+            (np.broadcast_to(pose_table[nodes], detections.shape), detections), axis=-1
+        )
+        for mode in options.modes:
+            est = solve_frames(table, config.noise, mode=mode,
+                               prior=options.prior if mode == "bayes" else None)
+            for t, state, converged, cond in zip(rows.tolist(), est.states.tolist(),
+                                                 est.converged.tolist(), est.conditioning.tolist()):
+                cells[mode][t] = [mode, *state, int(converged), cond]
+    rows = [[k, *cells[mode][t]] for t, k in enumerate(frame_indices.tolist())
+            for mode in options.modes]
     path = out / "oneshot_only.csv"
     write_csv(path, "frame,mode,x,y,vx,vy,converged,cond", rows)
     print(f"fused {len(rows)} frame-mode estimates -> {path}")

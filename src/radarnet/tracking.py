@@ -268,16 +268,6 @@ def _cholesky_3(s00, s01, s02, s11, s12, s22) -> tuple | None:
     return l00, l10, l20, l11, l21, math.sqrt(d2)
 
 
-def _cholesky_solve_3(factor: tuple, b0: float, b1: float, b2: float) -> tuple:
-    """S^-1 b by forward and back substitution on S's Cholesky factor."""
-    l00, l10, l20, l11, l21, l22 = factor
-    y0 = b0 / l00
-    y1 = (b1 - l10 * y0) / l11
-    x2 = (b2 - l20 * y0 - l21 * y1) / l22 / l22
-    x1 = (y1 - l21 * x2) / l11
-    return (y0 - l10 * x1 - l20 * x2) / l00, x1, x2
-
-
 def _predict(theta: tuple, p: tuple, dt: float, q: tuple) -> tuple[tuple, tuple]:
     """The CV prediction x += v*dt, P <- F P F' + Q on floats.
 
@@ -309,10 +299,11 @@ def _update(
     the update through.
     """
     pred_r, pred_omega, pred_v, h00, h01, h10, h11, h20, h21 = model
-    z0, z1, z2 = z
-    e0 = z0 - pred_r
-    e1 = z1 - pred_omega
-    e2 = z2 - pred_v
+    meas_r, meas_omega, meas_v = z
+    e0 = meas_r - pred_r
+    e1 = meas_omega - pred_omega
+    e2 = meas_v - pred_v
+    innovation = (e0, e1, e2)
     p00, p01, p02, p03, p11, p12, p13, p22, p23, p33 = p
     # B = P H' with row i = (ui, vi, wi), for the Jacobian
     # H = [[h00 h01 0 0] [h10 h11 0 0] [h20 h21 h00 h01]].
@@ -339,73 +330,48 @@ def _update(
         factor = _cholesky_3(s[0] + jitter, s[1], s[2], s[3] + jitter, s[4], s[5] + jitter)
         if factor is None:
             raise np.linalg.LinAlgError("singular innovation covariance")
-    innovation = (e0, e1, e2)
-    if gate_threshold is not None:
-        # Squared Mahalanobis distance e' S^-1 e = |L^-1 e|^2.
-        l00, l10, l20, l11, l21, l22 = factor
-        z0 = e0 / l00
-        z1 = (e1 - l10 * z0) / l11
-        z2 = (e2 - l20 * z0 - l21 * z1) / l22
-        if z0 * z0 + z1 * z1 + z2 * z2 > gate_threshold:
-            return theta, p, innovation, False
-    # Gain K = P H' S^-1, row by row.
-    k00, k01, k02 = _cholesky_solve_3(factor, u0, v0, w0)
-    k10, k11, k12 = _cholesky_solve_3(factor, u1, v1, w1)
-    k20, k21, k22 = _cholesky_solve_3(factor, u2, v2, w2)
-    k30, k31, k32 = _cholesky_solve_3(factor, u3, v3, w3)
+    # With K = B S^-1 and S = L L', the gain is K = W L^-1 for the
+    # whitened gain W = B L^-T, so theta + K e = theta + W z for the
+    # whitened innovation z = L^-1 e, and the exact-gain posterior
+    # P - K S K' is P - W W'.  Both come from forward substitution.
+    l00, l10, l20, l11, l21, l22 = factor
+    z0 = e0 / l00
+    z1 = (e1 - l10 * z0) / l11
+    z2 = (e2 - l20 * z0 - l21 * z1) / l22
+    # The squared Mahalanobis distance e' S^-1 e is |z|^2.
+    if gate_threshold is not None and z0 * z0 + z1 * z1 + z2 * z2 > gate_threshold:
+        return theta, p, innovation, False
+    # Row i of W is L^-1 (ui, vi, wi).
+    g00 = u0 / l00
+    g01 = (v0 - l10 * g00) / l11
+    g02 = (w0 - l20 * g00 - l21 * g01) / l22
+    g10 = u1 / l00
+    g11 = (v1 - l10 * g10) / l11
+    g12 = (w1 - l20 * g10 - l21 * g11) / l22
+    g20 = u2 / l00
+    g21 = (v2 - l10 * g20) / l11
+    g22 = (w2 - l20 * g20 - l21 * g21) / l22
+    g30 = u3 / l00
+    g31 = (v3 - l10 * g30) / l11
+    g32 = (w3 - l20 * g30 - l21 * g31) / l22
     x, y, vx, vy = theta
     posterior = (
-        x + (k00 * e0 + k01 * e1 + k02 * e2),
-        y + (k10 * e0 + k11 * e1 + k12 * e2),
-        vx + (k20 * e0 + k21 * e1 + k22 * e2),
-        vy + (k30 * e0 + k31 * e1 + k32 * e2),
+        x + (g00 * z0 + g01 * z1 + g02 * z2),
+        y + (g10 * z0 + g11 * z1 + g12 * z2),
+        vx + (g20 * z0 + g21 * z1 + g22 * z2),
+        vy + (g30 * z0 + g31 * z1 + g32 * z2),
     )
-    # Joseph form (I - K H) P (I - K H)' + K R K'.  A = I - K H by rows:
-    a00 = 1.0 - k00 * h00 - k01 * h10 - k02 * h20
-    a01 = -k00 * h01 - k01 * h11 - k02 * h21
-    a02, a03 = -k02 * h00, -k02 * h01
-    a10 = -k10 * h00 - k11 * h10 - k12 * h20
-    a11 = 1.0 - k10 * h01 - k11 * h11 - k12 * h21
-    a12, a13 = -k12 * h00, -k12 * h01
-    a20 = -k20 * h00 - k21 * h10 - k22 * h20
-    a21 = -k20 * h01 - k21 * h11 - k22 * h21
-    a22, a23 = 1.0 - k22 * h00, -k22 * h01
-    a30 = -k30 * h00 - k31 * h10 - k32 * h20
-    a31 = -k30 * h01 - k31 * h11 - k32 * h21
-    a32, a33 = -k32 * h00, 1.0 - k32 * h01
-    # C = A P by rows.
-    c00 = a00 * p00 + a01 * p01 + a02 * p02 + a03 * p03
-    c01 = a00 * p01 + a01 * p11 + a02 * p12 + a03 * p13
-    c02 = a00 * p02 + a01 * p12 + a02 * p22 + a03 * p23
-    c03 = a00 * p03 + a01 * p13 + a02 * p23 + a03 * p33
-    c10 = a10 * p00 + a11 * p01 + a12 * p02 + a13 * p03
-    c11 = a10 * p01 + a11 * p11 + a12 * p12 + a13 * p13
-    c12 = a10 * p02 + a11 * p12 + a12 * p22 + a13 * p23
-    c13 = a10 * p03 + a11 * p13 + a12 * p23 + a13 * p33
-    c20 = a20 * p00 + a21 * p01 + a22 * p02 + a23 * p03
-    c21 = a20 * p01 + a21 * p11 + a22 * p12 + a23 * p13
-    c22 = a20 * p02 + a21 * p12 + a22 * p22 + a23 * p23
-    c23 = a20 * p03 + a21 * p13 + a22 * p23 + a23 * p33
-    c30 = a30 * p00 + a31 * p01 + a32 * p02 + a33 * p03
-    c31 = a30 * p01 + a31 * p11 + a32 * p12 + a33 * p13
-    c32 = a30 * p02 + a31 * p12 + a32 * p22 + a33 * p23
-    c33 = a30 * p03 + a31 * p13 + a32 * p23 + a33 * p33
-    # Upper triangle of C A' + K R K'.
-    rk00, rk01, rk02 = r0 * k00, r1 * k01, r2 * k02
-    rk10, rk11, rk12 = r0 * k10, r1 * k11, r2 * k12
-    rk20, rk21, rk22 = r0 * k20, r1 * k21, r2 * k22
-    rk30, rk31, rk32 = r0 * k30, r1 * k31, r2 * k32
     cov = _psd((
-        c00 * a00 + c01 * a01 + c02 * a02 + c03 * a03 + rk00 * k00 + rk01 * k01 + rk02 * k02,
-        c00 * a10 + c01 * a11 + c02 * a12 + c03 * a13 + rk00 * k10 + rk01 * k11 + rk02 * k12,
-        c00 * a20 + c01 * a21 + c02 * a22 + c03 * a23 + rk00 * k20 + rk01 * k21 + rk02 * k22,
-        c00 * a30 + c01 * a31 + c02 * a32 + c03 * a33 + rk00 * k30 + rk01 * k31 + rk02 * k32,
-        c10 * a10 + c11 * a11 + c12 * a12 + c13 * a13 + rk10 * k10 + rk11 * k11 + rk12 * k12,
-        c10 * a20 + c11 * a21 + c12 * a22 + c13 * a23 + rk10 * k20 + rk11 * k21 + rk12 * k22,
-        c10 * a30 + c11 * a31 + c12 * a32 + c13 * a33 + rk10 * k30 + rk11 * k31 + rk12 * k32,
-        c20 * a20 + c21 * a21 + c22 * a22 + c23 * a23 + rk20 * k20 + rk21 * k21 + rk22 * k22,
-        c20 * a30 + c21 * a31 + c22 * a32 + c23 * a33 + rk20 * k30 + rk21 * k31 + rk22 * k32,
-        c30 * a30 + c31 * a31 + c32 * a32 + c33 * a33 + rk30 * k30 + rk31 * k31 + rk32 * k32,
+        p00 - (g00 * g00 + g01 * g01 + g02 * g02),
+        p01 - (g00 * g10 + g01 * g11 + g02 * g12),
+        p02 - (g00 * g20 + g01 * g21 + g02 * g22),
+        p03 - (g00 * g30 + g01 * g31 + g02 * g32),
+        p11 - (g10 * g10 + g11 * g11 + g12 * g12),
+        p12 - (g10 * g20 + g11 * g21 + g12 * g22),
+        p13 - (g10 * g30 + g11 * g31 + g12 * g32),
+        p22 - (g20 * g20 + g21 * g21 + g22 * g22),
+        p23 - (g20 * g30 + g21 * g31 + g22 * g32),
+        p33 - (g30 * g30 + g31 * g31 + g32 * g32),
     ))
     return posterior, cov, innovation, True
 

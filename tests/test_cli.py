@@ -226,6 +226,54 @@ class TestFuseVerb:
                      "--calibration", str(calib)])
         assert code == 0
 
+    @pytest.mark.parametrize("name", ["A", "B", "C", "three-node"])
+    def test_csv_bytes_match_object_loop(self, tmp_path, name):
+        import math
+        from dataclasses import replace
+
+        from radarnet.experiment import PipelineOptions
+        from radarnet.fusion import FusionObservation, ObservationEntry, solve_frames
+        from radarnet.geometry import Pose2D
+        from radarnet.scene import simulate, write_csv
+
+        if name == "three-node":
+            # Frames seen by nodes {0, 1}, by {1, 2} and by all three.
+            base = builtin_scenario("A", "random", seed=7)
+            config = replace(base, nodes=base.nodes + (Pose2D(5.0, 5.0, math.radians(200.0)),))
+        else:
+            config = builtin_scenario(name, "random", seed=7)
+        path = tmp_path / "scenario.json"
+        save_scenario(config, path)
+        assert main(["fuse", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+
+        # The file as the object loop over MeasurementFrames wrote it.
+        frame_indices = []
+        observations = []
+        node_sets = set()
+        for frame in simulate(config).measurement_frames():
+            entries = [ObservationEntry(config.nodes[i], det)
+                       for i, det in enumerate(frame.per_node) if det is not None]
+            if len(entries) < 2:
+                continue
+            node_sets.add(tuple(det is not None for det in frame.per_node))
+            frame_indices.append(frame.frame_index)
+            observations.append(FusionObservation(tuple(entries)))
+        prior = PipelineOptions().prior
+        estimates = [solve_frames(observations, config.noise, mode="ml"),
+                     solve_frames(observations, config.noise, mode="bayes", prior=prior)]
+        rows = []
+        for k, frame_index in enumerate(frame_indices):
+            for mode, per_mode in zip(("ml", "bayes"), estimates):
+                est = per_mode[k]
+                rows.append([frame_index, mode, est.state.x, est.state.y, est.state.vx,
+                             est.state.vy, int(est.converged), est.conditioning])
+        expected = tmp_path / "expected.csv"
+        write_csv(expected, "frame,mode,x,y,vx,vy,converged,cond", rows)
+        written = tmp_path / "o" / config.name / str(config.rng_seed) / "fusion" / "oneshot_only.csv"
+        assert len(rows) > 100
+        assert written.read_bytes() == expected.read_bytes()
+        assert len(node_sets) == (3 if name == "three-node" else 1)
+
 
 class TestRunVerb:
     def test_full_run_and_plots(self, tmp_path, small_config, capsys):

@@ -1,15 +1,18 @@
 """EKF prediction/update, tracker orchestration, and track-level fusion."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from radarnet.experiment import PipelineOptions, simulate_scenario
+from radarnet import tracking
+from radarnet.experiment import PipelineOptions, calibrate_scenario, simulate_scenario
 from radarnet.geometry import (
     IdealMeasurement,
     Pose2D,
     TargetState,
+    _measure_floats,
     detection_to_local_cartesian,
     measure,
     measurement_jacobian,
@@ -29,6 +32,8 @@ from radarnet.tracking import (
     EkfConfig,
     Track,
     TrackPoint,
+    _cholesky_3,
+    _full,
     _project_psd,
     _psd,
     _upper,
@@ -909,3 +914,172 @@ class TestArrayTrack:
         assert built == []
         TrackPoint(0, 0j, np.zeros(2), np.eye(4))  # the counter itself is live
         assert built == [1]
+
+
+# -- Whitened update against the Joseph form it replaced ----------------------
+
+def cholesky_solve_3(factor, b0, b1, b2):
+    """S^-1 b by forward and back substitution on S's Cholesky factor."""
+    l00, l10, l20, l11, l21, l22 = factor
+    y0 = b0 / l00
+    y1 = (b1 - l10 * y0) / l11
+    x2 = (b2 - l20 * y0 - l21 * y1) / l22 / l22
+    x1 = (y1 - l21 * x2) / l11
+    return (y0 - l10 * x1 - l20 * x2) / l00, x1, x2
+
+
+def joseph_update(
+    theta: tuple, p: tuple, model: tuple, z, r: tuple, gate_threshold: float | None,
+) -> tuple[tuple, tuple, tuple, bool]:
+    """`tracking._update` with the gain K = B S^-1 from forward and back
+    substitution and the Joseph-form covariance (I - KH) P (I - KH)' + K R K'."""
+    pred_r, pred_omega, pred_v, h00, h01, h10, h11, h20, h21 = model
+    z0, z1, z2 = z
+    e0 = z0 - pred_r
+    e1 = z1 - pred_omega
+    e2 = z2 - pred_v
+    p00, p01, p02, p03, p11, p12, p13, p22, p23, p33 = p
+    # B = P H' with row i = (ui, vi, wi), for the Jacobian
+    # H = [[h00 h01 0 0] [h10 h11 0 0] [h20 h21 h00 h01]].
+    u0, v0 = p00 * h00 + p01 * h01, p00 * h10 + p01 * h11
+    u1, v1 = p01 * h00 + p11 * h01, p01 * h10 + p11 * h11
+    u2, v2 = p02 * h00 + p12 * h01, p02 * h10 + p12 * h11
+    u3, v3 = p03 * h00 + p13 * h01, p03 * h10 + p13 * h11
+    w0 = p00 * h20 + p01 * h21 + p02 * h00 + p03 * h01
+    w1 = p01 * h20 + p11 * h21 + p12 * h00 + p13 * h01
+    w2 = p02 * h20 + p12 * h21 + p22 * h00 + p23 * h01
+    w3 = p03 * h20 + p13 * h21 + p23 * h00 + p33 * h01
+    r0, r1, r2 = r
+    s = (
+        h00 * u0 + h01 * u1 + r0, h00 * v0 + h01 * v1, h00 * w0 + h01 * w1,
+        h10 * v0 + h11 * v1 + r1, h10 * w0 + h11 * w1,
+        h20 * w0 + h21 * w1 + h00 * w2 + h01 * w3 + r2,
+    )
+    # The Cholesky factor proves S positive definite; one jitter retry
+    # absorbs the rounding dust extreme noise scales can leave on a weak
+    # direction.
+    factor = _cholesky_3(*s)
+    if factor is None:
+        jitter = 1e-12 * (s[0] + s[3] + s[5]) / 3.0 + 1e-300
+        factor = _cholesky_3(s[0] + jitter, s[1], s[2], s[3] + jitter, s[4], s[5] + jitter)
+        if factor is None:
+            raise np.linalg.LinAlgError("singular innovation covariance")
+    innovation = (e0, e1, e2)
+    if gate_threshold is not None:
+        # Squared Mahalanobis distance e' S^-1 e = |L^-1 e|^2.
+        l00, l10, l20, l11, l21, l22 = factor
+        z0 = e0 / l00
+        z1 = (e1 - l10 * z0) / l11
+        z2 = (e2 - l20 * z0 - l21 * z1) / l22
+        if z0 * z0 + z1 * z1 + z2 * z2 > gate_threshold:
+            return theta, p, innovation, False
+    # Gain K = P H' S^-1, row by row.
+    k00, k01, k02 = cholesky_solve_3(factor, u0, v0, w0)
+    k10, k11, k12 = cholesky_solve_3(factor, u1, v1, w1)
+    k20, k21, k22 = cholesky_solve_3(factor, u2, v2, w2)
+    k30, k31, k32 = cholesky_solve_3(factor, u3, v3, w3)
+    x, y, vx, vy = theta
+    posterior = (
+        x + (k00 * e0 + k01 * e1 + k02 * e2),
+        y + (k10 * e0 + k11 * e1 + k12 * e2),
+        vx + (k20 * e0 + k21 * e1 + k22 * e2),
+        vy + (k30 * e0 + k31 * e1 + k32 * e2),
+    )
+    # Joseph form (I - K H) P (I - K H)' + K R K'.  A = I - K H by rows:
+    a00 = 1.0 - k00 * h00 - k01 * h10 - k02 * h20
+    a01 = -k00 * h01 - k01 * h11 - k02 * h21
+    a02, a03 = -k02 * h00, -k02 * h01
+    a10 = -k10 * h00 - k11 * h10 - k12 * h20
+    a11 = 1.0 - k10 * h01 - k11 * h11 - k12 * h21
+    a12, a13 = -k12 * h00, -k12 * h01
+    a20 = -k20 * h00 - k21 * h10 - k22 * h20
+    a21 = -k20 * h01 - k21 * h11 - k22 * h21
+    a22, a23 = 1.0 - k22 * h00, -k22 * h01
+    a30 = -k30 * h00 - k31 * h10 - k32 * h20
+    a31 = -k30 * h01 - k31 * h11 - k32 * h21
+    a32, a33 = -k32 * h00, 1.0 - k32 * h01
+    # C = A P by rows.
+    c00 = a00 * p00 + a01 * p01 + a02 * p02 + a03 * p03
+    c01 = a00 * p01 + a01 * p11 + a02 * p12 + a03 * p13
+    c02 = a00 * p02 + a01 * p12 + a02 * p22 + a03 * p23
+    c03 = a00 * p03 + a01 * p13 + a02 * p23 + a03 * p33
+    c10 = a10 * p00 + a11 * p01 + a12 * p02 + a13 * p03
+    c11 = a10 * p01 + a11 * p11 + a12 * p12 + a13 * p13
+    c12 = a10 * p02 + a11 * p12 + a12 * p22 + a13 * p23
+    c13 = a10 * p03 + a11 * p13 + a12 * p23 + a13 * p33
+    c20 = a20 * p00 + a21 * p01 + a22 * p02 + a23 * p03
+    c21 = a20 * p01 + a21 * p11 + a22 * p12 + a23 * p13
+    c22 = a20 * p02 + a21 * p12 + a22 * p22 + a23 * p23
+    c23 = a20 * p03 + a21 * p13 + a22 * p23 + a23 * p33
+    c30 = a30 * p00 + a31 * p01 + a32 * p02 + a33 * p03
+    c31 = a30 * p01 + a31 * p11 + a32 * p12 + a33 * p13
+    c32 = a30 * p02 + a31 * p12 + a32 * p22 + a33 * p23
+    c33 = a30 * p03 + a31 * p13 + a32 * p23 + a33 * p33
+    # Upper triangle of C A' + K R K'.
+    rk00, rk01, rk02 = r0 * k00, r1 * k01, r2 * k02
+    rk10, rk11, rk12 = r0 * k10, r1 * k11, r2 * k12
+    rk20, rk21, rk22 = r0 * k20, r1 * k21, r2 * k22
+    rk30, rk31, rk32 = r0 * k30, r1 * k31, r2 * k32
+    cov = _psd((
+        c00 * a00 + c01 * a01 + c02 * a02 + c03 * a03 + rk00 * k00 + rk01 * k01 + rk02 * k02,
+        c00 * a10 + c01 * a11 + c02 * a12 + c03 * a13 + rk00 * k10 + rk01 * k11 + rk02 * k12,
+        c00 * a20 + c01 * a21 + c02 * a22 + c03 * a23 + rk00 * k20 + rk01 * k21 + rk02 * k22,
+        c00 * a30 + c01 * a31 + c02 * a32 + c03 * a33 + rk00 * k30 + rk01 * k31 + rk02 * k32,
+        c10 * a10 + c11 * a11 + c12 * a12 + c13 * a13 + rk10 * k10 + rk11 * k11 + rk12 * k12,
+        c10 * a20 + c11 * a21 + c12 * a22 + c13 * a23 + rk10 * k20 + rk11 * k21 + rk12 * k22,
+        c10 * a30 + c11 * a31 + c12 * a32 + c13 * a33 + rk10 * k30 + rk11 * k31 + rk12 * k32,
+        c20 * a20 + c21 * a21 + c22 * a22 + c23 * a23 + rk20 * k20 + rk21 * k21 + rk22 * k22,
+        c20 * a30 + c21 * a31 + c22 * a32 + c23 * a33 + rk20 * k30 + rk21 * k31 + rk22 * k32,
+        c30 * a30 + c31 * a31 + c32 * a32 + c33 * a33 + rk30 * k30 + rk31 * k31 + rk32 * k32,
+    ))
+    return posterior, cov, innovation, True
+
+
+def tracks_and_calibrations(configs, cfg):
+    """Every node's track of each config under `cfg`, and its calibration-stage poses."""
+    options = replace(PipelineOptions(), ekf=cfg)
+    out = []
+    for config in configs:
+        sim = simulate(config)
+        tracks = [run_tracker(sim, i, node, cfg, config.noise, config.frame_duration)
+                  for i, node in enumerate(config.nodes)]
+        out.append((tracks, [(res.p21, res.phi21) for res in calibrate_scenario(config, options)]))
+    return out
+
+
+class TestWhitenedUpdate:
+    @pytest.mark.parametrize("gate", [None, 7.81])
+    def test_tracks_match_joseph_update_on_builtins(self, monkeypatch, gate):
+        configs = [builtin_scenario(name, kind, seed=seed) for name in ("A", "B", "C")
+                   for kind in ("straight", "random") for seed in (7, 8, 9)]
+        cfg = EkfConfig(process_noise_accel=0.4, gate_threshold=gate)
+        got = tracks_and_calibrations(configs, cfg)
+        monkeypatch.setattr(tracking, "_update", joseph_update)
+        expected = tracks_and_calibrations(configs, cfg)
+        for (tracks, calibrations), (ref_tracks, ref_calibrations) in zip(got, expected):
+            for track, ref in zip(tracks, ref_tracks):
+                assert track.frame_index.tolist() == ref.frame_index.tolist()
+                assert track.updated.tolist() == ref.updated.tolist()
+                np.testing.assert_allclose(track.states, ref.states, rtol=0.0, atol=1e-9)
+                scale = np.max(np.abs(ref.covariances), axis=(1, 2))
+                assert np.all(np.max(np.abs(track.covariances - ref.covariances), axis=(1, 2))
+                              <= 1e-9 * scale)
+            for (p21, phi21), (ref_p21, ref_phi21) in zip(calibrations, ref_calibrations):
+                assert abs(p21 - ref_p21) <= 1e-9 and abs(phi21 - ref_phi21) <= 1e-9
+
+    def test_random_priors_shrink_and_match_joseph_update(self):
+        rng = np.random.default_rng(21)
+        r = (0.035**2, 0.15**2, 0.1807**2)
+        for _ in range(300):
+            theta = (rng.uniform(-3, 3), rng.uniform(1, 8), *rng.uniform(-2, 2, 2))
+            model = _measure_floats(ORIGIN, *theta, True)
+            z = tuple(m + rng.normal(0, s) for m, s in zip(model[:3], (0.05, 0.2, 0.1)))
+            prior = random_psd(rng, scale=10.0 ** rng.uniform(-3, 1))
+            p = _upper(prior)
+            posterior, cov, innovation, applied = tracking._update(theta, p, model, z, r, None)
+            ref_posterior, ref_cov, ref_innovation, _ = joseph_update(theta, p, model, z, r, None)
+            assert applied and innovation == ref_innovation
+            np.testing.assert_allclose(posterior, ref_posterior, rtol=0.0, atol=1e-9)
+            assert np.max(np.abs(np.subtract(cov, ref_cov))) <= 1e-9 * np.max(np.abs(ref_cov))
+            # Loewner order: prior - posterior = W W' is positive semidefinite.
+            assert np.min(np.linalg.eigvalsh(prior - _full(cov))) >= -1e-12 * np.trace(prior)

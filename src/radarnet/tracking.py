@@ -121,12 +121,9 @@ class Track:
     def __len__(self) -> int:
         return len(self.frame_index)
 
-    def __repr__(self) -> str:
-        return f"Track({len(self)} points, node_index={self.node_index!r}, frame={self.frame!r})"
-
     @cached_property
     def frames(self) -> list[TrackPoint]:
-        """The points as TrackPoints, views of the arrays."""
+        """The points as TrackPoints; velocities and covariances are views of the arrays."""
         return [
             TrackPoint(frame_index=k, position=complex(x, y), velocity=self.states[t, 2:],
                        covariance=self.covariances[t], updated=u)

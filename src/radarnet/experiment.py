@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -446,6 +445,10 @@ def run_monte_carlo(
     config_dict = scenario_to_dict(config)
     tasks = [(config_dict, mc_options, t) for t in range(trials)]
     if jobs > 1:
+        # Imported here: concurrent.futures.process pulls in multiprocessing,
+        # which every other use of the package would pay for at import.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = sorted(pool.map(_mc_trial, tasks), key=lambda r: r[0])
     else:

@@ -144,7 +144,7 @@ def _offset(radar: Pose2D, x: float, y: float) -> tuple[float, float, float]:
 def _measure_floats(
     radar: Pose2D, x: float, y: float, vx: float, vy: float, jacobian: bool
 ) -> tuple[float, ...]:
-    """The exact measurement model on floats, written once.
+    """The exact measurement model on floats, from a radar pose.
 
     Returns (range, spatial frequency, radial velocity) and, with
     `jacobian`, six more floats: the Jacobian entries h00, h01, h10,
@@ -152,8 +152,27 @@ def _measure_floats(
     from them: h22 = h00 and h23 = h01 (the line-of-sight direction),
     and the velocity columns of the first two rows are zero.
     """
-    dx, dy, r = _offset(radar, x, y)
-    c, s = math.cos(radar.phi), math.sin(radar.phi)
+    return _measure_at(
+        radar.x, radar.y, math.cos(radar.phi), math.sin(radar.phi), x, y, vx, vy, jacobian
+    )
+
+
+def _measure_at(
+    px: float, py: float, c: float, s: float,
+    x: float, y: float, vx: float, vy: float, jacobian: bool,
+) -> tuple[float, ...]:
+    """`_measure_floats` for a radar at (px, py) whose array direction is
+    (c, s) = (cos phi, sin phi): the measurement model, written once.
+
+    The EKF runs in the node-local frame, where the radar sits at the
+    identity pose, and passes (0.0, 0.0, 1.0, 0.0), the exact floats of
+    the identity pose's offset, cos 0 and sin 0.
+    """
+    dx = x - px
+    dy = y - py
+    r = math.hypot(dx, dy)
+    if r == 0.0:
+        raise ValueError("target coincides with radar position; range is zero")
     along_array = dx * c + dy * s
     vel_proj = vx * dx + vy * dy
     if not jacobian:

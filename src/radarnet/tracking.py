@@ -22,14 +22,13 @@ from .geometry import (
     Pose2D,
     TargetState,
     _local_cartesian,
+    _measure_at,
     _measure_floats,
     measure,  # noqa: F401  (trace target: radarnet.tracking.measure)
     measurement_jacobian,  # noqa: F401  (trace target)
     rotation_matrix,
 )
 from .scene import Detection, MeasurementFrame, NoiseConfig, Simulation, write_csv
-
-_LOCAL_POSE = Pose2D(0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -265,10 +264,39 @@ def _cholesky_3(s00, s01, s02, s11, s12, s22) -> tuple | None:
     return l00, l10, l20, l11, l21, math.sqrt(d2)
 
 
-def _predict(theta: tuple, p: tuple, dt: float, q: tuple) -> tuple[tuple, tuple]:
+def _predict_trace_bound(dt: float, q: tuple) -> float:
+    """The trace below which F P F' + Q passes the PSD test for every
+    positive definite P; 0.0 when Q is singular.
+
+    `q` is (q_pos, q_cross, q_vel) from `_process_noise_terms`.  F P F'
+    is positive semidefinite, so P+ = F P F' + Q has every eigenvalue at
+    or above lambda_min(Q).  Q is two copies of the per-axis block
+    [[q_pos, q_cross], [q_cross, q_vel]], whose smaller eigenvalue is at
+    least det/trace (the larger is at most the trace).  While
+    1e-12*trace(P+) stays below a tenth of that, P+ - 1e-12*trace(P+)*I
+    keeps nine tenths of lambda_min(Q), and `_is_positive_definite_4`
+    succeeds unless rounding moves the matrix by that much.  Rounding of
+    P+'s entries is a few ulps of p00 + dt^2 p22 (and alike), at most
+    (2 + 3 dt^2) trace(P+); the Cholesky's backward error is a few ulps
+    of the trace.  Dividing the bound by 1 + dt^2 keeps both at about
+    1e11 * 1e-15 = 1e-4 of lambda_min(Q), far inside the margin.
+    """
+    q_pos, q_cross, q_vel = q
+    det = q_pos * q_vel - q_cross * q_cross
+    if not det > 0.0:
+        return 0.0
+    return det / (q_pos + q_vel) / (10.0 * 1e-12) / (1.0 + dt * dt)
+
+
+def _predict(
+    theta: tuple, p: tuple, dt: float, q: tuple, trace_bound: float,
+) -> tuple[tuple, tuple]:
     """The CV prediction x += v*dt, P <- F P F' + Q on floats.
 
-    `q` is (q_pos, q_cross, q_vel) from `_process_noise_terms`.
+    `q` is (q_pos, q_cross, q_vel) from `_process_noise_terms`.  The
+    predicted covariance skips the PSD test while its trace is below
+    `trace_bound`, which must be `_predict_trace_bound(dt, q)` for a
+    positive definite `p`, or -inf to test always.
     """
     x, y, vx, vy = theta
     p00, p01, p02, p03, p11, p12, p13, p22, p23, p33 = p
@@ -276,12 +304,11 @@ def _predict(theta: tuple, p: tuple, dt: float, q: tuple) -> tuple[tuple, tuple]
     # Rows 0 and 1 of F P: position rows plus dt times the velocity rows.
     a00, a01, a02, a03 = p00 + dt * p02, p01 + dt * p12, p02 + dt * p22, p03 + dt * p23
     a11, a12, a13 = p11 + dt * p13, p12 + dt * p23, p13 + dt * p33
-    return (x + vx * dt, y + vy * dt, vx, vy), _psd((
-        a00 + dt * a02 + q_pos, a01 + dt * a03, a02 + q_cross, a03,
-        a11 + dt * a13 + q_pos, a12, a13 + q_cross,
-        p22 + q_vel, p23,
-        p33 + q_vel,
-    ))
+    c00, c11, c22, c33 = a00 + dt * a02 + q_pos, a11 + dt * a13 + q_pos, p22 + q_vel, p33 + q_vel
+    cov = (c00, a01 + dt * a03, a02 + q_cross, a03, c11, a12, a13 + q_cross, c22, p23, c33)
+    if not c00 + c11 + c22 + c33 < trace_bound:
+        cov = _psd(cov)
+    return (x + vx * dt, y + vy * dt, vx, vy), cov
 
 
 def _update(
@@ -358,7 +385,7 @@ def _update(
         vx + (g20 * z0 + g21 * z1 + g22 * z2),
         vy + (g30 * z0 + g31 * z1 + g32 * z2),
     )
-    cov = _psd((
+    cov = (
         p00 - (g00 * g00 + g01 * g01 + g02 * g02),
         p01 - (g00 * g10 + g01 * g11 + g02 * g12),
         p02 - (g00 * g20 + g01 * g21 + g02 * g22),
@@ -369,7 +396,10 @@ def _update(
         p22 - (g20 * g20 + g21 * g21 + g22 * g22),
         p23 - (g20 * g30 + g21 * g31 + g22 * g32),
         p33 - (g30 * g30 + g31 * g31 + g32 * g32),
-    ))
+    )
+    # P - W W' can lose definiteness to rounding, so it is always tested.
+    if not _is_positive_definite_4(cov):
+        cov = _upper(_project_psd(_full(cov)))
     return posterior, cov, innovation, True
 
 
@@ -383,9 +413,10 @@ def ekf_predict(
     """Constant-velocity prediction: x += vx*dt, P <- F P F' + Q."""
     if not dt > 0.0:
         raise ValueError("dt must be > 0")
+    # `cov` may be any matrix, so the PSD test always runs (bound -inf).
     theta, p = _predict(
         (state.x, state.y, state.vx, state.vy), _upper(_symmetrize(cov)), dt,
-        _process_noise_terms(dt, cfg.process_noise_accel),
+        _process_noise_terms(dt, cfg.process_noise_accel), -math.inf,
     )
     return TargetState(*theta), _full(p)
 
@@ -456,7 +487,13 @@ def run_tracker(
     if not dt > 0.0:
         raise ValueError("dt must be > 0")
     q = _process_noise_terms(dt, cfg.process_noise_accel)
+    # Every covariance entering a predict is positive definite: the
+    # diagonal initial one, or one that passed the PSD test or came from
+    # its eigh clip (the reflection keeps that), so the bound applies.
+    trace_bound = _predict_trace_bound(dt, q)
     r = _noise_variances(noise)
+    min_range, gate_threshold = cfg.min_range, cfg.gate_threshold
+    hypot, isfinite = math.hypot, math.isfinite
     frame_indices, states, covariances, flags = [], [], [], []
     theta: tuple | None = None
     p: tuple = ()
@@ -470,16 +507,17 @@ def run_tracker(
             p = (pos_var, 0.0, 0.0, 0.0, pos_var, 0.0, 0.0, vel_var, 0.0, vel_var)
             updated = True
         else:
-            theta, p = _predict(theta, p, dt, q)
-            if z is not None and math.hypot(theta[0], theta[1]) >= cfg.min_range:
-                model = _measure_floats(_LOCAL_POSE, *theta, True)
-                theta, p, _, updated = _update(theta, p, model, z, r, cfg.gate_threshold)
-        if not all(map(math.isfinite, theta)):
+            theta, p = _predict(theta, p, dt, q, trace_bound)
+            if z is not None and hypot(theta[0], theta[1]) >= min_range:
+                # The radar sits at the local frame's identity pose.
+                model = _measure_at(0.0, 0.0, 1.0, 0.0, *theta, True)
+                theta, p, _, updated = _update(theta, p, model, z, r, gate_threshold)
+        x, y, vx, vy = theta
+        if not (isfinite(x) and isfinite(y) and isfinite(vx) and isfinite(vy)):
             raise ValueError(f"EKF state must be finite, got {theta!r}")
-        if theta[1] < 0.0:
+        if y < 0.0:
             # Reflect a behind-the-array state across the array line (cost-free):
             # diag(1, -1, 1, -1) flips y, vy and every entry pairing one with x or vx.
-            x, y, vx, vy = theta
             p00, p01, p02, p03, p11, p12, p13, p22, p23, p33 = p
             theta = (x, -y, vx, -vy)
             p = (p00, -p01, p02, -p03, p11, -p12, p13, p22, -p23, p33)
@@ -499,7 +537,8 @@ def transform_track(track: Track, p21: complex, phi21: float) -> Track:
     """Rigidly map a node-2 local track into node 1's frame.
 
     Positions rotate and translate; velocities rotate; covariances are
-    conjugated by the block-diagonal rotation, all points at once.
+    conjugated by the block-diagonal rotation, all points at once.  The
+    `updated` flags carry over.
     """
     rot2 = rotation_matrix(phi21)
     rot4 = np.zeros((4, 4))
@@ -517,8 +556,7 @@ def transform_track(track: Track, p21: complex, phi21: float) -> Track:
     cov = rot4 @ track.covariances @ rot4.T
     return Track(
         node_index=track.node_index, frame="reference", frame_index=track.frame_index,
-        states=states, covariances=0.5 * (cov + cov.transpose(0, 2, 1)),
-        updated=np.ones(len(track), dtype=bool),
+        states=states, covariances=0.5 * (cov + cov.transpose(0, 2, 1)), updated=track.updated,
     )
 
 
@@ -528,7 +566,8 @@ def track_level_fusion(track1: Track, track2_in_frame1: Track) -> Track:
     Fuses states on the intersection of the frame indices:
     x = (P1^-1 + P2^-1)^-1 (P1^-1 x1 + P2^-1 x2), with the same
     expression (without the x's) for the fused covariance.  Cross-
-    correlation between the tracks is ignored.
+    correlation between the tracks is ignored.  A fused point is flagged
+    updated when either input point was.
     """
     frame_index, rows1, rows2 = np.intersect1d(
         track1.frame_index, track2_in_frame1.frame_index, assume_unique=True,
@@ -551,7 +590,7 @@ def track_level_fusion(track1: Track, track2_in_frame1: Track) -> Track:
     return Track(
         frame=frame, frame_index=frame_index, states=fused,
         covariances=0.5 * (fused_cov + fused_cov.transpose(0, 2, 1)),
-        updated=np.ones(len(frame_index), dtype=bool),
+        updated=track1.updated[rows1] | track2_in_frame1.updated[rows2],
     )
 
 

@@ -312,3 +312,20 @@ class TestMcVerb:
         assert summary["trials"] == 2 and summary["completed"] == 2
         assert "calibration_rmse" in summary["aggregates"]
         assert (tmp_path / "o" / "B" / "mc_seed2_t2" / "aggregate.json").exists()
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # The pool is imported by `run_monte_carlo` only when jobs > 1, so
+    # every other command starts without multiprocessing.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import radarnet
+
+    src = str(Path(radarnet.__file__).resolve().parents[1])
+    code = "import sys, radarnet.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

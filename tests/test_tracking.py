@@ -1083,3 +1083,209 @@ class TestWhitenedUpdate:
             assert np.max(np.abs(np.subtract(cov, ref_cov))) <= 1e-9 * np.max(np.abs(ref_cov))
             # Loewner order: prior - posterior = W W' is positive semidefinite.
             assert np.min(np.linalg.eigvalsh(prior - _full(cov))) >= -1e-12 * np.trace(prior)
+
+
+def untrimmed_measure_floats(radar, x, y, vx, vy):
+    """The measurement model and Jacobian from a pose, with its cos and sin."""
+    dx, dy = x - radar.x, y - radar.y
+    r = math.hypot(dx, dy)
+    c, s = math.cos(radar.phi), math.sin(radar.phi)
+    along_array = dx * c + dy * s
+    vel_proj = vx * dx + vy * dy
+    r2 = r * r
+    r3 = r2 * r
+    return (
+        r, math.pi * along_array / r, vel_proj / r, dx / r, dy / r,
+        math.pi * (c * r2 - along_array * dx) / r3, math.pi * (s * r2 - along_array * dy) / r3,
+        (vx * r2 - vel_proj * dx) / r3, (vy * r2 - vel_proj * dy) / r3,
+    )
+
+
+def untrimmed_predict(theta, p, dt, q):
+    """The CV prediction followed by the PSD test on every covariance."""
+    x, y, vx, vy = theta
+    p00, p01, p02, p03, p11, p12, p13, p22, p23, p33 = p
+    q_pos, q_cross, q_vel = q
+    a00, a01, a02, a03 = p00 + dt * p02, p01 + dt * p12, p02 + dt * p22, p03 + dt * p23
+    a11, a12, a13 = p11 + dt * p13, p12 + dt * p23, p13 + dt * p33
+    return (x + vx * dt, y + vy * dt, vx, vy), _psd((
+        a00 + dt * a02 + q_pos, a01 + dt * a03, a02 + q_cross, a03,
+        a11 + dt * a13 + q_pos, a12, a13 + q_cross,
+        p22 + q_vel, p23,
+        p33 + q_vel,
+    ))
+
+
+def untrimmed_run_tracker(frames, node_index, node_pose, cfg, noise, dt=0.150):
+    """`run_tracker` with the PSD test after every predict and the pose-taking
+    measurement model: the reference the guarded, trig-free step must match
+    bit for bit."""
+    q = tracking._process_noise_terms(dt, cfg.process_noise_accel)
+    r = tracking._noise_variances(noise)
+    frame_indices, states, covariances, flags = [], [], [], []
+    theta = None
+    for k, z in zip(*tracking._node_rows(frames, node_index)):
+        updated = False
+        if theta is None:
+            if z is None:
+                continue
+            theta = (*tracking._local_cartesian(z[0], z[1]), 0.0, 0.0)
+            pos_var, vel_var = cfg.init_pos_var, cfg.init_vel_var
+            p = (pos_var, 0.0, 0.0, 0.0, pos_var, 0.0, 0.0, vel_var, 0.0, vel_var)
+            updated = True
+        else:
+            theta, p = untrimmed_predict(theta, p, dt, q)
+            if z is not None and math.hypot(theta[0], theta[1]) >= cfg.min_range:
+                model = untrimmed_measure_floats(ORIGIN, *theta)
+                theta, p, _, updated = tracking._update(theta, p, model, z, r, cfg.gate_threshold)
+        if not all(map(math.isfinite, theta)):
+            raise ValueError(f"EKF state must be finite, got {theta!r}")
+        if theta[1] < 0.0:
+            x, y, vx, vy = theta
+            p00, p01, p02, p03, p11, p12, p13, p22, p23, p33 = p
+            theta = (x, -y, vx, -vy)
+            p = (p00, -p01, p02, -p03, p11, -p12, p13, p22, -p23, p33)
+        frame_indices.append(k)
+        states.append(theta)
+        covariances.append(p)
+        flags.append(updated)
+    return Track(node_index=node_index, frame_index=frame_indices, states=states,
+                 covariances=_full(covariances), updated=flags)
+
+
+def calibration_stage_runs(monkeypatch, configs, cfg, tracker):
+    """Every track `calibrate_scenario` builds with `tracker`, as exact bytes,
+    and its calibrations (or the error it raised), per config."""
+    from radarnet import experiment
+
+    tracks = []
+
+    def recorded(*args, **kwargs):
+        track = tracker(*args, **kwargs)
+        tracks.append(b"".join(a.tobytes() for a in (
+            track.frame_index, track.states, track.covariances, track.updated)))
+        return track
+
+    monkeypatch.setattr(experiment, "run_tracker", recorded)
+    options = replace(PipelineOptions(), ekf=cfg)
+    calibrations = []
+    for config in configs:
+        try:
+            calibrations.append([repr(res) for res in calibrate_scenario(config, options)])
+        except experiment.PipelineError as exc:  # the same failure on both paths
+            calibrations.append(repr(exc))
+    return tracks, calibrations
+
+
+def raw_predict(theta, p, dt, q):
+    """F P F' + Q with no PSD test (an infinite bound skips it)."""
+    return tracking._predict(theta, p, dt, q, math.inf)[1]
+
+
+class TestPredictGuard:
+    @pytest.mark.parametrize("accel", [0.4, 1.0, 0.0, 1e-9])
+    @pytest.mark.parametrize("gate", [None, 7.81])
+    def test_tracks_match_untrimmed_step_bit_for_bit(self, monkeypatch, accel, gate):
+        configs = [builtin_scenario(name, kind, seed=seed) for name in ("A", "B", "C")
+                   for kind in ("straight", "random") for seed in (7, 8, 9)]
+        cfg = EkfConfig(process_noise_accel=accel, gate_threshold=gate)
+        got = calibration_stage_runs(monkeypatch, configs, cfg, run_tracker)
+        expected = calibration_stage_runs(monkeypatch, configs, cfg, untrimmed_run_tracker)
+        assert len(got[0]) == sum(len(config.nodes) for config in configs)
+        assert any(isinstance(result, list) for result in got[1])
+        assert got == expected
+
+    def test_bound_keeps_a_tenfold_margin_below_lambda_min_of_q(self):
+        dt = 0.15
+        q = tracking._process_noise_terms(dt, 0.4)
+        bound = tracking._predict_trace_bound(dt, q)
+        lambda_min = np.min(np.linalg.eigvalsh(process_noise(dt, 0.4)))
+        assert 4.47e-5 < lambda_min
+        assert bound * 1e-12 <= lambda_min / 10.0
+        assert bound == pytest.approx(4.47e-5 / 1e-11 / (1 + dt * dt), rel=1e-3)
+        assert tracking._predict_trace_bound(dt, tracking._process_noise_terms(dt, 0.0)) == 0.0
+
+    def test_skipped_predicts_pass_the_psd_test(self):
+        # Priors whose smallest eigenvalue sits just above the test's
+        # 1e-12*trace margin, at scales up to the bound and past it.
+        rng = np.random.default_rng(31)
+        skipped = near_bound = 0
+        for _ in range(4000):
+            dt = 10.0 ** rng.uniform(-2.5, 1.0)
+            q = tracking._process_noise_terms(dt, 10.0 ** rng.uniform(-4, 1))
+            bound = tracking._predict_trace_bound(dt, q)
+            vectors, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+            eigenvalues = 10.0 ** rng.uniform(-6, 0, 4)
+            eigenvalues[0] = (1.0 + rng.uniform(0, 1e-3)) * 1e-12 * eigenvalues[1:].sum()
+            scale = bound * 10.0 ** rng.uniform(-6, 0.3) / eigenvalues.sum()
+            p = _upper(tracking._symmetrize(scale * (vectors * eigenvalues) @ vectors.T))
+            if not tracking._is_positive_definite_4(p):
+                continue
+            theta = tuple(rng.uniform(-5, 5, 4))
+            predicted = raw_predict(theta, p, dt, q)
+            trace = predicted[0] + predicted[4] + predicted[7] + predicted[9]
+            if trace < bound:
+                skipped += 1
+                near_bound += trace > 0.1 * bound
+                assert tracking._is_positive_definite_4(predicted)
+        assert skipped > 1000 and near_bound > 200
+
+    @pytest.mark.parametrize("accel, per_predict", [(0.4, 0), (0.0, 1)])
+    def test_psd_test_runs_once_per_update_and_per_unguarded_predict(
+        self, monkeypatch, accel, per_predict
+    ):
+        calls = []
+        original = tracking._is_positive_definite_4
+        monkeypatch.setattr(tracking, "_is_positive_definite_4",
+                            lambda p: calls.append(1) or original(p))
+        clips = []
+        original_eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: clips.append(1) or original_eigh(a))
+        cfg = replace(PipelineOptions().ekf, process_noise_accel=accel)
+        for name in ("A", "B", "C"):
+            config = builtin_scenario(name, "random", seed=7)
+            sim = simulate(config)
+            for i, node in enumerate(config.nodes):
+                calls.clear()
+                track = run_tracker(sim, i, node, cfg, config.noise, config.frame_duration)
+                updates = int(track.updated.sum()) - 1  # the first point is the start
+                predicts = len(track) - 1
+                assert len(calls) == updates + per_predict * predicts
+        assert not clips  # a clip would test its matrix a second time
+
+    def test_public_predict_clips_an_indefinite_prior(self, monkeypatch):
+        # The trace, 0.2, is far below the guard's bound at this Q, but the
+        # prior is not positive definite, so the guard's premise fails.
+        cov = np.diag([-1.0, 1.0, 0.1, 0.1])
+        cfg = EkfConfig(process_noise_accel=0.4)
+        q = tracking._process_noise_terms(0.15, 0.4)
+        assert np.trace(cov) < tracking._predict_trace_bound(0.15, q)
+        calls = []
+        original = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or original(a))
+        _, predicted = ekf_predict(TargetState(0, 5, 1, 0), cov, 0.15, cfg)
+        assert len(calls) == 1
+        monkeypatch.setattr(np.linalg, "eigh", original)
+        unprojected = _full(raw_predict((0.0, 5.0, 1.0, 0.0), _upper(cov), 0.15, q))
+        assert np.min(np.linalg.eigvalsh(unprojected)) < 0.0
+        assert predicted.tobytes() == _project_psd(unprojected).tobytes()
+        assert np.min(np.linalg.eigvalsh(predicted)) > 0.0
+
+
+class TestUpdatedFlags:
+    def test_transform_keeps_predict_only_points(self):
+        config = builtin_scenario("B", "random", seed=7)
+        track = run_tracker(simulate(config), 1, config.nodes[1], PipelineOptions().ekf,
+                            config.noise, config.frame_duration)
+        moved = transform_track(track, complex(3.0, 1.0), 0.4)
+        assert int(np.sum(~track.updated)) == 56
+        assert moved.updated.tolist() == track.updated.tolist()
+
+    def test_fused_point_is_updated_when_either_input_was(self):
+        cov = np.broadcast_to(np.eye(4), (4, 4, 4))
+        states = np.zeros((4, 4))
+        first = Track(frame_index=[0, 1, 2, 3], states=states, covariances=cov,
+                      updated=[True, True, False, False])
+        second = Track(frame_index=[0, 1, 2, 3], states=states, covariances=cov,
+                       updated=[True, False, True, False])
+        assert track_level_fusion(first, second).updated.tolist() == [True, True, True, False]

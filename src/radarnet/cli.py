@@ -88,6 +88,9 @@ def _resolve_scenario(args):
 
 
 def _options(args) -> PipelineOptions:
+    # NaN would never exceed the limit, so exit 4 could not fire.
+    if not math.isfinite(args.max_nonconverged):
+        raise ConfigError(f"--max-nonconverged must be finite, got {args.max_nonconverged}")
     return PipelineOptions(
         mode=args.mode,
         benchmark=args.benchmark,
@@ -195,6 +198,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_mc(args) -> int:
+    for flag, value in (("--trials", args.trials), ("--jobs", args.jobs)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
     config = _resolve_scenario(args)
     options = _options(args)
     summary = run_monte_carlo(config, args.trials, options, jobs=args.jobs)

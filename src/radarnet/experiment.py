@@ -204,18 +204,43 @@ def calibrate_scenario(
     """Self-calibration stage: one pairwise result per non-reference node."""
     options = options or PipelineOptions()
     calib_config = calibration_stage_config(config, options)
-    tracks = _run_trackers(calib_config, simulate(calib_config), options)
+    sim = simulate(calib_config)
+    tracks = _run_trackers(calib_config, sim, options)
     # Short sequences cannot afford the full 50-frame transient skip.
     skip = options.pair_skip
     if skip is None:
         skip = min(50, config.num_frames // 5)
     results = []
     for i in range(1, len(tracks)):
-        z1, z2 = paired_positions(
-            tracks[0], tracks[i], skip, options.pair_gap, options.pair_settle
-        )
+        try:
+            z1, z2 = paired_positions(
+                tracks[0], tracks[i], skip, options.pair_gap, options.pair_settle
+            )
+        except PipelineError as exc:
+            raise PipelineError(
+                f"{exc} of node {i} against node 0: {_update_summary(tracks, sim, options.ekf)}"
+            ) from None
         results.append(calibrate_pair(z1, z2))
     return results
+
+
+def _update_summary(tracks: list[Track], sim: Simulation, ekf: EkfConfig) -> str:
+    """Each node's EKF-updated and detected frame counts, and the EKF tuning
+    that decides how many detections update a track."""
+    updated = [int(np.count_nonzero(track.updated)) for track in tracks]
+    detected = np.count_nonzero(sim.seen, axis=0).tolist()
+    counts = ", ".join(f"node {i} {u}/{d}" for i, (u, d) in enumerate(zip(updated, detected)))
+    message = (
+        f"EKF-updated/detected frames {counts}; gate_threshold={ekf.gate_threshold}, "
+        f"process_noise_accel={ekf.process_noise_accel}"
+    )
+    if ekf.gate_threshold is not None and any(2 * u < d for u, d in zip(updated, detected)):
+        message += (
+            "; with a gate set, a node's track took under half its detections: a gate "
+            "that starves a low-noise filter is a tuning error (raise process_noise_accel "
+            "or the gate)"
+        )
+    return message
 
 
 def calibration_stage_config(
@@ -438,6 +463,8 @@ def run_monte_carlo(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     if not isinstance(config, ScenarioConfig):
         config = load_scenario(config)
     options = options or PipelineOptions()

@@ -145,16 +145,14 @@ class FusionEstimates(Sequence):
 
 
 class _Columns(NamedTuple):
-    """A frame table's columns, node axis first: each is (N, F)."""
+    """A frame table's columns, node axis first.
 
-    x: np.ndarray
-    y: np.ndarray
-    phi: np.ndarray
-    range: np.ndarray
-    omega: np.ndarray
-    vr: np.ndarray
-    cos: np.ndarray
-    sin: np.ndarray
+    `table` (6, N, F) holds x, y, phi, range, spatial frequency and
+    radial velocity, `cs` (2, N, F) cos and sin of phi.
+    """
+
+    table: np.ndarray
+    cs: np.ndarray
 
 
 def _frame_table(observations: list[FusionObservation]) -> np.ndarray:
@@ -169,9 +167,17 @@ def _frame_table(observations: list[FusionObservation]) -> np.ndarray:
 
 def _columns(table: np.ndarray) -> _Columns:
     """The node-first columns of an (F, N, 6) frame table, with cos and sin of phi."""
-    x, y, phi, range_, omega, vr = np.ascontiguousarray(table.T)
-    return _Columns(x, y, phi, range_, omega, vr,
-                    _elementwise(math.cos, phi), _elementwise(math.sin, phi))
+    columns = np.ascontiguousarray(table.T)
+    return _Columns(columns, _maps((math.cos, math.sin), columns[2]))
+
+
+def _maps(functions, angles: np.ndarray) -> np.ndarray:
+    """Each `math` function of `angles`, element by element in Python,
+    stacked on a new first axis.  `math` rounds as the scalar code does."""
+    values = angles.ravel().tolist()
+    return np.array([list(map(fn, values)) for fn in functions]).reshape(
+        (len(functions),) + angles.shape
+    )
 
 
 def _angles(omega: np.ndarray) -> np.ndarray:
@@ -179,38 +185,48 @@ def _angles(omega: np.ndarray) -> np.ndarray:
     return _elementwise(math.asin, np.minimum(1.0, np.maximum(-1.0, omega / math.pi)))
 
 
+# Rotates a (cos, sin) block to (-sin, cos).
+_QUARTER_TURN = np.array([-1.0, 1.0])[:, None, None]
+# An offset and its negative, stacked first: the two sides of a chord.
+_SIDES = np.array([1.0, -1.0])[:, None, None]
+
+
 # The array start code below keeps the scalar formulas' operation order
 # and takes asin, sin, cos, atan2 and hypot from `math`, so every frame's
 # starts are the bits the one-frame float code gives.  Sums over nodes
 # run node by node from 0.0, as a float accumulator does.
 
-def _start_positions(nodes: _Columns, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`initial_position_estimate` of every frame, as x and y arrays (F,)."""
-    lx = nodes.range * _elementwise(math.sin, theta)
-    ly = nodes.range * _elementwise(math.cos, theta)
-    c, s, n = nodes.cos, nodes.sin, len(theta)
-    return sum(c * lx - s * ly + nodes.x, 0.0) / n, sum(s * lx + c * ly + nodes.y, 0.0) / n
+def _start_states(nodes: _Columns) -> np.ndarray:
+    """`initial_position_estimate` and `initial_velocity_estimate` of every
+    frame, as x, y, vx, vy (4, F).
 
-
-def _start_velocities(nodes: _Columns, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`initial_velocity_estimate` of every frame, as vx and vy arrays (F,).
-
-    `theta` holds the angles of `_angles`, which clips nothing once
-    every |omega| <= pi has been checked.
+    The velocity is that of the angles asin(omega/pi), which clip
+    nothing once every |omega| <= pi has been checked.
     """
-    beyond = np.abs(nodes.omega.T) > math.pi
-    if beyond.any():
-        raise ValueError(f"|spatial frequency| exceeds pi: {float(nodes.omega.T[beyond][0])!r}")
-    los = nodes.phi + 0.5 * math.pi - theta
-    n = len(theta)
-    return (sum(nodes.vr * _elementwise(math.cos, los), 0.0) / n,
-            sum(nodes.vr * _elementwise(math.sin, los), 0.0) / n)
+    theta = _angles(nodes.table[4])
+    los = nodes.table[2] + 0.5 * math.pi - theta
+    # sin and cos (first axis) of theta and of the line of sight (second).
+    trig = _maps((math.sin, math.cos), np.array((theta, los)))
+    local = nodes.table[3] * trig[:, 0]
+    terms = np.empty((4,) + theta.shape)
+    # (c lx - s ly + x, s lx + c ly + y, vr cos los, vr sin los) per node.
+    np.add(nodes.cs * local[0] + nodes.cs[::-1] * _QUARTER_TURN * local[1], nodes.table[:2],
+           out=terms[:2])
+    np.multiply(nodes.table[5], trig[::-1, 1], out=terms[2:])
+    return sum(terms.swapaxes(0, 1), 0.0) / len(theta)
+
+
+def _check_spatial_frequencies(nodes: _Columns) -> None:
+    """ValueError naming the first |spatial frequency| > pi in frame order."""
+    omega = nodes.table[4].T
+    beyond = np.abs(omega) > math.pi
+    if np.count_nonzero(beyond):
+        raise ValueError(f"|spatial frequency| exceeds pi: {float(omega[beyond][0])!r}")
 
 
 def initial_position_estimate(obs: FusionObservation) -> np.ndarray:
     """Average of the nodes' detections mapped to the global frame."""
-    nodes = _columns(_frame_table([obs]))
-    return np.concatenate(_start_positions(nodes, _angles(nodes.omega)))
+    return _start_states(_columns(_frame_table([obs])))[:2, 0]
 
 
 def initial_velocity_estimate(obs: FusionObservation) -> np.ndarray:
@@ -220,7 +236,8 @@ def initial_velocity_estimate(obs: FusionObservation) -> np.ndarray:
     node i points along the global angle phi_i + pi/2 - theta.
     """
     nodes = _columns(_frame_table([obs]))
-    return np.concatenate(_start_velocities(nodes, _angles(nodes.omega)))
+    _check_spatial_frequencies(nodes)
+    return _start_states(nodes)[2:, 0]
 
 
 class _Frames:
@@ -231,12 +248,15 @@ class _Frames:
     (3, N, F), and `center` each frame's prior center as (F, 4), or
     None for ML.  `evaluate` broadcasts states against them.  A state
     array (F, 4) gives the LM iterates, (F, C, 4) C candidates per frame
-    with `per_candidate`.  A grid of one frame (F = 1) is passed as its
-    four axes x, y, vx, vy, shaped (P, 1, 1, 1) ... (1, 1, 1, P): the
-    terms that depend on position alone then take P^2 points, and only
-    the Doppler and prior terms take all P^4.  Every term is computed
-    per node with the state axes innermost, and the objective sums the
-    nodes in order.
+    with `per_candidate`; their terms are stacked blocks, the offsets
+    and unit vectors to the nodes as (2, N, ...), the predicted range,
+    spatial frequency and radial velocity as one (3, N, ...) block.  A
+    grid of one frame (F = 1) is passed as its four axes x, y, vx, vy,
+    shaped (P, 1, 1, 1) ... (1, 1, 1, P): the terms that depend on
+    position alone then take P^2 points, and only the Doppler and prior
+    terms take all P^4.  Every term is computed per node with the state
+    axes innermost, and the objective sums the three modalities, then
+    the nodes in order.
 
     Residuals are (measured - predicted)/sigma, stacked as the N range
     rows, then N spatial-frequency rows, then N radial-velocity rows;
@@ -250,6 +270,14 @@ class _Frames:
         self.noise = noise
         self.prior_sigmas = prior_sigmas
         self.center = center
+        # The modalities' sigmas, shaped against the (3, N, ...) blocks,
+        # and -sigma of range and radial velocity against (2, N, F) unit
+        # vectors.
+        self.sigmas = np.array([noise.sigma_r, noise.sigma_omega, noise.sigma_v]).reshape(
+            (3,) + (1,) * (meas.ndim - 1)
+        )
+        self.negative_sigmas = -self.sigmas[::2, None]
+        self.prior_jacobian = None if prior_sigmas is None else np.diag(1.0 / prior_sigmas)
 
     @classmethod
     def of(
@@ -261,9 +289,9 @@ class _Frames:
     ) -> "_Frames":
         if prior is not None and center is None:
             raise ValueError("prior given without a prior center")
-        nodes = np.array([columns.x, columns.y, math.pi * columns.cos, math.pi * columns.sin])
-        meas = np.array([columns.range, columns.omega, columns.vr])
-        return cls(nodes, meas, noise, None if prior is None else prior.sigmas, center)
+        table, cs = columns
+        nodes = np.concatenate((table[:2], math.pi * cs))
+        return cls(nodes, table[3:], noise, None if prior is None else prior.sigmas, center)
 
     @classmethod
     def build(
@@ -294,50 +322,61 @@ class _Frames:
 
         `theta` is a state array (..., 4), or a grid's four axes.
         """
-        prior = prior_rows = None
-        nodes, meas = self.nodes, self.meas
-        # A state array keeps its prior rows as one array: term by term
-        # would add a dozen small numpy calls to every LM evaluation.
-        if isinstance(theta, np.ndarray):
-            x, y, vx, vy = theta[..., 0], theta[..., 1], theta[..., 2], theta[..., 3]
-            if self.prior_sigmas is not None:
-                prior_rows = (theta - self.center) / self.prior_sigmas
-                prior = (prior_rows * prior_rows).sum(axis=-1)
-        else:
-            x, y, vx, vy = theta
-            # The frame axis (F = 1) lines up with the grid's first.
-            nodes, meas = nodes[..., None, None, None], meas[..., None, None, None]
-            if self.prior_sigmas is not None:
-                q = [((a - c) / s) ** 2
-                     for a, c, s in zip(theta, self.center[0], self.prior_sigmas)]
-                # Summed in the order of the four-term sum above.
-                prior = ((q[0] + q[1]) + q[2]) + q[3]
-        px, py, pi_cos, pi_sin = nodes
-        meas_r, meas_w, meas_v = meas
+        if not isinstance(theta, np.ndarray):
+            return self._grid_objective(theta), None
+        # The state components first: (4, F) or (4, F, C).
+        state = theta.T if theta.ndim == 2 else theta.transpose(2, 0, 1)
+        offset = state[:2, None] - self.nodes[:2]
+        squares = offset * offset
+        r2 = squares[0] + squares[1]
+        infeasible = r2 < _MIN_RANGE * _MIN_RANGE
+        any_infeasible = np.count_nonzero(infeasible)
+        if any_infeasible:
+            r2 = np.maximum(r2, _MIN_RANGE * _MIN_RANGE)
+        predicted = np.empty((3,) + r2.shape)
+        unit = offset / np.sqrt(r2, out=predicted[0])
+        product = unit * self.nodes[2:]
+        np.add(product[0], product[1], out=predicted[1])
+        product = state[2:, None] * unit
+        np.add(product[0], product[1], out=predicted[2])
+        blocks = (self.meas - predicted) / self.sigmas
+        squares = blocks * blocks
+        value = squares[0] + squares[1]
+        value += squares[2]
+        value = value.sum(0)
+        prior_rows = None
+        if self.prior_sigmas is not None:
+            prior_rows = (theta - self.center) / self.prior_sigmas
+            value += (prior_rows * prior_rows).sum(axis=-1)
+        if any_infeasible:
+            value[infeasible.any(axis=0)] = np.inf
+        return value, (state, unit, predicted, blocks, prior_rows)
+
+    def _grid_objective(self, axes) -> np.ndarray:
+        """`objective` on a grid's four axes; the frame axis (F = 1) lines up
+        with the grid's first."""
+        x, y, vx, vy = axes
+        px, py, pi_cos, pi_sin = self.nodes[..., None, None, None]
+        meas_r, meas_w, meas_v = self.meas[..., None, None, None]
         noise = self.noise
         dx = x - px
         dy = y - py
         r2 = dx * dx + dy * dy
         infeasible = r2 < _MIN_RANGE * _MIN_RANGE
-        any_infeasible = infeasible.any()
-        if any_infeasible:
-            r2 = np.maximum(r2, _MIN_RANGE * _MIN_RANGE)
-        r = np.sqrt(r2)
+        r = np.sqrt(np.maximum(r2, _MIN_RANGE * _MIN_RANGE))
         ux = dx / r
         uy = dy / r
-        omega = ux * pi_cos + uy * pi_sin
-        vel = vx * ux + vy * uy
-        blocks = (
-            (meas_r - r) / noise.sigma_r,
-            (meas_w - omega) / noise.sigma_omega,
-            (meas_v - vel) / noise.sigma_v,
-        )
-        value = (blocks[0] * blocks[0] + blocks[1] * blocks[1] + blocks[2] * blocks[2]).sum(0)
-        if prior is not None:
-            value += prior
-        if any_infeasible:
+        range_ = (meas_r - r) / noise.sigma_r
+        angle = (meas_w - (ux * pi_cos + uy * pi_sin)) / noise.sigma_omega
+        doppler = (meas_v - (vx * ux + vy * uy)) / noise.sigma_v
+        value = (range_ * range_ + angle * angle + doppler * doppler).sum(0)
+        if self.prior_sigmas is not None:
+            q = [((a - c) / s) ** 2 for a, c, s in zip(axes, self.center[0], self.prior_sigmas)]
+            # Summed in the order of the state arrays' four-term sum.
+            value += ((q[0] + q[1]) + q[2]) + q[3]
+        if infeasible.any():
             value[np.broadcast_to(infeasible.any(axis=0), value.shape)] = np.inf
-        return value, (vx, vy, blocks, prior_rows, r, ux, uy, omega, vel)
+        return value
 
     def objective(self, theta) -> np.ndarray:
         """Objective values at the states `theta`, as for `evaluate`; +inf where infeasible."""
@@ -346,28 +385,29 @@ class _Frames:
     def jacobian(self, terms) -> tuple[np.ndarray, np.ndarray]:
         """Residuals (F, M) and their Jacobian (F, M, 4) from `evaluate`'s terms
         at (F, 4) states."""
-        vx, vy, blocks, prior_rows, r, ux, uy, omega, vel = terms
-        _, _, pi_cos, pi_sin = self.nodes
-        noise = self.noise
-        n = len(r)
+        state, unit, predicted, blocks, prior_rows = terms
+        n, frames = predicted.shape[1:]
+        m = 3 * n
         # Frame-major and C-ordered, as J'J's matmul expects.
-        res = np.empty((r.shape[1], 3 * n + (0 if prior_rows is None else 4)))
-        res[:, :3 * n] = np.concatenate(blocks).T
-        if prior_rows is not None:
-            res[:, 3 * n:] = prior_rows
+        res = np.empty((frames, m + (0 if prior_rows is None else 4)))
+        res[:, :m] = blocks.reshape(m, frames).T
         jac = np.zeros(res.shape + (4,))
-        r_w = r * noise.sigma_omega
-        r_v = r * noise.sigma_v
-        jac[..., :n, 0] = (ux / -noise.sigma_r).T
-        jac[..., :n, 1] = (uy / -noise.sigma_r).T
-        jac[..., n:2 * n, 0] = ((omega * ux - pi_cos) / r_w).T
-        jac[..., n:2 * n, 1] = ((omega * uy - pi_sin) / r_w).T
-        jac[..., 2 * n:3 * n, 0] = ((vel * ux - vx) / r_v).T
-        jac[..., 2 * n:3 * n, 1] = ((vel * uy - vy) / r_v).T
-        jac[..., 2 * n:3 * n, 2] = (ux / -noise.sigma_v).T
-        jac[..., 2 * n:3 * n, 3] = (uy / -noise.sigma_v).T
         if prior_rows is not None:
-            jac[..., 3 * n:, :] = np.diag(1.0 / self.prior_sigmas)
+            res[:, m:] = prior_rows
+            jac[:, m:] = self.prior_jacobian
+        # The model rows as (F, modality, node, state component).
+        rows = jac[:, :m].reshape(frames, 3, n, 4)
+        # Range on (x, y) and radial velocity on (vx, vy): u/(-sigma).
+        scaled = unit / self.negative_sigmas
+        rows[:, 0, :, :2] = scaled[0].T
+        rows[:, 2, :, 2:] = scaled[1].T
+        # Spatial frequency and radial velocity on (x, y):
+        # (omega u - pi (cos, sin))/(r sigma_omega) and (vel u - v)/(r sigma_v).
+        turn = predicted[1:, None] * unit
+        turn[0] -= self.nodes[2:]
+        turn[1] -= state[2:, None]
+        turn /= (predicted[0] * self.sigmas[1:])[:, None]
+        rows[:, 1:, :, :2] = turn.transpose(3, 0, 2, 1)
         return res, jac
 
 
@@ -426,34 +466,38 @@ def _range_circle_intersections(obs: FusionObservation) -> list[tuple[float, flo
     from both and keeps the better fit.  The one-frame view of
     `_range_circles`.
     """
-    xs, ys, meet = _range_circles(_columns(_frame_table([obs])))
-    return [(x, y) for x, y, m in zip(xs[:, 0].tolist(), ys[:, 0].tolist(), meet[:, 0]) if m]
+    points, meet = _range_circles(_columns(_frame_table([obs])))
+    return [(x, y) for (x, y), m in zip(points[..., 0].tolist(), meet[:, 0]) if m]
 
 
-def _range_circles(nodes: _Columns) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_range_circle_intersections` of every frame: x and y of the two
-    intersections as (2, F), and whether each exists (a tangent pair
+def _range_circles(nodes: _Columns) -> tuple[np.ndarray, np.ndarray]:
+    """`_range_circle_intersections` of every frame: the two intersections'
+    x and y as (2, 2, F), and whether each exists (2, F) (a tangent pair
     meets once; disjoint or concentric circles never)."""
-    frames = nodes.x.shape[1]
-    if len(nodes.x) < 2:
-        return np.zeros((2, frames)), np.zeros((2, frames)), np.zeros((2, frames), dtype=bool)
-    x1, y1, r1, r2 = nodes.x[0], nodes.y[0], nodes.range[0], nodes.range[1]
-    dx = nodes.x[1] - x1
-    dy = nodes.y[1] - y1
-    d = _elementwise(math.hypot, dx, dy)
+    table = nodes.table
+    frames = table.shape[2]
+    if table.shape[1] < 2:
+        return np.zeros((2, 2, frames)), np.zeros((2, frames), dtype=bool)
+    first = table[:2, 0]
+    r1, r2 = table[3, :2]
+    chord = table[:2, 1] - first
+    d = _elementwise(math.hypot, *chord)
     # Frames whose circles do not meet (d = 0 among them) compute
     # garbage here, masked out by `meet`.
     with np.errstate(divide="ignore", invalid="ignore"):
-        along = (r1 * r1 - r2 * r2 + d * d) / (2.0 * d)
-        height_sq = r1 * r1 - along * along
+        r1_sq = r1 * r1
+        along = (r1_sq - r2 * r2 + d * d) / (2.0 * d)
+        height_sq = r1_sq - along * along
         meet = ~((d == 0.0) | (d > r1 + r2) | (d < np.abs(r1 - r2)) | (height_sq < 0.0))
         height = np.sqrt(height_sq)
-        ux, uy = dx / d, dy / d
-        bx, by = x1 + along * ux, y1 + along * uy
+        unit = chord / d
+        base = first + along * unit
+        # (-h uy, h ux): from the chord's foot to the first intersection.
+        across = (height * unit)[::-1] * _QUARTER_TURN[..., 0]
+        points = base + across * _SIDES
         tangent = height == 0.0
-        xs = np.array([np.where(tangent, bx, bx - height * uy), bx + height * uy])
-        ys = np.array([np.where(tangent, by, by + height * ux), by - height * ux])
-    return xs, ys, np.array([meet, meet & ~tangent])
+        np.copyto(points[0], base, where=tangent)
+    return points, np.array([meet, meet & ~tangent])
 
 
 # Candidate starts farther off boresight than this cannot have produced
@@ -477,24 +521,31 @@ def _start_table(nodes: _Columns) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     (F, 3, 4), a missing one standing in as the initializer, and which
     candidates each frame keeps (F, 3).
     """
-    theta = _angles(nodes.omega)
-    px, py = _start_positions(nodes, theta)
-    vx, vy = _start_velocities(nodes, theta)
-    xs, ys, meet = _range_circles(nodes)
-    exists = np.concatenate([np.ones_like(meet[:1]), meet])
-    cx = np.concatenate([px[None], np.where(meet, xs, px)])
-    cy = np.concatenate([py[None], np.where(meet, ys, py)])
-    dx = cx[:, None] - nodes.x
-    dy = cy[:, None] - nodes.y
-    along, across = dx * nodes.cos + dy * nodes.sin, -dx * nodes.sin + dy * nodes.cos
-    angle = _elementwise(math.atan2, along, across)
-    on_node = (cx[:, None] == nodes.x) & (cy[:, None] == nodes.y)
+    _check_spatial_frequencies(nodes)
+    start = _start_states(nodes)
+    position = start[:2]
+    points, meet = _range_circles(nodes)
+    frames = position.shape[1]
+    exists = np.ones((_MAX_STARTS, frames), dtype=bool)
+    exists[1:] = meet
+    candidates = np.empty((_MAX_STARTS, 2, frames))
+    candidates[0] = position
+    candidates[1:] = np.where(meet[:, None], points, position)
+    # Each candidate's offset to each node (3, 2, N, F), and its
+    # components along and across the node's boresight.
+    offset = candidates[:, :, None] - nodes.table[:2]
+    along = offset * nodes.cs
+    across = offset * (nodes.cs[::-1] * _QUARTER_TURN)
+    angle = _elementwise(
+        math.atan2, along[:, 0] + along[:, 1], across[:, 0] + across[:, 1]
+    )
+    on_node = ~offset.any(axis=1)
     visible = exists & ~(on_node | (np.abs(angle) > _VISIBILITY_LIMIT)).any(axis=1)
     keep = np.where(visible.any(axis=0), visible, exists)
-    starts = np.empty((len(px), _MAX_STARTS, 4))
-    starts[..., 0], starts[..., 1] = cx.T, cy.T
-    starts[..., 2], starts[..., 3] = vx[:, None], vy[:, None]
-    return px, py, starts, keep.T
+    starts = np.empty((frames, _MAX_STARTS, 4))
+    starts[..., :2] = candidates.transpose(2, 0, 1)
+    starts[..., 2:] = start[2:].T[:, None]
+    return position[0], position[1], starts, keep.T
 
 
 def _candidate_starts(obs: FusionObservation) -> tuple[tuple[float, float], list[tuple]]:
@@ -611,10 +662,10 @@ def _solve_group(table: np.ndarray, noise, mode, prior) -> FusionEstimates:
     # the first in candidate order.
     start_values = frames.per_candidate().objective(starts)
     start_values[~keep] = np.inf
-    best = np.argmin(start_values, axis=1)
+    best = start_values.argmin(axis=1)
     rows = np.arange(frames_count)
     value = start_values[rows, best]
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise ValueError("initial estimate coincides with a node position")
     theta, value, hessian, iterations, converged = _levenberg_marquardt(
         frames, starts[rows, best], value
@@ -627,9 +678,12 @@ def _solve_group(table: np.ndarray, noise, mode, prior) -> FusionEstimates:
     )
     invertible = conditioning > _MIN_CONDITIONING
     covariances = np.full((frames_count, 4, 4), np.nan)
-    if invertible.any():
-        inverse = np.linalg.inv(hessian[invertible])
-        covariances[invertible] = 0.5 * (inverse + inverse.swapaxes(-1, -2))
+    count = np.count_nonzero(invertible)
+    if count:
+        # Each system inverts on its own, so all of them need no selection.
+        index = slice(None) if count == frames_count else invertible
+        inverse = np.linalg.inv(hessian[index])
+        covariances[index] = 0.5 * (inverse + inverse.swapaxes(-1, -2))
     return FusionEstimates(theta, covariances, value, iterations, converged, conditioning,
                            mode, centers)
 
@@ -677,7 +731,8 @@ def _levenberg_marquardt(frames: _Frames, theta: np.ndarray, value: np.ndarray):
     lam = np.full(count, _LAMBDA_INIT)
     active = np.arange(count)
 
-    def finish(stop, iteration, reached):
+    def finish(stop, iteration, reached) -> bool:
+        """Write out the frames `stop` marks; False once none is left."""
         nonlocal theta, value, hessian, gradient_half, lam, active, frames
         done = active[stop]
         out_theta[done] = theta[stop]
@@ -685,16 +740,22 @@ def _levenberg_marquardt(frames: _Frames, theta: np.ndarray, value: np.ndarray):
         out_hessian[done] = hessian[stop]
         iterations[done] = iteration
         converged[done] = reached[stop]
+        if len(done) == len(active):
+            return False
         keep = ~stop
         theta, value, hessian = theta[keep], value[keep], hessian[keep]
         gradient_half, lam, active = gradient_half[keep], lam[keep], active[keep]
         frames = frames.take(keep)
+        return True
 
+    # A gradient is tested once per accepted step: a frame whose step was
+    # rejected keeps the gradient that did not stop it.
+    moved = True
     for iteration in range(1, _MAX_ITERATIONS + 1):
-        stationary = np.abs(gradient_half).max(axis=-1) * 2.0 < _GRADIENT_TOL
-        if stationary.any():
-            finish(stationary, iteration, stationary)
-            if len(active) == 0:
+        if moved:
+            # |J'r| < tol/2 is |2 J'r| < tol exactly: both scalings are by 2.
+            stationary = np.abs(gradient_half).max(axis=-1) < _GRADIENT_TOL / 2.0
+            if np.count_nonzero(stationary) and not finish(stationary, iteration, stationary):
                 break
         step, singular = _damped_steps(hessian, gradient_half, lam)
         short = np.sqrt((step * step).sum(axis=-1)) < _STEP_TOL
@@ -706,26 +767,30 @@ def _levenberg_marquardt(frames: _Frames, theta: np.ndarray, value: np.ndarray):
         candidate = theta + step
         cand_value, cand_terms = frames.evaluate(candidate)
         accept = (cand_value < value) & moving
-        if accept.all():
+        accepted = np.count_nonzero(accept)
+        moved = accepted > 0
+        if accepted == len(accept):
             theta, value = candidate, cand_value
             hessian, gradient_half = _normal_equations(*frames.jacobian(cand_terms))
             lam = np.maximum(lam / 10.0, _LAMBDA_MIN)
             continue
-        if accept.any():
+        if accepted:
             cand_hessian, cand_gradient_half = _normal_equations(*frames.jacobian(cand_terms))
             theta[accept] = candidate[accept]
             value[accept] = cand_value[accept]
             hessian[accept] = cand_hessian[accept]
             gradient_half[accept] = cand_gradient_half[accept]
-        lam = np.where(
-            accept, np.maximum(lam / 10.0, _LAMBDA_MIN), np.minimum(lam * 10.0, _LAMBDA_MAX)
-        )
+            lam = np.where(
+                accept, np.maximum(lam / 10.0, _LAMBDA_MIN), np.minimum(lam * 10.0, _LAMBDA_MAX)
+            )
+            # A frame that accepted its step does not stop on its damping.
+            moving &= ~accept
+        else:
+            lam = np.minimum(lam * 10.0, _LAMBDA_MAX)
         # Singular frames raise their damping but never stop on it.
-        stop = short | (moving & ~accept & (lam >= _LAMBDA_MAX))
-        if stop.any():
-            finish(stop, iteration, short)
-            if len(active) == 0:
-                break
+        stop = short | (moving & (lam >= _LAMBDA_MAX))
+        if np.count_nonzero(stop) and not finish(stop, iteration, short):
+            break
     else:
         capped = np.ones(len(active), dtype=bool)
         finish(capped, _MAX_ITERATIONS, ~capped)

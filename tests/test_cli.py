@@ -99,6 +99,19 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("verb", ["calibrate", "fuse", "run", "mc"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_max_nonconverged_is_config_error(self, tmp_path, small_config, capsys,
+                                                         verb, value):
+        # NaN never exceeds a fraction, so it would switch exit 4 off.
+        code = main([verb, "--config", str(small_config), "--out", str(tmp_path / "o"),
+                     f"--max-nonconverged={value}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error: --max-nonconverged must be finite" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_both_scenario_sources_rejected(self, tmp_path, small_config, capsys):
         assert main(["run", "--config", str(small_config), "--builtin", "A"]) == 2
 
@@ -312,6 +325,18 @@ class TestMcVerb:
         assert summary["trials"] == 2 and summary["completed"] == 2
         assert "calibration_rmse" in summary["aggregates"]
         assert (tmp_path / "o" / "B" / "mc_seed2_t2" / "aggregate.json").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--trials", "0"), ("--trials", "-3"), ("--jobs", "0"), ("--jobs", "-1"),
+    ])
+    def test_count_below_one_is_config_error(self, tmp_path, small_config, capsys, flag, value):
+        code = main(["mc", "--config", str(small_config), "--out", str(tmp_path / "o"),
+                     flag, value])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"config error: {flag} must be >= 1" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -73,6 +74,25 @@ class TestPairedPositions:
         t = Track(frames=[TrackPoint(0, 0j, np.zeros(2), np.eye(4))])
         with pytest.raises(PipelineError):
             paired_positions(t, t, skip=0)
+
+    def test_too_few_pairs_names_the_tuning(self):
+        # A zero-noise filter with a tight gate rejects most detections,
+        # so the calibration stage finds too few pairs.
+        from radarnet.tracking import EkfConfig
+
+        ekf = EkfConfig(process_noise_accel=0.0, gate_threshold=7.81)
+        options = replace(PipelineOptions(write_outputs=False), ekf=ekf)
+        with pytest.raises(PipelineError) as info:
+            calibrate_scenario(builtin_scenario("A", "straight", seed=7), options)
+        message = str(info.value)
+        assert message.startswith("fewer than 2 usable track pairs for calibration of node 1")
+        assert "gate_threshold=7.81" in message and "process_noise_accel=0.0" in message
+        assert "tuning error" in message
+        # Each node's EKF-updated and detected frame counts.
+        counts = re.findall(r"node (\d) (\d+)/(\d+)", message)
+        assert [node for node, _, _ in counts] == ["0", "1"]
+        assert all(0 <= int(updated) <= int(detected) for _, updated, detected in counts)
+        assert any(2 * int(updated) < int(detected) for _, updated, detected in counts)
 
 
 class TestRunExperiment:

@@ -900,3 +900,60 @@ class TestNodeFirstKernel:
             assert got.tobytes() == want.tobytes()
             checked += 1
         assert checked == 6
+
+
+def off_boresight(node, x, y):
+    dx, dy = x - node.x, y - node.y
+    c, s = math.cos(node.phi), math.sin(node.phi)
+    return math.atan2(dx * c + dy * s, -dx * s + dy * c)
+
+
+def oneshot_frames():
+    """Single frames as the real-time path sees them: on-baseline C targets
+    walking along the baseline (criterion 07's set-up and velocity prior),
+    A/B targets in both nodes' field of view with the default prior, and
+    3-node frames."""
+    rng = np.random.default_rng(40)
+    baseline_prior = PriorConfig(sigma_vx=1.5, sigma_vy=1.5)
+    for _ in range(6):
+        target = TargetState(0.0, rng.uniform(2.0, 5.0), 0.0, 1.0 if rng.random() < 0.5 else -1.0)
+        yield observation_of(config_c_nodes(), target, TABLE_NOISE, rng), baseline_prior
+    margin = FOV_HALF_ANGLE - 0.1
+    for name in ("A", "B") * 3:
+        nodes = builtin_scenario(name).nodes
+        while True:
+            target = TargetState(rng.uniform(0.0, 4.0), rng.uniform(1.5, 5.5),
+                                 *rng.uniform(-1.75, 1.75, 2).tolist())
+            if all(abs(off_boresight(node, target.x, target.y)) < margin for node in nodes):
+                break
+        yield observation_of(nodes, target, TABLE_NOISE, rng), PRIOR
+    nodes3 = config_b_nodes() + (Pose2D(4.0, 3.5, math.radians(125.0)),)
+    for _ in range(4):
+        target = TargetState(rng.uniform(1.0, 3.0), rng.uniform(2.5, 4.0),
+                             *rng.uniform(-1.0, 1.0, 2).tolist())
+        yield observation_of(nodes3, target, TABLE_NOISE, rng), PRIOR
+
+
+class TestSingleFrameKernel:
+    """`solve` at F = 1, where every reduction runs on (N, 1) arrays,
+    against the node-last reference, bit for bit."""
+
+    def test_solve_matches_node_last_reference(self, monkeypatch):
+        capped = nodes_seen = 0
+        for obs, prior in oneshot_frames():
+            for mode, mode_prior in (("ml", None), ("bayes", prior)):
+                got = solve(obs, TABLE_NOISE, mode=mode, prior=mode_prior)
+                shapes = []
+                with monkeypatch.context() as patch:
+                    TestNodeFirstKernel.node_last(patch, shapes)
+                    want = solve(obs, TABLE_NOISE, mode=mode, prior=mode_prior)
+                    if mode == "bayes":
+                        want_grid = posterior_covariance_grid(obs, TABLE_NOISE, prior, want)
+                assert (1, 3, 4) in shapes and (1, 4) in shapes
+                assert_same_estimate(got, want)
+                capped += got.iterations == 100
+            got_grid = posterior_covariance_grid(obs, TABLE_NOISE, prior, got)
+            assert got_grid.tobytes() == want_grid.tobytes()
+            nodes_seen = max(nodes_seen, obs.num_nodes)
+        # The C frames stall at the iteration cap; the last frames have three nodes.
+        assert capped >= 4 and nodes_seen == 3

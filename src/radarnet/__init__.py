@@ -46,9 +46,6 @@ from .geometry import (
     detection_to_local_cartesian,
     local_to_global,
     measure,
-    measure_radial_velocity,
-    measure_range,
-    measure_spatial_frequency,
 )
 from .scene import (
     ConfigError,
@@ -68,7 +65,6 @@ from .scene import (
 from .tracking import (
     EkfConfig,
     Track,
-    TrackPoint,
     ekf_predict,
     ekf_update,
     run_tracker,
@@ -98,7 +94,6 @@ __all__ = [
     "ScenarioConfig",
     "Simulation",
     "Track",
-    "TrackPoint",
     "TargetState",
     "TrajectorySpec",
     "aoa_from_spatial_frequency",
@@ -119,9 +114,6 @@ __all__ = [
     "load_scenario",
     "local_to_global",
     "measure",
-    "measure_radial_velocity",
-    "measure_range",
-    "measure_spatial_frequency",
     "ml_objective",
     "posterior_covariance_grid",
     "run_experiment",

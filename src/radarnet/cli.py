@@ -8,7 +8,8 @@ Verbs:
     mc          Monte Carlo repetition of `run` over consecutive seeds
     emit-plots  tidy per-quantity plot CSVs from a finished run
 
-Exit codes: 0 success, 2 configuration error, 3 degenerate
+Exit codes: 0 success, 2 configuration or pipeline error (a Monte
+Carlo run with no completed trial among them), 3 degenerate
 calibration, 4 solver non-convergence above the allowed fraction.
 """
 
@@ -59,7 +60,7 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
         "--trajectory", choices=["straight", "random"], default="random",
         help="evaluation trajectory kind for --builtin (default random)",
     )
-    parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
+    parser.add_argument("--seed", type=int, help="base RNG seed (default: the config's, or 0)")
     parser.add_argument("--out", type=Path, default=Path("out"), help="output directory")
 
 
@@ -81,9 +82,9 @@ def _resolve_scenario(args):
         raise ConfigError("give either --config or --builtin, not both")
     if args.config is not None:
         config = load_scenario(args.config)
-        return with_seed(config, args.seed) if args.seed != 0 else config
+        return config if args.seed is None else with_seed(config, args.seed)
     if args.builtin is not None:
-        return builtin_scenario(args.builtin, args.trajectory, seed=args.seed)
+        return builtin_scenario(args.builtin, args.trajectory, seed=args.seed or 0)
     raise ConfigError("missing scenario: pass --config PATH or --builtin {A,B,C}")
 
 
@@ -206,6 +207,9 @@ def cmd_mc(args) -> int:
     summary = run_monte_carlo(config, args.trials, options, jobs=args.jobs)
     compact = {k: v for k, v in summary.items() if k != "reports"}
     print(json.dumps(compact, indent=2, sort_keys=True))
+    if not summary["completed"]:
+        print(f"pipeline error: none of {args.trials} trials completed", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK
 
 

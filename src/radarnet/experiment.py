@@ -45,7 +45,6 @@ from .scene import (
     export_truth_csv,
     load_scenario,
     save_scenario,
-    scenario_to_dict,
     simulate,
     write_csv,
 )
@@ -182,16 +181,17 @@ def paired_positions(
     return track1.positions()[rows1[good]], track2.positions()[rows2[good]]
 
 
-def simulate_scenario(config: ScenarioConfig):
-    """Ground-truth trajectory and per-frame detections of a scenario.
-
-    The TargetState and MeasurementFrame list views of `scene.simulate`.
-    """
-    sim = simulate(config)
-    return sim.target_states(), sim.measurement_frames()
-
-
-def _run_trackers(config: ScenarioConfig, sim: Simulation, options: PipelineOptions) -> list[Track]:
+def _run_trackers(
+    config: ScenarioConfig, sim: Simulation, options: PipelineOptions, stage: str
+) -> list[Track]:
+    """Every node's EKF track, or a PipelineError naming the `stage` and
+    the first node that never detected the target (it would have no track)."""
+    blind = np.flatnonzero(~sim.seen.any(axis=0))
+    if len(blind):
+        raise PipelineError(
+            f"{stage} stage: node {blind[0]} never detected the target in "
+            f"{len(sim)} frames (seed {config.rng_seed}), so it has no track"
+        )
     return [
         run_tracker(sim, i, node, options.ekf, config.noise, config.frame_duration)
         for i, node in enumerate(config.nodes)
@@ -205,7 +205,7 @@ def calibrate_scenario(
     options = options or PipelineOptions()
     calib_config = calibration_stage_config(config, options)
     sim = simulate(calib_config)
-    tracks = _run_trackers(calib_config, sim, options)
+    tracks = _run_trackers(calib_config, sim, options, "calibration")
     # Short sequences cannot afford the full 50-frame transient skip.
     skip = options.pair_skip
     if skip is None:
@@ -292,7 +292,7 @@ def run_experiment(
     )
 
     sim = simulate(config)
-    tracks = _run_trackers(config, sim, options)
+    tracks = _run_trackers(config, sim, options, "evaluation")
     transformed = [tracks[0]]
     transformed.extend(
         transform_track(tracks[i], calibrations[i - 1].p21, calibrations[i - 1].phi21)
@@ -438,10 +438,7 @@ def _write_run_outputs(
 # -- Monte Carlo ---------------------------------------------------------
 
 def _mc_trial(args) -> tuple[int, dict | None, str | None]:
-    config_dict, options, trial = args
-    from .scene import scenario_from_dict
-
-    config = scenario_from_dict(config_dict)
+    config, options, trial = args
     config = replace(config, rng_seed=config.rng_seed + trial)
     try:
         report = run_experiment(config, options)
@@ -469,8 +466,7 @@ def run_monte_carlo(
         config = load_scenario(config)
     options = options or PipelineOptions()
     mc_options = replace(options, write_outputs=False)
-    config_dict = scenario_to_dict(config)
-    tasks = [(config_dict, mc_options, t) for t in range(trials)]
+    tasks = [(config, mc_options, t) for t in range(trials)]
     if jobs > 1:
         # Imported here: concurrent.futures.process pulls in multiprocessing,
         # which every other use of the package would pay for at import.

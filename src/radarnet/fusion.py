@@ -457,23 +457,17 @@ def _resolve_prior_center(obs: FusionObservation, prior: PriorConfig) -> TargetS
     return TargetState(x, y, 0.0, 0.0)
 
 
-def _range_circle_intersections(obs: FusionObservation) -> list[tuple[float, float]]:
-    """Intersections of the first two nodes' range circles.
+def _range_circles(nodes: _Columns) -> tuple[np.ndarray, np.ndarray]:
+    """Every frame's intersections of its first two nodes' range circles:
+    the two intersections' x and y as (2, 2, F), and whether each exists
+    (2, F) (a tangent pair meets once; disjoint or concentric circles
+    never).
 
     The two measured ranges pin the position to (at most) two mirror
     candidates across the inter-node chord; the coarse angle
     measurements do not always disambiguate them, so the solver seeds
-    from both and keeps the better fit.  The one-frame view of
-    `_range_circles`.
+    from both and keeps the better fit.
     """
-    points, meet = _range_circles(_columns(_frame_table([obs])))
-    return [(x, y) for (x, y), m in zip(points[..., 0].tolist(), meet[:, 0]) if m]
-
-
-def _range_circles(nodes: _Columns) -> tuple[np.ndarray, np.ndarray]:
-    """`_range_circle_intersections` of every frame: the two intersections'
-    x and y as (2, 2, F), and whether each exists (2, F) (a tangent pair
-    meets once; disjoint or concentric circles never)."""
     table = nodes.table
     frames = table.shape[2]
     if table.shape[1] < 2:
@@ -546,15 +540,6 @@ def _start_table(nodes: _Columns) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     starts[..., :2] = candidates.transpose(2, 0, 1)
     starts[..., 2:] = start[2:].T[:, None]
     return position[0], position[1], starts, keep.T
-
-
-def _candidate_starts(obs: FusionObservation) -> tuple[tuple[float, float], list[tuple]]:
-    """The closed-form position initializer and the kept candidate LM
-    starts of one frame: the one-frame view of `_start_table`."""
-    px, py, starts, keep = _start_table(_columns(_frame_table([obs])))
-    return (px[0].item(), py[0].item()), [
-        tuple(start) for start, kept in zip(starts[0].tolist(), keep[0]) if kept
-    ]
 
 
 def solve(

@@ -72,16 +72,6 @@ class Pose2D:
     def position(self) -> np.ndarray:
         return np.array([self.x, self.y])
 
-    @property
-    def array_direction(self) -> np.ndarray:
-        """Unit vector along the antenna array."""
-        return np.array([math.cos(self.phi), math.sin(self.phi)])
-
-    @property
-    def boresight(self) -> np.ndarray:
-        """Unit vector along boresight (array direction rotated +90 deg)."""
-        return np.array([-math.sin(self.phi), math.cos(self.phi)])
-
 
 @dataclass(frozen=True)
 class TargetState:
@@ -131,38 +121,20 @@ class IdealMeasurement:
     radial_vel: float
 
 
-def _offset(radar: Pose2D, x: float, y: float) -> tuple[float, float, float]:
-    """Target offset from the radar and its norm; rejects coincident input."""
-    dx = x - radar.x
-    dy = y - radar.y
-    r = math.hypot(dx, dy)
-    if r == 0.0:
-        raise ValueError("target coincides with radar position; range is zero")
-    return dx, dy, r
-
-
-def _measure_floats(
-    radar: Pose2D, x: float, y: float, vx: float, vy: float, jacobian: bool
-) -> tuple[float, ...]:
-    """The exact measurement model on floats, from a radar pose.
-
-    Returns (range, spatial frequency, radial velocity) and, with
-    `jacobian`, six more floats: the Jacobian entries h00, h01, h10,
-    h11, h20, h21 w.r.t. (x, y, vx, vy).  The other six entries follow
-    from them: h22 = h00 and h23 = h01 (the line-of-sight direction),
-    and the velocity columns of the first two rows are zero.
-    """
-    return _measure_at(
-        radar.x, radar.y, math.cos(radar.phi), math.sin(radar.phi), x, y, vx, vy, jacobian
-    )
-
-
 def _measure_at(
     px: float, py: float, c: float, s: float,
     x: float, y: float, vx: float, vy: float, jacobian: bool,
 ) -> tuple[float, ...]:
-    """`_measure_floats` for a radar at (px, py) whose array direction is
-    (c, s) = (cos phi, sin phi): the measurement model, written once.
+    """The exact measurement model on floats, for a radar at (px, py)
+    whose array direction is (c, s) = (cos phi, sin phi).
+
+    Returns (range, spatial frequency, radial velocity) of the target
+    (x, y, vx, vy) and, with `jacobian`, six more floats: the Jacobian
+    entries h00, h01, h10, h11, h20, h21 w.r.t. (x, y, vx, vy).  The
+    other six entries follow from them: h22 = h00 and h23 = h01 (the
+    line-of-sight direction), and the velocity columns of the first two
+    rows are zero.  `measure`, `measurement_jacobian` and the EKF all
+    call this one kernel.
 
     The EKF runs in the node-local frame, where the radar sits at the
     identity pose, and passes (0.0, 0.0, 1.0, 0.0), the exact floats of
@@ -189,60 +161,25 @@ def _measure_at(
     )
 
 
-def measure_with_jacobian(
-    radar: Pose2D, x: float, y: float, vx: float, vy: float, jacobian: bool = True
-) -> tuple[float, float, float, np.ndarray | None]:
-    """Range, spatial frequency, radial velocity and their 3x4 Jacobian.
-
-    The Jacobian is analytic, w.r.t. (x, y, vx, vy), and None unless
-    `jacobian` is set.  Like `measure`, `measurement_jacobian` and the
-    per-quantity `measure_*` functions, this is a view of the one float
-    kernel the EKF step calls directly.
-    """
-    if not jacobian:
-        return *_measure_floats(radar, x, y, vx, vy, False), None
-    r, omega, radial_vel, h00, h01, h10, h11, h20, h21 = _measure_floats(
-        radar, x, y, vx, vy, True
-    )
-    jac = np.array([
-        [h00, h01, 0.0, 0.0],
-        [h10, h11, 0.0, 0.0],
-        [h20, h21, h00, h01],
-    ])
-    return r, omega, radial_vel, jac
-
-
 def measure(radar: Pose2D, target: TargetState) -> IdealMeasurement:
     """All three ideal measurements of a target from one node."""
-    return IdealMeasurement(
-        *_measure_floats(radar, target.x, target.y, target.vx, target.vy, False)
-    )
+    return IdealMeasurement(*_measure_at(
+        radar.x, radar.y, math.cos(radar.phi), math.sin(radar.phi),
+        target.x, target.y, target.vx, target.vy, False,
+    ))
 
 
 def measurement_jacobian(radar: Pose2D, state: TargetState) -> np.ndarray:
     """Jacobian of (range, spatial_freq, radial_vel) w.r.t. (x, y, vx, vy)."""
-    return measure_with_jacobian(radar, state.x, state.y, state.vx, state.vy)[3]
-
-
-def measure_range(radar: Pose2D, target: TargetState) -> float:
-    """Euclidean distance from the radar to the target, in meters."""
-    return measure(radar, target).range
-
-
-def measure_radial_velocity(radar: Pose2D, target: TargetState) -> float:
-    """Target velocity projected on the radar-to-target line of sight.
-
-    Positive values mean the target is receding from the radar.
-    """
-    return measure(radar, target).radial_vel
-
-
-def measure_spatial_frequency(radar: Pose2D, target: TargetState) -> float:
-    """Spatial frequency pi*sin(theta) of the target, in radians.
-
-    theta is the angle off boresight; the result lies in [-pi, pi].
-    """
-    return measure(radar, target).spatial_freq
+    _, _, _, h00, h01, h10, h11, h20, h21 = _measure_at(
+        radar.x, radar.y, math.cos(radar.phi), math.sin(radar.phi),
+        state.x, state.y, state.vx, state.vy, True,
+    )
+    return np.array([
+        [h00, h01, 0.0, 0.0],
+        [h10, h11, 0.0, 0.0],
+        [h20, h21, h00, h01],
+    ])
 
 
 def aoa_from_spatial_frequency(omega: float) -> float:
@@ -267,7 +204,9 @@ def angle_off_boresight(radar: Pose2D, target: TargetState) -> float:
 
     |result| > pi/2 means the target is behind the array plane.
     """
-    dx, dy, _ = _offset(radar, target.x, target.y)
+    dx, dy = target.x - radar.x, target.y - radar.y
+    if dx == 0.0 and dy == 0.0:
+        raise ValueError("target coincides with radar position; range is zero")
     return boresight_angle(dx, dy, math.cos(radar.phi), math.sin(radar.phi))
 
 

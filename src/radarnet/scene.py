@@ -168,10 +168,6 @@ class Simulation:
     def __len__(self) -> int:
         return len(self.truth)
 
-    def target_states(self) -> list[TargetState]:
-        """`truth` as one TargetState per frame."""
-        return [TargetState(*row) for row in self.truth.tolist()]
-
     def measurement_frames(self) -> list[MeasurementFrame]:
         """`detections` as one MeasurementFrame per frame, None where unseen."""
         return [
@@ -572,28 +568,17 @@ def write_csv(path: str | Path, header: str, rows) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def export_measurements_csv(frames: Simulation | list[MeasurementFrame], path: str | Path) -> None:
-    """Write detections as CSV rows frame,node,range,omega,vr."""
-    if isinstance(frames, Simulation):
-        k, node = np.nonzero(frames.seen)
-        rows = zip(k.tolist(), node.tolist(), *frames.detections[k, node].T.tolist())
-    else:
-        rows = (
-            (frame.frame_index, i, det.range, det.spatial_freq, det.radial_vel)
-            for frame in frames
-            for i, det in enumerate(frame.per_node)
-            if det is not None
-        )
+def export_measurements_csv(sim: Simulation, path: str | Path) -> None:
+    """Write a simulation's detections as CSV rows frame,node,range,omega,vr."""
+    k, node = np.nonzero(sim.seen)
+    rows = zip(k.tolist(), node.tolist(), *sim.detections[k, node].T.tolist())
     write_csv(path, "frame,node,range,omega,vr", rows)
 
 
 def export_truth_csv(truth, path: str | Path) -> None:
     """Write ground-truth states as CSV rows frame,x,y,vx,vy.
 
-    `truth` holds one TargetState or one (x, y, vx, vy) row per frame; a
-    row's cells are floats or the strings to write for them.
+    `truth` holds one (x, y, vx, vy) row per frame; a row's cells are
+    floats or the strings to write for them.
     """
-    write_csv(path, "frame,x,y,vx,vy", (
-        (k, *((s.x, s.y, s.vx, s.vy) if isinstance(s, TargetState) else s))
-        for k, s in enumerate(truth)
-    ))
+    write_csv(path, "frame,x,y,vx,vy", ((k, *row) for k, row in enumerate(truth)))

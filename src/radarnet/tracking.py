@@ -11,9 +11,7 @@ benchmark for the one-shot estimates.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -23,12 +21,11 @@ from .geometry import (
     TargetState,
     _local_cartesian,
     _measure_at,
-    _measure_floats,
     measure,  # noqa: F401  (trace target: radarnet.tracking.measure)
     measurement_jacobian,  # noqa: F401  (trace target)
     rotation_matrix,
 )
-from .scene import Detection, MeasurementFrame, NoiseConfig, Simulation, write_csv
+from .scene import Detection, NoiseConfig, Simulation, write_csv
 
 
 @dataclass(frozen=True)
@@ -63,50 +60,24 @@ class EkfConfig:
             raise ValueError("EkfConfig.min_range must be >= 0")
 
 
-@dataclass(frozen=True)
-class TrackPoint:
-    frame_index: int
-    position: complex
-    velocity: np.ndarray
-    covariance: np.ndarray
-    updated: bool = True
-
-
 class Track:
     """Time-indexed state estimates from one node (or from fusion), as arrays.
 
     Row t is one point: `frame_index` (T,), strictly increasing,
     `states` (T, 4) rows x, y, vx, vy, `covariances` (T, 4, 4) and
     `updated` (T,), whether a measurement updated the point.
-    `Track(frames=[TrackPoint, ...])` converts a point list once;
-    `frames` gives the points back, built on first access.
     """
 
     def __init__(
         self,
-        frames: Iterable[TrackPoint] | None = None,
         node_index: int | None = None,
         frame: str = "local",
         *,
-        frame_index: np.ndarray | None = None,
-        states: np.ndarray | None = None,
-        covariances: np.ndarray | None = None,
-        updated: np.ndarray | None = None,
+        frame_index: np.ndarray,
+        states: np.ndarray,
+        covariances: np.ndarray,
+        updated: np.ndarray,
     ):
-        arrays = (frame_index, states, covariances, updated)
-        if frames is not None:
-            if any(a is not None for a in arrays):
-                raise ValueError("give a Track either frames or arrays, not both")
-            points = list(frames)
-            frame_index = [p.frame_index for p in points]
-            states = [(p.position.real, p.position.imag, *np.ravel(p.velocity).tolist())
-                      for p in points]
-            covariances = [p.covariance for p in points]
-            updated = [p.updated for p in points]
-        elif all(a is None for a in arrays):
-            frame_index, states, covariances, updated = [], [], [], []
-        elif any(a is None for a in arrays):
-            raise ValueError("a Track needs frame_index, states, covariances and updated")
         self.frame_index = np.asarray(frame_index, dtype=int).reshape(-1)
         count = len(self.frame_index)
         self.states = np.asarray(states, dtype=float).reshape(count, 4)
@@ -120,28 +91,11 @@ class Track:
     def __len__(self) -> int:
         return len(self.frame_index)
 
-    @cached_property
-    def frames(self) -> list[TrackPoint]:
-        """The points as TrackPoints; velocities and covariances are views of the arrays."""
-        return [
-            TrackPoint(frame_index=k, position=complex(x, y), velocity=self.states[t, 2:],
-                       covariance=self.covariances[t], updated=u)
-            for t, (k, (x, y), u) in enumerate(zip(
-                self.frame_index.tolist(), self.states[:, :2].tolist(), self.updated.tolist()
-            ))
-        ]
-
-    def frame_indices(self) -> np.ndarray:
-        return self.frame_index
-
     def positions(self) -> np.ndarray:
         """Positions as complex numbers z = x + j*y."""
         positions = np.empty(len(self), dtype=complex)
         positions.real, positions.imag = self.states[:, 0], self.states[:, 1]
         return positions
-
-    def by_frame(self) -> dict[int, TrackPoint]:
-        return dict(zip(self.frame_index.tolist(), self.frames))
 
     def table(self) -> np.ndarray:
         """The points as one (T, 8) array of rows x, y, vx, vy, p11, p22, p33, p44."""
@@ -316,8 +270,8 @@ def _update(
 ) -> tuple[tuple, tuple, tuple, bool]:
     """The EKF update of `theta` given the measurement model's output there.
 
-    `model` is the nine floats `geometry._measure_floats` returns with
-    the Jacobian; `z` is the detection's (range, spatial frequency,
+    `model` is the nine floats `geometry._measure_at` returns with the
+    Jacobian; `z` is the detection's (range, spatial frequency,
     radial velocity) floats and `r` the three measurement noise
     variances.  Also returns the innovation and whether the gate let
     the update through.
@@ -436,8 +390,9 @@ def ekf_update(
     given and the innovation fails it, the prior is returned unchanged.
     """
     theta = (state.x, state.y, state.vx, state.vy)
+    model = _measure_at(radar.x, radar.y, math.cos(radar.phi), math.sin(radar.phi), *theta, True)
     theta, p, innovation, applied = _update(
-        theta, _upper(_symmetrize(cov)), _measure_floats(radar, *theta, True),
+        theta, _upper(_symmetrize(cov)), model,
         (detection.range, detection.spatial_freq, detection.radial_vel),
         _noise_variances(noise), gate_threshold,
     )
@@ -446,21 +401,15 @@ def ekf_update(
     return TargetState(*theta), _full(p), np.array(innovation)
 
 
-def _node_rows(frames: Simulation | list[MeasurementFrame], node_index: int) -> tuple:
-    """The frame indices and one node's detections as (range, spatial
-    frequency, radial velocity) float rows, None where it saw nothing."""
-    if isinstance(frames, Simulation):
-        rows = frames.detections[:, node_index].tolist()
-        seen = frames.seen[:, node_index].tolist()
-        return range(len(rows)), [row if v else None for row, v in zip(rows, seen)]
-    detections = [frame.per_node[node_index] for frame in frames]
-    return [frame.frame_index for frame in frames], [
-        None if d is None else (d.range, d.spatial_freq, d.radial_vel) for d in detections
-    ]
+def _node_rows(sim: Simulation, node_index: int) -> list[list[float] | None]:
+    """One node's detections, frame by frame, as (range, spatial frequency,
+    radial velocity) float rows, None where it saw nothing."""
+    rows = sim.detections[:, node_index].tolist()
+    return [row if v else None for row, v in zip(rows, sim.seen[:, node_index].tolist())]
 
 
 def run_tracker(
-    frames: Simulation | list[MeasurementFrame],
+    frames: Simulation,
     node_index: int,
     node_pose: Pose2D,
     cfg: EkfConfig,
@@ -469,13 +418,12 @@ def run_tracker(
 ) -> Track:
     """Filter one node's detections into a local-frame track.
 
-    `frames` is a `scene.Simulation` or a list of MeasurementFrame;
-    both give the same track bit for bit.  The filter initializes from
-    the node's first detection (position from the detection, zero
-    velocity, configured variances), then predicts every frame and
-    updates whenever a detection is present.  Predict-only frames, and
-    frames whose detection the gate rejected, still emit track points,
-    flagged updated=False.
+    `frames` is the scenario's `scene.Simulation`; frame k is its row k.
+    The filter initializes from the node's first detection (position
+    from the detection, zero velocity, configured variances), then
+    predicts every frame and updates whenever a detection is present.
+    Predict-only frames, and frames whose detection the gate rejected,
+    still emit track points, flagged updated=False.
     `node_pose` is kept as track metadata only; filtering happens in
     the node-local frame, where the radar sits at the identity pose.
 
@@ -497,7 +445,7 @@ def run_tracker(
     frame_indices, states, covariances, flags = [], [], [], []
     theta: tuple | None = None
     p: tuple = ()
-    for k, z in zip(*_node_rows(frames, node_index)):
+    for k, z in enumerate(_node_rows(frames, node_index)):
         updated = False
         if theta is None:
             if z is None:
@@ -597,7 +545,7 @@ def track_level_fusion(track1: Track, track2_in_frame1: Track) -> Track:
 def export_track_csv(track: Track, path: str | Path) -> None:
     """Write a track as CSV: frame,x,y,vx,vy,p11,p22,p33,p44."""
     write_csv(path, f"# frame={track.frame}\nframe,x,y,vx,vy,p11,p22,p33,p44", (
-        [k, *row] for k, row in zip(track.frame_indices().tolist(), track.table().tolist())
+        [k, *row] for k, row in zip(track.frame_index.tolist(), track.table().tolist())
     ))
 
 

@@ -50,6 +50,14 @@ class TestSimulate:
         assert code == 0
         assert (tmp_path / "C" / "5" / "sim" / "measurements.csv").exists()
 
+    @pytest.mark.parametrize("seed", ["0", "3"])
+    def test_explicit_seed_overrides_the_config_seed(self, tmp_path, small_config, seed):
+        # The config holds seed 2; an explicit --seed 0 is a seed like any other.
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(small_config), "--out", str(out), "--seed", seed]) == 0
+        assert [d.name for d in (out / "B").iterdir()] == [seed]
+        assert json.loads((out / "B" / seed / "sim" / "scenario.json").read_text())["seed"] == int(seed)
+
 
 class TestExitCodes:
     def test_missing_scenario_is_config_error(self, capsys):
@@ -129,6 +137,27 @@ class TestExitCodes:
         assert code == 3
         assert "degenerate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb, message", [
+        ("calibrate", "calibration stage: node 1 never detected the target"),
+        ("run", "calibration stage: node 1 never detected the target"),
+        ("mc", "none of 2 trials completed"),
+    ])
+    def test_node_that_never_detects_is_pipeline_error(self, tmp_path, verb, message, capsys):
+        from dataclasses import replace
+
+        from radarnet.geometry import Pose2D
+
+        # Node 1 sits beyond the maximum range of every target position.
+        base = builtin_scenario("B", "random", seed=2)
+        config = replace(base, num_frames=60, nodes=(base.nodes[0], Pose2D(30.0, 30.0, 0.0)))
+        path = tmp_path / "blind.json"
+        save_scenario(config, path)
+        argv = [verb, "--config", str(path), "--out", str(tmp_path / "o")]
+        assert main(argv + (["--trials", "2"] if verb == "mc" else [])) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("pipeline error: ") and message in err
+
     def test_nonconvergence_exit_code(self, tmp_path, small_config, capsys):
         # An impossibly strict threshold forces the exit-4 path while
         # the report is still produced.
@@ -165,8 +194,9 @@ class TestFuseVerb:
     def test_csv_bytes_match_inline_format(self, tmp_path):
         from dataclasses import replace
 
-        from radarnet.experiment import PipelineOptions, simulate_scenario
+        from radarnet.experiment import PipelineOptions
         from radarnet.fusion import FusionObservation, ObservationEntry, solve_frames
+        from radarnet.scene import simulate
 
         config = replace(builtin_scenario("C", "random", seed=4), num_frames=40)
         path = tmp_path / "short.json"
@@ -174,7 +204,7 @@ class TestFuseVerb:
         assert main(["fuse", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
 
         # The file as cmd_fuse formatted it with its own f-strings.
-        _, frames = simulate_scenario(config)
+        frames = simulate(config).measurement_frames()
         kept = [f for f in frames if sum(det is not None for det in f.per_node) >= 2]
         observations = [
             FusionObservation(tuple(

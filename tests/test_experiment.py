@@ -20,8 +20,8 @@ from radarnet.experiment import (
     run_experiment,
     run_monte_carlo,
 )
-from radarnet.scene import NoiseConfig, builtin_scenario
-from radarnet.tracking import Track, TrackPoint
+from radarnet.scene import NoiseConfig, builtin_scenario, simulate
+from radarnet.tracking import Track
 
 
 def small_scenario(name="B", kind="random", seed=1, num_frames=120):
@@ -58,11 +58,13 @@ class TestCrossTrajectoryProtocol:
 
 class TestPairedPositions:
     def test_drops_non_updated_and_transient(self):
-        def point(k, updated=True):
-            return TrackPoint(k, complex(k, 0), np.zeros(2), np.eye(4), updated)
+        def track(updated):
+            states = [(k, 0.0, 0.0, 0.0) for k in range(40)]
+            return Track(frame_index=range(40), states=states,
+                         covariances=np.broadcast_to(np.eye(4), (40, 4, 4)), updated=updated)
 
-        t1 = Track(frames=[point(k) for k in range(40)])
-        t2 = Track(frames=[point(k, updated=(k < 10 or k > 20)) for k in range(40)])
+        t1 = track([True] * 40)
+        t2 = track([k < 10 or k > 20 for k in range(40)])
         z1, z2 = paired_positions(t1, t2, skip=2, gap=5, settle=4)
         # Frames 10..20 are not updated in t2; 4 settle frames follow the
         # gap; 2 skip frames are removed from the front.
@@ -71,7 +73,7 @@ class TestPairedPositions:
         np.testing.assert_array_equal(z1, z2)
 
     def test_too_few_pairs(self):
-        t = Track(frames=[TrackPoint(0, 0j, np.zeros(2), np.eye(4))])
+        t = Track(frame_index=[0], states=np.zeros((1, 4)), covariances=np.eye(4), updated=[True])
         with pytest.raises(PipelineError):
             paired_positions(t, t, skip=0)
 
@@ -93,6 +95,16 @@ class TestPairedPositions:
         assert [node for node, _, _ in counts] == ["0", "1"]
         assert all(0 <= int(updated) <= int(detected) for _, updated, detected in counts)
         assert any(2 * int(updated) < int(detected) for _, updated, detected in counts)
+
+    def test_blind_node_names_the_stage(self):
+        # The calibration trajectory is the built-in one; the evaluation
+        # trajectory runs 50 m out, beyond every node's maximum range.
+        from radarnet.scene import TrajectorySpec
+
+        config = replace(small_scenario("B", "random", seed=5, num_frames=60),
+                         trajectory=TrajectorySpec("straight", start=(50.0, 50.0), speed=0.05))
+        with pytest.raises(PipelineError, match=r"^evaluation stage: node 0 never detected"):
+            run_experiment(config, PipelineOptions(write_outputs=False))
 
 
 class TestRunExperiment:
@@ -269,7 +281,6 @@ class TestCsvRoundTrip:
         import struct
 
         import radarnet.experiment as experiment
-        from radarnet.experiment import simulate_scenario
 
         tracks, estimates = {}, {}
 
@@ -288,7 +299,8 @@ class TestCsvRoundTrip:
         config = small_scenario(seed=3, num_frames=100)
         report = run_experiment(config, PipelineOptions(out_dir=tmp_path))
         run_dir = Path(report.out_dir)
-        truth, frames = simulate_scenario(config)
+        sim = simulate(config)
+        truth = sim.truth.tolist()
 
         def bits(value):
             return struct.pack("<d", value)
@@ -316,25 +328,23 @@ class TestCsvRoundTrip:
         truth_rows = rows("fusion/truth.csv")
         assert len(truth_rows) == len(truth)
         for k, (cells, t) in enumerate(zip(truth_rows, truth)):
-            check(cells, [("i", k)] + f(t.x, t.y, t.vx, t.vy))
+            check(cells, [("i", k)] + f(*t))
 
-        detections = [(frame.frame_index, i, det) for frame in frames
-                      for i, det in enumerate(frame.per_node) if det is not None]
+        detections = [(k, i, det) for k, (dets, seen) in enumerate(zip(
+                           sim.detections.tolist(), sim.seen.tolist()))
+                      for i, (det, v) in enumerate(zip(dets, seen)) if v]
         meas_rows = rows("fusion/measurements.csv")
         assert len(meas_rows) == len(detections)
         for cells, (k, i, det) in zip(meas_rows, detections):
-            check(cells, [("i", k), ("i", i)] + f(det.range, det.spatial_freq, det.radial_vel))
-
-        def point_values(p):
-            return f(p.position.real, p.position.imag, *p.velocity.tolist())
+            check(cells, [("i", k), ("i", i)] + f(*det))
 
         assert set(tracks) == {"node0.csv", "node1_in_ref.csv", "track_fusion.csv"}
         for name, track in tracks.items():
             track_rows = rows(f"tracks/{name}")
-            assert len(track_rows) == len(track.frames)
-            for cells, p in zip(track_rows, track.frames):
-                check(cells, [("i", p.frame_index)] + point_values(p)
-                      + f(*p.covariance.diagonal().tolist()))
+            assert len(track_rows) == len(track)
+            for cells, k, state, cov in zip(track_rows, track.frame_index.tolist(),
+                                             track.states.tolist(), track.covariances):
+                check(cells, [("i", k)] + f(*state) + f(*cov.diagonal().tolist()))
 
         eval_frames = [int(cells[0]) for cells in rows("fusion/per_frame.csv")]
         by_frame = {mode: dict(zip(eval_frames, ests)) for mode, ests in estimates.items()}
@@ -349,15 +359,14 @@ class TestCsvRoundTrip:
             check(cells, [("i", k), ("s", mode)] + f(s.x, s.y, s.vx, s.vy)
                   + [("b", est.converged)] + f(est.conditioning, *cov))
 
-        track_by = [tracks[name].by_frame()
+        track_by = [dict(zip(tracks[name].frame_index.tolist(), tracks[name].states.tolist()))
                     for name in ("node0.csv", "node1_in_ref.csv", "track_fusion.csv")]
         rmse_set = {k for k in eval_frames if k >= PipelineOptions().burn_in_frames}
         for cells in rows("fusion/per_frame.csv"):
             k = int(cells[0])
-            t = truth[k]
-            values = [("i", k)] + f(t.x, t.y, t.vx, t.vy)
+            values = [("i", k)] + f(*truth[k])
             for by in track_by:
-                values += point_values(by[k])
+                values += f(*by[k])
             for mode in ("bayes", "ml"):
                 est = by_frame[mode][k]
                 s = est.state
@@ -366,14 +375,13 @@ class TestCsvRoundTrip:
 
 
     def test_truth_and_measurements_match_list_exports(self, tmp_path):
-        from radarnet.experiment import simulate_scenario
         from radarnet.scene import export_measurements_csv, export_truth_csv
 
         config = builtin_scenario("B", "random", seed=7)
-        truth, frames = simulate_scenario(config)
-        assert any(det is None for frame in frames for det in frame.per_node)
-        export_truth_csv(truth, tmp_path / "truth.csv")
-        export_measurements_csv(frames, tmp_path / "measurements.csv")
+        sim = simulate(config)
+        assert not sim.seen.all()
+        export_truth_csv(sim.truth.tolist(), tmp_path / "truth.csv")
+        export_measurements_csv(sim, tmp_path / "measurements.csv")
         report = run_experiment(config, PipelineOptions(out_dir=tmp_path / "run"))
         for name in ("truth.csv", "measurements.csv"):
             written = (Path(report.out_dir) / "fusion" / name).read_bytes()
@@ -432,6 +440,20 @@ class TestMonteCarlo:
         direct = run_experiment(config, options)
         assert summary["completed"] == 1 and summary["failed"] == 0
         assert summary["reports"][0]["rmse"] == direct.rmse
+
+    def test_trial_zero_is_run_experiment_at_a_radian_pose(self):
+        # phi = 1.804 rad reads back as 1.8040000000000003 through the
+        # config's degrees, so a trial that rebuilt its config from that
+        # form would simulate and calibrate another scenario.
+        from radarnet.geometry import Pose2D
+
+        base = builtin_scenario("B", "random", seed=2)
+        node = base.nodes[1]
+        config = replace(base, num_frames=240,
+                         nodes=(base.nodes[0], Pose2D(node.x, node.y, 1.804)))
+        options = PipelineOptions(write_outputs=False)
+        summary = run_monte_carlo(config, trials=1, options=options)
+        assert summary["reports"] == [run_experiment(config, options).to_dict()]
 
     def test_seeds_advance_per_trial(self):
         config = small_scenario(seed=20, num_frames=60)

@@ -14,9 +14,8 @@ from radarnet.fusion import (
     PriorConfig,
     _columns,
     _Frames,
+    _frame_table,
     _frame_tables,
-    _candidate_starts,
-    _range_circle_intersections,
     _start_table,
     bayes_objective,
     grid_covariance,
@@ -494,17 +493,8 @@ def assert_same_estimate(a, b):
 
 class TestSolveFrames:
     def test_single_frame_solve_matches_batch_on_builtin_scenario(self):
-        from radarnet.experiment import simulate_scenario
-
         config = builtin_scenario("A", "random", seed=7)
-        _, frames = simulate_scenario(config)
-        observations = [
-            FusionObservation(tuple(
-                ObservationEntry(node, det) for node, det in zip(config.nodes, frame.per_node)
-            ))
-            for frame in frames
-            if all(det is not None for det in frame.per_node)
-        ]
+        observations = detected_observations(config)
         assert len(observations) > 400
         for mode, prior in (("ml", None), ("bayes", PRIOR)):
             batch = solve_frames(observations, config.noise, mode=mode, prior=prior)
@@ -586,6 +576,41 @@ class TestSolveFrames:
         assert batch[1].objective_value == pytest.approx(reference[1].objective_value, rel=1e-9)
 
 
+def detected_observations(config):
+    """The frames of a scenario's simulation that every node detected, as
+    FusionObservations at the true poses."""
+    sim = simulate(config)
+    return [
+        FusionObservation(tuple(
+            ObservationEntry(node, Detection(*det)) for node, det in zip(config.nodes, dets)
+        ))
+        for dets in sim.detections[sim.seen.all(axis=1)].tolist()
+    ]
+
+
+def reference_range_circle_intersections(obs):
+    """The first two nodes' range-circle intersections, on floats: none,
+    the tangent point, or the two mirror points across the chord."""
+    if obs.num_nodes < 2:
+        return []
+    (node1, det1), (node2, det2) = ((e.node_pose, e.detection) for e in obs.entries[:2])
+    r1, r2 = det1.range, det2.range
+    cx, cy = node2.x - node1.x, node2.y - node1.y
+    d = math.hypot(cx, cy)
+    if d == 0.0 or d > r1 + r2 or d < abs(r1 - r2):
+        return []
+    along = (r1 * r1 - r2 * r2 + d * d) / (2.0 * d)
+    height_sq = r1 * r1 - along * along
+    if height_sq < 0.0:
+        return []
+    ux, uy = cx / d, cy / d
+    bx, by = node1.x + along * ux, node1.y + along * uy
+    height = math.sqrt(height_sq)
+    if height == 0.0:
+        return [(bx, by)]
+    return [(bx - height * uy, by + height * ux), (bx + height * uy, by - height * ux)]
+
+
 def reference_candidate_starts(obs):
     """The LM starts as built with array initializers and one TargetState
     per start, the off-boresight angle written out per node."""
@@ -603,7 +628,7 @@ def reference_candidate_starts(obs):
         vy += det.radial_vel * math.sin(los)
     pos0 = np.array([px, py]) / n
     vx, vy = np.array([vx, vy]) / n
-    positions = [(pos0[0], pos0[1])] + _range_circle_intersections(obs)
+    positions = [(pos0[0], pos0[1])] + reference_range_circle_intersections(obs)
     limit = FOV_HALF_ANGLE + math.radians(15.0)
 
     def visible(position):
@@ -623,11 +648,13 @@ def reference_candidate_starts(obs):
 
 
 def assert_same_starts(obs):
-    pos0, starts = _candidate_starts(obs)
+    """One frame's position start and kept LM starts against the reference;
+    returns the kept starts."""
+    px, py, starts, keep = _start_table(_columns(_frame_table([obs])))
     want_pos0, want_starts = reference_candidate_starts(obs)
-    assert np.asarray(pos0, dtype=float).tobytes() == want_pos0.tobytes()
-    assert np.asarray(starts, dtype=float).tobytes() == np.asarray(want_starts).tobytes()
-    return starts
+    assert np.array([px[0], py[0]]).tobytes() == want_pos0.tobytes()
+    assert starts[0][keep[0]].tobytes() == np.asarray(want_starts, dtype=float).tobytes()
+    return [tuple(start) for start in starts[0][keep[0]].tolist()]
 
 
 class TestCandidateStarts:
@@ -635,18 +662,10 @@ class TestCandidateStarts:
 
     @pytest.mark.parametrize("name", ["A", "B", "C"])
     def test_every_frame_of_builtin_random(self, name):
-        from radarnet.experiment import simulate_scenario
-
-        config = builtin_scenario(name, "random", seed=7)
-        _, frames = simulate_scenario(config)
-        checked = 0
-        for frame in frames:
-            if all(det is not None for det in frame.per_node):
-                assert_same_starts(FusionObservation(tuple(
-                    ObservationEntry(node, det) for node, det in zip(config.nodes, frame.per_node)
-                )))
-                checked += 1
-        assert checked > 400
+        observations = detected_observations(builtin_scenario(name, "random", seed=7))
+        for obs in observations:
+            assert_same_starts(obs)
+        assert len(observations) > 400
 
     def test_start_on_a_node_is_dropped(self):
         # A zero range on node 2 and node 1's range equal to the baseline
@@ -657,7 +676,7 @@ class TestCandidateStarts:
             ObservationEntry(nodes[0], Detection(7.0, math.pi * math.sin(math.pi / 3), 0.1)),
             ObservationEntry(nodes[1], Detection(0.0, 0.0, 0.0)),
         ))
-        assert _range_circle_intersections(obs) == [(0.0, 7.0)]
+        assert reference_range_circle_intersections(obs) == [(0.0, 7.0)]
         starts = assert_same_starts(obs)
         assert len(starts) == 1 and starts[0][:2] != (0.0, 7.0)
 
@@ -747,16 +766,16 @@ class TestArrayCandidateStarts:
                 (Pose2D(0.0, 0.0, 0.0), Pose2D(0.0, 4.0, math.pi)), 0.0, 4.0
             ),
         }
-        assert _range_circle_intersections(cases["tangent"]) == [(1.5, 0.0)]
-        assert _range_circle_intersections(cases["start_on_facing_node"]) == [(0.0, 0.0)]
+        assert reference_range_circle_intersections(cases["tangent"]) == [(1.5, 0.0)]
+        assert reference_range_circle_intersections(cases["start_on_facing_node"]) == [(0.0, 0.0)]
         for name in ("disjoint", "nested", "concentric", "single_node"):
-            assert _range_circle_intersections(cases[name]) == []
+            assert reference_range_circle_intersections(cases[name]) == []
         mixed = list(cases.values())
         groups = _frame_tables(mixed)
         assert sorted(table.shape[1] for _, table in groups) == [1, 2, 3]
         for rows, table in groups:
             assert_array_starts_match_reference(table, [mixed[k] for k in rows])
-        kept = {name: len(_candidate_starts(obs)[1]) for name, obs in cases.items()}
+        kept = {name: len(assert_same_starts(obs)) for name, obs in cases.items()}
         assert kept["all_invisible"] == 3 and kept["start_on_node"] == 1
         assert kept["start_on_facing_node"] == 2
 

@@ -22,11 +22,8 @@ from radarnet.geometry import (
     detection_to_local_cartesian,
     global_to_local,
     local_to_global,
+    _measure_at,
     measure,
-    measure_radial_velocity,
-    measure_range,
-    measure_spatial_frequency,
-    measure_with_jacobian,
     measurement_jacobian,
     wrap_angle,
 )
@@ -63,27 +60,27 @@ class TestAngles:
 
 class TestRange:
     def test_three_four_five(self):
-        assert measure_range(Pose2D(0, 0, 0), TargetState(3, 4)) == 5.0
+        assert measure(Pose2D(0, 0, 0), TargetState(3, 4)).range == 5.0
 
     @pytest.mark.parametrize("d", [0.001, 0.25, 7.0])
     def test_axis_aligned(self, d):
-        assert measure_range(Pose2D(1, 1), TargetState(1, 1 + d)) == pytest.approx(d)
+        assert measure(Pose2D(1, 1), TargetState(1, 1 + d)).range == pytest.approx(d)
 
     def test_config_c_baseline(self):
         # Node placed 7 m up, facing back down; target at the reference origin.
-        assert measure_range(Pose2D(0, 7, math.pi), TargetState(0, 0)) == 7.0
+        assert measure(Pose2D(0, 7, math.pi), TargetState(0, 0)).range == 7.0
 
     def test_coincident_raises(self):
         with pytest.raises(ValueError):
-            measure_range(Pose2D(1, 2, 0), TargetState(1, 2))
+            measure(Pose2D(1, 2, 0), TargetState(1, 2))
 
 
 class TestRadialVelocity:
     def test_projection_on_x(self):
-        assert measure_radial_velocity(Pose2D(0, 0), TargetState(5, 0, 2, 3)) == 2.0
+        assert measure(Pose2D(0, 0), TargetState(5, 0, 2, 3)).radial_vel == 2.0
 
     def test_stationary(self):
-        assert measure_radial_velocity(Pose2D(2, -1), TargetState(4, 4, 0, 0)) == 0.0
+        assert measure(Pose2D(2, -1), TargetState(4, 4, 0, 0)).radial_vel == 0.0
 
     def test_velocity_along_los(self):
         # Unit velocity aligned with the line of sight: the projection is
@@ -92,28 +89,28 @@ class TestRadialVelocity:
         u = np.array([3, 4]) / 5.0
         expected = float(np.dot([3 / 5, 4 / 5], u))
         assert expected == pytest.approx(1.0)
-        assert measure_radial_velocity(Pose2D(0, 0), target) == pytest.approx(expected, abs=1e-15)
+        assert measure(Pose2D(0, 0), target).radial_vel == pytest.approx(expected, abs=1e-15)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, derandomize=True)
     def test_bounded_by_speed(self, case):
         rng = np.random.default_rng(case)
         radar, target = random_geometry(rng)
-        assert abs(measure_radial_velocity(radar, target)) <= target.speed + 1e-12
+        assert abs(measure(radar, target).radial_vel) <= target.speed + 1e-12
 
 
 class TestSpatialFrequency:
     def test_boresight_zero(self):
-        assert measure_spatial_frequency(Pose2D(0, 0, 0), TargetState(0, 5)) == 0.0
+        assert measure(Pose2D(0, 0, 0), TargetState(0, 5)).spatial_freq == 0.0
 
     def test_endfire_pi(self):
-        assert measure_spatial_frequency(Pose2D(0, 0, 0), TargetState(5, 0)) == pytest.approx(math.pi)
+        assert measure(Pose2D(0, 0, 0), TargetState(5, 0)).spatial_freq == pytest.approx(math.pi)
 
     def test_diagonal(self):
         # Direct evaluation: pi * <p - p_i, mu> / r with mu = (1, 0).
         expected = math.pi * 5.0 / math.hypot(5.0, 5.0)
         assert expected == pytest.approx(math.pi / math.sqrt(2))
-        got = measure_spatial_frequency(Pose2D(0, 0, 0), TargetState(5, 5))
+        got = measure(Pose2D(0, 0, 0), TargetState(5, 5)).spatial_freq
         assert got == pytest.approx(expected, abs=1e-15)
 
     def test_antisymmetric_across_boresight(self):
@@ -123,15 +120,15 @@ class TestSpatialFrequency:
             local = global_to_local(radar, target.position)
             mirrored = local_to_global(radar, [-local[0], local[1]])
             flipped = TargetState(mirrored[0], mirrored[1])
-            w = measure_spatial_frequency(radar, target)
-            w_flipped = measure_spatial_frequency(radar, flipped)
+            w = measure(radar, target).spatial_freq
+            w_flipped = measure(radar, flipped).spatial_freq
             assert w_flipped == pytest.approx(-w, abs=1e-9)
 
     def test_magnitude_at_most_pi(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
             radar, target = random_geometry(rng)
-            assert abs(measure_spatial_frequency(radar, target)) <= math.pi + 1e-12
+            assert abs(measure(radar, target).spatial_freq) <= math.pi + 1e-12
 
 
 class TestAoa:
@@ -228,7 +225,7 @@ class TestAngleOffBoresight:
         for _ in range(100):
             radar, target = random_geometry(rng)
             theta = angle_off_boresight(radar, target)
-            w = measure_spatial_frequency(radar, target)
+            w = measure(radar, target).spatial_freq
             assert theta == pytest.approx(aoa_from_spatial_frequency(w), abs=1e-12)
 
     def test_behind_array(self):
@@ -265,10 +262,14 @@ class TestMeasurementJacobian:
         rng = np.random.default_rng(100)
         for _ in range(50):
             radar, target = random_geometry(rng)
-            r, omega, radial_vel, jac = measure_with_jacobian(radar, *target.as_vector())
+            r, omega, radial_vel, h00, h01, h10, h11, h20, h21 = _measure_at(
+                radar.x, radar.y, math.cos(radar.phi), math.sin(radar.phi),
+                *target.as_vector().tolist(), True,
+            )
             assert measure(radar, target) == IdealMeasurement(r, omega, radial_vel)
-            assert (measure_range(radar, target), measure_spatial_frequency(radar, target),
-                    measure_radial_velocity(radar, target)) == (r, omega, radial_vel)
+            jac = np.array([[h00, h01, 0, 0], [h10, h11, 0, 0], [h20, h21, h00, h01]], dtype=float)
             assert measurement_jacobian(radar, target).tobytes() == jac.tobytes()
-            assert measure_with_jacobian(radar, *target.as_vector(), jacobian=False) == (
-                r, omega, radial_vel, None)
+            assert _measure_at(
+                radar.x, radar.y, math.cos(radar.phi), math.sin(radar.phi),
+                *target.as_vector().tolist(), False,
+            ) == (r, omega, radial_vel)

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from radarnet.geometry import Pose2D, TargetState
+from radarnet.geometry import Pose2D
 from radarnet.scene import (
     ConfigError,
     Detection,
@@ -245,7 +245,6 @@ class TestSimulate:
         assert len(sim) == config.num_frames
         assert sim.detections.shape == (config.num_frames, len(config.nodes), 3)
         assert bits(sim.truth) == bits([(s.x, s.y, s.vx, s.vy) for s in truth])
-        assert sim.target_states() == truth
         assert sim.measurement_frames() == frames
         assert sim.seen.tolist() == [[det is not None for det in f.per_node] for f in frames]
         assert np.isnan(sim.detections[~sim.seen]).all()
@@ -442,22 +441,19 @@ class TestConfigIO:
 
 class TestExports:
     def test_measurement_csv_schema(self, tmp_path):
-        config = two_node_config(num_frames=10)
-        truth = generate_trajectory(config.trajectory, 10, 0.15, config.rng_seed)
-        frames = synthesize_measurements(truth, config)
+        sim = simulate(two_node_config(num_frames=10))
         path = tmp_path / "meas.csv"
-        export_measurements_csv(frames, path)
+        export_measurements_csv(sim, path)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "frame,node,range,omega,vr"
-        expected_rows = sum(det is not None for f in frames for det in f.per_node)
-        assert len(lines) - 1 == expected_rows
+        assert len(lines) - 1 == np.count_nonzero(sim.seen)
         frame_idx, node_idx, r, w, v = lines[1].split(",")
         assert int(frame_idx) == 0 and int(node_idx) in (0, 1)
         detection = Detection(float(r), float(w), float(v))
-        assert detection == frames[0].per_node[int(node_idx)]
+        assert detection == Detection(*sim.detections[0, int(node_idx)].tolist())
 
     def test_truth_csv_schema(self, tmp_path):
-        truth = [TargetState(0.5, 1.5, 0.1, -0.1), TargetState(0.6, 1.4, 0.1, -0.1)]
+        truth = [(0.5, 1.5, 0.1, -0.1), (0.6, 1.4, 0.1, -0.1)]
         path = tmp_path / "truth.csv"
         export_truth_csv(truth, path)
         lines = path.read_text().strip().split("\n")

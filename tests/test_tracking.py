@@ -2,17 +2,18 @@
 
 import math
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from radarnet import tracking
-from radarnet.experiment import PipelineOptions, calibrate_scenario, simulate_scenario
+from radarnet.experiment import PipelineOptions, calibrate_scenario
 from radarnet.geometry import (
     IdealMeasurement,
     Pose2D,
     TargetState,
-    _measure_floats,
+    _measure_at,
     detection_to_local_cartesian,
     measure,
     measurement_jacobian,
@@ -24,14 +25,11 @@ from radarnet.scene import (
     Simulation,
     TrajectorySpec,
     builtin_scenario,
-    generate_trajectory,
     simulate,
-    synthesize_measurements,
 )
 from radarnet.tracking import (
     EkfConfig,
     Track,
-    TrackPoint,
     _cholesky_3,
     _full,
     _project_psd,
@@ -59,6 +57,52 @@ def random_psd(rng, scale=1.0):
 def detection_of(radar, target):
     m = measure(radar, target)
     return Detection(m.range, m.spatial_freq, m.radial_vel)
+
+
+def node_detections(sim, node_index):
+    """One node's detections of a Simulation, frame by frame, None where it saw nothing."""
+    rows = sim.detections[:, node_index].tolist()
+    return [Detection(*row) if seen else None
+            for row, seen in zip(rows, sim.seen[:, node_index].tolist())]
+
+
+def without_detections(sim, node_index, frames):
+    """`sim` with node `node_index`'s detections on `frames` removed."""
+    detections, seen = sim.detections.copy(), sim.seen.copy()
+    detections[frames, node_index] = np.nan
+    seen[frames, node_index] = False
+    return Simulation(sim.truth, detections, seen)
+
+
+class Point(NamedTuple):
+    """One track row as the per-point reference code below reads it."""
+
+    frame_index: int
+    position: complex
+    velocity: np.ndarray
+    covariance: np.ndarray
+    updated: bool = True
+
+
+def points(track):
+    """A track's rows as Points; velocities and covariances are views of its arrays."""
+    return [
+        Point(k, complex(x, y), track.states[t, 2:], track.covariances[t], u)
+        for t, (k, (x, y), u) in enumerate(zip(
+            track.frame_index.tolist(), track.states[:, :2].tolist(), track.updated.tolist()
+        ))
+    ]
+
+
+def track_of(rows, **kwargs):
+    """A Track holding the given Points."""
+    return Track(
+        frame_index=[p.frame_index for p in rows],
+        states=[(p.position.real, p.position.imag, *np.ravel(p.velocity).tolist()) for p in rows],
+        covariances=[p.covariance for p in rows],
+        updated=[p.updated for p in rows],
+        **kwargs,
+    )
 
 
 class TestEkfConfig:
@@ -233,32 +277,22 @@ class TestRunTracker:
             num_frames=num_frames,
             rng_seed=seed,
         )
-        truth = generate_trajectory(
-            config.trajectory, config.num_frames, config.frame_duration, config.rng_seed
-        )
-        frames = synthesize_measurements(truth, config)
-        return config, truth, frames
+        return config, simulate(config)
 
     def test_noiseless_convergence(self):
-        config, truth, frames = self.straight_scenario(TINY_NOISE)
-        track = run_tracker(frames, 0, config.nodes[0], EkfConfig(), TINY_NOISE, config.frame_duration)
-        for point, target in zip(track.frames[20:], truth[20:]):
-            err = abs(point.position - complex(target.x, target.y))
+        config, sim = self.straight_scenario(TINY_NOISE)
+        track = run_tracker(sim, 0, config.nodes[0], EkfConfig(), TINY_NOISE, config.frame_duration)
+        for (x, y), (tx, ty) in zip(track.states[20:, :2].tolist(), sim.truth[20:, :2].tolist()):
+            err = abs(complex(x, y) - complex(tx, ty))
             assert err < 1e-3
 
     def test_missing_middle_frames_predict_only(self):
-        config, truth, frames = self.straight_scenario(TINY_NOISE, num_frames=40)
-        gap = range(15, 20)
-        frames = [
-            f if f.frame_index not in gap
-            else f.__class__(f.frame_index, (None, f.per_node[1]))
-            for f in frames
-        ]
-        track = run_tracker(frames, 0, config.nodes[0], EkfConfig(), TINY_NOISE, config.frame_duration)
-        assert len(track) == 40
-        by_frame = track.by_frame()
+        config, sim = self.straight_scenario(TINY_NOISE, num_frames=40)
+        sim = without_detections(sim, 0, range(15, 20))
+        track = run_tracker(sim, 0, config.nodes[0], EkfConfig(), TINY_NOISE, config.frame_duration)
+        assert track.frame_index.tolist() == list(range(40))
         # Covariance grows through the predict-only gap.
-        assert np.trace(by_frame[19].covariance) > np.trace(by_frame[14].covariance)
+        assert np.trace(track.covariances[19]) > np.trace(track.covariances[14])
 
     def test_steady_state_rmse_below_20cm(self):
         # Constant-velocity target crossing at close range, filter with
@@ -273,23 +307,22 @@ class TestRunTracker:
                 num_frames=120,
                 rng_seed=seed,
             )
-            truth = generate_trajectory(config.trajectory, 120, config.frame_duration, seed)
-            frames = synthesize_measurements(truth, config)
+            sim = simulate(config)
             track = run_tracker(
-                frames, 0, config.nodes[0],
+                sim, 0, config.nodes[0],
                 EkfConfig(process_noise_accel=0.05), TABLE_NOISE, config.frame_duration,
             )
-            by_frame = track.by_frame()
+            by_frame = {p.frame_index: p for p in points(track)}
             for k in range(60, 120):
                 if k in by_frame and by_frame[k].updated:
-                    truth_pos = complex(truth[k].x, truth[k].y)
+                    truth_pos = complex(*sim.truth[k, :2].tolist())
                     errors.append(abs(by_frame[k].position - truth_pos) ** 2)
         rmse = math.sqrt(np.mean(errors))
         assert rmse < 0.2
 
     def test_no_detections_raises(self):
-        config, truth, frames = self.straight_scenario(TINY_NOISE, num_frames=10)
-        empty = [f.__class__(f.frame_index, (None, f.per_node[1])) for f in frames]
+        config, sim = self.straight_scenario(TINY_NOISE, num_frames=10)
+        empty = without_detections(sim, 0, slice(None))
         with pytest.raises(ValueError, match="no detections"):
             run_tracker(empty, 0, config.nodes[0], EkfConfig(), TINY_NOISE)
 
@@ -301,27 +334,28 @@ class TestRunTracker:
         in_band = 0
         runs = 20
         for seed in range(runs):
-            config, truth, frames = self.straight_scenario(noise, num_frames=200, seed=seed)
-            nis = self._average_nis(frames, truth, noise, config.frame_duration)
+            config, sim = self.straight_scenario(noise, num_frames=200, seed=seed)
+            nis = self._average_nis(sim, noise, config.frame_duration)
             in_band += 1.0 <= nis <= 6.0
         assert in_band / runs >= 0.95
-        config, truth, frames = self.straight_scenario(TINY_NOISE, num_frames=200, seed=1)
-        assert self._average_nis(frames, truth, TABLE_NOISE, config.frame_duration) < 0.05
+        config, sim = self.straight_scenario(TINY_NOISE, num_frames=200, seed=1)
+        assert self._average_nis(sim, TABLE_NOISE, config.frame_duration) < 0.05
 
     def test_gate_rejected_detection_is_not_flagged_updated(self):
-        config, truth, frames = self.straight_scenario(TABLE_NOISE, num_frames=60, seed=3)
+        config, sim = self.straight_scenario(TABLE_NOISE, num_frames=60, seed=3)
         outlier_frame = 40
-        det, other = frames[outlier_frame].per_node
-        outlier = Detection(det.range + 3.0, det.spatial_freq, det.radial_vel)
-        frames[outlier_frame] = frames[outlier_frame].__class__(outlier_frame, (outlier, other))
+        assert sim.seen[outlier_frame, 0]
+        detections = sim.detections.copy()
+        detections[outlier_frame, 0, 0] += 3.0
+        sim = Simulation(sim.truth, detections, sim.seen)
         cfg = EkfConfig(gate_threshold=16.27)  # chi-square(3) at p = 0.001
-        track = run_tracker(frames, 0, config.nodes[0], cfg, TABLE_NOISE, config.frame_duration)
-        by_frame = track.by_frame()
-        assert by_frame[outlier_frame].updated is False
-        assert by_frame[outlier_frame - 1].updated and by_frame[outlier_frame + 1].updated
+        track = run_tracker(sim, 0, config.nodes[0], cfg, TABLE_NOISE, config.frame_duration)
+        updated = dict(zip(track.frame_index.tolist(), track.updated.tolist()))
+        assert updated[outlier_frame] is False
+        assert updated[outlier_frame - 1] and updated[outlier_frame + 1]
 
     @staticmethod
-    def _average_nis(frames, truth, noise, dt):
+    def _average_nis(sim, noise, dt):
         from radarnet.geometry import detection_to_local_cartesian, IdealMeasurement
         from radarnet.geometry import measurement_jacobian
 
@@ -329,8 +363,7 @@ class TestRunTracker:
         state = None
         cov = None
         values = []
-        for frame in frames:
-            det = frame.per_node[0]
+        for det in node_detections(sim, 0):
             if state is None:
                 if det is None:
                     continue
@@ -357,12 +390,11 @@ class TestRunTracker:
         return float(np.mean(values[20:]))
 
 
-def manual_chain(frames, node_index, cfg, noise, dt):
+def manual_chain(sim, node_index, cfg, noise, dt):
     """The tracker's recursion written with the public predict/update steps."""
-    points = []
+    rows = []
     state = None
-    for frame in frames:
-        det = frame.per_node[node_index]
+    for k, det in enumerate(node_detections(sim, node_index)):
         updated = False
         if state is None:
             if det is None:
@@ -382,47 +414,8 @@ def manual_chain(frames, node_index, cfg, noise, dt):
         if state.y < 0.0:
             fold = np.diag([1.0, -1.0, 1.0, -1.0])
             state, cov = TargetState(state.x, -state.y, state.vx, -state.vy), fold @ cov @ fold
-        points.append(
-            (frame.frame_index, state.x, state.y, state.vx, state.vy, cov.tobytes(), updated)
-        )
-    return points
-
-
-def track_bits(track):
-    """A track's frame indices, flags and the exact bytes of every state and covariance."""
-    return [
-        (p.frame_index, p.updated,
-         np.array([p.position.real, p.position.imag, *p.velocity]).tobytes(),
-         p.covariance.tobytes())
-        for p in track.frames
-    ]
-
-
-class TestSimulationInput:
-    def test_record_and_frame_list_give_identical_tracks(self):
-        base = builtin_scenario("B", "random", seed=2)
-        config = ScenarioConfig(
-            name="three", nodes=base.nodes + (Pose2D(4.0, 3.5, math.radians(125.0)),),
-            trajectory=base.trajectory, rng_seed=2,
-        )
-        sim = simulate(config)
-        # An outlier the gate rejects, on a frame every node sees.
-        outlier_frame = 300
-        assert sim.seen[outlier_frame].all()
-        detections = sim.detections.copy()
-        detections[outlier_frame, :, 0] += 3.0
-        sim = Simulation(sim.truth, detections, sim.seen)
-        frames = sim.measurement_frames()
-        assert len(sim) == len(frames) == config.num_frames
-        cfg = EkfConfig(process_noise_accel=0.4, gate_threshold=16.27)
-        missing = 0
-        for i, node in enumerate(config.nodes):
-            from_record = run_tracker(sim, i, node, cfg, config.noise, config.frame_duration)
-            from_list = run_tracker(frames, i, node, cfg, config.noise, config.frame_duration)
-            assert track_bits(from_record) == track_bits(from_list)
-            assert from_record.by_frame()[outlier_frame].updated is False
-            missing += int((~sim.seen[:, i]).sum())
-        assert missing > 0  # some node misses the target on some frames
+        rows.append((k, state.x, state.y, state.vx, state.vy, cov.tobytes(), updated))
+    return rows
 
 
 class TestStepWrappersMatchTracker:
@@ -430,21 +423,21 @@ class TestStepWrappersMatchTracker:
     @pytest.mark.parametrize("name", ["A", "C"])
     def test_tracker_equals_public_step_chain(self, name, gate):
         config = builtin_scenario(name, "random", seed=7)
-        _, frames = simulate_scenario(config)
+        sim = simulate(config)
         cfg = EkfConfig(process_noise_accel=0.4, gate_threshold=gate)
         for i, node in enumerate(config.nodes):
-            track = run_tracker(frames, i, node, cfg, config.noise, config.frame_duration)
+            track = run_tracker(sim, i, node, cfg, config.noise, config.frame_duration)
             got = [
-                (p.frame_index, p.position.real, p.position.imag, p.velocity[0], p.velocity[1],
-                 p.covariance.tobytes(), p.updated)
-                for p in track.frames
+                (k, *state, cov.tobytes(), u)
+                for k, state, cov, u in zip(track.frame_index.tolist(), track.states.tolist(),
+                                            track.covariances, track.updated.tolist())
             ]
-            expected = manual_chain(frames, i, cfg, config.noise, config.frame_duration)
+            expected = manual_chain(sim, i, cfg, config.noise, config.frame_duration)
             assert got == expected
             if gate is not None:
                 # The gate rejected at least one detection.
-                detected = [p for p in track.frames[1:] if frames[p.frame_index].per_node[i]]
-                assert not all(p.updated for p in detected)
+                detected = sim.seen[track.frame_index[1:], i]
+                assert not track.updated[1:][detected].all()
 
     def test_builtin_scenarios_make_no_decomposition_calls(self, monkeypatch):
         calls = {"eigh": 0, "cholesky": 0, "inv": 0}
@@ -460,15 +453,15 @@ class TestStepWrappersMatchTracker:
         for name in ("A", "B", "C"):
             for kind in ("straight", "random"):
                 config = builtin_scenario(name, kind, seed=7)
-                _, frames = simulate_scenario(config)
+                sim = simulate(config)
                 for i, node in enumerate(config.nodes):
-                    run_tracker(frames, i, node, options.ekf, config.noise, config.frame_duration)
+                    run_tracker(sim, i, node, options.ekf, config.noise, config.frame_duration)
         assert calls == {"eigh": 0, "cholesky": 0, "inv": 0}
         np.linalg.eigh(np.eye(2))  # the counter itself is live
         assert calls["eigh"] == 1
 
 
-def reference_numpy_tracker(frames, node_index, cfg, noise, dt):
+def reference_numpy_tracker(sim, node_index, cfg, noise, dt):
     """The EKF step as numpy arrays: F P F' + Q, a `np.linalg.solve` gain
     and gate, and the Joseph update, each covariance projected by
     `eigh_projection`.  Returns the track as (frame, state, covariance,
@@ -478,10 +471,9 @@ def reference_numpy_tracker(frames, node_index, cfg, noise, dt):
     q = process_noise(dt, cfg.process_noise_accel)
     r = np.diag([noise.sigma_r**2, noise.sigma_omega**2, noise.sigma_v**2])
     fold = np.diag([1.0, -1.0, 1.0, -1.0])
-    points = []
+    rows = []
     theta = None
-    for frame in frames:
-        det = frame.per_node[node_index]
+    for k, det in enumerate(node_detections(sim, node_index)):
         updated = False
         if theta is None:
             if det is None:
@@ -512,8 +504,8 @@ def reference_numpy_tracker(frames, node_index, cfg, noise, dt):
                     updated = True
         if theta[1] < 0.0:
             theta, cov = fold @ theta, fold @ cov @ fold
-        points.append((frame.frame_index, theta.copy(), cov.copy(), updated))
-    return points
+        rows.append((k, theta.copy(), cov.copy(), updated))
+    return rows
 
 
 class TestFloatStep:
@@ -525,24 +517,24 @@ class TestFloatStep:
             for name in ("A", "B", "C"):
                 for kind in ("straight", "random"):
                     config = builtin_scenario(name, kind, seed=7)
-                    _, frames = simulate_scenario(config)
+                    sim = simulate(config)
                     for i, node in enumerate(config.nodes):
                         track = run_tracker(
-                            frames, i, node, cfg, config.noise, config.frame_duration
+                            sim, i, node, cfg, config.noise, config.frame_duration
                         )
                         expected = reference_numpy_tracker(
-                            frames, i, cfg, config.noise, config.frame_duration
+                            sim, i, cfg, config.noise, config.frame_duration
                         )
-                        assert [p.frame_index for p in track.frames] == [e[0] for e in expected]
-                        assert [p.updated for p in track.frames] == [e[3] for e in expected]
-                        for p, (_, theta, cov, _) in zip(track.frames, expected):
-                            got = np.array([p.position.real, p.position.imag, *p.velocity])
+                        assert track.frame_index.tolist() == [e[0] for e in expected]
+                        assert track.updated.tolist() == [e[3] for e in expected]
+                        for got, got_cov, (_, theta, cov, _) in zip(
+                            track.states, track.covariances, expected
+                        ):
                             np.testing.assert_allclose(got, theta, rtol=0.0, atol=1e-9)
-                            assert np.max(np.abs(p.covariance - cov)) <= 1e-9 * np.max(np.abs(cov))
-                        coasted[gate] += sum(
-                            frames[p.frame_index].per_node[i] is not None and not p.updated
-                            for p in track.frames[1:]
-                        )
+                            assert np.max(np.abs(got_cov - cov)) <= 1e-9 * np.max(np.abs(cov))
+                        coasted[gate] += int(np.count_nonzero(
+                            sim.seen[track.frame_index[1:], i] & ~track.updated[1:]
+                        ))
         assert coasted[7.81] > coasted[None]  # the gate rejected detections
 
     def test_failed_psd_test_goes_through_eigh_clip(self, monkeypatch):
@@ -589,16 +581,16 @@ class TestFloatStep:
 class TestTransformTrack:
     def test_rigid_map(self):
         rng = np.random.default_rng(3)
-        points = [
-            TrackPoint(k, complex(*rng.uniform(-3, 3, 2)), rng.uniform(-1, 1, 2), random_psd(rng))
+        rows = [
+            Point(k, complex(*rng.uniform(-3, 3, 2)), rng.uniform(-1, 1, 2), random_psd(rng))
             for k in range(5)
         ]
-        track = Track(frames=points, node_index=1)
+        track = track_of(rows, node_index=1)
         phi = 2.0
         p21 = complex(1.0, -2.0)
         moved = transform_track(track, p21, phi)
         rot = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
-        for before, after in zip(track.frames, moved.frames):
+        for before, after in zip(points(track), points(moved)):
             expected = p21 + complex(math.cos(phi), math.sin(phi)) * before.position
             assert abs(after.position - expected) < 1e-12
             np.testing.assert_allclose(after.velocity, rot @ before.velocity, atol=1e-12)
@@ -622,7 +614,7 @@ class TestTransformTrack:
         rot4 = np.zeros((4, 4))
         rot4[:2, :2] = rot4[2:, 2:] = rot2
         assert len(moved) == len(track) > 100
-        for before, after in zip(track.frames, moved.frames):
+        for before, after in zip(points(track), points(moved)):
             cov = rot4 @ before.covariance @ rot4.T
             assert after.frame_index == before.frame_index
             assert (rot2 @ before.velocity).tobytes() == after.velocity.tobytes()
@@ -632,21 +624,21 @@ class TestTransformTrack:
 class TestTrackFusion:
     def test_identical_inputs_halve_covariance(self):
         cov = np.diag([1.0, 2.0, 3.0, 4.0])
-        points = [TrackPoint(0, 1 + 2j, np.array([0.5, -0.5]), cov)]
-        fused = track_level_fusion(Track(frames=points), Track(frames=list(points)))
-        assert fused.frames[0].position == pytest.approx(1 + 2j)
-        np.testing.assert_allclose(fused.frames[0].covariance, cov / 2, atol=1e-12)
+        rows = [Point(0, 1 + 2j, np.array([0.5, -0.5]), cov)]
+        fused = points(track_level_fusion(track_of(rows), track_of(rows)))
+        assert fused[0].position == pytest.approx(1 + 2j)
+        np.testing.assert_allclose(fused[0].covariance, cov / 2, atol=1e-12)
 
     def test_huge_covariance_input_is_ignored(self):
-        tight = TrackPoint(0, 1 + 1j, np.array([1.0, 0.0]), np.eye(4) * 0.01)
-        vague = TrackPoint(0, 5 - 3j, np.array([-1.0, 2.0]), np.eye(4) * 1e9)
-        fused = track_level_fusion(Track(frames=[tight]), Track(frames=[vague]))
-        assert abs(fused.frames[0].position - tight.position) < 1e-6
-        np.testing.assert_allclose(fused.frames[0].velocity, tight.velocity, atol=1e-6)
+        tight = Point(0, 1 + 1j, np.array([1.0, 0.0]), np.eye(4) * 0.01)
+        vague = Point(0, 5 - 3j, np.array([-1.0, 2.0]), np.eye(4) * 1e9)
+        fused = points(track_level_fusion(track_of([tight]), track_of([vague])))
+        assert abs(fused[0].position - tight.position) < 1e-6
+        np.testing.assert_allclose(fused[0].velocity, tight.velocity, atol=1e-6)
 
     def test_no_common_frames(self):
-        a = Track(frames=[TrackPoint(0, 0j, np.zeros(2), np.eye(4))])
-        b = Track(frames=[TrackPoint(1, 0j, np.zeros(2), np.eye(4))])
+        a = track_of([Point(0, 0j, np.zeros(2), np.eye(4))])
+        b = track_of([Point(1, 0j, np.zeros(2), np.eye(4))])
         with pytest.raises(ValueError, match="common"):
             track_level_fusion(a, b)
 
@@ -666,12 +658,12 @@ class TestTrackFusion:
                 e2 = sigma2 * (rng.standard_normal() + 1j * rng.standard_normal())
                 cov1 = np.diag([sigma1**2, sigma1**2, 1.0, 1.0])
                 cov2 = np.diag([sigma2**2, sigma2**2, 1.0, 1.0])
-                frames1.append(TrackPoint(k, truth + e1, np.zeros(2), cov1))
-                frames2.append(TrackPoint(k, truth + e2, np.zeros(2), cov2))
-            fused = track_level_fusion(Track(frames=frames1), Track(frames=frames2))
+                frames1.append(Point(k, truth + e1, np.zeros(2), cov1))
+                frames2.append(Point(k, truth + e2, np.zeros(2), cov2))
+            fused = track_level_fusion(track_of(frames1), track_of(frames2))
             err1 = np.mean([abs(p.position - truth) for p in frames1])
             err2 = np.mean([abs(p.position - truth) for p in frames2])
-            fused_errs.append(np.mean([abs(p.position - truth) for p in fused.frames]))
+            fused_errs.append(np.mean([abs(p.position - truth) for p in points(fused)]))
             best_single_errs.append(min(err1, err2))
         assert np.mean(fused_errs) <= np.mean(best_single_errs)
 
@@ -681,9 +673,9 @@ def per_frame_track_fusion(track1, track2):
 
     Returns (frame, state bytes, covariance bytes) per fused frame.
     """
-    by_frame2 = track2.by_frame()
+    by_frame2 = {p.frame_index: p for p in points(track2)}
     out = []
-    for p1 in track1.frames:
+    for p1 in points(track1):
         p2 = by_frame2.get(p1.frame_index)
         if p2 is None:
             continue
@@ -700,10 +692,10 @@ class TestStackedTrackFusion:
     @pytest.mark.parametrize("name", ["A", "B", "C"])
     def test_stacked_solve_matches_per_frame_solves_bit_for_bit(self, name):
         config = builtin_scenario(name, "random", seed=7)
-        _, frames = simulate_scenario(config)
+        sim = simulate(config)
         cfg = PipelineOptions().ekf
         tracks = [
-            run_tracker(frames, i, node, cfg, config.noise, config.frame_duration)
+            run_tracker(sim, i, node, cfg, config.noise, config.frame_duration)
             for i, node in enumerate(config.nodes)
         ]
         node = config.nodes[1]
@@ -713,22 +705,22 @@ class TestStackedTrackFusion:
             (p.frame_index,
              np.array([p.position.real, p.position.imag, *p.velocity]).tobytes(),
              p.covariance.tobytes())
-            for p in fused.frames
+            for p in points(fused)
         ]
         assert got == per_frame_track_fusion(tracks[0], moved)
         assert len(got) > 100
 
     def test_singular_total_covariance_is_wrapped(self):
-        singular = TrackPoint(0, 0j, np.zeros(2), np.zeros((4, 4)))
+        singular = track_of([Point(0, 0j, np.zeros(2), np.zeros((4, 4)))])
         with pytest.raises(np.linalg.LinAlgError, match="singular track covariances"):
-            track_level_fusion(Track(frames=[singular]), Track(frames=[singular]))
+            track_level_fusion(singular, singular)
 
 
 class TestExport:
     def test_csv_schema(self, tmp_path):
-        points = [TrackPoint(3, 1.5 - 0.5j, np.array([0.1, 0.2]), np.diag([1.0, 2.0, 3.0, 4.0]))]
+        rows = [Point(3, 1.5 - 0.5j, np.array([0.1, 0.2]), np.diag([1.0, 2.0, 3.0, 4.0]))]
         path = tmp_path / "track.csv"
-        export_track_csv(Track(frames=points, frame="local"), path)
+        export_track_csv(track_of(rows, frame="local"), path)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "# frame=local"
         assert lines[1] == "frame,x,y,vx,vy,p11,p22,p33,p44"
@@ -757,7 +749,7 @@ def list_transform_track(points, p21, phi21):
     cov = rot4 @ np.array([p.covariance for p in points]).reshape(-1, 4, 4) @ rot4.T
     cov = 0.5 * (cov + cov.transpose(0, 2, 1))
     return [
-        TrackPoint(p.frame_index, p21 + rot_c * p.position, velocity[t], cov[t])
+        Point(p.frame_index, p21 + rot_c * p.position, velocity[t], cov[t])
         for t, p in enumerate(points)
     ]
 
@@ -776,7 +768,7 @@ def list_track_level_fusion(points1, points2):
     fused_cov = 0.5 * (fused_cov + fused_cov.transpose(0, 2, 1))
     velocity = fused[:, 2:].copy()
     return [
-        TrackPoint(p1.frame_index, complex(x, y), velocity[t], fused_cov[t])
+        Point(p1.frame_index, complex(x, y), velocity[t], fused_cov[t])
         for t, ((p1, _), (x, y)) in enumerate(zip(pairs, fused[:, :2].tolist()))
     ]
 
@@ -826,44 +818,20 @@ def builtin_tracks():
 
 
 class TestArrayTrack:
-    def test_point_list_round_trips(self):
-        rng = np.random.default_rng(20)
-        points = [
-            TrackPoint(k, complex(*rng.uniform(-3, 3, 2)), rng.uniform(-1, 1, 2),
-                       random_psd(rng), bool(k % 3))
-            for k in (0, 2, 3, 7, 8)
-        ]
-        track = Track(frames=points, node_index=1, frame="reference")
-        assert len(track) == 5 and (track.node_index, track.frame) == (1, "reference")
-        assert point_bits(track.frames) == point_bits(points)
-        assert all(type(p.frame_index) is int and type(p.updated) is bool for p in track.frames)
-        again = Track(frame_index=track.frame_index, states=track.states,
-                      covariances=track.covariances, updated=track.updated)
-        assert point_bits(again.frames) == point_bits(points)
-        assert len(Track()) == 0 and Track().table().shape == (0, 8)
-
     def test_views_equal_point_list_values(self, builtin_tracks):
         for _, tracks in builtin_tracks.values():
             for track in tracks:
-                points = list(track.frames)
-                rebuilt = Track(frames=points)
-                for t in (track, rebuilt):
-                    assert point_bits(t.frames) == point_bits(points)
-                    assert t.frame_indices().tolist() == [p.frame_index for p in points]
-                    assert t.positions().tobytes() == np.array(
-                        [p.position for p in points], dtype=complex).tobytes()
-                    assert t.table().tobytes() == list_table(points).tobytes()
-                    by_frame = t.by_frame()
-                    assert list(by_frame) == [p.frame_index for p in points]
-                    assert point_bits(by_frame.values()) == point_bits(points)
+                rows = points(track)
+                assert track.positions().tobytes() == np.array(
+                    [p.position for p in rows], dtype=complex).tobytes()
+                assert track.table().tobytes() == list_table(rows).tobytes()
 
     def test_bad_construction_rejected(self):
-        point = TrackPoint(3, 0j, np.zeros(2), np.eye(4))
+        cov = np.broadcast_to(np.eye(4), (2, 4, 4))
         with pytest.raises(ValueError, match="strictly increase"):
-            Track(frames=[point, point])
-        with pytest.raises(ValueError, match="not both"):
-            Track(frames=[point], frame_index=[3])
-        with pytest.raises(ValueError, match="needs"):
+            Track(frame_index=[3, 3], states=np.zeros((2, 4)), covariances=cov,
+                  updated=[True, True])
+        with pytest.raises(TypeError, match="covariances"):
             Track(frame_index=[3], states=np.zeros((1, 4)))
 
     def test_transform_and_fusion_equal_point_list_code(self, builtin_tracks):
@@ -872,12 +840,12 @@ class TestArrayTrack:
                 p21 = complex(node.x, node.y)
                 moved = transform_track(track, p21, node.phi)
                 assert moved.frame == "reference" and moved.node_index == track.node_index
-                expected = list_transform_track(track.frames, p21, node.phi)
-                assert point_bits(moved.frames) == point_bits(expected)
+                expected = list_transform_track(points(track), p21, node.phi)
+                assert point_bits(points(moved)) == point_bits(expected)
                 fused = track_level_fusion(tracks[0], moved)
                 assert len(fused) > 100
-                assert point_bits(fused.frames) == point_bits(
-                    list_track_level_fusion(tracks[0].frames, expected))
+                assert point_bits(points(fused)) == point_bits(
+                    list_track_level_fusion(points(tracks[0]), expected))
 
     def test_export_equals_point_list_code(self, builtin_tracks, tmp_path):
         from radarnet.scene import write_csv
@@ -885,8 +853,9 @@ class TestArrayTrack:
         _, tracks = builtin_tracks["C"]
         track = tracks[1]
         export_track_csv(track, tmp_path / "arrays.csv")
-        rows = ([p.frame_index, *row] for p, row in zip(track.frames, list_table(track.frames).tolist()))
-        write_csv(tmp_path / "points.csv", "# frame=local\nframe,x,y,vx,vy,p11,p22,p33,p44", rows)
+        rows = points(track)
+        lines = ([p.frame_index, *row] for p, row in zip(rows, list_table(rows).tolist()))
+        write_csv(tmp_path / "points.csv", "# frame=local\nframe,x,y,vx,vy,p11,p22,p33,p44", lines)
         assert (tmp_path / "arrays.csv").read_bytes() == (tmp_path / "points.csv").read_bytes()
 
     @pytest.mark.parametrize("skip,gap,settle", [(50, 5, 10), (0, 0, 0), (3, 2, 25), (10, 1, -2)])
@@ -896,24 +865,9 @@ class TestArrayTrack:
         for _, tracks in builtin_tracks.values():
             for track in tracks[1:]:
                 z1, z2 = paired_positions(tracks[0], track, skip, gap, settle)
-                e1, e2 = list_paired_positions(tracks[0].frames, track.frames, skip, gap, settle)
+                e1, e2 = list_paired_positions(points(tracks[0]), points(track), skip, gap, settle)
                 assert len(z1) > 100
                 assert (z1.tobytes(), z2.tobytes()) == (e1.tobytes(), e2.tobytes())
-
-    def test_pipeline_builds_no_track_points(self, monkeypatch, tmp_path):
-        from radarnet.experiment import calibrate_scenario, run_experiment
-
-        built = []
-        original = TrackPoint.__init__
-        monkeypatch.setattr(
-            TrackPoint, "__init__", lambda self, *a, **k: built.append(1) or original(self, *a, **k)
-        )
-        config = builtin_scenario("B", "random", seed=7)
-        calibrate_scenario(config, PipelineOptions())
-        run_experiment(config, PipelineOptions(out_dir=tmp_path))
-        assert built == []
-        TrackPoint(0, 0j, np.zeros(2), np.eye(4))  # the counter itself is live
-        assert built == [1]
 
 
 # -- Whitened update against the Joseph form it replaced ----------------------
@@ -1072,7 +1026,7 @@ class TestWhitenedUpdate:
         r = (0.035**2, 0.15**2, 0.1807**2)
         for _ in range(300):
             theta = (rng.uniform(-3, 3), rng.uniform(1, 8), *rng.uniform(-2, 2, 2))
-            model = _measure_floats(ORIGIN, *theta, True)
+            model = _measure_at(0.0, 0.0, 1.0, 0.0, *theta, True)
             z = tuple(m + rng.normal(0, s) for m, s in zip(model[:3], (0.05, 0.2, 0.1)))
             prior = random_psd(rng, scale=10.0 ** rng.uniform(-3, 1))
             p = _upper(prior)
@@ -1124,7 +1078,7 @@ def untrimmed_run_tracker(frames, node_index, node_pose, cfg, noise, dt=0.150):
     r = tracking._noise_variances(noise)
     frame_indices, states, covariances, flags = [], [], [], []
     theta = None
-    for k, z in zip(*tracking._node_rows(frames, node_index)):
+    for k, z in enumerate(tracking._node_rows(frames, node_index)):
         updated = False
         if theta is None:
             if z is None:

@@ -30,6 +30,7 @@ from .experiment import (
     calibrate_scenario,
     calibration_stage_config,
     emit_plot_data,
+    run_directory,
     run_experiment,
     run_monte_carlo,
 )
@@ -103,7 +104,7 @@ def _options(args) -> PipelineOptions:
 
 def cmd_simulate(args) -> int:
     config = _resolve_scenario(args)
-    out = args.out / config.name / str(config.rng_seed) / "sim"
+    out = run_directory(args.out, config) / str(config.rng_seed) / "sim"
     out.mkdir(parents=True, exist_ok=True)
     sim = simulate(config)
     save_scenario(config, out / "scenario.json")
@@ -118,7 +119,7 @@ def cmd_calibrate(args) -> int:
     config = _resolve_scenario(args)
     options = _options(args)
     results = calibrate_scenario(config, options)
-    out = args.out / config.name / str(config.rng_seed) / "calibration"
+    out = run_directory(args.out, config) / str(config.rng_seed) / "calibration"
     out.mkdir(parents=True, exist_ok=True)
     for i, res in enumerate(results, start=1):
         save_result(res, result_path(out, i))
@@ -154,7 +155,7 @@ def cmd_fuse(args) -> int:
         poses = _calibrated_poses(args.calibration, len(config.nodes))
     else:
         poses = list(config.nodes)
-    out = args.out / config.name / str(config.rng_seed) / "fusion"
+    out = run_directory(args.out, config) / str(config.rng_seed) / "fusion"
     out.mkdir(parents=True, exist_ok=True)
     # Frames seen by at least two nodes, solved as one (F, N, 6) frame
     # table per set of detecting nodes.
@@ -255,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.set_defaults(func=cmd_mc)
 
     p_plots = sub.add_parser("emit-plots", help="tidy plot CSVs from a finished run")
-    p_plots.add_argument("--run-dir", type=Path, required=True, help="out/<scenario>/<seed> directory")
+    p_plots.add_argument("--run-dir", type=Path, required=True,
+                         help="out/<scenario>/<kind>/<seed> directory")
     p_plots.add_argument("--plots-out", type=Path, default=None, help="destination (default <run-dir>/plots)")
     p_plots.set_defaults(func=cmd_emit_plots)
     return parser

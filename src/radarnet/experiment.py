@@ -8,7 +8,7 @@ are recomputable from the emitted per-frame CSV.
 
 Output layout, fixed so tools and tests can rely on it:
 
-    <out>/<scenario>/<seed>/
+    <out>/<scenario>/<trajectory kind>/<seed>/
         scenario.json
         tracks/node0.csv, node<i>_in_ref.csv, track_fusion.csv
         calibration/result.json, result_node<i>.json (node i >= 2)
@@ -57,7 +57,6 @@ from .tracking import (
     Track,
     export_track_csv,
     run_tracker,
-    track_csv_states,
     track_level_fusion,
     transform_track,
 )
@@ -179,6 +178,12 @@ def paired_positions(
     if len(good) < 2:
         raise PipelineError("fewer than 2 usable track pairs for calibration")
     return track1.positions()[rows1[good]], track2.positions()[rows2[good]]
+
+
+def run_directory(out_dir: Path | str, config: ScenarioConfig) -> Path:
+    """`<out_dir>/<scenario>/<trajectory kind>`, which holds one directory
+    per seed: runs of both trajectory kinds at one seed do not collide."""
+    return Path(out_dir) / config.name / config.trajectory.kind
 
 
 def _run_trackers(
@@ -339,7 +344,7 @@ def run_experiment(
     nonconverged = {mode: np.mean(~estimates[mode].converged) for mode in options.modes}
 
     benchmark_key = "truth" if options.benchmark == "truth" else "track_fusion"
-    run_dir = Path(options.out_dir) / config.name / str(config.rng_seed)
+    run_dir = run_directory(options.out_dir, config) / str(config.rng_seed)
     per_frame_path = run_dir / "fusion" / "per_frame.csv"
     report = ExperimentReport(
         scenario=config.name,
@@ -386,9 +391,11 @@ def _write_run_outputs(
     track_paths = [run_dir / "tracks" / "node0.csv"]
     track_paths += [run_dir / "tracks" / f"node{i}_in_ref.csv" for i in range(1, len(transformed))]
     track_paths.append(run_dir / "tracks" / "track_fusion.csv")
+    # Per track, each frame's x, y, vx, vy cells as the export wrote them.
+    track_cells = []
     for track, path in zip([*transformed, fused], track_paths):
-        export_track_csv(track, path)
-    track_cells = [track_csv_states(path) for path in track_paths]
+        cells = export_track_csv(track, path)
+        track_cells.append(dict(zip(track.frame_index.tolist(), (row[:4] for row in cells))))
     for node, result in enumerate(calibrations, start=1):
         save_result(result, result_path(run_dir / "calibration", node))
 
@@ -423,7 +430,9 @@ def _write_run_outputs(
     header.append("in_rmse_set")
     rows = []
     for t, k in enumerate(eval_frames):
-        row = [k, *truth_cells[k], *(cells[k] for cells in track_cells)]
+        row = [k, *truth_cells[k]]
+        for cells in track_cells:
+            row += cells[k]
         for mode in modes:
             row += oneshot_cells[mode][t]
         row.append(int(k in rmse_set))
@@ -528,7 +537,7 @@ def run_monte_carlo(
         "reports": reports,
     }
     if options.write_outputs:
-        mc_dir = Path(options.out_dir) / config.name / f"mc_seed{config.rng_seed}_t{trials}"
+        mc_dir = run_directory(options.out_dir, config) / f"mc_seed{config.rng_seed}_t{trials}"
         mc_dir.mkdir(parents=True, exist_ok=True)
         (mc_dir / "aggregate.json").write_text(
             json.dumps(summary, indent=2, sort_keys=True) + "\n"

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -218,15 +219,28 @@ def _cholesky_3(s00, s01, s02, s11, s12, s22) -> tuple | None:
     return l00, l10, l20, l11, l21, math.sqrt(d2)
 
 
+def _lambda_min_q(q: tuple) -> float:
+    """det/trace of Q's per-axis block [[q_pos, q_cross], [q_cross, q_vel]],
+    a lower bound on lambda_min(Q); 0.0 when Q is singular.
+
+    The block's smaller eigenvalue is at least det/trace, since the
+    larger is at most the trace.
+    """
+    q_pos, q_cross, q_vel = q
+    det = q_pos * q_vel - q_cross * q_cross
+    if not det > 0.0:
+        return 0.0
+    return det / (q_pos + q_vel)
+
+
 def _predict_trace_bound(dt: float, q: tuple) -> float:
     """The trace below which F P F' + Q passes the PSD test for every
     positive definite P; 0.0 when Q is singular.
 
     `q` is (q_pos, q_cross, q_vel) from `_process_noise_terms`.  F P F'
     is positive semidefinite, so P+ = F P F' + Q has every eigenvalue at
-    or above lambda_min(Q).  Q is two copies of the per-axis block
-    [[q_pos, q_cross], [q_cross, q_vel]], whose smaller eigenvalue is at
-    least det/trace (the larger is at most the trace).  While
+    or above lambda_min(Q), which Q's two per-axis blocks bound from
+    below by `_lambda_min_q`.  While
     1e-12*trace(P+) stays below a tenth of that, P+ - 1e-12*trace(P+)*I
     keeps nine tenths of lambda_min(Q), and `_is_positive_definite_4`
     succeeds unless rounding moves the matrix by that much.  Rounding of
@@ -235,11 +249,66 @@ def _predict_trace_bound(dt: float, q: tuple) -> float:
     of the trace.  Dividing the bound by 1 + dt^2 keeps both at about
     1e11 * 1e-15 = 1e-4 of lambda_min(Q), far inside the margin.
     """
-    q_pos, q_cross, q_vel = q
-    det = q_pos * q_vel - q_cross * q_cross
-    if not det > 0.0:
+    return _lambda_min_q(q) / (10.0 * 1e-12) / (1.0 + dt * dt)
+
+
+# The update guard's rounding constant c times the unit roundoff u = 2^-53.
+_UPDATE_ROUNDING = 100.0 * 2.0**-53
+
+
+def _update_guard_bound(q: tuple, r: tuple, trace_bound: float) -> float:
+    """The bound below which trace(P) * (1 + |h|^2) lets the tracker skip
+    the PSD test of the EKF posterior of P; 0.0 when Q is singular.
+
+    `q` is (q_pos, q_cross, q_vel) from `_process_noise_terms`, `r` the
+    three measurement noise variances, `trace_bound` the predict's
+    `_predict_trace_bound`, and |h|^2 the sum of the squares of the six
+    Jacobian floats h00 .. h21 of `geometry._measure_at`.
+
+    Premise: P comes from `_predict` with its trace below `trace_bound`,
+    so the predict skipped its test and clipped nothing, and every
+    eigenvalue of P is at least (1 - 1e-4) lambda_q, lambda_q =
+    `_lambda_min_q(q)` (see `_predict_trace_bound`).
+
+    Exact posterior: it is (P^-1 + H'R^-1 H)^-1 (Bar-Shalom, Li &
+    Kirubarajan, ch. 5), so its smallest eigenvalue is at least
+    lam = 1/(1/lambda_q + t) for t = trace(H'R^-1 H), the sum of each row
+    of H's squared norm over its variance.  The rows (h00, h01, 0, 0),
+    (h10, h11, 0, 0) and (h20, h21, h00, h01) each have a squared norm
+    below A = 1 + |h|^2, so t <= A * sigma for sigma = sum(1/r_i).
+
+    Rounding: the computed P - W W' misses the exact posterior.  The sum
+    S = H P H' + R and its Cholesky factor are off by a few ulps of
+    trace(S), which reach W W' = B S^-1 B' as K dS K', of norm at most
+    ||P|| ||dS|| / lambda_min(S).  Forming B = P H', the products and
+    the subtraction add a few ulps of trace(P) times the same ratio.  S
+    is at least R, so kappa = (trace(H'H) trace(P) + trace(R)) / min(R)
+    bounds trace(S) / lambda_min(S) from above, and the error is at most
+    rho = c u trace(P) kappa, with u the unit roundoff and c = 100 over
+    the roughly 60 ulps those steps sum to.  `_is_positive_definite_4`
+    succeeds when the result's smallest eigenvalue clears its shift
+    1e-12*trace(P+) <= 1e-12*trace(P) and its own backward error, a few
+    ulps of trace(P+), below rho.  The guard asks for a
+    ten-thousandfold margin: lam >= 1e4 trace(P) (1e-12 + c u kappa).
+
+    The bound: with y = trace(P) A, trace(P) <= y, trace(H'H) <= 2A and
+    trace(P)/lam <= y (1/lambda_q + sigma), so the margin holds when
+        1e4 y (1/lambda_q + sigma) (1e-12 + c u (2y + trace(R)) / min(R)) <= 1.
+    The left side grows with y.  Its root is the bound, capped at
+    `trace_bound`, which y >= trace(P) must stay below for the premise.
+    Noise variances that underflow or overflow give 0.0 or NaN, and
+    no y passes either.
+    """
+    lambda_q = _lambda_min_q(q)
+    r_min = min(r)
+    if not (lambda_q > 0.0 and r_min > 0.0):
         return 0.0
-    return det / (q_pos + q_vel) / (10.0 * 1e-12) / (1.0 + dt * dt)
+    alpha = 1e4 * (1.0 / lambda_q + 1.0 / r[0] + 1.0 / r[1] + 1.0 / r[2])
+    beta = 2.0 * _UPDATE_ROUNDING / r_min
+    gamma = 1e-12 + _UPDATE_ROUNDING * (r[0] + r[1] + r[2]) / r_min
+    # The root of alpha y (gamma + beta y) = 1, in its cancellation-free form.
+    root = 2.0 / alpha / (gamma + math.sqrt(gamma * gamma + 4.0 * beta / alpha))
+    return min(root, trace_bound)
 
 
 def _predict(
@@ -274,7 +343,8 @@ def _update(
     Jacobian; `z` is the detection's (range, spatial frequency,
     radial velocity) floats and `r` the three measurement noise
     variances.  Also returns the innovation and whether the gate let
-    the update through.
+    the update through.  P - W W' can lose definiteness to rounding; the
+    caller tests it (`_psd`) unless `_update_guard_bound` proves it safe.
     """
     pred_r, pred_omega, pred_v, h00, h01, h10, h11, h20, h21 = model
     meas_r, meas_omega, meas_v = z
@@ -351,9 +421,6 @@ def _update(
         p23 - (g20 * g30 + g21 * g31 + g22 * g32),
         p33 - (g30 * g30 + g31 * g31 + g32 * g32),
     )
-    # P - W W' can lose definiteness to rounding, so it is always tested.
-    if not _is_positive_definite_4(cov):
-        cov = _upper(_project_psd(_full(cov)))
     return posterior, cov, innovation, True
 
 
@@ -398,7 +465,8 @@ def ekf_update(
     )
     if not applied:
         return state, cov, np.array(innovation)
-    return TargetState(*theta), _full(p), np.array(innovation)
+    # `cov` may be any matrix, so the posterior is always tested.
+    return TargetState(*theta), _full(_psd(p)), np.array(innovation)
 
 
 def _node_rows(sim: Simulation, node_index: int) -> list[list[float] | None]:
@@ -436,10 +504,12 @@ def run_tracker(
         raise ValueError("dt must be > 0")
     q = _process_noise_terms(dt, cfg.process_noise_accel)
     # Every covariance entering a predict is positive definite: the
-    # diagonal initial one, or one that passed the PSD test or came from
-    # its eigh clip (the reflection keeps that), so the bound applies.
+    # diagonal initial one, or one that passed the PSD test, provably
+    # would have (the update guard), or came from its eigh clip (the
+    # reflection keeps that), so the bound applies.
     trace_bound = _predict_trace_bound(dt, q)
     r = _noise_variances(noise)
+    update_bound = _update_guard_bound(q, r, trace_bound)
     min_range, gate_threshold = cfg.min_range, cfg.gate_threshold
     hypot, isfinite = math.hypot, math.isfinite
     frame_indices, states, covariances, flags = [], [], [], []
@@ -459,7 +529,14 @@ def run_tracker(
             if z is not None and hypot(theta[0], theta[1]) >= min_range:
                 # The radar sits at the local frame's identity pose.
                 model = _measure_at(0.0, 0.0, 1.0, 0.0, *theta, True)
+                trace = p[0] + p[4] + p[7] + p[9]
                 theta, p, _, updated = _update(theta, p, model, z, r, gate_threshold)
+                if updated:
+                    _, _, _, h00, h01, h10, h11, h20, h21 = model
+                    weight = 1.0 + (h00 * h00 + h01 * h01 + h10 * h10 + h11 * h11
+                                    + h20 * h20 + h21 * h21)
+                    if not trace * weight < update_bound:
+                        p = _psd(p)
         x, y, vx, vy = theta
         if not (isfinite(x) and isfinite(y) and isfinite(vx) and isfinite(vy)):
             raise ValueError(f"EKF state must be finite, got {theta!r}")
@@ -473,11 +550,18 @@ def run_tracker(
         states.append(theta)
         covariances.append(p)
         flags.append(updated)
-    if not frame_indices:
+    count = len(frame_indices)
+    if not count:
         raise ValueError(f"node {node_index} produced no detections; track is empty")
+    # np.fromiter reads the loop's floats in one pass, about twice as
+    # fast as np.asarray over the list of tuples.
     return Track(
-        node_index=node_index, frame="local", frame_index=frame_indices, states=states,
-        covariances=_full(covariances), updated=flags,
+        node_index=node_index, frame="local", frame_index=frame_indices,
+        states=np.fromiter(chain.from_iterable(states), float, 4 * count),
+        covariances=_full(
+            np.fromiter(chain.from_iterable(covariances), float, 10 * count).reshape(count, 10)
+        ),
+        updated=flags,
     )
 
 
@@ -542,17 +626,14 @@ def track_level_fusion(track1: Track, track2_in_frame1: Track) -> Track:
     )
 
 
-def export_track_csv(track: Track, path: str | Path) -> None:
-    """Write a track as CSV: frame,x,y,vx,vy,p11,p22,p33,p44."""
+def export_track_csv(track: Track, path: str | Path) -> list[list[str]]:
+    """Write a track as CSV: frame,x,y,vx,vy,p11,p22,p33,p44.
+
+    Returns each point's eight float cells (x .. p44) as written, so a
+    caller can reuse the text without formatting the floats again.
+    """
+    cells = [list(map(str, row)) for row in track.table().tolist()]
     write_csv(path, f"# frame={track.frame}\nframe,x,y,vx,vy,p11,p22,p33,p44", (
-        [k, *row] for k, row in zip(track.frame_index.tolist(), track.table().tolist())
+        [k, *row] for k, row in zip(track.frame_index.tolist(), cells)
     ))
-
-
-def track_csv_states(path: str | Path) -> dict[int, str]:
-    """The "x,y,vx,vy" text of each frame of a track CSV `export_track_csv` wrote."""
-    lines = Path(path).read_text().split("\n")[2:-1]
-    return {
-        int(frame): cells.rsplit(",", 4)[0]
-        for frame, _, cells in (line.partition(",") for line in lines)
-    }
+    return cells

@@ -38,7 +38,7 @@ class TestSimulate:
     def test_writes_sim_outputs(self, tmp_path, small_config, capsys):
         code = main(["simulate", "--config", str(small_config), "--out", str(tmp_path / "o")])
         assert code == 0
-        sim = tmp_path / "o" / "B" / "2" / "sim"
+        sim = tmp_path / "o" / "B" / "random" / "2" / "sim"
         assert (sim / "truth.csv").exists()
         assert (sim / "measurements.csv").exists()
         assert (sim / "scenario.json").exists()
@@ -48,15 +48,16 @@ class TestSimulate:
         code = main(["simulate", "--builtin", "C", "--trajectory", "straight",
                      "--seed", "5", "--out", str(tmp_path)])
         assert code == 0
-        assert (tmp_path / "C" / "5" / "sim" / "measurements.csv").exists()
+        assert (tmp_path / "C" / "straight" / "5" / "sim" / "measurements.csv").exists()
 
     @pytest.mark.parametrize("seed", ["0", "3"])
     def test_explicit_seed_overrides_the_config_seed(self, tmp_path, small_config, seed):
         # The config holds seed 2; an explicit --seed 0 is a seed like any other.
         out = tmp_path / "o"
         assert main(["simulate", "--config", str(small_config), "--out", str(out), "--seed", seed]) == 0
-        assert [d.name for d in (out / "B").iterdir()] == [seed]
-        assert json.loads((out / "B" / seed / "sim" / "scenario.json").read_text())["seed"] == int(seed)
+        assert [d.name for d in (out / "B" / "random").iterdir()] == [seed]
+        scenario = out / "B" / "random" / seed / "sim" / "scenario.json"
+        assert json.loads(scenario.read_text())["seed"] == int(seed)
 
 
 class TestExitCodes:
@@ -166,14 +167,14 @@ class TestExitCodes:
         assert code == 4
         captured = capsys.readouterr()
         assert "non-convergence" in captured.err
-        assert (tmp_path / "o" / "B" / "2" / "report" / "report.json").exists()
+        assert (tmp_path / "o" / "B" / "random" / "2" / "report" / "report.json").exists()
 
 
 class TestCalibrateVerb:
     def test_writes_result(self, tmp_path, small_config, capsys):
         code = main(["calibrate", "--config", str(small_config), "--out", str(tmp_path / "o")])
         assert code == 0
-        result = tmp_path / "o" / "B" / "2" / "calibration" / "result.json"
+        result = tmp_path / "o" / "B" / "random" / "2" / "calibration" / "result.json"
         assert result.exists()
         payload = json.loads(result.read_text())
         assert set(payload) == {"px", "py", "phi_deg", "j_min", "rmse", "K"}
@@ -186,7 +187,7 @@ class TestFuseVerb:
         code = main(["fuse", "--config", str(small_config), "--out", str(tmp_path / "o"),
                      "--mode", "bayes"])
         assert code == 0
-        path = tmp_path / "o" / "B" / "2" / "fusion" / "oneshot_only.csv"
+        path = tmp_path / "o" / "B" / "random" / "2" / "fusion" / "oneshot_only.csv"
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "frame,mode,x,y,vx,vy,converged,cond"
         assert len(lines) > 30
@@ -224,13 +225,13 @@ class TestFuseVerb:
                     f"{frame.frame_index},{mode},{est.state.x!r},{est.state.y!r},"
                     f"{est.state.vx!r},{est.state.vy!r},{int(est.converged)},{est.conditioning!r}"
                 )
-        written = tmp_path / "o" / "C" / "4" / "fusion" / "oneshot_only.csv"
+        written = tmp_path / "o" / "C" / "random" / "4" / "fusion" / "oneshot_only.csv"
         assert len(rows) > 40
         assert written.read_text() == "\n".join(rows) + "\n"
 
     def test_with_calibration_file(self, tmp_path, small_config):
         assert main(["calibrate", "--config", str(small_config), "--out", str(tmp_path / "o")]) == 0
-        calib = tmp_path / "o" / "B" / "2" / "calibration" / "result.json"
+        calib = tmp_path / "o" / "B" / "random" / "2" / "calibration" / "result.json"
         code = main(["fuse", "--config", str(small_config), "--out", str(tmp_path / "o2"),
                      "--calibration", str(calib), "--mode", "ml"])
         assert code == 0
@@ -240,19 +241,20 @@ class TestFuseVerb:
         # for node 2; `fuse` reads both.
         assert main(["calibrate", "--config", str(three_node_config),
                      "--out", str(tmp_path / "o")]) == 0
-        calib = tmp_path / "o" / "B" / "2" / "calibration" / "result.json"
+        calib = tmp_path / "o" / "B" / "random" / "2" / "calibration" / "result.json"
         assert (calib.parent / "result_node2.json").exists()
         code = main(["fuse", "--config", str(three_node_config), "--out", str(tmp_path / "o2"),
                      "--calibration", str(calib)])
         assert code == 0
-        lines = (tmp_path / "o2" / "B" / "2" / "fusion" / "oneshot_only.csv").read_text().split()
+        fused = tmp_path / "o2" / "B" / "random" / "2" / "fusion" / "oneshot_only.csv"
+        lines = fused.read_text().split()
         assert lines[0] == "frame,mode,x,y,vx,vy,converged,cond"
         assert len(lines) > 30
 
     def test_three_node_missing_calibration_file(self, tmp_path, three_node_config, capsys):
         assert main(["calibrate", "--config", str(three_node_config),
                      "--out", str(tmp_path / "o")]) == 0
-        calib = tmp_path / "o" / "B" / "2" / "calibration" / "result.json"
+        calib = tmp_path / "o" / "B" / "random" / "2" / "calibration" / "result.json"
         (calib.parent / "result_node2.json").unlink()
         code = main(["fuse", "--config", str(three_node_config), "--out", str(tmp_path / "o2"),
                      "--calibration", str(calib)])
@@ -263,7 +265,7 @@ class TestFuseVerb:
         # `run` writes every node's calibration file, so `fuse --calibration`
         # can take the run's result.json.
         assert main(["run", "--config", str(three_node_config), "--out", str(tmp_path / "o")]) == 0
-        calib = tmp_path / "o" / "B" / "2" / "calibration" / "result.json"
+        calib = tmp_path / "o" / "B" / "random" / "2" / "calibration" / "result.json"
         assert (calib.parent / "result_node2.json").exists()
         code = main(["fuse", "--config", str(three_node_config), "--out", str(tmp_path / "o2"),
                      "--calibration", str(calib)])
@@ -312,7 +314,8 @@ class TestFuseVerb:
                              est.state.vy, int(est.converged), est.conditioning])
         expected = tmp_path / "expected.csv"
         write_csv(expected, "frame,mode,x,y,vx,vy,converged,cond", rows)
-        written = tmp_path / "o" / config.name / str(config.rng_seed) / "fusion" / "oneshot_only.csv"
+        run_dir = tmp_path / "o" / config.name / config.trajectory.kind / str(config.rng_seed)
+        written = run_dir / "fusion" / "oneshot_only.csv"
         assert len(rows) > 100
         assert written.read_bytes() == expected.read_bytes()
         assert len(node_sets) == (3 if name == "three-node" else 1)
@@ -325,7 +328,7 @@ class TestRunVerb:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["scenario"] == "B"
-        run_dir = out / "B" / "2"
+        run_dir = out / "B" / "random" / "2"
         assert (run_dir / "report" / "report.json").exists()
         code = main(["emit-plots", "--run-dir", str(run_dir)])
         assert code == 0
@@ -338,12 +341,28 @@ class TestRunVerb:
         assert main(["run", "--config", str(small_config), "--out", str(out_b)]) == 0
         for rel in ("report/report.json", "fusion/per_frame.csv", "fusion/oneshot.csv",
                     "tracks/node0.csv", "tracks/track_fusion.csv", "calibration/result.json"):
-            a = (out_a / "B" / "2" / rel).read_bytes()
-            b = (out_b / "B" / "2" / rel).read_bytes()
+            a = (out_a / "B" / "random" / "2" / rel).read_bytes()
+            b = (out_b / "B" / "random" / "2" / rel).read_bytes()
             if rel == "report/report.json":
                 a = a.replace(str(out_a).encode(), b"OUT")
                 b = b.replace(str(out_b).encode(), b"OUT")
             assert a == b, rel
+
+
+    def test_trajectory_kinds_at_one_seed_keep_their_own_files(self, tmp_path):
+        out = tmp_path / "o"
+        for kind in ("straight", "random"):
+            assert main(["run", "--builtin", "A", "--trajectory", kind, "--seed", "7",
+                         "--out", str(out)]) == 0
+        files = sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
+        per_run = ["calibration/result.json", "fusion/measurements.csv", "fusion/oneshot.csv",
+                   "fusion/per_frame.csv", "fusion/truth.csv", "report/report.json",
+                   "scenario.json", "tracks/node0.csv", "tracks/node1_in_ref.csv",
+                   "tracks/track_fusion.csv"]
+        assert files == [f"A/{kind}/7/{rel}" for kind in ("random", "straight") for rel in per_run]
+        for kind in ("straight", "random"):
+            scenario = json.loads((out / "A" / kind / "7" / "scenario.json").read_text())
+            assert scenario["trajectory"]["kind"] == kind
 
 
 class TestMcVerb:
@@ -354,7 +373,7 @@ class TestMcVerb:
         summary = json.loads(capsys.readouterr().out)
         assert summary["trials"] == 2 and summary["completed"] == 2
         assert "calibration_rmse" in summary["aggregates"]
-        assert (tmp_path / "o" / "B" / "mc_seed2_t2" / "aggregate.json").exists()
+        assert (tmp_path / "o" / "B" / "random" / "mc_seed2_t2" / "aggregate.json").exists()
 
     @pytest.mark.parametrize("flag, value", [
         ("--trials", "0"), ("--trials", "-3"), ("--jobs", "0"), ("--jobs", "-1"),
@@ -384,3 +403,18 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+
+
+def test_python_m_radarnet_runs_the_cli():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import radarnet
+
+    src = str(Path(radarnet.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-m", "radarnet", "--help"], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0
+    assert out.stdout.startswith("usage: radarnet")

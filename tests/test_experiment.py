@@ -122,7 +122,7 @@ class TestRunExperiment:
     def test_output_layout(self, b_run):
         config, report, out = b_run
         run_dir = Path(report.out_dir)
-        assert run_dir == out / "B" / "1"
+        assert run_dir == out / "B" / "random" / "1"
         for rel in (
             "scenario.json",
             "tracks/node0.csv",
@@ -286,7 +286,7 @@ class TestCsvRoundTrip:
 
         def export_track_csv(track, path):
             tracks[Path(path).name] = track
-            real_export_track_csv(track, path)
+            return real_export_track_csv(track, path)
 
         def solve_frames(observations, noise, mode, prior=None):
             estimates[mode] = real_solve_frames(observations, noise, mode=mode, prior=prior)

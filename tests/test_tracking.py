@@ -1071,9 +1071,9 @@ def untrimmed_predict(theta, p, dt, q):
 
 
 def untrimmed_run_tracker(frames, node_index, node_pose, cfg, noise, dt=0.150):
-    """`run_tracker` with the PSD test after every predict and the pose-taking
-    measurement model: the reference the guarded, trig-free step must match
-    bit for bit."""
+    """`run_tracker` with the PSD test after every predict and every update
+    and the pose-taking measurement model: the reference the guarded,
+    trig-free step must match bit for bit."""
     q = tracking._process_noise_terms(dt, cfg.process_noise_accel)
     r = tracking._noise_variances(noise)
     frame_indices, states, covariances, flags = [], [], [], []
@@ -1092,6 +1092,8 @@ def untrimmed_run_tracker(frames, node_index, node_pose, cfg, noise, dt=0.150):
             if z is not None and math.hypot(theta[0], theta[1]) >= cfg.min_range:
                 model = untrimmed_measure_floats(ORIGIN, *theta)
                 theta, p, _, updated = tracking._update(theta, p, model, z, r, cfg.gate_threshold)
+                if updated:
+                    p = _psd(p)
         if not all(map(math.isfinite, theta)):
             raise ValueError(f"EKF state must be finite, got {theta!r}")
         if theta[1] < 0.0:
@@ -1184,18 +1186,33 @@ class TestPredictGuard:
                 assert tracking._is_positive_definite_4(predicted)
         assert skipped > 1000 and near_bound > 200
 
-    @pytest.mark.parametrize("accel, per_predict", [(0.4, 0), (0.0, 1)])
+    @pytest.mark.parametrize("accel, unguarded", [(0.4, 0), (0.0, 1)])
     def test_psd_test_runs_once_per_update_and_per_unguarded_predict(
-        self, monkeypatch, accel, per_predict
+        self, monkeypatch, accel, unguarded
     ):
-        calls = []
+        # Zero process noise leaves both guards without their premise, so
+        # every predict and every posterior is tested.  At 0.4 the predict
+        # guard skips every test and the update guard all but a few.
+        calls = []  # per PSD test: whether a predict ran it
+        in_predict = []
         original = tracking._is_positive_definite_4
         monkeypatch.setattr(tracking, "_is_positive_definite_4",
-                            lambda p: calls.append(1) or original(p))
+                            lambda p: calls.append(bool(in_predict)) or original(p))
+        original_predict = tracking._predict
+
+        def predict(*args):
+            in_predict.append(1)
+            try:
+                return original_predict(*args)
+            finally:
+                in_predict.pop()
+
+        monkeypatch.setattr(tracking, "_predict", predict)
         clips = []
         original_eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: clips.append(1) or original_eigh(a))
         cfg = replace(PipelineOptions().ekf, process_noise_accel=accel)
+        all_updates = update_tests = 0
         for name in ("A", "B", "C"):
             config = builtin_scenario(name, "random", seed=7)
             sim = simulate(config)
@@ -1204,7 +1221,13 @@ class TestPredictGuard:
                 track = run_tracker(sim, i, node, cfg, config.noise, config.frame_duration)
                 updates = int(track.updated.sum()) - 1  # the first point is the start
                 predicts = len(track) - 1
-                assert len(calls) == updates + per_predict * predicts
+                assert calls.count(True) == unguarded * predicts
+                if unguarded:
+                    assert calls.count(False) == updates
+                all_updates += updates
+                update_tests += calls.count(False)
+        if not unguarded:
+            assert update_tests <= 0.01 * all_updates
         assert not clips  # a clip would test its matrix a second time
 
     def test_public_predict_clips_an_indefinite_prior(self, monkeypatch):
@@ -1224,6 +1247,95 @@ class TestPredictGuard:
         assert np.min(np.linalg.eigvalsh(unprojected)) < 0.0
         assert predicted.tobytes() == _project_psd(unprojected).tobytes()
         assert np.min(np.linalg.eigvalsh(predicted)) > 0.0
+
+
+def guard_weight(model):
+    """1 + |h|^2 over the six Jacobian floats, as `run_tracker` forms it."""
+    _, _, _, h00, h01, h10, h11, h20, h21 = model
+    return 1.0 + (h00 * h00 + h01 * h01 + h10 * h10 + h11 * h11 + h20 * h20 + h21 * h21)
+
+
+class TestUpdateGuard:
+    def test_bound_is_the_root_of_its_margin_condition(self):
+        dt, noise = 0.15, NoiseConfig()
+        q = tracking._process_noise_terms(dt, 0.4)
+        r = tracking._noise_variances(noise)
+        trace_bound = tracking._predict_trace_bound(dt, q)
+        y = tracking._update_guard_bound(q, r, trace_bound)
+        # The stated condition 1e4 y (1/lambda_q + sigma) (1e-12 + c u (2y + tr R)/min R)
+        # reaches 1 at the bound, far below the predict's bound.
+        lambda_q = tracking._lambda_min_q(q)
+        cu = 100.0 * 2.0**-53
+        margin = (1e4 * y * (1.0 / lambda_q + sum(1.0 / v for v in r))
+                  * (1e-12 + cu * (2.0 * y + sum(r)) / min(r)))
+        assert margin == pytest.approx(1.0, rel=1e-9)
+        assert 1.0 < y < 1e-3 * trace_bound
+        # Without the premise (singular Q) or with variances that underflow, no y passes.
+        q0 = tracking._process_noise_terms(dt, 0.0)
+        assert tracking._update_guard_bound(q0, r, tracking._predict_trace_bound(dt, q0)) == 0.0
+        assert tracking._update_guard_bound(q, (1e-400, 1.0, 1.0), trace_bound) == 0.0
+        # The cap keeps y >= trace(P) inside the predict's skip region.
+        assert tracking._update_guard_bound(q, r, 1e-3) == 1e-3
+
+    def test_skipped_updates_pass_the_psd_test(self):
+        # Positive definite priors through the raw predict, so every
+        # eigenvalue clears lambda_min(Q), some of them dominated by Q;
+        # random Jacobians sized so that trace(P) (1 + |h|^2) lands up to
+        # the bound and past it; random noise variances over nine decades.
+        rng = np.random.default_rng(37)
+        skipped = near_bound = 0
+        for _ in range(4000):
+            dt = 10.0 ** rng.uniform(-2.5, 1.0)
+            q = tracking._process_noise_terms(dt, 10.0 ** rng.uniform(-4, 1))
+            r = tuple(10.0 ** rng.uniform(-8, 1, 3))
+            bound = tracking._update_guard_bound(q, r, tracking._predict_trace_bound(dt, q))
+            vectors, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+            eigenvalues = 10.0 ** rng.uniform(-6, 0, 4)
+            eigenvalues[0] = (1.0 + rng.uniform(0, 1e-3)) * 1e-12 * eigenvalues[1:].sum()
+            scale = bound * 10.0 ** rng.uniform(-12, 0.3) / eigenvalues.sum()
+            p = _upper(tracking._symmetrize(scale * (vectors * eigenvalues) @ vectors.T))
+            if not tracking._is_positive_definite_4(p):
+                continue
+            theta = tuple(rng.uniform(-5, 5, 4))
+            prior = raw_predict(theta, p, dt, q)
+            trace = prior[0] + prior[4] + prior[7] + prior[9]
+            target = bound * 10.0 ** rng.uniform(-1.5, 0.3)
+            h = rng.standard_normal(6) * 10.0 ** rng.uniform(-3, 0, 6)
+            h *= math.sqrt(max(target / trace - 1.0, 0.0) / np.sum(h * h))
+            model = (*rng.uniform(0.5, 5, 3), *h.tolist())
+            z = tuple(rng.normal(m, math.sqrt(v)) for m, v in zip(model[:3], r))
+            _, cov, _, applied = tracking._update(theta, prior, model, z, r, None)
+            assert applied
+            if trace * guard_weight(model) < bound:
+                skipped += 1
+                near_bound += trace * guard_weight(model) > 0.1 * bound
+                assert tracking._is_positive_definite_4(cov)
+        assert skipped > 1000 and near_bound > 200
+
+    def test_public_update_clips_an_indefinite_prior(self, monkeypatch):
+        # At (0, 5) the line of sight is the y axis, so no row of H sees vx
+        # and the posterior keeps the prior's negative vx variance: the
+        # premise fails, and `ekf_update`, which takes any covariance,
+        # must clip it.
+        cov = np.diag([1.0, 1.0, -0.1, 1.0])
+        target = TargetState(0.0, 5.0, 1.0, 0.0)
+        det = detection_of(ORIGIN, TargetState(0.1, 5.1, 1.0, 0.1))
+        calls = []
+        original = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or original(a))
+        _, posterior, _ = ekf_update(target, cov, det, ORIGIN, TABLE_NOISE)
+        assert len(calls) == 1
+        monkeypatch.setattr(np.linalg, "eigh", original)
+        theta = (0.0, 5.0, 1.0, 0.0)
+        _, raw, _, applied = tracking._update(
+            theta, _upper(cov), _measure_at(0.0, 0.0, 1.0, 0.0, *theta, True),
+            (det.range, det.spatial_freq, det.radial_vel),
+            tracking._noise_variances(TABLE_NOISE), None,
+        )
+        unprojected = _full(raw)
+        assert applied and np.min(np.linalg.eigvalsh(unprojected)) < 0.0
+        assert posterior.tobytes() == _project_psd(unprojected).tobytes()
+        assert np.min(np.linalg.eigvalsh(posterior)) > 0.0
 
 
 class TestUpdatedFlags:

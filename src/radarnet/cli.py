@@ -9,7 +9,8 @@ Verbs:
     emit-plots  tidy per-quantity plot CSVs from a finished run
 
 Exit codes: 0 success, 2 configuration or pipeline error (a Monte
-Carlo run with no completed trial among them), 3 degenerate
+Carlo run with no completed trial among them) or a file that cannot be
+read or written (an --out under a regular file, say), 3 degenerate
 calibration, 4 solver non-convergence above the allowed fraction.
 """
 
@@ -108,7 +109,7 @@ def cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     sim = simulate(config)
     save_scenario(config, out / "scenario.json")
-    export_truth_csv(sim.truth.tolist(), out / "truth.csv")
+    export_truth_csv(sim.truth, out / "truth.csv")
     export_measurements_csv(sim, out / "measurements.csv")
     detections = int(sim.seen.sum())
     print(f"simulated {config.name}: {config.num_frames} frames, {detections} detections -> {out}")
@@ -276,6 +277,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DEGENERATE
     except PipelineError as exc:
         print(f"pipeline error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -21,6 +21,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -41,12 +43,15 @@ from .scene import (
     ScenarioConfig,
     Simulation,
     counterpart_trajectory,
+    csv_lines,
     export_measurements_csv,
     export_truth_csv,
+    float_cells,
     load_scenario,
     save_scenario,
     simulate,
     write_csv,
+    write_lines,
 )
 # Not called here since the pipeline simulates through `simulate`; kept
 # as experiment.generate_trajectory and experiment.synthesize_measurements,
@@ -198,8 +203,8 @@ def _run_trackers(
             f"{len(sim)} frames (seed {config.rng_seed}), so it has no track"
         )
     return [
-        run_tracker(sim, i, node, options.ekf, config.noise, config.frame_duration)
-        for i, node in enumerate(config.nodes)
+        run_tracker(sim, i, options.ekf, config.noise, config.frame_duration)
+        for i in range(len(config.nodes))
     ]
 
 
@@ -367,6 +372,18 @@ def run_experiment(
     return report
 
 
+def _pick(cells: list[str], width: int, rows) -> tuple[str, ...]:
+    """The x, y, vx, vy cells (the first four) of each of `rows`, flat,
+    from the flat `cells` of `width` cells per row."""
+    index = (width * np.asarray(rows)[:, None] + np.arange(4)).ravel().tolist()
+    return itemgetter(*index)(cells)
+
+
+def _flags(mask: np.ndarray) -> list[str]:
+    """A boolean array's cells, "1" or "0"."""
+    return np.where(mask, "1", "0").tolist()
+
+
 def _write_run_outputs(
     run_dir: Path,
     config: ScenarioConfig,
@@ -383,42 +400,42 @@ def _write_run_outputs(
     for sub in ("tracks", "calibration", "fusion", "report"):
         (run_dir / sub).mkdir(parents=True, exist_ok=True)
     save_scenario(config, run_dir / "scenario.json")
-    # Truth, track and one-shot floats are formatted once and written
-    # twice: to their own file and to per_frame.csv.
-    truth_cells = [list(map(str, row)) for row in sim.truth.tolist()]
-    export_truth_csv(truth_cells, run_dir / "fusion" / "truth.csv")
+    # Every float is formatted once, in bulk: truth, track and one-shot
+    # cells go to their own files and again, picked by frame, to
+    # per_frame.csv.
+    truth_cells = export_truth_csv(sim.truth, run_dir / "fusion" / "truth.csv")
     export_measurements_csv(sim, run_dir / "fusion" / "measurements.csv")
     track_paths = [run_dir / "tracks" / "node0.csv"]
     track_paths += [run_dir / "tracks" / f"node{i}_in_ref.csv" for i in range(1, len(transformed))]
     track_paths.append(run_dir / "tracks" / "track_fusion.csv")
-    # Per track, each frame's x, y, vx, vy cells as the export wrote them.
-    track_cells = []
-    for track, path in zip([*transformed, fused], track_paths):
-        cells = export_track_csv(track, path)
-        track_cells.append(dict(zip(track.frame_index.tolist(), (row[:4] for row in cells))))
+    # Per track, the x, y, vx, vy cells of each evaluated frame.
+    track_cells = [
+        _pick(export_track_csv(track, path), 8, np.searchsorted(track.frame_index, eval_frames))
+        for track, path in zip([*transformed, fused], track_paths)
+    ]
     for node, result in enumerate(calibrations, start=1):
         save_result(result, result_path(run_dir / "calibration", node))
 
+    frame_cells = list(map(str, eval_frames))
     upper = np.triu_indices(4)  # c11, c12, ..., c44
-    oneshot_rows = []
-    oneshot_cells = {}  # per mode, per evaluated frame: x, y, vx, vy, converged, cond
+    oneshot_lines = []
+    oneshot_cells = {}  # per mode: the x, y, vx, vy, converged and cond cells
     for mode in options.modes:
         est = estimates[mode]
-        cells = oneshot_cells[mode] = [
-            [*map(str, state), int(converged), str(cond)]
-            for state, converged, cond in zip(
-                est.states.tolist(), est.converged.tolist(), est.conditioning.tolist()
-            )
-        ]
-        covariances = est.covariances[:, upper[0], upper[1]].tolist()
-        oneshot_rows += [[k, mode, *c, *cov] for k, c, cov in zip(eval_frames, cells, covariances)]
-    write_csv(
+        cells = oneshot_cells[mode] = (
+            float_cells(est.states), _flags(est.converged), float_cells(est.conditioning)
+        )
+        states, converged, cond = map(iter, cells)
+        oneshot_lines.append(csv_lines(
+            frame_cells, repeat(mode), *[states] * 4, converged, cond,
+            *[iter(float_cells(est.covariances[:, upper[0], upper[1]]))] * 10,
+        ))
+    write_lines(
         run_dir / "fusion" / "oneshot.csv",
         "frame,mode,x,y,vx,vy,converged,cond,c11,c12,c13,c14,c22,c23,c24,c33,c34,c44",
-        oneshot_rows,
+        chain.from_iterable(oneshot_lines),
     )
 
-    rmse_set = set(rmse_frames)
     modes = [mode for mode in ("bayes", "ml") if mode in options.modes]
     header = ["frame"]
     prefixes = ["truth", "ekf1", *(f"ekf{i + 1}_in_1" for i in range(1, len(transformed)))]
@@ -428,16 +445,14 @@ def _write_run_outputs(
         header += [f"oneshot_{mode}_{q}" for q in ("x", "y", "vx", "vy")]
         header += [f"oneshot_{mode}_converged", f"oneshot_{mode}_cond"]
     header.append("in_rmse_set")
-    rows = []
-    for t, k in enumerate(eval_frames):
-        row = [k, *truth_cells[k]]
-        for cells in track_cells:
-            row += cells[k]
-        for mode in modes:
-            row += oneshot_cells[mode][t]
-        row.append(int(k in rmse_set))
-        rows.append(row)
-    write_csv(run_dir / "fusion" / "per_frame.csv", ",".join(header), rows)
+    columns = [frame_cells]
+    for cells in [_pick(truth_cells, 4, eval_frames), *track_cells]:
+        columns += [iter(cells)] * 4
+    for mode in modes:
+        states, converged, cond = oneshot_cells[mode]
+        columns += [*[iter(states)] * 4, converged, cond]
+    columns.append(_flags(np.isin(eval_frames, rmse_frames)))
+    write_lines(run_dir / "fusion" / "per_frame.csv", ",".join(header), csv_lines(*columns))
 
     (run_dir / "report" / "report.json").write_text(
         json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"

@@ -304,11 +304,16 @@ class _Frames:
         return cls.of(_columns(_frame_table(observations)), noise, prior, center)
 
     def take(self, index) -> "_Frames":
-        """The model of the frames selected by `index` along F."""
-        center = None if self.center is None else self.center[index]
-        return _Frames(
-            self.nodes[..., index], self.meas[..., index], self.noise, self.prior_sigmas, center
+        """The model of the frames at the integer `index` along F.  The
+        sigma arrays and the prior Jacobian do not depend on F and are shared."""
+        frames = object.__new__(type(self))
+        vars(frames).update(
+            vars(self),
+            nodes=self.nodes.take(index, -1),
+            meas=self.meas.take(index, -1),
+            center=None if self.center is None else self.center.take(index, 0),
         )
+        return frames
 
     def per_candidate(self) -> "_Frames":
         """The model broadcast against (F, C, 4) states: C candidates per frame."""
@@ -701,8 +706,10 @@ def _levenberg_marquardt(frames: _Frames, theta: np.ndarray, value: np.ndarray):
 
     The working arrays hold the frames still iterating.  They are
     compacted only when some frame stops, and that frame's results are
-    written out then.  A candidate's Jacobian is built only when some
-    frame accepts its step.  Returns the final states, objective values,
+    written out then, each array compacted by one `take` of the kept
+    rows.  A candidate's Jacobian is built only when some frame accepts
+    its step; when only some do, each working array takes their rows in
+    place with one `np.copyto`.  Returns the final states, objective values,
     Hessians J'J, iteration counts and converged flags.
     """
     count = len(theta)
@@ -719,17 +726,18 @@ def _levenberg_marquardt(frames: _Frames, theta: np.ndarray, value: np.ndarray):
     def finish(stop, iteration, reached) -> bool:
         """Write out the frames `stop` marks; False once none is left."""
         nonlocal theta, value, hessian, gradient_half, lam, active, frames
-        done = active[stop]
-        out_theta[done] = theta[stop]
-        out_value[done] = value[stop]
-        out_hessian[done] = hessian[stop]
+        rows = np.flatnonzero(stop)
+        done = active.take(rows)
+        out_theta[done] = theta.take(rows, 0)
+        out_value[done] = value.take(rows)
+        out_hessian[done] = hessian.take(rows, 0)
         iterations[done] = iteration
-        converged[done] = reached[stop]
+        converged[done] = reached.take(rows)
         if len(done) == len(active):
             return False
-        keep = ~stop
-        theta, value, hessian = theta[keep], value[keep], hessian[keep]
-        gradient_half, lam, active = gradient_half[keep], lam[keep], active[keep]
+        keep = np.flatnonzero(~stop)
+        theta, value, hessian = theta.take(keep, 0), value.take(keep), hessian.take(keep, 0)
+        gradient_half, lam, active = gradient_half.take(keep, 0), lam.take(keep), active.take(keep)
         frames = frames.take(keep)
         return True
 
@@ -761,13 +769,15 @@ def _levenberg_marquardt(frames: _Frames, theta: np.ndarray, value: np.ndarray):
             continue
         if accepted:
             cand_hessian, cand_gradient_half = _normal_equations(*frames.jacobian(cand_terms))
-            theta[accept] = candidate[accept]
-            value[accept] = cand_value[accept]
-            hessian[accept] = cand_hessian[accept]
-            gradient_half[accept] = cand_gradient_half[accept]
-            lam = np.where(
-                accept, np.maximum(lam / 10.0, _LAMBDA_MIN), np.minimum(lam * 10.0, _LAMBDA_MAX)
-            )
+            np.copyto(theta, candidate, where=accept[:, None])
+            np.copyto(value, cand_value, where=accept)
+            np.copyto(hessian, cand_hessian, where=accept[:, None, None])
+            np.copyto(gradient_half, cand_gradient_half, where=accept[:, None])
+            # Clipping both ways is the one-sided clip of each branch: an
+            # accepting frame's lam / 10 stays below the maximum and a
+            # rejecting frame's lam * 10 above the minimum.
+            lam = np.where(accept, lam / 10.0, lam * 10.0)
+            lam.clip(_LAMBDA_MIN, _LAMBDA_MAX, out=lam)
             # A frame that accepted its step does not stop on its damping.
             moving &= ~accept
         else:

@@ -556,6 +556,32 @@ def with_seed(config: ScenarioConfig, seed: int) -> ScenarioConfig:
     return replace(config, rng_seed=seed)
 
 
+def float_cells(values) -> list[str]:
+    """The text of every float in the array `values`, in C order.
+
+    Each is the `str` of a Python float (from `.tolist()`, not a numpy
+    scalar), the shortest repr that parses back to the same bits.
+    """
+    return list(map(str, np.ravel(values).tolist()))
+
+
+def csv_lines(*columns):
+    """Comma-joined lines taking one cell string from each of `columns` in turn.
+
+    A column given w times as the same iterator puts w consecutive cells
+    of it on each line, so `csv_lines(*[iter(cells)] * w)` cuts flat
+    cells into rows of w.
+    """
+    return map(",".join, zip(*columns))
+
+
+def write_lines(path: str | Path, header: str, lines) -> None:
+    """Write `header` (one or more lines), then each of `lines`."""
+    text = [header]
+    text.extend(lines)
+    Path(path).write_text("\n".join(text) + "\n")
+
+
 def write_csv(path: str | Path, header: str, rows) -> None:
     """Write `header` (one or more lines), then each row's cells joined by commas.
 
@@ -563,22 +589,27 @@ def write_csv(path: str | Path, header: str, rows) -> None:
     `str`, which for a float is the shortest repr that parses back to
     the same bits.
     """
-    lines = [header]
-    lines.extend(",".join(map(str, row)) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_lines(path, header, (",".join(map(str, row)) for row in rows))
 
 
 def export_measurements_csv(sim: Simulation, path: str | Path) -> None:
     """Write a simulation's detections as CSV rows frame,node,range,omega,vr."""
     k, node = np.nonzero(sim.seen)
-    rows = zip(k.tolist(), node.tolist(), *sim.detections[k, node].T.tolist())
-    write_csv(path, "frame,node,range,omega,vr", rows)
+    cells = iter(float_cells(sim.detections[k, node]))
+    write_lines(path, "frame,node,range,omega,vr", csv_lines(
+        map(str, k.tolist()), map(str, node.tolist()), *[cells] * 3
+    ))
 
 
-def export_truth_csv(truth, path: str | Path) -> None:
+def export_truth_csv(truth, path: str | Path) -> list[str]:
     """Write ground-truth states as CSV rows frame,x,y,vx,vy.
 
-    `truth` holds one (x, y, vx, vy) row per frame; a row's cells are
-    floats or the strings to write for them.
+    `truth` holds one (x, y, vx, vy) row of floats per frame, as an
+    (F, 4) array or a sequence of rows.  Returns the float cells as
+    written, four per frame, so a caller can reuse the text.
     """
-    write_csv(path, "frame,x,y,vx,vy", ((k, *row) for k, row in enumerate(truth)))
+    cells = float_cells(truth)
+    write_lines(path, "frame,x,y,vx,vy", csv_lines(
+        map(str, range(len(cells) // 4)), *[iter(cells)] * 4
+    ))
+    return cells

@@ -26,7 +26,7 @@ from .geometry import (
     measurement_jacobian,  # noqa: F401  (trace target)
     rotation_matrix,
 )
-from .scene import Detection, NoiseConfig, Simulation, write_csv
+from .scene import Detection, NoiseConfig, Simulation, csv_lines, float_cells, write_lines
 
 
 @dataclass(frozen=True)
@@ -479,7 +479,6 @@ def _node_rows(sim: Simulation, node_index: int) -> list[list[float] | None]:
 def run_tracker(
     frames: Simulation,
     node_index: int,
-    node_pose: Pose2D,
     cfg: EkfConfig,
     noise: NoiseConfig,
     dt: float = 0.150,
@@ -492,8 +491,8 @@ def run_tracker(
     predicts every frame and updates whenever a detection is present.
     Predict-only frames, and frames whose detection the gate rejected,
     still emit track points, flagged updated=False.
-    `node_pose` is kept as track metadata only; filtering happens in
-    the node-local frame, where the radar sits at the identity pose.
+    Filtering happens in the node-local frame, where the radar sits at
+    the identity pose.
 
     The local measurement model cannot distinguish a target from its
     mirror image behind the array (identical range, spatial frequency,
@@ -626,14 +625,14 @@ def track_level_fusion(track1: Track, track2_in_frame1: Track) -> Track:
     )
 
 
-def export_track_csv(track: Track, path: str | Path) -> list[list[str]]:
+def export_track_csv(track: Track, path: str | Path) -> list[str]:
     """Write a track as CSV: frame,x,y,vx,vy,p11,p22,p33,p44.
 
-    Returns each point's eight float cells (x .. p44) as written, so a
+    Returns the float cells as written, eight per point (x .. p44), so a
     caller can reuse the text without formatting the floats again.
     """
-    cells = [list(map(str, row)) for row in track.table().tolist()]
-    write_csv(path, f"# frame={track.frame}\nframe,x,y,vx,vy,p11,p22,p33,p44", (
-        [k, *row] for k, row in zip(track.frame_index.tolist(), cells)
+    cells = float_cells(track.table())
+    write_lines(path, f"# frame={track.frame}\nframe,x,y,vx,vy,p11,p22,p33,p44", csv_lines(
+        map(str, track.frame_index.tolist()), *[iter(cells)] * 8
     ))
     return cells

@@ -159,6 +159,16 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert err.startswith("pipeline error: ") and message in err
 
+    @pytest.mark.parametrize("verb", ["simulate", "run"])
+    def test_unwritable_out_is_config_error(self, tmp_path, small_config, capsys, verb):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        argv = [verb, "--config", str(small_config), "--out", str(blocker / "x")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("file error: ") and str(blocker) in err
+        assert "Traceback" not in err
+
     def test_nonconvergence_exit_code(self, tmp_path, small_config, capsys):
         # An impossibly strict threshold forces the exit-4 path while
         # the report is still produced.

@@ -388,6 +388,139 @@ class TestCsvRoundTrip:
             assert written == (tmp_path / name).read_bytes(), name
 
 
+# -- Frozen reference writer ---------------------------------------------
+# The run-output writer as it stood before cells were formatted in bulk:
+# one row list per line, each cell through `str`.  The real writer must
+# write the same bytes.
+
+def reference_write_csv(path, header, rows):
+    lines = [header]
+    lines.extend(",".join(map(str, row)) for row in rows)
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def reference_export_track_csv(track, path):
+    cells = [list(map(str, row)) for row in track.table().tolist()]
+    reference_write_csv(path, f"# frame={track.frame}\nframe,x,y,vx,vy,p11,p22,p33,p44", (
+        [k, *row] for k, row in zip(track.frame_index.tolist(), cells)
+    ))
+    return cells
+
+
+def reference_write_run_outputs(run_dir, config, options, sim, transformed, fused,
+                                estimates, eval_frames, rmse_frames, calibrations, report):
+    from radarnet.calibration import result_path, save_result
+    from radarnet.scene import save_scenario
+
+    for sub in ("tracks", "calibration", "fusion", "report"):
+        (run_dir / sub).mkdir(parents=True, exist_ok=True)
+    save_scenario(config, run_dir / "scenario.json")
+    truth_cells = [list(map(str, row)) for row in sim.truth.tolist()]
+    reference_write_csv(run_dir / "fusion" / "truth.csv", "frame,x,y,vx,vy",
+                        ((k, *row) for k, row in enumerate(truth_cells)))
+    k, node = np.nonzero(sim.seen)
+    reference_write_csv(run_dir / "fusion" / "measurements.csv", "frame,node,range,omega,vr",
+                        zip(k.tolist(), node.tolist(), *sim.detections[k, node].T.tolist()))
+    track_paths = [run_dir / "tracks" / "node0.csv"]
+    track_paths += [run_dir / "tracks" / f"node{i}_in_ref.csv" for i in range(1, len(transformed))]
+    track_paths.append(run_dir / "tracks" / "track_fusion.csv")
+    track_cells = []
+    for track, path in zip([*transformed, fused], track_paths):
+        cells = reference_export_track_csv(track, path)
+        track_cells.append(dict(zip(track.frame_index.tolist(), (row[:4] for row in cells))))
+    for node, result in enumerate(calibrations, start=1):
+        save_result(result, result_path(run_dir / "calibration", node))
+
+    upper = np.triu_indices(4)
+    oneshot_rows = []
+    oneshot_cells = {}
+    for mode in options.modes:
+        est = estimates[mode]
+        cells = oneshot_cells[mode] = [
+            [*map(str, state), int(converged), str(cond)]
+            for state, converged, cond in zip(
+                est.states.tolist(), est.converged.tolist(), est.conditioning.tolist()
+            )
+        ]
+        covariances = est.covariances[:, upper[0], upper[1]].tolist()
+        oneshot_rows += [[k, mode, *c, *cov] for k, c, cov in zip(eval_frames, cells, covariances)]
+    reference_write_csv(
+        run_dir / "fusion" / "oneshot.csv",
+        "frame,mode,x,y,vx,vy,converged,cond,c11,c12,c13,c14,c22,c23,c24,c33,c34,c44",
+        oneshot_rows,
+    )
+
+    rmse_set = set(rmse_frames)
+    modes = [mode for mode in ("bayes", "ml") if mode in options.modes]
+    header = ["frame"]
+    prefixes = ["truth", "ekf1", *(f"ekf{i + 1}_in_1" for i in range(1, len(transformed)))]
+    for prefix in prefixes + ["track_fusion"]:
+        header += [f"{prefix}_{q}" for q in ("x", "y", "vx", "vy")]
+    for mode in modes:
+        header += [f"oneshot_{mode}_{q}" for q in ("x", "y", "vx", "vy")]
+        header += [f"oneshot_{mode}_converged", f"oneshot_{mode}_cond"]
+    header.append("in_rmse_set")
+    rows = []
+    for t, k in enumerate(eval_frames):
+        row = [k, *truth_cells[k]]
+        for cells in track_cells:
+            row += cells[k]
+        for mode in modes:
+            row += oneshot_cells[mode][t]
+        row.append(int(k in rmse_set))
+        rows.append(row)
+    reference_write_csv(run_dir / "fusion" / "per_frame.csv", ",".join(header), rows)
+
+    (run_dir / "report" / "report.json").write_text(
+        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+    )
+
+
+def three_node_config():
+    from radarnet.geometry import Pose2D
+
+    base = builtin_scenario("B", "random", seed=2)
+    return replace(base, num_frames=240,
+                   nodes=base.nodes + (Pose2D(4.0, 3.5, math.radians(125.0)),))
+
+
+class TestRunOutputBytes:
+    """The run outputs equal the frozen reference writer's byte for byte."""
+
+    @pytest.mark.parametrize("config, mode", [
+        (builtin_scenario("A", "random", seed=7), "ml"),
+        (builtin_scenario("A", "random", seed=7), "bayes"),
+        (builtin_scenario("A", "random", seed=7), "both"),
+        (three_node_config(), "both"),
+    ], ids=["A-ml", "A-bayes", "A-both", "3node-both"])
+    def test_outputs_equal_reference_writer(self, tmp_path, monkeypatch, config, mode):
+        import radarnet.experiment as experiment
+
+        calls = []
+
+        def write_run_outputs(run_dir, *args):
+            calls.append(args)
+            return real(run_dir, *args)
+
+        real = experiment._write_run_outputs
+        monkeypatch.setattr(experiment, "_write_run_outputs", write_run_outputs)
+        report = run_experiment(config, PipelineOptions(out_dir=tmp_path / "real", mode=mode))
+        assert len(calls) == 1
+        reference_write_run_outputs(tmp_path / "reference", *calls[0])
+
+        real_dir = Path(report.out_dir)
+        real_files = sorted(p.relative_to(real_dir) for p in real_dir.rglob("*") if p.is_file())
+        reference_files = sorted(p.relative_to(tmp_path / "reference")
+                                 for p in (tmp_path / "reference").rglob("*") if p.is_file())
+        assert real_files == reference_files
+        names = {p.name for p in real_files}
+        if len(config.nodes) == 3:
+            assert {"node2_in_ref.csv", "result_node2.json"} <= names
+            assert "ekf3_in_1_x" in (real_dir / "fusion" / "per_frame.csv").read_text()
+        for rel in real_files:
+            assert (real_dir / rel).read_bytes() == (tmp_path / "reference" / rel).read_bytes(), rel
+
+
 class TestArrayFusion:
     """run_experiment feeds fusion arrays and reads arrays back."""
 

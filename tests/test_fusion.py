@@ -493,14 +493,23 @@ def assert_same_estimate(a, b):
 
 class TestSolveFrames:
     def test_single_frame_solve_matches_batch_on_builtin_scenario(self):
-        config = builtin_scenario("A", "random", seed=7)
-        observations = detected_observations(config)
-        assert len(observations) > 400
-        for mode, prior in (("ml", None), ("bayes", PRIOR)):
-            batch = solve_frames(observations, config.noise, mode=mode, prior=prior)
-            assert len(batch) == len(observations)
-            for obs, est in zip(observations, batch):
-                assert_same_estimate(solve(obs, config.noise, mode=mode, prior=prior), est)
+        # A random whole, then 100 frames along C's degenerate baseline
+        # that crawl: several stop at the iteration cap, so the capped
+        # exit, compaction after a partial acceptance and the damping's
+        # lower clip all run.
+        cases = (("A", "random", slice(None)), ("C", "straight", slice(265, 365)))
+        for name, kind, frames in cases:
+            config = builtin_scenario(name, kind, seed=7)
+            observations = detected_observations(config)[frames]
+            assert len(observations) > 400 if name == "A" else len(observations) == 100
+            for mode, prior in (("ml", None), ("bayes", PRIOR)):
+                batch = solve_frames(observations, config.noise, mode=mode, prior=prior)
+                assert len(batch) == len(observations)
+                if name == "C":
+                    capped = (batch.iterations == 100) & ~batch.converged
+                    assert np.count_nonzero(capped) >= 5
+                for obs, est in zip(observations, batch):
+                    assert_same_estimate(solve(obs, config.noise, mode=mode, prior=prior), est)
 
     def test_mixed_node_counts_keep_input_order(self):
         rng = np.random.default_rng(21)

@@ -70,7 +70,7 @@ def hooked_calls():
         return lambda tracer: tracer.counts["fusion.grid_points"] == 15**4
 
     def tracker(target):
-        target(sim, 0, config.nodes[0], options.ekf, config.noise, config.frame_duration)
+        target(sim, 0, options.ekf, config.noise, config.frame_duration)
         return lambda tracer: tracer.counts["tracking.node_frames"] == len(sim)
 
     def detections(target):

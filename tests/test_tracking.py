@@ -281,7 +281,7 @@ class TestRunTracker:
 
     def test_noiseless_convergence(self):
         config, sim = self.straight_scenario(TINY_NOISE)
-        track = run_tracker(sim, 0, config.nodes[0], EkfConfig(), TINY_NOISE, config.frame_duration)
+        track = run_tracker(sim, 0, EkfConfig(), TINY_NOISE, config.frame_duration)
         for (x, y), (tx, ty) in zip(track.states[20:, :2].tolist(), sim.truth[20:, :2].tolist()):
             err = abs(complex(x, y) - complex(tx, ty))
             assert err < 1e-3
@@ -289,7 +289,7 @@ class TestRunTracker:
     def test_missing_middle_frames_predict_only(self):
         config, sim = self.straight_scenario(TINY_NOISE, num_frames=40)
         sim = without_detections(sim, 0, range(15, 20))
-        track = run_tracker(sim, 0, config.nodes[0], EkfConfig(), TINY_NOISE, config.frame_duration)
+        track = run_tracker(sim, 0, EkfConfig(), TINY_NOISE, config.frame_duration)
         assert track.frame_index.tolist() == list(range(40))
         # Covariance grows through the predict-only gap.
         assert np.trace(track.covariances[19]) > np.trace(track.covariances[14])
@@ -309,8 +309,7 @@ class TestRunTracker:
             )
             sim = simulate(config)
             track = run_tracker(
-                sim, 0, config.nodes[0],
-                EkfConfig(process_noise_accel=0.05), TABLE_NOISE, config.frame_duration,
+                sim, 0, EkfConfig(process_noise_accel=0.05), TABLE_NOISE, config.frame_duration
             )
             by_frame = {p.frame_index: p for p in points(track)}
             for k in range(60, 120):
@@ -324,7 +323,7 @@ class TestRunTracker:
         config, sim = self.straight_scenario(TINY_NOISE, num_frames=10)
         empty = without_detections(sim, 0, slice(None))
         with pytest.raises(ValueError, match="no detections"):
-            run_tracker(empty, 0, config.nodes[0], EkfConfig(), TINY_NOISE)
+            run_tracker(empty, 0, EkfConfig(), TINY_NOISE)
 
     def test_nis_consistency(self):
         # Matched noise: time-averaged normalized innovation squared stays
@@ -349,7 +348,7 @@ class TestRunTracker:
         detections[outlier_frame, 0, 0] += 3.0
         sim = Simulation(sim.truth, detections, sim.seen)
         cfg = EkfConfig(gate_threshold=16.27)  # chi-square(3) at p = 0.001
-        track = run_tracker(sim, 0, config.nodes[0], cfg, TABLE_NOISE, config.frame_duration)
+        track = run_tracker(sim, 0, cfg, TABLE_NOISE, config.frame_duration)
         updated = dict(zip(track.frame_index.tolist(), track.updated.tolist()))
         assert updated[outlier_frame] is False
         assert updated[outlier_frame - 1] and updated[outlier_frame + 1]
@@ -425,8 +424,8 @@ class TestStepWrappersMatchTracker:
         config = builtin_scenario(name, "random", seed=7)
         sim = simulate(config)
         cfg = EkfConfig(process_noise_accel=0.4, gate_threshold=gate)
-        for i, node in enumerate(config.nodes):
-            track = run_tracker(sim, i, node, cfg, config.noise, config.frame_duration)
+        for i in range(len(config.nodes)):
+            track = run_tracker(sim, i, cfg, config.noise, config.frame_duration)
             got = [
                 (k, *state, cov.tobytes(), u)
                 for k, state, cov, u in zip(track.frame_index.tolist(), track.states.tolist(),
@@ -454,8 +453,8 @@ class TestStepWrappersMatchTracker:
             for kind in ("straight", "random"):
                 config = builtin_scenario(name, kind, seed=7)
                 sim = simulate(config)
-                for i, node in enumerate(config.nodes):
-                    run_tracker(sim, i, node, options.ekf, config.noise, config.frame_duration)
+                for i in range(len(config.nodes)):
+                    run_tracker(sim, i, options.ekf, config.noise, config.frame_duration)
         assert calls == {"eigh": 0, "cholesky": 0, "inv": 0}
         np.linalg.eigh(np.eye(2))  # the counter itself is live
         assert calls["eigh"] == 1
@@ -518,9 +517,9 @@ class TestFloatStep:
                 for kind in ("straight", "random"):
                     config = builtin_scenario(name, kind, seed=7)
                     sim = simulate(config)
-                    for i, node in enumerate(config.nodes):
+                    for i in range(len(config.nodes)):
                         track = run_tracker(
-                            sim, i, node, cfg, config.noise, config.frame_duration
+                            sim, i, cfg, config.noise, config.frame_duration
                         )
                         expected = reference_numpy_tracker(
                             sim, i, cfg, config.noise, config.frame_duration
@@ -605,7 +604,7 @@ class TestTransformTrack:
     def test_stacked_map_matches_per_point_bit_for_bit(self):
         config = builtin_scenario("A", "random", seed=7)
         track = run_tracker(
-            simulate(config), 1, config.nodes[1], PipelineOptions().ekf, config.noise,
+            simulate(config), 1, PipelineOptions().ekf, config.noise,
             config.frame_duration,
         )
         phi = 2.5
@@ -695,8 +694,8 @@ class TestStackedTrackFusion:
         sim = simulate(config)
         cfg = PipelineOptions().ekf
         tracks = [
-            run_tracker(sim, i, node, cfg, config.noise, config.frame_duration)
-            for i, node in enumerate(config.nodes)
+            run_tracker(sim, i, cfg, config.noise, config.frame_duration)
+            for i in range(len(config.nodes))
         ]
         node = config.nodes[1]
         moved = transform_track(tracks[1], complex(node.x, node.y), node.phi)
@@ -811,8 +810,8 @@ def builtin_tracks():
         config = builtin_scenario(name, "random", seed=7)
         sim = simulate(config)
         out[name] = config.nodes, [
-            run_tracker(sim, i, node, PipelineOptions().ekf, config.noise, config.frame_duration)
-            for i, node in enumerate(config.nodes)
+            run_tracker(sim, i, PipelineOptions().ekf, config.noise, config.frame_duration)
+            for i in range(len(config.nodes))
         ]
     return out
 
@@ -995,8 +994,8 @@ def tracks_and_calibrations(configs, cfg):
     out = []
     for config in configs:
         sim = simulate(config)
-        tracks = [run_tracker(sim, i, node, cfg, config.noise, config.frame_duration)
-                  for i, node in enumerate(config.nodes)]
+        tracks = [run_tracker(sim, i, cfg, config.noise, config.frame_duration)
+                  for i in range(len(config.nodes))]
         out.append((tracks, [(res.p21, res.phi21) for res in calibrate_scenario(config, options)]))
     return out
 
@@ -1070,7 +1069,7 @@ def untrimmed_predict(theta, p, dt, q):
     ))
 
 
-def untrimmed_run_tracker(frames, node_index, node_pose, cfg, noise, dt=0.150):
+def untrimmed_run_tracker(frames, node_index, cfg, noise, dt=0.150):
     """`run_tracker` with the PSD test after every predict and every update
     and the pose-taking measurement model: the reference the guarded,
     trig-free step must match bit for bit."""
@@ -1216,9 +1215,9 @@ class TestPredictGuard:
         for name in ("A", "B", "C"):
             config = builtin_scenario(name, "random", seed=7)
             sim = simulate(config)
-            for i, node in enumerate(config.nodes):
+            for i in range(len(config.nodes)):
                 calls.clear()
-                track = run_tracker(sim, i, node, cfg, config.noise, config.frame_duration)
+                track = run_tracker(sim, i, cfg, config.noise, config.frame_duration)
                 updates = int(track.updated.sum()) - 1  # the first point is the start
                 predicts = len(track) - 1
                 assert calls.count(True) == unguarded * predicts
@@ -1341,7 +1340,7 @@ class TestUpdateGuard:
 class TestUpdatedFlags:
     def test_transform_keeps_predict_only_points(self):
         config = builtin_scenario("B", "random", seed=7)
-        track = run_tracker(simulate(config), 1, config.nodes[1], PipelineOptions().ekf,
+        track = run_tracker(simulate(config), 1, PipelineOptions().ekf,
                             config.noise, config.frame_duration)
         moved = transform_track(track, complex(3.0, 1.0), 0.4)
         assert int(np.sum(~track.updated)) == 56

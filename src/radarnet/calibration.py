@@ -14,7 +14,6 @@ verify global optimality of the closed form.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import wrap_angle
+from .scene import ConfigError, json_number, json_object, read_json, write_json
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -90,8 +90,7 @@ def calibrate_pair(track1, track2) -> CalibrationResult:
     # residual sum at the optimum: identical in exact arithmetic, but free
     # of the catastrophic cancellation the catenated form suffers when the
     # fit is near-exact.
-    residual = z1 - p - np.exp(1j * phi) * z2
-    j_min = float(np.sum(residual.real**2 + residual.imag**2))
+    j_min = calibration_cost(z1, z2, p, phi)
     return CalibrationResult(
         p21=complex(p),
         phi21=phi,
@@ -131,10 +130,7 @@ def brute_force_calibration(
     m2 = z2.mean()
 
     def cost_at(phi: float) -> float:
-        rot = np.exp(1j * phi)
-        p = m1 - rot * m2
-        residual = z1 - p - rot * z2
-        return float(np.sum(residual.real**2 + residual.imag**2))
+        return calibration_cost(z1, z2, m1 - np.exp(1j * phi) * m2, phi)
 
     n = max(8, int(math.ceil(2.0 * math.pi / phi_resolution)))
     grid = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
@@ -165,9 +161,7 @@ def brute_force_calibration(
             x2 = a + _GOLDEN * (b - a)
             f2 = cost_at(x2)
     phi = wrap_angle(0.5 * (a + b))
-    rot = np.exp(1j * phi)
-    p = m1 - rot * m2
-    return complex(p), phi, cost_at(phi)
+    return complex(m1 - np.exp(1j * phi) * m2), phi, cost_at(phi)
 
 
 def result_to_dict(result: CalibrationResult) -> dict:
@@ -182,13 +176,14 @@ def result_to_dict(result: CalibrationResult) -> dict:
 
 
 def result_from_dict(d: dict) -> CalibrationResult:
-    return CalibrationResult(
-        p21=complex(float(d["px"]), float(d["py"])),
-        phi21=wrap_angle(math.radians(float(d["phi_deg"]))),
-        j_min=float(d["j_min"]),
-        rmse=float(d["rmse"]),
-        num_frames=int(d["K"]),
+    """The inverse of `result_to_dict`; a ConfigError naming the field unless
+    `d` is an object of finite numbers with an integer K."""
+    d = json_object(d, "calibration result")
+    px, py, phi_deg, j_min, rmse = (
+        json_number(d, "", key) for key in ("px", "py", "phi_deg", "j_min", "rmse")
     )
+    k = json_number(d, "", "K", kind=int)
+    return CalibrationResult(complex(px, py), wrap_angle(math.radians(phi_deg)), j_min, rmse, k)
 
 
 def result_path(directory: str | Path, node: int) -> Path:
@@ -201,8 +196,14 @@ def result_path(directory: str | Path, node: int) -> Path:
 
 
 def save_result(result: CalibrationResult, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(result_to_dict(result), indent=2, sort_keys=True) + "\n")
+    write_json(path, result_to_dict(result))
 
 
 def load_result(path: str | Path) -> CalibrationResult:
-    return result_from_dict(json.loads(Path(path).read_text()))
+    """A result `save_result` wrote; a ConfigError naming the file if it is
+    missing, is not valid JSON or is not a valid result."""
+    data = read_json(path, "calibration")
+    try:
+        return result_from_dict(data)
+    except ConfigError as exc:
+        raise ConfigError(f"calibration file {path}: {exc}") from None

@@ -17,7 +17,6 @@ calibration, 4 solver non-convergence above the allowed fraction.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -31,6 +30,7 @@ from .experiment import (
     calibrate_scenario,
     calibration_stage_config,
     emit_plot_data,
+    estimated_poses,
     run_directory,
     run_experiment,
     run_monte_carlo,
@@ -42,6 +42,7 @@ from .scene import (
     builtin_scenario,
     export_measurements_csv,
     export_truth_csv,
+    json_text,
     load_scenario,
     save_scenario,
     simulate,
@@ -135,7 +136,7 @@ def cmd_calibrate(args) -> int:
 
 def _calibrated_poses(path: Path, num_nodes: int) -> list[Pose2D]:
     """Node poses from the calibration files `calibrate` writes next to `path`."""
-    poses = [Pose2D(0.0, 0.0, 0.0)]
+    results = []
     for node in range(1, num_nodes):
         node_path = path if node == 1 else result_path(path.parent, node)
         if not node_path.is_file():
@@ -143,9 +144,8 @@ def _calibrated_poses(path: Path, num_nodes: int) -> list[Pose2D]:
                 f"missing calibration for node {node}: {node_path} "
                 f"(a {num_nodes}-node scenario needs one file per non-reference node)"
             )
-        res = load_result(node_path)
-        poses.append(Pose2D(res.p21.real, res.p21.imag, res.phi21))
-    return poses
+        results.append(load_result(node_path))
+    return estimated_poses(results)
 
 
 def cmd_fuse(args) -> int:
@@ -188,7 +188,7 @@ def cmd_run(args) -> int:
     config = _resolve_scenario(args)
     options = _options(args)
     report = run_experiment(config, options)
-    print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    print(json_text(report.to_dict()))
     worst = max(report.nonconverged_fraction.values())
     if worst > options.max_nonconverged_fraction:
         print(
@@ -208,7 +208,7 @@ def cmd_mc(args) -> int:
     options = _options(args)
     summary = run_monte_carlo(config, args.trials, options, jobs=args.jobs)
     compact = {k: v for k, v in summary.items() if k != "reports"}
-    print(json.dumps(compact, indent=2, sort_keys=True))
+    print(json_text(compact))
     if not summary["completed"]:
         print(f"pipeline error: none of {args.trials} trials completed", file=sys.stderr)
         return EXIT_CONFIG

@@ -18,7 +18,6 @@ Output layout, fixed so tools and tests can rely on it:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from itertools import chain, repeat
@@ -51,6 +50,7 @@ from .scene import (
     save_scenario,
     simulate,
     write_csv,
+    write_json,
     write_lines,
 )
 # Not called here since the pipeline simulates through `simulate`; kept
@@ -69,6 +69,8 @@ from .tracking import (
 # Seed offset separating the calibration-stage simulation from the
 # evaluation stage of the same scenario seed.
 CALIBRATION_SEED_OFFSET = 7919
+# Frames before this index are filter warm-up and stay out of the RMSEs.
+BURN_IN_FRAMES = 10
 
 _MODES = ("ml", "bayes", "both")
 _BENCHMARKS = ("truth", "trackfusion")
@@ -87,12 +89,8 @@ class PipelineOptions:
     out_dir: Path | str = "out"
     write_outputs: bool = True
     cross_trajectory: bool = True
-    burn_in_frames: int = 10
     ekf: EkfConfig = field(default_factory=lambda: EkfConfig(process_noise_accel=0.4))
     prior: PriorConfig = field(default_factory=PriorConfig)
-    pair_skip: int | None = None
-    pair_gap: int = 5
-    pair_settle: int = 10
     max_nonconverged_fraction: float = 0.05
 
     def __post_init__(self):
@@ -139,22 +137,11 @@ class ExperimentReport:
         return self.rmse[self.benchmark].get(key)
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "benchmark": self.benchmark,
-            "calibration": self.calibration,
-            "rmse": self.rmse,
-            "position_rmse_bayes": self.position_rmse_bayes,
-            "velocity_rmse_bayes": self.velocity_rmse_bayes,
-            "position_rmse_ml": self.position_rmse_ml,
-            "velocity_rmse_ml": self.velocity_rmse_ml,
-            "frames_evaluated": self.frames_evaluated,
-            "frames_total": self.frames_total,
-            "nonconverged_fraction": self.nonconverged_fraction,
-            "per_frame_output_path": self.per_frame_output_path,
-            "out_dir": self.out_dir,
-        }
+        """Every field, plus the four headline RMSEs.  The nested dicts are the
+        report's own (`vars`, not the deep copy of `asdict`)."""
+        headlines = ("position_rmse_bayes", "velocity_rmse_bayes", "position_rmse_ml",
+                     "velocity_rmse_ml")
+        return {**vars(self), **{name: getattr(self, name) for name in headlines}}
 
 
 def paired_positions(
@@ -217,15 +204,11 @@ def calibrate_scenario(
     sim = simulate(calib_config)
     tracks = _run_trackers(calib_config, sim, options, "calibration")
     # Short sequences cannot afford the full 50-frame transient skip.
-    skip = options.pair_skip
-    if skip is None:
-        skip = min(50, config.num_frames // 5)
+    skip = min(50, config.num_frames // 5)
     results = []
     for i in range(1, len(tracks)):
         try:
-            z1, z2 = paired_positions(
-                tracks[0], tracks[i], skip, options.pair_gap, options.pair_settle
-            )
+            z1, z2 = paired_positions(tracks[0], tracks[i], skip)
         except PipelineError as exc:
             raise PipelineError(
                 f"{exc} of node {i} against node 0: {_update_summary(tracks, sim, options.ekf)}"
@@ -271,7 +254,8 @@ def calibration_stage_config(
     )
 
 
-def _estimated_poses(calibrations: list[CalibrationResult]) -> list[Pose2D]:
+def estimated_poses(calibrations: list[CalibrationResult]) -> list[Pose2D]:
+    """Every node's pose: node 0 at the origin, then each calibrated node's."""
     poses = [Pose2D(0.0, 0.0, 0.0)]
     poses.extend(
         Pose2D(res.p21.real, res.p21.imag, res.phi21) for res in calibrations
@@ -318,7 +302,7 @@ def run_experiment(
         raise PipelineError("no frames with detections from every node")
     # solve_frames' frame array: every frame's estimated node poses and detections.
     detections = sim.detections[eval_frames]
-    poses = np.array([(pose.x, pose.y, pose.phi) for pose in _estimated_poses(calibrations)])
+    poses = np.array([(pose.x, pose.y, pose.phi) for pose in estimated_poses(calibrations)])
     frames = np.concatenate((np.broadcast_to(poses, detections.shape), detections), axis=-1)
     estimates = {
         mode: solve_frames(
@@ -330,8 +314,8 @@ def run_experiment(
         for mode in options.modes
     }
 
-    in_rmse = np.array(eval_frames) >= options.burn_in_frames
-    rmse_frames = [k for k in eval_frames if k >= options.burn_in_frames]
+    in_rmse = np.array(eval_frames) >= BURN_IN_FRAMES
+    rmse_frames = [k for k in eval_frames if k >= BURN_IN_FRAMES]
     references = {
         "truth": sim.truth[rmse_frames],
         "track_fusion": fused.states[fused_rows[in_rmse]],
@@ -454,9 +438,7 @@ def _write_run_outputs(
     columns.append(_flags(np.isin(eval_frames, rmse_frames)))
     write_lines(run_dir / "fusion" / "per_frame.csv", ",".join(header), csv_lines(*columns))
 
-    (run_dir / "report" / "report.json").write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-    )
+    write_json(run_dir / "report" / "report.json", report.to_dict())
 
 
 # -- Monte Carlo ---------------------------------------------------------
@@ -508,38 +490,26 @@ def run_monte_carlo(
         if r[1] is None
     ]
 
-    def collect(path: tuple[str, ...]) -> list[float]:
-        values = []
-        for rep in reports:
-            node = rep
-            for key in path:
-                node = node.get(key) if isinstance(node, dict) else None
-                if node is None:
-                    break
-            if node is not None:
-                values.append(float(node))
-        return values
-
-    metric_paths = {
-        "calibration_rmse": ("calibration", "rmse"),
-        "calibration_pos_error_m": ("calibration", "pos_error_m"),
-        "calibration_angle_error_deg": ("calibration", "angle_error_deg"),
+    # Every completed trial's report holds every metric.
+    metrics = {
+        f"calibration_{key}": [rep["calibration"][key] for rep in reports]
+        for key in ("rmse", "pos_error_m", "angle_error_deg")
     }
     for bench in ("truth", "track_fusion"):
         for mode in options.modes:
-            metric_paths[f"position_rmse_{mode}_vs_{bench}"] = ("rmse", bench, f"position_{mode}")
-            metric_paths[f"velocity_rmse_{mode}_vs_{bench}"] = ("rmse", bench, f"velocity_{mode}")
-
-    aggregates = {}
-    for name, path in metric_paths.items():
-        values = collect(path)
-        if values:
-            aggregates[name] = {
-                "mean": float(np.mean(values)),
-                "std": float(np.std(values)),
-                "min": float(np.min(values)),
-                "max": float(np.max(values)),
-            }
+            for quantity in ("position", "velocity"):
+                metrics[f"{quantity}_rmse_{mode}_vs_{bench}"] = [
+                    rep["rmse"][bench][f"{quantity}_{mode}"] for rep in reports
+                ]
+    aggregates = {
+        name: {
+            "mean": float(np.mean(values)),
+            "std": float(np.std(values)),
+            "min": float(np.min(values)),
+            "max": float(np.max(values)),
+        }
+        for name, values in metrics.items() if values
+    }
 
     summary = {
         "scenario": config.name,
@@ -554,9 +524,7 @@ def run_monte_carlo(
     if options.write_outputs:
         mc_dir = run_directory(options.out_dir, config) / f"mc_seed{config.rng_seed}_t{trials}"
         mc_dir.mkdir(parents=True, exist_ok=True)
-        (mc_dir / "aggregate.json").write_text(
-            json.dumps(summary, indent=2, sort_keys=True) + "\n"
-        )
+        write_json(mc_dir / "aggregate.json", summary)
         summary["out_path"] = str(mc_dir / "aggregate.json")
     return summary
 

@@ -27,8 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import FOV_HALF_ANGLE, Pose2D, TargetState
-from .scene import Detection, NoiseConfig, _elementwise
+from .geometry import FOV_HALF_ANGLE, Pose2D, TargetState, boresight_angles, elementwise
+from .scene import Detection, NoiseConfig
 
 _GRADIENT_TOL = 1e-8
 _STEP_TOL = 1e-10
@@ -68,24 +68,18 @@ class PriorConfig:
     """Independent Gaussian priors for the four state components.
 
     The position prior is taken about the closed-form position
-    initializer by default ("initial_estimate"); "origin" centers it at
-    (0, 0) instead.  The velocity prior is always about zero.
+    initializer, the velocity prior about zero.
     """
 
     sigma_x: float = 3.0
     sigma_y: float = 3.0
     sigma_vx: float = 3.5
     sigma_vy: float = 3.5
-    position_prior_center: str = "initial_estimate"
 
     def __post_init__(self):
         for name in ("sigma_x", "sigma_y", "sigma_vx", "sigma_vy"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"PriorConfig.{name} must be > 0")
-        if self.position_prior_center not in ("initial_estimate", "origin"):
-            raise ValueError(
-                "position_prior_center must be 'initial_estimate' or 'origin'"
-            )
 
     @property
     def sigmas(self) -> np.ndarray:
@@ -168,21 +162,7 @@ def _frame_table(observations: list[FusionObservation]) -> np.ndarray:
 def _columns(table: np.ndarray) -> _Columns:
     """The node-first columns of an (F, N, 6) frame table, with cos and sin of phi."""
     columns = np.ascontiguousarray(table.T)
-    return _Columns(columns, _maps((math.cos, math.sin), columns[2]))
-
-
-def _maps(functions, angles: np.ndarray) -> np.ndarray:
-    """Each `math` function of `angles`, element by element in Python,
-    stacked on a new first axis.  `math` rounds as the scalar code does."""
-    values = angles.ravel().tolist()
-    return np.array([list(map(fn, values)) for fn in functions]).reshape(
-        (len(functions),) + angles.shape
-    )
-
-
-def _angles(omega: np.ndarray) -> np.ndarray:
-    """Angles off boresight asin(omega/pi), omega clipped to [-pi, pi]."""
-    return _elementwise(math.asin, np.minimum(1.0, np.maximum(-1.0, omega / math.pi)))
+    return _Columns(columns, elementwise((math.cos, math.sin), columns[2]))
 
 
 # Rotates a (cos, sin) block to (-sin, cos).
@@ -198,15 +178,13 @@ _SIDES = np.array([1.0, -1.0])[:, None, None]
 
 def _start_states(nodes: _Columns) -> np.ndarray:
     """`initial_position_estimate` and `initial_velocity_estimate` of every
-    frame, as x, y, vx, vy (4, F).
-
-    The velocity is that of the angles asin(omega/pi), which clip
-    nothing once every |omega| <= pi has been checked.
+    frame, as x, y, vx, vy (4, F), from the angles off boresight
+    asin(omega/pi); every |omega| <= pi must have been checked.
     """
-    theta = _angles(nodes.table[4])
+    theta = elementwise((math.asin,), nodes.table[4] / math.pi)[0]
     los = nodes.table[2] + 0.5 * math.pi - theta
     # sin and cos (first axis) of theta and of the line of sight (second).
-    trig = _maps((math.sin, math.cos), np.array((theta, los)))
+    trig = elementwise((math.sin, math.cos), np.array((theta, los)))
     local = nodes.table[3] * trig[:, 0]
     terms = np.empty((4,) + theta.shape)
     # (c lx - s ly + x, s lx + c ly + y, vr cos los, vr sin los) per node.
@@ -224,9 +202,16 @@ def _check_spatial_frequencies(nodes: _Columns) -> None:
         raise ValueError(f"|spatial frequency| exceeds pi: {float(omega[beyond][0])!r}")
 
 
+def _start_state(obs: FusionObservation) -> np.ndarray:
+    """One frame's closed-form start (x, y, vx, vy)."""
+    nodes = _columns(_frame_table([obs]))
+    _check_spatial_frequencies(nodes)
+    return _start_states(nodes)[:, 0]
+
+
 def initial_position_estimate(obs: FusionObservation) -> np.ndarray:
     """Average of the nodes' detections mapped to the global frame."""
-    return _start_states(_columns(_frame_table([obs])))[:2, 0]
+    return _start_state(obs)[:2]
 
 
 def initial_velocity_estimate(obs: FusionObservation) -> np.ndarray:
@@ -235,9 +220,7 @@ def initial_velocity_estimate(obs: FusionObservation) -> np.ndarray:
     For a target at angle theta off boresight, the line of sight from
     node i points along the global angle phi_i + pi/2 - theta.
     """
-    nodes = _columns(_frame_table([obs]))
-    _check_spatial_frequencies(nodes)
-    return _start_states(nodes)[2:, 0]
+    return _start_state(obs)[2:]
 
 
 class _Frames:
@@ -424,11 +407,15 @@ def _normal_equations(res: np.ndarray, jac: np.ndarray) -> tuple[np.ndarray, np.
 
 def _objective_terms(theta, obs, noise, prior=None, prior_center=None):
     center = None if prior_center is None else prior_center.as_vector()[None]
-    frames = _Frames.build([obs], noise, prior, center)
-    value, terms = frames.evaluate(theta.as_vector()[None])
+    return _terms_at(_Frames.build([obs], noise, prior, center), theta)
+
+
+def _terms_at(model: _Frames, theta: TargetState) -> tuple[float, np.ndarray, np.ndarray]:
+    """Objective value, residuals and Jacobian of the one-frame `model` at `theta`."""
+    value, terms = model.evaluate(theta.as_vector()[None])
     if not np.isfinite(value[0]):
         raise ValueError("state yields (near-)zero range to a node")
-    res, jac = frames.jacobian(terms)
+    res, jac = model.jacobian(terms)
     return float(value[0]), res[0], jac[0]
 
 
@@ -455,9 +442,7 @@ def bayes_objective(
     return _objective_terms(theta, obs, noise, prior, prior_center)
 
 
-def _resolve_prior_center(obs: FusionObservation, prior: PriorConfig) -> TargetState:
-    if prior.position_prior_center == "origin":
-        return TargetState(0.0, 0.0, 0.0, 0.0)
+def _resolve_prior_center(obs: FusionObservation) -> TargetState:
     x, y = initial_position_estimate(obs).tolist()
     return TargetState(x, y, 0.0, 0.0)
 
@@ -480,7 +465,7 @@ def _range_circles(nodes: _Columns) -> tuple[np.ndarray, np.ndarray]:
     first = table[:2, 0]
     r1, r2 = table[3, :2]
     chord = table[:2, 1] - first
-    d = _elementwise(math.hypot, *chord)
+    d = elementwise((math.hypot,), *chord)[0]
     # Frames whose circles do not meet (d = 0 among them) compute
     # garbage here, masked out by `meet`.
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -530,14 +515,10 @@ def _start_table(nodes: _Columns) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     candidates = np.empty((_MAX_STARTS, 2, frames))
     candidates[0] = position
     candidates[1:] = np.where(meet[:, None], points, position)
-    # Each candidate's offset to each node (3, 2, N, F), and its
-    # components along and across the node's boresight.
+    # Each candidate's offset to each node (3, 2, N, F), and its angle
+    # off the node's boresight.
     offset = candidates[:, :, None] - nodes.table[:2]
-    along = offset * nodes.cs
-    across = offset * (nodes.cs[::-1] * _QUARTER_TURN)
-    angle = _elementwise(
-        math.atan2, along[:, 0] + along[:, 1], across[:, 0] + across[:, 1]
-    )
+    angle = boresight_angles(offset[:, 0], offset[:, 1], *nodes.cs)
     on_node = ~offset.any(axis=1)
     visible = exists & ~(on_node | (np.abs(angle) > _VISIBILITY_LIMIT)).any(axis=1)
     keep = np.where(visible.any(axis=0), visible, exists)
@@ -645,8 +626,7 @@ def _solve_group(table: np.ndarray, noise, mode, prior) -> FusionEstimates:
     centers = None
     if mode == "bayes":
         centers = np.zeros((frames_count, 4))
-        if prior.position_prior_center == "initial_estimate":
-            centers[:, 0], centers[:, 1] = px, py
+        centers[:, 0], centers[:, 1] = px, py
     frames = _Frames.of(nodes, noise, prior if mode == "bayes" else None, centers)
     # The best-scoring feasible kept start seeds each frame; ties go to
     # the first in candidate order.
@@ -801,8 +781,12 @@ def laplace_covariance(
 ) -> np.ndarray:
     """Gaussian (Laplace) posterior covariance: inverse of J'J at `center`."""
     if prior_center is None:
-        prior_center = _resolve_prior_center(obs, prior)
-    _, _, jac = bayes_objective(center, obs, noise, prior, prior_center)
+        prior_center = _resolve_prior_center(obs)
+    return _laplace(bayes_objective(center, obs, noise, prior, prior_center)[2])
+
+
+def _laplace(jac: np.ndarray) -> np.ndarray:
+    """The symmetrized inverse of J'J."""
     cov = np.linalg.inv(jac.T @ jac)
     return 0.5 * (cov + cov.T)
 
@@ -891,9 +875,9 @@ def posterior_covariance_grid(
     evaluated on the grid's four axes: position terms on its P^2
     positions, Doppler and prior terms on all P^4 states.
     """
-    prior_center = center.prior_center or _resolve_prior_center(obs, prior)
+    prior_center = center.prior_center or _resolve_prior_center(obs)
     model = _Frames.build([obs], noise, prior, prior_center.as_vector()[None])
-    laplace = laplace_covariance(obs, noise, prior, center.state, prior_center)
+    laplace = _laplace(_terms_at(model, center.state)[2])
     sigmas = np.sqrt(np.maximum(np.diag(laplace), 0.0))
     # Guard against a collapsed Laplace direction producing a zero-width axis.
     sigmas = np.maximum(sigmas, 1e-9 * np.max(sigmas))

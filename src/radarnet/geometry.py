@@ -48,6 +48,31 @@ def angle_difference(a: float, b: float) -> float:
     return d
 
 
+def finite_floats(record, names: tuple[str, ...]) -> None:
+    """Store each of the frozen dataclass `record`'s fields `names` as a
+    float; ValueError naming the first that is not finite."""
+    for name in names:
+        value = getattr(record, name)
+        if type(value) is not float:
+            value = float(value)
+            object.__setattr__(record, name, value)
+        if not math.isfinite(value):
+            raise ValueError(f"{type(record).__name__}.{name} must be finite")
+
+
+def elementwise(functions, *arrays: np.ndarray) -> np.ndarray:
+    """Each of the `math` `functions` of the same-shape float `arrays`,
+    element by element in Python, stacked on a new first axis.
+
+    `math` rounds as the scalar code does; numpy's counterparts can round
+    differently.  The arrays are turned into lists once for all functions.
+    """
+    args = [a.ravel().tolist() for a in arrays]
+    return np.array([list(map(fn, *args)) for fn in functions]).reshape(
+        (len(functions),) + arrays[0].shape
+    )
+
+
 def rotation_matrix(phi: float) -> np.ndarray:
     """Standard 2D counter-clockwise rotation matrix."""
     c, s = math.cos(phi), math.sin(phi)
@@ -83,13 +108,7 @@ class TargetState:
     vy: float = 0.0
 
     def __post_init__(self):
-        for name in ("x", "y", "vx", "vy"):
-            value = getattr(self, name)
-            if type(value) is not float:
-                value = float(value)
-                object.__setattr__(self, name, value)
-            if not math.isfinite(value):
-                raise ValueError(f"TargetState.{name} must be finite")
+        finite_floats(self, ("x", "y", "vx", "vy"))
 
     @property
     def position(self) -> np.ndarray:
@@ -197,6 +216,11 @@ def boresight_angle(dx: float, dy: float, c: float, s: float) -> float:
     node's cosine and sine already; the offset must be nonzero.
     """
     return math.atan2(dx * c + dy * s, -dx * s + dy * c)
+
+
+def boresight_angles(dx, dy, c, s) -> np.ndarray:
+    """`boresight_angle` of broadcasting arrays, element by element with `math`."""
+    return elementwise((math.atan2,), dx * c + dy * s, -dx * s + dy * c)[0]
 
 
 def angle_off_boresight(radar: Pose2D, target: TargetState) -> float:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -24,6 +25,9 @@ from .geometry import (
     Pose2D,
     TargetState,
     boresight_angle,
+    boresight_angles,
+    elementwise,
+    finite_floats,
     measure,  # noqa: F401  (trace target: radarnet.scene.measure)
 )
 
@@ -72,13 +76,7 @@ class Detection:
     radial_vel: float
 
     def __post_init__(self):
-        for name in ("range", "spatial_freq", "radial_vel"):
-            value = getattr(self, name)
-            if type(value) is not float:
-                value = float(value)
-                object.__setattr__(self, name, value)
-            if not math.isfinite(value):
-                raise ValueError(f"Detection.{name} must be finite")
+        finite_floats(self, ("range", "spatial_freq", "radial_vel"))
 
 
 @dataclass(frozen=True)
@@ -241,15 +239,6 @@ def _trajectory(spec: TrajectorySpec, num_frames: int, dt: float, seed: int) -> 
     return np.array(states)
 
 
-def _elementwise(fn, *arrays: np.ndarray) -> np.ndarray:
-    """`fn` of same-shape float arrays, element by element in Python.
-
-    For `math` functions whose numpy counterparts round differently.
-    """
-    args = (a.ravel().tolist() for a in arrays)
-    return np.array(list(map(fn, *args)), dtype=float).reshape(arrays[0].shape)
-
-
 def _detect(truth: np.ndarray, config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     """The (F, N, 3) detections and (F, N) visibility of (F, 4) truth rows.
 
@@ -271,13 +260,12 @@ def _detect(truth: np.ndarray, config: ScenarioConfig) -> tuple[np.ndarray, np.n
     x, y, vx, vy = (truth[:, i, None] for i in range(4))
     dx = x - node_x
     dy = y - node_y
-    r = _elementwise(math.hypot, dx, dy)
-    along_array = dx * c + dy * s
-    angle = _elementwise(math.atan2, along_array, -dx * s + dy * c)
+    r = elementwise((math.hypot,), dx, dy)[0]
+    angle = boresight_angles(dx, dy, c, s)
     seen = (r != 0.0) & ~(r > config.max_range) & (np.abs(angle) <= config.fov_half_angle)
     detections = np.empty(draws.shape)
     with np.errstate(divide="ignore", invalid="ignore"):  # r = 0 only where unseen
-        omega = math.pi * along_array / r + noise.sigma_omega * draws[..., 1]
+        omega = math.pi * (dx * c + dy * s) / r + noise.sigma_omega * draws[..., 1]
         detections[..., 0] = r + noise.sigma_r * draws[..., 0]
         detections[..., 1] = np.minimum(math.pi, np.maximum(-math.pi, omega))
         detections[..., 2] = (vx * dx + vy * dy) / r + noise.sigma_v * draws[..., 2]
@@ -423,28 +411,31 @@ def _trajectory_to_dict(spec: TrajectorySpec) -> dict:
     return d
 
 
-def _section(value, where: str) -> dict:
+def json_object(value, where: str) -> dict:
     """`value` if it is a JSON object, else a ConfigError naming `where`."""
     if not isinstance(value, dict):
         raise ConfigError(f"{where} must be a JSON object, got {value!r}")
     return value
 
 
-def _number(section: dict, where: str, key: str, default=None, kind=float):
-    """`section[key]` (or `default`) as a finite `kind`, else a ConfigError naming the field."""
+def json_number(section: dict, where: str, key: str, default=None, kind=float):
+    """`section[key]` (or `default`) as a finite `kind`, else a ConfigError naming the field.
+
+    The value must be a JSON number (not a string or a boolean); for an
+    int `kind` it must be integral."""
     value = section.get(key, default)
     field = f"{where}.{key}" if where else key
-    try:
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{field} must be a number, got {value!r}") from None
-    if not math.isfinite(number):
+    if type(value) not in (int, float):
+        raise ConfigError(f"{field} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, infinite, or an int too large for a float
         raise ConfigError(f"{field} must be finite, got {value!r}")
-    return number
+    if kind is int and value != int(value):
+        raise ConfigError(f"{field} must be an integer, got {value!r}")
+    return kind(value)
 
 
 def _trajectory_from_dict(d, where: str = "trajectory") -> TrajectorySpec:
-    d = _section(d, where)
+    d = json_object(d, where)
     missing = [k for k in ("kind", "start") if k not in d]
     if missing:
         raise ConfigError(f"{where} section missing keys: {', '.join(missing)}")
@@ -461,14 +452,14 @@ def _trajectory_from_dict(d, where: str = "trajectory") -> TrajectorySpec:
         return TrajectorySpec(
             kind,
             start=start,
-            speed=_number(d, where, "speed", 1.0),
-            heading=math.radians(_number(d, where, "heading_deg", 0.0)),
+            speed=json_number(d, where, "speed", 1.0),
+            heading=math.radians(json_number(d, where, "heading_deg", 0.0)),
         )
     return TrajectorySpec(
         kind,
         start=start,
-        speed_cap=_number(d, where, "speed_cap", 1.0),
-        smoothness=_number(d, where, "smoothness", 2.0),
+        speed_cap=json_number(d, where, "speed_cap", 1.0),
+        smoothness=json_number(d, where, "smoothness", 2.0),
     )
 
 
@@ -496,7 +487,7 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
 
 
 def scenario_from_dict(d: dict) -> ScenarioConfig:
-    d = _section(d, "config")
+    d = json_object(d, "config")
     missing = [k for k in _REQUIRED_KEYS if k not in d]
     if missing:
         raise ConfigError(f"config missing keys: {', '.join(missing)}")
@@ -505,17 +496,17 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
     nodes = []
     for i, nd in enumerate(d["nodes"]):
         where = f"nodes[{i}]"
-        nd = _section(nd, where)
+        nd = json_object(nd, where)
         bad = [k for k in ("x", "y", "phi_deg") if k not in nd]
         if bad:
             raise ConfigError(f"{where} missing keys: {', '.join(bad)}")
-        x, y, phi_deg = (_number(nd, where, k) for k in ("x", "y", "phi_deg"))
+        x, y, phi_deg = (json_number(nd, where, k) for k in ("x", "y", "phi_deg"))
         nodes.append(Pose2D(x, y, math.radians(phi_deg)))
-    noise_d = _section(d.get("noise", {}), "noise")
+    noise_d = json_object(d.get("noise", {}), "noise")
     noise = NoiseConfig(
-        sigma_r=_number(noise_d, "noise", "sigma_r", DEFAULT_SIGMA_R),
-        sigma_omega=_number(noise_d, "noise", "sigma_omega", DEFAULT_SIGMA_OMEGA),
-        sigma_v=_number(noise_d, "noise", "sigma_v", DEFAULT_SIGMA_V),
+        sigma_r=json_number(noise_d, "noise", "sigma_r", DEFAULT_SIGMA_R),
+        sigma_omega=json_number(noise_d, "noise", "sigma_omega", DEFAULT_SIGMA_OMEGA),
+        sigma_v=json_number(noise_d, "noise", "sigma_v", DEFAULT_SIGMA_V),
     )
     calib = d.get("calibration_trajectory")
     return ScenarioConfig(
@@ -523,12 +514,12 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
         nodes=tuple(nodes),
         trajectory=_trajectory_from_dict(d["trajectory"]),
         noise=noise,
-        frame_duration=_number(d, "", "frame_duration", DEFAULT_FRAME_DURATION),
-        num_frames=_number(d, "", "num_frames", DEFAULT_NUM_FRAMES, int),
-        rng_seed=_number(d, "", "seed", 0, int),
-        max_range=_number(d, "", "max_range", MAX_UNAMBIGUOUS_RANGE),
+        frame_duration=json_number(d, "", "frame_duration", DEFAULT_FRAME_DURATION),
+        num_frames=json_number(d, "", "num_frames", DEFAULT_NUM_FRAMES, int),
+        rng_seed=json_number(d, "", "seed", 0, int),
+        max_range=json_number(d, "", "max_range", MAX_UNAMBIGUOUS_RANGE),
         fov_half_angle=math.radians(
-            _number(d, "", "fov_half_angle_deg", math.degrees(FOV_HALF_ANGLE))
+            json_number(d, "", "fov_half_angle_deg", math.degrees(FOV_HALF_ANGLE))
         ),
         calibration_trajectory=(
             None if calib is None else _trajectory_from_dict(calib, "calibration_trajectory")
@@ -538,18 +529,11 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
     """Load a scenario config from a JSON file."""
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
-    return scenario_from_dict(raw)
+    return scenario_from_dict(read_json(path, "config"))
 
 
 def save_scenario(config: ScenarioConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(scenario_to_dict(config), indent=2, sort_keys=True) + "\n")
+    write_json(path, scenario_to_dict(config))
 
 
 def with_seed(config: ScenarioConfig, seed: int) -> ScenarioConfig:
@@ -580,6 +564,28 @@ def write_lines(path: str | Path, header: str, lines) -> None:
     text = [header]
     text.extend(lines)
     Path(path).write_text("\n".join(text) + "\n")
+
+
+def read_json(path: str | Path, what: str):
+    """The JSON value in the file `path`; a ConfigError naming the `what`
+    file if it is missing or is not valid UTF-8 JSON."""
+    path = Path(path)
+    try:
+        return json.loads(path.read_text())
+    except FileNotFoundError:
+        raise ConfigError(f"{what} file not found: {path}") from None
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ConfigError(f"{what} file {path} is not valid JSON: {exc}") from None
+
+
+def json_text(data) -> str:
+    """`data` as JSON text: two-space indent, sorted keys."""
+    return json.dumps(data, indent=2, sort_keys=True)
+
+
+def write_json(path: str | Path, data) -> None:
+    """Write `json_text(data)` and a final newline."""
+    Path(path).write_text(json_text(data) + "\n")
 
 
 def write_csv(path: str | Path, header: str, rows) -> None:

@@ -68,6 +68,14 @@ class TestExitCodes:
     def test_unknown_config_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
 
+    def test_binary_config_file_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe\x00\x89PNG")
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config file {path} is not valid JSON")
+        assert "Traceback" not in err
+
     def test_config_missing_keys_listed(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"name": "x", "nodes": []}))
@@ -78,6 +86,9 @@ class TestExitCodes:
         ("nodes[1].x", lambda d: d["nodes"][1].update(x="abc")),
         ("nodes", lambda d: d.update(nodes=5)),
         ("trajectory.start", lambda d: d["trajectory"].update(start=[0])),
+        ("num_frames", lambda d: d.update(num_frames=240.9)),
+        ("seed", lambda d: d.update(seed="7")),
+        ("noise.sigma_r", lambda d: d.update(noise={"sigma_r": True})),
     ])
     def test_malformed_config_field_is_config_error(self, tmp_path, small_config, capsys,
                                                     field, edit):
@@ -270,6 +281,32 @@ class TestFuseVerb:
                      "--calibration", str(calib)])
         assert code == 2
         assert "result_node2.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, field", [
+        ('{"px": 4.9, "py"', "is not valid JSON"),
+        ('{"px": 4.9, "phi_deg": 90.0, "j_min": 0.1, "rmse": 0.02, "K": 200}', "py must be"),
+        ("[4.9, 4.9, 90.0]", "must be a JSON object"),
+        ('{"px": NaN, "py": 4.9, "phi_deg": 90.0, "j_min": 0.1, "rmse": 0.02, "K": 200}',
+         "px must be finite"),
+        ('{"px": 4.9, "py": 4.9, "phi_deg": 90.0, "j_min": 0.1, "rmse": 0.02, "K": 2.5}',
+         "K must be an integer"),
+        ('{"px": "4.9", "py": 4.9, "phi_deg": 90.0, "j_min": 0.1, "rmse": 0.02, "K": 200}',
+         "px must be a number"),
+        ('{"px": 4.9, "py": true, "phi_deg": 90.0, "j_min": 0.1, "rmse": 0.02, "K": 200}',
+         "py must be a number"),
+        (b"\xff\xfe\x00\x89PNG", "is not valid JSON"),
+    ], ids=["malformed", "missing-key", "not-object", "nan", "fractional-K", "string-number",
+            "bool-number", "binary"])
+    def test_bad_calibration_file_is_config_error(self, tmp_path, small_config, capsys,
+                                                  text, field):
+        calib = tmp_path / "result.json"
+        calib.write_bytes(text if isinstance(text, bytes) else text.encode())
+        code = main(["fuse", "--config", str(small_config), "--out", str(tmp_path / "o"),
+                     "--calibration", str(calib)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: calibration file {calib}") and field in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_three_node_run_writes_calibration_fuse_reads(self, tmp_path, three_node_config):
         # `run` writes every node's calibration file, so `fuse --calibration`

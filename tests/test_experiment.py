@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from radarnet.experiment import (
+    BURN_IN_FRAMES,
     CALIBRATION_SEED_OFFSET,
     PipelineError,
     PipelineOptions,
@@ -361,7 +362,7 @@ class TestCsvRoundTrip:
 
         track_by = [dict(zip(tracks[name].frame_index.tolist(), tracks[name].states.tolist()))
                     for name in ("node0.csv", "node1_in_ref.csv", "track_fusion.csv")]
-        rmse_set = {k for k in eval_frames if k >= PipelineOptions().burn_in_frames}
+        rmse_set = {k for k in eval_frames if k >= BURN_IN_FRAMES}
         for cells in rows("fusion/per_frame.csv"):
             k = int(cells[0])
             values = [("i", k)] + f(*truth[k])
@@ -519,6 +520,134 @@ class TestRunOutputBytes:
             assert "ekf3_in_1_x" in (real_dir / "fusion" / "per_frame.csv").read_text()
         for rel in real_files:
             assert (real_dir / rel).read_bytes() == (tmp_path / "reference" / rel).read_bytes(), rel
+
+
+# Frozen copies of the hand-written report serializer and of the Monte
+# Carlo aggregation that looked every metric up along a key path,
+# skipping reports that lack it; the JSON files must keep their bytes.
+
+def reference_report_dict(report):
+    return {
+        "scenario": report.scenario,
+        "seed": report.seed,
+        "benchmark": report.benchmark,
+        "calibration": report.calibration,
+        "rmse": report.rmse,
+        "position_rmse_bayes": report.position_rmse_bayes,
+        "velocity_rmse_bayes": report.velocity_rmse_bayes,
+        "position_rmse_ml": report.position_rmse_ml,
+        "velocity_rmse_ml": report.velocity_rmse_ml,
+        "frames_evaluated": report.frames_evaluated,
+        "frames_total": report.frames_total,
+        "nonconverged_fraction": report.nonconverged_fraction,
+        "per_frame_output_path": report.per_frame_output_path,
+        "out_dir": report.out_dir,
+    }
+
+
+def reference_aggregates(reports, modes):
+    def collect(path):
+        values = []
+        for rep in reports:
+            node = rep
+            for key in path:
+                node = node.get(key) if isinstance(node, dict) else None
+                if node is None:
+                    break
+            if node is not None:
+                values.append(float(node))
+        return values
+
+    metric_paths = {
+        "calibration_rmse": ("calibration", "rmse"),
+        "calibration_pos_error_m": ("calibration", "pos_error_m"),
+        "calibration_angle_error_deg": ("calibration", "angle_error_deg"),
+    }
+    for bench in ("truth", "track_fusion"):
+        for mode in modes:
+            metric_paths[f"position_rmse_{mode}_vs_{bench}"] = ("rmse", bench, f"position_{mode}")
+            metric_paths[f"velocity_rmse_{mode}_vs_{bench}"] = ("rmse", bench, f"velocity_{mode}")
+    aggregates = {}
+    for name, path in metric_paths.items():
+        values = collect(path)
+        if values:
+            aggregates[name] = {
+                "mean": float(np.mean(values)),
+                "std": float(np.std(values)),
+                "min": float(np.min(values)),
+                "max": float(np.max(values)),
+            }
+    return aggregates
+
+
+def reference_json(data):
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def recorded(monkeypatch, name):
+    """Make the pipeline record every value its function `name` returns."""
+    import radarnet.experiment as experiment
+
+    values = []
+    real = getattr(experiment, name)
+
+    def record(*args, **kwargs):
+        values.append(real(*args, **kwargs))
+        return values[-1]
+
+    monkeypatch.setattr(experiment, name, record)
+    return values
+
+
+class TestJsonOutputBytes:
+    """Every JSON file a run or a Monte Carlo run writes equals the frozen
+    serializers' bytes."""
+
+    @pytest.mark.parametrize("config, mode", [
+        (builtin_scenario("A", "random", seed=7), "ml"),
+        (builtin_scenario("A", "random", seed=7), "bayes"),
+        (builtin_scenario("A", "random", seed=7), "both"),
+        (three_node_config(), "both"),
+    ], ids=["A-ml", "A-bayes", "A-both", "3node-both"])
+    def test_run_json_equals_reference(self, tmp_path, monkeypatch, config, mode):
+        from radarnet.calibration import result_path, result_to_dict
+        from radarnet.scene import scenario_to_dict
+
+        calibrations = recorded(monkeypatch, "calibrate_scenario")
+        report = run_experiment(config, PipelineOptions(out_dir=tmp_path, mode=mode))
+        assert len(calibrations) == 1
+        run_dir = Path(report.out_dir)
+        expected = {
+            Path("scenario.json"): scenario_to_dict(config),
+            Path("report") / "report.json": reference_report_dict(report),
+        }
+        for node, result in enumerate(calibrations[0], start=1):
+            expected[result_path("calibration", node)] = result_to_dict(result)
+        written = sorted(p.relative_to(run_dir) for p in run_dir.rglob("*.json"))
+        assert written == sorted(expected)
+        assert len(written) == len(config.nodes) + 1
+        for rel, data in expected.items():
+            assert (run_dir / rel).read_text() == reference_json(data), rel
+
+    def test_monte_carlo_json_equals_reference(self, tmp_path, monkeypatch):
+        config = small_scenario(seed=20, num_frames=90)
+        reports = recorded(monkeypatch, "run_experiment")
+        summary = run_monte_carlo(config, trials=3, options=PipelineOptions(out_dir=tmp_path))
+        dicts = [reference_report_dict(report) for report in reports]
+        expected = {
+            "scenario": config.name,
+            "base_seed": config.rng_seed,
+            "trials": 3,
+            "completed": 3,
+            "failed": 0,
+            "failures": [],
+            "aggregates": reference_aggregates(dicts, ("ml", "bayes")),
+            "reports": dicts,
+        }
+        assert [d["seed"] for d in dicts] == [20, 21, 22]
+        written = list(tmp_path.rglob("*.json"))
+        assert written == [Path(summary["out_path"])]
+        assert written[0].read_text() == reference_json(expected)
 
 
 class TestArrayFusion:

@@ -100,6 +100,11 @@ class TestInitializers:
         with pytest.raises(ValueError):
             initial_velocity_estimate(obs)
 
+    def test_position_invalid_spatial_freq(self):
+        obs = FusionObservation((ObservationEntry(Pose2D(0, 0, 0), Detection(5.0, 4.0, 0.0)),))
+        with pytest.raises(ValueError, match="exceeds pi: 4.0"):
+            initial_position_estimate(obs)
+
     def test_empty_observation(self):
         with pytest.raises(ValueError):
             FusionObservation(())

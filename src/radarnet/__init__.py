@@ -30,6 +30,7 @@ from .fusion import (
     ObservationEntry,
     PriorConfig,
     bayes_objective,
+    frame_table,
     initial_position_estimate,
     initial_velocity_estimate,
     laplace_covariance,
@@ -73,57 +74,3 @@ from .tracking import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CalibrationResult",
-    "ConfigError",
-    "DegenerateTrackError",
-    "Detection",
-    "EkfConfig",
-    "ExperimentReport",
-    "FusionEstimate",
-    "FusionEstimates",
-    "FusionObservation",
-    "IdealMeasurement",
-    "MeasurementFrame",
-    "NoiseConfig",
-    "ObservationEntry",
-    "PipelineOptions",
-    "Pose2D",
-    "PriorConfig",
-    "ScenarioConfig",
-    "Simulation",
-    "Track",
-    "TargetState",
-    "TrajectorySpec",
-    "aoa_from_spatial_frequency",
-    "apply_calibration",
-    "bayes_objective",
-    "brute_force_calibration",
-    "builtin_scenario",
-    "calibrate_pair",
-    "calibration_cost",
-    "detection_to_local_cartesian",
-    "ekf_predict",
-    "ekf_update",
-    "emit_plot_data",
-    "generate_trajectory",
-    "initial_position_estimate",
-    "initial_velocity_estimate",
-    "laplace_covariance",
-    "load_scenario",
-    "local_to_global",
-    "measure",
-    "ml_objective",
-    "posterior_covariance_grid",
-    "run_experiment",
-    "run_monte_carlo",
-    "run_tracker",
-    "save_scenario",
-    "simulate",
-    "solve",
-    "solve_frames",
-    "synthesize_measurements",
-    "track_level_fusion",
-    "transform_track",
-]

@@ -31,11 +31,11 @@ from .experiment import (
     calibration_stage_config,
     emit_plot_data,
     estimated_poses,
+    fuse_frames,
     run_directory,
     run_experiment,
     run_monte_carlo,
 )
-from .fusion import solve_frames
 from .geometry import Pose2D
 from .scene import (
     ConfigError,
@@ -92,9 +92,11 @@ def _resolve_scenario(args):
 
 
 def _options(args) -> PipelineOptions:
-    # NaN would never exceed the limit, so exit 4 could not fire.
-    if not math.isfinite(args.max_nonconverged):
-        raise ConfigError(f"--max-nonconverged must be finite, got {args.max_nonconverged}")
+    # A fraction; NaN, which no fraction exceeds (so exit 4 could not
+    # fire), fails the test too.
+    if not 0.0 <= args.max_nonconverged <= 1.0:
+        raise ConfigError("--max-nonconverged must be finite and in [0, 1], "
+                          f"got {args.max_nonconverged}")
     return PipelineOptions(
         mode=args.mode,
         benchmark=args.benchmark,
@@ -152,32 +154,15 @@ def cmd_fuse(args) -> int:
     config = _resolve_scenario(args)
     options = _options(args)
     sim = simulate(config)
-    if args.calibration is not None:
-        poses = _calibrated_poses(args.calibration, len(config.nodes))
-    else:
-        poses = list(config.nodes)
+    poses = (config.nodes if args.calibration is None
+             else _calibrated_poses(args.calibration, len(config.nodes)))
     out = run_directory(args.out, config) / str(config.rng_seed) / "fusion"
     out.mkdir(parents=True, exist_ok=True)
-    # Frames seen by at least two nodes, solved as one (F, N, 6) frame
-    # table per set of detecting nodes.
-    frame_indices = np.flatnonzero(sim.seen.sum(axis=1) >= 2)
-    seen = sim.seen[frame_indices]
-    pose_table = np.array([(pose.x, pose.y, pose.phi) for pose in poses])
-    cells = {mode: [None] * len(frame_indices) for mode in options.modes}
-    for nodes in np.unique(seen, axis=0):
-        rows = np.flatnonzero((seen == nodes).all(axis=1))
-        detections = sim.detections[frame_indices[rows]][:, nodes]
-        table = np.concatenate(
-            (np.broadcast_to(pose_table[nodes], detections.shape), detections), axis=-1
-        )
-        for mode in options.modes:
-            est = solve_frames(table, config.noise, mode=mode,
-                               prior=options.prior if mode == "bayes" else None)
-            for t, state, converged, cond in zip(rows.tolist(), est.states.tolist(),
-                                                 est.converged.tolist(), est.conditioning.tolist()):
-                cells[mode][t] = [mode, *state, int(converged), cond]
-    rows = [[k, *cells[mode][t]] for t, k in enumerate(frame_indices.tolist())
-            for mode in options.modes]
+    # Frames seen by at least two nodes; each is fused from the nodes that saw it.
+    frames = np.flatnonzero(np.count_nonzero(sim.seen, axis=1) >= 2)
+    estimates = fuse_frames(config, sim, poses, frames, options)
+    rows = [[k, mode, *est.states[t].tolist(), int(est.converged[t]), float(est.conditioning[t])]
+            for t, k in enumerate(frames.tolist()) for mode, est in estimates.items()]
     path = out / "oneshot_only.csv"
     write_csv(path, "frame,mode,x,y,vx,vy,converged,cond", rows)
     print(f"fused {len(rows)} frame-mode estimates -> {path}")

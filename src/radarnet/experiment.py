@@ -33,7 +33,7 @@ from .calibration import (
     result_to_dict,
     save_result,
 )
-from .fusion import FusionEstimates, PriorConfig, solve_frames
+from .fusion import FusionEstimates, PriorConfig, frame_table, solve_frames
 # Not called here since fusion runs batched; kept as experiment.solve,
 # one of the names perfbench/spans.py traces.
 from .fusion import solve  # noqa: F401
@@ -263,6 +263,19 @@ def estimated_poses(calibrations: list[CalibrationResult]) -> list[Pose2D]:
     return poses
 
 
+def fuse_frames(
+    config: ScenarioConfig, sim: Simulation, poses, frames, options: PipelineOptions
+) -> dict[str, FusionEstimates]:
+    """One-shot fusion of the simulation's `frames` (indices) at the node
+    `poses`, one batch per mode of `options`; the prior applies in Bayes
+    mode only.  A node that did not detect a frame takes no part in it."""
+    table = frame_table(poses, sim.detections[frames])
+    return {
+        mode: solve_frames(table, config.noise, mode, options.prior if mode == "bayes" else None)
+        for mode in options.modes
+    }
+
+
 def run_experiment(
     config: ScenarioConfig | str | Path, options: PipelineOptions | None = None
 ) -> ExperimentReport:
@@ -297,25 +310,13 @@ def run_experiment(
         fused = track_level_fusion(fused, other)
     # The fused track holds exactly the frames every node's track holds.
     fused_rows = np.flatnonzero(sim.seen.all(axis=1)[fused.frame_index])
-    eval_frames = fused.frame_index[fused_rows].tolist()
-    if not eval_frames:
+    eval_frames = fused.frame_index[fused_rows]
+    if not len(eval_frames):
         raise PipelineError("no frames with detections from every node")
-    # solve_frames' frame array: every frame's estimated node poses and detections.
-    detections = sim.detections[eval_frames]
-    poses = np.array([(pose.x, pose.y, pose.phi) for pose in estimated_poses(calibrations)])
-    frames = np.concatenate((np.broadcast_to(poses, detections.shape), detections), axis=-1)
-    estimates = {
-        mode: solve_frames(
-            frames,
-            config.noise,
-            mode=mode,
-            prior=options.prior if mode == "bayes" else None,
-        )
-        for mode in options.modes
-    }
+    estimates = fuse_frames(config, sim, estimated_poses(calibrations), eval_frames, options)
 
-    in_rmse = np.array(eval_frames) >= BURN_IN_FRAMES
-    rmse_frames = [k for k in eval_frames if k >= BURN_IN_FRAMES]
+    in_rmse = eval_frames >= BURN_IN_FRAMES
+    rmse_frames = eval_frames[in_rmse]
     references = {
         "truth": sim.truth[rmse_frames],
         "track_fusion": fused.states[fused_rows[in_rmse]],
@@ -351,7 +352,7 @@ def run_experiment(
     if options.write_outputs:
         _write_run_outputs(
             run_dir, config, options, sim, transformed, fused,
-            estimates, eval_frames, rmse_frames, calibrations, report,
+            estimates, eval_frames, in_rmse, calibrations, report,
         )
     return report
 
@@ -376,8 +377,8 @@ def _write_run_outputs(
     transformed: list[Track],
     fused: Track,
     estimates: dict[str, FusionEstimates],
-    eval_frames: list[int],
-    rmse_frames: list[int],
+    eval_frames: np.ndarray,
+    in_rmse: np.ndarray,
     calibrations: list[CalibrationResult],
     report: ExperimentReport,
 ) -> None:
@@ -400,7 +401,7 @@ def _write_run_outputs(
     for node, result in enumerate(calibrations, start=1):
         save_result(result, result_path(run_dir / "calibration", node))
 
-    frame_cells = list(map(str, eval_frames))
+    frame_cells = list(map(str, eval_frames.tolist()))
     upper = np.triu_indices(4)  # c11, c12, ..., c44
     oneshot_lines = []
     oneshot_cells = {}  # per mode: the x, y, vx, vy, converged and cond cells
@@ -435,7 +436,7 @@ def _write_run_outputs(
     for mode in modes:
         states, converged, cond = oneshot_cells[mode]
         columns += [*[iter(states)] * 4, converged, cond]
-    columns.append(_flags(np.isin(eval_frames, rmse_frames)))
+    columns.append(_flags(in_rmse))
     write_lines(run_dir / "fusion" / "per_frame.csv", ",".join(header), csv_lines(*columns))
 
     write_json(run_dir / "report" / "report.json", report.to_dict())

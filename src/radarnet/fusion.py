@@ -7,7 +7,10 @@ regularized by independent Gaussian priors on each state component
 (Bayes / MAP).  The minimization runs a damped Gauss-Newton
 (Levenberg-Marquardt) iteration from closed-form position and velocity
 initializers.  `solve_frames` runs the whole solve, starts included, on
-many frames at once as arrays; `solve` is its one-frame case.
+many frames at once as arrays; `solve` is its one-frame case.  Its
+input is a frame table (`frame_table`): each frame's node poses and
+detections, a node that did not detect the target holding an all-NaN
+detection triple, as `Simulation.detections` does.
 
 The posterior covariance is available two ways: the Laplace
 approximation (inverse Gauss-Newton Hessian at the optimum) and a
@@ -149,14 +152,33 @@ class _Columns(NamedTuple):
     cs: np.ndarray
 
 
-def _frame_table(observations: list[FusionObservation]) -> np.ndarray:
-    """The (F, N, 6) frame table of observations that all have N nodes."""
-    return np.array([
-        [(e.node_pose.x, e.node_pose.y, e.node_pose.phi,
-          e.detection.range, e.detection.spatial_freq, e.detection.radial_vel)
-         for e in obs.entries]
-        for obs in observations
-    ], dtype=float)
+def frame_table(poses, detections) -> np.ndarray:
+    """The (F, N, 6) frame table `solve_frames` takes: row (f, i) holds
+    node i's pose x, y, phi and its detection in frame f, range, spatial
+    frequency and radial velocity.
+
+    `poses` are the N node poses (Pose2D), `detections` the (F, N, 3)
+    triples, all NaN where a node did not detect the target, as in
+    `Simulation.detections`.
+    """
+    poses = [(pose.x, pose.y, pose.phi) for pose in poses]
+    return np.concatenate((np.broadcast_to(poses, np.shape(detections)), detections), axis=-1)
+
+
+def _rows(obs: FusionObservation) -> list[tuple[float, ...]]:
+    """An observation's frame table rows, one per node."""
+    return [(e.node_pose.x, e.node_pose.y, e.node_pose.phi,
+             e.detection.range, e.detection.spatial_freq, e.detection.radial_vel)
+            for e in obs.entries]
+
+
+def _observation_table(observations: Iterable[FusionObservation]) -> np.ndarray:
+    """Observations as one frame table, each padded with missed rows to
+    the most nodes any has (none at all: an empty two-node table)."""
+    rows = [_rows(obs) for obs in observations]
+    width = max(map(len, rows), default=2)
+    padded = [row + [(math.nan,) * 6] * (width - len(row)) for row in rows]
+    return np.array(padded, dtype=float).reshape(len(rows), width, 6)
 
 
 def _columns(table: np.ndarray) -> _Columns:
@@ -194,9 +216,10 @@ def _start_states(nodes: _Columns) -> np.ndarray:
     return sum(terms.swapaxes(0, 1), 0.0) / len(theta)
 
 
-def _check_spatial_frequencies(nodes: _Columns) -> None:
-    """ValueError naming the first |spatial frequency| > pi in frame order."""
-    omega = nodes.table[4].T
+def _check_spatial_frequencies(table: np.ndarray) -> None:
+    """ValueError naming a frame table's first |spatial frequency| > pi in
+    frame order."""
+    omega = table[..., 4]
     beyond = np.abs(omega) > math.pi
     if np.count_nonzero(beyond):
         raise ValueError(f"|spatial frequency| exceeds pi: {float(omega[beyond][0])!r}")
@@ -204,9 +227,9 @@ def _check_spatial_frequencies(nodes: _Columns) -> None:
 
 def _start_state(obs: FusionObservation) -> np.ndarray:
     """One frame's closed-form start (x, y, vx, vy)."""
-    nodes = _columns(_frame_table([obs]))
-    _check_spatial_frequencies(nodes)
-    return _start_states(nodes)[:, 0]
+    table = _observation_table([obs])
+    _check_spatial_frequencies(table)
+    return _start_states(_columns(table))[:, 0]
 
 
 def initial_position_estimate(obs: FusionObservation) -> np.ndarray:
@@ -284,7 +307,7 @@ class _Frames:
         prior: PriorConfig | None = None,
         center: np.ndarray | None = None,
     ) -> "_Frames":
-        return cls.of(_columns(_frame_table(observations)), noise, prior, center)
+        return cls.of(_columns(_observation_table(observations)), noise, prior, center)
 
     def take(self, index) -> "_Frames":
         """The model of the frames at the integer `index` along F.  The
@@ -503,9 +526,9 @@ def _start_table(nodes: _Columns) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     if that would drop them all, it keeps every one that exists.
     Returns the position starts x and y (F,), the candidates as
     (F, 3, 4), a missing one standing in as the initializer, and which
-    candidates each frame keeps (F, 3).
+    candidates each frame keeps (F, 3).  Every |omega| <= pi must have
+    been checked.
     """
-    _check_spatial_frequencies(nodes)
     start = _start_states(nodes)
     position = start[:2]
     points, meet = _range_circles(nodes)
@@ -540,7 +563,8 @@ def solve(
     and stop tests; the result is bit-identical to that frame's entry
     in any batch.
     """
-    return _solve_frames([obs], noise, mode, prior)[0]
+    # One observation's table needs no padding.
+    return _solve_frames(np.array([_rows(obs)], dtype=float), noise, mode, prior)[0]
 
 
 def solve_frames(
@@ -551,12 +575,17 @@ def solve_frames(
 ) -> FusionEstimates:
     """Levenberg-Marquardt minimization of the ML or Bayes objective, per frame.
 
-    `observations` is an iterable of FusionObservation, or the frames as
-    one (F, N, 6) array whose row (f, i) holds node i's pose and
-    detection in frame f: x, y, phi, range, spatial frequency, radial
-    velocity.  Either way the frames run as arrays, grouped by node
-    count, node axis first; results come back in input order, as
-    arrays that also index as FusionEstimates.
+    `observations` is an iterable of FusionObservation, or a frame table
+    (`frame_table`): an (F, N, 6) array whose row (f, i) holds node i's
+    pose and detection in frame f, x, y, phi, range, spatial frequency,
+    radial velocity.  A row whose detection triple is all NaN is a node
+    that did not detect the target and takes no part in that frame;
+    every other row must be finite, and every frame needs a detecting
+    node (else ValueError).  Observations pad into such a table.  The
+    frames run as arrays grouped by their number of detecting nodes,
+    node axis first, each keeping its detecting nodes in order; results
+    come back in input order, as arrays that also index as
+    FusionEstimates.
 
     Each frame is solved on its own: its result does not depend on the
     other frames in the batch.  A frame starts from the best-scoring
@@ -580,7 +609,9 @@ def _solve_frames(observations, noise, mode, prior) -> FusionEstimates:
         raise ValueError(f"mode must be 'ml' or 'bayes', got {mode!r}")
     if mode == "bayes" and prior is None:
         raise ValueError("bayes mode requires a PriorConfig")
-    groups = _frame_tables(observations)
+    if not isinstance(observations, np.ndarray):
+        observations = _observation_table(observations)
+    groups = _frame_groups(observations)
     if any(table.shape[1] < 2 for _, table in groups):
         warnings.warn(
             "single-node observation: vector velocity is unobservable",
@@ -598,24 +629,27 @@ def _solve_frames(observations, noise, mode, prior) -> FusionEstimates:
     })
 
 
-def _frame_tables(observations) -> list[tuple[range | list[int], np.ndarray]]:
-    """`solve_frames`' input as one (F, N, 6) frame table per node count,
-    each with the input positions of its frames."""
-    if isinstance(observations, np.ndarray):
-        table = np.asarray(observations, dtype=float)
-        if table.ndim != 3 or table.shape[1] < 1 or table.shape[2] != 6:
-            raise ValueError(f"frame array must be (F, N, 6) with N >= 1, got shape {table.shape}")
-        if not np.all(np.isfinite(table)):
-            raise ValueError("frame array must be finite")
+def _frame_groups(table: np.ndarray) -> list[tuple[range | np.ndarray, np.ndarray]]:
+    """A frame table's frames grouped by their number n of detecting
+    nodes, each group as its frames' input positions and the (F_n, n, 6)
+    table of their detecting rows, in node order; ValueError on a table
+    that breaks `solve_frames`' input rules."""
+    table = np.asarray(table, dtype=float)
+    if table.ndim != 3 or table.shape[1] < 1 or table.shape[2] != 6:
+        raise ValueError(f"frame array must be (F, N, 6) with N >= 1, got shape {table.shape}")
+    _check_spatial_frequencies(table)
+    if np.count_nonzero(np.isfinite(table)) == table.size:
         return [(range(len(table)), table)]
-    observations = list(observations)
-    index: dict[int, list[int]] = {}
-    for k, obs in enumerate(observations):
-        index.setdefault(obs.num_nodes, []).append(k)
-    # No frames at all solve as an empty two-node batch.
-    return [
-        (rows, _frame_table([observations[k] for k in rows])) for rows in index.values()
-    ] or [([], np.empty((0, 2, 6)))]
+    # A row detects unless its triple is all NaN; a partly NaN one is not finite.
+    detecting = ~np.isnan(table[..., 3:]).all(axis=-1)
+    if not np.isfinite(table[detecting]).all():
+        raise ValueError("frame array must be finite, but for the all-NaN detection "
+                         "triples of nodes that did not detect")
+    counts = np.count_nonzero(detecting, axis=1)
+    if not counts.all():
+        raise ValueError(f"frame {int(np.argmin(counts))} has no detecting node")
+    groups = [np.flatnonzero(counts == n) for n in np.unique(counts).tolist()]
+    return [(rows, table[rows][detecting[rows]].reshape(len(rows), -1, 6)) for rows in groups]
 
 
 def _solve_group(table: np.ndarray, noise, mode, prior) -> FusionEstimates:

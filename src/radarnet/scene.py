@@ -130,6 +130,13 @@ class ScenarioConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
+        # The name is the run directory's: one path component.
+        name = self.name
+        if type(name) is not str or name in ("", ".", "..") or "/" in name or "\\" in name:
+            raise ConfigError("name must be one path component (a non-empty string without "
+                              f"'/' or '\\', not '.' or '..'), got {name!r}")
+        if self.rng_seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.rng_seed}")
         if self.num_frames < 2:
             raise ConfigError("num_frames must be >= 2")
         if not self.frame_duration > 0.0:
@@ -439,15 +446,10 @@ def _trajectory_from_dict(d, where: str = "trajectory") -> TrajectorySpec:
     missing = [k for k in ("kind", "start") if k not in d]
     if missing:
         raise ConfigError(f"{where} section missing keys: {', '.join(missing)}")
-    kind = d["kind"]
-    try:
-        start = tuple(float(v) for v in d["start"])
-        if len(start) != 2 or not all(map(math.isfinite, start)):
-            raise ValueError
-    except (TypeError, ValueError):
-        raise ConfigError(
-            f"{where}.start must be two finite numbers [x, y], got {d['start']!r}"
-        ) from None
+    kind, start = d["kind"], d["start"]
+    if type(start) is not list or len(start) != 2:
+        raise ConfigError(f"{where}.start must be two finite numbers [x, y], got {start!r}")
+    start = tuple(json_number({"start": value}, where, "start") for value in start)
     if kind == "straight":
         return TrajectorySpec(
             kind,
@@ -510,7 +512,7 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
     )
     calib = d.get("calibration_trajectory")
     return ScenarioConfig(
-        name=str(d["name"]),
+        name=d["name"],
         nodes=tuple(nodes),
         trajectory=_trajectory_from_dict(d["trajectory"]),
         noise=noise,

@@ -89,6 +89,18 @@ class TestExitCodes:
         ("num_frames", lambda d: d.update(num_frames=240.9)),
         ("seed", lambda d: d.update(seed="7")),
         ("noise.sigma_r", lambda d: d.update(noise={"sigma_r": True})),
+        pytest.param("seed", lambda d: d.update(seed=-1), id="seed-negative"),
+        pytest.param("trajectory.start", lambda d: d["trajectory"].update(start=["1.0", True]),
+                     id="trajectory.start-string-and-bool"),
+        pytest.param("trajectory.start", lambda d: d["trajectory"].update(start=[1.0, True]),
+                     id="trajectory.start-bool"),
+        pytest.param("trajectory.start", lambda d: d["trajectory"].update(start="1.0, 2.0"),
+                     id="trajectory.start-string"),
+        pytest.param("name", lambda d: d.update(name="../escape"), id="name-parent-path"),
+        pytest.param("name", lambda d: d.update(name=["x", 1]), id="name-list"),
+        pytest.param("name", lambda d: d.update(name=""), id="name-empty"),
+        pytest.param("name", lambda d: d.update(name=".."), id="name-dotdot"),
+        pytest.param("name", lambda d: d.update(name="a\\b"), id="name-backslash"),
     ])
     def test_malformed_config_field_is_config_error(self, tmp_path, small_config, capsys,
                                                     field, edit):
@@ -100,6 +112,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"config error: {field} " in err
         assert "Traceback" not in err
+        assert not (tmp_path / "o").exists() and not (tmp_path / "escape").exists()
+
+    @pytest.mark.parametrize("source", [["--builtin", "A"], ["--config", None]])
+    def test_negative_seed_is_config_error(self, tmp_path, small_config, capsys, source):
+        source = [small_config if arg is None else arg for arg in source]
+        code = main(["simulate", *map(str, source), "--seed", "-1", "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "config error: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("verb", ["simulate", "run"])
     @pytest.mark.parametrize("field, edit", [
@@ -131,6 +153,25 @@ class TestExitCodes:
         assert "config error: --max-nonconverged must be finite" in err
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("verb", ["fuse", "run"])
+    @pytest.mark.parametrize("value", ["-0.5", "-1e-300", "1.0000001", "1.5"])
+    def test_max_nonconverged_outside_unit_interval_is_config_error(self, tmp_path, capsys,
+                                                                    verb, value):
+        # A negative limit made every run exit 4, though no frame failed.
+        code = main([verb, "--builtin", "B", "--seed", "1", "--out", str(tmp_path / "o"),
+                     f"--max-nonconverged={value}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: --max-nonconverged must be finite and in [0, 1], got {value}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", ["0", "1"])
+    def test_max_nonconverged_takes_both_ends(self, value):
+        from radarnet.cli import _options, build_parser
+
+        args = build_parser().parse_args(["run", "--builtin", "B", "--max-nonconverged", value])
+        assert _options(args).max_nonconverged_fraction == float(value)
 
     def test_both_scenario_sources_rejected(self, tmp_path, small_config, capsys):
         assert main(["run", "--config", str(small_config), "--builtin", "A"]) == 2
@@ -181,10 +222,10 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     def test_nonconvergence_exit_code(self, tmp_path, small_config, capsys):
-        # An impossibly strict threshold forces the exit-4 path while
-        # the report is still produced.
+        # The strictest threshold forces the exit-4 path (one Bayes frame
+        # of this run stops unconverged) while the report is still produced.
         code = main(["run", "--config", str(small_config), "--out", str(tmp_path / "o"),
-                     "--max-nonconverged", "-1.0"])
+                     "--max-nonconverged", "0"])
         assert code == 4
         captured = capsys.readouterr()
         assert "non-convergence" in captured.err
@@ -317,6 +358,60 @@ class TestFuseVerb:
         code = main(["fuse", "--config", str(three_node_config), "--out", str(tmp_path / "o2"),
                      "--calibration", str(calib)])
         assert code == 0
+
+    def test_csv_bytes_match_node_set_loop(self, tmp_path):
+        import numpy as np
+
+        from radarnet.experiment import PipelineOptions
+        from radarnet.fusion import solve_frames
+        from radarnet.scene import load_scenario, simulate, write_csv
+
+        # Three nodes in a row facing +y and a walk along them: frames
+        # seen by one node, by two different pairs and by all three.
+        path = tmp_path / "line3.json"
+        path.write_text(json.dumps({
+            "name": "line3",
+            "nodes": [{"x": x, "y": 0.0, "phi_deg": 0.0} for x in (0.0, 4.0, 8.0)],
+            "trajectory": {"kind": "straight", "start": [-4.0, 3.0], "speed": 0.25,
+                           "heading_deg": 0.0},
+            "calibration_trajectory": {"kind": "random", "start": [4.0, 4.0], "speed_cap": 0.8},
+            "num_frames": 400,
+            "seed": 3,
+        }))
+        assert main(["fuse", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+
+        # The file as written by solving one frame table per set of
+        # detecting nodes.
+        config = load_scenario(path)
+        sim = simulate(config)
+        options = PipelineOptions()
+        frame_indices = np.flatnonzero(sim.seen.sum(axis=1) >= 2)
+        seen = sim.seen[frame_indices]
+        pose_table = np.array([(pose.x, pose.y, pose.phi) for pose in config.nodes])
+        cells = {mode: [None] * len(frame_indices) for mode in options.modes}
+        node_sets = np.unique(seen, axis=0)
+        for nodes in node_sets:
+            rows = np.flatnonzero((seen == nodes).all(axis=1))
+            detections = sim.detections[frame_indices[rows]][:, nodes]
+            table = np.concatenate(
+                (np.broadcast_to(pose_table[nodes], detections.shape), detections), axis=-1
+            )
+            for mode in options.modes:
+                est = solve_frames(table, config.noise, mode=mode,
+                                   prior=options.prior if mode == "bayes" else None)
+                for t, state, converged, cond in zip(
+                    rows.tolist(), est.states.tolist(), est.converged.tolist(),
+                    est.conditioning.tolist(),
+                ):
+                    cells[mode][t] = [mode, *state, int(converged), cond]
+        rows = [[k, *cells[mode][t]] for t, k in enumerate(frame_indices.tolist())
+                for mode in options.modes]
+        expected = tmp_path / "expected.csv"
+        write_csv(expected, "frame,mode,x,y,vx,vy,converged,cond", rows)
+        written = tmp_path / "o" / "line3" / "straight" / "3" / "fusion" / "oneshot_only.csv"
+        assert np.bincount(seen.sum(axis=1)).tolist() == [0, 0, 213, 64]
+        assert len(node_sets) == 3
+        assert written.read_bytes() == expected.read_bytes()
 
     @pytest.mark.parametrize("name", ["A", "B", "C", "three-node"])
     def test_csv_bytes_match_object_loop(self, tmp_path, name):

@@ -409,7 +409,7 @@ def reference_export_track_csv(track, path):
 
 
 def reference_write_run_outputs(run_dir, config, options, sim, transformed, fused,
-                                estimates, eval_frames, rmse_frames, calibrations, report):
+                                estimates, eval_frames, in_rmse, calibrations, report):
     from radarnet.calibration import result_path, save_result
     from radarnet.scene import save_scenario
 
@@ -451,7 +451,7 @@ def reference_write_run_outputs(run_dir, config, options, sim, transformed, fuse
         oneshot_rows,
     )
 
-    rmse_set = set(rmse_frames)
+    rmse_set = {k for k, kept in zip(eval_frames.tolist(), in_rmse) if kept}
     modes = [mode for mode in ("bayes", "ml") if mode in options.modes]
     header = ["frame"]
     prefixes = ["truth", "ekf1", *(f"ekf{i + 1}_in_1" for i in range(1, len(transformed)))]

@@ -1,6 +1,7 @@
 """One-shot fusion: initializers, objectives, LM solver, posterior covariance."""
 
 import math
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -14,10 +15,11 @@ from radarnet.fusion import (
     PriorConfig,
     _columns,
     _Frames,
-    _frame_table,
-    _frame_tables,
+    _frame_groups,
+    _observation_table,
     _start_table,
     bayes_objective,
+    frame_table,
     grid_covariance,
     initial_position_estimate,
     initial_velocity_estimate,
@@ -590,6 +592,103 @@ class TestSolveFrames:
         assert batch[1].objective_value == pytest.approx(reference[1].objective_value, rel=1e-9)
 
 
+def line_config():
+    """Three nodes in a row facing +y, 4 m apart, and a walk along them:
+    123 frames seen by one node, 213 by two (two different pairs) and 64
+    by all three."""
+    from radarnet.scene import ScenarioConfig, TrajectorySpec
+
+    return ScenarioConfig(
+        "line3",
+        (Pose2D(0.0, 0.0, 0.0), Pose2D(4.0, 0.0, 0.0), Pose2D(8.0, 0.0, 0.0)),
+        TrajectorySpec("straight", (-4.0, 3.0), speed=0.25, heading=0.0),
+        num_frames=400,
+        rng_seed=3,
+        calibration_trajectory=TrajectorySpec("random", (4.0, 4.0), speed_cap=0.8),
+    )
+
+
+class TestFrameTable:
+    """`solve_frames` on frame tables: the NaN convention for nodes that did
+    not detect, and the input rules."""
+
+    @staticmethod
+    def table():
+        config = builtin_scenario("B", "random", seed=7)
+        sim = simulate(config)
+        return frame_table(config.nodes, sim.detections[sim.seen.all(axis=1)][:5])
+
+    def test_layout(self):
+        config = line_config()
+        sim = simulate(config)
+        table = frame_table(config.nodes, sim.detections)
+        assert table.shape == (400, 3, 6)
+        for i, node in enumerate(config.nodes):
+            assert (table[:, i, :3] == (node.x, node.y, node.phi)).all()
+        assert table[..., 3:].tobytes() == sim.detections.tobytes()
+
+    @pytest.mark.parametrize("shape", [(5, 6), (5, 2, 5), (5, 0, 6), (5, 2, 6, 1)])
+    def test_wrong_shape_raises(self, shape):
+        with pytest.raises(ValueError, match=r"must be \(F, N, 6\)"):
+            solve_frames(np.zeros(shape), TABLE_NOISE, mode="ml")
+
+    @pytest.mark.parametrize("missed", [False, True], ids=["all-detected", "with-missed-row"])
+    @pytest.mark.parametrize("column", [0, 2, 3, 5])
+    def test_inf_in_a_detecting_row_raises(self, column, missed):
+        table = self.table()
+        table[2, 1, column] = np.inf
+        if missed:
+            table[4, 0, 3:] = np.nan
+        with pytest.raises(ValueError, match="must be finite"):
+            solve_frames(table, TABLE_NOISE, mode="ml")
+
+    @pytest.mark.parametrize("nan", [[3], [4, 5], [3, 5]])
+    def test_partly_nan_triple_raises(self, nan):
+        table = self.table()
+        table[1, 0, nan] = np.nan
+        with pytest.raises(ValueError, match="must be finite"):
+            solve_frames(table, TABLE_NOISE, mode="ml")
+
+    def test_spatial_frequency_beyond_pi_is_named_in_frame_order(self):
+        table = self.table()
+        table[1, 1, 4] = 4.0
+        table[3, 0, 4] = -5.0
+        table[3, 1, 3:] = np.nan  # frame 3 has one detecting node, frame 1 two
+        with pytest.raises(ValueError, match="exceeds pi: 4.0"):
+            solve_frames(table, TABLE_NOISE, mode="ml")
+
+    def test_frame_with_no_detecting_node_raises(self):
+        table = self.table()
+        table[3, :, 3:] = np.nan
+        with pytest.raises(ValueError, match="frame 3 has no detecting node"):
+            solve_frames(table, TABLE_NOISE, mode="ml")
+
+    def test_nan_padded_table_matches_per_frame_solve(self):
+        config = line_config()
+        sim = simulate(config)
+        frames = np.flatnonzero(sim.seen.any(axis=1))
+        counts = np.count_nonzero(sim.seen[frames], axis=1)
+        assert np.bincount(counts).tolist() == [0, 123, 213, 64]
+        table = frame_table(config.nodes, sim.detections[frames])
+        # What a missed row holds besides its NaN triple does not matter.
+        table[~sim.seen[frames], :3] = np.nan
+        observations = [
+            FusionObservation(tuple(
+                ObservationEntry(node, Detection(*det))
+                for node, det, seen in zip(config.nodes, sim.detections[k].tolist(), sim.seen[k])
+                if seen
+            ))
+            for k in frames.tolist()
+        ]
+        for mode, prior in (("ml", None), ("bayes", PRIOR)):
+            with pytest.warns(UserWarning, match="single-node"):
+                batch = solve_frames(table, config.noise, mode=mode, prior=prior)
+            assert len(batch) == len(observations)
+            for obs, est in zip(observations, batch):
+                with pytest.warns(UserWarning) if obs.num_nodes == 1 else nullcontext():
+                    assert_same_estimate(solve(obs, config.noise, mode=mode, prior=prior), est)
+
+
 def detected_observations(config):
     """The frames of a scenario's simulation that every node detected, as
     FusionObservations at the true poses."""
@@ -664,7 +763,7 @@ def reference_candidate_starts(obs):
 def assert_same_starts(obs):
     """One frame's position start and kept LM starts against the reference;
     returns the kept starts."""
-    px, py, starts, keep = _start_table(_columns(_frame_table([obs])))
+    px, py, starts, keep = _start_table(_columns(_observation_table([obs])))
     want_pos0, want_starts = reference_candidate_starts(obs)
     assert np.array([px[0], py[0]]).tobytes() == want_pos0.tobytes()
     assert starts[0][keep[0]].tobytes() == np.asarray(want_starts, dtype=float).tobytes()
@@ -712,10 +811,7 @@ def builtin_frame_tables(name):
             config = builtin_scenario(name, kind, seed=seed)
             sim = simulate(config)
             detections = sim.detections[sim.seen.all(axis=1)]
-            poses = np.array([(node.x, node.y, node.phi) for node in config.nodes])
-            table = np.concatenate(
-                (np.broadcast_to(poses, detections.shape), detections), axis=-1
-            )
+            table = frame_table(config.nodes, detections)
             observations = [
                 FusionObservation(tuple(
                     ObservationEntry(node, Detection(*det)) for node, det in zip(config.nodes, dets)
@@ -785,7 +881,7 @@ class TestArrayCandidateStarts:
         for name in ("disjoint", "nested", "concentric", "single_node"):
             assert reference_range_circle_intersections(cases[name]) == []
         mixed = list(cases.values())
-        groups = _frame_tables(mixed)
+        groups = _frame_groups(_observation_table(mixed))
         assert sorted(table.shape[1] for _, table in groups) == [1, 2, 3]
         for rows, table in groups:
             assert_array_starts_match_reference(table, [mixed[k] for k in rows])

@@ -25,6 +25,8 @@ import numpy as np
 
 from .calibration import DegenerateTrackError, load_result, result_path, save_result
 from .experiment import (
+    BENCHMARKS,
+    MODES,
     PipelineError,
     PipelineOptions,
     calibrate_scenario,
@@ -38,6 +40,7 @@ from .experiment import (
 )
 from .geometry import Pose2D
 from .scene import (
+    BUILTIN_NODES,
     ConfigError,
     builtin_scenario,
     export_measurements_csv,
@@ -58,24 +61,25 @@ EXIT_NONCONVERGED = 4
 
 def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="scenario config JSON")
-    parser.add_argument("--builtin", choices=["A", "B", "C"], help="built-in scenario")
+    parser.add_argument("--builtin", choices=sorted(BUILTIN_NODES), help="built-in scenario")
     parser.add_argument(
         "--trajectory", choices=["straight", "random"], default="random",
         help="evaluation trajectory kind for --builtin (default random)",
     )
     parser.add_argument("--seed", type=int, help="base RNG seed (default: the config's, or 0)")
-    parser.add_argument("--out", type=Path, default=Path("out"), help="output directory")
+    parser.add_argument("--out", type=Path, default=PipelineOptions.out_dir,
+                        help="output directory")
 
 
 def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--mode", choices=["ml", "bayes", "both"], default="both")
-    parser.add_argument("--benchmark", choices=["truth", "trackfusion"], default="truth")
+    parser.add_argument("--mode", choices=MODES, default=PipelineOptions.mode)
+    parser.add_argument("--benchmark", choices=BENCHMARKS, default=PipelineOptions.benchmark)
     parser.add_argument(
         "--same-trajectory", action="store_true",
         help="calibrate on the evaluation trajectory kind instead of the counterpart",
     )
     parser.add_argument(
-        "--max-nonconverged", type=float, default=0.05,
+        "--max-nonconverged", type=float, default=PipelineOptions.max_nonconverged_fraction,
         help="exit 4 when a mode's non-convergence fraction exceeds this",
     )
 

@@ -19,7 +19,7 @@ Output layout, fixed so tools and tests can rely on it:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -46,7 +46,6 @@ from .scene import (
     export_measurements_csv,
     export_truth_csv,
     float_cells,
-    load_scenario,
     save_scenario,
     simulate,
     write_csv,
@@ -71,9 +70,12 @@ from .tracking import (
 CALIBRATION_SEED_OFFSET = 7919
 # Frames before this index are filter warm-up and stay out of the RMSEs.
 BURN_IN_FRAMES = 10
+# Every node's EKF tuning, and the Bayes-mode prior of the one-shot fusion.
+PIPELINE_EKF = EkfConfig(process_noise_accel=0.4)
+PIPELINE_PRIOR = PriorConfig()
 
-_MODES = ("ml", "bayes", "both")
-_BENCHMARKS = ("truth", "trackfusion")
+MODES = ("ml", "bayes", "both")
+BENCHMARKS = ("truth", "trackfusion")
 
 
 class PipelineError(RuntimeError):
@@ -89,15 +91,13 @@ class PipelineOptions:
     out_dir: Path | str = "out"
     write_outputs: bool = True
     cross_trajectory: bool = True
-    ekf: EkfConfig = field(default_factory=lambda: EkfConfig(process_noise_accel=0.4))
-    prior: PriorConfig = field(default_factory=PriorConfig)
     max_nonconverged_fraction: float = 0.05
 
     def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.benchmark not in _BENCHMARKS:
-            raise ValueError(f"benchmark must be one of {_BENCHMARKS}, got {self.benchmark!r}")
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.benchmark not in BENCHMARKS:
+            raise ValueError(f"benchmark must be one of {BENCHMARKS}, got {self.benchmark!r}")
 
     @property
     def modes(self) -> tuple[str, ...]:
@@ -178,9 +178,7 @@ def run_directory(out_dir: Path | str, config: ScenarioConfig) -> Path:
     return Path(out_dir) / config.name / config.trajectory.kind
 
 
-def _run_trackers(
-    config: ScenarioConfig, sim: Simulation, options: PipelineOptions, stage: str
-) -> list[Track]:
+def _run_trackers(config: ScenarioConfig, sim: Simulation, stage: str) -> list[Track]:
     """Every node's EKF track, or a PipelineError naming the `stage` and
     the first node that never detected the target (it would have no track)."""
     blind = np.flatnonzero(~sim.seen.any(axis=0))
@@ -190,7 +188,7 @@ def _run_trackers(
             f"{len(sim)} frames (seed {config.rng_seed}), so it has no track"
         )
     return [
-        run_tracker(sim, i, options.ekf, config.noise, config.frame_duration)
+        run_tracker(sim, i, PIPELINE_EKF, config.noise, config.frame_duration)
         for i in range(len(config.nodes))
     ]
 
@@ -202,7 +200,7 @@ def calibrate_scenario(
     options = options or PipelineOptions()
     calib_config = calibration_stage_config(config, options)
     sim = simulate(calib_config)
-    tracks = _run_trackers(calib_config, sim, options, "calibration")
+    tracks = _run_trackers(calib_config, sim, "calibration")
     # Short sequences cannot afford the full 50-frame transient skip.
     skip = min(50, config.num_frames // 5)
     results = []
@@ -211,29 +209,18 @@ def calibrate_scenario(
             z1, z2 = paired_positions(tracks[0], tracks[i], skip)
         except PipelineError as exc:
             raise PipelineError(
-                f"{exc} of node {i} against node 0: {_update_summary(tracks, sim, options.ekf)}"
+                f"{exc} of node {i} against node 0: {_update_summary(tracks, sim)}"
             ) from None
         results.append(calibrate_pair(z1, z2))
     return results
 
 
-def _update_summary(tracks: list[Track], sim: Simulation, ekf: EkfConfig) -> str:
-    """Each node's EKF-updated and detected frame counts, and the EKF tuning
-    that decides how many detections update a track."""
+def _update_summary(tracks: list[Track], sim: Simulation) -> str:
+    """Each node's EKF-updated and detected frame counts."""
     updated = [int(np.count_nonzero(track.updated)) for track in tracks]
     detected = np.count_nonzero(sim.seen, axis=0).tolist()
     counts = ", ".join(f"node {i} {u}/{d}" for i, (u, d) in enumerate(zip(updated, detected)))
-    message = (
-        f"EKF-updated/detected frames {counts}; gate_threshold={ekf.gate_threshold}, "
-        f"process_noise_accel={ekf.process_noise_accel}"
-    )
-    if ekf.gate_threshold is not None and any(2 * u < d for u, d in zip(updated, detected)):
-        message += (
-            "; with a gate set, a node's track took under half its detections: a gate "
-            "that starves a low-noise filter is a tuning error (raise process_noise_accel "
-            "or the gate)"
-        )
-    return message
+    return f"EKF-updated/detected frames {counts}"
 
 
 def calibration_stage_config(
@@ -271,13 +258,13 @@ def fuse_frames(
     mode only.  A node that did not detect a frame takes no part in it."""
     table = frame_table(poses, sim.detections[frames])
     return {
-        mode: solve_frames(table, config.noise, mode, options.prior if mode == "bayes" else None)
+        mode: solve_frames(table, config.noise, mode, PIPELINE_PRIOR if mode == "bayes" else None)
         for mode in options.modes
     }
 
 
 def run_experiment(
-    config: ScenarioConfig | str | Path, options: PipelineOptions | None = None
+    config: ScenarioConfig, options: PipelineOptions | None = None
 ) -> ExperimentReport:
     """Full pipeline: calibrate, evaluate, fuse per frame, report RMSEs.
 
@@ -285,8 +272,6 @@ def run_experiment(
     fusion benchmark over the identical frame set: frames past the
     burn-in where every node detected the target.
     """
-    if not isinstance(config, ScenarioConfig):
-        config = load_scenario(config)
     options = options or PipelineOptions()
 
     calibrations = calibrate_scenario(config, options)
@@ -299,7 +284,7 @@ def run_experiment(
     )
 
     sim = simulate(config)
-    tracks = _run_trackers(config, sim, options, "evaluation")
+    tracks = _run_trackers(config, sim, "evaluation")
     transformed = [tracks[0]]
     transformed.extend(
         transform_track(tracks[i], calibrations[i - 1].p21, calibrations[i - 1].phi21)
@@ -455,7 +440,7 @@ def _mc_trial(args) -> tuple[int, dict | None, str | None]:
 
 
 def run_monte_carlo(
-    config: ScenarioConfig | str | Path,
+    config: ScenarioConfig,
     trials: int,
     options: PipelineOptions | None = None,
     jobs: int = 1,
@@ -469,8 +454,6 @@ def run_monte_carlo(
         raise ValueError("trials must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    if not isinstance(config, ScenarioConfig):
-        config = load_scenario(config)
     options = options or PipelineOptions()
     mc_options = replace(options, write_outputs=False)
     tasks = [(config, mc_options, t) for t in range(trials)]

@@ -871,12 +871,18 @@ def _grid_moments(values: np.ndarray, offsets: list[np.ndarray]) -> np.ndarray:
     return 0.5 * (cov + cov.T)
 
 
+# The grid posterior's extent: 15 points per dimension spanning
+# +/- 3 posterior sigmas.
+GRID_HALF_WIDTH_SIGMAS = 3.0
+GRID_POINTS_PER_DIM = 15
+
+
 def grid_covariance(
     value_fn,
     center: np.ndarray,
     sigmas: np.ndarray,
-    half_width_sigmas: float = 3.0,
-    points_per_dim: int = 15,
+    half_width_sigmas: float = GRID_HALF_WIDTH_SIGMAS,
+    points_per_dim: int = GRID_POINTS_PER_DIM,
 ) -> np.ndarray:
     """Second-moment covariance of exp(-L/2) on a regular 4D grid.
 
@@ -895,19 +901,14 @@ def grid_covariance(
 
 
 def posterior_covariance_grid(
-    obs: FusionObservation,
-    noise: NoiseConfig,
-    prior: PriorConfig,
-    center: FusionEstimate,
-    half_width_sigmas: float = 3.0,
-    points_per_dim: int = 15,
+    obs: FusionObservation, noise: NoiseConfig, prior: PriorConfig, center: FusionEstimate
 ) -> np.ndarray:
     """Grid-based posterior covariance centered on the Bayesian estimate.
 
-    Grid half-widths default to 3 posterior sigmas per dimension, taken
-    from the Laplace approximation at the center.  The objective is
-    evaluated on the grid's four axes: position terms on its P^2
-    positions, Doppler and prior terms on all P^4 states.
+    The grid is fixed: 15 points per dimension spanning +/- 3 posterior
+    sigmas, taken from the Laplace approximation at the center.  The
+    objective is evaluated on the grid's four axes: position terms on
+    its P^2 positions, Doppler and prior terms on all P^4 states.
     """
     prior_center = center.prior_center or _resolve_prior_center(obs)
     model = _Frames.build([obs], noise, prior, prior_center.as_vector()[None])
@@ -915,7 +916,8 @@ def posterior_covariance_grid(
     sigmas = np.sqrt(np.maximum(np.diag(laplace), 0.0))
     # Guard against a collapsed Laplace direction producing a zero-width axis.
     sigmas = np.maximum(sigmas, 1e-9 * np.max(sigmas))
-    offsets, axes = _grid_axes(center.state.as_vector(), sigmas, half_width_sigmas, points_per_dim)
+    offsets, axes = _grid_axes(center.state.as_vector(), sigmas,
+                               GRID_HALF_WIDTH_SIGMAS, GRID_POINTS_PER_DIM)
     # Axis d varies along dimension d only.
     grid = [axis.reshape([-1 if k == d else 1 for k in range(4)]) for d, axis in enumerate(axes)]
     return _grid_moments(model.objective(grid), offsets)

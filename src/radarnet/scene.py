@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,15 +31,10 @@ from .geometry import (
     measure,  # noqa: F401  (trace target: radarnet.scene.measure)
 )
 
-# Table-driven defaults for the desk-scale experiments: 150 ms frames,
-# 600-frame sequences, 18.07 m maximum unambiguous range, and noise
-# sigmas equal to the range / spatial-frequency / Doppler resolutions.
+# Desk-scale defaults used beyond the scenario dataclasses: 150 ms
+# frames and an 18.07 m maximum unambiguous range.
 DEFAULT_FRAME_DURATION = 0.150
-DEFAULT_NUM_FRAMES = 600
 MAX_UNAMBIGUOUS_RANGE = 18.07
-DEFAULT_SIGMA_R = 0.035
-DEFAULT_SIGMA_OMEGA = math.pi / 4.0
-DEFAULT_SIGMA_V = 0.1807
 
 MAX_HUMAN_SPEED = 3.5
 
@@ -55,16 +50,21 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    """Per-modality measurement noise standard deviations."""
+    """Per-modality measurement noise standard deviations.
 
-    sigma_r: float = DEFAULT_SIGMA_R
-    sigma_omega: float = DEFAULT_SIGMA_OMEGA
-    sigma_v: float = DEFAULT_SIGMA_V
+    The defaults equal the desk-scale radar's range, spatial-frequency
+    and Doppler resolutions.
+    """
+
+    sigma_r: float = 0.035
+    sigma_omega: float = math.pi / 4.0
+    sigma_v: float = 0.1807
 
     def __post_init__(self):
         for name in ("sigma_r", "sigma_omega", "sigma_v"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigError(f"NoiseConfig.{name} must be > 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigError(f"NoiseConfig.{name} must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -113,6 +113,7 @@ class ScenarioConfig:
     """Full description of one simulated scenario.
 
     Node 0 is the calibration reference and must be the origin pose.
+    `max_range` must be > 0 and `fov_half_angle` in (0, pi/2].
     `calibration_trajectory`, when set, is the counterpart trajectory
     the experiment runner uses for the self-calibration stage.
     """
@@ -122,7 +123,7 @@ class ScenarioConfig:
     trajectory: TrajectorySpec
     noise: NoiseConfig = field(default_factory=NoiseConfig)
     frame_duration: float = DEFAULT_FRAME_DURATION
-    num_frames: int = DEFAULT_NUM_FRAMES
+    num_frames: int = 600
     rng_seed: int = 0
     max_range: float = MAX_UNAMBIGUOUS_RANGE
     fov_half_angle: float = FOV_HALF_ANGLE
@@ -145,7 +146,14 @@ class ScenarioConfig:
             raise ConfigError("scenario needs at least 2 nodes")
         ref = self.nodes[0]
         if abs(ref.x) > 1e-12 or abs(ref.y) > 1e-12 or ref.phi > 1e-12:
-            raise ConfigError("node 1 must be the origin pose (0, 0, phi=0)")
+            raise ConfigError("node 0 must be the origin pose (0, 0, phi=0)")
+        if not self.max_range > 0.0:
+            raise ConfigError(f"max_range must be > 0, got {self.max_range}")
+        # pi*sin(theta) cannot tell a target behind the array from its
+        # mirror in front, so the field of view stays in the front half.
+        if not 0.0 < self.fov_half_angle <= math.pi / 2:
+            raise ConfigError("fov_half_angle_deg must be in (0, 90], "
+                              f"got {math.degrees(self.fov_half_angle)}")
 
 
 @dataclass(frozen=True)
@@ -328,7 +336,7 @@ def synthesize_measurements(
 # 90 deg relative orientation respectively, boresights converging on
 # the shared target region; the trajectories below keep the target
 # inside the common field of view for the full sequence.
-_BUILTIN_NODES = {
+BUILTIN_NODES = {
     "A": (Pose2D(0.0, 0.0, 0.0), Pose2D(3.5, math.sqrt(49.0 - 3.5**2), math.radians(150.0))),
     "B": (Pose2D(0.0, 0.0, 0.0), Pose2D(7.0 / math.sqrt(2.0), 7.0 / math.sqrt(2.0), math.pi / 2.0)),
     "C": (Pose2D(0.0, 0.0, 0.0), Pose2D(0.0, 7.0, math.pi)),
@@ -363,14 +371,14 @@ def builtin_scenario(name: str, trajectory: str = "straight", seed: int = 0) -> 
     is attached as the calibration counterpart.
     """
     key = name.upper()
-    if key not in _BUILTIN_NODES:
+    if key not in BUILTIN_NODES:
         raise ConfigError(f"unknown builtin scenario {name!r}; expected A, B, or C")
     if trajectory not in ("straight", "random"):
         raise ConfigError(f"unknown trajectory kind {trajectory!r}")
     other = "random" if trajectory == "straight" else "straight"
     return ScenarioConfig(
         name=key,
-        nodes=_BUILTIN_NODES[key],
+        nodes=BUILTIN_NODES[key],
         trajectory=_BUILTIN_TRAJECTORIES[key][trajectory],
         rng_seed=seed,
         calibration_trajectory=_BUILTIN_TRAJECTORIES[key][other],
@@ -425,12 +433,12 @@ def json_object(value, where: str) -> dict:
     return value
 
 
-def json_number(section: dict, where: str, key: str, default=None, kind=float):
-    """`section[key]` (or `default`) as a finite `kind`, else a ConfigError naming the field.
+def json_number(section: dict, where: str, key: str, kind=float):
+    """`section[key]` as a finite `kind`, else a ConfigError naming the field.
 
     The value must be a JSON number (not a string or a boolean); for an
     int `kind` it must be integral."""
-    value = section.get(key, default)
+    value = section.get(key)
     field = f"{where}.{key}" if where else key
     if type(value) not in (int, float):
         raise ConfigError(f"{field} must be a number, got {value!r}")
@@ -439,6 +447,25 @@ def json_number(section: dict, where: str, key: str, default=None, kind=float):
     if kind is int and value != int(value):
         raise ConfigError(f"{field} must be an integer, got {value!r}")
     return kind(value)
+
+
+# Config keys read as integers, and the field each key fills where the
+# names differ; a "_deg" key fills the radian field named without it.
+_INTEGER_KEYS = ("num_frames", "seed")
+_FIELD_NAMES = {"seed": "rng_seed"}
+
+
+def _json_fields(section: dict, where: str, keys) -> dict:
+    """The numbers `section` holds of `keys`, by field name: every key left
+    out of the file takes its dataclass default."""
+    fields = {}
+    for key in keys:
+        if key in section:
+            value = json_number(section, where, key, int if key in _INTEGER_KEYS else float)
+            if key.endswith("_deg"):
+                key, value = key[:-4], math.radians(value)
+            fields[_FIELD_NAMES.get(key, key)] = value
+    return fields
 
 
 def _trajectory_from_dict(d, where: str = "trajectory") -> TrajectorySpec:
@@ -450,19 +477,8 @@ def _trajectory_from_dict(d, where: str = "trajectory") -> TrajectorySpec:
     if type(start) is not list or len(start) != 2:
         raise ConfigError(f"{where}.start must be two finite numbers [x, y], got {start!r}")
     start = tuple(json_number({"start": value}, where, "start") for value in start)
-    if kind == "straight":
-        return TrajectorySpec(
-            kind,
-            start=start,
-            speed=json_number(d, where, "speed", 1.0),
-            heading=math.radians(json_number(d, where, "heading_deg", 0.0)),
-        )
-    return TrajectorySpec(
-        kind,
-        start=start,
-        speed_cap=json_number(d, where, "speed_cap", 1.0),
-        smoothness=json_number(d, where, "smoothness", 2.0),
-    )
+    keys = ("speed", "heading_deg") if kind == "straight" else ("speed_cap", "smoothness")
+    return TrajectorySpec(kind, start, **_json_fields(d, where, keys))
 
 
 def scenario_to_dict(config: ScenarioConfig) -> dict:
@@ -476,11 +492,7 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
         "nodes": [
             {"x": n.x, "y": n.y, "phi_deg": math.degrees(n.phi)} for n in config.nodes
         ],
-        "noise": {
-            "sigma_r": config.noise.sigma_r,
-            "sigma_omega": config.noise.sigma_omega,
-            "sigma_v": config.noise.sigma_v,
-        },
+        "noise": asdict(config.noise),
         "trajectory": _trajectory_to_dict(config.trajectory),
     }
     if config.calibration_trajectory is not None:
@@ -496,36 +508,29 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
     if not isinstance(d["nodes"], list):
         raise ConfigError(f"nodes must be a list of node objects, got {d['nodes']!r}")
     nodes = []
+    node_keys = ("x", "y", "phi_deg")
     for i, nd in enumerate(d["nodes"]):
         where = f"nodes[{i}]"
         nd = json_object(nd, where)
-        bad = [k for k in ("x", "y", "phi_deg") if k not in nd]
+        bad = [k for k in node_keys if k not in nd]
         if bad:
             raise ConfigError(f"{where} missing keys: {', '.join(bad)}")
-        x, y, phi_deg = (json_number(nd, where, k) for k in ("x", "y", "phi_deg"))
-        nodes.append(Pose2D(x, y, math.radians(phi_deg)))
-    noise_d = json_object(d.get("noise", {}), "noise")
-    noise = NoiseConfig(
-        sigma_r=json_number(noise_d, "noise", "sigma_r", DEFAULT_SIGMA_R),
-        sigma_omega=json_number(noise_d, "noise", "sigma_omega", DEFAULT_SIGMA_OMEGA),
-        sigma_v=json_number(noise_d, "noise", "sigma_v", DEFAULT_SIGMA_V),
-    )
+        nodes.append(Pose2D(**_json_fields(nd, where, node_keys)))
+    noise = NoiseConfig(**_json_fields(json_object(d.get("noise", {}), "noise"), "noise",
+                                       ("sigma_r", "sigma_omega", "sigma_v")))
+    trajectory = _trajectory_from_dict(d["trajectory"])
+    numbers = _json_fields(d, "", ("frame_duration", "num_frames", "seed", "max_range",
+                                   "fov_half_angle_deg"))
     calib = d.get("calibration_trajectory")
     return ScenarioConfig(
         name=d["name"],
         nodes=tuple(nodes),
-        trajectory=_trajectory_from_dict(d["trajectory"]),
+        trajectory=trajectory,
         noise=noise,
-        frame_duration=json_number(d, "", "frame_duration", DEFAULT_FRAME_DURATION),
-        num_frames=json_number(d, "", "num_frames", DEFAULT_NUM_FRAMES, int),
-        rng_seed=json_number(d, "", "seed", 0, int),
-        max_range=json_number(d, "", "max_range", MAX_UNAMBIGUOUS_RANGE),
-        fov_half_angle=math.radians(
-            json_number(d, "", "fov_half_angle_deg", math.degrees(FOV_HALF_ANGLE))
-        ),
         calibration_trajectory=(
             None if calib is None else _trajectory_from_dict(calib, "calibration_trajectory")
         ),
+        **numbers,
     )
 
 

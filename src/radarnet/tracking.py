@@ -26,7 +26,8 @@ from .geometry import (
     measurement_jacobian,  # noqa: F401  (trace target)
     rotation_matrix,
 )
-from .scene import Detection, NoiseConfig, Simulation, csv_lines, float_cells, write_lines
+from .scene import (DEFAULT_FRAME_DURATION, Detection, NoiseConfig, Simulation, csv_lines,
+                    float_cells, write_lines)
 
 
 @dataclass(frozen=True)
@@ -481,7 +482,7 @@ def run_tracker(
     node_index: int,
     cfg: EkfConfig,
     noise: NoiseConfig,
-    dt: float = 0.150,
+    dt: float = DEFAULT_FRAME_DURATION,
 ) -> Track:
     """Filter one node's detections into a local-frame track.
 

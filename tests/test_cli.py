@@ -101,6 +101,17 @@ class TestExitCodes:
         pytest.param("name", lambda d: d.update(name=""), id="name-empty"),
         pytest.param("name", lambda d: d.update(name=".."), id="name-dotdot"),
         pytest.param("name", lambda d: d.update(name="a\\b"), id="name-backslash"),
+        pytest.param("node 0", lambda d: d["nodes"][0].update(x=1), id="node0-not-origin"),
+        # A range or field of view that blinds every node, or a half-angle
+        # past 90 degrees, where pi*sin(theta) folds the back onto the front.
+        pytest.param("max_range", lambda d: d.update(max_range=0), id="range-zero"),
+        pytest.param("max_range", lambda d: d.update(max_range=-5), id="range-negative"),
+        pytest.param("fov_half_angle_deg", lambda d: d.update(fov_half_angle_deg=0),
+                     id="fov-zero"),
+        pytest.param("fov_half_angle_deg", lambda d: d.update(fov_half_angle_deg=120),
+                     id="fov-120"),
+        pytest.param("fov_half_angle_deg", lambda d: d.update(fov_half_angle_deg=400),
+                     id="fov-400"),
     ])
     def test_malformed_config_field_is_config_error(self, tmp_path, small_config, capsys,
                                                     field, edit):
@@ -172,6 +183,18 @@ class TestExitCodes:
 
         args = build_parser().parse_args(["run", "--builtin", "B", "--max-nonconverged", value])
         assert _options(args).max_nonconverged_fraction == float(value)
+
+    def test_no_pipeline_flags_give_the_library_defaults(self):
+        from dataclasses import replace
+        from pathlib import Path
+
+        from radarnet.cli import _options, build_parser
+        from radarnet.experiment import PipelineOptions
+
+        options = _options(build_parser().parse_args(["run", "--builtin", "B"]))
+        default = PipelineOptions()
+        assert Path(options.out_dir) == Path(default.out_dir)
+        assert replace(options, out_dir=default.out_dir) == default
 
     def test_both_scenario_sources_rejected(self, tmp_path, small_config, capsys):
         assert main(["run", "--config", str(small_config), "--builtin", "A"]) == 2
@@ -257,7 +280,7 @@ class TestFuseVerb:
     def test_csv_bytes_match_inline_format(self, tmp_path):
         from dataclasses import replace
 
-        from radarnet.experiment import PipelineOptions
+        from radarnet.experiment import PIPELINE_PRIOR
         from radarnet.fusion import FusionObservation, ObservationEntry, solve_frames
         from radarnet.scene import simulate
 
@@ -276,9 +299,9 @@ class TestFuseVerb:
             ))
             for f in kept
         ]
-        prior = PipelineOptions().prior
         estimates = [solve_frames(observations, config.noise, mode="ml"),
-                     solve_frames(observations, config.noise, mode="bayes", prior=prior)]
+                     solve_frames(observations, config.noise, mode="bayes",
+                                  prior=PIPELINE_PRIOR)]
         rows = ["frame,mode,x,y,vx,vy,converged,cond"]
         for k, frame in enumerate(kept):
             for mode, per_mode in zip(("ml", "bayes"), estimates):
@@ -362,7 +385,7 @@ class TestFuseVerb:
     def test_csv_bytes_match_node_set_loop(self, tmp_path):
         import numpy as np
 
-        from radarnet.experiment import PipelineOptions
+        from radarnet.experiment import PIPELINE_PRIOR, PipelineOptions
         from radarnet.fusion import solve_frames
         from radarnet.scene import load_scenario, simulate, write_csv
 
@@ -398,7 +421,7 @@ class TestFuseVerb:
             )
             for mode in options.modes:
                 est = solve_frames(table, config.noise, mode=mode,
-                                   prior=options.prior if mode == "bayes" else None)
+                                   prior=PIPELINE_PRIOR if mode == "bayes" else None)
                 for t, state, converged, cond in zip(
                     rows.tolist(), est.states.tolist(), est.converged.tolist(),
                     est.conditioning.tolist(),
@@ -418,7 +441,7 @@ class TestFuseVerb:
         import math
         from dataclasses import replace
 
-        from radarnet.experiment import PipelineOptions
+        from radarnet.experiment import PIPELINE_PRIOR
         from radarnet.fusion import FusionObservation, ObservationEntry, solve_frames
         from radarnet.geometry import Pose2D
         from radarnet.scene import simulate, write_csv
@@ -445,9 +468,9 @@ class TestFuseVerb:
             node_sets.add(tuple(det is not None for det in frame.per_node))
             frame_indices.append(frame.frame_index)
             observations.append(FusionObservation(tuple(entries)))
-        prior = PipelineOptions().prior
         estimates = [solve_frames(observations, config.noise, mode="ml"),
-                     solve_frames(observations, config.noise, mode="bayes", prior=prior)]
+                     solve_frames(observations, config.noise, mode="bayes",
+                                  prior=PIPELINE_PRIOR)]
         rows = []
         for k, frame_index in enumerate(frame_indices):
             for mode, per_mode in zip(("ml", "bayes"), estimates):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -359,6 +360,27 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             NoiseConfig(sigma_r=0.0)
 
+    @pytest.mark.parametrize("name", ["sigma_r", "sigma_omega", "sigma_v"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_noise_finite(self, name, value):
+        # An infinite sigma used to pass and then fail inside the EKF.
+        with pytest.raises(ConfigError, match=f"^NoiseConfig.{name} must be finite and > 0$"):
+            NoiseConfig(**{name: value})
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"max_range": 0.0}, "max_range must be > 0, got 0.0"),
+        ({"max_range": math.nan}, "max_range must be > 0, got nan"),
+        ({"fov_half_angle": 0.0}, "fov_half_angle_deg must be in (0, 90], got 0.0"),
+        ({"fov_half_angle": math.radians(120.0)}, "fov_half_angle_deg must be in (0, 90], "),
+    ])
+    def test_range_and_field_of_view(self, overrides, message):
+        with pytest.raises(ConfigError) as info:
+            two_node_config(**overrides)
+        assert str(info.value).startswith(message)
+
+    def test_field_of_view_up_to_90_degrees(self):
+        assert two_node_config(fov_half_angle=math.radians(90.0)).fov_half_angle == math.pi / 2
+
 
 class TestConfigIO:
     def test_round_trip(self, tmp_path):
@@ -376,6 +398,35 @@ class TestConfigIO:
         assert loaded.trajectory.kind == config.trajectory.kind
         assert loaded.calibration_trajectory.kind == config.calibration_trajectory.kind
         assert loaded.noise == config.noise
+
+    def test_absent_keys_take_the_dataclass_defaults(self):
+        nodes = (Pose2D(0.0, 0.0, 0.0), Pose2D(0.0, 7.0, math.pi))
+        d = {"name": "sparse", "nodes": [{"x": 0, "y": 0, "phi_deg": 0},
+                                         {"x": 0, "y": 7, "phi_deg": 180}]}
+        for kind in ("straight", "random"):
+            d["trajectory"] = {"kind": kind, "start": [0, 3.5]}
+            want = ScenarioConfig("sparse", nodes, TrajectorySpec(kind, (0.0, 3.5)))
+            assert scenario_from_dict(d) == want
+
+    @pytest.mark.parametrize("first, second", [
+        ("nodes[1].x", "noise.sigma_r"),
+        ("noise.sigma_r", "trajectory.speed_cap"),
+        ("trajectory.speed_cap", "frame_duration"),
+        ("frame_duration", "seed"),
+        ("fov_half_angle_deg", "calibration_trajectory.speed"),
+    ])
+    def test_first_bad_field_is_named(self, first, second):
+        # Fields are checked nodes, noise, trajectory, top-level numbers,
+        # calibration trajectory: of two bad fields, the earlier is named.
+        d = scenario_to_dict(builtin_scenario("B", "random", seed=2))
+        for field in (first, second):
+            section, _, key = field.rpartition(".")
+            target = d
+            for part in section.replace("[", ".").replace("]", "").split(".") if section else ():
+                target = target[int(part)] if part.isdigit() else target[part]
+            target[key] = "bad"
+        with pytest.raises(ConfigError, match="^" + re.escape(first) + " "):
+            scenario_from_dict(d)
 
     def test_missing_keys_listed(self):
         with pytest.raises(ConfigError, match="nodes.*trajectory|trajectory.*nodes"):

@@ -44,13 +44,12 @@ def hooked_calls():
 
     import numpy as np
 
-    from radarnet.experiment import PipelineOptions
+    from radarnet.experiment import PIPELINE_EKF, PIPELINE_PRIOR
     from radarnet.fusion import FusionObservation, ObservationEntry
     from radarnet.scene import Detection, builtin_scenario, generate_trajectory, simulate
 
     config = replace(builtin_scenario("B", "random", seed=7), num_frames=60)
     sim = simulate(config)
-    options = PipelineOptions()
     obs = FusionObservation(tuple(
         ObservationEntry(node, Detection(*det))
         for node, det in zip(config.nodes, sim.detections[sim.seen.all(axis=1)][0].tolist())
@@ -58,19 +57,19 @@ def hooked_calls():
     z = sim.truth[:, 0] + 1j * sim.truth[:, 1]
 
     def solve(target):
-        est = target(obs, config.noise, "bayes", options.prior)
+        est = target(obs, config.noise, "bayes", PIPELINE_PRIOR)
         return lambda tracer: (tracer.iterations, tracer.counts["fusion.converged"]) == (
             [est.iterations], int(est.converged))
 
     def grid(target):
         from radarnet.fusion import solve as untraced_solve
 
-        est = untraced_solve(obs, config.noise, "bayes", options.prior)
-        target(obs, config.noise, options.prior, est)
+        est = untraced_solve(obs, config.noise, "bayes", PIPELINE_PRIOR)
+        target(obs, config.noise, PIPELINE_PRIOR, est)
         return lambda tracer: tracer.counts["fusion.grid_points"] == 15**4
 
     def tracker(target):
-        target(sim, 0, options.ekf, config.noise, config.frame_duration)
+        target(sim, 0, PIPELINE_EKF, config.noise, config.frame_duration)
         return lambda tracer: tracer.counts["tracking.node_frames"] == len(sim)
 
     def detections(target):

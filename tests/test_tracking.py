@@ -7,8 +7,8 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from radarnet import tracking
-from radarnet.experiment import PipelineOptions, calibrate_scenario
+from radarnet import experiment, tracking
+from radarnet.experiment import PIPELINE_EKF, calibrate_scenario
 from radarnet.geometry import (
     IdealMeasurement,
     Pose2D,
@@ -448,13 +448,12 @@ class TestStepWrappersMatchTracker:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
-        options = PipelineOptions()
         for name in ("A", "B", "C"):
             for kind in ("straight", "random"):
                 config = builtin_scenario(name, kind, seed=7)
                 sim = simulate(config)
                 for i in range(len(config.nodes)):
-                    run_tracker(sim, i, options.ekf, config.noise, config.frame_duration)
+                    run_tracker(sim, i, PIPELINE_EKF, config.noise, config.frame_duration)
         assert calls == {"eigh": 0, "cholesky": 0, "inv": 0}
         np.linalg.eigh(np.eye(2))  # the counter itself is live
         assert calls["eigh"] == 1
@@ -604,7 +603,7 @@ class TestTransformTrack:
     def test_stacked_map_matches_per_point_bit_for_bit(self):
         config = builtin_scenario("A", "random", seed=7)
         track = run_tracker(
-            simulate(config), 1, PipelineOptions().ekf, config.noise,
+            simulate(config), 1, PIPELINE_EKF, config.noise,
             config.frame_duration,
         )
         phi = 2.5
@@ -692,7 +691,7 @@ class TestStackedTrackFusion:
     def test_stacked_solve_matches_per_frame_solves_bit_for_bit(self, name):
         config = builtin_scenario(name, "random", seed=7)
         sim = simulate(config)
-        cfg = PipelineOptions().ekf
+        cfg = PIPELINE_EKF
         tracks = [
             run_tracker(sim, i, cfg, config.noise, config.frame_duration)
             for i in range(len(config.nodes))
@@ -810,7 +809,7 @@ def builtin_tracks():
         config = builtin_scenario(name, "random", seed=7)
         sim = simulate(config)
         out[name] = config.nodes, [
-            run_tracker(sim, i, PipelineOptions().ekf, config.noise, config.frame_duration)
+            run_tracker(sim, i, PIPELINE_EKF, config.noise, config.frame_duration)
             for i in range(len(config.nodes))
         ]
     return out
@@ -988,15 +987,15 @@ def joseph_update(
     return posterior, cov, innovation, True
 
 
-def tracks_and_calibrations(configs, cfg):
+def tracks_and_calibrations(monkeypatch, configs, cfg):
     """Every node's track of each config under `cfg`, and its calibration-stage poses."""
-    options = replace(PipelineOptions(), ekf=cfg)
+    monkeypatch.setattr(experiment, "PIPELINE_EKF", cfg)
     out = []
     for config in configs:
         sim = simulate(config)
         tracks = [run_tracker(sim, i, cfg, config.noise, config.frame_duration)
                   for i in range(len(config.nodes))]
-        out.append((tracks, [(res.p21, res.phi21) for res in calibrate_scenario(config, options)]))
+        out.append((tracks, [(res.p21, res.phi21) for res in calibrate_scenario(config)]))
     return out
 
 
@@ -1006,9 +1005,9 @@ class TestWhitenedUpdate:
         configs = [builtin_scenario(name, kind, seed=seed) for name in ("A", "B", "C")
                    for kind in ("straight", "random") for seed in (7, 8, 9)]
         cfg = EkfConfig(process_noise_accel=0.4, gate_threshold=gate)
-        got = tracks_and_calibrations(configs, cfg)
+        got = tracks_and_calibrations(monkeypatch, configs, cfg)
         monkeypatch.setattr(tracking, "_update", joseph_update)
-        expected = tracks_and_calibrations(configs, cfg)
+        expected = tracks_and_calibrations(monkeypatch, configs, cfg)
         for (tracks, calibrations), (ref_tracks, ref_calibrations) in zip(got, expected):
             for track, ref in zip(tracks, ref_tracks):
                 assert track.frame_index.tolist() == ref.frame_index.tolist()
@@ -1111,8 +1110,6 @@ def untrimmed_run_tracker(frames, node_index, cfg, noise, dt=0.150):
 def calibration_stage_runs(monkeypatch, configs, cfg, tracker):
     """Every track `calibrate_scenario` builds with `tracker`, as exact bytes,
     and its calibrations (or the error it raised), per config."""
-    from radarnet import experiment
-
     tracks = []
 
     def recorded(*args, **kwargs):
@@ -1122,11 +1119,11 @@ def calibration_stage_runs(monkeypatch, configs, cfg, tracker):
         return track
 
     monkeypatch.setattr(experiment, "run_tracker", recorded)
-    options = replace(PipelineOptions(), ekf=cfg)
+    monkeypatch.setattr(experiment, "PIPELINE_EKF", cfg)
     calibrations = []
     for config in configs:
         try:
-            calibrations.append([repr(res) for res in calibrate_scenario(config, options)])
+            calibrations.append([repr(res) for res in calibrate_scenario(config)])
         except experiment.PipelineError as exc:  # the same failure on both paths
             calibrations.append(repr(exc))
     return tracks, calibrations
@@ -1210,7 +1207,7 @@ class TestPredictGuard:
         clips = []
         original_eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: clips.append(1) or original_eigh(a))
-        cfg = replace(PipelineOptions().ekf, process_noise_accel=accel)
+        cfg = replace(PIPELINE_EKF, process_noise_accel=accel)
         all_updates = update_tests = 0
         for name in ("A", "B", "C"):
             config = builtin_scenario(name, "random", seed=7)
@@ -1340,7 +1337,7 @@ class TestUpdateGuard:
 class TestUpdatedFlags:
     def test_transform_keeps_predict_only_points(self):
         config = builtin_scenario("B", "random", seed=7)
-        track = run_tracker(simulate(config), 1, PipelineOptions().ekf,
+        track = run_tracker(simulate(config), 1, PIPELINE_EKF,
                             config.noise, config.frame_duration)
         moved = transform_track(track, complex(3.0, 1.0), 0.4)
         assert int(np.sum(~track.updated)) == 56

@@ -4,9 +4,11 @@ Given detections of the same target from N calibrated nodes, the
 target state theta = (x, y, vx, vy) is estimated by minimizing the
 sigma-normalized sum of squared measurement residuals (ML), optionally
 regularized by independent Gaussian priors on each state component
-(Bayes / MAP).  The minimization runs a damped Gauss-Newton
-(Levenberg-Marquardt) iteration from closed-form position and velocity
-initializers.  `solve_frames` runs the whole solve, starts included, on
+(Bayes / MAP).  The minimization runs a Levenberg-Marquardt iteration
+from closed-form position and velocity initializers, its step matrix
+the full Hessian J'J + S of half the objective (S the residual
+curvature) where that is positive definite, else Gauss-Newton's J'J.
+`solve_frames` runs the whole solve, starts included, on
 many frames at once as arrays; `solve` is its one-frame case.  Its
 input is a frame table (`frame_table`): each frame's node poses and
 detections, a node that did not detect the target holding an all-NaN
@@ -421,11 +423,76 @@ class _Frames:
         rows[:, 1:, :, :2] = turn.transpose(3, 0, 2, 1)
         return res, jac
 
+    def curvature(self, terms) -> np.ndarray:
+        """The residual curvature S = sum_i r_i Hess(r_i) (F, 4, 4) from
+        `evaluate`'s terms at (F, 4) states: J'J + S is the Hessian of
+        half the objective.
 
-def _normal_equations(res: np.ndarray, jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-frame Gauss-Newton Hessian J'J (F, 4, 4) and J'r (F, 4)."""
+        Per node, with u the unit vector to the target, r its range,
+        rho, w and d the normalized range, spatial-frequency and Doppler
+        residuals, b = pi (cos phi, sin phi) and v the velocity:
+        a = -rho/(sigma_r r), c_w = w/(sigma_omega r^2),
+        c_v = d/(sigma_v r^2), m = c_w (u.b) + c_v (u.v) and
+        g = c_w b + c_v v.  The position block is
+        (a + m) I - (a + 3m) uu' + ug' + gu', the position-velocity block
+        -d/(sigma_v r) (I - uu'), and the velocity block 0; the prior rows
+        are linear.  Each block is summed over the nodes in order.
+        """
+        state, unit, predicted, blocks, _ = terms
+        r = predicted[0]
+        # rho/(sigma_r r) = -a, w/(sigma_omega r) and d/(sigma_v r).
+        scaled = blocks / (self.sigmas * r)
+        coefficients = scaled[1:] / r
+        products = coefficients * predicted[1:]
+        m = products[0] + products[1]
+        g = coefficients[0] * self.nodes[2:] + coefficients[1] * state[2:, None]
+        # (4, 4, N, F) per node, its velocity block zero; `flat` steps
+        # along the diagonals of its position and cross blocks.
+        node_blocks = np.zeros((4, 4) + r.shape)
+        flat = node_blocks.reshape((16,) + r.shape)
+        position = node_blocks[:2, :2]
+        ug = unit[:, None] * g
+        np.add(ug, ug.swapaxes(0, 1), out=position)
+        outer = unit[:, None] * unit
+        position -= (3.0 * m - scaled[0]) * outer
+        flat[0:6:5] += m - scaled[0]
+        # e (uu' - I), e = d/(sigma_v r), taken as e uu' - e I.
+        np.multiply(scaled[2], outer, out=node_blocks[:2, 2:])
+        flat[2:8:5] -= scaled[2]
+        node_blocks[2:, :2] = node_blocks[:2, 2:]
+        return node_blocks.sum(axis=2).transpose(2, 0, 1)
+
+
+def _normal_equations(frames: _Frames, terms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-frame Gauss-Newton Hessian J'J (F, 4, 4), J'r (F, 4) and the LM
+    step matrix (F, 4, 4): J'J + S where that is positive definite, else J'J."""
+    res, jac = frames.jacobian(terms)
     jac_t = jac.swapaxes(-1, -2)
-    return jac_t @ jac, (jac_t @ res[..., None])[..., 0]
+    hessian = jac_t @ jac
+    step_matrix = hessian + frames.curvature(terms)
+    np.copyto(step_matrix, hessian, where=~_positive_definite(step_matrix)[:, None, None])
+    return hessian, (jac_t @ res[..., None])[..., 0], step_matrix
+
+
+def _positive_definite(m: np.ndarray) -> np.ndarray:
+    """Whether each symmetric 4x4 matrix of `m` (F, 4, 4) is positive
+    definite (F,): its four LDL' pivots, computed elementwise from the
+    upper triangle, are all > 0.  A matrix with a NaN entry is not.
+
+    A pivot that is not > 0 turns NaN before it divides, so the pivots
+    after it are NaN and compare False.
+    """
+    a = m.reshape(len(m), 16).T
+    a00, a01, a02, a03, a11, a12, a13, a22, a23, a33 = a[[0, 1, 2, 3, 5, 6, 7, 10, 11, 15]]
+    d0 = np.where(a00 > 0.0, a00, np.nan)
+    l1, l2, l3 = a01 / d0, a02 / d0, a03 / d0
+    b11, b12, b13 = a11 - l1 * a01, a12 - l1 * a02, a13 - l1 * a03
+    b22, b23, b33 = a22 - l2 * a02, a23 - l2 * a03, a33 - l3 * a03
+    d1 = np.where(b11 > 0.0, b11, np.nan)
+    l2, l3 = b12 / d1, b13 / d1
+    c22, c23, c33 = b22 - l2 * b12, b23 - l2 * b13, b33 - l3 * b13
+    d2 = np.where(c22 > 0.0, c22, np.nan)
+    return c33 - c23 / d2 * c23 > 0.0
 
 
 def _objective_terms(theta, obs, noise, prior=None, prior_center=None):
@@ -591,12 +658,18 @@ def solve_frames(
     other frames in the batch.  A frame starts from the best-scoring
     feasible candidate among the closed-form position/velocity
     initializer and the two range-circle intersections, FoV-filtered.
-    It stops when the objective gradient infinity-norm falls below
+    A step solves (A + lam I) step = -J'r, where the step matrix A is
+    J'J + S, S = sum_i r_i Hess(r_i) the residual curvature
+    (`_Frames.curvature`), wherever that is positive definite, and
+    Gauss-Newton's J'J elsewhere; J'J + S is the full Hessian of half
+    the objective, which J'J underestimates where residuals are large.
+    A frame stops when the objective gradient infinity-norm falls below
     1e-8 or a step is shorter than 1e-10 (both `converged`), when its
     damping reaches the upper limit, or after 100 iterations.  A step
     that is singular, raises the objective, or leaves the feasible
     region (zero range to a node) raises that frame's damping tenfold;
-    an accepted step lowers it tenfold.
+    an accepted step lowers it tenfold.  The returned covariances and
+    conditioning are those of J'J.
     """
     return _solve_frames(observations, noise, mode, prior)
 
@@ -695,9 +768,9 @@ def _solve_group(table: np.ndarray, noise, mode, prior) -> FusionEstimates:
 _IDENTITY = np.eye(4)
 
 
-def _damped_steps(hessian, gradient_half, lam):
-    """LM steps solving (J'J + lam I) step = -J'r per frame, and which were singular."""
-    damped = hessian + lam[:, None, None] * _IDENTITY
+def _damped_steps(step_matrix, gradient_half, lam):
+    """LM steps solving (step_matrix + lam I) step = -J'r per frame, and which were singular."""
+    damped = step_matrix + lam[:, None, None] * _IDENTITY
     rhs = -gradient_half[..., None]
     try:
         return np.linalg.solve(damped, rhs)[..., 0], None
@@ -724,7 +797,8 @@ def _levenberg_marquardt(frames: _Frames, theta: np.ndarray, value: np.ndarray):
     rows.  A candidate's Jacobian is built only when some frame accepts
     its step; when only some do, each working array takes their rows in
     place with one `np.copyto`.  Returns the final states, objective values,
-    Hessians J'J, iteration counts and converged flags.
+    Hessians J'J (not the step matrices), iteration counts and converged
+    flags.
     """
     count = len(theta)
     out_theta = np.empty_like(theta)
@@ -733,13 +807,13 @@ def _levenberg_marquardt(frames: _Frames, theta: np.ndarray, value: np.ndarray):
     iterations = np.full(count, _MAX_ITERATIONS)
     converged = np.zeros(count, dtype=bool)
 
-    hessian, gradient_half = _normal_equations(*frames.jacobian(frames.evaluate(theta)[1]))
+    hessian, gradient_half, step_matrix = _normal_equations(frames, frames.evaluate(theta)[1])
     lam = np.full(count, _LAMBDA_INIT)
     active = np.arange(count)
 
     def finish(stop, iteration, reached) -> bool:
         """Write out the frames `stop` marks; False once none is left."""
-        nonlocal theta, value, hessian, gradient_half, lam, active, frames
+        nonlocal theta, value, hessian, gradient_half, step_matrix, lam, active, frames
         rows = np.flatnonzero(stop)
         done = active.take(rows)
         out_theta[done] = theta.take(rows, 0)
@@ -751,7 +825,8 @@ def _levenberg_marquardt(frames: _Frames, theta: np.ndarray, value: np.ndarray):
             return False
         keep = np.flatnonzero(~stop)
         theta, value, hessian = theta.take(keep, 0), value.take(keep), hessian.take(keep, 0)
-        gradient_half, lam, active = gradient_half.take(keep, 0), lam.take(keep), active.take(keep)
+        gradient_half, step_matrix = gradient_half.take(keep, 0), step_matrix.take(keep, 0)
+        lam, active = lam.take(keep), active.take(keep)
         frames = frames.take(keep)
         return True
 
@@ -764,7 +839,7 @@ def _levenberg_marquardt(frames: _Frames, theta: np.ndarray, value: np.ndarray):
             stationary = np.abs(gradient_half).max(axis=-1) < _GRADIENT_TOL / 2.0
             if np.count_nonzero(stationary) and not finish(stationary, iteration, stationary):
                 break
-        step, singular = _damped_steps(hessian, gradient_half, lam)
+        step, singular = _damped_steps(step_matrix, gradient_half, lam)
         short = np.sqrt((step * step).sum(axis=-1)) < _STEP_TOL
         moving = ~short
         if singular is not None:
@@ -778,15 +853,16 @@ def _levenberg_marquardt(frames: _Frames, theta: np.ndarray, value: np.ndarray):
         moved = accepted > 0
         if accepted == len(accept):
             theta, value = candidate, cand_value
-            hessian, gradient_half = _normal_equations(*frames.jacobian(cand_terms))
+            hessian, gradient_half, step_matrix = _normal_equations(frames, cand_terms)
             lam = np.maximum(lam / 10.0, _LAMBDA_MIN)
             continue
         if accepted:
-            cand_hessian, cand_gradient_half = _normal_equations(*frames.jacobian(cand_terms))
+            cand_hessian, cand_gradient_half, cand_step = _normal_equations(frames, cand_terms)
             np.copyto(theta, candidate, where=accept[:, None])
             np.copyto(value, cand_value, where=accept)
             np.copyto(hessian, cand_hessian, where=accept[:, None, None])
             np.copyto(gradient_half, cand_gradient_half, where=accept[:, None])
+            np.copyto(step_matrix, cand_step, where=accept[:, None, None])
             # Clipping both ways is the one-sided clip of each branch: an
             # accepting frame's lam / 10 stays below the maximum and a
             # rejecting frame's lam * 10 above the minimum.

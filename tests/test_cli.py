@@ -244,9 +244,11 @@ class TestExitCodes:
         assert err.startswith("file error: ") and str(blocker) in err
         assert "Traceback" not in err
 
-    def test_nonconvergence_exit_code(self, tmp_path, small_config, capsys):
-        # The strictest threshold forces the exit-4 path (one Bayes frame
-        # of this run stops unconverged) while the report is still produced.
+    def test_nonconvergence_exit_code(self, tmp_path, small_config, capsys, monkeypatch):
+        # The strictest threshold and an iteration cap of 3 force the exit-4
+        # path (frames still iterating at the cap stop unconverged) while
+        # the report is still produced.
+        monkeypatch.setattr("radarnet.fusion._MAX_ITERATIONS", 3)
         code = main(["run", "--config", str(small_config), "--out", str(tmp_path / "o"),
                      "--max-nonconverged", "0"])
         assert code == 4

@@ -40,7 +40,7 @@ from .fusion import (
     solve_frames,
 )
 from .geometry import (
-    IdealMeasurement,
+    Detection,
     Pose2D,
     TargetState,
     aoa_from_spatial_frequency,
@@ -50,7 +50,6 @@ from .geometry import (
 )
 from .scene import (
     ConfigError,
-    Detection,
     MeasurementFrame,
     NoiseConfig,
     ScenarioConfig,

@@ -26,14 +26,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import FOV_HALF_ANGLE, Pose2D, TargetState, boresight_angles, elementwise
-from .scene import Detection, NoiseConfig
+from .geometry import (FOV_HALF_ANGLE, Detection, Pose2D, TargetState, boresight_angles,
+                       elementwise)
+from .scene import NoiseConfig
 
 _GRADIENT_TOL = 1e-8
 _STEP_TOL = 1e-10
@@ -163,24 +164,17 @@ def frame_table(poses, detections) -> np.ndarray:
     triples, all NaN where a node did not detect the target, as in
     `Simulation.detections`.
     """
-    poses = [(pose.x, pose.y, pose.phi) for pose in poses]
-    return np.concatenate((np.broadcast_to(poses, np.shape(detections)), detections), axis=-1)
+    table = np.empty(np.shape(detections)[:-1] + (6,))
+    table[..., :3] = [(pose.x, pose.y, pose.phi) for pose in poses]
+    table[..., 3:] = detections
+    return table
 
 
-def _rows(obs: FusionObservation) -> list[tuple[float, ...]]:
-    """An observation's frame table rows, one per node."""
-    return [(e.node_pose.x, e.node_pose.y, e.node_pose.phi,
-             e.detection.range, e.detection.spatial_freq, e.detection.radial_vel)
-            for e in obs.entries]
-
-
-def _observation_table(observations: Iterable[FusionObservation]) -> np.ndarray:
-    """Observations as one frame table, each padded with missed rows to
-    the most nodes any has (none at all: an empty two-node table)."""
-    rows = [_rows(obs) for obs in observations]
-    width = max(map(len, rows), default=2)
-    padded = [row + [(math.nan,) * 6] * (width - len(row)) for row in rows]
-    return np.array(padded, dtype=float).reshape(len(rows), width, 6)
+def _table(obs: FusionObservation) -> np.ndarray:
+    """One observation's (1, N, 6) frame table."""
+    detections = [(e.detection.range, e.detection.spatial_freq, e.detection.radial_vel)
+                  for e in obs.entries]
+    return frame_table([e.node_pose for e in obs.entries], [detections])
 
 
 def _columns(table: np.ndarray) -> _Columns:
@@ -229,7 +223,7 @@ def _check_spatial_frequencies(table: np.ndarray) -> None:
 
 def _start_state(obs: FusionObservation) -> np.ndarray:
     """One frame's closed-form start (x, y, vx, vy)."""
-    table = _observation_table([obs])
+    table = _table(obs)
     _check_spatial_frequencies(table)
     return _start_states(_columns(table))[:, 0]
 
@@ -254,17 +248,17 @@ class _Frames:
     `nodes` holds (x, y, pi cos phi, pi sin phi) per node as (4, N, F),
     `meas` the measured (range, spatial frequency, radial velocity) as
     (3, N, F), and `center` each frame's prior center as (F, 4), or
-    None for ML.  `evaluate` broadcasts states against them.  A state
-    array (F, 4) gives the LM iterates, (F, C, 4) C candidates per frame
-    with `per_candidate`; their terms are stacked blocks, the offsets
-    and unit vectors to the nodes as (2, N, ...), the predicted range,
-    spatial frequency and radial velocity as one (3, N, ...) block.  A
-    grid of one frame (F = 1) is passed as its four axes x, y, vx, vy,
-    shaped (P, 1, 1, 1) ... (1, 1, 1, P): the terms that depend on
-    position alone then take P^2 points, and only the Doppler and prior
-    terms take all P^4.  Every term is computed per node with the state
-    axes innermost, and the objective sums the three modalities, then
-    the nodes in order.
+    None for ML.  `evaluate` takes one state row per frame, (F, 4): the
+    LM iterates, or the candidate starts of a model whose frames `take`
+    repeated once per candidate.  Its terms are stacked blocks, the
+    offsets and unit vectors to the nodes as (2, N, F), the predicted
+    range, spatial frequency and radial velocity as one (3, N, F) block.
+    `grid_objective` takes a grid of one frame (F = 1) as its four axes
+    x, y, vx, vy, shaped (P, 1, 1, 1) ... (1, 1, 1, P): the terms that
+    depend on position alone then take P^2 points, and only the Doppler
+    and prior terms take all P^4.  Every term is computed per node with
+    the state axes innermost, and the objective sums the three
+    modalities, then the nodes in order.
 
     Residuals are (measured - predicted)/sigma, stacked as the N range
     rows, then N spatial-frequency rows, then N radial-velocity rows;
@@ -278,12 +272,10 @@ class _Frames:
         self.noise = noise
         self.prior_sigmas = prior_sigmas
         self.center = center
-        # The modalities' sigmas, shaped against the (3, N, ...) blocks,
+        # The modalities' sigmas, shaped against the (3, N, F) blocks,
         # and -sigma of range and radial velocity against (2, N, F) unit
         # vectors.
-        self.sigmas = np.array([noise.sigma_r, noise.sigma_omega, noise.sigma_v]).reshape(
-            (3,) + (1,) * (meas.ndim - 1)
-        )
+        self.sigmas = np.array([noise.sigma_r, noise.sigma_omega, noise.sigma_v]).reshape(3, 1, 1)
         self.negative_sigmas = -self.sigmas[::2, None]
         self.prior_jacobian = None if prior_sigmas is None else np.diag(1.0 / prior_sigmas)
 
@@ -304,41 +296,25 @@ class _Frames:
     @classmethod
     def build(
         cls,
-        observations: list[FusionObservation],
+        obs: FusionObservation,
         noise: NoiseConfig,
         prior: PriorConfig | None = None,
         center: np.ndarray | None = None,
     ) -> "_Frames":
-        return cls.of(_columns(_observation_table(observations)), noise, prior, center)
+        """The one-frame model of the observation `obs`."""
+        return cls.of(_columns(_table(obs)), noise, prior, center)
 
     def take(self, index) -> "_Frames":
-        """The model of the frames at the integer `index` along F.  The
-        sigma arrays and the prior Jacobian do not depend on F and are shared."""
-        frames = object.__new__(type(self))
-        vars(frames).update(
-            vars(self),
-            nodes=self.nodes.take(index, -1),
-            meas=self.meas.take(index, -1),
-            center=None if self.center is None else self.center.take(index, 0),
-        )
-        return frames
-
-    def per_candidate(self) -> "_Frames":
-        """The model broadcast against (F, C, 4) states: C candidates per frame."""
-        center = None if self.center is None else self.center[:, None]
-        return _Frames(
-            self.nodes[..., None], self.meas[..., None], self.noise, self.prior_sigmas, center
-        )
+        """The model of the frames at the integer `index` along F."""
+        center = None if self.center is None else self.center.take(index, 0)
+        return type(self)(self.nodes.take(index, -1), self.meas.take(index, -1), self.noise,
+                          self.prior_sigmas, center)
 
     def evaluate(self, theta):
-        """Objective values at the states `theta`, and the terms `jacobian` reuses.
-
-        `theta` is a state array (..., 4), or a grid's four axes.
-        """
-        if not isinstance(theta, np.ndarray):
-            return self._grid_objective(theta), None
-        # The state components first: (4, F) or (4, F, C).
-        state = theta.T if theta.ndim == 2 else theta.transpose(2, 0, 1)
+        """Objective values (F,) at the states `theta` (F, 4), and the terms
+        `jacobian` reuses."""
+        # The state components first: (4, F).
+        state = theta.T
         offset = state[:2, None] - self.nodes[:2]
         squares = offset * offset
         r2 = squares[0] + squares[1]
@@ -365,7 +341,7 @@ class _Frames:
             value[infeasible.any(axis=0)] = np.inf
         return value, (state, unit, predicted, blocks, prior_rows)
 
-    def _grid_objective(self, axes) -> np.ndarray:
+    def grid_objective(self, axes) -> np.ndarray:
         """`objective` on a grid's four axes; the frame axis (F = 1) lines up
         with the grid's first."""
         x, y, vx, vy = axes
@@ -392,7 +368,7 @@ class _Frames:
         return value
 
     def objective(self, theta) -> np.ndarray:
-        """Objective values at the states `theta`, as for `evaluate`; +inf where infeasible."""
+        """Objective values (F,) at the states `theta` (F, 4); +inf where infeasible."""
         return self.evaluate(theta)[0]
 
     def jacobian(self, terms) -> tuple[np.ndarray, np.ndarray]:
@@ -496,12 +472,9 @@ def _positive_definite(m: np.ndarray) -> np.ndarray:
 
 
 def _objective_terms(theta, obs, noise, prior=None, prior_center=None):
+    """Objective value, residuals and Jacobian of the observation `obs` at `theta`."""
     center = None if prior_center is None else prior_center.as_vector()[None]
-    return _terms_at(_Frames.build([obs], noise, prior, center), theta)
-
-
-def _terms_at(model: _Frames, theta: TargetState) -> tuple[float, np.ndarray, np.ndarray]:
-    """Objective value, residuals and Jacobian of the one-frame `model` at `theta`."""
+    model = _Frames.build(obs, noise, prior, center)
     value, terms = model.evaluate(theta.as_vector()[None])
     if not np.isfinite(value[0]):
         raise ValueError("state yields (near-)zero range to a node")
@@ -630,25 +603,24 @@ def solve(
     and stop tests; the result is bit-identical to that frame's entry
     in any batch.
     """
-    # One observation's table needs no padding.
-    return _solve_frames(np.array([_rows(obs)], dtype=float), noise, mode, prior)[0]
+    return _solve_frames(_table(obs), noise, mode, prior)[0]
 
 
 def solve_frames(
-    observations: Iterable[FusionObservation] | np.ndarray,
+    table: np.ndarray,
     noise: NoiseConfig,
     mode: str = "bayes",
     prior: PriorConfig | None = None,
 ) -> FusionEstimates:
     """Levenberg-Marquardt minimization of the ML or Bayes objective, per frame.
 
-    `observations` is an iterable of FusionObservation, or a frame table
-    (`frame_table`): an (F, N, 6) array whose row (f, i) holds node i's
-    pose and detection in frame f, x, y, phi, range, spatial frequency,
-    radial velocity.  A row whose detection triple is all NaN is a node
-    that did not detect the target and takes no part in that frame;
-    every other row must be finite, and every frame needs a detecting
-    node (else ValueError).  Observations pad into such a table.  The
+    `table` is a frame table (`frame_table`): an (F, N, 6) array whose
+    row (f, i) holds node i's pose and detection in frame f, x, y, phi,
+    range, spatial frequency, radial velocity.  A row whose detection
+    triple is all NaN is a node that did not detect the target and takes
+    no part in that frame; every other row must be finite, and every
+    frame needs a detecting node (else ValueError).  Anything but an
+    array is a TypeError; `solve` takes one FusionObservation.  The
     frames run as arrays grouped by their number of detecting nodes,
     node axis first, each keeping its detecting nodes in order; results
     come back in input order, as arrays that also index as
@@ -671,10 +643,10 @@ def solve_frames(
     an accepted step lowers it tenfold.  The returned covariances and
     conditioning are those of J'J.
     """
-    return _solve_frames(observations, noise, mode, prior)
+    return _solve_frames(table, noise, mode, prior)
 
 
-def _solve_frames(observations, noise, mode, prior) -> FusionEstimates:
+def _solve_frames(table, noise, mode, prior) -> FusionEstimates:
     """`solve_frames` behind both public entry points, so that the
     single-node warning points at the caller of either."""
     mode = mode.lower()
@@ -682,15 +654,13 @@ def _solve_frames(observations, noise, mode, prior) -> FusionEstimates:
         raise ValueError(f"mode must be 'ml' or 'bayes', got {mode!r}")
     if mode == "bayes" and prior is None:
         raise ValueError("bayes mode requires a PriorConfig")
-    if not isinstance(observations, np.ndarray):
-        observations = _observation_table(observations)
-    groups = _frame_groups(observations)
-    if any(table.shape[1] < 2 for _, table in groups):
+    groups = _frame_groups(table)
+    if any(group.shape[1] < 2 for _, group in groups):
         warnings.warn(
             "single-node observation: vector velocity is unobservable",
             stacklevel=3,
         )
-    parts = [_solve_group(table, noise, mode, prior) for _, table in groups]
+    parts = [_solve_group(group, noise, mode, prior) for _, group in groups]
     if len(parts) == 1:
         return parts[0]
     # Several node counts: put each group's rows back in input order.
@@ -706,7 +676,10 @@ def _frame_groups(table: np.ndarray) -> list[tuple[range | np.ndarray, np.ndarra
     """A frame table's frames grouped by their number n of detecting
     nodes, each group as its frames' input positions and the (F_n, n, 6)
     table of their detecting rows, in node order; ValueError on a table
-    that breaks `solve_frames`' input rules."""
+    that breaks `solve_frames`' input rules (TypeError if it is no array)."""
+    if not isinstance(table, np.ndarray):
+        raise TypeError(f"frame table must be an (F, N, 6) array, got {type(table).__name__}; "
+                        "build one with frame_table, or solve one FusionObservation with solve")
     table = np.asarray(table, dtype=float)
     if table.ndim != 3 or table.shape[1] < 1 or table.shape[2] != 6:
         raise ValueError(f"frame array must be (F, N, 6) with N >= 1, got shape {table.shape}")
@@ -736,8 +709,10 @@ def _solve_group(table: np.ndarray, noise, mode, prior) -> FusionEstimates:
         centers[:, 0], centers[:, 1] = px, py
     frames = _Frames.of(nodes, noise, prior if mode == "bayes" else None, centers)
     # The best-scoring feasible kept start seeds each frame; ties go to
-    # the first in candidate order.
-    start_values = frames.per_candidate().objective(starts)
+    # the first in candidate order.  The candidates are scored as frame
+    # rows, each frame repeated once per candidate.
+    repeated = frames.take(np.repeat(np.arange(frames_count), _MAX_STARTS))
+    start_values = repeated.objective(starts.reshape(-1, 4)).reshape(frames_count, _MAX_STARTS)
     start_values[~keep] = np.inf
     best = start_values.argmin(axis=1)
     rows = np.arange(frames_count)
@@ -892,11 +867,7 @@ def laplace_covariance(
     """Gaussian (Laplace) posterior covariance: inverse of J'J at `center`."""
     if prior_center is None:
         prior_center = _resolve_prior_center(obs)
-    return _laplace(bayes_objective(center, obs, noise, prior, prior_center)[2])
-
-
-def _laplace(jac: np.ndarray) -> np.ndarray:
-    """The symmetrized inverse of J'J."""
+    jac = bayes_objective(center, obs, noise, prior, prior_center)[2]
     cov = np.linalg.inv(jac.T @ jac)
     return 0.5 * (cov + cov.T)
 
@@ -987,8 +958,7 @@ def posterior_covariance_grid(
     its P^2 positions, Doppler and prior terms on all P^4 states.
     """
     prior_center = center.prior_center or _resolve_prior_center(obs)
-    model = _Frames.build([obs], noise, prior, prior_center.as_vector()[None])
-    laplace = _laplace(_terms_at(model, center.state)[2])
+    laplace = laplace_covariance(obs, noise, prior, center.state, prior_center)
     sigmas = np.sqrt(np.maximum(np.diag(laplace), 0.0))
     # Guard against a collapsed Laplace direction producing a zero-width axis.
     sigmas = np.maximum(sigmas, 1e-9 * np.max(sigmas))
@@ -996,4 +966,5 @@ def posterior_covariance_grid(
                                GRID_HALF_WIDTH_SIGMAS, GRID_POINTS_PER_DIM)
     # Axis d varies along dimension d only.
     grid = [axis.reshape([-1 if k == d else 1 for k in range(4)]) for d, axis in enumerate(axes)]
-    return _grid_moments(model.objective(grid), offsets)
+    model = _Frames.build(obs, noise, prior, prior_center.as_vector()[None])
+    return _grid_moments(model.grid_objective(grid), offsets)

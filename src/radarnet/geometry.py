@@ -132,12 +132,16 @@ class TargetState:
 
 
 @dataclass(frozen=True)
-class IdealMeasurement:
-    """Noise-free (range, spatial frequency, radial velocity) triple."""
+class Detection:
+    """One node's (range, spatial frequency, radial velocity) triple: a
+    simulated detection, noisy, or an ideal measurement."""
 
     range: float
     spatial_freq: float
     radial_vel: float
+
+    def __post_init__(self):
+        finite_floats(self, ("range", "spatial_freq", "radial_vel"))
 
 
 def _measure_at(
@@ -180,9 +184,9 @@ def _measure_at(
     )
 
 
-def measure(radar: Pose2D, target: TargetState) -> IdealMeasurement:
+def measure(radar: Pose2D, target: TargetState) -> Detection:
     """All three ideal measurements of a target from one node."""
-    return IdealMeasurement(*_measure_at(
+    return Detection(*_measure_at(
         radar.x, radar.y, math.cos(radar.phi), math.sin(radar.phi),
         target.x, target.y, target.vx, target.vy, False,
     ))
@@ -258,7 +262,7 @@ def _local_cartesian(range_: float, spatial_freq: float) -> tuple[float, float]:
     return range_ * math.sin(theta), range_ * math.cos(theta)
 
 
-def detection_to_local_cartesian(m: IdealMeasurement) -> np.ndarray:
+def detection_to_local_cartesian(m: Detection) -> np.ndarray:
     """Convert a (range, spatial frequency) pair to node-local x/y.
 
     The point lies at distance `range` from the node, rotated theta =

@@ -22,12 +22,12 @@ import numpy as np
 
 from .geometry import (
     FOV_HALF_ANGLE,
+    Detection,
     Pose2D,
     TargetState,
     boresight_angle,
     boresight_angles,
     elementwise,
-    finite_floats,
     measure,  # noqa: F401  (trace target: radarnet.scene.measure)
 )
 
@@ -65,18 +65,6 @@ class NoiseConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ConfigError(f"NoiseConfig.{name} must be finite and > 0")
-
-
-@dataclass(frozen=True)
-class Detection:
-    """One node's noisy (range, spatial frequency, radial velocity) triple."""
-
-    range: float
-    spatial_freq: float
-    radial_vel: float
-
-    def __post_init__(self):
-        finite_floats(self, ("range", "spatial_freq", "radial_vel"))
 
 
 @dataclass(frozen=True)
@@ -413,6 +401,8 @@ def counterpart_trajectory(
 # -- JSON config schema -------------------------------------------------
 
 _REQUIRED_KEYS = ("name", "nodes", "trajectory")
+# The number keys of each trajectory kind.
+_TRAJECTORY_KEYS = {"straight": ("speed", "heading_deg"), "random": ("speed_cap", "smoothness")}
 
 
 def _trajectory_to_dict(spec: TrajectorySpec) -> dict:
@@ -455,9 +445,14 @@ _INTEGER_KEYS = ("num_frames", "seed")
 _FIELD_NAMES = {"seed": "rng_seed"}
 
 
-def _json_fields(section: dict, where: str, keys) -> dict:
+def _json_fields(section: dict, where: str, keys, other=()) -> dict:
     """The numbers `section` holds of `keys`, by field name: every key left
-    out of the file takes its dataclass default."""
+    out of the file takes its dataclass default.  A key of `section` in
+    neither `keys` nor `other` is a ConfigError naming it."""
+    unknown = [key for key in section if key not in keys and key not in other]
+    if unknown:
+        field = f"{where}.{unknown[0]}" if where else unknown[0]
+        raise ConfigError(f"{field} is not a config key")
     fields = {}
     for key in keys:
         if key in section:
@@ -477,8 +472,9 @@ def _trajectory_from_dict(d, where: str = "trajectory") -> TrajectorySpec:
     if type(start) is not list or len(start) != 2:
         raise ConfigError(f"{where}.start must be two finite numbers [x, y], got {start!r}")
     start = tuple(json_number({"start": value}, where, "start") for value in start)
-    keys = ("speed", "heading_deg") if kind == "straight" else ("speed_cap", "smoothness")
-    return TrajectorySpec(kind, start, **_json_fields(d, where, keys))
+    # An unknown kind reads every kind's keys, so that TrajectorySpec names the kind.
+    keys = _TRAJECTORY_KEYS.get(kind, sum(_TRAJECTORY_KEYS.values(), ()))
+    return TrajectorySpec(kind, start, **_json_fields(d, where, keys, ("kind", "start")))
 
 
 def scenario_to_dict(config: ScenarioConfig) -> dict:
@@ -520,7 +516,8 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
                                        ("sigma_r", "sigma_omega", "sigma_v")))
     trajectory = _trajectory_from_dict(d["trajectory"])
     numbers = _json_fields(d, "", ("frame_duration", "num_frames", "seed", "max_range",
-                                   "fov_half_angle_deg"))
+                                   "fov_half_angle_deg"),
+                           _REQUIRED_KEYS + ("noise", "calibration_trajectory"))
     calib = d.get("calibration_trajectory")
     return ScenarioConfig(
         name=d["name"],

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import (
+    Detection,
     Pose2D,
     TargetState,
     _local_cartesian,
@@ -26,8 +27,8 @@ from .geometry import (
     measurement_jacobian,  # noqa: F401  (trace target)
     rotation_matrix,
 )
-from .scene import (DEFAULT_FRAME_DURATION, Detection, NoiseConfig, Simulation, csv_lines,
-                    float_cells, write_lines)
+from .scene import (DEFAULT_FRAME_DURATION, NoiseConfig, Simulation, csv_lines, float_cells,
+                    write_lines)
 
 
 @dataclass(frozen=True)

@@ -112,6 +112,19 @@ class TestExitCodes:
                      id="fov-120"),
         pytest.param("fov_half_angle_deg", lambda d: d.update(fov_half_angle_deg=400),
                      id="fov-400"),
+        # A key the program does not read, misspelt or of another
+        # trajectory kind, would otherwise load as its default.
+        pytest.param("num_frame", lambda d: d.update(num_frame=50), id="unknown-top-level"),
+        pytest.param("trajectory.speed_cpa", lambda d: d["trajectory"].update(speed_cpa=1.5),
+                     id="unknown-trajectory"),
+        pytest.param("trajectory.speed", lambda d: d["trajectory"].update(speed=1.5),
+                     id="straight-key-on-random"),
+        pytest.param("nodes[1].phi", lambda d: d["nodes"][1].update(phi=1.0), id="unknown-node"),
+        pytest.param("noise.sigma_w", lambda d: d["noise"].update(sigma_w=0.1),
+                     id="unknown-noise"),
+        pytest.param("calibration_trajectory.speed_cap",
+                     lambda d: d["calibration_trajectory"].update(speed_cap=0.5),
+                     id="random-key-on-straight"),
     ])
     def test_malformed_config_field_is_config_error(self, tmp_path, small_config, capsys,
                                                     field, edit):
@@ -283,7 +296,7 @@ class TestFuseVerb:
         from dataclasses import replace
 
         from radarnet.experiment import PIPELINE_PRIOR
-        from radarnet.fusion import FusionObservation, ObservationEntry, solve_frames
+        from radarnet.fusion import frame_table, solve_frames
         from radarnet.scene import simulate
 
         config = replace(builtin_scenario("C", "random", seed=4), num_frames=40)
@@ -292,18 +305,13 @@ class TestFuseVerb:
         assert main(["fuse", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
 
         # The file as cmd_fuse formatted it with its own f-strings.
-        frames = simulate(config).measurement_frames()
-        kept = [f for f in frames if sum(det is not None for det in f.per_node) >= 2]
-        observations = [
-            FusionObservation(tuple(
-                ObservationEntry(node, det)
-                for node, det in zip(config.nodes, f.per_node) if det is not None
-            ))
-            for f in kept
-        ]
-        estimates = [solve_frames(observations, config.noise, mode="ml"),
-                     solve_frames(observations, config.noise, mode="bayes",
-                                  prior=PIPELINE_PRIOR)]
+        sim = simulate(config)
+        kept = [f for f in sim.measurement_frames()
+                if sum(det is not None for det in f.per_node) >= 2]
+        # A node that missed a kept frame holds its NaN triple there.
+        table = frame_table(config.nodes, sim.detections[[f.frame_index for f in kept]])
+        estimates = [solve_frames(table, config.noise, mode="ml"),
+                     solve_frames(table, config.noise, mode="bayes", prior=PIPELINE_PRIOR)]
         rows = ["frame,mode,x,y,vx,vy,converged,cond"]
         for k, frame in enumerate(kept):
             for mode, per_mode in zip(("ml", "bayes"), estimates):
@@ -444,7 +452,7 @@ class TestFuseVerb:
         from dataclasses import replace
 
         from radarnet.experiment import PIPELINE_PRIOR
-        from radarnet.fusion import FusionObservation, ObservationEntry, solve_frames
+        from radarnet.fusion import FusionObservation, ObservationEntry, solve
         from radarnet.geometry import Pose2D
         from radarnet.scene import simulate, write_csv
 
@@ -470,9 +478,10 @@ class TestFuseVerb:
             node_sets.add(tuple(det is not None for det in frame.per_node))
             frame_indices.append(frame.frame_index)
             observations.append(FusionObservation(tuple(entries)))
-        estimates = [solve_frames(observations, config.noise, mode="ml"),
-                     solve_frames(observations, config.noise, mode="bayes",
-                                  prior=PIPELINE_PRIOR)]
+        # Each frame solved on its own, the object path's reference.
+        estimates = [[solve(obs, config.noise, mode="ml") for obs in observations],
+                     [solve(obs, config.noise, mode="bayes", prior=PIPELINE_PRIOR)
+                      for obs in observations]]
         rows = []
         for k, frame_index in enumerate(frame_indices):
             for mode, per_mode in zip(("ml", "bayes"), estimates):

@@ -288,8 +288,8 @@ class TestCsvRoundTrip:
             tracks[Path(path).name] = track
             return real_export_track_csv(track, path)
 
-        def solve_frames(observations, noise, mode, prior=None):
-            estimates[mode] = real_solve_frames(observations, noise, mode=mode, prior=prior)
+        def solve_frames(table, noise, mode, prior=None):
+            estimates[mode] = real_solve_frames(table, noise, mode=mode, prior=prior)
             return estimates[mode]
 
         real_export_track_csv = experiment.export_track_csv

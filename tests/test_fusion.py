@@ -16,10 +16,10 @@ from radarnet.fusion import (
     _columns,
     _Frames,
     _frame_groups,
-    _observation_table,
     _positive_definite,
     _start_states,
     _start_table,
+    _table,
     bayes_objective,
     frame_table,
     grid_covariance,
@@ -52,6 +52,12 @@ def observation_of(nodes, target, noise=None, rng=None):
             v += noise.sigma_v * rng.standard_normal()
         entries.append(ObservationEntry(node, Detection(r, w, v)))
     return FusionObservation(tuple(entries))
+
+
+def detections_of(obs):
+    """An observation's detection triples, in node order."""
+    return [(e.detection.range, e.detection.spatial_freq, e.detection.radial_vel)
+            for e in obs.entries]
 
 
 def config_b_nodes():
@@ -222,7 +228,8 @@ class TestSolve:
             solve(obs, TABLE_NOISE, mode="ml")
         assert record[0].filename == __file__
         with pytest.warns(UserWarning, match="single-node") as record:
-            solve_frames([obs], TABLE_NOISE, mode="ml")
+            solve_frames(frame_table([Pose2D(0, 0, 0)], [[(5.0, 0.0, 0.0)]]), TABLE_NOISE,
+                         mode="ml")
         assert record[0].filename == __file__
 
     def test_wide_priors_approach_ml(self):
@@ -434,11 +441,11 @@ class TestSeparableGrid:
 
     @staticmethod
     def model(obs, est):
-        return _Frames.build([obs], TABLE_NOISE, PRIOR, est.prior_center.as_vector()[None])
+        return _Frames.build(obs, TABLE_NOISE, PRIOR, est.prior_center.as_vector()[None])
 
     @staticmethod
     def separable(model, axes):
-        return model.objective(
+        return model.grid_objective(
             [a.reshape([-1 if k == d else 1 for k in range(4)]) for d, a in enumerate(axes)]
         )
 
@@ -509,13 +516,14 @@ class TestSolveFrames:
         cases = (("A", "random", slice(None)), ("C", "straight", slice(265, 365)))
         for name, kind, frames in cases:
             config = builtin_scenario(name, kind, seed=7)
-            observations = detected_observations(config)[frames]
+            table, observations = detected_frames(config)
+            table, observations = table[frames], observations[frames]
             assert len(observations) > 400 if name == "A" else len(observations) == 100
             with monkeypatch.context() as patch:
                 if name == "C":
                     patch.setattr(fusion_module, "_MAX_ITERATIONS", 15)
                 for mode, prior in (("ml", None), ("bayes", PRIOR)):
-                    batch = solve_frames(observations, config.noise, mode=mode, prior=prior)
+                    batch = solve_frames(table, config.noise, mode=mode, prior=prior)
                     assert len(batch) == len(observations)
                     if name == "C":
                         capped = (batch.iterations == 15) & ~batch.converged
@@ -526,13 +534,17 @@ class TestSolveFrames:
     def test_mixed_node_counts_keep_input_order(self):
         rng = np.random.default_rng(21)
         nodes3 = config_b_nodes() + (Pose2D(4.0, 3.5, math.radians(125.0)),)
+        # Node 2 detects one frame in three and holds a NaN triple in the others.
+        detections = np.full((12, 3, 3), np.nan)
         observations = []
         for k in range(12):
             target = TargetState(rng.uniform(1.0, 3.0), rng.uniform(2.5, 4.0),
                                  rng.uniform(-1, 1), rng.uniform(-1, 1))
             nodes = nodes3 if k % 3 == 1 else nodes3[:2]
             observations.append(observation_of(nodes, target, TABLE_NOISE, rng))
-        batch = solve_frames(observations, TABLE_NOISE, mode="bayes", prior=PRIOR)
+            detections[k, :len(nodes)] = detections_of(observations[-1])
+        batch = solve_frames(frame_table(nodes3, detections), TABLE_NOISE, mode="bayes",
+                             prior=PRIOR)
         for obs, est in zip(observations, batch):
             assert_same_estimate(solve(obs, TABLE_NOISE, mode="bayes", prior=PRIOR), est)
 
@@ -546,9 +558,12 @@ class TestSolveFrames:
         with pytest.warns(UserWarning, match="single-node"):
             with pytest.raises(ValueError, match=message):
                 solve(on_node, TABLE_NOISE, mode="ml")
+        # Node 1 missed the second frame; on_node's node is node 0.
+        table = frame_table(config_b_nodes(),
+                            [detections_of(good), [(0.0, 0.0, 1.0), (np.nan,) * 3]])
         with pytest.warns(UserWarning, match="single-node"):
             with pytest.raises(ValueError, match=message):
-                solve_frames([good, on_node], TABLE_NOISE, mode="ml")
+                solve_frames(table, TABLE_NOISE, mode="ml")
 
     def test_singular_frame_leaves_other_frames_unchanged(self, monkeypatch):
         rng = np.random.default_rng(22)
@@ -561,7 +576,8 @@ class TestSolveFrames:
             )
             for _ in range(3)
         ]
-        reference = solve_frames(observations, TABLE_NOISE, mode="ml")
+        table = frame_table(config_b_nodes(), [detections_of(obs) for obs in observations])
+        reference = solve_frames(table, TABLE_NOISE, mode="ml")
 
         # Record frame 1's first damped system, then have the linear
         # solver refuse it as singular wherever it appears.
@@ -582,7 +598,7 @@ class TestSolveFrames:
             return real_solve(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", refusing)
-        batch = solve_frames(observations, TABLE_NOISE, mode="ml")
+        batch = solve_frames(table, TABLE_NOISE, mode="ml")
         assert_same_estimate(batch[0], reference[0])
         assert_same_estimate(batch[2], reference[2])
         assert_same_estimate(batch[1], solve(observations[1], TABLE_NOISE, mode="ml"))
@@ -606,7 +622,7 @@ def central_hessian(model, theta, step=1e-4):
         for j in range(4):
             corners = [theta + a * shifts[i] + b * shifts[j] for a, b in
                        ((1, 1), (1, -1), (-1, 1), (-1, -1))]
-            values = model.per_candidate().objective(np.array(corners)[None])[0]
+            values = model.take([0, 0, 0, 0]).objective(np.array(corners))
             half[i][j] = (values[0] - values[1] - values[2] + values[3]) / (8.0 * step * step)
     return np.array(half)
 
@@ -619,13 +635,14 @@ class TestNewtonStep:
     def test_curvature_matches_central_differences(self, mode):
         rng = np.random.default_rng(31)
         nodes3 = config_b_nodes() + (Pose2D(4.0, 3.5, math.radians(125.0)),)
-        observations = []
+        # Node 2 detects two frames in three and holds a NaN triple in the others.
+        detections = np.full((9, 3, 3), np.nan)
         for k in range(9):
             target = TargetState(rng.uniform(1.0, 3.0), rng.uniform(2.5, 4.0),
                                  *rng.uniform(-1.0, 1.0, 2).tolist())
-            observations.append(observation_of(nodes3 if k % 3 else nodes3[:2], target,
-                                               TABLE_NOISE, rng))
-        table = _observation_table(observations)
+            obs = observation_of(nodes3 if k % 3 else nodes3[:2], target, TABLE_NOISE, rng)
+            detections[k, :obs.num_nodes] = detections_of(obs)
+        table = frame_table(nodes3, detections)
         # Node 1 missed the target in two of the three-node frames.
         table[[1, 4], 1, 3:] = np.nan
         groups = _frame_groups(table)
@@ -673,14 +690,15 @@ class TestNewtonStep:
     def test_crawl_frames_reach_the_long_run_minimum(self, monkeypatch):
         # C's on-baseline frames, where the Gauss-Newton step crawls.
         config = builtin_scenario("C", "straight", seed=7)
-        observations = detected_observations(config)[265:365]
-        got = solve_frames(observations, config.noise, mode="bayes", prior=PRIOR)
+        table, observations = detected_frames(config)
+        table, observations = table[265:365], observations[265:365]
+        got = solve_frames(table, config.noise, mode="bayes", prior=PRIOR)
         with monkeypatch.context() as patch:
             # The Gauss-Newton reference: no curvature, and a long run.
             patch.setattr(_Frames, "curvature",
                           lambda self, terms: np.zeros((terms[0].shape[1], 4, 4)))
             patch.setattr(fusion_module, "_MAX_ITERATIONS", 5000)
-            want = solve_frames(observations, config.noise, mode="bayes", prior=PRIOR)
+            want = solve_frames(table, config.noise, mode="bayes", prior=PRIOR)
         crawl = want.iterations > 100
         assert np.count_nonzero(crawl) >= 5 and want.converged.all()
         assert got.converged[crawl].all()
@@ -736,6 +754,11 @@ class TestFrameTable:
     def test_wrong_shape_raises(self, shape):
         with pytest.raises(ValueError, match=r"must be \(F, N, 6\)"):
             solve_frames(np.zeros(shape), TABLE_NOISE, mode="ml")
+
+    def test_observation_list_raises(self):
+        obs = observation_of(config_b_nodes(), TargetState(1.5, 3.5, 0.2, 0.1))
+        with pytest.raises(TypeError, match=r"\(F, N, 6\) array, got list; .*frame_table.*solve"):
+            solve_frames([obs], TABLE_NOISE, mode="ml")
 
     @pytest.mark.parametrize("missed", [False, True], ids=["all-detected", "with-missed-row"])
     @pytest.mark.parametrize("column", [0, 2, 3, 5])
@@ -794,16 +817,19 @@ class TestFrameTable:
                     assert_same_estimate(solve(obs, config.noise, mode=mode, prior=prior), est)
 
 
-def detected_observations(config):
-    """The frames of a scenario's simulation that every node detected, as
-    FusionObservations at the true poses."""
+def detected_frames(config):
+    """The frames of a scenario's simulation that every node detected, at
+    the true poses: their (F, N, 6) frame table and the same frames as
+    FusionObservations."""
     sim = simulate(config)
-    return [
+    detections = sim.detections[sim.seen.all(axis=1)]
+    observations = [
         FusionObservation(tuple(
             ObservationEntry(node, Detection(*det)) for node, det in zip(config.nodes, dets)
         ))
-        for dets in sim.detections[sim.seen.all(axis=1)].tolist()
+        for dets in detections.tolist()
     ]
+    return frame_table(config.nodes, detections), observations
 
 
 def reference_range_circle_intersections(obs):
@@ -868,7 +894,7 @@ def reference_candidate_starts(obs):
 def assert_same_starts(obs):
     """One frame's position start and kept LM starts against the reference;
     returns the kept starts."""
-    px, py, starts, keep = _start_table(_columns(_observation_table([obs])))
+    px, py, starts, keep = _start_table(_columns(_table(obs)))
     want_pos0, want_starts = reference_candidate_starts(obs)
     assert np.array([px[0], py[0]]).tobytes() == want_pos0.tobytes()
     assert starts[0][keep[0]].tobytes() == np.asarray(want_starts, dtype=float).tobytes()
@@ -880,7 +906,7 @@ class TestCandidateStarts:
 
     @pytest.mark.parametrize("name", ["A", "B", "C"])
     def test_every_frame_of_builtin_random(self, name):
-        observations = detected_observations(builtin_scenario(name, "random", seed=7))
+        _, observations = detected_frames(builtin_scenario(name, "random", seed=7))
         for obs in observations:
             assert_same_starts(obs)
         assert len(observations) > 400
@@ -913,17 +939,7 @@ def builtin_frame_tables(name):
     as FusionObservations."""
     for kind in ("straight", "random"):
         for seed in (7, 8, 9):
-            config = builtin_scenario(name, kind, seed=seed)
-            sim = simulate(config)
-            detections = sim.detections[sim.seen.all(axis=1)]
-            table = frame_table(config.nodes, detections)
-            observations = [
-                FusionObservation(tuple(
-                    ObservationEntry(node, Detection(*det)) for node, det in zip(config.nodes, dets)
-                ))
-                for dets in detections.tolist()
-            ]
-            yield table, observations
+            yield detected_frames(builtin_scenario(name, kind, seed=seed))
 
 
 def assert_array_starts_match_reference(table, observations):
@@ -986,7 +1002,12 @@ class TestArrayCandidateStarts:
         for name in ("disjoint", "nested", "concentric", "single_node"):
             assert reference_range_circle_intersections(cases[name]) == []
         mixed = list(cases.values())
-        groups = _frame_groups(_observation_table(mixed))
+        # One three-node table: each case's nodes come first, and the rows
+        # after them hold NaN triples, as for nodes that did not detect.
+        table = np.full((len(mixed), 3, 6), np.nan)
+        for k, obs in enumerate(mixed):
+            table[k, :obs.num_nodes] = _table(obs)[0]
+        groups = _frame_groups(table)
         assert sorted(table.shape[1] for _, table in groups) == [1, 2, 3]
         for rows, table in groups:
             assert_array_starts_match_reference(table, [mixed[k] for k in rows])
@@ -1015,11 +1036,8 @@ class NodeLastFrames(_Frames):
             self.nodes[:, index], self.meas[:, index], self.noise, self.prior_sigmas, center
         )
 
-    def per_candidate(self):
-        center = None if self.center is None else self.center[:, None]
-        return type(self)(
-            self.nodes[:, :, None], self.meas[:, :, None], self.noise, self.prior_sigmas, center
-        )
+    def grid_objective(self, axes):
+        return self.evaluate(axes)[0]
 
     def evaluate(self, theta):
         prior = prior_rows = None
@@ -1128,23 +1146,18 @@ class TestNodeFirstKernel:
     def test_solve_frames_matches_node_last_reference(self, name, monkeypatch):
         config = builtin_scenario(name, "random", seed=7)
         sim = simulate(config)
-        observations = [
-            FusionObservation(tuple(
-                ObservationEntry(node, Detection(*det)) for node, det in zip(config.nodes, dets)
-            ))
-            for dets in sim.detections[sim.seen.all(axis=1)].tolist()
-        ]
+        table = frame_table(config.nodes, sim.detections[sim.seen.all(axis=1)])
         for mode, prior in (("ml", None), ("bayes", PRIOR)):
-            got = solve_frames(observations, config.noise, mode=mode, prior=prior)
+            got = solve_frames(table, config.noise, mode=mode, prior=prior)
             shapes = []
             with monkeypatch.context() as patch:
                 self.node_last(patch, shapes)
-                want = solve_frames(observations, config.noise, mode=mode, prior=prior)
+                want = solve_frames(table, config.noise, mode=mode, prior=prior)
             # The reference scored the candidate starts and ran every LM
             # iteration: one evaluation for the starts, one at the start
             # state and one per iteration of the slowest frame, whose last
             # iteration evaluates nothing if it stops on its gradient.
-            assert (len(observations), 3, 4) in shapes
+            assert (3 * len(table), 4) in shapes
             slowest = int(want.iterations.max())
             assert len(shapes) in (slowest + 1, slowest + 2)
             for field in ("states", "covariances", "objective_values", "iterations",
@@ -1218,7 +1231,7 @@ class TestSingleFrameKernel:
                     want = solve(obs, TABLE_NOISE, mode=mode, prior=mode_prior)
                     if mode == "bayes":
                         want_grid = posterior_covariance_grid(obs, TABLE_NOISE, prior, want)
-                assert (1, 3, 4) in shapes and (1, 4) in shapes
+                assert (3, 4) in shapes and (1, 4) in shapes
                 assert_same_estimate(got, want)
                 capped += got.iterations == cap and not got.converged
             got_grid = posterior_covariance_grid(obs, TABLE_NOISE, prior, got)

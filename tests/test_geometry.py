@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from radarnet.geometry import (
     FOV_HALF_ANGLE,
-    IdealMeasurement,
+    Detection,
     Pose2D,
     TargetState,
     angle_difference,
@@ -177,17 +177,17 @@ class TestFrameTransforms:
 class TestDetectionToLocal:
     def test_boresight(self):
         np.testing.assert_allclose(
-            detection_to_local_cartesian(IdealMeasurement(5, 0, 0)), [0, 5]
+            detection_to_local_cartesian(Detection(5, 0, 0)), [0, 5]
         )
 
     def test_endfire(self):
         np.testing.assert_allclose(
-            detection_to_local_cartesian(IdealMeasurement(5, math.pi, 0)), [5, 0], atol=1e-12
+            detection_to_local_cartesian(Detection(5, math.pi, 0)), [5, 0], atol=1e-12
         )
 
     def test_nonpositive_range_raises(self):
         with pytest.raises(ValueError):
-            detection_to_local_cartesian(IdealMeasurement(0.0, 0.1, 0))
+            detection_to_local_cartesian(Detection(0.0, 0.1, 0))
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=100, derandomize=True)
@@ -266,7 +266,7 @@ class TestMeasurementJacobian:
                 radar.x, radar.y, math.cos(radar.phi), math.sin(radar.phi),
                 *target.as_vector().tolist(), True,
             )
-            assert measure(radar, target) == IdealMeasurement(r, omega, radial_vel)
+            assert measure(radar, target) == Detection(r, omega, radial_vel)
             jac = np.array([[h00, h01, 0, 0], [h10, h11, 0, 0], [h20, h21, h00, h01]], dtype=float)
             assert measurement_jacobian(radar, target).tobytes() == jac.tobytes()
             assert _measure_at(

@@ -10,7 +10,6 @@ import pytest
 from radarnet import experiment, tracking
 from radarnet.experiment import PIPELINE_EKF, calibrate_scenario
 from radarnet.geometry import (
-    IdealMeasurement,
     Pose2D,
     TargetState,
     _measure_at,
@@ -355,7 +354,7 @@ class TestRunTracker:
 
     @staticmethod
     def _average_nis(sim, noise, dt):
-        from radarnet.geometry import detection_to_local_cartesian, IdealMeasurement
+        from radarnet.geometry import detection_to_local_cartesian
         from radarnet.geometry import measurement_jacobian
 
         cfg = EkfConfig()
@@ -366,9 +365,7 @@ class TestRunTracker:
             if state is None:
                 if det is None:
                     continue
-                pos = detection_to_local_cartesian(
-                    IdealMeasurement(det.range, det.spatial_freq, det.radial_vel)
-                )
+                pos = detection_to_local_cartesian(det)
                 state = TargetState(pos[0], pos[1], 0.0, 0.0)
                 cov = np.diag([cfg.init_pos_var, cfg.init_pos_var, cfg.init_vel_var, cfg.init_vel_var])
                 continue
@@ -398,9 +395,7 @@ def manual_chain(sim, node_index, cfg, noise, dt):
         if state is None:
             if det is None:
                 continue
-            pos = detection_to_local_cartesian(
-                IdealMeasurement(det.range, det.spatial_freq, det.radial_vel)
-            )
+            pos = detection_to_local_cartesian(det)
             state = TargetState(pos[0], pos[1], 0.0, 0.0)
             cov = np.diag([cfg.init_pos_var, cfg.init_pos_var, cfg.init_vel_var, cfg.init_vel_var])
             updated = True
@@ -476,9 +471,7 @@ def reference_numpy_tracker(sim, node_index, cfg, noise, dt):
         if theta is None:
             if det is None:
                 continue
-            pos = detection_to_local_cartesian(
-                IdealMeasurement(det.range, det.spatial_freq, det.radial_vel)
-            )
+            pos = detection_to_local_cartesian(det)
             theta = np.array([pos[0], pos[1], 0.0, 0.0])
             cov = np.diag([cfg.init_pos_var, cfg.init_pos_var, cfg.init_vel_var, cfg.init_vel_var])
             updated = True

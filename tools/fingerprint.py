@@ -1,0 +1,152 @@
+"""Print SHA-256 fingerprints of the one-shot solver's and the CLI's outputs.
+
+A change meant to keep every output bit for bit prints the same lines
+before and after.  Three kinds of item, one line each:
+
+  solve_frames   the 36 batched solves over A/B/C x straight/random x
+                 seeds 7-9 x ML/Bayes, at the true poses, on the frames
+                 two or more nodes detected, over every FusionEstimates
+                 field;
+  one-frame      `solve` (ML and Bayes), `posterior_covariance_grid`,
+                 `laplace_covariance`, `ml_objective`, `bayes_objective`
+                 and the closed-form initializers on every 25th frame
+                 both nodes detected, per built-in at seed 7;
+  cli            every file under --out, stdout, stderr and exit code
+                 after each of `simulate`, `calibrate`, `fuse`,
+                 `fuse --calibration`, `run`, `emit-plots` and
+                 `mc --trials 2` on each built-in at seed 7, run one
+                 after another in one temporary directory with a
+                 relative --out.
+
+Stdlib plus radarnet, from the sources of this checkout; runs from any
+directory.
+
+    python3 tools/fingerprint.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from itertools import product
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+from radarnet.experiment import PIPELINE_PRIOR  # noqa: E402
+from radarnet.fusion import (  # noqa: E402
+    FusionObservation,
+    ObservationEntry,
+    bayes_objective,
+    frame_table,
+    initial_position_estimate,
+    initial_velocity_estimate,
+    laplace_covariance,
+    ml_objective,
+    posterior_covariance_grid,
+    solve,
+    solve_frames,
+)
+from radarnet.scene import Detection, builtin_scenario, simulate  # noqa: E402
+
+SCENARIOS = list(product("ABC", ("straight", "random")))
+FIELDS = ("states", "covariances", "objective_values", "iterations", "converged",
+          "conditioning", "mode", "prior_centers")
+
+
+def _digest(*values) -> str:
+    """SHA-256 over `values`: arrays by dtype, shape and bytes, other
+    values by their repr."""
+    h = hashlib.sha256()
+    for value in values:
+        if isinstance(value, np.ndarray):
+            h.update(f"{value.dtype}{value.shape}".encode())
+            h.update(np.ascontiguousarray(value).tobytes())
+        else:
+            h.update(repr(value).encode())
+        h.update(b"|")
+    return h.hexdigest()
+
+
+def solve_frames_items():
+    for (name, kind), seed, mode in product(SCENARIOS, (7, 8, 9), ("ml", "bayes")):
+        config = builtin_scenario(name, kind, seed=seed)
+        sim = simulate(config)
+        table = frame_table(config.nodes, sim.detections[sim.seen.sum(axis=1) >= 2])
+        est = solve_frames(table, config.noise, mode, PIPELINE_PRIOR if mode == "bayes" else None)
+        yield f"solve_frames {name} {kind} seed={seed} {mode}", _digest(
+            *(getattr(est, field) for field in FIELDS))
+
+
+def _estimate_values(est):
+    return (est.state, est.covariance, est.objective_value, est.iterations, est.converged,
+            est.conditioning, est.mode, est.prior_center)
+
+
+def one_frame_items():
+    for name, kind in SCENARIOS:
+        config = builtin_scenario(name, kind, seed=7)
+        sim = simulate(config)
+        values = []
+        for k in np.flatnonzero(sim.seen.all(axis=1))[::25].tolist():
+            obs = FusionObservation(tuple(
+                ObservationEntry(node, Detection(*det))
+                for node, det in zip(config.nodes, sim.detections[k].tolist())
+            ))
+            ml = solve(obs, config.noise, mode="ml")
+            bayes = solve(obs, config.noise, mode="bayes", prior=PIPELINE_PRIOR)
+            values += [*_estimate_values(ml), *_estimate_values(bayes),
+                       posterior_covariance_grid(obs, config.noise, PIPELINE_PRIOR, bayes),
+                       laplace_covariance(obs, config.noise, PIPELINE_PRIOR, bayes.state),
+                       *ml_objective(bayes.state, obs, config.noise),
+                       *bayes_objective(bayes.state, obs, config.noise, PIPELINE_PRIOR,
+                                        bayes.prior_center),
+                       initial_position_estimate(obs), initial_velocity_estimate(obs)]
+        yield f"one-frame {name} {kind} seed=7", _digest(*values)
+
+
+def _tree(out: Path) -> list:
+    """Every file under `out` as its relative path and bytes, in path order."""
+    return [(path.relative_to(out).as_posix(), path.read_bytes())
+            for path in sorted(out.rglob("*")) if path.is_file()]
+
+
+def cli_items():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    with tempfile.TemporaryDirectory() as work:
+        for name, kind in SCENARIOS:
+            out = f"out_{name}_{kind}"
+            scenario = ["--builtin", name, "--trajectory", kind, "--seed", "7", "--out", out]
+            run_dir = f"{out}/{name}/{kind}/7"
+            verbs = {
+                "simulate": ["simulate", *scenario],
+                "calibrate": ["calibrate", *scenario],
+                "fuse": ["fuse", *scenario],
+                "fuse --calibration": ["fuse", *scenario, "--calibration",
+                                       f"{run_dir}/calibration/result.json"],
+                "run": ["run", *scenario],
+                "emit-plots": ["emit-plots", "--run-dir", run_dir],
+                "mc --trials 2": ["mc", *scenario, "--trials", "2"],
+            }
+            for verb, argv in verbs.items():
+                done = subprocess.run([sys.executable, "-m", "radarnet", *argv], cwd=work,
+                                      env=env, capture_output=True)
+                yield f"cli {verb} {name} {kind} seed=7", _digest(
+                    done.returncode, done.stdout, done.stderr, _tree(Path(work) / out))
+
+
+def main() -> int:
+    for items in (solve_frames_items, one_frame_items, cli_items):
+        for label, digest in items():
+            print(f"{digest}  {label}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -41,6 +41,7 @@ from .experiment import (
 from .geometry import Pose2D
 from .scene import (
     BUILTIN_NODES,
+    TRAJECTORY_KINDS,
     ConfigError,
     builtin_scenario,
     export_measurements_csv,
@@ -63,7 +64,7 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="scenario config JSON")
     parser.add_argument("--builtin", choices=sorted(BUILTIN_NODES), help="built-in scenario")
     parser.add_argument(
-        "--trajectory", choices=["straight", "random"], default="random",
+        "--trajectory", choices=TRAJECTORY_KINDS, default="random",
         help="evaluation trajectory kind for --builtin (default random)",
     )
     parser.add_argument("--seed", type=int, help="base RNG seed (default: the config's, or 0)")
@@ -211,39 +212,34 @@ def cmd_emit_plots(args) -> int:
     return EXIT_OK
 
 
+# The verbs that take a scenario: name, handler, help, and whether the
+# verb also takes the pipeline flags.
+_SCENARIO_VERBS = (
+    ("simulate", cmd_simulate, "generate truth and measurement CSVs", False),
+    ("calibrate", cmd_calibrate, "pairwise self-calibration stage", True),
+    ("fuse", cmd_fuse, "one-shot fusion over simulated frames", True),
+    ("run", cmd_run, "full pipeline with report", True),
+    ("mc", cmd_mc, "Monte Carlo over consecutive seeds", True),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="radarnet",
         description="Self-calibrating multi-radar simulation and one-shot fusion experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sim = sub.add_parser("simulate", help="generate truth and measurement CSVs")
-    _add_scenario_args(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_cal = sub.add_parser("calibrate", help="pairwise self-calibration stage")
-    _add_scenario_args(p_cal)
-    _add_pipeline_args(p_cal)
-    p_cal.set_defaults(func=cmd_calibrate)
-
-    p_fuse = sub.add_parser("fuse", help="one-shot fusion over simulated frames")
-    _add_scenario_args(p_fuse)
-    _add_pipeline_args(p_fuse)
-    p_fuse.add_argument("--calibration", type=Path, help="calibration result JSON (default: true poses)")
-    p_fuse.set_defaults(func=cmd_fuse)
-
-    p_run = sub.add_parser("run", help="full pipeline with report")
-    _add_scenario_args(p_run)
-    _add_pipeline_args(p_run)
-    p_run.set_defaults(func=cmd_run)
-
-    p_mc = sub.add_parser("mc", help="Monte Carlo over consecutive seeds")
-    _add_scenario_args(p_mc)
-    _add_pipeline_args(p_mc)
-    p_mc.add_argument("--trials", type=int, default=10)
-    p_mc.add_argument("--jobs", type=int, default=1)
-    p_mc.set_defaults(func=cmd_mc)
+    verbs = {}
+    for name, func, help_text, pipeline in _SCENARIO_VERBS:
+        verbs[name] = verb = sub.add_parser(name, help=help_text)
+        _add_scenario_args(verb)
+        if pipeline:
+            _add_pipeline_args(verb)
+        verb.set_defaults(func=func)
+    verbs["fuse"].add_argument("--calibration", type=Path,
+                               help="calibration result JSON (default: true poses)")
+    verbs["mc"].add_argument("--trials", type=int, default=10)
+    verbs["mc"].add_argument("--jobs", type=int, default=1)
 
     p_plots = sub.add_parser("emit-plots", help="tidy plot CSVs from a finished run")
     p_plots.add_argument("--run-dir", type=Path, required=True,

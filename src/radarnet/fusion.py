@@ -164,7 +164,11 @@ def frame_table(poses, detections) -> np.ndarray:
     triples, all NaN where a node did not detect the target, as in
     `Simulation.detections`.
     """
-    table = np.empty(np.shape(detections)[:-1] + (6,))
+    shape = np.shape(detections)
+    if shape[-2:-1] != (len(poses),):
+        raise ValueError(f"frame_table takes one pose per node: got {len(poses)} poses for "
+                         f"(F, N, 3) detections of shape {shape}")
+    table = np.empty(shape[:-1] + (6,))
     table[..., :3] = [(pose.x, pose.y, pose.phi) for pose in poses]
     table[..., 3:] = detections
     return table

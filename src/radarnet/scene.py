@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +67,11 @@ class NoiseConfig:
                 raise ConfigError(f"NoiseConfig.{name} must be finite and > 0")
 
 
+# The JSON number keys of each trajectory kind; its keys are the kinds.
+_TRAJECTORY_KEYS = {"straight": ("speed", "heading_deg"), "random": ("speed_cap", "smoothness")}
+TRAJECTORY_KINDS = tuple(_TRAJECTORY_KEYS)
+
+
 @dataclass(frozen=True)
 class TrajectorySpec:
     """Target motion specification.
@@ -85,7 +90,7 @@ class TrajectorySpec:
     smoothness: float = 2.0
 
     def __post_init__(self):
-        if self.kind not in ("straight", "random"):
+        if self.kind not in TRAJECTORY_KINDS:
             raise ConfigError(f"unknown trajectory kind: {self.kind!r}")
         limit = self.speed if self.kind == "straight" else self.speed_cap
         if not 0.0 < limit <= MAX_HUMAN_SPEED:
@@ -361,7 +366,7 @@ def builtin_scenario(name: str, trajectory: str = "straight", seed: int = 0) -> 
     key = name.upper()
     if key not in BUILTIN_NODES:
         raise ConfigError(f"unknown builtin scenario {name!r}; expected A, B, or C")
-    if trajectory not in ("straight", "random"):
+    if trajectory not in TRAJECTORY_KINDS:
         raise ConfigError(f"unknown trajectory kind {trajectory!r}")
     other = "random" if trajectory == "straight" else "straight"
     return ScenarioConfig(
@@ -400,20 +405,12 @@ def counterpart_trajectory(
 
 # -- JSON config schema -------------------------------------------------
 
+# The reader and the writer share one table of number keys per section
+# (a trajectory's are `_TRAJECTORY_KEYS`).
 _REQUIRED_KEYS = ("name", "nodes", "trajectory")
-# The number keys of each trajectory kind.
-_TRAJECTORY_KEYS = {"straight": ("speed", "heading_deg"), "random": ("speed_cap", "smoothness")}
-
-
-def _trajectory_to_dict(spec: TrajectorySpec) -> dict:
-    d: dict = {"kind": spec.kind, "start": list(spec.start)}
-    if spec.kind == "straight":
-        d["speed"] = spec.speed
-        d["heading_deg"] = math.degrees(spec.heading)
-    else:
-        d["speed_cap"] = spec.speed_cap
-        d["smoothness"] = spec.smoothness
-    return d
+_SCENARIO_KEYS = ("frame_duration", "num_frames", "seed", "max_range", "fov_half_angle_deg")
+_NODE_KEYS = ("x", "y", "phi_deg")
+_NOISE_KEYS = ("sigma_r", "sigma_omega", "sigma_v")
 
 
 def json_object(value, where: str) -> dict:
@@ -463,6 +460,16 @@ def _json_fields(section: dict, where: str, keys, other=()) -> dict:
     return fields
 
 
+def _json_numbers(record, keys) -> dict:
+    """The inverse of `_json_fields`: the fields of `record` as the numbers of `keys`."""
+    numbers = {}
+    for key in keys:
+        name = key.removesuffix("_deg")
+        value = getattr(record, _FIELD_NAMES.get(name, name))
+        numbers[key] = value if name == key else math.degrees(value)
+    return numbers
+
+
 def _trajectory_from_dict(d, where: str = "trajectory") -> TrajectorySpec:
     d = json_object(d, where)
     missing = [k for k in ("kind", "start") if k not in d]
@@ -477,18 +484,17 @@ def _trajectory_from_dict(d, where: str = "trajectory") -> TrajectorySpec:
     return TrajectorySpec(kind, start, **_json_fields(d, where, keys, ("kind", "start")))
 
 
+def _trajectory_to_dict(spec: TrajectorySpec) -> dict:
+    return {"kind": spec.kind, "start": list(spec.start),
+            **_json_numbers(spec, _TRAJECTORY_KEYS[spec.kind])}
+
+
 def scenario_to_dict(config: ScenarioConfig) -> dict:
     d = {
         "name": config.name,
-        "seed": config.rng_seed,
-        "frame_duration": config.frame_duration,
-        "num_frames": config.num_frames,
-        "max_range": config.max_range,
-        "fov_half_angle_deg": math.degrees(config.fov_half_angle),
-        "nodes": [
-            {"x": n.x, "y": n.y, "phi_deg": math.degrees(n.phi)} for n in config.nodes
-        ],
-        "noise": asdict(config.noise),
+        **_json_numbers(config, _SCENARIO_KEYS),
+        "nodes": [_json_numbers(node, _NODE_KEYS) for node in config.nodes],
+        "noise": _json_numbers(config.noise, _NOISE_KEYS),
         "trajectory": _trajectory_to_dict(config.trajectory),
     }
     if config.calibration_trajectory is not None:
@@ -504,19 +510,17 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
     if not isinstance(d["nodes"], list):
         raise ConfigError(f"nodes must be a list of node objects, got {d['nodes']!r}")
     nodes = []
-    node_keys = ("x", "y", "phi_deg")
     for i, nd in enumerate(d["nodes"]):
         where = f"nodes[{i}]"
         nd = json_object(nd, where)
-        bad = [k for k in node_keys if k not in nd]
+        bad = [k for k in _NODE_KEYS if k not in nd]
         if bad:
             raise ConfigError(f"{where} missing keys: {', '.join(bad)}")
-        nodes.append(Pose2D(**_json_fields(nd, where, node_keys)))
+        nodes.append(Pose2D(**_json_fields(nd, where, _NODE_KEYS)))
     noise = NoiseConfig(**_json_fields(json_object(d.get("noise", {}), "noise"), "noise",
-                                       ("sigma_r", "sigma_omega", "sigma_v")))
+                                       _NOISE_KEYS))
     trajectory = _trajectory_from_dict(d["trajectory"])
-    numbers = _json_fields(d, "", ("frame_duration", "num_frames", "seed", "max_range",
-                                   "fov_half_angle_deg"),
+    numbers = _json_fields(d, "", _SCENARIO_KEYS,
                            _REQUIRED_KEYS + ("noise", "calibration_trajectory"))
     calib = d.get("calibration_trajectory")
     return ScenarioConfig(

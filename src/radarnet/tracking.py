@@ -27,40 +27,38 @@ from .geometry import (
     measurement_jacobian,  # noqa: F401  (trace target)
     rotation_matrix,
 )
-from .scene import (DEFAULT_FRAME_DURATION, NoiseConfig, Simulation, csv_lines, float_cells,
-                    write_lines)
+from .scene import (DEFAULT_FRAME_DURATION, MAX_HUMAN_SPEED, NoiseConfig, Simulation, csv_lines,
+                    float_cells, write_lines)
+
+
+# The track's start: the first detection's position with variance
+# INIT_POS_VAR per axis, zero velocity known only up to the human speed
+# bound.  Updates are skipped when the predicted range falls below
+# MIN_UPDATE_RANGE, where the linearization is unreliable.
+INIT_POS_VAR = 1.0
+INIT_VEL_VAR = MAX_HUMAN_SPEED**2
+MIN_UPDATE_RANGE = 0.5
 
 
 @dataclass(frozen=True)
 class EkfConfig:
-    """EKF tuning: white-acceleration process noise and init variances.
+    """EKF tuning: white-acceleration process noise and an optional gate.
 
-    Updates are skipped when the predicted range falls below
-    `min_range` (the linearization is unreliable that close) or, if a
-    gate is configured, when the squared Mahalanobis innovation
-    distance exceeds `gate_threshold`.
+    When a gate is configured, updates whose squared Mahalanobis
+    innovation distance exceeds `gate_threshold` are skipped.
     """
 
     process_noise_accel: float = 1.0
-    init_pos_var: float = 1.0
-    init_vel_var: float = 3.5**2
     gate_threshold: float | None = None
-    min_range: float = 0.5
 
     def __post_init__(self):
-        # Infinity (and NaN, for the noise) would pass a bare comparison
-        # and then break the filter deep inside.
+        # Infinity and NaN would pass a bare comparison and then break
+        # the filter deep inside.
         if not (math.isfinite(self.process_noise_accel) and self.process_noise_accel >= 0.0):
             raise ValueError("EkfConfig.process_noise_accel must be finite and >= 0")
-        for name in ("init_pos_var", "init_vel_var"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"EkfConfig.{name} must be finite and > 0")
-        # NaN fails both tests: a NaN gate never rejects, a NaN min_range skips every update.
+        # NaN fails the test: a NaN gate would never reject.
         if self.gate_threshold is not None and not self.gate_threshold > 0.0:
             raise ValueError("EkfConfig.gate_threshold must be None or > 0")
-        if not self.min_range >= 0.0:
-            raise ValueError("EkfConfig.min_range must be >= 0")
 
 
 class Track:
@@ -489,8 +487,9 @@ def run_tracker(
 
     `frames` is the scenario's `scene.Simulation`; frame k is its row k.
     The filter initializes from the node's first detection (position
-    from the detection, zero velocity, configured variances), then
-    predicts every frame and updates whenever a detection is present.
+    from the detection, zero velocity, variances `INIT_POS_VAR` and
+    `INIT_VEL_VAR`), then predicts every frame and updates whenever a
+    detection is present beyond `MIN_UPDATE_RANGE`.
     Predict-only frames, and frames whose detection the gate rejected,
     still emit track points, flagged updated=False.
     Filtering happens in the node-local frame, where the radar sits at
@@ -511,7 +510,7 @@ def run_tracker(
     trace_bound = _predict_trace_bound(dt, q)
     r = _noise_variances(noise)
     update_bound = _update_guard_bound(q, r, trace_bound)
-    min_range, gate_threshold = cfg.min_range, cfg.gate_threshold
+    gate_threshold = cfg.gate_threshold
     hypot, isfinite = math.hypot, math.isfinite
     frame_indices, states, covariances, flags = [], [], [], []
     theta: tuple | None = None
@@ -522,12 +521,11 @@ def run_tracker(
             if z is None:
                 continue
             theta = (*_local_cartesian(z[0], z[1]), 0.0, 0.0)
-            pos_var, vel_var = cfg.init_pos_var, cfg.init_vel_var
-            p = (pos_var, 0.0, 0.0, 0.0, pos_var, 0.0, 0.0, vel_var, 0.0, vel_var)
+            p = (INIT_POS_VAR, 0.0, 0.0, 0.0, INIT_POS_VAR, 0.0, 0.0, INIT_VEL_VAR, 0.0, INIT_VEL_VAR)
             updated = True
         else:
             theta, p = _predict(theta, p, dt, q, trace_bound)
-            if z is not None and hypot(theta[0], theta[1]) >= min_range:
+            if z is not None and hypot(theta[0], theta[1]) >= MIN_UPDATE_RANGE:
                 # The radar sits at the local frame's identity pose.
                 model = _measure_at(0.0, 0.0, 1.0, 0.0, *theta, True)
                 trace = p[0] + p[4] + p[7] + p[9]

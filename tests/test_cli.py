@@ -125,6 +125,12 @@ class TestExitCodes:
         pytest.param("calibration_trajectory.speed_cap",
                      lambda d: d["calibration_trajectory"].update(speed_cap=0.5),
                      id="random-key-on-straight"),
+        pytest.param("frame_duration", lambda d: d.update(frame_duration=0),
+                     id="frame-duration-zero"),
+        pytest.param("trajectory smoothness", lambda d: d["trajectory"].update(smoothness=0),
+                     id="smoothness-zero"),
+        pytest.param("trajectory section missing keys:", lambda d: d["trajectory"].pop("start"),
+                     id="trajectory-without-start"),
     ])
     def test_malformed_config_field_is_config_error(self, tmp_path, small_config, capsys,
                                                     field, edit):
@@ -135,7 +141,7 @@ class TestExitCodes:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert f"config error: {field} " in err
-        assert "Traceback" not in err
+        assert "Traceback" not in err and err.count("\n") == 1
         assert not (tmp_path / "o").exists() and not (tmp_path / "escape").exists()
 
     @pytest.mark.parametrize("source", [["--builtin", "A"], ["--config", None]])

@@ -2,6 +2,7 @@
 
 import math
 from contextlib import nullcontext
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -409,6 +410,21 @@ class TestGridCovariance:
         # Along-baseline velocity is pinned by two opposed Doppler reads.
         assert grid[3, 3] < 0.05 * PRIOR.sigma_vy**2
 
+    def test_prior_center_fallback_matches_the_bayes_estimates_center(self):
+        # Without a prior center, both covariances take the one a Bayes
+        # solve of the frame uses.
+        _, observations = detected_frames(builtin_scenario("B", "random", seed=7))
+        for obs in observations[::150]:
+            bayes = solve(obs, TABLE_NOISE, mode="bayes", prior=PRIOR)
+            ml = solve(obs, TABLE_NOISE, mode="ml")
+            assert ml.prior_center is None
+            center = bayes.prior_center
+            assert (laplace_covariance(obs, TABLE_NOISE, PRIOR, bayes.state).tobytes()
+                    == laplace_covariance(obs, TABLE_NOISE, PRIOR, bayes.state, center).tobytes())
+            assert (posterior_covariance_grid(obs, TABLE_NOISE, PRIOR, ml).tobytes()
+                    == posterior_covariance_grid(obs, TABLE_NOISE, PRIOR,
+                                                 replace(ml, prior_center=center)).tobytes())
+
 
 def dense_grid(center, sigmas, points=15, half_width=3.0):
     """The grid's axes and its (P^4, 4) state matrix, ordered as a C-order (P, P, P, P)."""
@@ -749,6 +765,11 @@ class TestFrameTable:
         for i, node in enumerate(config.nodes):
             assert (table[:, i, :3] == (node.x, node.y, node.phi)).all()
         assert table[..., 3:].tobytes() == sim.detections.tobytes()
+
+    @pytest.mark.parametrize("poses", [1, 3])
+    def test_pose_count_other_than_n_raises(self, poses):
+        with pytest.raises(ValueError, match=rf"got {poses} poses .* shape \(2, 2, 3\)"):
+            frame_table([Pose2D(0, 0, 0)] * poses, np.zeros((2, 2, 3)))
 
     @pytest.mark.parametrize("shape", [(5, 6), (5, 2, 5), (5, 0, 6), (5, 2, 6, 1)])
     def test_wrong_shape_raises(self, shape):

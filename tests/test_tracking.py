@@ -27,6 +27,9 @@ from radarnet.scene import (
     simulate,
 )
 from radarnet.tracking import (
+    INIT_POS_VAR,
+    INIT_VEL_VAR,
+    MIN_UPDATE_RANGE,
     EkfConfig,
     Track,
     _cholesky_3,
@@ -110,24 +113,13 @@ class TestEkfConfig:
         with pytest.raises(ValueError, match="gate_threshold"):
             EkfConfig(gate_threshold=gate)
 
-    @pytest.mark.parametrize("min_range", [-0.1, math.nan])
-    def test_min_range_must_be_nonnegative(self, min_range):
-        with pytest.raises(ValueError, match="min_range"):
-            EkfConfig(min_range=min_range)
-
     @pytest.mark.parametrize("accel", [math.nan, math.inf, -1.0])
     def test_process_noise_must_be_finite_nonnegative(self, accel):
         with pytest.raises(ValueError, match="process_noise_accel"):
             EkfConfig(process_noise_accel=accel)
 
-    @pytest.mark.parametrize("name", ["init_pos_var", "init_vel_var"])
-    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0])
-    def test_init_variances_must_be_finite_positive(self, name, value):
-        with pytest.raises(ValueError, match=name):
-            EkfConfig(**{name: value})
-
     def test_valid_edges_accepted(self):
-        assert EkfConfig(gate_threshold=None, min_range=0.0).min_range == 0.0
+        assert EkfConfig(gate_threshold=None).gate_threshold is None
         assert EkfConfig(gate_threshold=1e-9).gate_threshold == 1e-9
 
 
@@ -367,7 +359,7 @@ class TestRunTracker:
                     continue
                 pos = detection_to_local_cartesian(det)
                 state = TargetState(pos[0], pos[1], 0.0, 0.0)
-                cov = np.diag([cfg.init_pos_var, cfg.init_pos_var, cfg.init_vel_var, cfg.init_vel_var])
+                cov = np.diag([INIT_POS_VAR, INIT_POS_VAR, INIT_VEL_VAR, INIT_VEL_VAR])
                 continue
             state, cov = ekf_predict(state, cov, dt, cfg)
             if det is None:
@@ -397,11 +389,11 @@ def manual_chain(sim, node_index, cfg, noise, dt):
                 continue
             pos = detection_to_local_cartesian(det)
             state = TargetState(pos[0], pos[1], 0.0, 0.0)
-            cov = np.diag([cfg.init_pos_var, cfg.init_pos_var, cfg.init_vel_var, cfg.init_vel_var])
+            cov = np.diag([INIT_POS_VAR, INIT_POS_VAR, INIT_VEL_VAR, INIT_VEL_VAR])
             updated = True
         else:
             state, cov = ekf_predict(state, cov, dt, cfg)
-            if det is not None and math.hypot(state.x, state.y) >= cfg.min_range:
+            if det is not None and math.hypot(state.x, state.y) >= MIN_UPDATE_RANGE:
                 prior = state
                 state, cov, _ = ekf_update(state, cov, det, ORIGIN, noise, cfg.gate_threshold)
                 updated = state is not prior
@@ -473,12 +465,12 @@ def reference_numpy_tracker(sim, node_index, cfg, noise, dt):
                 continue
             pos = detection_to_local_cartesian(det)
             theta = np.array([pos[0], pos[1], 0.0, 0.0])
-            cov = np.diag([cfg.init_pos_var, cfg.init_pos_var, cfg.init_vel_var, cfg.init_vel_var])
+            cov = np.diag([INIT_POS_VAR, INIT_POS_VAR, INIT_VEL_VAR, INIT_VEL_VAR])
             updated = True
         else:
             theta = f @ theta
             cov = eigh_projection(f @ cov @ f.T + q)
-            if det is not None and math.hypot(theta[0], theta[1]) >= cfg.min_range:
+            if det is not None and math.hypot(theta[0], theta[1]) >= MIN_UPDATE_RANGE:
                 state = TargetState(*theta)
                 m = measure(ORIGIN, state)
                 h = measurement_jacobian(ORIGIN, state)
@@ -1075,12 +1067,12 @@ def untrimmed_run_tracker(frames, node_index, cfg, noise, dt=0.150):
             if z is None:
                 continue
             theta = (*tracking._local_cartesian(z[0], z[1]), 0.0, 0.0)
-            pos_var, vel_var = cfg.init_pos_var, cfg.init_vel_var
+            pos_var, vel_var = INIT_POS_VAR, INIT_VEL_VAR
             p = (pos_var, 0.0, 0.0, 0.0, pos_var, 0.0, 0.0, vel_var, 0.0, vel_var)
             updated = True
         else:
             theta, p = untrimmed_predict(theta, p, dt, q)
-            if z is not None and math.hypot(theta[0], theta[1]) >= cfg.min_range:
+            if z is not None and math.hypot(theta[0], theta[1]) >= MIN_UPDATE_RANGE:
                 model = untrimmed_measure_floats(ORIGIN, *theta)
                 theta, p, _, updated = tracking._update(theta, p, model, z, r, cfg.gate_threshold)
                 if updated:

@@ -18,42 +18,34 @@ before and after.  Three kinds of item, one line each:
                  after another in one temporary directory with a
                  relative --out.
 
-Stdlib plus radarnet, from the sources of this checkout; runs from any
-directory.
+Stdlib plus numpy and radarnet, from the sources of this checkout or,
+with --rev, of that git revision's src/ (extracted with `git archive`
+into a temporary directory); runs from any directory.
 
     python3 tools/fingerprint.py
+    python3 tools/fingerprint.py --rev REV
+
+A byte-identity check of the working tree against its last commit:
+
+    diff <(python3 tools/fingerprint.py --rev HEAD) <(python3 tools/fingerprint.py)
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
+import io
 import os
 import subprocess
 import sys
+import tarfile
 import tempfile
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
-
-import numpy as np  # noqa: E402
-
-from radarnet.experiment import PIPELINE_PRIOR  # noqa: E402
-from radarnet.fusion import (  # noqa: E402
-    FusionObservation,
-    ObservationEntry,
-    bayes_objective,
-    frame_table,
-    initial_position_estimate,
-    initial_velocity_estimate,
-    laplace_covariance,
-    ml_objective,
-    posterior_covariance_grid,
-    solve,
-    solve_frames,
-)
-from radarnet.scene import Detection, builtin_scenario, simulate  # noqa: E402
 
 SCENARIOS = list(product("ABC", ("straight", "random")))
 FIELDS = ("states", "covariances", "objective_values", "iterations", "converged",
@@ -75,6 +67,10 @@ def _digest(*values) -> str:
 
 
 def solve_frames_items():
+    from radarnet.experiment import PIPELINE_PRIOR
+    from radarnet.fusion import frame_table, solve_frames
+    from radarnet.scene import builtin_scenario, simulate
+
     for (name, kind), seed, mode in product(SCENARIOS, (7, 8, 9), ("ml", "bayes")):
         config = builtin_scenario(name, kind, seed=seed)
         sim = simulate(config)
@@ -90,6 +86,20 @@ def _estimate_values(est):
 
 
 def one_frame_items():
+    from radarnet.experiment import PIPELINE_PRIOR
+    from radarnet.fusion import (
+        FusionObservation,
+        ObservationEntry,
+        bayes_objective,
+        initial_position_estimate,
+        initial_velocity_estimate,
+        laplace_covariance,
+        ml_objective,
+        posterior_covariance_grid,
+        solve,
+    )
+    from radarnet.scene import Detection, builtin_scenario, simulate
+
     for name, kind in SCENARIOS:
         config = builtin_scenario(name, kind, seed=7)
         sim = simulate(config)
@@ -117,8 +127,8 @@ def _tree(out: Path) -> list:
             for path in sorted(out.rglob("*")) if path.is_file()]
 
 
-def cli_items():
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def cli_items(src: Path):
+    env = dict(os.environ, PYTHONPATH=str(src))
     with tempfile.TemporaryDirectory() as work:
         for name, kind in SCENARIOS:
             out = f"out_{name}_{kind}"
@@ -141,9 +151,20 @@ def cli_items():
                     done.returncode, done.stdout, done.stderr, _tree(Path(work) / out))
 
 
-def main() -> int:
-    for items in (solve_frames_items, one_frame_items, cli_items):
-        for label, digest in items():
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--rev", help="git revision whose src/ to fingerprint")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tree:
+        src = ROOT / "src"
+        if args.rev is not None:
+            archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.rev, "src"],
+                                     check=True, capture_output=True).stdout
+            with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+                tar.extractall(tree, filter="data")
+            src = Path(tree) / "src"
+        sys.path.insert(0, str(src))
+        for label, digest in chain(solve_frames_items(), one_frame_items(), cli_items(src)):
             print(f"{digest}  {label}", flush=True)
     return 0
 

@@ -255,10 +255,13 @@ def fuse_frames(
 ) -> dict[str, FusionEstimates]:
     """One-shot fusion of the simulation's `frames` (indices) at the node
     `poses`, one batch per mode of `options`; the prior applies in Bayes
-    mode only.  A node that did not detect a frame takes no part in it."""
+    mode only, and the candidate starts are filtered by the scenario's
+    field of view.  A node that did not detect a frame takes no part in
+    it."""
     table = frame_table(poses, sim.detections[frames])
     return {
-        mode: solve_frames(table, config.noise, mode, PIPELINE_PRIOR if mode == "bayes" else None)
+        mode: solve_frames(table, config.noise, mode, PIPELINE_PRIOR if mode == "bayes" else None,
+                           fov_half_angle=config.fov_half_angle)
         for mode in options.modes
     }
 

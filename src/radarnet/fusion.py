@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .geometry import (FOV_HALF_ANGLE, Detection, Pose2D, TargetState, boresight_angles,
                        elementwise)
@@ -255,8 +256,9 @@ class _Frames:
     None for ML.  `evaluate` takes one state row per frame, (F, 4): the
     LM iterates, or the candidate starts of a model whose frames `take`
     repeated once per candidate.  Its terms are stacked blocks, the
-    offsets and unit vectors to the nodes as (2, N, F), the predicted
-    range, spatial frequency and radial velocity as one (3, N, F) block.
+    unit vectors to the nodes as (2, N, F), the predicted range, spatial
+    frequency and radial velocity as one (3, N, F) block, and each
+    node's pi (cos phi, sin phi) and the velocity as (2, 2, N, F).
     `grid_objective` takes a grid of one frame (F = 1) as its four axes
     x, y, vx, vy, shaped (P, 1, 1, 1) ... (1, 1, 1, P): the terms that
     depend on position alone then take P^2 points, and only the Doppler
@@ -328,22 +330,23 @@ class _Frames:
             r2 = np.maximum(r2, _MIN_RANGE * _MIN_RANGE)
         predicted = np.empty((3,) + r2.shape)
         unit = offset / np.sqrt(r2, out=predicted[0])
-        product = unit * self.nodes[2:]
-        np.add(product[0], product[1], out=predicted[1])
-        product = state[2:, None] * unit
-        np.add(product[0], product[1], out=predicted[2])
+        # b = pi (cos, sin) and the velocity v per node, projected on u:
+        # the predicted spatial frequency and radial velocity.
+        directions = np.empty((2,) + unit.shape)
+        directions[0] = self.nodes[2:]
+        directions[1] = state[2:, None]
+        product = directions * unit
+        np.add(product[:, 0], product[:, 1], out=predicted[1:])
         blocks = (self.meas - predicted) / self.sigmas
-        squares = blocks * blocks
-        value = squares[0] + squares[1]
-        value += squares[2]
-        value = value.sum(0)
+        # The modalities, then the nodes, each summed in order.
+        value = (blocks * blocks).sum(0).sum(0)
         prior_rows = None
         if self.prior_sigmas is not None:
             prior_rows = (theta - self.center) / self.prior_sigmas
             value += (prior_rows * prior_rows).sum(axis=-1)
         if any_infeasible:
             value[infeasible.any(axis=0)] = np.inf
-        return value, (state, unit, predicted, blocks, prior_rows)
+        return value, (unit, predicted, blocks, directions, prior_rows)
 
     def grid_objective(self, axes) -> np.ndarray:
         """`objective` on a grid's four axes; the frame axis (F = 1) lines up
@@ -361,12 +364,24 @@ class _Frames:
         uy = dy / r
         range_ = (meas_r - r) / noise.sigma_r
         angle = (meas_w - (ux * pi_cos + uy * pi_sin)) / noise.sigma_omega
-        doppler = (meas_v - (vx * ux + vy * uy)) / noise.sigma_v
-        value = (range_ * range_ + angle * angle + doppler * doppler).sum(0)
+        plane = range_ * range_ + angle * angle
+        # Each node's P^4 term, range and angle plus Doppler, is written
+        # into `value` (node 0) or `term` and added in node order.
+        value, term = (np.empty(np.broadcast_shapes(*(a.shape for a in axes)))
+                       for _ in range(2))
+        for node in range(len(plane)):
+            doppler = term if node else value
+            np.add(vx * ux[node], vy * uy[node], out=doppler)
+            np.subtract(meas_v[node], doppler, out=doppler)
+            doppler /= noise.sigma_v
+            doppler *= doppler
+            doppler += plane[node]
+            if node:
+                value += term
         if self.prior_sigmas is not None:
             q = [((a - c) / s) ** 2 for a, c, s in zip(axes, self.center[0], self.prior_sigmas)]
             # Summed in the order of the state arrays' four-term sum.
-            value += ((q[0] + q[1]) + q[2]) + q[3]
+            value += np.add((q[0] + q[1]) + q[2], q[3], out=term)
         if infeasible.any():
             value[np.broadcast_to(infeasible.any(axis=0), value.shape)] = np.inf
         return value
@@ -378,7 +393,7 @@ class _Frames:
     def jacobian(self, terms) -> tuple[np.ndarray, np.ndarray]:
         """Residuals (F, M) and their Jacobian (F, M, 4) from `evaluate`'s terms
         at (F, 4) states."""
-        state, unit, predicted, blocks, prior_rows = terms
+        unit, predicted, blocks, directions, prior_rows = terms
         n, frames = predicted.shape[1:]
         m = 3 * n
         # Frame-major and C-ordered, as J'J's matmul expects.
@@ -397,8 +412,7 @@ class _Frames:
         # Spatial frequency and radial velocity on (x, y):
         # (omega u - pi (cos, sin))/(r sigma_omega) and (vel u - v)/(r sigma_v).
         turn = predicted[1:, None] * unit
-        turn[0] -= self.nodes[2:]
-        turn[1] -= state[2:, None]
+        turn -= directions
         turn /= (predicted[0] * self.sigmas[1:])[:, None]
         rows[:, 1:, :, :2] = turn.transpose(3, 0, 2, 1)
         return res, jac
@@ -418,14 +432,15 @@ class _Frames:
         -d/(sigma_v r) (I - uu'), and the velocity block 0; the prior rows
         are linear.  Each block is summed over the nodes in order.
         """
-        state, unit, predicted, blocks, _ = terms
+        unit, predicted, blocks, directions, _ = terms
         r = predicted[0]
         # rho/(sigma_r r) = -a, w/(sigma_omega r) and d/(sigma_v r).
         scaled = blocks / (self.sigmas * r)
         coefficients = scaled[1:] / r
         products = coefficients * predicted[1:]
         m = products[0] + products[1]
-        g = coefficients[0] * self.nodes[2:] + coefficients[1] * state[2:, None]
+        products = coefficients[:, None] * directions
+        g = products[0] + products[1]
         # (4, 4, N, F) per node, its velocity block zero; `flat` steps
         # along the diagonals of its position and cross blocks.
         node_blocks = np.zeros((4, 4) + r.shape)
@@ -443,36 +458,46 @@ class _Frames:
         return node_blocks.sum(axis=2).transpose(2, 0, 1)
 
 
-def _normal_equations(frames: _Frames, terms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-frame Gauss-Newton Hessian J'J (F, 4, 4), J'r (F, 4) and the LM
-    step matrix (F, 4, 4): J'J + S where that is positive definite, else J'J."""
+def _normal_equations(frames: _Frames, terms) -> tuple[np.ndarray, np.ndarray]:
+    """Per-frame Gauss-Newton Hessian J'J (F, 4, 4) and J'r (F, 4)."""
     res, jac = frames.jacobian(terms)
     jac_t = jac.swapaxes(-1, -2)
-    hessian = jac_t @ jac
+    return jac_t @ jac, (jac_t @ res[..., None])[..., 0]
+
+
+def _step_matrices(frames: _Frames, terms, hessian: np.ndarray) -> np.ndarray:
+    """The LM step matrix (F, 4, 4): J'J + S where that is positive
+    definite, else J'J."""
     step_matrix = hessian + frames.curvature(terms)
     np.copyto(step_matrix, hessian, where=~_positive_definite(step_matrix)[:, None, None])
-    return hessian, (jac_t @ res[..., None])[..., 0], step_matrix
+    return step_matrix
+
+
+def _stationary(gradient_half: np.ndarray) -> np.ndarray:
+    """Whether each frame's objective gradient 2 J'r has infinity-norm
+    below the tolerance (F,)."""
+    # |J'r| < tol/2 is |2 J'r| < tol exactly: both scalings are by 2.
+    return np.abs(gradient_half).max(axis=-1) < _GRADIENT_TOL / 2.0
 
 
 def _positive_definite(m: np.ndarray) -> np.ndarray:
     """Whether each symmetric 4x4 matrix of `m` (F, 4, 4) is positive
-    definite (F,): its four LDL' pivots, computed elementwise from the
-    upper triangle, are all > 0.  A matrix with a NaN entry is not.
+    definite (F,): its four LDL' pivots, computed from the upper
+    triangle, are all > 0.  A matrix with a NaN entry is not.
 
-    A pivot that is not > 0 turns NaN before it divides, so the pivots
-    after it are NaN and compare False.
+    Each step eliminates the leading pivot d of the block B left so far,
+    B' = B[1:, 1:] - l B[0, 1:] with l = B[0, 1:]/d, whose upper
+    triangle reads only the upper triangle of B.  A pivot that is not
+    > 0 turns NaN before it divides, so the pivots after it are NaN and
+    compare False.
     """
-    a = m.reshape(len(m), 16).T
-    a00, a01, a02, a03, a11, a12, a13, a22, a23, a33 = a[[0, 1, 2, 3, 5, 6, 7, 10, 11, 15]]
-    d0 = np.where(a00 > 0.0, a00, np.nan)
-    l1, l2, l3 = a01 / d0, a02 / d0, a03 / d0
-    b11, b12, b13 = a11 - l1 * a01, a12 - l1 * a02, a13 - l1 * a03
-    b22, b23, b33 = a22 - l2 * a02, a23 - l2 * a03, a33 - l3 * a03
-    d1 = np.where(b11 > 0.0, b11, np.nan)
-    l2, l3 = b12 / d1, b13 / d1
-    c22, c23, c33 = b22 - l2 * b12, b23 - l2 * b13, b33 - l3 * b13
-    d2 = np.where(c22 > 0.0, c22, np.nan)
-    return c33 - c23 / d2 * c23 > 0.0
+    block = m
+    for _ in range(3):
+        pivot = block[:, 0, 0]
+        row = block[:, 0, 1:]
+        scaled = row / np.where(pivot > 0.0, pivot, np.nan)[:, None]
+        block = block[:, 1:, 1:] - scaled[:, :, None] * row[:, None]
+    return block[:, 0, 0] > 0.0
 
 
 def _objective_terms(theta, obs, noise, prior=None, prior_center=None):
@@ -551,23 +576,26 @@ def _range_circles(nodes: _Columns) -> tuple[np.ndarray, np.ndarray]:
     return points, np.array([meet, meet & ~tangent])
 
 
-# Candidate starts farther off boresight than this cannot have produced
-# a detection; the margin absorbs angle noise on edge-of-FoV targets.
-_VISIBILITY_LIMIT = FOV_HALF_ANGLE + math.radians(15.0)
+# Candidate starts farther off boresight than the field of view's
+# half-angle plus this margin cannot have produced a detection; the
+# margin absorbs angle noise on edge-of-FoV targets.
+_VISIBILITY_MARGIN = math.radians(15.0)
 # The closed-form initializer and the two range-circle intersections.
 _MAX_STARTS = 3
 
 
-def _start_table(nodes: _Columns) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _start_table(nodes: _Columns, fov_half_angle: float
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every frame's closed-form position start and candidate LM starts.
 
     The candidates are that initializer and the two range-circle
     intersections, each with the closed-form velocity: the precise
     ranges admit a mirror solution the coarse angles may fail to rule
     out.  A frame keeps those that exist and that every detecting node
-    could actually see (within its widened field of view, and not on
-    the node itself), since the detection event excludes the others;
-    if that would drop them all, it keeps every one that exists.
+    could actually see (within `fov_half_angle` plus a 15 deg margin
+    off its boresight, and not on the node itself), since the detection
+    event excludes the others; if that would drop them all, it keeps
+    every one that exists.
     Returns the position starts x and y (F,), the candidates as
     (F, 3, 4), a missing one standing in as the initializer, and which
     candidates each frame keeps (F, 3).  Every |omega| <= pi must have
@@ -586,8 +614,8 @@ def _start_table(nodes: _Columns) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     # off the node's boresight.
     offset = candidates[:, :, None] - nodes.table[:2]
     angle = boresight_angles(offset[:, 0], offset[:, 1], *nodes.cs)
-    on_node = ~offset.any(axis=1)
-    visible = exists & ~(on_node | (np.abs(angle) > _VISIBILITY_LIMIT)).any(axis=1)
+    unseen = ~offset.any(axis=1) | (np.abs(angle) > fov_half_angle + _VISIBILITY_MARGIN)
+    visible = exists & ~unseen.any(axis=1)
     keep = np.where(visible.any(axis=0), visible, exists)
     starts = np.empty((frames, _MAX_STARTS, 4))
     starts[..., :2] = candidates.transpose(2, 0, 1)
@@ -600,6 +628,8 @@ def solve(
     noise: NoiseConfig,
     mode: str = "bayes",
     prior: PriorConfig | None = None,
+    *,
+    fov_half_angle: float = FOV_HALF_ANGLE,
 ) -> FusionEstimate:
     """Levenberg-Marquardt minimization of the ML or Bayes objective.
 
@@ -607,7 +637,7 @@ def solve(
     and stop tests; the result is bit-identical to that frame's entry
     in any batch.
     """
-    return _solve_frames(_table(obs), noise, mode, prior)[0]
+    return _solve_frames(_table(obs), noise, mode, prior, fov_half_angle)[0]
 
 
 def solve_frames(
@@ -615,6 +645,8 @@ def solve_frames(
     noise: NoiseConfig,
     mode: str = "bayes",
     prior: PriorConfig | None = None,
+    *,
+    fov_half_angle: float = FOV_HALF_ANGLE,
 ) -> FusionEstimates:
     """Levenberg-Marquardt minimization of the ML or Bayes objective, per frame.
 
@@ -633,7 +665,9 @@ def solve_frames(
     Each frame is solved on its own: its result does not depend on the
     other frames in the batch.  A frame starts from the best-scoring
     feasible candidate among the closed-form position/velocity
-    initializer and the two range-circle intersections, FoV-filtered.
+    initializer and the two range-circle intersections, dropping those
+    more than `fov_half_angle` (the nodes' field-of-view half-angle)
+    plus a 15 deg margin off a detecting node's boresight.
     A step solves (A + lam I) step = -J'r, where the step matrix A is
     J'J + S, S = sum_i r_i Hess(r_i) the residual curvature
     (`_Frames.curvature`), wherever that is positive definite, and
@@ -647,10 +681,10 @@ def solve_frames(
     an accepted step lowers it tenfold.  The returned covariances and
     conditioning are those of J'J.
     """
-    return _solve_frames(table, noise, mode, prior)
+    return _solve_frames(table, noise, mode, prior, fov_half_angle)
 
 
-def _solve_frames(table, noise, mode, prior) -> FusionEstimates:
+def _solve_frames(table, noise, mode, prior, fov_half_angle) -> FusionEstimates:
     """`solve_frames` behind both public entry points, so that the
     single-node warning points at the caller of either."""
     mode = mode.lower()
@@ -664,7 +698,7 @@ def _solve_frames(table, noise, mode, prior) -> FusionEstimates:
             "single-node observation: vector velocity is unobservable",
             stacklevel=3,
         )
-    parts = [_solve_group(group, noise, mode, prior) for _, group in groups]
+    parts = [_solve_group(group, noise, mode, prior, fov_half_angle) for _, group in groups]
     if len(parts) == 1:
         return parts[0]
     # Several node counts: put each group's rows back in input order.
@@ -702,10 +736,10 @@ def _frame_groups(table: np.ndarray) -> list[tuple[range | np.ndarray, np.ndarra
     return [(rows, table[rows][detecting[rows]].reshape(len(rows), -1, 6)) for rows in groups]
 
 
-def _solve_group(table: np.ndarray, noise, mode, prior) -> FusionEstimates:
+def _solve_group(table: np.ndarray, noise, mode, prior, fov_half_angle) -> FusionEstimates:
     """`solve_frames` on an (F, N, 6) frame table."""
     nodes = _columns(table)
-    px, py, starts, keep = _start_table(nodes)
+    px, py, starts, keep = _start_table(nodes, fov_half_angle)
     frames_count = len(px)
     centers = None
     if mode == "bayes":
@@ -747,24 +781,20 @@ def _solve_group(table: np.ndarray, noise, mode, prior) -> FusionEstimates:
 _IDENTITY = np.eye(4)
 
 
+def _solve_systems(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The solutions x of the stacked systems a x = b, a (F, 4, 4) and
+    b (F, 4, 1), by the LAPACK gufunc `np.linalg.solve` wraps, called
+    without that wrapper's checks: a system LAPACK finds exactly
+    singular comes back as a NaN block instead of raising."""
+    with np.errstate(all="ignore"):
+        return _umath_linalg.solve(a, b, signature="dd->d")
+
+
 def _damped_steps(step_matrix, gradient_half, lam):
-    """LM steps solving (step_matrix + lam I) step = -J'r per frame, and which were singular."""
+    """LM steps solving (step_matrix + lam I) step = -J'r per frame, a
+    NaN row where that system is singular."""
     damped = step_matrix + lam[:, None, None] * _IDENTITY
-    rhs = -gradient_half[..., None]
-    try:
-        return np.linalg.solve(damped, rhs)[..., 0], None
-    except np.linalg.LinAlgError:
-        pass
-    # Solve frame by frame to find the singular systems; the others get
-    # the step the stacked solve would have computed.
-    steps = np.zeros_like(gradient_half)
-    singular = np.zeros(len(lam), dtype=bool)
-    for k in range(len(lam)):
-        try:
-            steps[k] = np.linalg.solve(damped[k:k + 1], rhs[k:k + 1])[0, :, 0]
-        except np.linalg.LinAlgError:
-            singular[k] = True
-    return steps, singular
+    return _solve_systems(damped, -gradient_half[..., None])[..., 0]
 
 
 def _levenberg_marquardt(frames: _Frames, theta: np.ndarray, value: np.ndarray):
@@ -773,11 +803,13 @@ def _levenberg_marquardt(frames: _Frames, theta: np.ndarray, value: np.ndarray):
     The working arrays hold the frames still iterating.  They are
     compacted only when some frame stops, and that frame's results are
     written out then, each array compacted by one `take` of the kept
-    rows.  A candidate's Jacobian is built only when some frame accepts
-    its step; when only some do, each working array takes their rows in
-    place with one `np.copyto`.  Returns the final states, objective values,
-    Hessians J'J (not the step matrices), iteration counts and converged
-    flags.
+    rows.  A candidate's J'J and J'r are built only when some frame
+    accepts its step, and its step matrix only when some accepting frame
+    is not stationary, since a stationary frame stops before it steps
+    again; when only some frames accept, each working array takes their
+    rows in place with one `np.copyto`.  Returns the final states,
+    objective values, Hessians J'J (not the step matrices), iteration
+    counts and converged flags.
     """
     count = len(theta)
     out_theta = np.empty_like(theta)
@@ -786,13 +818,21 @@ def _levenberg_marquardt(frames: _Frames, theta: np.ndarray, value: np.ndarray):
     iterations = np.full(count, _MAX_ITERATIONS)
     converged = np.zeros(count, dtype=bool)
 
-    hessian, gradient_half, step_matrix = _normal_equations(frames, frames.evaluate(theta)[1])
+    terms = frames.evaluate(theta)[1]
+    hessian, gradient_half = _normal_equations(frames, terms)
+    # A gradient is tested once, in the pass that accepts it: a frame
+    # whose step was rejected keeps the gradient that did not stop it.
+    # A frame found stationary stops at the start of the next pass.
+    stationary = _stationary(gradient_half)
+    step_matrix = (_step_matrices(frames, terms, hessian)
+                   if np.count_nonzero(stationary) < count else None)
     lam = np.full(count, _LAMBDA_INIT)
     active = np.arange(count)
 
     def finish(stop, iteration, reached) -> bool:
         """Write out the frames `stop` marks; False once none is left."""
-        nonlocal theta, value, hessian, gradient_half, step_matrix, lam, active, frames
+        nonlocal theta, value, hessian, gradient_half, step_matrix, stationary, lam, active
+        nonlocal frames
         rows = np.flatnonzero(stop)
         done = active.take(rows)
         out_theta[done] = theta.take(rows, 0)
@@ -805,43 +845,41 @@ def _levenberg_marquardt(frames: _Frames, theta: np.ndarray, value: np.ndarray):
         keep = np.flatnonzero(~stop)
         theta, value, hessian = theta.take(keep, 0), value.take(keep), hessian.take(keep, 0)
         gradient_half, step_matrix = gradient_half.take(keep, 0), step_matrix.take(keep, 0)
-        lam, active = lam.take(keep), active.take(keep)
+        stationary, lam, active = stationary.take(keep), lam.take(keep), active.take(keep)
         frames = frames.take(keep)
         return True
 
-    # A gradient is tested once per accepted step: a frame whose step was
-    # rejected keeps the gradient that did not stop it.
-    moved = True
     for iteration in range(1, _MAX_ITERATIONS + 1):
-        if moved:
-            # |J'r| < tol/2 is |2 J'r| < tol exactly: both scalings are by 2.
-            stationary = np.abs(gradient_half).max(axis=-1) < _GRADIENT_TOL / 2.0
-            if np.count_nonzero(stationary) and not finish(stationary, iteration, stationary):
-                break
-        step, singular = _damped_steps(step_matrix, gradient_half, lam)
-        short = np.sqrt((step * step).sum(axis=-1)) < _STEP_TOL
-        moving = ~short
-        if singular is not None:
-            # A singular frame's step is zero, but it has not converged.
-            short &= ~singular
-            moving &= ~singular
+        if np.count_nonzero(stationary) and not finish(stationary, iteration, stationary):
+            break
+        step = _damped_steps(step_matrix, gradient_half, lam)
+        length = np.sqrt((step * step).sum(axis=-1))
+        short = length < _STEP_TOL
+        # A singular frame's NaN step is neither short nor moving: it has
+        # not converged, and it raises its damping but never stops on it.
+        moving = length >= _STEP_TOL
         candidate = theta + step
         cand_value, cand_terms = frames.evaluate(candidate)
         accept = (cand_value < value) & moving
         accepted = np.count_nonzero(accept)
-        moved = accepted > 0
         if accepted == len(accept):
             theta, value = candidate, cand_value
-            hessian, gradient_half, step_matrix = _normal_equations(frames, cand_terms)
+            hessian, gradient_half = _normal_equations(frames, cand_terms)
+            stationary = _stationary(gradient_half)
+            if np.count_nonzero(stationary) < accepted:
+                step_matrix = _step_matrices(frames, cand_terms, hessian)
             lam = np.maximum(lam / 10.0, _LAMBDA_MIN)
             continue
         if accepted:
-            cand_hessian, cand_gradient_half, cand_step = _normal_equations(frames, cand_terms)
+            cand_hessian, cand_gradient_half = _normal_equations(frames, cand_terms)
+            stationary = _stationary(cand_gradient_half) & accept
+            if np.count_nonzero(stationary) < accepted:
+                cand_step = _step_matrices(frames, cand_terms, cand_hessian)
+                np.copyto(step_matrix, cand_step, where=accept[:, None, None])
             np.copyto(theta, candidate, where=accept[:, None])
             np.copyto(value, cand_value, where=accept)
             np.copyto(hessian, cand_hessian, where=accept[:, None, None])
             np.copyto(gradient_half, cand_gradient_half, where=accept[:, None])
-            np.copyto(step_matrix, cand_step, where=accept[:, None, None])
             # Clipping both ways is the one-sided clip of each branch: an
             # accepting frame's lam / 10 stays below the maximum and a
             # rejecting frame's lam * 10 above the minimum.
@@ -851,7 +889,6 @@ def _levenberg_marquardt(frames: _Frames, theta: np.ndarray, value: np.ndarray):
             moving &= ~accept
         else:
             lam = np.minimum(lam * 10.0, _LAMBDA_MAX)
-        # Singular frames raise their damping but never stop on it.
         stop = short | (moving & (lam >= _LAMBDA_MAX))
         if np.count_nonzero(stop) and not finish(stop, iteration, short):
             break
@@ -892,12 +929,17 @@ def _grid_axes(center, sigmas, half_width_sigmas, points_per_dim):
     return offsets, [c + o for c, o in zip(center, offsets)]
 
 
+# Below this exponent exp(x) rounds to 0.0.
+_EXP_UNDERFLOW = -746.0
+
+
 def _grid_moments(values: np.ndarray, offsets: list[np.ndarray]) -> np.ndarray:
     """Covariance of exp(-L/2) from the objective values L on a (P, P, P, P) grid.
 
-    Non-finite values get zero weight.  The moments are taken about the
-    grid centre, `offsets` being each axis's offsets from it, from the
-    marginals of the (x, y) and (vx, vy) planes and their cross moments.
+    Non-finite values get zero weight; `values` is overwritten.  The
+    moments are taken about the grid centre, `offsets` being each axis's
+    offsets from it, from the marginals of the (x, y) and (vx, vy)
+    planes and their cross moments.
     """
     finite = np.isfinite(values)
     low = np.min(values, where=finite, initial=np.inf)
@@ -906,7 +948,11 @@ def _grid_moments(values: np.ndarray, offsets: list[np.ndarray]) -> np.ndarray:
             "posterior density underflowed everywhere on the grid; "
             "widen the noise/prior sigmas or shrink the grid"
         )
-    weights = np.exp(-0.5 * (values - low), out=np.zeros_like(values), where=finite)
+    # The exponents -(L - low)/2, in place.
+    values -= low
+    values *= -0.5
+    # exp is exactly 0.0 below -745.14, where it takes a slow path.
+    weights = np.exp(values, out=np.zeros_like(values), where=finite & (values > _EXP_UNDERFLOW))
     p = len(offsets[0])
     # Rows are the (x, y) plane's points, columns the (vx, vy) plane's.
     joint = weights.reshape(p * p, p * p)
@@ -947,7 +993,7 @@ def grid_covariance(
     """
     offsets, axes = _grid_axes(center, sigmas, half_width_sigmas, points_per_dim)
     thetas = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
-    values = np.asarray(value_fn(thetas), dtype=float).reshape((points_per_dim,) * 4)
+    values = np.array(value_fn(thetas), dtype=float).reshape((points_per_dim,) * 4)
     return _grid_moments(values, offsets)
 
 

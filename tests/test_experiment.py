@@ -288,8 +288,8 @@ class TestCsvRoundTrip:
             tracks[Path(path).name] = track
             return real_export_track_csv(track, path)
 
-        def solve_frames(table, noise, mode, prior=None):
-            estimates[mode] = real_solve_frames(table, noise, mode=mode, prior=prior)
+        def solve_frames(table, noise, mode, prior=None, **options):
+            estimates[mode] = real_solve_frames(table, noise, mode=mode, prior=prior, **options)
             return estimates[mode]
 
         real_export_track_csv = experiment.export_track_csv
@@ -691,6 +691,23 @@ class TestArrayFusion:
         assert len(rows) > 50
         for row in rows:
             assert row[start:start + 4] == track[row[0]]
+
+
+    def test_solver_takes_the_scenarios_field_of_view(self, monkeypatch):
+        import radarnet.experiment as experiment
+
+        seen = []
+
+        def solve_frames(table, noise, mode, prior=None, **options):
+            seen.append((mode, options))
+            return real_solve_frames(table, noise, mode, prior, **options)
+
+        real_solve_frames = experiment.solve_frames
+        monkeypatch.setattr(experiment, "solve_frames", solve_frames)
+        config = replace(small_scenario(seed=7), fov_half_angle=math.radians(85.0))
+        run_experiment(config, PipelineOptions(write_outputs=False))
+        assert seen == [(mode, {"fov_half_angle": config.fov_half_angle})
+                        for mode in ("ml", "bayes")]
 
 
 class TestMonteCarlo:

@@ -596,24 +596,25 @@ class TestSolveFrames:
         reference = solve_frames(table, TABLE_NOISE, mode="ml")
 
         # Record frame 1's first damped system, then have the linear
-        # solver refuse it as singular wherever it appears.
-        real_solve = np.linalg.solve
+        # solver find it singular wherever it appears: its solution
+        # comes back as NaN, as LAPACK returns it.
+        real_solve = fusion_module._solve_systems
         recorded = []
 
         def recording(a, b):
             recorded.append(np.array(a))
             return real_solve(a, b)
 
-        monkeypatch.setattr(np.linalg, "solve", recording)
+        monkeypatch.setattr(fusion_module, "_solve_systems", recording)
         solve(observations[1], TABLE_NOISE, mode="ml")
         singular = recorded[0][0]
 
         def refusing(a, b):
-            if any(np.array_equal(m, singular) for m in a):
-                raise np.linalg.LinAlgError("Singular matrix")
-            return real_solve(a, b)
+            x = real_solve(a, b)
+            x[[np.array_equal(m, singular) for m in a]] = np.nan
+            return x
 
-        monkeypatch.setattr(np.linalg, "solve", refusing)
+        monkeypatch.setattr(fusion_module, "_solve_systems", refusing)
         batch = solve_frames(table, TABLE_NOISE, mode="ml")
         assert_same_estimate(batch[0], reference[0])
         assert_same_estimate(batch[2], reference[2])
@@ -712,7 +713,7 @@ class TestNewtonStep:
         with monkeypatch.context() as patch:
             # The Gauss-Newton reference: no curvature, and a long run.
             patch.setattr(_Frames, "curvature",
-                          lambda self, terms: np.zeros((terms[0].shape[1], 4, 4)))
+                          lambda self, terms: np.zeros((self.nodes.shape[-1], 4, 4)))
             patch.setattr(fusion_module, "_MAX_ITERATIONS", 5000)
             want = solve_frames(table, config.noise, mode="bayes", prior=PRIOR)
         crawl = want.iterations > 100
@@ -876,7 +877,7 @@ def reference_range_circle_intersections(obs):
     return [(bx - height * uy, by + height * ux), (bx + height * uy, by - height * ux)]
 
 
-def reference_candidate_starts(obs):
+def reference_candidate_starts(obs, fov_half_angle=FOV_HALF_ANGLE):
     """The LM starts as built with array initializers and one TargetState
     per start, the off-boresight angle written out per node."""
     n = obs.num_nodes
@@ -894,7 +895,7 @@ def reference_candidate_starts(obs):
     pos0 = np.array([px, py]) / n
     vx, vy = np.array([vx, vy]) / n
     positions = [(pos0[0], pos0[1])] + reference_range_circle_intersections(obs)
-    limit = FOV_HALF_ANGLE + math.radians(15.0)
+    limit = fov_half_angle + math.radians(15.0)
 
     def visible(position):
         state = TargetState(position[0], position[1], 0.0, 0.0)
@@ -912,11 +913,11 @@ def reference_candidate_starts(obs):
     return pos0, [(x, y, vx, vy) for x, y in (kept or positions)]
 
 
-def assert_same_starts(obs):
+def assert_same_starts(obs, fov_half_angle=FOV_HALF_ANGLE):
     """One frame's position start and kept LM starts against the reference;
     returns the kept starts."""
-    px, py, starts, keep = _start_table(_columns(_table(obs)))
-    want_pos0, want_starts = reference_candidate_starts(obs)
+    px, py, starts, keep = _start_table(_columns(_table(obs)), fov_half_angle)
+    want_pos0, want_starts = reference_candidate_starts(obs, fov_half_angle)
     assert np.array([px[0], py[0]]).tobytes() == want_pos0.tobytes()
     assert starts[0][keep[0]].tobytes() == np.asarray(want_starts, dtype=float).tobytes()
     return [tuple(start) for start in starts[0][keep[0]].tolist()]
@@ -965,7 +966,7 @@ def builtin_frame_tables(name):
 
 def assert_array_starts_match_reference(table, observations):
     """The array front end on a whole frame table against the reference, frame by frame."""
-    px, py, starts, keep = _start_table(_columns(table))
+    px, py, starts, keep = _start_table(_columns(table), FOV_HALF_ANGLE)
     assert starts.shape == (len(observations), 3, 4)
     for j, obs in enumerate(observations):
         want_pos0, want_starts = reference_candidate_starts(obs)
@@ -1260,3 +1261,224 @@ class TestSingleFrameKernel:
             nodes_seen = max(nodes_seen, obs.num_nodes)
         # The C frames stop at their iteration cap; the last frames have three nodes.
         assert capped >= 4 and nodes_seen == 3
+
+
+def elementwise_positive_definite(m):
+    """The pivot test written out entry by entry: the four LDL' pivots of
+    each symmetric 4x4 matrix of `m` (F, 4, 4) from its upper triangle,
+    a pivot that is not > 0 turning NaN before it divides.  The reference
+    the stacked `_positive_definite` must match boolean for boolean."""
+    a = m.reshape(len(m), 16).T
+    a00, a01, a02, a03, a11, a12, a13, a22, a23, a33 = a[[0, 1, 2, 3, 5, 6, 7, 10, 11, 15]]
+    d0 = np.where(a00 > 0.0, a00, np.nan)
+    l1, l2, l3 = a01 / d0, a02 / d0, a03 / d0
+    b11, b12, b13 = a11 - l1 * a01, a12 - l1 * a02, a13 - l1 * a03
+    b22, b23, b33 = a22 - l2 * a02, a23 - l2 * a03, a33 - l3 * a03
+    d1 = np.where(b11 > 0.0, b11, np.nan)
+    l2, l3 = b12 / d1, b13 / d1
+    c22, c23, c33 = b22 - l2 * b12, b23 - l2 * b13, b33 - l3 * b13
+    d2 = np.where(c22 > 0.0, c22, np.nan)
+    return c33 - c23 / d2 * c23 > 0.0
+
+
+class TestLeanKernels:
+    """The stacked pivot test, the one-call damped solve and the grid's
+    underflow cut against the formulations they replace, bit for bit."""
+
+    def test_pivot_test_matches_elementwise_pivots(self):
+        rng = np.random.default_rng(33)
+        x = rng.standard_normal((2000, 4, 4))
+        shift = rng.uniform(-1.0, 6.0, (2000, 1, 1))
+        random = x + x.swapaxes(1, 2) + shift * np.eye(4)
+        # L D L' with a unit lower-triangular integer L and power-of-two
+        # pivots, one of them 0, -1 or 1: every pivot comes out exact.
+        exact = []
+        for k in range(4):
+            for bad in (0.0, -1.0, 1.0):
+                lower = np.eye(4) + np.tril(rng.integers(-2, 3, (4, 4)), -1)
+                pivots = 2.0 ** rng.integers(0, 3, 4)
+                pivots[k] = bad
+                exact.append(lower @ np.diag(pivots) @ lower.T)
+        # A positive definite matrix with a NaN at each entry in turn
+        # (a NaN below the diagonal only is not read), and all NaN.
+        with_nan = []
+        for k in range(16):
+            m = 4.0 * np.eye(4) + 0.5
+            m.flat[k] = np.nan
+            with_nan.append(m)
+        with_nan.append(np.full((4, 4), np.nan))
+        for stack in (random, np.array(exact), np.array(with_nan)):
+            want = elementwise_positive_definite(stack)
+            assert 0 < np.count_nonzero(want) < len(stack)
+            np.testing.assert_array_equal(_positive_definite(stack), want)
+
+    def test_solve_seam_matches_numpy_solve_bit_for_bit(self):
+        rng = np.random.default_rng(34)
+        x = rng.standard_normal((400, 4, 4))
+        general = rng.standard_normal((400, 4, 4))
+        # Positive definite systems over a wide range of conditioning.
+        spd = x @ x.swapaxes(1, 2) + 10.0 ** rng.uniform(-8.0, 1.0, (400, 1, 1)) * np.eye(4)
+        b = rng.standard_normal((400, 4, 1))
+        for a in (general, spd):
+            got = fusion_module._solve_systems(a, b)
+            assert got.tobytes() == np.linalg.solve(a, b).tobytes()
+            for k in range(5):
+                one = fusion_module._solve_systems(a[k:k + 1], b[k:k + 1])
+                assert one.tobytes() == np.linalg.solve(a[k:k + 1], b[k:k + 1]).tobytes()
+
+    def test_solve_seam_returns_nan_rows_for_singular_systems(self):
+        rank_one = np.ones((4, 4))
+        zero_row = 2.0 * np.eye(4)
+        zero_row[2] = 0.0
+        a = np.array([np.eye(4), rank_one, 3.0 * np.eye(4), np.zeros((4, 4)), zero_row])
+        b = np.arange(20.0).reshape(5, 4, 1)
+        got = fusion_module._solve_systems(a, b)
+        singular = np.isnan(got[..., 0]).all(axis=-1)
+        np.testing.assert_array_equal(singular, [False, True, False, True, True])
+        assert not np.isnan(got[~singular]).any()
+        for k in np.flatnonzero(~singular):
+            assert got[k].tobytes() == np.linalg.solve(a[k:k + 1], b[k:k + 1])[0].tobytes()
+        steps = fusion_module._damped_steps(a, b[..., 0], np.zeros(5))
+        np.testing.assert_array_equal(np.isnan(steps).all(axis=-1), singular)
+
+    def test_always_singular_frame_runs_to_the_cap(self, monkeypatch):
+        # A singular frame raises its damping every pass but never stops
+        # on it, and never moves from its start.
+        obs = observation_of(config_b_nodes(), TargetState(1.5, 3.5, 0.2, 0.1), TABLE_NOISE,
+                             np.random.default_rng(35))
+        monkeypatch.setattr(fusion_module, "_solve_systems", lambda a, b: np.full(b.shape, np.nan))
+        est = solve(obs, TABLE_NOISE, mode="ml")
+        assert est.iterations == 100 and not est.converged
+        start = _start_table(_columns(_table(obs)), FOV_HALF_ANGLE)[2][0]
+        assert est.state.as_vector().tolist() in start.tolist()
+
+    def test_grid_underflow_cut_matches_unmasked_exp(self, monkeypatch):
+        underflowing = 0
+        for obs, est in grid_frames():
+            model = TestSeparableGrid.model(obs, est)
+            axes, _ = dense_grid(est.state.as_vector(), laplace_sigmas(obs, est))
+            values = TestSeparableGrid.separable(model, axes)
+            exponents = -0.5 * (values - values.min())
+            cut = exponents <= fusion_module._EXP_UNDERFLOW
+            # exp of every exponent the cut skips is exactly 0.0.
+            assert not np.exp(exponents[cut]).any()
+            underflowing += np.count_nonzero(cut)
+            got = posterior_covariance_grid(obs, TABLE_NOISE, PRIOR, est)
+            with monkeypatch.context() as patch:
+                # Every finite value through np.exp, as before the cut.
+                patch.setattr(fusion_module, "_EXP_UNDERFLOW", -np.inf)
+                want = posterior_covariance_grid(obs, TABLE_NOISE, PRIOR, est)
+            assert got.tobytes() == want.tobytes()
+        assert underflowing > 10_000
+
+    def test_dense_grid_leaves_the_callers_values_alone(self):
+        obs, est = next(grid_frames())
+        model = TestSeparableGrid.model(obs, est)
+        returned = []
+
+        def value_fn(thetas):
+            returned.append(model.objective(thetas))
+            return returned[-1]
+
+        grid_covariance(value_fn, est.state.as_vector(), laplace_sigmas(obs, est), 3.0, 5)
+        _, thetas = dense_grid(est.state.as_vector(), laplace_sigmas(obs, est), points=5)
+        assert returned[0].tobytes() == model.objective(thetas).tobytes()
+
+
+class TestStationaryStop:
+    """A frame whose accepted step lands where the gradient is below the
+    tolerance stops at the start of the next pass, so that pass's step
+    matrix is never built."""
+
+    # `solve`'s iteration counts on `oneshot_frames`, ML then Bayes per
+    # frame, as they were when every accepted pass built its step matrix.
+    ITERATIONS = [9, 17, 8, 6, 11, 6, 8, 7, 5, 5, 58, 7, 9, 14, 12, 7, 4, 4, 5, 5, 5, 5, 13, 7,
+                  7, 5, 5, 5, 4, 4, 11, 10]
+
+    def test_last_accepted_pass_skips_the_step_matrix(self, monkeypatch):
+        calls = dict.fromkeys(("evaluate", "jacobian", "curvature"), 0)
+
+        class Counting(_Frames):
+            def evaluate(self, theta):
+                calls["evaluate"] += 1
+                return super().evaluate(theta)
+
+            def jacobian(self, terms):
+                calls["jacobian"] += 1
+                return super().jacobian(terms)
+
+            def curvature(self, terms):
+                calls["curvature"] += 1
+                return super().curvature(terms)
+
+        monkeypatch.setattr(fusion_module, "_Frames", Counting)
+        iterations, on_gradient = [], 0
+        for obs, prior in oneshot_frames():
+            for mode, mode_prior in (("ml", None), ("bayes", prior)):
+                calls.update(evaluate=0, jacobian=0, curvature=0)
+                est = solve(obs, TABLE_NOISE, mode=mode, prior=mode_prior)
+                iterations.append(est.iterations)
+                # Two evaluations score the starts and the start state;
+                # each pass evaluates one candidate.  A frame stopped by
+                # its gradient at iteration k made k - 1 passes, the
+                # last of which accepted its step.
+                passes = calls["evaluate"] - 2
+                if est.converged and passes == est.iterations - 1:
+                    on_gradient += 1
+                    assert calls["curvature"] == calls["jacobian"] - 1
+                else:
+                    assert calls["curvature"] == calls["jacobian"]
+        assert iterations == self.ITERATIONS
+        assert on_gradient >= 20
+
+
+class TestFieldOfView:
+    """The candidate starts are filtered by the field of view the caller
+    gives: a start more than the half-angle plus 15 deg off a detecting
+    node's boresight is dropped while another start is in view."""
+
+    @staticmethod
+    def frame(node1, off_node0_deg, velocity=(0.3, -0.2)):
+        """A noiseless frame of node 0 at the origin facing +y and `node1`,
+        the target 5 m from node 0 and `off_node0_deg` off its boresight."""
+        angle = math.radians(off_node0_deg)
+        target = TargetState(5.0 * math.sin(angle), 5.0 * math.cos(angle), *velocity)
+        return observation_of((Pose2D(0.0, 0.0, 0.0), node1), target), target
+
+    def test_wide_field_of_view_keeps_a_start_80_deg_off_boresight(self):
+        obs, target = self.frame(Pose2D(2.0, 1.0, math.radians(-60.0)), 80.0)
+        wide = math.radians(85.0)
+        # At the default 60 deg only the mirror start, 47 deg off node 0,
+        # is kept; at 85 deg the two starts at the target are kept too.
+        assert len(assert_same_starts(obs)) == 1
+        kept = assert_same_starts(obs, wide)
+        assert len(kept) == 3
+        assert kept[0][:2] == pytest.approx((target.x, target.y), abs=1e-9)
+        np.testing.assert_array_equal(_start_table(_columns(_table(obs)), wide)[3],
+                                      [[True, True, True]])
+        table = _table(obs)
+        for mode, prior in (("ml", None), ("bayes", PRIOR)):
+            est = solve(obs, TABLE_NOISE, mode=mode, prior=prior, fov_half_angle=wide)
+            assert_same_estimate(est, solve_frames(table, TABLE_NOISE, mode=mode, prior=prior,
+                                                   fov_half_angle=wide)[0])
+            narrow = solve(obs, TABLE_NOISE, mode=mode, prior=prior)
+            assert narrow.state.as_vector()[:2] != pytest.approx([target.x, target.y], abs=0.5)
+        # From the start at the target, ML stays there.
+        est = solve(obs, TABLE_NOISE, mode="ml", fov_half_angle=wide)
+        np.testing.assert_allclose(est.state.as_vector(), target.as_vector(), rtol=0, atol=1e-6)
+
+    def test_narrow_field_of_view_drops_a_mirror_start(self):
+        obs, target = self.frame(Pose2D(1.0, 1.0, math.radians(-15.0)), 20.0)
+        mirror = reference_range_circle_intersections(obs)[1]
+        # The mirror is 70 deg off node 0's boresight: in the default
+        # widened view (75 deg), outside the 30 deg one (45 deg).
+        assert abs(math.degrees(off_boresight(Pose2D(0.0, 0.0, 0.0), *mirror))) == \
+            pytest.approx(70.0, abs=0.1)
+        assert len(assert_same_starts(obs)) == 3
+        kept = assert_same_starts(obs, math.radians(30.0))
+        assert len(kept) == 2 and mirror not in [start[:2] for start in kept]
+        table = _table(obs)
+        est = solve(obs, TABLE_NOISE, mode="ml", fov_half_angle=math.radians(30.0))
+        assert_same_estimate(est, solve_frames(table, TABLE_NOISE, mode="ml",
+                                               fov_half_angle=math.radians(30.0))[0])
+        np.testing.assert_allclose(est.state.as_vector(), target.as_vector(), rtol=0, atol=1e-6)

@@ -161,10 +161,13 @@ def cmd_fuse(args) -> int:
     sim = simulate(config)
     poses = (config.nodes if args.calibration is None
              else _calibrated_poses(args.calibration, len(config.nodes)))
-    out = run_directory(args.out, config) / str(config.rng_seed) / "fusion"
-    out.mkdir(parents=True, exist_ok=True)
     # Frames seen by at least two nodes; each is fused from the nodes that saw it.
     frames = np.flatnonzero(np.count_nonzero(sim.seen, axis=1) >= 2)
+    if not len(frames):
+        raise PipelineError(f"no frame that two or more nodes detected in {len(sim)} frames "
+                            f"(seed {config.rng_seed})")
+    out = run_directory(args.out, config) / str(config.rng_seed) / "fusion"
+    out.mkdir(parents=True, exist_ok=True)
     estimates = fuse_frames(config, sim, poses, frames, options)
     rows = [[k, mode, *est.states[t].tolist(), int(est.converged[t]), float(est.conditioning[t])]
             for t, k in enumerate(frames.tolist()) for mode, est in estimates.items()]

@@ -180,12 +180,14 @@ def run_directory(out_dir: Path | str, config: ScenarioConfig) -> Path:
 
 def _run_trackers(config: ScenarioConfig, sim: Simulation, stage: str) -> list[Track]:
     """Every node's EKF track, or a PipelineError naming the `stage` and
-    the first node that never detected the target (it would have no track)."""
-    blind = np.flatnonzero(~sim.seen.any(axis=0))
+    the first node that never detected the target at a positive range
+    (its track would have no start)."""
+    # An unseen node's range is NaN, which fails the test.
+    blind = np.flatnonzero(~(sim.detections[..., 0] > 0.0).any(axis=0))
     if len(blind):
         raise PipelineError(
-            f"{stage} stage: node {blind[0]} never detected the target in "
-            f"{len(sim)} frames (seed {config.rng_seed}), so it has no track"
+            f"{stage} stage: node {blind[0]} never detected the target at a positive range "
+            f"in {len(sim)} frames (seed {config.rng_seed}), so it has no track"
         )
     return [
         run_tracker(sim, i, PIPELINE_EKF, config.noise, config.frame_duration)
@@ -273,7 +275,8 @@ def run_experiment(
 
     RMSEs are reported against ground truth and against the track-level
     fusion benchmark over the identical frame set: frames past the
-    burn-in where every node detected the target.
+    burn-in where every node detected the target; a PipelineError when
+    there is none.
     """
     options = options or PipelineOptions()
 
@@ -299,11 +302,12 @@ def run_experiment(
     # The fused track holds exactly the frames every node's track holds.
     fused_rows = np.flatnonzero(sim.seen.all(axis=1)[fused.frame_index])
     eval_frames = fused.frame_index[fused_rows]
-    if not len(eval_frames):
-        raise PipelineError("no frames with detections from every node")
+    in_rmse = eval_frames >= BURN_IN_FRAMES
+    if not in_rmse.any():
+        raise PipelineError(f"no frame past the {BURN_IN_FRAMES}-frame burn-in has detections "
+                            f"from every node ({len(eval_frames)} frames before it do)")
     estimates = fuse_frames(config, sim, estimated_poses(calibrations), eval_frames, options)
 
-    in_rmse = eval_frames >= BURN_IN_FRAMES
     rmse_frames = eval_frames[in_rmse]
     references = {
         "truth": sim.truth[rmse_frames],
@@ -410,22 +414,19 @@ def _write_run_outputs(
     )
 
     modes = [mode for mode in ("bayes", "ml") if mode in options.modes]
-    header = ["frame"]
-    prefixes = ["truth", "ekf1", *(f"ekf{i + 1}_in_1" for i in range(1, len(transformed)))]
-    for prefix in prefixes + ["track_fusion"]:
-        header += [f"{prefix}_{q}" for q in ("x", "y", "vx", "vy")]
-    for mode in modes:
-        header += [f"oneshot_{mode}_{q}" for q in ("x", "y", "vx", "vy")]
-        header += [f"oneshot_{mode}_converged", f"oneshot_{mode}_cond"]
-    header.append("in_rmse_set")
-    columns = [frame_cells]
-    for cells in [_pick(truth_cells, 4, eval_frames), *track_cells]:
-        columns += [iter(cells)] * 4
-    for mode in modes:
-        states, converged, cond = oneshot_cells[mode]
-        columns += [*[iter(states)] * 4, converged, cond]
-    columns.append(_flags(in_rmse))
-    write_lines(run_dir / "fusion" / "per_frame.csv", ",".join(header), csv_lines(*columns))
+    prefixes = ["truth", "ekf1", *(f"ekf{i + 1}_in_1" for i in range(1, len(transformed))),
+                "track_fusion", *(f"oneshot_{mode}" for mode in modes)]
+    # Per source, its flat x, y, vx, vy cells, then a one-shot mode's flag cells.
+    sources = [(_pick(truth_cells, 4, eval_frames),), *zip(track_cells),
+               *map(oneshot_cells.get, modes)]
+    columns = [("frame", frame_cells)]
+    for prefix, (states, *flags) in zip(prefixes, sources):
+        # The four state columns share one iterator over the flat cells.
+        columns += zip([f"{prefix}_{q}" for q in ("x", "y", "vx", "vy")], [iter(states)] * 4)
+        columns += zip([f"{prefix}_converged", f"{prefix}_cond"], flags)
+    columns.append(("in_rmse_set", _flags(in_rmse)))
+    header, cells = zip(*columns)
+    write_lines(run_dir / "fusion" / "per_frame.csv", ",".join(header), csv_lines(*cells))
 
     write_json(run_dir / "report" / "report.json", report.to_dict())
 
@@ -440,6 +441,10 @@ def _mc_trial(args) -> tuple[int, dict | None, str | None]:
     except Exception as exc:  # noqa: BLE001 - recorded, not silenced
         return trial, None, f"{type(exc).__name__}: {exc}"
     return trial, report.to_dict(), None
+
+
+# The Monte Carlo aggregate's statistics of each metric.
+_STATISTICS = {"mean": np.mean, "std": np.std, "min": np.min, "max": np.max}
 
 
 def run_monte_carlo(
@@ -489,12 +494,7 @@ def run_monte_carlo(
                     rep["rmse"][bench][f"{quantity}_{mode}"] for rep in reports
                 ]
     aggregates = {
-        name: {
-            "mean": float(np.mean(values)),
-            "std": float(np.std(values)),
-            "min": float(np.min(values)),
-            "max": float(np.max(values)),
-        }
+        name: {stat: float(reduce(values)) for stat, reduce in _STATISTICS.items()}
         for name, values in metrics.items() if values
     }
 

@@ -584,22 +584,20 @@ _VISIBILITY_MARGIN = math.radians(15.0)
 _MAX_STARTS = 3
 
 
-def _start_table(nodes: _Columns, fov_half_angle: float
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every frame's closed-form position start and candidate LM starts.
+def _start_table(nodes: _Columns, fov_half_angle: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every frame's candidate LM starts.
 
-    The candidates are that initializer and the two range-circle
-    intersections, each with the closed-form velocity: the precise
-    ranges admit a mirror solution the coarse angles may fail to rule
-    out.  A frame keeps those that exist and that every detecting node
+    The candidates are the closed-form position initializer and the two
+    range-circle intersections, each with the closed-form velocity: the
+    precise ranges admit a mirror solution the coarse angles may fail to
+    rule out.  A frame keeps those that exist and that every detecting node
     could actually see (within `fov_half_angle` plus a 15 deg margin
     off its boresight, and not on the node itself), since the detection
     event excludes the others; if that would drop them all, it keeps
     every one that exists.
-    Returns the position starts x and y (F,), the candidates as
-    (F, 3, 4), a missing one standing in as the initializer, and which
-    candidates each frame keeps (F, 3).  Every |omega| <= pi must have
-    been checked.
+    Returns the candidates as (F, 3, 4), the initializer first and
+    standing in for a missing one, and which candidates each frame
+    keeps (F, 3).  Every |omega| <= pi must have been checked.
     """
     start = _start_states(nodes)
     position = start[:2]
@@ -620,7 +618,7 @@ def _start_table(nodes: _Columns, fov_half_angle: float
     starts = np.empty((frames, _MAX_STARTS, 4))
     starts[..., :2] = candidates.transpose(2, 0, 1)
     starts[..., 2:] = start[2:].T[:, None]
-    return position[0], position[1], starts, keep.T
+    return starts, keep.T
 
 
 def solve(
@@ -679,7 +677,8 @@ def solve_frames(
     that is singular, raises the objective, or leaves the feasible
     region (zero range to a node) raises that frame's damping tenfold;
     an accepted step lowers it tenfold.  The returned covariances and
-    conditioning are those of J'J.
+    conditioning are those of J'J.  A table of no frames gives estimates
+    of no rows.
     """
     return _solve_frames(table, noise, mode, prior, fov_half_angle)
 
@@ -739,12 +738,13 @@ def _frame_groups(table: np.ndarray) -> list[tuple[range | np.ndarray, np.ndarra
 def _solve_group(table: np.ndarray, noise, mode, prior, fov_half_angle) -> FusionEstimates:
     """`solve_frames` on an (F, N, 6) frame table."""
     nodes = _columns(table)
-    px, py, starts, keep = _start_table(nodes, fov_half_angle)
-    frames_count = len(px)
+    starts, keep = _start_table(nodes, fov_half_angle)
+    frames_count = len(starts)
     centers = None
     if mode == "bayes":
+        # The prior centres on the closed-form position start.
         centers = np.zeros((frames_count, 4))
-        centers[:, 0], centers[:, 1] = px, py
+        centers[:, :2] = starts[:, 0, :2]
     frames = _Frames.of(nodes, noise, prior if mode == "bayes" else None, centers)
     # The best-scoring feasible kept start seeds each frame; ties go to
     # the first in candidate order.  The candidates are scored as frame
@@ -790,13 +790,6 @@ def _solve_systems(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return _umath_linalg.solve(a, b, signature="dd->d")
 
 
-def _damped_steps(step_matrix, gradient_half, lam):
-    """LM steps solving (step_matrix + lam I) step = -J'r per frame, a
-    NaN row where that system is singular."""
-    damped = step_matrix + lam[:, None, None] * _IDENTITY
-    return _solve_systems(damped, -gradient_half[..., None])[..., 0]
-
-
 def _levenberg_marquardt(frames: _Frames, theta: np.ndarray, value: np.ndarray):
     """Per-frame LM from `theta`; see `solve_frames` for the stop tests.
 
@@ -817,6 +810,8 @@ def _levenberg_marquardt(frames: _Frames, theta: np.ndarray, value: np.ndarray):
     out_hessian = np.empty((count, 4, 4))
     iterations = np.full(count, _MAX_ITERATIONS)
     converged = np.zeros(count, dtype=bool)
+    if not count:
+        return out_theta, out_value, out_hessian, iterations, converged
 
     terms = frames.evaluate(theta)[1]
     hessian, gradient_half = _normal_equations(frames, terms)
@@ -852,7 +847,9 @@ def _levenberg_marquardt(frames: _Frames, theta: np.ndarray, value: np.ndarray):
     for iteration in range(1, _MAX_ITERATIONS + 1):
         if np.count_nonzero(stationary) and not finish(stationary, iteration, stationary):
             break
-        step = _damped_steps(step_matrix, gradient_half, lam)
+        # (A + lam I) step = -J'r per frame, a NaN row where that is singular.
+        damped = step_matrix + lam[:, None, None] * _IDENTITY
+        step = _solve_systems(damped, -gradient_half[..., None])[..., 0]
         length = np.sqrt((step * step).sum(axis=-1))
         short = length < _STEP_TOL
         # A singular frame's NaN step is neither short nor moving: it has

@@ -146,17 +146,16 @@ class Detection:
 
 def _measure_at(
     px: float, py: float, c: float, s: float,
-    x: float, y: float, vx: float, vy: float, jacobian: bool,
+    x: float, y: float, vx: float, vy: float,
 ) -> tuple[float, ...]:
     """The exact measurement model on floats, for a radar at (px, py)
     whose array direction is (c, s) = (cos phi, sin phi).
 
     Returns (range, spatial frequency, radial velocity) of the target
-    (x, y, vx, vy) and, with `jacobian`, six more floats: the Jacobian
-    entries h00, h01, h10, h11, h20, h21 w.r.t. (x, y, vx, vy).  The
-    other six entries follow from them: h22 = h00 and h23 = h01 (the
-    line-of-sight direction), and the velocity columns of the first two
-    rows are zero.  `measure`, `measurement_jacobian` and the EKF all
+    (x, y, vx, vy) and six more floats: the Jacobian entries h00, h01,
+    h10, h11, h20, h21 w.r.t. (x, y, vx, vy).  The other six entries
+    follow from them: h22 = h00 and h23 = h01 (the line-of-sight
+    direction), and the velocity columns of the first two rows are zero.  `measure`, `measurement_jacobian` and the EKF all
     call this one kernel.
 
     The EKF runs in the node-local frame, where the radar sits at the
@@ -170,8 +169,6 @@ def _measure_at(
         raise ValueError("target coincides with radar position; range is zero")
     along_array = dx * c + dy * s
     vel_proj = vx * dx + vy * dy
-    if not jacobian:
-        return r, math.pi * along_array / r, vel_proj / r
     r2 = r * r
     r3 = r2 * r
     return (
@@ -188,15 +185,15 @@ def measure(radar: Pose2D, target: TargetState) -> Detection:
     """All three ideal measurements of a target from one node."""
     return Detection(*_measure_at(
         radar.x, radar.y, math.cos(radar.phi), math.sin(radar.phi),
-        target.x, target.y, target.vx, target.vy, False,
-    ))
+        target.x, target.y, target.vx, target.vy,
+    )[:3])
 
 
 def measurement_jacobian(radar: Pose2D, state: TargetState) -> np.ndarray:
     """Jacobian of (range, spatial_freq, radial_vel) w.r.t. (x, y, vx, vy)."""
     _, _, _, h00, h01, h10, h11, h20, h21 = _measure_at(
         radar.x, radar.y, math.cos(radar.phi), math.sin(radar.phi),
-        state.x, state.y, state.vx, state.vy, True,
+        state.x, state.y, state.vx, state.vy,
     )
     return np.array([
         [h00, h01, 0.0, 0.0],

@@ -175,29 +175,24 @@ def _is_positive_definite_4(p: tuple) -> bool:
     return a33 - shift - l30 * l30 - l31 * l31 - l32 * l32 > 0.0
 
 
-def _project_psd(p: np.ndarray) -> np.ndarray:
-    """Clip the tiny negative eigenvalues rounding can leave behind.
+def _psd(p: tuple) -> tuple:
+    """The ten upper-triangle floats `p` of a symmetric 4x4 matrix, with
+    the tiny negative eigenvalues rounding can leave behind clipped.
 
     Clipping lands on a small positive floor (relative to the largest
     eigenvalue) rather than exactly zero, so downstream information-
     form operations keep an invertible matrix.  A scalar Cholesky of
-    sym - 1e-12*trace(sym)*I that succeeds proves every eigenvalue above
+    p - 1e-12*trace(p)*I that succeeds proves every eigenvalue above
     1e-12*trace, hence above the floor, so only the matrices it rejects
-    reach `eigh`.
+    are built as an array for `eigh`.
     """
-    sym = _symmetrize(p)
-    if _is_positive_definite_4(_upper(sym)):
-        return sym
-    eigenvalues, vectors = np.linalg.eigh(sym)
+    if _is_positive_definite_4(p):
+        return p
+    eigenvalues, vectors = np.linalg.eigh(_full(p))
     floor = 1e-12 * max(eigenvalues[-1], 0.0)
     if eigenvalues[0] > floor:
-        return sym
-    return _symmetrize((vectors * np.maximum(eigenvalues, floor)) @ vectors.T)
-
-
-def _psd(p: tuple) -> tuple:
-    """`_project_psd` on ten floats; only a failed scalar test builds an array."""
-    return p if _is_positive_definite_4(p) else _upper(_project_psd(_full(p)))
+        return p
+    return _upper(_symmetrize((vectors * np.maximum(eigenvalues, floor)) @ vectors.T))
 
 
 def _cholesky_3(s00, s01, s02, s11, s12, s22) -> tuple | None:
@@ -457,7 +452,7 @@ def ekf_update(
     given and the innovation fails it, the prior is returned unchanged.
     """
     theta = (state.x, state.y, state.vx, state.vy)
-    model = _measure_at(radar.x, radar.y, math.cos(radar.phi), math.sin(radar.phi), *theta, True)
+    model = _measure_at(radar.x, radar.y, math.cos(radar.phi), math.sin(radar.phi), *theta)
     theta, p, innovation, applied = _update(
         theta, _upper(_symmetrize(cov)), model,
         (detection.range, detection.spatial_freq, detection.radial_vel),
@@ -486,10 +481,11 @@ def run_tracker(
     """Filter one node's detections into a local-frame track.
 
     `frames` is the scenario's `scene.Simulation`; frame k is its row k.
-    The filter initializes from the node's first detection (position
-    from the detection, zero velocity, variances `INIT_POS_VAR` and
-    `INIT_VEL_VAR`), then predicts every frame and updates whenever a
-    detection is present beyond `MIN_UPDATE_RANGE`.
+    The filter initializes from the node's first detection with a
+    positive range (position from the detection, zero velocity,
+    variances `INIT_POS_VAR` and `INIT_VEL_VAR`), then predicts every
+    frame and updates whenever a detection is present beyond
+    `MIN_UPDATE_RANGE`.
     Predict-only frames, and frames whose detection the gate rejected,
     still emit track points, flagged updated=False.
     Filtering happens in the node-local frame, where the radar sits at
@@ -518,7 +514,8 @@ def run_tracker(
     for k, z in enumerate(_node_rows(frames, node_index)):
         updated = False
         if theta is None:
-            if z is None:
+            # The start's position needs a positive range.
+            if z is None or not z[0] > 0.0:
                 continue
             theta = (*_local_cartesian(z[0], z[1]), 0.0, 0.0)
             p = (INIT_POS_VAR, 0.0, 0.0, 0.0, INIT_POS_VAR, 0.0, 0.0, INIT_VEL_VAR, 0.0, INIT_VEL_VAR)
@@ -527,7 +524,7 @@ def run_tracker(
             theta, p = _predict(theta, p, dt, q, trace_bound)
             if z is not None and hypot(theta[0], theta[1]) >= MIN_UPDATE_RANGE:
                 # The radar sits at the local frame's identity pose.
-                model = _measure_at(0.0, 0.0, 1.0, 0.0, *theta, True)
+                model = _measure_at(0.0, 0.0, 1.0, 0.0, *theta)
                 trace = p[0] + p[4] + p[7] + p[9]
                 theta, p, _, updated = _update(theta, p, model, z, r, gate_threshold)
                 if updated:
@@ -551,7 +548,7 @@ def run_tracker(
         flags.append(updated)
     count = len(frame_indices)
     if not count:
-        raise ValueError(f"node {node_index} produced no detections; track is empty")
+        raise ValueError(f"node {node_index} has no detections at a positive range; track is empty")
     # np.fromiter reads the loop's floats in one pass, about twice as
     # fast as np.asarray over the list of tuples.
     return Track(

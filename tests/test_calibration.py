@@ -94,6 +94,19 @@ class TestCalibratePair:
         with pytest.raises(ValueError):
             calibrate_pair([1j], [2j])
 
+    @pytest.mark.parametrize("z1, z2, message", [
+        ([1j, complex(math.nan, 0.0)], [2j, 1.0], "non-finite"),
+        ([1j, 1.0], [2j, complex(0.0, math.inf)], "non-finite"),
+        ([], [], "empty"),
+    ])
+    def test_bad_tracks_rejected(self, z1, z2, message):
+        with pytest.raises(ValueError, match=message):
+            calibrate_pair(z1, z2)
+
+    def test_brute_force_too_short(self):
+        with pytest.raises(ValueError, match="at least 2 paired frames"):
+            brute_force_calibration([1j], [2j])
+
     def test_symmetry_inverse_transform(self):
         rng = np.random.default_rng(4)
         for _ in range(20):

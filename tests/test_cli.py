@@ -253,6 +253,64 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert err.startswith("pipeline error: ") and message in err
 
+    @pytest.mark.parametrize("verb", ["run", "mc"])
+    def test_no_frame_past_the_burn_in_is_pipeline_error(self, tmp_path, verb, capsys):
+        # A 3.5 m/s walk crosses both fields of view within the 10-frame burn-in.
+        config = {
+            "name": "fast",
+            "nodes": [{"x": 0, "y": 0, "phi_deg": 0}, {"x": 0, "y": 7, "phi_deg": 180}],
+            "trajectory": {"kind": "straight", "start": [2.0, 3.5], "speed": 3.5,
+                           "heading_deg": 0},
+            "calibration_trajectory": {"kind": "random", "start": [0, 3.5], "speed_cap": 0.8},
+        }
+        path = tmp_path / "fast.json"
+        path.write_text(json.dumps(config))
+        argv = [verb, "--config", str(path), "--out", str(tmp_path / "o")]
+        assert main(argv + (["--trials", "2"] if verb == "mc" else [])) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err and "NaN" not in captured.out
+        assert captured.err.startswith("pipeline error: ") and captured.err.count("\n") == 1
+        written = [path.read_text() for path in (tmp_path / "o").rglob("*.json")]
+        assert not any("NaN" in text for text in written)
+        if verb == "run":
+            assert "no frame past the 10-frame burn-in" in captured.err
+            assert not list((tmp_path / "o").rglob("report.json"))
+        else:
+            summary = json.loads(captured.out)
+            assert summary["completed"] == 0 and summary["failed"] == 2
+            assert all("burn-in" in failure["error"] for failure in summary["failures"])
+
+    def test_fuse_without_two_detecting_nodes_is_pipeline_error(self, tmp_path, capsys):
+        # Both nodes face +y, so node 1 at (0, 7) sees only what node 0 cannot.
+        config = {
+            "name": "facing",
+            "nodes": [{"x": 0, "y": 0, "phi_deg": 0}, {"x": 0, "y": 7, "phi_deg": 0}],
+            "trajectory": {"kind": "random", "start": [0, 3.5], "speed_cap": 0.8},
+            "num_frames": 200,
+        }
+        path = tmp_path / "facing.json"
+        path.write_text(json.dumps(config))
+        assert main(["fuse", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err == ("pipeline error: no frame that two or more nodes detected in 200 frames "
+                       "(seed 0)\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("verb", ["calibrate", "run"])
+    def test_negative_first_range_starts_the_track_later(self, tmp_path, verb, capsys):
+        # Built-in C's nodes.  At sigma_r 2 m and seed 6, the calibration
+        # stage's first detection has a range of -0.92 m.
+        config = {"name": "noisy",
+                  "nodes": [{"x": 0, "y": 0, "phi_deg": 0}, {"x": 0, "y": 7, "phi_deg": 180}],
+                  "trajectory": {"kind": "random", "start": [0, 3.5], "speed_cap": 0.8},
+                  "noise": {"sigma_r": 2.0}}
+        path = tmp_path / "noisy.json"
+        path.write_text(json.dumps(config))
+        argv = [verb, "--config", str(path), "--seed", "6", "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("verb", ["simulate", "run"])
     def test_unwritable_out_is_config_error(self, tmp_path, small_config, capsys, verb):
         blocker = tmp_path / "file"

@@ -14,6 +14,7 @@ from radarnet.experiment import (
     CALIBRATION_SEED_OFFSET,
     PipelineError,
     PipelineOptions,
+    _run_trackers,
     calibrate_scenario,
     calibration_stage_config,
     emit_plot_data,
@@ -21,7 +22,7 @@ from radarnet.experiment import (
     run_experiment,
     run_monte_carlo,
 )
-from radarnet.scene import NoiseConfig, builtin_scenario, simulate
+from radarnet.scene import NoiseConfig, Simulation, builtin_scenario, simulate
 from radarnet.tracking import Track
 
 
@@ -105,6 +106,16 @@ class TestPairedPositions:
                          trajectory=TrajectorySpec("straight", start=(50.0, 50.0), speed=0.05))
         with pytest.raises(PipelineError, match=r"^evaluation stage: node 0 never detected"):
             run_experiment(config, PipelineOptions(write_outputs=False))
+
+    def test_node_without_a_positive_range_counts_as_blind(self):
+        # Its track would have no start: no detection places one.
+        config = small_scenario("B", "random", seed=5, num_frames=60)
+        sim = simulate(config)
+        detections = sim.detections.copy()
+        detections[:, 1, 0] = -np.abs(detections[:, 1, 0])
+        with pytest.raises(PipelineError, match=r"^evaluation stage: node 1 never detected the "
+                                                r"target at a positive range in 60 frames"):
+            _run_trackers(config, Simulation(sim.truth, detections, sim.seen), "evaluation")
 
 
 class TestRunExperiment:
@@ -774,6 +785,15 @@ class TestMonteCarlo:
     def test_trials_validation(self):
         with pytest.raises(ValueError):
             run_monte_carlo(small_scenario(), trials=0)
+
+    def test_jobs_validation(self):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            run_monte_carlo(small_scenario(), trials=1, jobs=0)
+
+    @pytest.mark.parametrize("field", ["mode", "benchmark"])
+    def test_options_validation(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be one of"):
+            PipelineOptions(**{field: "fast"})
 
 
 class TestEmitPlotData:

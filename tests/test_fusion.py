@@ -197,6 +197,18 @@ class TestObjectives:
         with pytest.raises(ValueError):
             ml_objective(TargetState(node.x, node.y, 0, 0), obs, TABLE_NOISE)
 
+    def test_bayes_needs_a_prior_center(self):
+        target = TargetState(1.5, 3.5, 0.2, 0.1)
+        obs = observation_of(config_b_nodes(), target)
+        with pytest.raises(ValueError, match="prior given without a prior center"):
+            bayes_objective(target, obs, TABLE_NOISE, PRIOR, None)
+
+    @pytest.mark.parametrize("name", ["sigma_x", "sigma_y", "sigma_vx", "sigma_vy"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    def test_prior_sigmas_must_be_positive(self, name, value):
+        with pytest.raises(ValueError, match=f"PriorConfig.{name} must be > 0"):
+            PriorConfig(**{name: value})
+
 
 class TestSolve:
     def test_noiseless_ml_recovers_truth(self):
@@ -524,6 +536,20 @@ def assert_same_estimate(a, b):
 
 
 class TestSolveFrames:
+    @pytest.mark.parametrize("mode, prior", [("ml", None), ("BAYES", PRIOR)])
+    def test_empty_table_gives_empty_estimates(self, mode, prior):
+        table = frame_table(config_b_nodes(), np.empty((0, 2, 3)))
+        est = solve_frames(table, TABLE_NOISE, mode=mode, prior=prior)
+        assert len(est) == 0 and est.mode == mode.lower()
+        shapes = {field: getattr(est, field).shape for field in (
+            "states", "covariances", "objective_values", "iterations", "converged",
+            "conditioning")}
+        assert shapes == {"states": (0, 4), "covariances": (0, 4, 4), "objective_values": (0,),
+                          "iterations": (0,), "converged": (0,), "conditioning": (0,)}
+        assert (est.prior_centers is None) == (prior is None)
+        if prior is not None:
+            assert est.prior_centers.shape == (0, 4)
+
     def test_single_frame_solve_matches_batch_on_builtin_scenario(self, monkeypatch):
         # A random whole, then 100 frames along C's degenerate baseline
         # with the iteration cap lowered to 15: several stop at the cap,
@@ -916,9 +942,9 @@ def reference_candidate_starts(obs, fov_half_angle=FOV_HALF_ANGLE):
 def assert_same_starts(obs, fov_half_angle=FOV_HALF_ANGLE):
     """One frame's position start and kept LM starts against the reference;
     returns the kept starts."""
-    px, py, starts, keep = _start_table(_columns(_table(obs)), fov_half_angle)
+    starts, keep = _start_table(_columns(_table(obs)), fov_half_angle)
     want_pos0, want_starts = reference_candidate_starts(obs, fov_half_angle)
-    assert np.array([px[0], py[0]]).tobytes() == want_pos0.tobytes()
+    assert starts[0, 0, :2].tobytes() == want_pos0.tobytes()
     assert starts[0][keep[0]].tobytes() == np.asarray(want_starts, dtype=float).tobytes()
     return [tuple(start) for start in starts[0][keep[0]].tolist()]
 
@@ -966,11 +992,11 @@ def builtin_frame_tables(name):
 
 def assert_array_starts_match_reference(table, observations):
     """The array front end on a whole frame table against the reference, frame by frame."""
-    px, py, starts, keep = _start_table(_columns(table), FOV_HALF_ANGLE)
+    starts, keep = _start_table(_columns(table), FOV_HALF_ANGLE)
     assert starts.shape == (len(observations), 3, 4)
     for j, obs in enumerate(observations):
         want_pos0, want_starts = reference_candidate_starts(obs)
-        assert np.array([px[j], py[j]]).tobytes() == want_pos0.tobytes()
+        assert starts[j, 0, :2].tobytes() == want_pos0.tobytes()
         assert starts[j][keep[j]].tobytes() == np.asarray(want_starts, dtype=float).tobytes()
 
 
@@ -1338,8 +1364,6 @@ class TestLeanKernels:
         assert not np.isnan(got[~singular]).any()
         for k in np.flatnonzero(~singular):
             assert got[k].tobytes() == np.linalg.solve(a[k:k + 1], b[k:k + 1])[0].tobytes()
-        steps = fusion_module._damped_steps(a, b[..., 0], np.zeros(5))
-        np.testing.assert_array_equal(np.isnan(steps).all(axis=-1), singular)
 
     def test_always_singular_frame_runs_to_the_cap(self, monkeypatch):
         # A singular frame raises its damping every pass but never stops
@@ -1349,7 +1373,7 @@ class TestLeanKernels:
         monkeypatch.setattr(fusion_module, "_solve_systems", lambda a, b: np.full(b.shape, np.nan))
         est = solve(obs, TABLE_NOISE, mode="ml")
         assert est.iterations == 100 and not est.converged
-        start = _start_table(_columns(_table(obs)), FOV_HALF_ANGLE)[2][0]
+        start = _start_table(_columns(_table(obs)), FOV_HALF_ANGLE)[0][0]
         assert est.state.as_vector().tolist() in start.tolist()
 
     def test_grid_underflow_cut_matches_unmasked_exp(self, monkeypatch):
@@ -1454,7 +1478,7 @@ class TestFieldOfView:
         kept = assert_same_starts(obs, wide)
         assert len(kept) == 3
         assert kept[0][:2] == pytest.approx((target.x, target.y), abs=1e-9)
-        np.testing.assert_array_equal(_start_table(_columns(_table(obs)), wide)[3],
+        np.testing.assert_array_equal(_start_table(_columns(_table(obs)), wide)[1],
                                       [[True, True, True]])
         table = _table(obs)
         for mode, prior in (("ml", None), ("bayes", PRIOR)):

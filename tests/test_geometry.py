@@ -232,6 +232,18 @@ class TestAngleOffBoresight:
         theta = angle_off_boresight(Pose2D(0, 0, 0), TargetState(0, -3))
         assert abs(theta) == pytest.approx(math.pi)
 
+    def test_zero_range_rejected(self):
+        with pytest.raises(ValueError, match="range is zero"):
+            angle_off_boresight(Pose2D(1.0, 2.0, 0.5), TargetState(1.0, 2.0))
+
+    @pytest.mark.parametrize("field", range(4))
+    def test_target_state_must_be_finite(self, field):
+        values = [0.0] * 4
+        values[field] = math.nan
+        name = ("x", "y", "vx", "vy")[field]
+        with pytest.raises(ValueError, match=f"^TargetState.{name} must be finite$"):
+            TargetState(*values)
+
 
 class TestMeasurementJacobian:
     def test_matches_central_differences(self):
@@ -264,12 +276,8 @@ class TestMeasurementJacobian:
             radar, target = random_geometry(rng)
             r, omega, radial_vel, h00, h01, h10, h11, h20, h21 = _measure_at(
                 radar.x, radar.y, math.cos(radar.phi), math.sin(radar.phi),
-                *target.as_vector().tolist(), True,
+                *target.as_vector().tolist(),
             )
             assert measure(radar, target) == Detection(r, omega, radial_vel)
             jac = np.array([[h00, h01, 0, 0], [h10, h11, 0, 0], [h20, h21, h00, h01]], dtype=float)
             assert measurement_jacobian(radar, target).tobytes() == jac.tobytes()
-            assert _measure_at(
-                radar.x, radar.y, math.cos(radar.phi), math.sin(radar.phi),
-                *target.as_vector().tolist(), False,
-            ) == (r, omega, radial_vel)

@@ -34,7 +34,6 @@ from radarnet.tracking import (
     Track,
     _cholesky_3,
     _full,
-    _project_psd,
     _psd,
     _upper,
     ekf_predict,
@@ -123,6 +122,11 @@ class TestEkfConfig:
         assert EkfConfig(gate_threshold=1e-9).gate_threshold == 1e-9
 
 
+def project_psd(p):
+    """`tracking._psd` on a 4x4 array, symmetrized first."""
+    return _full(_psd(_upper(0.5 * (p + p.T))))
+
+
 def eigh_projection(p):
     """Reference PSD projection: symmetrize, then clip eigenvalues at 1e-12 * the largest."""
     sym = 0.5 * (p + p.T)
@@ -138,7 +142,7 @@ class TestProjectPsd:
     @staticmethod
     def clipped_vs_reference(p):
         """Assert the projection equals the reference bit for bit; return whether it clipped."""
-        got = _project_psd(p)
+        got = project_psd(p)
         want = eigh_projection(p)
         assert got.tobytes() == want.tobytes()
         return not np.array_equal(want, 0.5 * (p + p.T))
@@ -315,6 +319,45 @@ class TestRunTracker:
         empty = without_detections(sim, 0, slice(None))
         with pytest.raises(ValueError, match="no detections"):
             run_tracker(empty, 0, EkfConfig(), TINY_NOISE)
+
+    def test_track_starts_at_the_first_positive_range(self):
+        # A noisy range can fall below zero; such a detection cannot place
+        # the start, so the track starts at the next one, as if the first
+        # were missing.  Later ones update as usual, whatever their sign.
+        config, sim = self.straight_scenario(TABLE_NOISE, num_frames=30)
+        first = int(np.flatnonzero(sim.seen[:, 0])[0])
+        detections = sim.detections.copy()
+        detections[[first, first + 5], 0, 0] = -0.1
+        negative = Simulation(sim.truth, detections, sim.seen)
+        track = run_tracker(negative, 0, EkfConfig(), TABLE_NOISE, config.frame_duration)
+        skipped = without_detections(negative, 0, first)
+        want = run_tracker(skipped, 0, EkfConfig(), TABLE_NOISE, config.frame_duration)
+        assert track.frame_index[0] == first + 1
+        for name in ("frame_index", "states", "covariances", "updated"):
+            assert getattr(track, name).tobytes() == getattr(want, name).tobytes()
+        assert track.updated[track.frame_index == first + 5].all()
+
+    def test_no_positive_range_raises(self):
+        config, sim = self.straight_scenario(TINY_NOISE, num_frames=10)
+        detections = sim.detections.copy()
+        detections[:, 0, 0] = -np.abs(detections[:, 0, 0])
+        negative = Simulation(sim.truth, detections, sim.seen)
+        with pytest.raises(ValueError, match="no detections at a positive range"):
+            run_tracker(negative, 0, EkfConfig(), TINY_NOISE)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.15, math.nan])
+    def test_frame_duration_must_be_positive(self, dt):
+        _, sim = self.straight_scenario(TINY_NOISE, num_frames=10)
+        with pytest.raises(ValueError, match="dt must be > 0"):
+            run_tracker(sim, 0, EkfConfig(), TINY_NOISE, dt)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_detection_raises(self, bad):
+        _, sim = self.straight_scenario(TINY_NOISE, num_frames=10)
+        detections = sim.detections.copy()
+        detections[5, 0, 2] = bad
+        with pytest.raises(ValueError, match="EKF state must be finite"):
+            run_tracker(Simulation(sim.truth, detections, sim.seen), 0, EkfConfig(), TINY_NOISE)
 
     def test_nis_consistency(self):
         # Matched noise: time-averaged normalized innovation squared stays
@@ -536,17 +579,9 @@ class TestFloatStep:
         )
         assert len(calls) == 1
         monkeypatch.setattr(np.linalg, "eigh", original)
-        assert predicted.tobytes() == _project_psd(unprojected).tobytes()
+        assert predicted.tobytes() == project_psd(unprojected).tobytes()
         assert not np.array_equal(predicted, unprojected)
         assert np.min(np.linalg.eigvalsh(predicted)) > 0.0
-
-    def test_ten_float_projection_matches_array_projection(self):
-        rng = np.random.default_rng(13)
-        for rank in (1, 2, 3, 4):
-            for _ in range(30):
-                a = rng.standard_normal((4, rank))
-                sym = eigh_projection(a @ a.T)  # exactly symmetric input
-                assert _psd(_upper(sym)) == _upper(_project_psd(sym))
 
     def test_singular_innovation_covariance_raises_after_jitter_retry(self):
         target = TargetState(1.0, 4.0, 0.3, -0.2)
@@ -559,6 +594,16 @@ class TestFloatStep:
         # An indefinite S fails both.
         with pytest.raises(np.linalg.LinAlgError, match="singular innovation covariance"):
             ekf_update(target, -np.eye(4), det, ORIGIN, TABLE_NOISE)
+
+
+class TestCholesky3:
+    @pytest.mark.parametrize("s", [
+        (0.0, 0.0, 0.0, 1.0, 0.0, 1.0),  # first pivot
+        (1.0, 1.0, 0.0, 1.0, 0.0, 1.0),  # second pivot: row 1 repeats row 0
+        (1.0, 0.0, 1.0, 1.0, 0.0, 1.0),  # third pivot: row 2 repeats row 0
+    ])
+    def test_singular_pivot_gives_none(self, s):
+        assert _cholesky_3(*s) is None
 
 
 class TestTransformTrack:
@@ -1009,7 +1054,7 @@ class TestWhitenedUpdate:
         r = (0.035**2, 0.15**2, 0.1807**2)
         for _ in range(300):
             theta = (rng.uniform(-3, 3), rng.uniform(1, 8), *rng.uniform(-2, 2, 2))
-            model = _measure_at(0.0, 0.0, 1.0, 0.0, *theta, True)
+            model = _measure_at(0.0, 0.0, 1.0, 0.0, *theta)
             z = tuple(m + rng.normal(0, s) for m, s in zip(model[:3], (0.05, 0.2, 0.1)))
             prior = random_psd(rng, scale=10.0 ** rng.uniform(-3, 1))
             p = _upper(prior)
@@ -1226,7 +1271,7 @@ class TestPredictGuard:
         monkeypatch.setattr(np.linalg, "eigh", original)
         unprojected = _full(raw_predict((0.0, 5.0, 1.0, 0.0), _upper(cov), 0.15, q))
         assert np.min(np.linalg.eigvalsh(unprojected)) < 0.0
-        assert predicted.tobytes() == _project_psd(unprojected).tobytes()
+        assert predicted.tobytes() == project_psd(unprojected).tobytes()
         assert np.min(np.linalg.eigvalsh(predicted)) > 0.0
 
 
@@ -1309,13 +1354,13 @@ class TestUpdateGuard:
         monkeypatch.setattr(np.linalg, "eigh", original)
         theta = (0.0, 5.0, 1.0, 0.0)
         _, raw, _, applied = tracking._update(
-            theta, _upper(cov), _measure_at(0.0, 0.0, 1.0, 0.0, *theta, True),
+            theta, _upper(cov), _measure_at(0.0, 0.0, 1.0, 0.0, *theta),
             (det.range, det.spatial_freq, det.radial_vel),
             tracking._noise_variances(TABLE_NOISE), None,
         )
         unprojected = _full(raw)
         assert applied and np.min(np.linalg.eigvalsh(unprojected)) < 0.0
-        assert posterior.tobytes() == _project_psd(unprojected).tobytes()
+        assert posterior.tobytes() == project_psd(unprojected).tobytes()
         assert np.min(np.linalg.eigvalsh(posterior)) > 0.0
 
 

@@ -1,7 +1,7 @@
 """Print SHA-256 fingerprints of the one-shot solver's and the CLI's outputs.
 
 A change meant to keep every output bit for bit prints the same lines
-before and after.  Three kinds of item, one line each:
+before and after.  Four kinds of item, one line each:
 
   solve_frames   the 36 batched solves over A/B/C x straight/random x
                  seeds 7-9 x ML/Bayes, at the true poses, on the frames
@@ -11,6 +11,8 @@ before and after.  Three kinds of item, one line each:
                  `laplace_covariance`, `ml_objective`, `bayes_objective`
                  and the closed-form initializers on every 25th frame
                  both nodes detected, per built-in at seed 7;
+  measure        `measure` and `measurement_jacobian` from every node
+                 at every 25th truth state, per built-in at seed 7;
   cli            every file under --out, stdout, stderr and exit code
                  after each of `simulate`, `calibrate`, `fuse`,
                  `fuse --calibration`, `run`, `emit-plots` and
@@ -121,6 +123,20 @@ def one_frame_items():
         yield f"one-frame {name} {kind} seed=7", _digest(*values)
 
 
+def measure_items():
+    from radarnet.geometry import TargetState, measure, measurement_jacobian
+    from radarnet.scene import builtin_scenario, simulate
+
+    for name, kind in SCENARIOS:
+        config = builtin_scenario(name, kind, seed=7)
+        values = []
+        for row in simulate(config).truth[::25].tolist():
+            state = TargetState(*row)
+            for node in config.nodes:
+                values += [*vars(measure(node, state)).values(), measurement_jacobian(node, state)]
+        yield f"measure {name} {kind} seed=7", _digest(*values)
+
+
 def _tree(out: Path) -> list:
     """Every file under `out` as its relative path and bytes, in path order."""
     return [(path.relative_to(out).as_posix(), path.read_bytes())
@@ -164,7 +180,8 @@ def main(argv: list[str] | None = None) -> int:
                 tar.extractall(tree, filter="data")
             src = Path(tree) / "src"
         sys.path.insert(0, str(src))
-        for label, digest in chain(solve_frames_items(), one_frame_items(), cli_items(src)):
+        for label, digest in chain(solve_frames_items(), one_frame_items(), measure_items(),
+                                   cli_items(src)):
             print(f"{digest}  {label}", flush=True)
     return 0
 

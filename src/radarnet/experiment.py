@@ -179,20 +179,14 @@ def run_directory(out_dir: Path | str, config: ScenarioConfig) -> Path:
 
 
 def _run_trackers(config: ScenarioConfig, sim: Simulation, stage: str) -> list[Track]:
-    """Every node's EKF track, or a PipelineError naming the `stage` and
-    the first node that never detected the target at a positive range
-    (its track would have no start)."""
-    # An unseen node's range is NaN, which fails the test.
-    blind = np.flatnonzero(~(sim.detections[..., 0] > 0.0).any(axis=0))
-    if len(blind):
-        raise PipelineError(
-            f"{stage} stage: node {blind[0]} never detected the target at a positive range "
-            f"in {len(sim)} frames (seed {config.rng_seed}), so it has no track"
-        )
-    return [
-        run_tracker(sim, i, PIPELINE_EKF, config.noise, config.frame_duration)
-        for i in range(len(config.nodes))
-    ]
+    """Every node's EKF track, or a PipelineError naming the `stage`, the
+    seed and the tracker's reason (a node with no start, or a numerical
+    failure)."""
+    try:
+        return [run_tracker(sim, i, PIPELINE_EKF, config.noise, config.frame_duration)
+                for i in range(len(config.nodes))]
+    except ValueError as exc:  # np.linalg.LinAlgError included
+        raise PipelineError(f"{stage} stage: {exc} (seed {config.rng_seed})") from exc
 
 
 def calibrate_scenario(
@@ -259,13 +253,16 @@ def fuse_frames(
     `poses`, one batch per mode of `options`; the prior applies in Bayes
     mode only, and the candidate starts are filtered by the scenario's
     field of view.  A node that did not detect a frame takes no part in
-    it."""
+    it.  A solver failure is a PipelineError naming the fusion stage and
+    the seed."""
     table = frame_table(poses, sim.detections[frames])
-    return {
-        mode: solve_frames(table, config.noise, mode, PIPELINE_PRIOR if mode == "bayes" else None,
-                           fov_half_angle=config.fov_half_angle)
-        for mode in options.modes
-    }
+    try:
+        return {mode: solve_frames(table, config.noise, mode,
+                                   PIPELINE_PRIOR if mode == "bayes" else None,
+                                   fov_half_angle=config.fov_half_angle)
+                for mode in options.modes}
+    except ValueError as exc:
+        raise PipelineError(f"fusion stage: {exc} (seed {config.rng_seed})") from exc
 
 
 def run_experiment(

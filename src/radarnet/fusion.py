@@ -750,13 +750,15 @@ def _solve_group(table: np.ndarray, noise, mode, prior, fov_half_angle) -> Fusio
     # the first in candidate order.  The candidates are scored as frame
     # rows, each frame repeated once per candidate.
     repeated = frames.take(np.repeat(np.arange(frames_count), _MAX_STARTS))
-    start_values = repeated.objective(starts.reshape(-1, 4)).reshape(frames_count, _MAX_STARTS)
+    with np.errstate(over="ignore"):  # an overflowing objective raises below
+        start_values = repeated.objective(starts.reshape(-1, 4)).reshape(starts.shape[:2])
     start_values[~keep] = np.inf
     best = start_values.argmin(axis=1)
     rows = np.arange(frames_count)
     value = start_values[rows, best]
     if not np.isfinite(value).all():
-        raise ValueError("initial estimate coincides with a node position")
+        raise ValueError("initial estimate coincides with a node position, or its objective "
+                         "is not finite")
     theta, value, hessian, iterations, converged = _levenberg_marquardt(
         frames, starts[rows, best], value
     )

@@ -65,6 +65,10 @@ class NoiseConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ConfigError(f"NoiseConfig.{name} must be finite and > 0")
+            # The filter and the solver use the variance; one that
+            # underflows to 0 is theirs to handle.
+            if not math.isfinite(value * value):
+                raise ConfigError(f"NoiseConfig.{name} must have a finite square, got {value!r}")
 
 
 # The JSON number keys of each trajectory kind; its keys are the kinds.
@@ -161,18 +165,23 @@ class MeasurementFrame:
 class Simulation:
     """A simulated scenario as arrays; frame k is row k of each.
 
-    `truth` holds the (F, 4) target states (x, y, vx, vy), `detections`
-    the (F, N, 3) noisy (range, spatial frequency, radial velocity)
-    triples, NaN where a node cannot see the target, and `seen` the
-    (F, N) visibility mask.  `len()` is the number of frames F.
+    `truth` holds the (F, 4) target states (x, y, vx, vy) and
+    `detections` the (F, N, 3) noisy (range, spatial frequency, radial
+    velocity) triples, all NaN where a node cannot see the target.
+    `len()` is the number of frames F.
     """
 
     truth: np.ndarray
     detections: np.ndarray
-    seen: np.ndarray
 
     def __len__(self) -> int:
         return len(self.truth)
+
+    @property
+    def seen(self) -> np.ndarray:
+        """The (F, N) mask of the triples that are not all NaN, the
+        detecting rows of `fusion.solve_frames`."""
+        return ~np.isnan(self.detections).all(axis=-1)
 
     def measurement_frames(self) -> list[MeasurementFrame]:
         """`detections` as one MeasurementFrame per frame, None where unseen."""
@@ -195,7 +204,7 @@ def simulate(config: ScenarioConfig) -> Simulation:
     truth = _trajectory(
         config.trajectory, config.num_frames, config.frame_duration, config.rng_seed
     )
-    return Simulation(truth, *_detect(truth, config))
+    return Simulation(truth, _detect(truth, config))
 
 
 def _trajectory(spec: TrajectorySpec, num_frames: int, dt: float, seed: int) -> np.ndarray:
@@ -247,8 +256,8 @@ def _trajectory(spec: TrajectorySpec, num_frames: int, dt: float, seed: int) -> 
     return np.array(states)
 
 
-def _detect(truth: np.ndarray, config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The (F, N, 3) detections and (F, N) visibility of (F, 4) truth rows.
+def _detect(truth: np.ndarray, config: ScenarioConfig) -> np.ndarray:
+    """The (F, N, 3) detections of (F, 4) truth rows, NaN where unseen.
 
     The exact measurement model and the visibility rule of `is_visible`,
     broadcast over frames and nodes with each element's operations in
@@ -278,7 +287,7 @@ def _detect(truth: np.ndarray, config: ScenarioConfig) -> tuple[np.ndarray, np.n
         detections[..., 1] = np.minimum(math.pi, np.maximum(-math.pi, omega))
         detections[..., 2] = (vx * dx + vy * dy) / r + noise.sigma_v * draws[..., 2]
     detections[~seen] = np.nan
-    return detections, seen
+    return detections
 
 
 def generate_trajectory(
@@ -319,7 +328,7 @@ def synthesize_measurements(
     of `simulate`'s detections.
     """
     rows = np.array([(t.x, t.y, t.vx, t.vy) for t in truth]).reshape(-1, 4)
-    return Simulation(rows, *_detect(rows, config)).measurement_frames()
+    return Simulation(rows, _detect(rows, config)).measurement_frames()
 
 
 # Built-in two-node geometries.  Node 0 is always the origin reference.

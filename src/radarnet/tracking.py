@@ -481,11 +481,12 @@ def run_tracker(
     """Filter one node's detections into a local-frame track.
 
     `frames` is the scenario's `scene.Simulation`; frame k is its row k.
-    The filter initializes from the node's first detection with a
-    positive range (position from the detection, zero velocity,
-    variances `INIT_POS_VAR` and `INIT_VEL_VAR`), then predicts every
-    frame and updates whenever a detection is present beyond
-    `MIN_UPDATE_RANGE`.
+    The filter initializes from the node's first detection with a range
+    of at least `MIN_UPDATE_RANGE` (position from the detection, zero
+    velocity, variances `INIT_POS_VAR` and `INIT_VEL_VAR`), then predicts
+    every frame and updates whenever a detection is present and the
+    predicted range is at least `MIN_UPDATE_RANGE`.  A node with no such
+    detection has no track: a ValueError naming it.
     Predict-only frames, and frames whose detection the gate rejected,
     still emit track points, flagged updated=False.
     Filtering happens in the node-local frame, where the radar sits at
@@ -514,8 +515,8 @@ def run_tracker(
     for k, z in enumerate(_node_rows(frames, node_index)):
         updated = False
         if theta is None:
-            # The start's position needs a positive range.
-            if z is None or not z[0] > 0.0:
+            # A start within MIN_UPDATE_RANGE would never move, so never update.
+            if z is None or not z[0] >= MIN_UPDATE_RANGE:
                 continue
             theta = (*_local_cartesian(z[0], z[1]), 0.0, 0.0)
             p = (INIT_POS_VAR, 0.0, 0.0, 0.0, INIT_POS_VAR, 0.0, 0.0, INIT_VEL_VAR, 0.0, INIT_VEL_VAR)
@@ -548,7 +549,8 @@ def run_tracker(
         flags.append(updated)
     count = len(frame_indices)
     if not count:
-        raise ValueError(f"node {node_index} has no detections at a positive range; track is empty")
+        raise ValueError(f"node {node_index} never detected the target at a range of at least "
+                         f"{MIN_UPDATE_RANGE} m in {len(frames)} frames, so it has no track")
     # np.fromiter reads the loop's floats in one pass, about twice as
     # fast as np.asarray over the list of tuples.
     return Track(

@@ -131,6 +131,9 @@ class TestExitCodes:
                      id="smoothness-zero"),
         pytest.param("trajectory section missing keys:", lambda d: d["trajectory"].pop("start"),
                      id="trajectory-without-start"),
+        # Its square, the variance the filter and the solver use, overflows.
+        pytest.param("NoiseConfig.sigma_r", lambda d: d.update(noise={"sigma_r": 1e155}),
+                     id="sigma-r-square-overflows"),
     ])
     def test_malformed_config_field_is_config_error(self, tmp_path, small_config, capsys,
                                                     field, edit):
@@ -310,6 +313,40 @@ class TestExitCodes:
         argv = [verb, "--config", str(path), "--seed", "6", "--out", str(tmp_path / "o")]
         assert main(argv) == 0
         assert "Traceback" not in capsys.readouterr().err
+
+    @staticmethod
+    def c_config(tmp_path, **setting):
+        """Built-in C's nodes and random walk with one more setting, as a file."""
+        config = {"name": "c", "trajectory": {"kind": "random", "start": [0, 3.5],
+                                              "speed_cap": 0.8},
+                  "nodes": [{"x": 0, "y": 0, "phi_deg": 0}, {"x": 0, "y": 7, "phi_deg": 180}],
+                  **setting}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        return path
+
+    def test_start_within_the_update_range_starts_the_track_later(self, tmp_path, capsys):
+        # At sigma_r 4 m and seed 0, the calibration stage's first node-0
+        # range is 0.247 m: a track started there would never update.
+        path = self.c_config(tmp_path, noise={"sigma_r": 4.0})
+        argv = ["calibrate", "--config", str(path), "--seed", "0", "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb, setting, stage", [
+        # 1e10 s frames: the EKF's innovation covariance is singular.
+        ("calibrate", {"frame_duration": 1e10}, "calibration"),
+        ("run", {"frame_duration": 1e10}, "calibration"),
+        # Every candidate start's objective overflows at sigma_r 1e-200.
+        ("fuse", {"noise": {"sigma_r": 1e-200}}, "fusion"),
+        ("run", {"noise": {"sigma_r": 1e-200}}, "fusion"),
+    ])
+    def test_numerical_failure_is_pipeline_error(self, tmp_path, verb, setting, stage, capsys):
+        path = self.c_config(tmp_path, **setting)
+        assert main([verb, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert err.startswith(f"pipeline error: {stage} stage: ")
 
     @pytest.mark.parametrize("verb", ["simulate", "run"])
     def test_unwritable_out_is_config_error(self, tmp_path, small_config, capsys, verb):

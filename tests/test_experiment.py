@@ -114,8 +114,9 @@ class TestPairedPositions:
         detections = sim.detections.copy()
         detections[:, 1, 0] = -np.abs(detections[:, 1, 0])
         with pytest.raises(PipelineError, match=r"^evaluation stage: node 1 never detected the "
-                                                r"target at a positive range in 60 frames"):
-            _run_trackers(config, Simulation(sim.truth, detections, sim.seen), "evaluation")
+                                                r"target at a range of at least 0\.5 m in 60 "
+                                                r"frames"):
+            _run_trackers(config, Simulation(sim.truth, detections), "evaluation")
 
 
 class TestRunExperiment:

@@ -250,6 +250,24 @@ class TestSimulate:
         assert sim.seen.tolist() == [[det is not None for det in f.per_node] for f in frames]
         assert np.isnan(sim.detections[~sim.seen]).all()
 
+    def test_a_partly_nan_triple_is_seen(self):
+        # `seen` is the triples that are not all NaN, the rows solve_frames
+        # takes as detecting: it rejects this one as not finite instead of
+        # leaving the node out.
+        from radarnet.fusion import frame_table, solve_frames
+        from radarnet.scene import Simulation
+
+        config = builtin_scenario("C", "random", seed=4)
+        sim = simulate(config)
+        k = int(np.flatnonzero(sim.seen.all(axis=1))[0])
+        detections = sim.detections.copy()
+        detections[k, 1, 2] = np.nan
+        partly = Simulation(sim.truth, detections)
+        assert partly.seen[k].all()
+        assert (partly.seen == sim.seen).all()
+        with pytest.raises(ValueError, match="must be finite, but for the all-NaN detection"):
+            solve_frames(frame_table(config.nodes, partly.detections[[k]]), config.noise, "ml")
+
 
 class TestRandomStreams:
     """The one-call noise draws give the per-step streams bit for bit."""

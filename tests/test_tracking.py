@@ -69,10 +69,9 @@ def node_detections(sim, node_index):
 
 def without_detections(sim, node_index, frames):
     """`sim` with node `node_index`'s detections on `frames` removed."""
-    detections, seen = sim.detections.copy(), sim.seen.copy()
+    detections = sim.detections.copy()
     detections[frames, node_index] = np.nan
-    seen[frames, node_index] = False
-    return Simulation(sim.truth, detections, seen)
+    return Simulation(sim.truth, detections)
 
 
 class Point(NamedTuple):
@@ -317,7 +316,8 @@ class TestRunTracker:
     def test_no_detections_raises(self):
         config, sim = self.straight_scenario(TINY_NOISE, num_frames=10)
         empty = without_detections(sim, 0, slice(None))
-        with pytest.raises(ValueError, match="no detections"):
+        with pytest.raises(ValueError, match="^node 0 never detected the target at a range of "
+                                             r"at least 0\.5 m in 10 frames, so it has no track$"):
             run_tracker(empty, 0, EkfConfig(), TINY_NOISE)
 
     def test_track_starts_at_the_first_positive_range(self):
@@ -328,7 +328,7 @@ class TestRunTracker:
         first = int(np.flatnonzero(sim.seen[:, 0])[0])
         detections = sim.detections.copy()
         detections[[first, first + 5], 0, 0] = -0.1
-        negative = Simulation(sim.truth, detections, sim.seen)
+        negative = Simulation(sim.truth, detections)
         track = run_tracker(negative, 0, EkfConfig(), TABLE_NOISE, config.frame_duration)
         skipped = without_detections(negative, 0, first)
         want = run_tracker(skipped, 0, EkfConfig(), TABLE_NOISE, config.frame_duration)
@@ -337,12 +337,29 @@ class TestRunTracker:
             assert getattr(track, name).tobytes() == getattr(want, name).tobytes()
         assert track.updated[track.frame_index == first + 5].all()
 
+    def test_track_starts_where_it_can_update(self):
+        # A start 0.3 m from the node, inside MIN_UPDATE_RANGE, would
+        # never update, so the track starts at the next detection, as if
+        # that one were missing.
+        config, sim = self.straight_scenario(TABLE_NOISE, num_frames=30)
+        first = int(np.flatnonzero(sim.seen[:, 0])[0])
+        detections = sim.detections.copy()
+        detections[first, 0, 0] = 0.3
+        close = Simulation(sim.truth, detections)
+        track = run_tracker(close, 0, EkfConfig(), TABLE_NOISE, config.frame_duration)
+        skipped = without_detections(close, 0, first)
+        want = run_tracker(skipped, 0, EkfConfig(), TABLE_NOISE, config.frame_duration)
+        assert track.frame_index[0] == first + 1 and track.updated.all()
+        for name in ("frame_index", "states", "covariances", "updated"):
+            assert getattr(track, name).tobytes() == getattr(want, name).tobytes()
+
     def test_no_positive_range_raises(self):
         config, sim = self.straight_scenario(TINY_NOISE, num_frames=10)
         detections = sim.detections.copy()
         detections[:, 0, 0] = -np.abs(detections[:, 0, 0])
-        negative = Simulation(sim.truth, detections, sim.seen)
-        with pytest.raises(ValueError, match="no detections at a positive range"):
+        negative = Simulation(sim.truth, detections)
+        with pytest.raises(ValueError, match=r"^node 0 never detected the target at a range of "
+                                             r"at least 0\.5 m in 10 frames"):
             run_tracker(negative, 0, EkfConfig(), TINY_NOISE)
 
     @pytest.mark.parametrize("dt", [0.0, -0.15, math.nan])
@@ -357,7 +374,7 @@ class TestRunTracker:
         detections = sim.detections.copy()
         detections[5, 0, 2] = bad
         with pytest.raises(ValueError, match="EKF state must be finite"):
-            run_tracker(Simulation(sim.truth, detections, sim.seen), 0, EkfConfig(), TINY_NOISE)
+            run_tracker(Simulation(sim.truth, detections), 0, EkfConfig(), TINY_NOISE)
 
     def test_nis_consistency(self):
         # Matched noise: time-averaged normalized innovation squared stays
@@ -380,7 +397,7 @@ class TestRunTracker:
         assert sim.seen[outlier_frame, 0]
         detections = sim.detections.copy()
         detections[outlier_frame, 0, 0] += 3.0
-        sim = Simulation(sim.truth, detections, sim.seen)
+        sim = Simulation(sim.truth, detections)
         cfg = EkfConfig(gate_threshold=16.27)  # chi-square(3) at p = 0.001
         track = run_tracker(sim, 0, cfg, TABLE_NOISE, config.frame_duration)
         updated = dict(zip(track.frame_index.tolist(), track.updated.tolist()))

@@ -35,6 +35,11 @@ Runs from any directory.
     python3 tools/solve_timing.py --rev HEAD --rounds 5
 
 The machine's speed drifts, so compare two trees within one run only.
+Each timing process runs with glibc's MALLOC_MMAP_THRESHOLD_ and
+MALLOC_TRIM_THRESHOLD_ fixed at 1e8 bytes, so that a buffer's pages do
+not depend on the heap's history and the grid figure compares code.
+The figure therefore leaves out the page faults a default process pays
+on each grid call's large buffers.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -56,6 +62,10 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 
 SCENARIOS = list(product("ABC", ("straight", "random")))
+
+# Thresholds above every buffer the solver allocates: no allocation is
+# mmapped, and freed memory stays in the heap.
+_MALLOC_ENV = {"MALLOC_MMAP_THRESHOLD_": "100000000", "MALLOC_TRIM_THRESHOLD_": "100000000"}
 
 
 def _best(call, repeat: int) -> float:
@@ -158,12 +168,13 @@ def measure(repeat: int) -> dict[str, float]:
 
 
 def _run(src: Path, repeat: int) -> dict[str, float]:
-    """`measure` in a fresh process importing radarnet from `src`."""
+    """`measure` in a fresh process importing radarnet from `src`, with
+    the fixed malloc thresholds."""
     code = (f"import sys, json; sys.path.insert(0, {str(src)!r}); "
             f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r}); "
             f"import solve_timing; print(json.dumps(solve_timing.measure({repeat})))")
     done = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
-                          text=True)
+                          text=True, env={**os.environ, **_MALLOC_ENV})
     return json.loads(done.stdout.splitlines()[-1])
 
 

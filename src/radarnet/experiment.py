@@ -178,15 +178,17 @@ def run_directory(out_dir: Path | str, config: ScenarioConfig) -> Path:
     return Path(out_dir) / config.name / config.trajectory.kind
 
 
-def _run_trackers(config: ScenarioConfig, sim: Simulation, stage: str) -> list[Track]:
+def _run_trackers(
+    config: ScenarioConfig, sim: Simulation, stage: str, seed: str | None = None
+) -> list[Track]:
     """Every node's EKF track, or a PipelineError naming the `stage`, the
-    seed and the tracker's reason (a node with no start, or a numerical
-    failure)."""
+    seed (`seed`, else the config's) and the tracker's reason (a node
+    with no start, or a numerical failure)."""
     try:
         return [run_tracker(sim, i, PIPELINE_EKF, config.noise, config.frame_duration)
                 for i in range(len(config.nodes))]
     except ValueError as exc:  # np.linalg.LinAlgError included
-        raise PipelineError(f"{stage} stage: {exc} (seed {config.rng_seed})") from exc
+        raise PipelineError(f"{stage} stage: {exc} ({seed or f'seed {config.rng_seed}'})") from exc
 
 
 def calibrate_scenario(
@@ -195,8 +197,11 @@ def calibrate_scenario(
     """Self-calibration stage: one pairwise result per non-reference node."""
     options = options or PipelineOptions()
     calib_config = calibration_stage_config(config, options)
+    # Errors name the user's seed, not the offset one this stage simulates at.
+    seed = (f"seed {config.rng_seed}; the calibration stage simulates at seed "
+            f"{config.rng_seed} + {CALIBRATION_SEED_OFFSET}")
     sim = simulate(calib_config)
-    tracks = _run_trackers(calib_config, sim, "calibration")
+    tracks = _run_trackers(calib_config, sim, "calibration", seed)
     # Short sequences cannot afford the full 50-frame transient skip.
     skip = min(50, config.num_frames // 5)
     results = []
@@ -205,7 +210,7 @@ def calibrate_scenario(
             z1, z2 = paired_positions(tracks[0], tracks[i], skip)
         except PipelineError as exc:
             raise PipelineError(
-                f"{exc} of node {i} against node 0: {_update_summary(tracks, sim)}"
+                f"{exc} of node {i} against node 0: {_update_summary(tracks, sim)} ({seed})"
             ) from None
         results.append(calibrate_pair(z1, z2))
     return results

@@ -34,7 +34,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .geometry import (FOV_HALF_ANGLE, Detection, Pose2D, TargetState, boresight_angles,
-                       elementwise)
+                       elementwise, measurement_model)
 from .scene import NoiseConfig
 
 _GRADIENT_TOL = 1e-8
@@ -43,7 +43,6 @@ _MAX_ITERATIONS = 100
 _LAMBDA_INIT = 1e-3
 _LAMBDA_MIN = 1e-12
 _LAMBDA_MAX = 1e12
-_MIN_RANGE = 1e-12
 # J'J with a smaller singular-value ratio has no covariance.
 _MIN_CONDITIONING = 1e-14
 
@@ -255,21 +254,23 @@ class _Frames:
     (3, N, F), and `center` each frame's prior center as (F, 4), or
     None for ML.  `evaluate` takes one state row per frame, (F, 4): the
     LM iterates, or the candidate starts of a model whose frames `take`
-    repeated once per candidate.  Its terms are stacked blocks, the
-    unit vectors to the nodes as (2, N, F), the predicted range, spatial
-    frequency and radial velocity as one (3, N, F) block, and each
-    node's pi (cos phi, sin phi) and the velocity as (2, 2, N, F).
+    repeated once per candidate.  Its terms are the stacked blocks of
+    `geometry.measurement_model`: the unit vectors to the nodes as
+    (2, N, F), the predicted range, spatial frequency and radial
+    velocity as one (3, N, F) block, and each node's pi (cos phi, sin phi)
+    and the velocity as (2, 2, N, F).
     `grid_objective` takes a grid of one frame (F = 1) as its four axes
-    x, y, vx, vy, shaped (P, 1, 1, 1) ... (1, 1, 1, P): the terms that
-    depend on position alone then take P^2 points, and only the Doppler
-    and prior terms take all P^4.  Every term is computed per node with
+    x, y, vx, vy, shaped (P, 1, 1, 1) ... (1, 1, 1, P): the model then
+    runs on P^2 positions, and only the Doppler projection and the
+    prior terms take all P^4 states.  Every term is computed per node with
     the state axes innermost, and the objective sums the three
     modalities, then the nodes in order.
 
     Residuals are (measured - predicted)/sigma, stacked as the N range
     rows, then N spatial-frequency rows, then N radial-velocity rows;
     with a prior, four prior rows (theta - center)/sigma are appended.
-    Objective values are +inf where a state sits on a node.
+    Objective values are +inf where a state is near a node (within
+    1e-12 m).
     """
 
     def __init__(self, nodes, meas, noise, prior_sigmas=None, center=None):
@@ -319,24 +320,7 @@ class _Frames:
     def evaluate(self, theta):
         """Objective values (F,) at the states `theta` (F, 4), and the terms
         `jacobian` reuses."""
-        # The state components first: (4, F).
-        state = theta.T
-        offset = state[:2, None] - self.nodes[:2]
-        squares = offset * offset
-        r2 = squares[0] + squares[1]
-        infeasible = r2 < _MIN_RANGE * _MIN_RANGE
-        any_infeasible = np.count_nonzero(infeasible)
-        if any_infeasible:
-            r2 = np.maximum(r2, _MIN_RANGE * _MIN_RANGE)
-        predicted = np.empty((3,) + r2.shape)
-        unit = offset / np.sqrt(r2, out=predicted[0])
-        # b = pi (cos, sin) and the velocity v per node, projected on u:
-        # the predicted spatial frequency and radial velocity.
-        directions = np.empty((2,) + unit.shape)
-        directions[0] = self.nodes[2:]
-        directions[1] = state[2:, None]
-        product = directions * unit
-        np.add(product[:, 0], product[:, 1], out=predicted[1:])
+        _, unit, predicted, directions, near = measurement_model(self.nodes, theta.T)
         blocks = (self.meas - predicted) / self.sigmas
         # The modalities, then the nodes, each summed in order.
         value = (blocks * blocks).sum(0).sum(0)
@@ -344,26 +328,24 @@ class _Frames:
         if self.prior_sigmas is not None:
             prior_rows = (theta - self.center) / self.prior_sigmas
             value += (prior_rows * prior_rows).sum(axis=-1)
-        if any_infeasible:
-            value[infeasible.any(axis=0)] = np.inf
+        if np.count_nonzero(near):
+            value[near.any(axis=0)] = np.inf
         return value, (unit, predicted, blocks, directions, prior_rows)
 
     def grid_objective(self, axes) -> np.ndarray:
         """`objective` on a grid's four axes; the frame axis (F = 1) lines up
         with the grid's first."""
         x, y, vx, vy = axes
-        px, py, pi_cos, pi_sin = self.nodes[..., None, None, None]
         meas_r, meas_w, meas_v = self.meas[..., None, None, None]
         noise = self.noise
-        dx = x - px
-        dy = y - py
-        r2 = dx * dx + dy * dy
-        infeasible = r2 < _MIN_RANGE * _MIN_RANGE
-        r = np.sqrt(np.maximum(r2, _MIN_RANGE * _MIN_RANGE))
-        ux = dx / r
-        uy = dy / r
-        range_ = (meas_r - r) / noise.sigma_r
-        angle = (meas_w - (ux * pi_cos + uy * pi_sin)) / noise.sigma_omega
+        # The model on the P^2 positions at zero velocity.
+        position = np.zeros((4,) + np.broadcast_shapes(x.shape, y.shape))
+        position[0], position[1] = x, y
+        _, (ux, uy), predicted, _, near = measurement_model(
+            self.nodes[..., None, None, None], position
+        )
+        range_ = (meas_r - predicted[0]) / noise.sigma_r
+        angle = (meas_w - predicted[1]) / noise.sigma_omega
         plane = range_ * range_ + angle * angle
         # Each node's P^4 term, range and angle plus Doppler, is written
         # into `value` (node 0) or `term` and added in node order.
@@ -382,8 +364,8 @@ class _Frames:
             q = [((a - c) / s) ** 2 for a, c, s in zip(axes, self.center[0], self.prior_sigmas)]
             # Summed in the order of the state arrays' four-term sum.
             value += np.add((q[0] + q[1]) + q[2], q[3], out=term)
-        if infeasible.any():
-            value[np.broadcast_to(infeasible.any(axis=0), value.shape)] = np.inf
+        if near.any():
+            value[np.broadcast_to(near.any(axis=0), value.shape)] = np.inf
         return value
 
     def objective(self, theta) -> np.ndarray:
@@ -558,9 +540,9 @@ def _range_circles(nodes: _Columns) -> tuple[np.ndarray, np.ndarray]:
     r1, r2 = table[3, :2]
     chord = table[:2, 1] - first
     d = elementwise((math.hypot,), *chord)[0]
-    # Frames whose circles do not meet (d = 0 among them) compute
-    # garbage here, masked out by `meet`.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # Frames whose circles do not meet (d = 0 among them), or whose
+    # squares overflow, compute garbage here, masked out by `meet`.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         r1_sq = r1 * r1
         along = (r1_sq - r2 * r2 + d * d) / (2.0 * d)
         height_sq = r1_sq - along * along

@@ -144,19 +144,59 @@ class Detection:
         finite_floats(self, ("range", "spatial_freq", "radial_vel"))
 
 
+# Within this distance of a node a state is `near` it: the array model
+# clamps its range there, and the float model refuses it.
+_MIN_RANGE = 1e-12
+
+
+def measurement_model(nodes: np.ndarray, state: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The exact measurement model, broadcast over nodes and states.
+
+    `nodes` holds each node's x, y, pi cos phi and pi sin phi as rows
+    (4, N, ...), `state` the target's x, y, vx, vy as (4, ...).  With
+    the offset d = p - p_i, the range is r = sqrt(dx^2 + dy^2), the unit
+    vector u = d/r, the spatial frequency (pi cos phi) ux + (pi sin phi) uy
+    and the radial velocity vx ux + vy uy, each in that operation order.
+
+    Returns the offsets and the unit vectors (2, N, ...), the predicted
+    range, spatial frequency and radial velocity (3, N, ...), the
+    directions (2, 2, N, ...) that u is projected on, each node's
+    pi (cos phi, sin phi) then the velocity, and the mask (N, ...) of the
+    states `near` a node, within `_MIN_RANGE` of it.  There r^2 is
+    clamped to `_MIN_RANGE`^2, so every output stays finite.
+    """
+    offset = state[:2, None] - nodes[:2]
+    squares = offset * offset
+    r2 = squares[0] + squares[1]
+    near = r2 < _MIN_RANGE * _MIN_RANGE
+    if np.count_nonzero(near):
+        r2 = np.maximum(r2, _MIN_RANGE * _MIN_RANGE)
+    predicted = np.empty((3,) + r2.shape)
+    unit = offset / np.sqrt(r2, out=predicted[0])
+    directions = np.empty((2,) + unit.shape)
+    directions[0] = nodes[2:]
+    directions[1] = state[2:, None]
+    product = directions * unit
+    np.add(product[:, 0], product[:, 1], out=predicted[1:])
+    return offset, unit, predicted, directions, near
+
+
 def _measure_at(
     px: float, py: float, c: float, s: float,
     x: float, y: float, vx: float, vy: float,
 ) -> tuple[float, ...]:
-    """The exact measurement model on floats, for a radar at (px, py)
-    whose array direction is (c, s) = (cos phi, sin phi).
+    """`measurement_model` on floats, bit for bit, for one radar at
+    (px, py) whose array direction is (c, s) = (cos phi, sin phi).
 
     Returns (range, spatial frequency, radial velocity) of the target
     (x, y, vx, vy) and six more floats: the Jacobian entries h00, h01,
-    h10, h11, h20, h21 w.r.t. (x, y, vx, vy).  The other six entries
-    follow from them: h22 = h00 and h23 = h01 (the line-of-sight
-    direction), and the velocity columns of the first two rows are zero.  `measure`, `measurement_jacobian` and the EKF all
-    call this one kernel.
+    h10, h11, h20, h21 w.r.t. (x, y, vx, vy), that is ux, uy,
+    (pi c - omega ux)/r, (pi s - omega uy)/r, (vx - v ux)/r and
+    (vy - v uy)/r.  The other six entries follow from them: h22 = h00
+    and h23 = h01 (the line-of-sight direction), and the velocity
+    columns of the first two rows are zero.  `measure`,
+    `measurement_jacobian` and the EKF all call this one kernel.  A
+    target within `_MIN_RANGE` of the radar is a ValueError.
 
     The EKF runs in the node-local frame, where the radar sits at the
     identity pose, and passes (0.0, 0.0, 1.0, 0.0), the exact floats of
@@ -164,20 +204,20 @@ def _measure_at(
     """
     dx = x - px
     dy = y - py
-    r = math.hypot(dx, dy)
-    if r == 0.0:
-        raise ValueError("target coincides with radar position; range is zero")
-    along_array = dx * c + dy * s
-    vel_proj = vx * dx + vy * dy
-    r2 = r * r
-    r3 = r2 * r
+    r2 = dx * dx + dy * dy
+    if r2 < _MIN_RANGE * _MIN_RANGE:
+        raise ValueError("target coincides with radar position; range is below 1e-12 m")
+    r = math.sqrt(r2)
+    ux = dx / r
+    uy = dy / r
+    pi_c = math.pi * c
+    pi_s = math.pi * s
+    omega = pi_c * ux + pi_s * uy
+    vel = vx * ux + vy * uy
     return (
-        r, math.pi * along_array / r, vel_proj / r,
-        dx / r, dy / r,
-        math.pi * (c * r2 - along_array * dx) / r3,
-        math.pi * (s * r2 - along_array * dy) / r3,
-        (vx * r2 - vel_proj * dx) / r3,
-        (vy * r2 - vel_proj * dy) / r3,
+        r, omega, vel, ux, uy,
+        (pi_c - omega * ux) / r, (pi_s - omega * uy) / r,
+        (vx - vel * ux) / r, (vy - vel * uy) / r,
     )
 
 
@@ -209,18 +249,11 @@ def aoa_from_spatial_frequency(omega: float) -> float:
     return math.asin(omega / math.pi)
 
 
-def boresight_angle(dx: float, dy: float, c: float, s: float) -> float:
-    """Angle off boresight of the offset (dx, dy) from a node whose
-    array direction is (c, s) = (cos phi, sin phi), in (-pi, pi].
-
-    The float form of `angle_off_boresight`, for callers that hold a
-    node's cosine and sine already; the offset must be nonzero.
-    """
-    return math.atan2(dx * c + dy * s, -dx * s + dy * c)
-
-
 def boresight_angles(dx, dy, c, s) -> np.ndarray:
-    """`boresight_angle` of broadcasting arrays, element by element with `math`."""
+    """Angles off boresight, in (-pi, pi], of the offsets (dx, dy) from
+    nodes whose array directions are (c, s) = (cos phi, sin phi): the
+    broadcasting array form of `angle_off_boresight`, element by element
+    with `math`."""
     return elementwise((math.atan2,), dx * c + dy * s, -dx * s + dy * c)[0]
 
 
@@ -232,7 +265,8 @@ def angle_off_boresight(radar: Pose2D, target: TargetState) -> float:
     dx, dy = target.x - radar.x, target.y - radar.y
     if dx == 0.0 and dy == 0.0:
         raise ValueError("target coincides with radar position; range is zero")
-    return boresight_angle(dx, dy, math.cos(radar.phi), math.sin(radar.phi))
+    c, s = math.cos(radar.phi), math.sin(radar.phi)
+    return math.atan2(dx * c + dy * s, -dx * s + dy * c)
 
 
 def local_to_global(node: Pose2D, local_point) -> np.ndarray:

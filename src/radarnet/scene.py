@@ -25,10 +25,9 @@ from .geometry import (
     Detection,
     Pose2D,
     TargetState,
-    boresight_angle,
     boresight_angles,
-    elementwise,
     measure,  # noqa: F401  (trace target: radarnet.scene.measure)
+    measurement_model,
 )
 
 # Desk-scale defaults used beyond the scenario dataclasses: 150 ms
@@ -256,13 +255,27 @@ def _trajectory(spec: TrajectorySpec, num_frames: int, dt: float, seed: int) -> 
     return np.array(states)
 
 
-def _detect(truth: np.ndarray, config: ScenarioConfig) -> np.ndarray:
-    """The (F, N, 3) detections of (F, 4) truth rows, NaN where unseen.
+def _sight(poses, states: np.ndarray, max_range: float, fov_half_angle: float):
+    """The ideal triples (3, N, F) of `geometry.measurement_model` from the
+    node `poses` to the (4, F) `states`, and the (N, F) mask of the states
+    each node sees: not near it, no farther than `max_range`, and at most
+    `fov_half_angle` off its boresight by `boresight_angles` of the
+    model's offsets."""
+    cs = np.array([[math.cos(pose.phi), math.sin(pose.phi)] for pose in poses]).T[..., None]
+    position = np.array([[pose.x, pose.y] for pose in poses], dtype=float).T[..., None]
+    # A target too far for r^2 to be finite is out of range.
+    with np.errstate(over="ignore", invalid="ignore"):
+        offset, _, predicted, _, near = measurement_model(
+            np.concatenate((position, math.pi * cs)), states
+        )
+        angle = boresight_angles(*offset, *cs)
+    seen = ~near & ~(predicted[0] > max_range) & (np.abs(angle) <= fov_half_angle)
+    return predicted, seen
 
-    The exact measurement model and the visibility rule of `is_visible`,
-    broadcast over frames and nodes with each element's operations in
-    the scalar order; the range and angle use `math`.
-    """
+
+def _detect(truth: np.ndarray, config: ScenarioConfig) -> np.ndarray:
+    """The (F, N, 3) detections of (F, 4) truth rows, NaN where unseen:
+    the ideal triples and the visibility rule of `_sight`, plus noise."""
     if len(truth) != config.num_frames:
         raise ConfigError(
             f"truth length {len(truth)} != num_frames {config.num_frames}"
@@ -270,23 +283,10 @@ def _detect(truth: np.ndarray, config: ScenarioConfig) -> np.ndarray:
     rng = np.random.default_rng([config.rng_seed, _MEASUREMENT_STREAM])
     draws = rng.standard_normal((len(truth), len(config.nodes), 3))
     noise = config.noise
-    node_x = np.array([node.x for node in config.nodes], dtype=float)
-    node_y = np.array([node.y for node in config.nodes], dtype=float)
-    c = np.array([math.cos(node.phi) for node in config.nodes])
-    s = np.array([math.sin(node.phi) for node in config.nodes])
-    x, y, vx, vy = (truth[:, i, None] for i in range(4))
-    dx = x - node_x
-    dy = y - node_y
-    r = elementwise((math.hypot,), dx, dy)[0]
-    angle = boresight_angles(dx, dy, c, s)
-    seen = (r != 0.0) & ~(r > config.max_range) & (np.abs(angle) <= config.fov_half_angle)
-    detections = np.empty(draws.shape)
-    with np.errstate(divide="ignore", invalid="ignore"):  # r = 0 only where unseen
-        omega = math.pi * (dx * c + dy * s) / r + noise.sigma_omega * draws[..., 1]
-        detections[..., 0] = r + noise.sigma_r * draws[..., 0]
-        detections[..., 1] = np.minimum(math.pi, np.maximum(-math.pi, omega))
-        detections[..., 2] = (vx * dx + vy * dy) / r + noise.sigma_v * draws[..., 2]
-    detections[~seen] = np.nan
+    predicted, seen = _sight(config.nodes, truth.T, config.max_range, config.fov_half_angle)
+    detections = predicted.T + np.array([noise.sigma_r, noise.sigma_omega, noise.sigma_v]) * draws
+    detections[..., 1] = np.minimum(math.pi, np.maximum(-math.pi, detections[..., 1]))
+    detections[~seen.T] = np.nan
     return detections
 
 
@@ -307,12 +307,9 @@ def is_visible(
     max_range: float = MAX_UNAMBIGUOUS_RANGE,
     fov_half_angle: float = FOV_HALF_ANGLE,
 ) -> bool:
-    """True iff the target is within the node's range and azimuth FoV."""
-    dx, dy = target.x - node.x, target.y - node.y
-    r = math.hypot(dx, dy)
-    if r == 0.0 or r > max_range:
-        return False
-    return abs(boresight_angle(dx, dy, math.cos(node.phi), math.sin(node.phi))) <= fov_half_angle
+    """True iff the target is within the node's range and azimuth FoV: the
+    one-element case of the simulator's visibility rule."""
+    return bool(_sight((node,), target.as_vector()[:, None], max_range, fov_half_angle)[1][0, 0])
 
 
 def synthesize_measurements(

@@ -340,13 +340,18 @@ class TestExitCodes:
         # Every candidate start's objective overflows at sigma_r 1e-200.
         ("fuse", {"noise": {"sigma_r": 1e-200}}, "fusion"),
         ("run", {"noise": {"sigma_r": 1e-200}}, "fusion"),
+        # The range circles' squares overflow at sigma_r 1e154.
+        ("fuse", {"noise": {"sigma_r": 1e154}}, "fusion"),
     ])
     def test_numerical_failure_is_pipeline_error(self, tmp_path, verb, setting, stage, capsys):
         path = self.c_config(tmp_path, **setting)
-        assert main([verb, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        argv = [verb, "--config", str(path), "--seed", "0", "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err and err.count("\n") == 1
         assert err.startswith(f"pipeline error: {stage} stage: ")
+        # The user's seed, not the calibration stage's offset one.
+        assert "(seed 0" in err
 
     @pytest.mark.parametrize("verb", ["simulate", "run"])
     def test_unwritable_out_is_config_error(self, tmp_path, small_config, capsys, verb):

@@ -25,6 +25,7 @@ from radarnet.geometry import (
     _measure_at,
     measure,
     measurement_jacobian,
+    measurement_model,
     wrap_angle,
 )
 
@@ -281,3 +282,70 @@ class TestMeasurementJacobian:
             assert measure(radar, target) == Detection(r, omega, radial_vel)
             jac = np.array([[h00, h01, 0, 0], [h10, h11, 0, 0], [h20, h21, h00, h01]], dtype=float)
             assert measurement_jacobian(radar, target).tobytes() == jac.tobytes()
+
+
+def model_nodes(poses) -> np.ndarray:
+    """The (4, N, 1) node rows x, y, pi cos phi, pi sin phi of `poses`."""
+    return np.array([[p.x, p.y, math.pi * math.cos(p.phi), math.pi * math.sin(p.phi)]
+                     for p in poses]).T[..., None]
+
+
+class TestMeasurementModel:
+    """The broadcast kernel, and `_measure_at` as its one-state view."""
+
+    @staticmethod
+    def assert_float_view(poses, states):
+        """Every node's `_measure_at` floats at every (F, 4) state are the
+        kernel's range, spatial frequency, radial velocity and unit vector,
+        bit for bit."""
+        _, unit, predicted, directions, near = measurement_model(model_nodes(poses), states.T)
+        assert not near.any()
+        want = np.array([[_measure_at(p.x, p.y, math.cos(p.phi), math.sin(p.phi), *row)
+                          for row in states.tolist()] for p in poses])
+        got = np.concatenate((predicted, unit)).transpose(1, 2, 0)
+        assert got.tobytes() == want[..., :5].tobytes()
+        assert directions[1].tobytes() == np.broadcast_to(states.T[2:, None], unit.shape).tobytes()
+
+    @pytest.mark.parametrize("name", ["A", "B", "C"])
+    @pytest.mark.parametrize("kind", ["straight", "random"])
+    def test_builtin_truth_matches_float_view(self, name, kind):
+        from radarnet.scene import builtin_scenario, simulate
+
+        config = builtin_scenario(name, kind, seed=7)
+        self.assert_float_view(config.nodes, simulate(config).truth)
+
+    def test_three_nodes_match_float_view(self):
+        from radarnet.scene import builtin_scenario, simulate
+
+        config = builtin_scenario("B", "random", seed=7)
+        nodes = config.nodes + (Pose2D(4.0, 3.5, math.radians(125.0)),)
+        self.assert_float_view(nodes, simulate(config).truth)
+
+    def test_identity_pose_matches_the_ekf_floats(self):
+        # The EKF passes (0.0, 0.0, 1.0, 0.0), which the identity pose gives.
+        from radarnet.experiment import PIPELINE_EKF
+        from radarnet.scene import builtin_scenario, simulate
+        from radarnet.tracking import run_tracker
+
+        config = builtin_scenario("C", "random", seed=7)
+        track = run_tracker(simulate(config), 1, PIPELINE_EKF, config.noise)
+        identity = Pose2D(0.0, 0.0, 0.0)
+        assert (identity.x, identity.y, math.cos(identity.phi), math.sin(identity.phi)) == (
+            0.0, 0.0, 1.0, 0.0)
+        self.assert_float_view((identity,), track.states)
+
+    def test_near_a_node_is_masked_and_finite(self):
+        from radarnet.scene import BUILTIN_NODES, is_visible
+
+        nodes = BUILTIN_NODES["C"]
+        # On node 0, 5e-13 m from it, 1e-13 m from node 1, and clear of both.
+        states = np.array([[0.0, 0.0, 1.0, -1.0], [3e-13, -4e-13, 0.5, 0.5],
+                           [0.0, 7.0 + 1e-13, 0.2, 0.0], [1.0, 2.0, 0.0, 0.0]])
+        outputs = measurement_model(model_nodes(nodes), states.T)
+        near = outputs[-1]
+        assert near.tolist() == [[True, True, False, False], [False, False, True, False]]
+        assert all(np.isfinite(a).all() for a in outputs[:-1])
+        for k, node in ((1, nodes[0]), (2, nodes[1])):
+            with pytest.raises(ValueError, match="coincides"):
+                _measure_at(node.x, node.y, math.cos(node.phi), math.sin(node.phi), *states[k])
+            assert not is_visible(node, TargetState(*states[k]))

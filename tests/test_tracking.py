@@ -1087,16 +1087,14 @@ class TestWhitenedUpdate:
 def untrimmed_measure_floats(radar, x, y, vx, vy):
     """The measurement model and Jacobian from a pose, with its cos and sin."""
     dx, dy = x - radar.x, y - radar.y
-    r = math.hypot(dx, dy)
-    c, s = math.cos(radar.phi), math.sin(radar.phi)
-    along_array = dx * c + dy * s
-    vel_proj = vx * dx + vy * dy
-    r2 = r * r
-    r3 = r2 * r
+    r = math.sqrt(dx * dx + dy * dy)
+    ux, uy = dx / r, dy / r
+    pi_c, pi_s = math.pi * math.cos(radar.phi), math.pi * math.sin(radar.phi)
+    omega = pi_c * ux + pi_s * uy
+    vel = vx * ux + vy * uy
     return (
-        r, math.pi * along_array / r, vel_proj / r, dx / r, dy / r,
-        math.pi * (c * r2 - along_array * dx) / r3, math.pi * (s * r2 - along_array * dy) / r3,
-        (vx * r2 - vel_proj * dx) / r3, (vy * r2 - vel_proj * dy) / r3,
+        r, omega, vel, ux, uy, (pi_c - omega * ux) / r, (pi_s - omega * uy) / r,
+        (vx - vel * ux) / r, (vy - vel * uy) / r,
     )
 
 

@@ -30,6 +30,9 @@ into a temporary directory); runs from any directory.
 A byte-identity check of the working tree against its last commit:
 
     diff <(python3 tools/fingerprint.py --rev HEAD) <(python3 tools/fingerprint.py)
+
+A change that moves floats, even by an ulp, changes every line whose
+outputs it reaches; `tools/drift.py --rev REV` then sizes the move.
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ posterior for the conditional-Gaussian measurement model.
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 from collections.abc import Sequence
@@ -313,9 +314,11 @@ class _Frames:
 
     def take(self, index) -> "_Frames":
         """The model of the frames at the integer `index` along F."""
-        center = None if self.center is None else self.center.take(index, 0)
-        return type(self)(self.nodes.take(index, -1), self.meas.take(index, -1), self.noise,
-                          self.prior_sigmas, center)
+        # A shallow copy keeps the noise and prior constants built once.
+        taken = copy.copy(self)
+        taken.nodes, taken.meas = self.nodes.take(index, -1), self.meas.take(index, -1)
+        taken.center = None if self.center is None else self.center.take(index, 0)
+        return taken
 
     def evaluate(self, theta):
         """Objective values (F,) at the states `theta` (F, 4), and the terms
@@ -464,22 +467,15 @@ def _stationary(gradient_half: np.ndarray) -> np.ndarray:
 
 def _positive_definite(m: np.ndarray) -> np.ndarray:
     """Whether each symmetric 4x4 matrix of `m` (F, 4, 4) is positive
-    definite (F,): its four LDL' pivots, computed from the upper
-    triangle, are all > 0.  A matrix with a NaN entry is not.
-
-    Each step eliminates the leading pivot d of the block B left so far,
-    B' = B[1:, 1:] - l B[0, 1:] with l = B[0, 1:]/d, whose upper
-    triangle reads only the upper triangle of B.  A pivot that is not
-    > 0 turns NaN before it divides, so the pivots after it are NaN and
-    compare False.
+    definite (F,): whether its Cholesky factor exists (Golub & Van Loan,
+    Matrix Computations, 4.2), taken from the lower triangle by the
+    LAPACK gufunc `np.linalg.cholesky` wraps.  A factorization that
+    fails comes back as a NaN block, and a NaN in the lower triangle
+    reaches the factor's last diagonal entry; both read False.
     """
-    block = m
-    for _ in range(3):
-        pivot = block[:, 0, 0]
-        row = block[:, 0, 1:]
-        scaled = row / np.where(pivot > 0.0, pivot, np.nan)[:, None]
-        block = block[:, 1:, 1:] - scaled[:, :, None] * row[:, None]
-    return block[:, 0, 0] > 0.0
+    with np.errstate(all="ignore"):
+        factor = _umath_linalg.cholesky_lo(m, signature="d->d")
+    return ~np.isnan(factor[:, -1, -1])
 
 
 def _objective_terms(theta, obs, noise, prior=None, prior_center=None):
@@ -718,7 +714,12 @@ def _frame_groups(table: np.ndarray) -> list[tuple[range | np.ndarray, np.ndarra
 
 
 def _solve_group(table: np.ndarray, noise, mode, prior, fov_half_angle) -> FusionEstimates:
-    """`solve_frames` on an (F, N, 6) frame table."""
+    """`solve_frames` on an (F, N, 6) frame table.
+
+    One LAPACK call inverts every frame's J'J, each on its own, as
+    `np.linalg.inv` does; a frame whose conditioning is not above
+    `_MIN_CONDITIONING` gets a NaN covariance.
+    """
     nodes = _columns(table)
     starts, keep = _start_table(nodes, fov_half_angle)
     frames_count = len(starts)
@@ -750,14 +751,11 @@ def _solve_group(table: np.ndarray, noise, mode, prior, fov_half_angle) -> Fusio
     conditioning = np.divide(
         singular_values[:, -1], smax, out=np.zeros(frames_count), where=smax > 0.0
     )
-    invertible = conditioning > _MIN_CONDITIONING
-    covariances = np.full((frames_count, 4, 4), np.nan)
-    count = np.count_nonzero(invertible)
-    if count:
-        # Each system inverts on its own, so all of them need no selection.
-        index = slice(None) if count == frames_count else invertible
-        inverse = np.linalg.inv(hessian[index])
-        covariances[index] = 0.5 * (inverse + inverse.swapaxes(-1, -2))
+    # A singular J'J inverts to NaN, a near-singular one may overflow.
+    with np.errstate(all="ignore"):
+        inverse = _umath_linalg.inv(hessian, signature="d->d")
+        covariances = 0.5 * (inverse + inverse.swapaxes(-1, -2))
+    covariances[conditioning <= _MIN_CONDITIONING] = np.nan
     return FusionEstimates(theta, covariances, value, iterations, converged, conditioning,
                            mode, centers)
 

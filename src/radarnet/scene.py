@@ -25,6 +25,7 @@ from .geometry import (
     Detection,
     Pose2D,
     TargetState,
+    angle_difference,
     boresight_angles,
     measure,  # noqa: F401  (trace target: radarnet.scene.measure)
     measurement_model,
@@ -141,7 +142,7 @@ class ScenarioConfig:
         if len(self.nodes) < 2:
             raise ConfigError("scenario needs at least 2 nodes")
         ref = self.nodes[0]
-        if abs(ref.x) > 1e-12 or abs(ref.y) > 1e-12 or ref.phi > 1e-12:
+        if max(abs(ref.x), abs(ref.y), abs(angle_difference(ref.phi, 0.0))) > 1e-12:
             raise ConfigError("node 0 must be the origin pose (0, 0, phi=0)")
         if not self.max_range > 0.0:
             raise ConfigError(f"max_range must be > 0, got {self.max_range}")

@@ -590,6 +590,27 @@ class TestSolveFrames:
         for obs, est in zip(observations, batch):
             assert_same_estimate(solve(obs, TABLE_NOISE, mode="bayes", prior=PRIOR), est)
 
+    def test_mixed_conditioning_masks_only_ill_conditioned_frames(self):
+        # Frame 0 sits on C's facing-node baseline, where the ML J'J is
+        # singular, and frame 2 1e-6 m off it, where J'J still inverts but
+        # its conditioning is below the cut; frame 1 is well off it.
+        nodes = config_c_nodes()
+        targets = (TargetState(0.0, 3.5, 0.0, 1.0), TargetState(1.0, 3.0, 0.3, -0.2),
+                   TargetState(1e-6, 2.0, 0.0, -0.5))
+        observations = [observation_of(nodes, target) for target in targets]
+        table = frame_table(nodes, [detections_of(obs) for obs in observations])
+        batch = solve_frames(table, TABLE_NOISE, mode="ml")
+        assert batch.conditioning[0] == 0.0
+        assert 0.0 < batch.conditioning[2] < fusion_module._MIN_CONDITIONING
+        assert batch.conditioning[1] > fusion_module._MIN_CONDITIONING
+        nan_entries = np.isnan(batch.covariances)
+        np.testing.assert_array_equal(nan_entries.any(axis=(1, 2)), [True, False, True])
+        assert nan_entries[[0, 2]].all()
+        one = solve(observations[1], TABLE_NOISE, mode="ml")
+        assert batch.covariances[1].tobytes() == one.covariance.tobytes()
+        assert_same_estimate(batch[1], one)
+        assert batch[0].covariance is None and batch[2].covariance is None
+
     def test_start_on_a_node_raises(self):
         good = observation_of(config_b_nodes(), TargetState(1.5, 3.5, 0.2, 0.1))
         # A zero-range detection maps back onto the node itself.
@@ -1290,26 +1311,24 @@ class TestSingleFrameKernel:
 
 
 def elementwise_positive_definite(m):
-    """The pivot test written out entry by entry: the four LDL' pivots of
-    each symmetric 4x4 matrix of `m` (F, 4, 4) from its upper triangle,
-    a pivot that is not > 0 turning NaN before it divides.  The reference
-    the stacked `_positive_definite` must match boolean for boolean."""
-    a = m.reshape(len(m), 16).T
-    a00, a01, a02, a03, a11, a12, a13, a22, a23, a33 = a[[0, 1, 2, 3, 5, 6, 7, 10, 11, 15]]
-    d0 = np.where(a00 > 0.0, a00, np.nan)
-    l1, l2, l3 = a01 / d0, a02 / d0, a03 / d0
-    b11, b12, b13 = a11 - l1 * a01, a12 - l1 * a02, a13 - l1 * a03
-    b22, b23, b33 = a22 - l2 * a02, a23 - l2 * a03, a33 - l3 * a03
-    d1 = np.where(b11 > 0.0, b11, np.nan)
-    l2, l3 = b12 / d1, b13 / d1
-    c22, c23, c33 = b22 - l2 * b12, b23 - l2 * b13, b33 - l3 * b13
-    d2 = np.where(c22 > 0.0, c22, np.nan)
-    return c33 - c23 / d2 * c23 > 0.0
+    """Whether each matrix of `m` (F, 4, 4) has a Cholesky factor, by
+    `np.linalg.cholesky` one matrix at a time: False where it raises, or
+    where a NaN entry carried into the factor.  The reference the stacked
+    `_positive_definite` must match boolean for boolean."""
+    want = []
+    for matrix in m:
+        try:
+            want.append(not np.isnan(np.linalg.cholesky(matrix)).any())
+        except np.linalg.LinAlgError:
+            want.append(False)
+    return np.array(want)
 
 
 class TestLeanKernels:
-    """The stacked pivot test, the one-call damped solve and the grid's
-    underflow cut against the formulations they replace, bit for bit."""
+    """The stacked Cholesky test against `np.linalg.cholesky` one matrix
+    at a time, boolean for boolean; the one-call damped solve and the
+    grid's underflow cut against the formulations they replace, bit for
+    bit."""
 
     def test_pivot_test_matches_elementwise_pivots(self):
         rng = np.random.default_rng(33)
@@ -1317,7 +1336,9 @@ class TestLeanKernels:
         shift = rng.uniform(-1.0, 6.0, (2000, 1, 1))
         random = x + x.swapaxes(1, 2) + shift * np.eye(4)
         # L D L' with a unit lower-triangular integer L and power-of-two
-        # pivots, one of them 0, -1 or 1: every pivot comes out exact.
+        # pivots, one of them 0, -1 or 1.  The Cholesky pivots are their
+        # square roots, which round: an exactly singular one may read
+        # positive definite, on both sides alike.
         exact = []
         for k in range(4):
             for bad in (0.0, -1.0, 1.0):
@@ -1326,7 +1347,7 @@ class TestLeanKernels:
                 pivots[k] = bad
                 exact.append(lower @ np.diag(pivots) @ lower.T)
         # A positive definite matrix with a NaN at each entry in turn
-        # (a NaN below the diagonal only is not read), and all NaN.
+        # (a NaN above the diagonal only is not read), and all NaN.
         with_nan = []
         for k in range(16):
             m = 4.0 * np.eye(4) + 0.5

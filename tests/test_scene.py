@@ -365,6 +365,15 @@ class TestConfigValidation:
     def test_reference_node_must_be_origin(self):
         with pytest.raises(ConfigError):
             two_node_config(nodes=(Pose2D(1, 0, 0), Pose2D(0, 7, math.pi)))
+        # The heading's tolerance is +/- 1e-12 rad either side of 0, as
+        # the position's is: 359.99999999999 deg wraps to just below 2 pi.
+        d = scenario_to_dict(two_node_config())
+        for phi_deg in (1e-11, -1e-11, 359.99999999999):
+            d["nodes"][0]["phi_deg"] = phi_deg
+            scenario_from_dict(d)
+        d["nodes"][0]["phi_deg"] = 1e-9
+        with pytest.raises(ConfigError, match="node 0 must be the origin pose"):
+            scenario_from_dict(d)
 
     def test_needs_two_nodes(self):
         with pytest.raises(ConfigError):

@@ -28,15 +28,15 @@ from any directory.
 from __future__ import annotations
 
 import argparse
-import io
 import subprocess
 import sys
-import tarfile
 import tempfile
 from itertools import product
 from pathlib import Path
 
 import numpy as np
+
+from revision import revision_src
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -110,12 +110,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if args.rev is None:
         parser.error("--rev is required")
-    with tempfile.TemporaryDirectory() as work:
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.rev, "src"],
-                                 check=True, capture_output=True).stdout
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(work, filter="data")
-        old = _side(Path(work) / "src", Path(work) / "old.npz")
+    with tempfile.TemporaryDirectory() as work, revision_src(args.rev) as src:
+        old = _side(src, Path(work) / "old.npz")
         new = _side(ROOT / "src", Path(work) / "new.npz")
 
     worst = {"det": 0.0, "cal_m": 0.0, "cal_deg": 0.0, "rmse": 0.0, "flips": 0}

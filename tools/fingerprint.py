@@ -39,16 +39,17 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import os
 import subprocess
 import sys
-import tarfile
 import tempfile
+from contextlib import nullcontext
 from itertools import chain, product
 from pathlib import Path
 
 import numpy as np
+
+from revision import revision_src
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -174,14 +175,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rev", help="git revision whose src/ to fingerprint")
     args = parser.parse_args(argv)
-    with tempfile.TemporaryDirectory() as tree:
-        src = ROOT / "src"
-        if args.rev is not None:
-            archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.rev, "src"],
-                                     check=True, capture_output=True).stdout
-            with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-                tar.extractall(tree, filter="data")
-            src = Path(tree) / "src"
+    with nullcontext(ROOT / "src") if args.rev is None else revision_src(args.rev) as src:
         sys.path.insert(0, str(src))
         for label, digest in chain(solve_frames_items(), one_frame_items(), measure_items(),
                                    cli_items(src)):

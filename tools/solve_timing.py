@@ -45,19 +45,19 @@ on each grid call's large buffers.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import statistics
 import subprocess
 import sys
-import tarfile
-import tempfile
 import time
+from contextlib import nullcontext
 from itertools import product
 from pathlib import Path
 
 import numpy as np
+
+from revision import revision_src
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -186,14 +186,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.rounds < 1 or args.repeat < 1:
         parser.error("--rounds and --repeat must be >= 1")
-    with tempfile.TemporaryDirectory() as tree:
+    with nullcontext() if args.rev is None else revision_src(args.rev) as src:
         trees = {"this tree": ROOT / "src"}
-        if args.rev is not None:
-            archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.rev, "src"],
-                                     check=True, capture_output=True).stdout
-            with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-                tar.extractall(tree, filter="data")
-            trees = {args.rev: Path(tree) / "src", **trees}
+        if src is not None:
+            trees = {args.rev: src, **trees}
         results = {label: [] for label in trees}
         for round_ in range(args.rounds):
             order = list(trees) if round_ % 2 == 0 else list(trees)[::-1]

@@ -306,8 +306,9 @@ def run_experiment(
     eval_frames = fused.frame_index[fused_rows]
     in_rmse = eval_frames >= BURN_IN_FRAMES
     if not in_rmse.any():
-        raise PipelineError(f"no frame past the {BURN_IN_FRAMES}-frame burn-in has detections "
-                            f"from every node ({len(eval_frames)} frames before it do)")
+        raise PipelineError(f"evaluation stage: no frame past the {BURN_IN_FRAMES}-frame burn-in "
+                            f"has detections from every node, {len(eval_frames)} frames before "
+                            f"it do (seed {config.rng_seed})")
     estimates = fuse_frames(config, sim, estimated_poses(calibrations), eval_frames, options)
 
     rmse_frames = eval_frames[in_rmse]
@@ -534,10 +535,12 @@ def emit_plot_data(
 ) -> dict[str, Path]:
     """Tidy per-quantity CSVs for plotting, from a completed run.
 
-    `run` is an ExperimentReport or its output directory.  Writes
-    plot_<q>.csv for q in (x, y, vx, vy) with columns
-    frame,truth,ekf1,ekf2_in_1,track_fusion,oneshot_bayes,oneshot_ml,
-    plus overlay.csv with the calibrated track overlay.
+    `run` is an ExperimentReport or its output directory.  The sources
+    are per_frame.csv's, in its order: every <source>_x column names one
+    (truth, ekf1, ekf<i>_in_1 per further node, track_fusion,
+    oneshot_bayes, oneshot_ml).  Writes plot_<q>.csv for q in (x, y, vx,
+    vy) with columns frame plus one per source, and overlay.csv with the
+    x and y columns of the ekf sources, the calibrated track overlay.
     """
     run_dir = Path(run.out_dir if isinstance(run, ExperimentReport) else run)
     out_dir = Path(out_dir) if out_dir is not None else run_dir / "plots"
@@ -551,21 +554,17 @@ def emit_plot_data(
             raise PipelineError(
                 f"per-frame output lacks one-shot {mode} columns; rerun with mode=both"
             )
+    sources = [name[:-2] for name in header if name.endswith("_x")]
+    overlay = [f"{source}_{q}" for source in sources if source.startswith("ekf") for q in "xy"]
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: dict[str, Path] = {}
-    for q in _PLOT_QUANTITIES:
-        columns = [index[name] for name in (
-            "frame", f"truth_{q}", f"ekf1_{q}", f"ekf2_in_1_{q}", f"track_fusion_{q}",
-            f"oneshot_bayes_{q}", f"oneshot_ml_{q}",
-        )]
-        path = out_dir / f"plot_{q}.csv"
-        write_csv(path, "frame,truth,ekf1,ekf2_in_1,track_fusion,oneshot_bayes,oneshot_ml",
-                  ([row[i] for i in columns] for row in rows))
-        written[q] = path
 
-    columns = [index[name] for name in ("frame", "ekf1_x", "ekf1_y", "ekf2_in_1_x", "ekf2_in_1_y")]
-    overlay = out_dir / "overlay.csv"
-    write_csv(overlay, "frame,ekf1_x,ekf1_y,ekf2_in_1_x,ekf2_in_1_y",
-              ([row[i] for i in columns] for row in rows))
-    written["overlay"] = overlay
+    def write_table(name: str, labels: list[str], names: list[str]) -> Path:
+        columns = [index["frame"], *(index[n] for n in names)]
+        path = out_dir / name
+        write_csv(path, ",".join(["frame", *labels]), ([row[i] for i in columns] for row in rows))
+        return path
+
+    written = {q: write_table(f"plot_{q}.csv", sources, [f"{s}_{q}" for s in sources])
+               for q in _PLOT_QUANTITIES}
+    written["overlay"] = write_table("overlay.csv", overlay, overlay)
     return written

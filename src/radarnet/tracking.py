@@ -150,28 +150,41 @@ def _symmetrize(p: np.ndarray) -> np.ndarray:
     return 0.5 * (p + p.T)
 
 
+def _cholesky_3(s00, s01, s02, s11, s12, s22) -> tuple | None:
+    """The unrolled Cholesky factor (l00, l10, l20, l11, l21, l22) of a
+    symmetric 3x3 matrix given by its upper triangle, or None unless it
+    is positive definite."""
+    if not s00 > 0.0:
+        return None
+    l00 = math.sqrt(s00)
+    l10, l20 = s01 / l00, s02 / l00
+    d1 = s11 - l10 * l10
+    if not d1 > 0.0:
+        return None
+    l11 = math.sqrt(d1)
+    l21 = (s12 - l20 * l10) / l11
+    d2 = s22 - l20 * l20 - l21 * l21
+    if not d2 > 0.0:
+        return None
+    return l00, l10, l20, l11, l21, math.sqrt(d2)
+
+
 def _is_positive_definite_4(p: tuple) -> bool:
     """Whether the unrolled scalar Cholesky of p - 1e-12*trace(p)*I succeeds.
 
-    `p` is the ten upper-triangle floats of a symmetric 4x4 matrix.
+    `p` is the ten upper-triangle floats of a symmetric 4x4 matrix.  The
+    factor of its leading 3x3 block is `_cholesky_3`'s; the fourth row
+    comes from forward substitution, and its pivot decides.
     """
     a00, a01, a02, a03, a11, a12, a13, a22, a23, a33 = p
     shift = 1e-12 * (a00 + a11 + a22 + a33)
-    d0 = a00 - shift
-    if not d0 > 0.0:
+    factor = _cholesky_3(a00 - shift, a01, a02, a11 - shift, a12, a22 - shift)
+    if factor is None:
         return False
-    l0 = math.sqrt(d0)
-    l10, l20, l30 = a01 / l0, a02 / l0, a03 / l0
-    d1 = a11 - shift - l10 * l10
-    if not d1 > 0.0:
-        return False
-    l1 = math.sqrt(d1)
-    l21 = (a12 - l20 * l10) / l1
-    l31 = (a13 - l30 * l10) / l1
-    d2 = a22 - shift - l20 * l20 - l21 * l21
-    if not d2 > 0.0:
-        return False
-    l32 = (a23 - l30 * l20 - l31 * l21) / math.sqrt(d2)
+    l00, l10, l20, l11, l21, l22 = factor
+    l30 = a03 / l00
+    l31 = (a13 - l30 * l10) / l11
+    l32 = (a23 - l30 * l20 - l31 * l21) / l22
     return a33 - shift - l30 * l30 - l31 * l31 - l32 * l32 > 0.0
 
 
@@ -193,25 +206,6 @@ def _psd(p: tuple) -> tuple:
     if eigenvalues[0] > floor:
         return p
     return _upper(_symmetrize((vectors * np.maximum(eigenvalues, floor)) @ vectors.T))
-
-
-def _cholesky_3(s00, s01, s02, s11, s12, s22) -> tuple | None:
-    """The unrolled Cholesky factor (l00, l10, l20, l11, l21, l22) of a
-    symmetric 3x3 matrix given by its upper triangle, or None unless it
-    is positive definite."""
-    if not s00 > 0.0:
-        return None
-    l00 = math.sqrt(s00)
-    l10, l20 = s01 / l00, s02 / l00
-    d1 = s11 - l10 * l10
-    if not d1 > 0.0:
-        return None
-    l11 = math.sqrt(d1)
-    l21 = (s12 - l20 * l10) / l11
-    d2 = s22 - l20 * l20 - l21 * l21
-    if not d2 > 0.0:
-        return None
-    return l00, l10, l20, l11, l21, math.sqrt(d2)
 
 
 def _lambda_min_q(q: tuple) -> float:

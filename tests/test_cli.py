@@ -278,10 +278,13 @@ class TestExitCodes:
         if verb == "run":
             assert "no frame past the 10-frame burn-in" in captured.err
             assert not list((tmp_path / "o").rglob("report.json"))
+            assert captured.err.rstrip("\n").endswith("(seed 0)")
         else:
             summary = json.loads(captured.out)
             assert summary["completed"] == 0 and summary["failed"] == 2
             assert all("burn-in" in failure["error"] for failure in summary["failures"])
+            assert all(failure["error"].endswith(f"(seed {failure['seed']})")
+                       for failure in summary["failures"])
 
     def test_fuse_without_two_detecting_nodes_is_pipeline_error(self, tmp_path, capsys):
         # Both nodes face +y, so node 1 at (0, 7) sees only what node 0 cannot.
@@ -615,6 +618,19 @@ class TestRunVerb:
         code = main(["emit-plots", "--run-dir", str(run_dir)])
         assert code == 0
         assert (run_dir / "plots" / "plot_vx.csv").exists()
+
+    def test_plots_name_every_node(self, tmp_path, three_node_config):
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(three_node_config), "--out", str(out)]) == 0
+        run_dir = out / "B" / "random" / "2"
+        assert main(["emit-plots", "--run-dir", str(run_dir)]) == 0
+        plots = run_dir / "plots"
+        assert (plots / "plot_x.csv").read_text().split("\n")[0] == (
+            "frame,truth,ekf1,ekf2_in_1,ekf3_in_1,track_fusion,oneshot_bayes,oneshot_ml"
+        )
+        assert (plots / "overlay.csv").read_text().split("\n")[0] == (
+            "frame,ekf1_x,ekf1_y,ekf2_in_1_x,ekf2_in_1_y,ekf3_in_1_x,ekf3_in_1_y"
+        )
 
     def test_byte_identical_reruns(self, tmp_path, small_config):
         out_a = tmp_path / "a"

@@ -1,6 +1,6 @@
 """Time the one-shot solver layer by layer.
 
-Figures, each the median over --rounds fresh processes:
+Figures, each the median over --rounds fresh processes per tree:
 
   solve ml, solve bayes   µs per `solve` call on one frame (F = 1),
                           the median over the inputs of each input's
@@ -28,13 +28,18 @@ accepting pass after the one at the start).
 Stdlib plus numpy and radarnet, from the sources of this checkout or,
 with --rev, of that git revision's src/ (extracted with `git archive`);
 with --rev both trees are timed, alternating which goes first, each
-round in fresh processes, and the table shows both and their ratio.
-Runs from any directory.
+round in fresh processes, and the table shows both.  The ratio column
+is the median over rounds of this tree's figure over REV's, each taken
+from the two processes of one round, which run back to back, so the
+machine's drift between rounds stays out of it; the min-max of those
+per-round ratios follows.  Runs from any directory.
 
     python3 tools/solve_timing.py
-    python3 tools/solve_timing.py --rev HEAD --rounds 5
+    python3 tools/solve_timing.py --rev HEAD
 
-The machine's speed drifts, so compare two trees within one run only.
+The machine's speed drifts, so compare two trees within one run only,
+by the ratio column; a change whose per-round min-max spans 1 is
+unresolved.
 Each timing process runs with glibc's MALLOC_MMAP_THRESHOLD_ and
 MALLOC_TRIM_THRESHOLD_ fixed at 1e8 bytes, so that a buffer's pages do
 not depend on the heap's history and the grid figure compares code.
@@ -181,7 +186,7 @@ def _run(src: Path, repeat: int) -> dict[str, float]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rev", help="git revision whose src/ to time against this checkout's")
-    parser.add_argument("--rounds", type=int, default=3, help="fresh processes per tree")
+    parser.add_argument("--rounds", type=int, default=5, help="fresh processes per tree")
     parser.add_argument("--repeat", type=int, default=3, help="timings per input, best kept")
     args = parser.parse_args(argv)
     if args.rounds < 1 or args.repeat < 1:
@@ -200,12 +205,13 @@ def main(argv: list[str] | None = None) -> int:
                        for name in runs[0]} for label, runs in results.items()}
     width = max(len(name) for name in medians[labels[0]])
     header = f"{'figure':<{width}}" + "".join(f"{label:>12}" for label in labels)
-    print(header + ("       ratio" if len(labels) == 2 else ""))
+    print(header + ("       ratio  min-max" if len(labels) == 2 else ""))
     for name in medians[labels[0]]:
-        values = [medians[label][name] for label in labels]
-        line = f"{name:<{width}}" + "".join(f"{value:12.2f}" for value in values)
-        if len(values) == 2:
-            line += f"{values[1] / values[0]:12.3f}"
+        line = f"{name:<{width}}" + "".join(f"{medians[label][name]:12.2f}" for label in labels)
+        if len(labels) == 2:
+            # Per round: this tree's figure over REV's, from back-to-back processes.
+            ratios = [mine[name] / theirs[name] for theirs, mine in zip(*results.values())]
+            line += f"{statistics.median(ratios):12.3f}  {min(ratios):.3f}-{max(ratios):.3f}"
         print(line)
     return 0
 

@@ -75,7 +75,10 @@ class PriorConfig:
     """Independent Gaussian priors for the four state components.
 
     The position prior is taken about the closed-form position
-    initializer, the velocity prior about zero.
+    initializer, the velocity prior about zero.  The Bayes estimate
+    moves with a rigid transform of the nodes (a rotation and a shift)
+    only while sigma_x equals sigma_y and sigma_vx equals sigma_vy: an
+    anisotropic prior is tied to the global axes.
     """
 
     sigma_x: float = 3.0
@@ -183,8 +186,9 @@ def _table(obs: FusionObservation) -> np.ndarray:
 
 
 def _columns(table: np.ndarray) -> _Columns:
-    """The node-first columns of an (F, N, 6) frame table, with cos and sin of phi."""
-    columns = np.ascontiguousarray(table.T)
+    """The node-first columns of an (F, N, 6) frame table, with cos and sin
+    of phi; a copy, never a view of `table`."""
+    columns = np.array(table.T, order="C")
     return _Columns(columns, elementwise((math.cos, math.sin), columns[2]))
 
 
@@ -537,12 +541,12 @@ def _range_circles(nodes: _Columns) -> tuple[np.ndarray, np.ndarray]:
     chord = table[:2, 1] - first
     d = elementwise((math.hypot,), *chord)[0]
     # Frames whose circles do not meet (d = 0 among them), or whose
-    # squares overflow, compute garbage here, masked out by `meet`.
+    # squares overflow, compute garbage here, masked out by `apart`.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         r1_sq = r1 * r1
         along = (r1_sq - r2 * r2 + d * d) / (2.0 * d)
         height_sq = r1_sq - along * along
-        meet = ~((d == 0.0) | (d > r1 + r2) | (d < np.abs(r1 - r2)) | (height_sq < 0.0))
+        apart = (d == 0.0) | (d > r1 + r2) | (d < np.abs(r1 - r2)) | (height_sq < 0.0)
         height = np.sqrt(height_sq)
         unit = chord / d
         base = first + along * unit
@@ -551,7 +555,7 @@ def _range_circles(nodes: _Columns) -> tuple[np.ndarray, np.ndarray]:
         points = base + across * _SIDES
         tangent = height == 0.0
         np.copyto(points[0], base, where=tangent)
-    return points, np.array([meet, meet & ~tangent])
+    return points, ~np.array([apart, apart | tangent])
 
 
 # Candidate starts farther off boresight than the field of view's
@@ -578,24 +582,23 @@ def _start_table(nodes: _Columns, fov_half_angle: float) -> tuple[np.ndarray, np
     keeps (F, 3).  Every |omega| <= pi must have been checked.
     """
     start = _start_states(nodes)
-    position = start[:2]
     points, meet = _range_circles(nodes)
-    frames = position.shape[1]
-    exists = np.ones((_MAX_STARTS, frames), dtype=bool)
-    exists[1:] = meet
-    candidates = np.empty((_MAX_STARTS, 2, frames))
-    candidates[0] = position
-    candidates[1:] = np.where(meet[:, None], points, position)
+    frames = start.shape[1]
+    starts = np.empty((frames, _MAX_STARTS, 4))
+    starts[..., 2:] = start[2:].T[:, None]
+    # The candidates' positions (3, 2, F), written through a view of `starts`.
+    candidates = starts[..., :2].transpose(1, 2, 0)
+    candidates[...] = start[:2]
+    np.copyto(candidates[1:], points, where=meet[:, None])
     # Each candidate's offset to each node (3, 2, N, F), and its angle
-    # off the node's boresight.
+    # off the node's boresight; a NaN angle is not out of view.
     offset = candidates[:, :, None] - nodes.table[:2]
     angle = boresight_angles(offset[:, 0], offset[:, 1], *nodes.cs)
-    unseen = ~offset.any(axis=1) | (np.abs(angle) > fov_half_angle + _VISIBILITY_MARGIN)
-    visible = exists & ~unseen.any(axis=1)
+    seen = offset.any(axis=1) & ~(np.abs(angle) > fov_half_angle + _VISIBILITY_MARGIN)
+    exists = np.ones((_MAX_STARTS, frames), dtype=bool)
+    exists[1:] = meet
+    visible = exists & seen.all(axis=1)
     keep = np.where(visible.any(axis=0), visible, exists)
-    starts = np.empty((frames, _MAX_STARTS, 4))
-    starts[..., :2] = candidates.transpose(2, 0, 1)
-    starts[..., 2:] = start[2:].T[:, None]
     return starts, keep.T
 
 
@@ -643,7 +646,16 @@ def solve_frames(
     feasible candidate among the closed-form position/velocity
     initializer and the two range-circle intersections, dropping those
     more than `fov_half_angle` (the nodes' field-of-view half-angle)
-    plus a 15 deg margin off a detecting node's boresight.
+    plus a 15 deg margin off a detecting node's boresight.  That start
+    stage (the groups, their columns, candidates and kept flags) does
+    not depend on the mode, and the last table's is kept: a call on a
+    table of the same shape and floats at the same `fov_half_angle`,
+    as the second mode's solve of one table is, reads it instead of
+    computing it again, with the same results.  The stage stays in
+    memory until a call on another table replaces it: a copy of the
+    table's bytes as its key (each call makes one), the columns, the
+    starts and the keep flags, about 3.4 times the table's own size
+    for two-node frames.
     A step solves (A + lam I) step = -J'r, where the step matrix A is
     J'J + S, S = sum_i r_i Hess(r_i) the residual curvature
     (`_Frames.curvature`), wherever that is positive definite, and
@@ -669,17 +681,17 @@ def _solve_frames(table, noise, mode, prior, fov_half_angle) -> FusionEstimates:
         raise ValueError(f"mode must be 'ml' or 'bayes', got {mode!r}")
     if mode == "bayes" and prior is None:
         raise ValueError("bayes mode requires a PriorConfig")
-    groups = _frame_groups(table)
-    if any(group.shape[1] < 2 for _, group in groups):
+    groups = _start_stage(table, fov_half_angle)
+    if any(group.nodes.table.shape[1] < 2 for group in groups):
         warnings.warn(
             "single-node observation: vector velocity is unobservable",
             stacklevel=3,
         )
-    parts = [_solve_group(group, noise, mode, prior, fov_half_angle) for _, group in groups]
+    parts = [_solve_group(group, noise, mode, prior) for group in groups]
     if len(parts) == 1:
         return parts[0]
     # Several node counts: put each group's rows back in input order.
-    order = np.argsort(np.concatenate([rows for rows, _ in groups]))
+    order = np.argsort(np.concatenate([group.rows for group in groups]))
     fields = ("states", "covariances", "objective_values", "iterations", "converged",
               "conditioning") + (("prior_centers",) if mode == "bayes" else ())
     return FusionEstimates(mode=mode, **{
@@ -687,15 +699,59 @@ def _solve_frames(table, noise, mode, prior, fov_half_angle) -> FusionEstimates:
     })
 
 
-def _frame_groups(table: np.ndarray) -> list[tuple[range | np.ndarray, np.ndarray]]:
-    """A frame table's frames grouped by their number n of detecting
-    nodes, each group as its frames' input positions and the (F_n, n, 6)
-    table of their detecting rows, in node order; ValueError on a table
-    that breaks `solve_frames`' input rules (TypeError if it is no array)."""
+class _StartGroup(NamedTuple):
+    """One group of `_frame_groups` with its start stage: the frames'
+    input positions, their `_Columns` and `_start_table`'s starts and
+    keep flags."""
+
+    rows: range | np.ndarray
+    nodes: _Columns
+    starts: np.ndarray
+    keep: np.ndarray
+
+
+# The start stage of the last frame table solved, as its key and its
+# groups: the ML and Bayes solves of one table share it.  Both are
+# replaced as one tuple, so a thread always reads a matching pair, and
+# the arrays are read-only, so threads may share them.
+_last_start_stage: tuple | None = None
+
+
+def _start_stage(table, fov_half_angle: float) -> list[_StartGroup]:
+    """A frame table's groups (`_frame_groups`), each with its start stage.
+
+    The stage does not depend on the mode, so the second solve of a table
+    reads it from a one-entry memo instead of computing it again.  Its key
+    is the table as floats (shape and exact bytes, so NaN rows match) and
+    `fov_half_angle`; it holds only the arrays derived here, read-only,
+    never the caller's table, and only tables that passed the input rules.
+    """
+    global _last_start_stage
     if not isinstance(table, np.ndarray):
         raise TypeError(f"frame table must be an (F, N, 6) array, got {type(table).__name__}; "
                         "build one with frame_table, or solve one FusionObservation with solve")
     table = np.asarray(table, dtype=float)
+    key = (table.shape, table.tobytes(), type(fov_half_angle), fov_half_angle)
+    memo = _last_start_stage
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    groups = []
+    for rows, group in _frame_groups(table):
+        nodes = _columns(group)
+        stage = _StartGroup(rows, nodes, *_start_table(nodes, fov_half_angle))
+        for array in (*nodes, stage.starts, stage.keep, rows):
+            if isinstance(array, np.ndarray):
+                array.setflags(write=False)
+        groups.append(stage)
+    _last_start_stage = key, groups
+    return groups
+
+
+def _frame_groups(table: np.ndarray) -> list[tuple[range | np.ndarray, np.ndarray]]:
+    """A frame table's frames grouped by their number n of detecting
+    nodes, each group as its frames' input positions and the (F_n, n, 6)
+    table of their detecting rows, in node order; ValueError on a table
+    that breaks `solve_frames`' input rules."""
     if table.ndim != 3 or table.shape[1] < 1 or table.shape[2] != 6:
         raise ValueError(f"frame array must be (F, N, 6) with N >= 1, got shape {table.shape}")
     _check_spatial_frequencies(table)
@@ -713,22 +769,21 @@ def _frame_groups(table: np.ndarray) -> list[tuple[range | np.ndarray, np.ndarra
     return [(rows, table[rows][detecting[rows]].reshape(len(rows), -1, 6)) for rows in groups]
 
 
-def _solve_group(table: np.ndarray, noise, mode, prior, fov_half_angle) -> FusionEstimates:
-    """`solve_frames` on an (F, N, 6) frame table.
+def _solve_group(group: _StartGroup, noise, mode, prior) -> FusionEstimates:
+    """`solve_frames` on one group of a frame table, from its start stage.
 
     One LAPACK call inverts every frame's J'J, each on its own, as
     `np.linalg.inv` does; a frame whose conditioning is not above
     `_MIN_CONDITIONING` gets a NaN covariance.
     """
-    nodes = _columns(table)
-    starts, keep = _start_table(nodes, fov_half_angle)
+    starts, keep = group.starts, group.keep
     frames_count = len(starts)
     centers = None
     if mode == "bayes":
         # The prior centres on the closed-form position start.
         centers = np.zeros((frames_count, 4))
         centers[:, :2] = starts[:, 0, :2]
-    frames = _Frames.of(nodes, noise, prior if mode == "bayes" else None, centers)
+    frames = _Frames.of(group.nodes, noise, prior if mode == "bayes" else None, centers)
     # The best-scoring feasible kept start seeds each frame; ties go to
     # the first in candidate order.  The candidates are scored as frame
     # rows, each frame repeated once per candidate.

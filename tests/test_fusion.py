@@ -1,6 +1,8 @@
 """One-shot fusion: initializers, objectives, LM solver, posterior covariance."""
 
 import math
+import sys
+import threading
 from contextlib import nullcontext
 from dataclasses import replace
 
@@ -1527,3 +1529,202 @@ class TestFieldOfView:
         assert_same_estimate(est, solve_frames(table, TABLE_NOISE, mode="ml",
                                                fov_half_angle=math.radians(30.0))[0])
         np.testing.assert_allclose(est.state.as_vector(), target.as_vector(), rtol=0, atol=1e-6)
+
+
+def nan_row_table():
+    """The line config's frames that some node detected: one, two or three
+    detecting nodes per frame, NaN triples in the other rows."""
+    config = line_config()
+    sim = simulate(config)
+    return frame_table(config.nodes, sim.detections[sim.seen.any(axis=1)]), config.noise
+
+
+class TestSharedStartStage:
+    """The ML and Bayes solves of one frame table share its start stage
+    through a one-entry memo, and every output keeps the bits of a solve
+    whose memo is cold."""
+
+    @staticmethod
+    def cold(patch):
+        patch.setattr(fusion_module, "_last_start_stage", None)
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got.mode == want.mode
+        for field in ("states", "covariances", "objective_values", "iterations", "converged",
+                      "conditioning"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+        if want.prior_centers is None:
+            assert got.prior_centers is None
+        else:
+            assert got.prior_centers.tobytes() == want.prior_centers.tobytes()
+
+    @staticmethod
+    def solves(solver, monkeypatch):
+        """Each mode alone on a cold memo, then ML then Bayes and Bayes then
+        ML, each second solve a memo hit."""
+        modes = {"ml": None, "bayes": PRIOR}
+        alone = {}
+        for mode, prior in modes.items():
+            TestSharedStartStage.cold(monkeypatch)
+            alone[mode] = solver(mode, prior)
+        for order in (("ml", "bayes"), ("bayes", "ml")):
+            TestSharedStartStage.cold(monkeypatch)
+            first = solver(order[0], modes[order[0]])
+            memo = fusion_module._last_start_stage
+            second = solver(order[1], modes[order[1]])
+            assert fusion_module._last_start_stage is memo
+            yield (first, alone[order[0]]), (second, alone[order[1]])
+
+    def test_solve_frames_in_either_order_matches_cold_solves(self, monkeypatch):
+        table, noise = nan_row_table()
+        b_config = builtin_scenario("B", "random", seed=7)
+        b_sim = simulate(b_config)
+        b_table = frame_table(b_config.nodes, b_sim.detections[b_sim.seen.all(axis=1)])
+        for table, noise, warns in ((table, noise, True), (b_table, b_config.noise, False)):
+            with pytest.warns(UserWarning, match="single-node") if warns else nullcontext():
+                for pair in self.solves(
+                        lambda mode, prior: solve_frames(table, noise, mode, prior), monkeypatch):
+                    for got, want in pair:
+                        self.assert_same(got, want)
+
+    def test_solve_in_either_order_matches_cold_solves(self, monkeypatch):
+        # A detection is finite, so NaN rows reach only `solve_frames`.
+        observations = [obs for obs, _ in oneshot_frames()]
+        assert max(obs.num_nodes for obs in observations) == 3
+        for obs in observations:
+            for pair in self.solves(
+                    lambda mode, prior: solve(obs, TABLE_NOISE, mode=mode, prior=prior),
+                    monkeypatch):
+                for got, want in pair:
+                    assert_same_estimate(got, want)
+
+    def test_table_changed_in_place_gets_fresh_starts(self, monkeypatch):
+        table, noise = nan_row_table()
+        with pytest.warns(UserWarning, match="single-node"):
+            before = solve_frames(table, noise, "ml")
+            table[5, 0, 3] += 0.5
+            after = solve_frames(table, noise, "bayes", PRIOR)
+            self.cold(monkeypatch)
+            self.assert_same(after, solve_frames(table, noise, "bayes", PRIOR))
+            self.cold(monkeypatch)
+            changed = solve_frames(table, noise, "ml")
+        assert changed.states[5].tobytes() != before.states[5].tobytes()
+
+    def test_another_field_of_view_gets_fresh_starts(self, monkeypatch):
+        # At the default field of view only the mirror start is kept; at
+        # 85 deg the two starts at the target are kept too.
+        obs, target = TestFieldOfView.frame(Pose2D(2.0, 1.0, math.radians(-60.0)), 80.0)
+        wide = math.radians(85.0)
+        narrow = solve(obs, TABLE_NOISE, mode="ml")
+        got = solve(obs, TABLE_NOISE, mode="ml", fov_half_angle=wide)
+        self.cold(monkeypatch)
+        assert_same_estimate(got, solve(obs, TABLE_NOISE, mode="ml", fov_half_angle=wide))
+        np.testing.assert_allclose(got.state.as_vector(), target.as_vector(), rtol=0, atol=1e-6)
+        assert narrow.state != got.state
+
+    def test_memo_is_read_only_and_apart_from_the_results(self, monkeypatch):
+        table, noise = nan_row_table()
+        with pytest.warns(UserWarning, match="single-node"):
+            ml = solve_frames(table, noise, "ml")
+            _, groups = fusion_module._last_start_stage
+            assert len(groups) == 3
+            for group in groups:
+                for array in (*group.nodes, group.starts, group.keep, group.rows):
+                    assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    group.starts[0, 0, 0] = 0.0
+            for field in ("states", "covariances", "objective_values", "iterations",
+                          "conditioning"):
+                getattr(ml, field)[...] = 0
+            bayes = solve_frames(table, noise, "bayes", PRIOR)
+            bayes.prior_centers[...] = 0.0
+            again = solve_frames(table, noise, "bayes", PRIOR)
+            self.cold(monkeypatch)
+            want = solve_frames(table, noise, "bayes", PRIOR)
+        self.assert_same(again, want)
+        assert want.states.any()
+        # One frame of one node, whose transposed table is contiguous: the
+        # memo still holds a copy, never a view of the caller's table.
+        one = frame_table([Pose2D(0, 0, 0)], [[(5.0, 0.0, 0.0)]])
+        with pytest.warns(UserWarning, match="single-node"):
+            solve_frames(one, TABLE_NOISE, "ml")
+        for group in fusion_module._last_start_stage[1]:
+            for array in (*group.nodes, group.starts, group.keep):
+                assert not np.shares_memory(array, one)
+
+    def test_memo_hit_still_warns_at_the_caller(self):
+        table = frame_table([Pose2D(0, 0, 0)], [[(5.0, 0.0, 0.0)]])
+        obs = FusionObservation((ObservationEntry(Pose2D(0, 0, 0), Detection(5.0, 0.0, 0.0)),))
+        for call in (lambda mode, prior: solve_frames(table, TABLE_NOISE, mode, prior),
+                     lambda mode, prior: solve(obs, TABLE_NOISE, mode=mode, prior=prior)):
+            for mode, prior in (("ml", None), ("bayes", PRIOR)):
+                with pytest.warns(UserWarning, match="single-node") as record:
+                    call(mode, prior)
+                assert record[0].filename == __file__
+
+    def test_threads_sharing_the_memo_get_their_own_results(self, monkeypatch):
+        tables = []
+        for name in ("A", "B"):
+            config = builtin_scenario(name, "random", seed=7)
+            sim = simulate(config)
+            tables.append((frame_table(config.nodes, sim.detections[sim.seen.all(axis=1)][:20]),
+                           config.noise))
+        table, noise = nan_row_table()
+        several = np.count_nonzero(~np.isnan(table[..., 3]), axis=1) >= 2
+        tables.append((table[several][:30], noise))
+        modes = (("ml", None), ("bayes", PRIOR))
+        want = {}
+        for k, (table, noise) in enumerate(tables):
+            for mode, prior in modes:
+                self.cold(monkeypatch)
+                want[k, mode] = solve_frames(table, noise, mode, prior)
+        failures = []
+
+        def work(offset):
+            try:
+                for step in range(8):
+                    k = (offset + step) % len(tables)
+                    for mode, prior in modes:
+                        got = solve_frames(*tables[k], mode, prior)
+                        if (got.states.tobytes() != want[k, mode].states.tobytes()
+                                or got.iterations.tobytes() != want[k, mode].iterations.tobytes()):
+                            failures.append((offset, step, mode))
+            except Exception as exc:  # reported by the assertion below
+                failures.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+
+    def test_validation_errors_are_raised_on_every_call(self):
+        table = TestFrameTable.table()
+        solve_frames(table, TABLE_NOISE, "ml")
+        memo = fusion_module._last_start_stage
+        with pytest.raises(ValueError, match="requires a PriorConfig"):
+            solve_frames(table, TABLE_NOISE, "bayes")
+        with pytest.raises(TypeError, match="array, got list"):
+            solve_frames(table.tolist(), TABLE_NOISE, "ml")
+        assert fusion_module._last_start_stage is memo
+        table[1, 1, 4] = 4.0
+        for _ in range(2):
+            with pytest.raises(ValueError, match="exceeds pi: 4.0"):
+                solve_frames(table, TABLE_NOISE, "ml")
+            assert fusion_module._last_start_stage is memo
+        # A zero-range detection maps back onto the node: the table passes
+        # the input rules and its start stage is kept, but the scoring pass
+        # raises on every call.
+        on_node = frame_table([Pose2D(0, 0, 0)], [[(0.0, 0.0, 1.0)]])
+        for mode, prior in (("ml", None), ("bayes", PRIOR), ("ml", None)):
+            with pytest.warns(UserWarning, match="single-node"), \
+                    pytest.raises(ValueError, match="coincides with a node"):
+                solve_frames(on_node, TABLE_NOISE, mode, prior)

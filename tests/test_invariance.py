@@ -1,12 +1,16 @@
 """The physics' invariances as metamorphic tests: the answer does not
-depend on which node is called 0.
+depend on which node is called 0, nor on where the scene sits and which
+way it faces.
 
-Iteration counts may change under a relabelling (the LM's stop tests
-are not yet scale-aware), so these tests compare states, covariances
-and `converged`, never counts.
+Iteration counts may change under a relabelling or a rigid transform
+(the LM's stop tests are not yet scale-aware), so these tests compare
+states, covariances and `converged`, and only print how many counts
+changed.
 """
 
 import cmath
+import math
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -19,26 +23,78 @@ from radarnet.geometry import angle_difference
 from radarnet.scene import builtin_scenario, simulate
 
 
-@pytest.mark.parametrize("name, kind", list(product("ABC", ("straight", "random"))))
-@pytest.mark.parametrize("mode", ["ml", "bayes"])
-def test_solve_frames_ignores_the_node_order(name, kind, mode):
+BUILTINS = list(product("ABC", ("straight", "random")))
+
+
+def all_node_table(name, kind):
+    """Built-in `name`'s frames at seed 7 that every node detected, at the
+    true poses, as a frame table, with the scenario's noise."""
     config = builtin_scenario(name, kind, seed=7)
     sim = simulate(config)
-    table = frame_table(config.nodes, sim.detections[sim.seen.all(axis=1)])
-    prior = PIPELINE_PRIOR if mode == "bayes" else None
-    est = solve_frames(table, config.noise, mode, prior)
-    relabelled = solve_frames(table[:, ::-1], config.noise, mode, prior)
+    return frame_table(config.nodes, sim.detections[sim.seen.all(axis=1)]), config.noise
 
+
+def assert_same_estimates(moved, est, position_atol, velocity_atol, covariance_rtol):
+    """Estimates `moved` against `est`, already carried into the same frame:
+    states within the given tolerances, covariances within
+    `covariance_rtol` of each frame's largest entry, the same NaN
+    covariance rows and the same `converged` flags."""
     assert len(est) > 100
-    np.testing.assert_allclose(relabelled.states[:, :2], est.states[:, :2], rtol=0, atol=1e-6)
-    np.testing.assert_allclose(relabelled.states[:, 2:], est.states[:, 2:], rtol=0, atol=1e-3)
-    np.testing.assert_array_equal(relabelled.converged, est.converged)
+    np.testing.assert_allclose(moved.states[:, :2], est.states[:, :2], rtol=0, atol=position_atol)
+    np.testing.assert_allclose(moved.states[:, 2:], est.states[:, 2:], rtol=0, atol=velocity_atol)
+    np.testing.assert_array_equal(moved.converged, est.converged)
     nan_rows = np.isnan(est.covariances).any(axis=(1, 2))
-    np.testing.assert_array_equal(np.isnan(relabelled.covariances).any(axis=(1, 2)), nan_rows)
-    # Relative to each frame's largest covariance entry.
-    cov, moved = est.covariances[~nan_rows], relabelled.covariances[~nan_rows]
+    np.testing.assert_array_equal(np.isnan(moved.covariances).any(axis=(1, 2)), nan_rows)
+    cov, other = est.covariances[~nan_rows], moved.covariances[~nan_rows]
     scale = np.abs(cov).max(axis=(1, 2))
-    assert np.all(np.abs(moved - cov).max(axis=(1, 2)) <= 1e-4 * scale)
+    assert np.all(np.abs(other - cov).max(axis=(1, 2)) <= covariance_rtol * scale)
+
+
+@pytest.mark.parametrize("name, kind", BUILTINS)
+@pytest.mark.parametrize("mode", ["ml", "bayes"])
+def test_solve_frames_ignores_the_node_order(name, kind, mode):
+    table, noise = all_node_table(name, kind)
+    prior = PIPELINE_PRIOR if mode == "bayes" else None
+    est = solve_frames(table, noise, mode, prior)
+    relabelled = solve_frames(table[:, ::-1], noise, mode, prior)
+    assert_same_estimates(relabelled, est, 1e-6, 1e-3, 1e-4)
+
+
+# The rigid transform of every node pose: a rotation by ROTATION about
+# the origin, then a shift by SHIFT.
+ROTATION = 0.7
+SHIFT = (13.5, -8.25)
+
+
+@pytest.mark.parametrize("name, kind", BUILTINS)
+@pytest.mark.parametrize("mode", ["ml", "bayes"])
+def test_solve_frames_moves_with_a_rigid_transform(name, kind, mode):
+    # The detections are relative to the nodes and stay as they are.  The
+    # Bayes prior centres on the closed-form start, which moves with the
+    # nodes, and is isotropic in position and in velocity (PriorConfig).
+    assert PIPELINE_PRIOR.sigma_x == PIPELINE_PRIOR.sigma_y
+    assert PIPELINE_PRIOR.sigma_vx == PIPELINE_PRIOR.sigma_vy
+    table, noise = all_node_table(name, kind)
+    prior = PIPELINE_PRIOR if mode == "bayes" else None
+    est = solve_frames(table, noise, mode, prior)
+    c, s = math.cos(ROTATION), math.sin(ROTATION)
+    rotation = np.array([[c, -s], [s, c]])
+    moved_table = table.copy()
+    moved_table[..., :2] = table[..., :2] @ rotation.T + SHIFT
+    moved_table[..., 2] += ROTATION
+    moved = solve_frames(moved_table, noise, mode, prior)
+
+    # Carry the moved estimates back: states by the inverse transform,
+    # covariances by T' C T with T = diag(R, R).
+    back = np.zeros((4, 4))
+    back[:2, :2] = back[2:, 2:] = rotation
+    states = np.concatenate([(moved.states[:, :2] - SHIFT) @ rotation,
+                             moved.states[:, 2:] @ rotation], axis=1)
+    returned = replace(moved, states=states,
+                       covariances=back.T @ moved.covariances @ back)
+    changed = np.count_nonzero(moved.iterations != est.iterations)
+    print(f"{name} {kind} {mode}: iteration count changed on {changed} of {len(est)} frames")
+    assert_same_estimates(returned, est, 1e-6, 1e-3, 1e-4)
 
 
 def test_calibrate_pair_swapped_gives_the_inverse_pose():

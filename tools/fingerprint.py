@@ -6,11 +6,16 @@ before and after.  Four kinds of item, one line each:
   solve_frames   the 36 batched solves over A/B/C x straight/random x
                  seeds 7-9 x ML/Bayes, at the true poses, on the frames
                  two or more nodes detected, over every FusionEstimates
-                 field;
+                 field; each table is solved ML then Bayes, then again,
+                 after the other tables, Bayes then ML ("bayes-first"),
+                 so that each mode is fingerprinted both as the table's
+                 first solve and as its second, which shares the first's
+                 start stage;
   one-frame      `solve` (ML and Bayes), `posterior_covariance_grid`,
                  `laplace_covariance`, `ml_objective`, `bayes_objective`
                  and the closed-form initializers on every 25th frame
-                 both nodes detected, per built-in at seed 7;
+                 both nodes detected, per built-in at seed 7; then
+                 ("bayes-first") `solve` Bayes then ML on each frame;
   measure        `measure` and `measurement_jacobian` from every node
                  at every 25th truth state, per built-in at seed 7;
   cli            every file under --out, stdout, stderr and exit code
@@ -77,13 +82,20 @@ def solve_frames_items():
     from radarnet.fusion import frame_table, solve_frames
     from radarnet.scene import builtin_scenario, simulate
 
-    for (name, kind), seed, mode in product(SCENARIOS, (7, 8, 9), ("ml", "bayes")):
+    tables = []
+    for (name, kind), seed in product(SCENARIOS, (7, 8, 9)):
         config = builtin_scenario(name, kind, seed=seed)
         sim = simulate(config)
         table = frame_table(config.nodes, sim.detections[sim.seen.sum(axis=1) >= 2])
-        est = solve_frames(table, config.noise, mode, PIPELINE_PRIOR if mode == "bayes" else None)
-        yield f"solve_frames {name} {kind} seed={seed} {mode}", _digest(
-            *(getattr(est, field) for field in FIELDS))
+        tables.append((f"{name} {kind} seed={seed}", table, config.noise))
+    # One order, then the other, so that a table's first solve follows
+    # another table's.
+    for order, modes in (("", ("ml", "bayes")), ("bayes-first ", ("bayes", "ml"))):
+        for label, table, noise in tables:
+            for mode in modes:
+                est = solve_frames(table, noise, mode, PIPELINE_PRIOR if mode == "bayes" else None)
+                yield f"solve_frames {order}{label} {mode}", _digest(
+                    *(getattr(est, field) for field in FIELDS))
 
 
 def _estimate_values(est):
@@ -109,12 +121,15 @@ def one_frame_items():
     for name, kind in SCENARIOS:
         config = builtin_scenario(name, kind, seed=7)
         sim = simulate(config)
-        values = []
-        for k in np.flatnonzero(sim.seen.all(axis=1))[::25].tolist():
-            obs = FusionObservation(tuple(
+        observations = [
+            FusionObservation(tuple(
                 ObservationEntry(node, Detection(*det))
                 for node, det in zip(config.nodes, sim.detections[k].tolist())
             ))
+            for k in np.flatnonzero(sim.seen.all(axis=1))[::25].tolist()
+        ]
+        values = []
+        for obs in observations:
             ml = solve(obs, config.noise, mode="ml")
             bayes = solve(obs, config.noise, mode="bayes", prior=PIPELINE_PRIOR)
             values += [*_estimate_values(ml), *_estimate_values(bayes),
@@ -125,6 +140,12 @@ def one_frame_items():
                                         bayes.prior_center),
                        initial_position_estimate(obs), initial_velocity_estimate(obs)]
         yield f"one-frame {name} {kind} seed=7", _digest(*values)
+        values = []
+        for obs in observations:
+            bayes = solve(obs, config.noise, mode="bayes", prior=PIPELINE_PRIOR)
+            ml = solve(obs, config.noise, mode="ml")
+            values += [*_estimate_values(bayes), *_estimate_values(ml)]
+        yield f"one-frame bayes-first {name} {kind} seed=7", _digest(*values)
 
 
 def measure_items():

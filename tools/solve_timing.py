@@ -1,21 +1,26 @@
 """Time the one-shot solver layer by layer.
 
-Figures, each the median over --rounds fresh processes per tree:
+Figures, each from every item's best round of --rounds (a frame's or a
+table's ML and Bayes from the round of their least sum):
 
-  solve ml, solve bayes   µs per `solve` call on one frame (F = 1),
-                          the median over the inputs of each input's
-                          best of --repeat timings;
-  fixed, accepted pass,   a least-squares fit of those per-solve times,
-  rejected pass           both modes pooled, on each solve's number of
-                          LM passes that accepted and that rejected
-                          their step: µs per solve outside the passes,
-                          and µs per pass of either kind;
+  solve ml, solve bayes,  µs per `solve` call on one frame (F = 1), timed
+  pair                    as the real-time path runs it: ML, then Bayes on
+                          the same frame, the ML call following another
+                          frame's solve (so it finds no shared start stage)
+                          and the Bayes call following the ML call; pair is
+                          the two calls of one frame together.  The median
+                          over the inputs;
+  fixed ml, fixed bayes,  a least-squares fit of the per-solve times on
+  accepted pass,          each solve's number of LM passes that accepted
+  rejected pass           and that rejected their step, one intercept per
+                          mode: µs per solve outside the passes, and µs per
+                          pass of either kind;
   grid                    µs per `posterior_covariance_grid` call on a
                           Bayes estimate, median over the grid inputs;
   solve_frames ...        ms per batched `solve_frames` call on one
-                          built-in's frame table (the frames two or
-                          more nodes detected, true poses), best of
-                          --repeat.
+                          built-in's frame table (the frames two or more
+                          nodes detected, true poses), ML then Bayes as
+                          for one frame, and the sum of those pairs.
 
 The inputs are every 10th frame that both nodes of a built-in detected,
 for each of the six built-ins at seed 7 (every 20th of them also runs
@@ -26,13 +31,14 @@ after the two for the starts) and `_Frames.jacobian` calls (one per
 accepting pass after the one at the start).
 
 Stdlib plus numpy and radarnet, from the sources of this checkout or,
-with --rev, of that git revision's src/ (extracted with `git archive`);
-with --rev both trees are timed, alternating which goes first, each
-round in fresh processes, and the table shows both.  The ratio column
-is the median over rounds of this tree's figure over REV's, each taken
-from the two processes of one round, which run back to back, so the
-machine's drift between rounds stays out of it; the min-max of those
-per-round ratios follows.  Runs from any directory.
+with --rev, of that git revision's src/ (extracted with `git archive`)
+as well.  Each tree is timed in one long-lived worker process.  The
+items are cut into blocks of 8; a round runs each block on every
+worker in turn, one worker at a time, alternating which goes first from
+block to block, so that both trees run under the same drift of the
+machine's speed.  The ratio column is this tree's figure over REV's;
+the min-max that follows is that of the same ratio taken from each
+round's timings alone.  Runs from any directory.
 
     python3 tools/solve_timing.py
     python3 tools/solve_timing.py --rev HEAD
@@ -40,7 +46,7 @@ per-round ratios follows.  Runs from any directory.
 The machine's speed drifts, so compare two trees within one run only,
 by the ratio column; a change whose per-round min-max spans 1 is
 unresolved.
-Each timing process runs with glibc's MALLOC_MMAP_THRESHOLD_ and
+Each worker runs with glibc's MALLOC_MMAP_THRESHOLD_ and
 MALLOC_TRIM_THRESHOLD_ fixed at 1e8 bytes, so that a buffer's pages do
 not depend on the heap's history and the grid figure compares code.
 The figure therefore leaves out the page faults a default process pays
@@ -72,15 +78,8 @@ SCENARIOS = list(product("ABC", ("straight", "random")))
 # mmapped, and freed memory stays in the heap.
 _MALLOC_ENV = {"MALLOC_MMAP_THRESHOLD_": "100000000", "MALLOC_TRIM_THRESHOLD_": "100000000"}
 
-
-def _best(call, repeat: int) -> float:
-    """The least of `repeat` wall times of `call()`, in seconds."""
-    best = float("inf")
-    for _ in range(repeat):
-        start = time.perf_counter()
-        call()
-        best = min(best, time.perf_counter() - start)
-    return best
+# Items a worker times before the other takes its turn.
+_BLOCK = 8
 
 
 def _inputs():
@@ -137,81 +136,155 @@ def _pass_counts(frames, prior):
     return rows
 
 
-def measure(repeat: int) -> dict[str, float]:
-    """Every figure of this process's radarnet, in µs (ms for solve_frames)."""
+def _seconds(call) -> float:
+    start = time.perf_counter()
+    call()
+    return time.perf_counter() - start
+
+
+def worker() -> None:
+    """Serve timings of this process's radarnet over stdin and stdout.
+
+    The first line written describes the items: each one's kind and label,
+    and the pass counts.  Then each line read is a JSON list of item
+    indices, answered by one line with each item's timings in seconds:
+    ML and Bayes for a frame or a table, one call for a grid input.
+    """
     from radarnet import fusion
     from radarnet.experiment import PIPELINE_PRIOR as prior
 
     frames, tables = _inputs()
-    counts = _pass_counts(frames, prior)
-    times = {"ml": [], "bayes": []}
-    pooled, grid = [], []
+    calls, kinds = [], []
+    for obs, noise, _ in frames:
+        calls.append(lambda obs=obs, noise=noise: (
+            _seconds(lambda: fusion.solve(obs, noise, mode="ml")),
+            _seconds(lambda: fusion.solve(obs, noise, mode="bayes", prior=prior))))
+        kinds.append(("frame", ""))
     for obs, noise, with_grid in frames:
-        for mode, prior_ in (("ml", None), ("bayes", prior)):
-            seconds = _best(lambda: fusion.solve(obs, noise, mode=mode, prior=prior_), repeat)
-            times[mode].append(seconds * 1e6)
-            pooled.append(seconds * 1e6)
         if with_grid:
             bayes = fusion.solve(obs, noise, mode="bayes", prior=prior)
-            grid.append(1e6 * _best(
-                lambda: fusion.posterior_covariance_grid(obs, noise, prior, bayes), repeat))
-    design = np.column_stack([np.ones(len(counts)), np.array(counts, dtype=float)])
-    fixed, accepted, rejected = np.linalg.lstsq(design, np.array(pooled), rcond=None)[0]
-    figures = {
-        "solve ml (us)": statistics.median(times["ml"]),
-        "solve bayes (us)": statistics.median(times["bayes"]),
-        "fixed (us)": fixed,
-        "accepted pass (us)": accepted,
-        "rejected pass (us)": rejected,
-        "grid (us)": statistics.median(grid),
-    }
+            calls.append(lambda obs=obs, noise=noise, bayes=bayes: (
+                _seconds(lambda: fusion.posterior_covariance_grid(obs, noise, prior, bayes)),))
+            kinds.append(("grid", ""))
     for label, (table, noise) in tables.items():
-        for mode, prior_ in (("ml", None), ("bayes", prior)):
-            figures[f"solve_frames {label} {mode} (ms)"] = 1e3 * _best(
-                lambda: fusion.solve_frames(table, noise, mode, prior_), repeat)
-    return {name: float(value) for name, value in figures.items()}
+        calls.append(lambda table=table, noise=noise: (
+            _seconds(lambda: fusion.solve_frames(table, noise, "ml")),
+            _seconds(lambda: fusion.solve_frames(table, noise, "bayes", prior))))
+        kinds.append(("table", label))
+    print(json.dumps({"kinds": kinds, "passes": _pass_counts(frames, prior)}), flush=True)
+    for line in sys.stdin:
+        print(json.dumps([calls[k]() for k in json.loads(line)]), flush=True)
 
 
-def _run(src: Path, repeat: int) -> dict[str, float]:
-    """`measure` in a fresh process importing radarnet from `src`, with
-    the fixed malloc thresholds."""
-    code = (f"import sys, json; sys.path.insert(0, {str(src)!r}); "
-            f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r}); "
-            f"import solve_timing; print(json.dumps(solve_timing.measure({repeat})))")
-    done = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
-                          text=True, env={**os.environ, **_MALLOC_ENV})
-    return json.loads(done.stdout.splitlines()[-1])
+class _Worker:
+    """A `worker` process importing radarnet from `src`, with the fixed
+    malloc thresholds."""
+
+    def __init__(self, src: Path):
+        code = (f"import sys; sys.path.insert(0, {str(src)!r}); "
+                f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r}); "
+                "import solve_timing; solve_timing.worker()")
+        self.process = subprocess.Popen([sys.executable, "-c", code], stdin=subprocess.PIPE,
+                                        stdout=subprocess.PIPE, text=True,
+                                        env={**os.environ, **_MALLOC_ENV})
+        self.items = self._read()
+
+    def _read(self):
+        line = self.process.stdout.readline()
+        if not line:
+            raise RuntimeError(f"timing worker exited with code {self.process.wait()}")
+        return json.loads(line)
+
+    def time(self, block: list[int]) -> list[list[float]]:
+        self.process.stdin.write(json.dumps(block) + "\n")
+        self.process.stdin.flush()
+        return self._read()
+
+    def close(self) -> None:
+        self.process.stdin.close()
+        self.process.wait()
+
+
+def figures(items, timings) -> dict[str, float]:
+    """Every figure from each item's timings in seconds, in µs (ms for
+    solve_frames)."""
+    frames = [t for (kind, _), t in zip(items["kinds"], timings) if kind == "frame"]
+    ml, bayes = (1e6 * np.array([t[k] for t in frames]) for k in range(2))
+    result = {
+        "solve ml (us)": np.median(ml),
+        "solve bayes (us)": np.median(bayes),
+        "pair (us)": np.median(ml + bayes),
+    }
+    passes = np.array(items["passes"], dtype=float)
+    is_ml = np.arange(len(passes)) % 2 == 0
+    design = np.column_stack([is_ml, ~is_ml, passes])
+    solved = np.column_stack([ml, bayes]).ravel()
+    fit = np.linalg.lstsq(design, solved, rcond=None)[0]
+    for name, value in zip(("fixed ml", "fixed bayes", "accepted pass", "rejected pass"), fit):
+        result[f"{name} (us)"] = value
+    result["grid (us)"] = 1e6 * statistics.median(
+        t[0] for (kind, _), t in zip(items["kinds"], timings) if kind == "grid")
+    pairs = 0.0
+    for (kind, label), t in zip(items["kinds"], timings):
+        if kind == "table":
+            result[f"solve_frames {label} ml (ms)"] = 1e3 * t[0]
+            result[f"solve_frames {label} bayes (ms)"] = 1e3 * t[1]
+            pairs += 1e3 * (t[0] + t[1])
+    result["solve_frames pairs (ms)"] = pairs
+    return {name: float(value) for name, value in result.items()}
+
+
+def _best(rounds: list[list[list[float]]]) -> list[list[float]]:
+    """Each item's least timings over the rounds, a frame's or a table's ML
+    and Bayes taken from the round of their least sum."""
+    return [min(timings, key=sum) for timings in zip(*rounds)]
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rev", help="git revision whose src/ to time against this checkout's")
-    parser.add_argument("--rounds", type=int, default=5, help="fresh processes per tree")
-    parser.add_argument("--repeat", type=int, default=3, help="timings per input, best kept")
+    parser.add_argument("--rounds", type=int, default=5, help="timings of every item, the best kept")
     args = parser.parse_args(argv)
-    if args.rounds < 1 or args.repeat < 1:
-        parser.error("--rounds and --repeat must be >= 1")
+    if args.rounds < 1:
+        parser.error("--rounds must be >= 1")
     with nullcontext() if args.rev is None else revision_src(args.rev) as src:
         trees = {"this tree": ROOT / "src"}
         if src is not None:
             trees = {args.rev: src, **trees}
-        results = {label: [] for label in trees}
-        for round_ in range(args.rounds):
-            order = list(trees) if round_ % 2 == 0 else list(trees)[::-1]
-            for label in order:
-                results[label].append(_run(trees[label], args.repeat))
+        workers = {}
+        try:
+            for label, tree in trees.items():
+                workers[label] = _Worker(tree)
+            items = {label: w.items for label, w in workers.items()}
+            count = len(items["this tree"]["kinds"])
+            if any(i["kinds"] != items["this tree"]["kinds"] for i in items.values()):
+                raise RuntimeError("the trees simulate different inputs")
+            blocks = [list(range(k, min(k + _BLOCK, count))) for k in range(0, count, _BLOCK)]
+            rounds = {label: [] for label in trees}
+            for _ in range(args.rounds):
+                timings = {label: [] for label in trees}
+                for b, block in enumerate(blocks):
+                    order = list(trees) if b % 2 == 0 else list(trees)[::-1]
+                    for label in order:
+                        timings[label] += workers[label].time(block)
+                for label in trees:
+                    rounds[label].append(timings[label])
+        finally:
+            for w in workers.values():
+                w.close()
     labels = list(trees)
-    medians = {label: {name: statistics.median(run[name] for run in runs)
-                       for name in runs[0]} for label, runs in results.items()}
-    width = max(len(name) for name in medians[labels[0]])
+    best = {label: figures(items[label], _best(rounds[label])) for label in labels}
+    width = max(len(name) for name in best[labels[0]])
     header = f"{'figure':<{width}}" + "".join(f"{label:>12}" for label in labels)
     print(header + ("       ratio  min-max" if len(labels) == 2 else ""))
-    for name in medians[labels[0]]:
-        line = f"{name:<{width}}" + "".join(f"{medians[label][name]:12.2f}" for label in labels)
+    per_round = {label: [figures(items[label], r) for r in rounds[label]] for label in labels}
+    for name in best[labels[0]]:
+        line = f"{name:<{width}}" + "".join(f"{best[label][name]:12.2f}" for label in labels)
         if len(labels) == 2:
-            # Per round: this tree's figure over REV's, from back-to-back processes.
-            ratios = [mine[name] / theirs[name] for theirs, mine in zip(*results.values())]
-            line += f"{statistics.median(ratios):12.3f}  {min(ratios):.3f}-{max(ratios):.3f}"
+            ratios = [mine[name] / theirs[name]
+                      for theirs, mine in zip(*(per_round[label] for label in labels))]
+            line += (f"{best[labels[1]][name] / best[labels[0]][name]:12.3f}"
+                     f"  {min(ratios):.3f}-{max(ratios):.3f}")
         print(line)
     return 0
 

@@ -251,6 +251,11 @@ def initial_velocity_estimate(obs: FusionObservation) -> np.ndarray:
     return _start_state(obs)[2:]
 
 
+# numpy sums an axis of up to this many entries one by one in order, as
+# the one-frame float forms of `_Frames` do, and a longer one in blocks.
+_FLOAT_FORM_MAX_NODES = 7
+
+
 class _Frames:
     """The residual model of F frames with N nodes each, node axis first.
 
@@ -276,6 +281,14 @@ class _Frames:
     with a prior, four prior rows (theta - center)/sigma are appended.
     Objective values are +inf where a state is near a node (within
     1e-12 m).
+
+    On one frame (F = 1) of at most `_FLOAT_FORM_MAX_NODES` nodes,
+    `jacobian` and `curvature` compute every entry on Python floats and
+    build each of their arrays once, since numpy's per-call overhead on
+    (N, 1) arrays outweighs the arithmetic there.  Each entry takes the
+    array form's operations in its order, the sums over nodes included,
+    so both forms give the same bits; `evaluate` stays on arrays at
+    every F.
     """
 
     def __init__(self, nodes, meas, noise, prior_sigmas=None, center=None):
@@ -379,10 +392,40 @@ class _Frames:
         """Objective values (F,) at the states `theta` (F, 4); +inf where infeasible."""
         return self.evaluate(theta)[0]
 
+    @staticmethod
+    def _floats(terms) -> list[list[float]] | None:
+        """One frame's terms as floats, one list per node: ux, uy, r, the
+        predicted spatial frequency and radial velocity, pi cos phi,
+        pi sin phi, vx, vy and the three normalized residuals; None unless
+        the terms hold one frame of at most `_FLOAT_FORM_MAX_NODES` nodes."""
+        unit, predicted, blocks, directions, _ = terms
+        n, frames = unit.shape[1:]
+        if frames != 1 or n > _FLOAT_FORM_MAX_NODES:
+            return None
+        flat = (unit.ravel().tolist() + predicted.ravel().tolist()
+                + directions.ravel().tolist() + blocks.ravel().tolist())
+        return [flat[i::n] for i in range(n)]
+
     def jacobian(self, terms) -> tuple[np.ndarray, np.ndarray]:
         """Residuals (F, M) and their Jacobian (F, M, 4) from `evaluate`'s terms
         at (F, 4) states."""
         unit, predicted, blocks, directions, prior_rows = terms
+        nodes = self._floats(terms)
+        if nodes is not None:
+            sigma_r, sigma_omega, sigma_v = self.sigmas.ravel().tolist()
+            res = blocks.ravel().tolist()
+            ranges, angles, dopplers = [], [], []
+            for ux, uy, r, omega, vel, pi_c, pi_s, vx, vy, *_ in nodes:
+                ranges += (ux / -sigma_r, uy / -sigma_r, 0.0, 0.0)
+                r_w, r_v = r * sigma_omega, r * sigma_v
+                angles += ((omega * ux - pi_c) / r_w, (omega * uy - pi_s) / r_w, 0.0, 0.0)
+                dopplers += ((vel * ux - vx) / r_v, (vel * uy - vy) / r_v,
+                             ux / -sigma_v, uy / -sigma_v)
+            jac = ranges + angles + dopplers
+            if prior_rows is not None:
+                res += prior_rows.ravel().tolist()
+                jac += self.prior_jacobian.ravel().tolist()
+            return np.array([res]), np.array(jac).reshape(1, -1, 4)
         n, frames = predicted.shape[1:]
         m = 3 * n
         # Frame-major and C-ordered, as J'J's matmul expects.
@@ -422,6 +465,28 @@ class _Frames:
         are linear.  Each block is summed over the nodes in order.
         """
         unit, predicted, blocks, directions, _ = terms
+        nodes = self._floats(terms)
+        if nodes is not None:
+            sigma_r, sigma_omega, sigma_v = self.sigmas.ravel().tolist()
+            # The position and cross blocks' distinct entries, each summed
+            # over the nodes in order from 0.0.
+            xx = xy = yy = cross_xx = cross_xy = cross_yy = 0.0
+            for ux, uy, r, omega, vel, pi_c, pi_s, vx, vy, rho, w, d in nodes:
+                minus_a, e = rho / (sigma_r * r), d / (sigma_v * r)
+                c_w, c_v = w / (sigma_omega * r) / r, e / r
+                m = c_w * omega + c_v * vel
+                gx, gy = c_w * pi_c + c_v * vx, c_w * pi_s + c_v * vy
+                k, diagonal = 3.0 * m - minus_a, m - minus_a
+                uxx, uxy, uyy = ux * ux, ux * uy, uy * uy
+                xx += (ux * gx + ux * gx) - k * uxx + diagonal
+                xy += (ux * gy + uy * gx) - k * uxy
+                yy += (uy * gy + uy * gy) - k * uyy + diagonal
+                cross_xx += e * uxx - e
+                cross_xy += e * uxy
+                cross_yy += e * uyy - e
+            return np.array([xx, xy, cross_xx, cross_xy, xy, yy, cross_xy, cross_yy,
+                             cross_xx, cross_xy, 0.0, 0.0, cross_xy, cross_yy, 0.0, 0.0]
+                            ).reshape(1, 4, 4)
         r = predicted[0]
         # rho/(sigma_r r) = -a, w/(sigma_omega r) and d/(sigma_v r).
         scaled = blocks / (self.sigmas * r)
@@ -661,6 +726,9 @@ def solve_frames(
     (`_Frames.curvature`), wherever that is positive definite, and
     Gauss-Newton's J'J elsewhere; J'J + S is the full Hessian of half
     the objective, which J'J underestimates where residuals are large.
+    Where one frame of at most 7 nodes is left to iterate, as in every
+    `solve`, the Jacobian and S are computed on floats, bit for bit as
+    the array code gives them (`_Frames`).
     A frame stops when the objective gradient infinity-norm falls below
     1e-8 or a step is shorter than 1e-10 (both `converged`), when its
     damping reaches the upper limit, or after 100 iterations.  A step

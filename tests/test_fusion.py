@@ -1312,6 +1312,79 @@ class TestSingleFrameKernel:
         assert capped >= 4 and nodes_seen == 3
 
 
+class TestOneFrameFloatForms:
+    """`_Frames.jacobian` and `_Frames.curvature` on one frame's terms, where
+    they compute on floats, against their array forms, bit for bit."""
+
+    @staticmethod
+    def kernels(model, theta):
+        """The residuals, Jacobian and curvature of `model` at `theta` (1, 4)."""
+        _, terms = model.evaluate(theta)
+        return (*model.jacobian(terms), model.curvature(terms))
+
+    @staticmethod
+    def cases():
+        """One-frame models of 1, 2 and 3 nodes, ML and Bayes, each at states
+        where the residuals take both signs, where they vanish or nearly
+        vanish, and a few cm from node 0 (one straight ahead of it)."""
+        rng = np.random.default_rng(50)
+        nodes3 = config_b_nodes() + (Pose2D(4.0, 3.5, math.radians(125.0)),)
+        node = nodes3[0]
+        for n in (1, 2, 3):
+            for _ in range(3):
+                target = TargetState(rng.uniform(1.0, 3.0), rng.uniform(2.5, 4.0),
+                                     *rng.uniform(-1.0, 1.0, 2).tolist())
+                truth = target.as_vector()
+                states = (truth, truth + 1e-7, truth + rng.normal(0.0, 0.3, 4),
+                          np.array([node.x + 0.03, node.y - 0.02, *truth[2:]]),
+                          np.array([node.x, node.y + 0.04, *truth[2:]]))
+                for noisy_rng in (rng, None):
+                    obs = observation_of(nodes3[:n], target, TABLE_NOISE, noisy_rng)
+                    for prior in (None, PRIOR):
+                        center = None
+                        if prior is not None:
+                            center = np.zeros((1, 4))
+                            center[0, :2] = truth[:2] + rng.normal(0.0, 0.5, 2)
+                        model = _Frames.build(obs, TABLE_NOISE, prior, center)
+                        for theta in states:
+                            yield model, theta[None]
+
+    def test_float_forms_match_array_forms(self, monkeypatch):
+        residuals, largest, checked = [], 0.0, 0
+        for model, theta in self.cases():
+            assert _Frames._floats(model.evaluate(theta)[1]) is not None
+            got = self.kernels(model, theta)
+            with monkeypatch.context() as patch:
+                patch.setattr(fusion_module, "_FLOAT_FORM_MAX_NODES", 0)
+                want = self.kernels(model, theta)
+            for name, g, w in zip(("residuals", "jacobian", "curvature"), got, want):
+                assert g.shape == w.shape, name
+                assert g.tobytes() == np.ascontiguousarray(w).tobytes(), name
+            residuals += got[0].ravel().tolist()
+            largest = max(largest, float(np.abs(got[2]).max()))
+            checked += 1
+        assert checked == 3 * 3 * 5 * 2 * 2
+        residuals = np.array(residuals)
+        assert (residuals > 1.0).any() and (residuals < -1.0).any()
+        assert (residuals == 0.0).any() and ((residuals != 0.0) & (np.abs(residuals) < 1e-5)).any()
+        # Near the node the curvature is large.
+        assert largest > 1e4
+
+    def test_numpy_sums_the_node_blocks_in_order(self):
+        # The float curvature sums each entry over the nodes one by one
+        # from 0.0; the array form's sum over the node axis of its
+        # (4, 4, N, 1) blocks must do the same for every N it serves.
+        rng = np.random.default_rng(51)
+        for n in range(1, fusion_module._FLOAT_FORM_MAX_NODES + 1):
+            for _ in range(50):
+                blocks = (rng.standard_normal((4, 4, n, 1))
+                          * 10.0 ** rng.integers(-8, 9, (4, 4, n, 1)))
+                want = np.zeros((4, 4, 1))
+                for k in range(n):
+                    want = want + blocks[:, :, k]
+                assert blocks.sum(axis=2).tobytes() == want.tobytes()
+
+
 def elementwise_positive_definite(m):
     """Whether each matrix of `m` (F, 4, 4) has a Cholesky factor, by
     `np.linalg.cholesky` one matrix at a time: False where it raises, or

@@ -17,6 +17,12 @@ table's ML and Bayes from the round of their least sum):
                           pass of either kind;
   grid                    µs per `posterior_covariance_grid` call on a
                           Bayes estimate, median over the grid inputs;
+  evaluate, normal        µs per `_Frames.evaluate`, `_normal_equations`
+  equations, curvature    (the Jacobian and J'J, J'r) and
+                          `_Frames.curvature` call on one frame (F = 1)
+                          at its closed-form start, each the mean of
+                          _KERNEL_CALLS calls on the ML model then as many
+                          on the Bayes model; the median over the inputs;
   solve_frames ...        ms per batched `solve_frames` call on one
                           built-in's frame table (the frames two or more
                           nodes detected, true poses), ML then Bayes as
@@ -33,12 +39,17 @@ accepting pass after the one at the start).
 Stdlib plus numpy and radarnet, from the sources of this checkout or,
 with --rev, of that git revision's src/ (extracted with `git archive`)
 as well.  Each tree is timed in one long-lived worker process.  The
-items are cut into blocks of 8; a round runs each block on every
-worker in turn, one worker at a time, alternating which goes first from
-block to block, so that both trees run under the same drift of the
-machine's speed.  The ratio column is this tree's figure over REV's;
-the min-max that follows is that of the same ratio taken from each
-round's timings alone.  Runs from any directory.
+items are cut into blocks of 8, the tables into blocks of two, each
+table block run _TABLE_REPEATS times per round; a round runs each
+block on every worker in turn, one worker at a time, alternating which
+goes first from block to block, so that both trees run under the same
+drift of the machine's speed.  A round keeps each table's pair of
+least sum over its repeats, since one slow moment of the machine would
+otherwise move a whole 8-19 ms table; in a block of two tables each
+ML call still follows the other table's solve.  The ratio column is
+this tree's figure over REV's; the min-max that follows is that of the
+same ratio taken from each round's timings alone.  Runs from any
+directory.
 
     python3 tools/solve_timing.py
     python3 tools/solve_timing.py --rev HEAD
@@ -63,6 +74,7 @@ import subprocess
 import sys
 import time
 from contextlib import nullcontext
+from functools import partial
 from itertools import product
 from pathlib import Path
 
@@ -80,6 +92,11 @@ _MALLOC_ENV = {"MALLOC_MMAP_THRESHOLD_": "100000000", "MALLOC_TRIM_THRESHOLD_": 
 
 # Items a worker times before the other takes its turn.
 _BLOCK = 8
+# Times a round runs each block of two tables, the best pair kept: an
+# unchanged tree then reads every table within 10% per round.
+_TABLE_REPEATS = 9
+# Calls per kernel and model in one kernel timing.
+_KERNEL_CALLS = 20
 
 
 def _inputs():
@@ -142,13 +159,40 @@ def _seconds(call) -> float:
     return time.perf_counter() - start
 
 
+def _kernel_seconds(obs, noise, prior) -> list[float]:
+    """Seconds per `_Frames.evaluate`, `_normal_equations` and
+    `_Frames.curvature` call on the one-frame ML and Bayes models of `obs`
+    at its closed-form start, each the mean of _KERNEL_CALLS calls per model."""
+    from radarnet import fusion
+
+    start = np.concatenate((fusion.initial_position_estimate(obs),
+                            fusion.initial_velocity_estimate(obs)))[None]
+    center = np.zeros((1, 4))
+    center[0, :2] = start[0, :2]
+    calls = [[], [], []]
+    for model in (fusion._Frames.build(obs, noise), fusion._Frames.build(obs, noise, prior, center)):
+        terms = model.evaluate(start)[1]
+        calls[0].append((model.evaluate, start))
+        calls[1].append((partial(fusion._normal_equations, model), terms))
+        calls[2].append((model.curvature, terms))
+    seconds = []
+    for kernel in calls:
+        begin = time.perf_counter()
+        for call, arg in kernel:
+            for _ in range(_KERNEL_CALLS):
+                call(arg)
+        seconds.append((time.perf_counter() - begin) / (_KERNEL_CALLS * len(kernel)))
+    return seconds
+
+
 def worker() -> None:
     """Serve timings of this process's radarnet over stdin and stdout.
 
     The first line written describes the items: each one's kind and label,
     and the pass counts.  Then each line read is a JSON list of item
-    indices, answered by one line with each item's timings in seconds:
-    ML and Bayes for a frame or a table, one call for a grid input.
+    indices, answered by one line with each item's timings in seconds, in
+    the list's order: ML and Bayes for a frame or a table, one call for a
+    grid input, and the three kernels for a kernel input.
     """
     from radarnet import fusion
     from radarnet.experiment import PIPELINE_PRIOR as prior
@@ -166,6 +210,9 @@ def worker() -> None:
             calls.append(lambda obs=obs, noise=noise, bayes=bayes: (
                 _seconds(lambda: fusion.posterior_covariance_grid(obs, noise, prior, bayes)),))
             kinds.append(("grid", ""))
+    for obs, noise, _ in frames:
+        calls.append(lambda obs=obs, noise=noise: _kernel_seconds(obs, noise, prior))
+        kinds.append(("kernels", ""))
     for label, (table, noise) in tables.items():
         calls.append(lambda table=table, noise=noise: (
             _seconds(lambda: fusion.solve_frames(table, noise, "ml")),
@@ -224,6 +271,9 @@ def figures(items, timings) -> dict[str, float]:
         result[f"{name} (us)"] = value
     result["grid (us)"] = 1e6 * statistics.median(
         t[0] for (kind, _), t in zip(items["kinds"], timings) if kind == "grid")
+    kernels = np.array([t for (kind, _), t in zip(items["kinds"], timings) if kind == "kernels"])
+    for name, column in zip(("evaluate", "normal equations", "curvature"), kernels.T):
+        result[f"{name} (us)"] = 1e6 * np.median(column)
     pairs = 0.0
     for (kind, label), t in zip(items["kinds"], timings):
         if kind == "table":
@@ -259,14 +309,20 @@ def main(argv: list[str] | None = None) -> int:
             count = len(items["this tree"]["kinds"])
             if any(i["kinds"] != items["this tree"]["kinds"] for i in items.values()):
                 raise RuntimeError("the trees simulate different inputs")
-            blocks = [list(range(k, min(k + _BLOCK, count))) for k in range(0, count, _BLOCK)]
+            kinds = [kind for kind, _ in items["this tree"]["kinds"]]
+            tables = kinds.index("table")
+            blocks = [list(range(k, min(k + _BLOCK, tables))) for k in range(0, tables, _BLOCK)]
+            blocks += [list(range(k, min(k + 2, count)))
+                       for k in range(tables, count, 2) for _ in range(_TABLE_REPEATS)]
             rounds = {label: [] for label in trees}
             for _ in range(args.rounds):
-                timings = {label: [] for label in trees}
+                timings = {label: [None] * count for label in trees}
                 for b, block in enumerate(blocks):
                     order = list(trees) if b % 2 == 0 else list(trees)[::-1]
                     for label in order:
-                        timings[label] += workers[label].time(block)
+                        best = timings[label]
+                        for k, t in zip(block, workers[label].time(block)):
+                            best[k] = t if best[k] is None else min(best[k], t, key=sum)
                 for label in trees:
                     rounds[label].append(timings[label])
         finally:

@@ -251,22 +251,23 @@ def aoa_from_spatial_frequency(omega: float) -> float:
 
 def boresight_angles(dx, dy, c, s) -> np.ndarray:
     """Angles off boresight, in (-pi, pi], of the offsets (dx, dy) from
-    nodes whose array directions are (c, s) = (cos phi, sin phi): the
-    broadcasting array form of `angle_off_boresight`, element by element
-    with `math`."""
+    nodes whose array directions are (c, s) = (cos phi, sin phi),
+    broadcasting, element by element with `math`; `angle_off_boresight`
+    is its one-element case."""
     return elementwise((math.atan2,), dx * c + dy * s, -dx * s + dy * c)[0]
 
 
 def angle_off_boresight(radar: Pose2D, target: TargetState) -> float:
     """Angle between boresight and the line of sight, in (-pi, pi].
 
-    |result| > pi/2 means the target is behind the array plane.
+    |result| > pi/2 means the target is behind the array plane.  The
+    one-element case of `boresight_angles`.
     """
     dx, dy = target.x - radar.x, target.y - radar.y
     if dx == 0.0 and dy == 0.0:
         raise ValueError("target coincides with radar position; range is zero")
-    c, s = math.cos(radar.phi), math.sin(radar.phi)
-    return math.atan2(dx * c + dy * s, -dx * s + dy * c)
+    return float(boresight_angles(np.array(dx), np.array(dy),
+                                  math.cos(radar.phi), math.sin(radar.phi)))
 
 
 def local_to_global(node: Pose2D, local_point) -> np.ndarray:

@@ -236,6 +236,37 @@ class TestAngleOffBoresight:
     def test_zero_range_rejected(self):
         with pytest.raises(ValueError, match="range is zero"):
             angle_off_boresight(Pose2D(1.0, 2.0, 0.5), TargetState(1.0, 2.0))
+        with pytest.raises(ValueError, match="range is zero"):
+            angle_off_boresight(Pose2D(0.0, 0.0, 0.5), TargetState(-0.0, -0.0))
+
+    def test_matches_scalar_formula_bit_for_bit(self):
+        """The thin view over `boresight_angles` gives the bits of the
+        scalar rotation and atan2 it replaced, signed zeros included."""
+
+        def scalar(radar, target):
+            dx, dy = target.x - radar.x, target.y - radar.y
+            c, s = math.cos(radar.phi), math.sin(radar.phi)
+            return math.atan2(dx * c + dy * s, -dx * s + dy * c)
+
+        rng = np.random.default_rng(30)
+        cases = []
+        for _ in range(2000):
+            x, y = rng.uniform(-10, 10, 2)
+            offset = 10.0 ** rng.uniform(-8, 4)
+            angle = rng.uniform(-math.pi, math.pi)
+            cases.append((Pose2D(x, y, rng.uniform(0, 2 * math.pi)),
+                          TargetState(x + offset * math.cos(angle), y + offset * math.sin(angle))))
+        # Axis-aligned offsets, with each zero component of either sign
+        # (-0.0 - 0.0 is -0.0), from headings whose sine or cosine is 0.
+        for phi in (0.0, math.pi / 2, math.pi, 1.5 * math.pi, 0.3):
+            for zero in (0.0, -0.0):
+                for d in (1e-8, 2.5, -2.5, 1e4):
+                    cases.append((Pose2D(0.0, 0.0, phi), TargetState(d, zero)))
+                    cases.append((Pose2D(0.0, 0.0, phi), TargetState(zero, d)))
+        for radar, target in cases:
+            got = angle_off_boresight(radar, target)
+            assert type(got) is float
+            assert got.hex() == scalar(radar, target).hex()
 
     @pytest.mark.parametrize("field", range(4))
     def test_target_state_must_be_finite(self, field):

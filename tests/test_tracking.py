@@ -34,6 +34,7 @@ from radarnet.tracking import (
     Track,
     _cholesky_3,
     _full,
+    _is_positive_definite_4,
     _psd,
     _upper,
     ekf_predict,
@@ -169,6 +170,14 @@ class TestProjectPsd:
             eigenvalues, vectors = np.linalg.eigh(a + a.T)
             eigenvalues[0] = -abs(eigenvalues[0]) - 1e-3
             assert self.clipped_vs_reference((vectors * eigenvalues) @ vectors.T)
+
+    def test_shifted_test_rejects_but_eigh_keeps(self):
+        """diag(1, 1, 1, 2e-12): the Cholesky of p - 3e-12 I fails, but the
+        smallest eigenvalue 2e-12 clears the floor 1e-12 * 1, so `eigh`
+        returns p itself, unclipped."""
+        p = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 2e-12)
+        assert not _is_positive_definite_4(p)
+        assert _psd(p) is p
 
 
 class TestPredict:

@@ -8,9 +8,10 @@ are not counted.  Stdlib only.
     python3 tools/code_lines.py
     python3 tools/code_lines.py --rev REV
 
-With --rev the files are read from that git revision instead of the
-working tree.  Prints one "module count" line per module, largest
-first, then the total.
+With --rev the files are read from that git revision's src/ (extracted
+with `git archive` by `revision.py`) instead of the working tree.
+Prints one "module count" line per .py file directly in the package,
+largest first, then the total.
 """
 
 from __future__ import annotations
@@ -18,13 +19,14 @@ from __future__ import annotations
 import argparse
 import ast
 import io
-import subprocess
 import sys
 import tokenize
+from contextlib import nullcontext
 from pathlib import Path
 
+from revision import revision_src
+
 ROOT = Path(__file__).resolve().parent.parent
-PACKAGE = Path("src/radarnet")
 
 _SKIPPED = {
     tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
@@ -56,28 +58,13 @@ def code_lines(source: str) -> int:
     return len(lines - docstrings)
 
 
-def _sources(rev: str | None) -> dict[str, str]:
-    """Module name -> source of every .py file directly in PACKAGE."""
-    if rev is None:
-        return {path.stem: path.read_text() for path in sorted((ROOT / PACKAGE).glob("*.py"))}
-    names = subprocess.run(
-        ["git", "-C", str(ROOT), "ls-tree", "--name-only", f"{rev}:{PACKAGE.as_posix()}"],
-        check=True, capture_output=True, text=True,
-    ).stdout.split()
-    return {
-        Path(name).stem: subprocess.run(
-            ["git", "-C", str(ROOT), "show", f"{rev}:{(PACKAGE / name).as_posix()}"],
-            check=True, capture_output=True, text=True,
-        ).stdout
-        for name in sorted(names) if name.endswith(".py")
-    }
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rev", help="git revision to read the package from")
     args = parser.parse_args(argv)
-    counts = {name: code_lines(source) for name, source in _sources(args.rev).items()}
+    with nullcontext(ROOT / "src") if args.rev is None else revision_src(args.rev) as src:
+        counts = {path.stem: code_lines(path.read_text())
+                  for path in (src / "radarnet").glob("*.py")}
     for name, count in sorted(counts.items(), key=lambda item: (-item[1], item[0])):
         print(f"{name} {count}")
     print(f"total {sum(counts.values())}")

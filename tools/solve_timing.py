@@ -10,53 +10,70 @@ table's ML and Bayes from the round of their least sum):
                           and the Bayes call following the ML call; pair is
                           the two calls of one frame together.  The median
                           over the inputs;
-  fixed ml, fixed bayes,  a least-squares fit of the per-solve times on
-  accepted pass,          each solve's number of LM passes that accepted
-  rejected pass           and that rejected their step, one intercept per
-                          mode: µs per solve outside the passes, and µs per
-                          pass of either kind;
   grid                    µs per `posterior_covariance_grid` call on a
                           Bayes estimate, median over the grid inputs;
-  evaluate, normal        µs per `_Frames.evaluate`, `_normal_equations`
-  equations, curvature    (the Jacobian and J'J, J'r) and
-                          `_Frames.curvature` call on one frame (F = 1)
-                          at its closed-form start, each the mean of
-                          _KERNEL_CALLS calls on the ML model then as many
-                          on the Bayes model; the median over the inputs;
+  start stage, evaluate,  µs per call of a kernel on one frame (F = 1) at
+  normal equations,       its closed-form start: `_start_stage` with its
+  curvature, step         memo cleared (the work a Bayes solve skips after
+  matrix, damped solve    the ML solve of its frame), `_Frames.evaluate`,
+                          `_normal_equations` (the Jacobian, J'J and J'r),
+                          `_Frames.curvature`, `_step_matrices` (J'J + S
+                          and its definiteness test), and the damped
+                          system, step matrix + lam I at `_LAMBDA_INIT`,
+                          formed and solved by `_solve_systems`.  Each the
+                          mean of _KERNEL_CALLS calls on the ML model then
+                          as many on the Bayes model; the median over the
+                          inputs;
+  accepted pass,          µs per LM pass of either kind, as the sum of the
+  rejected pass           kernels it runs, taken per input, then the median
+                          over the inputs: damped solve, evaluate, normal
+                          equations and step matrix for a pass that
+                          accepts its step, damped solve and evaluate for
+                          one that rejects it.  The LM's own bookkeeping
+                          (step lengths, the accept and stop tests, the
+                          damping update, compaction) is left out;
   solve_frames ...        ms per batched `solve_frames` call on one
                           built-in's frame table (the frames two or more
                           nodes detected, true poses), ML then Bayes as
                           for one frame, and the sum of those pairs.
 
-The inputs are every 10th frame that both nodes of a built-in detected,
-for each of the six built-ins at seed 7 (every 20th of them also runs
-the grid), plus 40 frames along C straight's degenerate baseline
-(frames 265-344), where the LM stalls.  The pass counts come from a
-separate untimed run that counts `_Frames.evaluate` calls (one per pass
-after the two for the starts) and `_Frames.jacobian` calls (one per
-accepting pass after the one at the start).
+Every figure is a timing or a sum of printed kernel timings, so a change
+to one kernel moves only the rows that contain it.  The inputs are
+every 10th frame that both nodes of a built-in detected, for each of
+the six built-ins at seed 7 (every 20th of them also runs the grid),
+plus 40 frames along C straight's degenerate baseline (frames
+265-344), where the LM stalls.
 
 Stdlib plus numpy and radarnet, from the sources of this checkout or,
 with --rev, of that git revision's src/ (extracted with `git archive`)
-as well.  Each tree is timed in one long-lived worker process.  The
-items are cut into blocks of 8, the tables into blocks of two, each
-table block run _TABLE_REPEATS times per round; a round runs each
-block on every worker in turn, one worker at a time, alternating which
-goes first from block to block, so that both trees run under the same
-drift of the machine's speed.  A round keeps each table's pair of
-least sum over its repeats, since one slow moment of the machine would
-otherwise move a whole 8-19 ms table; in a block of two tables each
-ML call still follows the other table's solve.  The ratio column is
-this tree's figure over REV's; the min-max that follows is that of the
-same ratio taken from each round's timings alone.  Runs from any
-directory.
+as well.  Each round starts a fresh worker process per tree: a
+process's memory layout can make it a few per cent faster or slower
+for its whole life, which alternating turns cannot cancel, so each
+round draws a new layout and such a difference shows in the per-round
+min-max instead of in every round alike.  The items are cut into
+blocks of 8, the tables into blocks of two, each table block run
+_TABLE_REPEATS times per round; a round runs each block on every
+worker in turn, one worker at a time, alternating which goes first
+from block to block, so that both trees run under the same drift of
+the machine's speed.  A round keeps each table's pair of least sum
+over its repeats, since one slow moment of the machine would otherwise
+move a whole 8-19 ms table; in a block of two tables each ML call
+still follows the other table's solve.  The ratio column is this
+tree's figure over REV's; the min-max that follows is that of the same
+ratio taken from each round's timings alone.  Runs from any directory.
 
     python3 tools/solve_timing.py
     python3 tools/solve_timing.py --rev HEAD
 
 The machine's speed drifts, so compare two trees within one run only,
 by the ratio column; a change whose per-round min-max spans 1 is
-unresolved.
+unresolved.  A fresh worker's speed is a draw a few per cent either
+side of its tree's (an unchanged tree reads per-round ratios of about
+0.93-1.08), and the rows of one round move together; so an unchanged
+tree's row misses 1 when every round falls on one side, by chance with
+probability 2 x 0.5^R over R rounds: about 0.4% at the default 9, 6%
+at 5.  A single narrow miss in one run is noise; a miss that comes
+back in the same row is not.
 Each worker runs with glibc's MALLOC_MMAP_THRESHOLD_ and
 MALLOC_TRIM_THRESHOLD_ fixed at 1e8 bytes, so that a buffer's pages do
 not depend on the heap's history and the grid figure compares code.
@@ -69,7 +86,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import subprocess
 import sys
 import time
@@ -98,6 +114,14 @@ _TABLE_REPEATS = 9
 # Calls per kernel and model in one kernel timing.
 _KERNEL_CALLS = 20
 
+KERNELS = ("start stage", "evaluate", "normal equations", "curvature", "step matrix",
+           "damped solve")
+# The kernels each kind of LM pass runs.
+PASSES = {
+    "accepted pass": ("damped solve", "evaluate", "normal equations", "step matrix"),
+    "rejected pass": ("damped solve", "evaluate"),
+}
+
 
 def _inputs():
     """The single-frame inputs as FusionObservations, with whether each runs
@@ -124,35 +148,6 @@ def _inputs():
     return frames, tables
 
 
-def _pass_counts(frames, prior):
-    """Each solve's accepted and rejected LM passes, ML and Bayes per frame."""
-    from radarnet import fusion
-
-    counts = {"evaluate": 0, "jacobian": 0}
-    originals = {name: getattr(fusion._Frames, name) for name in counts}
-
-    def counting(name):
-        def method(self, *args):
-            counts[name] += 1
-            return originals[name](self, *args)
-        return method
-
-    rows = []
-    try:
-        for name in counts:
-            setattr(fusion._Frames, name, counting(name))
-        for obs, noise, _ in frames:
-            for mode, prior_ in (("ml", None), ("bayes", prior)):
-                counts.update(evaluate=0, jacobian=0)
-                fusion.solve(obs, noise, mode=mode, prior=prior_)
-                passes, accepted = counts["evaluate"] - 2, counts["jacobian"] - 1
-                rows.append((accepted, passes - accepted))
-    finally:
-        for name, method in originals.items():
-            setattr(fusion._Frames, name, method)
-    return rows
-
-
 def _seconds(call) -> float:
     start = time.perf_counter()
     call()
@@ -160,27 +155,43 @@ def _seconds(call) -> float:
 
 
 def _kernel_seconds(obs, noise, prior) -> list[float]:
-    """Seconds per `_Frames.evaluate`, `_normal_equations` and
-    `_Frames.curvature` call on the one-frame ML and Bayes models of `obs`
-    at its closed-form start, each the mean of _KERNEL_CALLS calls per model."""
+    """Seconds per call of each of KERNELS on the one-frame ML and Bayes
+    models of `obs` at its closed-form start, each the mean of
+    _KERNEL_CALLS calls per model."""
     from radarnet import fusion
 
+    table = fusion._table(obs)
     start = np.concatenate((fusion.initial_position_estimate(obs),
                             fusion.initial_velocity_estimate(obs)))[None]
     center = np.zeros((1, 4))
     center[0, :2] = start[0, :2]
-    calls = [[], [], []]
+    lam = np.full(1, fusion._LAMBDA_INIT)
+
+    def start_stage():
+        fusion._last_start_stage = None
+        fusion._start_stage(table, fusion.FOV_HALF_ANGLE)
+
+    def damped_solve(step_matrix, gradient_half):
+        damped = step_matrix + lam[:, None, None] * fusion._IDENTITY
+        return fusion._solve_systems(damped, -gradient_half[..., None])[..., 0]
+
+    per_model = []
     for model in (fusion._Frames.build(obs, noise), fusion._Frames.build(obs, noise, prior, center)):
         terms = model.evaluate(start)[1]
-        calls[0].append((model.evaluate, start))
-        calls[1].append((partial(fusion._normal_equations, model), terms))
-        calls[2].append((model.curvature, terms))
+        hessian, gradient_half = fusion._normal_equations(model, terms)
+        step_matrix = fusion._step_matrices(model, terms, hessian)
+        per_model.append((start_stage,
+                          partial(model.evaluate, start),
+                          partial(fusion._normal_equations, model, terms),
+                          partial(model.curvature, terms),
+                          partial(fusion._step_matrices, model, terms, hessian),
+                          partial(damped_solve, step_matrix, gradient_half)))
     seconds = []
-    for kernel in calls:
+    for kernel in zip(*per_model):
         begin = time.perf_counter()
-        for call, arg in kernel:
+        for call in kernel:
             for _ in range(_KERNEL_CALLS):
-                call(arg)
+                call()
         seconds.append((time.perf_counter() - begin) / (_KERNEL_CALLS * len(kernel)))
     return seconds
 
@@ -188,11 +199,11 @@ def _kernel_seconds(obs, noise, prior) -> list[float]:
 def worker() -> None:
     """Serve timings of this process's radarnet over stdin and stdout.
 
-    The first line written describes the items: each one's kind and label,
-    and the pass counts.  Then each line read is a JSON list of item
-    indices, answered by one line with each item's timings in seconds, in
-    the list's order: ML and Bayes for a frame or a table, one call for a
-    grid input, and the three kernels for a kernel input.
+    The first line written is the items' kinds, each a kind and a label.
+    Then each line read is a JSON list of item indices, answered by one
+    line with each item's timings in seconds, in the list's order: ML and
+    Bayes for a frame or a table, one call for a grid input, and each of
+    KERNELS for a kernel input.
     """
     from radarnet import fusion
     from radarnet.experiment import PIPELINE_PRIOR as prior
@@ -218,7 +229,7 @@ def worker() -> None:
             _seconds(lambda: fusion.solve_frames(table, noise, "ml")),
             _seconds(lambda: fusion.solve_frames(table, noise, "bayes", prior))))
         kinds.append(("table", label))
-    print(json.dumps({"kinds": kinds, "passes": _pass_counts(frames, prior)}), flush=True)
+    print(json.dumps(kinds), flush=True)
     for line in sys.stdin:
         print(json.dumps([calls[k]() for k in json.loads(line)]), flush=True)
 
@@ -234,7 +245,7 @@ class _Worker:
         self.process = subprocess.Popen([sys.executable, "-c", code], stdin=subprocess.PIPE,
                                         stdout=subprocess.PIPE, text=True,
                                         env={**os.environ, **_MALLOC_ENV})
-        self.items = self._read()
+        self.kinds = self._read()
 
     def _read(self):
         line = self.process.stdout.readline()
@@ -252,30 +263,53 @@ class _Worker:
         self.process.wait()
 
 
-def figures(items, timings) -> dict[str, float]:
+def _round(trees: dict[str, Path]) -> tuple[list, dict[str, list[list[float]]]]:
+    """The items' kinds and one round's timings per tree, from a fresh
+    worker per tree."""
+    workers = {}
+    try:
+        for label, tree in trees.items():
+            workers[label] = _Worker(tree)
+        kinds = workers["this tree"].kinds
+        if any(w.kinds != kinds for w in workers.values()):
+            raise RuntimeError("the trees simulate different inputs")
+        tables = [kind for kind, _ in kinds].index("table")
+        blocks = [list(range(k, min(k + _BLOCK, tables))) for k in range(0, tables, _BLOCK)]
+        blocks += [list(range(k, min(k + 2, len(kinds))))
+                   for k in range(tables, len(kinds), 2) for _ in range(_TABLE_REPEATS)]
+        timings = {label: [None] * len(kinds) for label in trees}
+        for b, block in enumerate(blocks):
+            order = list(trees) if b % 2 == 0 else list(trees)[::-1]
+            for label in order:
+                best = timings[label]
+                for k, t in zip(block, workers[label].time(block)):
+                    best[k] = t if best[k] is None else min(best[k], t, key=sum)
+        return kinds, timings
+    finally:
+        for w in workers.values():
+            w.close()
+
+
+def figures(kinds, timings) -> dict[str, float]:
     """Every figure from each item's timings in seconds, in µs (ms for
     solve_frames)."""
-    frames = [t for (kind, _), t in zip(items["kinds"], timings) if kind == "frame"]
-    ml, bayes = (1e6 * np.array([t[k] for t in frames]) for k in range(2))
+    def of(kind):
+        return np.array([t for (k, _), t in zip(kinds, timings) if k == kind])
+
+    ml, bayes = 1e6 * of("frame").T
     result = {
         "solve ml (us)": np.median(ml),
         "solve bayes (us)": np.median(bayes),
         "pair (us)": np.median(ml + bayes),
+        "grid (us)": 1e6 * np.median(of("grid")),
     }
-    passes = np.array(items["passes"], dtype=float)
-    is_ml = np.arange(len(passes)) % 2 == 0
-    design = np.column_stack([is_ml, ~is_ml, passes])
-    solved = np.column_stack([ml, bayes]).ravel()
-    fit = np.linalg.lstsq(design, solved, rcond=None)[0]
-    for name, value in zip(("fixed ml", "fixed bayes", "accepted pass", "rejected pass"), fit):
-        result[f"{name} (us)"] = value
-    result["grid (us)"] = 1e6 * statistics.median(
-        t[0] for (kind, _), t in zip(items["kinds"], timings) if kind == "grid")
-    kernels = np.array([t for (kind, _), t in zip(items["kinds"], timings) if kind == "kernels"])
-    for name, column in zip(("evaluate", "normal equations", "curvature"), kernels.T):
-        result[f"{name} (us)"] = 1e6 * np.median(column)
+    kernels = dict(zip(KERNELS, 1e6 * of("kernels").T))
+    for name, column in kernels.items():
+        result[f"{name} (us)"] = np.median(column)
+    for name, parts in PASSES.items():
+        result[f"{name} (us)"] = np.median(sum(kernels[part] for part in parts))
     pairs = 0.0
-    for (kind, label), t in zip(items["kinds"], timings):
+    for (kind, label), t in zip(kinds, timings):
         if kind == "table":
             result[f"solve_frames {label} ml (ms)"] = 1e3 * t[0]
             result[f"solve_frames {label} bayes (ms)"] = 1e3 * t[1]
@@ -293,7 +327,7 @@ def _best(rounds: list[list[list[float]]]) -> list[list[float]]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rev", help="git revision whose src/ to time against this checkout's")
-    parser.add_argument("--rounds", type=int, default=5, help="timings of every item, the best kept")
+    parser.add_argument("--rounds", type=int, default=9, help="timings of every item, the best kept")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be >= 1")
@@ -301,39 +335,17 @@ def main(argv: list[str] | None = None) -> int:
         trees = {"this tree": ROOT / "src"}
         if src is not None:
             trees = {args.rev: src, **trees}
-        workers = {}
-        try:
-            for label, tree in trees.items():
-                workers[label] = _Worker(tree)
-            items = {label: w.items for label, w in workers.items()}
-            count = len(items["this tree"]["kinds"])
-            if any(i["kinds"] != items["this tree"]["kinds"] for i in items.values()):
-                raise RuntimeError("the trees simulate different inputs")
-            kinds = [kind for kind, _ in items["this tree"]["kinds"]]
-            tables = kinds.index("table")
-            blocks = [list(range(k, min(k + _BLOCK, tables))) for k in range(0, tables, _BLOCK)]
-            blocks += [list(range(k, min(k + 2, count)))
-                       for k in range(tables, count, 2) for _ in range(_TABLE_REPEATS)]
-            rounds = {label: [] for label in trees}
-            for _ in range(args.rounds):
-                timings = {label: [None] * count for label in trees}
-                for b, block in enumerate(blocks):
-                    order = list(trees) if b % 2 == 0 else list(trees)[::-1]
-                    for label in order:
-                        best = timings[label]
-                        for k, t in zip(block, workers[label].time(block)):
-                            best[k] = t if best[k] is None else min(best[k], t, key=sum)
-                for label in trees:
-                    rounds[label].append(timings[label])
-        finally:
-            for w in workers.values():
-                w.close()
+        rounds = {label: [] for label in trees}
+        for _ in range(args.rounds):
+            kinds, timings = _round(trees)
+            for label in trees:
+                rounds[label].append(timings[label])
     labels = list(trees)
-    best = {label: figures(items[label], _best(rounds[label])) for label in labels}
+    best = {label: figures(kinds, _best(rounds[label])) for label in labels}
     width = max(len(name) for name in best[labels[0]])
     header = f"{'figure':<{width}}" + "".join(f"{label:>12}" for label in labels)
     print(header + ("       ratio  min-max" if len(labels) == 2 else ""))
-    per_round = {label: [figures(items[label], r) for r in rounds[label]] for label in labels}
+    per_round = {label: [figures(kinds, r) for r in rounds[label]] for label in labels}
     for name in best[labels[0]]:
         line = f"{name:<{width}}" + "".join(f"{best[label][name]:12.2f}" for label in labels)
         if len(labels) == 2:

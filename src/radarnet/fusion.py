@@ -16,10 +16,12 @@ detection triple, as `Simulation.detections` does.
 
 The posterior covariance is available two ways: the Laplace
 approximation (inverse Gauss-Newton Hessian at the optimum) and a
-direct second-moment computation of exp(-L/2) over a regular 4D grid
-centered on the Bayesian estimate.  L denotes the plain sum of squared
-normalized residuals, so exp(-L/2) is the exact (unnormalized)
-posterior for the conditional-Gaussian measurement model.
+direct second-moment computation of exp(-L/2) over a regular 2D grid
+of positions centered on the Bayesian estimate, the velocity
+integrated in closed form at each position, where every residual is
+linear in it.  L denotes the plain sum of squared normalized
+residuals, so exp(-L/2) is the exact (unnormalized) posterior for the
+conditional-Gaussian measurement model.
 """
 
 from __future__ import annotations
@@ -269,12 +271,11 @@ class _Frames:
     (2, N, F), the predicted range, spatial frequency and radial
     velocity as one (3, N, F) block, and each node's pi (cos phi, sin phi)
     and the velocity as (2, 2, N, F).
-    `grid_objective` takes a grid of one frame (F = 1) as its four axes
-    x, y, vx, vy, shaped (P, 1, 1, 1) ... (1, 1, 1, P): the model then
-    runs on P^2 positions, and only the Doppler projection and the
-    prior terms take all P^4 states.  Every term is computed per node with
-    the state axes innermost, and the objective sums the three
-    modalities, then the nodes in order.
+    A model of one frame (F = 1) also takes M states of that frame at
+    once, (M, 4), as `posterior_covariance_grid` evaluates its P^2 grid
+    positions: the frame's columns broadcast against the states.  Every
+    term is computed per node with the state axes innermost, and the
+    objective sums the three modalities, then the nodes in order.
 
     Residuals are (measured - predicted)/sigma, stacked as the N range
     rows, then N spatial-frequency rows, then N radial-velocity rows;
@@ -351,42 +352,6 @@ class _Frames:
         if np.count_nonzero(near):
             value[near.any(axis=0)] = np.inf
         return value, (unit, predicted, blocks, directions, prior_rows)
-
-    def grid_objective(self, axes) -> np.ndarray:
-        """`objective` on a grid's four axes; the frame axis (F = 1) lines up
-        with the grid's first."""
-        x, y, vx, vy = axes
-        meas_r, meas_w, meas_v = self.meas[..., None, None, None]
-        noise = self.noise
-        # The model on the P^2 positions at zero velocity.
-        position = np.zeros((4,) + np.broadcast_shapes(x.shape, y.shape))
-        position[0], position[1] = x, y
-        _, (ux, uy), predicted, _, near = measurement_model(
-            self.nodes[..., None, None, None], position
-        )
-        range_ = (meas_r - predicted[0]) / noise.sigma_r
-        angle = (meas_w - predicted[1]) / noise.sigma_omega
-        plane = range_ * range_ + angle * angle
-        # Each node's P^4 term, range and angle plus Doppler, is written
-        # into `value` (node 0) or `term` and added in node order.
-        value, term = (np.empty(np.broadcast_shapes(*(a.shape for a in axes)))
-                       for _ in range(2))
-        for node in range(len(plane)):
-            doppler = term if node else value
-            np.add(vx * ux[node], vy * uy[node], out=doppler)
-            np.subtract(meas_v[node], doppler, out=doppler)
-            doppler /= noise.sigma_v
-            doppler *= doppler
-            doppler += plane[node]
-            if node:
-                value += term
-        if self.prior_sigmas is not None:
-            q = [((a - c) / s) ** 2 for a, c, s in zip(axes, self.center[0], self.prior_sigmas)]
-            # Summed in the order of the state arrays' four-term sum.
-            value += np.add((q[0] + q[1]) + q[2], q[3], out=term)
-        if near.any():
-            value[np.broadcast_to(near.any(axis=0), value.shape)] = np.inf
-        return value
 
     def objective(self, theta) -> np.ndarray:
         """Objective values (F,) at the states `theta` (F, 4); +inf where infeasible."""
@@ -547,11 +512,17 @@ def _positive_definite(m: np.ndarray) -> np.ndarray:
     return ~np.isnan(factor[:, -1, -1])
 
 
-def _objective_terms(theta, obs, noise, prior=None, prior_center=None):
-    """Objective value, residuals and Jacobian of the observation `obs` at `theta`."""
+def _model(obs, noise, prior=None, prior_center: TargetState | None = None) -> _Frames:
+    """The one-frame model of the observation `obs`, with the prior about
+    `prior_center` if given."""
     center = None if prior_center is None else prior_center.as_vector()[None]
-    model = _Frames.build(obs, noise, prior, center)
-    value, terms = model.evaluate(theta.as_vector()[None])
+    return _Frames.build(obs, noise, prior, center)
+
+
+def _objective_terms(model: _Frames, theta: np.ndarray):
+    """Objective value, residuals and Jacobian of the one-frame `model` at
+    the state `theta` (4,)."""
+    value, terms = model.evaluate(theta[None])
     if not np.isfinite(value[0]):
         raise ValueError("state yields (near-)zero range to a node")
     res, jac = model.jacobian(terms)
@@ -567,7 +538,7 @@ def ml_objective(
     (V_i-v_i)^2/sv^2]; residuals are sigma-normalized and the Jacobian
     is the analytic 3N x 4 derivative of the residual vector.
     """
-    return _objective_terms(theta, obs, noise)
+    return _objective_terms(_model(obs, noise), theta.as_vector())
 
 
 def bayes_objective(
@@ -578,7 +549,7 @@ def bayes_objective(
     prior_center: TargetState,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """ML objective plus four normalized prior residual rows."""
-    return _objective_terms(theta, obs, noise, prior, prior_center)
+    return _objective_terms(_model(obs, noise, prior, prior_center), theta.as_vector())
 
 
 def _resolve_prior_center(obs: FusionObservation) -> TargetState:
@@ -1010,13 +981,19 @@ def laplace_covariance(
     """Gaussian (Laplace) posterior covariance: inverse of J'J at `center`."""
     if prior_center is None:
         prior_center = _resolve_prior_center(obs)
-    jac = bayes_objective(center, obs, noise, prior, prior_center)[2]
+    return _laplace(_model(obs, noise, prior, prior_center), center.as_vector())
+
+
+def _laplace(model: _Frames, theta: np.ndarray) -> np.ndarray:
+    """The inverse of the one-frame `model`'s J'J at the state `theta` (4,)."""
+    jac = _objective_terms(model, theta)[2]
     cov = np.linalg.inv(jac.T @ jac)
     return 0.5 * (cov + cov.T)
 
 
-def _grid_axes(center, sigmas, half_width_sigmas, points_per_dim):
-    """The grid's offsets from `center` per dimension, and its axes."""
+def _grid_axes(center, sigmas, half_width_sigmas, points_per_dim) -> list[np.ndarray]:
+    """The grid's axes: `points_per_dim` points per dimension spanning
+    center +/- half_width_sigmas * sigmas."""
     if points_per_dim < 5 or points_per_dim % 2 == 0:
         raise ValueError("points_per_dim must be odd and >= 5")
     if not (math.isfinite(half_width_sigmas) and half_width_sigmas > 0.0):
@@ -1027,21 +1004,19 @@ def _grid_axes(center, sigmas, half_width_sigmas, points_per_dim):
         raise ValueError(f"center must be a finite length-4 vector, got {center!r}")
     if sigmas.shape != (4,) or not np.all(np.isfinite(sigmas) & (sigmas > 0.0)):
         raise ValueError(f"sigmas must be a finite length-4 vector, all > 0, got {sigmas!r}")
-    offsets = [np.linspace(-1.0, 1.0, points_per_dim) * half_width_sigmas * s for s in sigmas]
-    return offsets, [c + o for c, o in zip(center, offsets)]
+    return [c + np.linspace(-1.0, 1.0, points_per_dim) * half_width_sigmas * s
+            for c, s in zip(center, sigmas)]
 
 
 # Below this exponent exp(x) rounds to 0.0.
 _EXP_UNDERFLOW = -746.0
 
 
-def _grid_moments(values: np.ndarray, offsets: list[np.ndarray]) -> np.ndarray:
-    """Covariance of exp(-L/2) from the objective values L on a (P, P, P, P) grid.
+def _weighted_moments(values: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The weights exp(-L/2) of the objective values L (M,), normalized to
+    sum to 1, and the covariance of the states (M, 4) under them.
 
-    Non-finite values get zero weight; `values` is overwritten.  The
-    moments are taken about the grid centre, `offsets` being each axis's
-    offsets from it, from the marginals of the (x, y) and (vx, vy)
-    planes and their cross moments.
+    Non-finite values get zero weight; `values` is overwritten.
     """
     finite = np.isfinite(values)
     low = np.min(values, where=finite, initial=np.inf)
@@ -1055,23 +1030,15 @@ def _grid_moments(values: np.ndarray, offsets: list[np.ndarray]) -> np.ndarray:
     values *= -0.5
     # exp is exactly 0.0 below -745.14, where it takes a slow path.
     weights = np.exp(values, out=np.zeros_like(values), where=finite & (values > _EXP_UNDERFLOW))
-    p = len(offsets[0])
-    # Rows are the (x, y) plane's points, columns the (vx, vy) plane's.
-    joint = weights.reshape(p * p, p * p)
-    joint /= joint.sum()
-    pos, vel = (np.column_stack([np.repeat(a, p), np.tile(b, p)])
-                for a, b in (offsets[:2], offsets[2:]))
-    pos_weights, vel_weights = joint.sum(axis=1), joint.sum(axis=0)
-    mean = np.concatenate([pos_weights @ pos, vel_weights @ vel])
-    cross = pos.T @ joint @ vel
-    second = np.block([[(pos.T * pos_weights) @ pos, cross],
-                       [cross.T, (vel.T * vel_weights) @ vel]])
-    cov = second - np.outer(mean, mean)
-    return 0.5 * (cov + cov.T)
+    weights /= weights.sum()
+    centered = states - weights @ states
+    cov = (centered.T * weights) @ centered
+    return weights, 0.5 * (cov + cov.T)
 
 
-# The grid posterior's extent: 15 points per dimension spanning
-# +/- 3 posterior sigmas.
+# The grid posterior's extent: 15 points per position dimension
+# spanning +/- 3 posterior sigmas (`grid_covariance`'s default grid in
+# each of its four).
 GRID_HALF_WIDTH_SIGMAS = 3.0
 GRID_POINTS_PER_DIM = 15
 
@@ -1093,10 +1060,10 @@ def grid_covariance(
     `sigmas` finite length-4 vectors with all sigmas > 0 (else
     ValueError).
     """
-    offsets, axes = _grid_axes(center, sigmas, half_width_sigmas, points_per_dim)
+    axes = _grid_axes(center, sigmas, half_width_sigmas, points_per_dim)
     thetas = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
-    values = np.array(value_fn(thetas), dtype=float).reshape((points_per_dim,) * 4)
-    return _grid_moments(values, offsets)
+    values = np.array(value_fn(thetas), dtype=float).reshape(len(thetas))
+    return _weighted_moments(values, thetas)[1]
 
 
 def posterior_covariance_grid(
@@ -1104,19 +1071,33 @@ def posterior_covariance_grid(
 ) -> np.ndarray:
     """Grid-based posterior covariance centered on the Bayesian estimate.
 
-    The grid is fixed: 15 points per dimension spanning +/- 3 posterior
-    sigmas, taken from the Laplace approximation at the center.  The
-    objective is evaluated on the grid's four axes: position terms on
-    its P^2 positions, Doppler and prior terms on all P^4 states.
+    The grid is fixed: 15 points per position dimension spanning +/- 3
+    posterior sigmas, taken from the Laplace approximation at the
+    center, with the velocity integrated in closed form.  At a fixed
+    position every residual is linear in the velocity, so exp(-L/2) is
+    exactly Gaussian in it: with A = J'J and g = J'r, the velocity
+    blocks of the normal equations at the prior center's velocity v0,
+    its mean is v*(p) = v0 - A^-1 g and its covariance A^-1.  Each of
+    the P^2 positions weighs exp(-L(p, v*)/2)/sqrt(det A), and the
+    covariance is that of the rows (p, v*) under those weights plus
+    their weighted sum of A^-1 in the velocity block.
     """
     prior_center = center.prior_center or _resolve_prior_center(obs)
-    laplace = laplace_covariance(obs, noise, prior, center.state, prior_center)
-    sigmas = np.sqrt(np.maximum(np.diag(laplace), 0.0))
+    model = _model(obs, noise, prior, prior_center)
+    theta = center.state.as_vector()
+    sigmas = np.sqrt(np.maximum(np.diag(_laplace(model, theta)), 0.0))
     # Guard against a collapsed Laplace direction producing a zero-width axis.
     sigmas = np.maximum(sigmas, 1e-9 * np.max(sigmas))
-    offsets, axes = _grid_axes(center.state.as_vector(), sigmas,
-                               GRID_HALF_WIDTH_SIGMAS, GRID_POINTS_PER_DIM)
-    # Axis d varies along dimension d only.
-    grid = [axis.reshape([-1 if k == d else 1 for k in range(4)]) for d, axis in enumerate(axes)]
-    model = _Frames.build(obs, noise, prior, prior_center.as_vector()[None])
-    return _grid_moments(model.grid_objective(grid), offsets)
+    x, y, _, _ = _grid_axes(theta, sigmas, GRID_HALF_WIDTH_SIGMAS, GRID_POINTS_PER_DIM)
+    states = np.repeat(model.center, len(x) * len(y), axis=0)
+    states[:, 0], states[:, 1] = np.repeat(x, len(y)), np.tile(y, len(x))
+    hessian, gradient_half = _normal_equations(model, model.evaluate(states)[1])
+    # A^-1 in the closed form of a 2x2 inverse; the prior makes A
+    # positive definite.
+    (a, b), (_, d) = hessian[:, 2:, 2:].transpose(1, 2, 0)
+    det = a * d - b * b
+    inverse = np.stack((d, -b, -b, a), axis=-1).reshape(-1, 2, 2) / det[:, None, None]
+    states[:, 2:] -= (inverse @ gradient_half[:, 2:, None])[..., 0]
+    weights, cov = _weighted_moments(model.objective(states) + np.log(det), states)
+    cov[2:, 2:] += np.tensordot(weights, inverse, 1)
+    return cov

@@ -3,8 +3,10 @@
 import math
 import sys
 import threading
+import warnings
 from contextlib import nullcontext
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -466,61 +468,120 @@ def laplace_sigmas(obs, est):
     return np.maximum(sigmas, 1e-9 * np.max(sigmas))
 
 
-class TestSeparableGrid:
-    """The grid posterior evaluated on the grid's axes against the dense state matrix."""
+def bayes_model(obs, est):
+    """The one-frame Bayes model of `obs` about `est`'s prior center."""
+    return _Frames.build(obs, TABLE_NOISE, PRIOR, est.prior_center.as_vector()[None])
+
+
+class TestPositionGrid:
+    """The grid posterior's closed-form velocity integral against the
+    objective it integrates."""
 
     @staticmethod
-    def model(obs, est):
-        return _Frames.build(obs, TABLE_NOISE, PRIOR, est.prior_center.as_vector()[None])
+    def captured(monkeypatch, obs, est):
+        """`posterior_covariance_grid` on `est`, with the values, states and
+        weights its moments took."""
+        seen = {}
+        moments = fusion_module._weighted_moments
 
-    @staticmethod
-    def separable(model, axes):
-        return model.grid_objective(
-            [a.reshape([-1 if k == d else 1 for k in range(4)]) for d, a in enumerate(axes)]
-        )
+        def capture(values, states):
+            seen["values"], seen["states"] = values.copy(), states.copy()
+            seen["weights"], cov = moments(values, states)
+            return seen["weights"], cov
 
-    def test_objective_matches_dense_bit_for_bit(self):
-        grids = []
+        with monkeypatch.context() as patch:
+            patch.setattr(fusion_module, "_weighted_moments", capture)
+            return posterior_covariance_grid(obs, TABLE_NOISE, PRIOR, est), seen
+
+    def test_matches_brute_force_4d_sum(self):
+        # The reference sums exp(-L/2) over the grid's positions and the
+        # velocities of a square lattice along the eigenvectors of the
+        # Laplace velocity covariance, spaced 1/3 of their sigmas, within
+        # 10 sigmas of the estimate (the disc); then again within 20,
+        # doubled, which adds a ring to the disc.  Halving the spacing
+        # moves no frame's reference by more than 1e-7 relative.  numpy
+        # evaluates the objective fastest on about 2,000 states at once,
+        # so the lattice goes in parts of that size.
+        u = np.arange(-60, 61) / 3.0
+        white = np.stack(np.meshgrid(u, u, indexing="ij"), axis=-1).reshape(-1, 2)
+        radius = np.hypot(*white.T)
+        parts = [(0, part) for part in np.array_split(white[radius <= 10.0], 2)]
+        parts += [(1, part) for part in np.array_split(white[(radius > 10.0) & (radius <= 20.0)], 5)]
+        # Maps (1, v - v_hat) to (1, p - p_hat, v - v_hat), p - p_hat set per position.
+        lift = np.zeros((5, 3))
+        lift[0, 0] = 1.0
+        lift[3:, 1:] = np.eye(2)
         for obs, est in grid_frames():
-            grids.append((obs, est, est.state.as_vector(), laplace_sigmas(obs, est)))
-        # A grid centred on node 0 (the origin): its central position
-        # coincides with the node, so those states are infeasible.
-        obs, est, _, sigmas = grids[2]
-        grids.append((obs, est, np.array([0.0, 0.0, est.state.vx, est.state.vy]), sigmas))
-        for obs, est, center, sigmas in grids:
-            model = self.model(obs, est)
-            axes, thetas = dense_grid(center, sigmas)
-            values = self.separable(model, axes)
-            assert values.shape == (15,) * 4
-            np.testing.assert_array_equal(values.ravel(), model.objective(thetas))
-        # The last grid is the node-centred one.
-        infeasible = np.isinf(values)
-        assert infeasible[7, 7].all() and infeasible.sum() == 15**2
-
-    def test_covariance_matches_dense_moments(self):
-        for obs, est in grid_frames():
-            model = self.model(obs, est)
-            _, thetas = dense_grid(est.state.as_vector(), laplace_sigmas(obs, est))
-            values = model.objective(thetas)
-            finite = np.isfinite(values)
-            weights = np.zeros_like(values)
-            weights[finite] = np.exp(-0.5 * (values[finite] - np.min(values[finite])))
-            weights /= np.sum(weights)
-            centered = thetas - weights @ thetas
-            want = (centered * weights[:, None]).T @ centered
-            want = 0.5 * (want + want.T)
+            model = bayes_model(obs, est)
+            center = est.state.as_vector()
+            x, y, _, _ = dense_grid(center, laplace_sigmas(obs, est))[0]
+            laplace = laplace_covariance(obs, TABLE_NOISE, PRIOR, est.state, est.prior_center)
+            variances, axes = np.linalg.eigh(laplace[2:, 2:])
+            # L is least at the estimate, so no weight overflows.
+            low = model.objective(center[None])[0]
+            # The disc's and the ring's sums of w (1, d)(1, d)', d = theta - center.
+            sums = np.zeros((2, 5, 5))
+            for k, part in parts:
+                offsets = np.ones((len(part), 3))
+                offsets[:, 1:] = (part * np.sqrt(variances)) @ axes.T
+                states = np.empty((len(part), 4))
+                states[:, 2:] = center[2:] + offsets[:, 1:]
+                for px, py in product(x, y):
+                    states[:, 0], states[:, 1] = px, py
+                    lift[1:3, 0] = px - center[0], py - center[1]
+                    weighted = offsets.T * np.exp(-0.5 * (model.objective(states) - low))
+                    sums[k] += lift @ (weighted @ offsets) @ lift.T
+            narrow, wide = (moments[1:, 1:] / moments[0, 0]
+                            - np.outer(moments[0, 1:], moments[0, 1:]) / moments[0, 0] ** 2
+                            for moments in (sums[0], sums[0] + sums[1]))
+            scale = np.abs(wide).max()
+            assert np.abs(wide - narrow).max() <= 1e-6 * scale
             got = posterior_covariance_grid(obs, TABLE_NOISE, PRIOR, est)
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            assert np.abs(got - wide).max() <= 1e-6 * scale
 
-    def test_all_infeasible_grid_raises(self):
-        obs, est = next(grid_frames())
-        model = self.model(obs, est)
-        # Every position lies within 1e-12 m of node 0.
-        center, sigmas = np.zeros(4), np.array([1e-14, 1e-14, 1.0, 1.0])
-        axes, _ = dense_grid(center, sigmas, points=5)
-        assert np.isinf(self.separable(model, axes)).all()
+    def test_velocity_is_the_exact_conditional_optimum(self, monkeypatch):
+        # At a fixed position the objective is quadratic in the velocity:
+        # L(p, v* + delta) - L(p, v*) = delta' A delta, with A the velocity
+        # block of J'J, and J'r's velocity half vanishes at v*.
+        rng = np.random.default_rng(32)
+        for obs, est in grid_frames():
+            _, seen = self.captured(monkeypatch, obs, est)
+            model = bayes_model(obs, est)
+            states = seen["states"][rng.choice(15**2, 12, replace=False)]
+            res, jac = model.jacobian(model.evaluate(states)[1])
+            velocity_jac = jac[..., 2:]
+            gradient = (velocity_jac.swapaxes(1, 2) @ res[..., None])[..., 0]
+            rounding = (np.abs(velocity_jac).swapaxes(1, 2) @ np.abs(res)[..., None])[..., 0]
+            assert np.all(np.abs(gradient) <= 1e-11 * rounding)
+            a = velocity_jac.swapaxes(1, 2) @ velocity_jac
+            delta = rng.standard_normal((len(states), 2)) * np.sqrt(np.diagonal(a, 0, 1, 2))
+            moved = states.copy()
+            moved[:, 2:] += delta
+            rise = model.objective(moved) - model.objective(states)
+            np.testing.assert_allclose(rise, np.einsum("mi,mij,mj->m", delta, a, delta),
+                                       rtol=1e-9)
+
+    def test_positions_on_a_node_get_zero_weight(self, monkeypatch):
+        # A grid centred on node 0, at the origin, whose Laplace sigmas
+        # are the estimate's (the node itself has no Laplace covariance):
+        # its central position is the node.
+        obs, est = list(grid_frames())[2]
+        assert (obs.entries[0].node_pose.x, obs.entries[0].node_pose.y) == (0.0, 0.0)
+        laplace = laplace_covariance(obs, TABLE_NOISE, PRIOR, est.state, est.prior_center)
+        monkeypatch.setattr(fusion_module, "_laplace", lambda model, theta: laplace)
+        on_node = replace(est, state=TargetState(0.0, 0.0, est.state.vx, est.state.vy))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cov, seen = self.captured(monkeypatch, obs, on_node)
+        infinite = np.isinf(seen["values"]).reshape(15, 15)
+        assert infinite[7, 7] and np.count_nonzero(infinite) == 1
+        assert seen["weights"].reshape(15, 15)[7, 7] == 0.0
+        assert np.isfinite(seen["states"]).all() and np.isfinite(cov).all()
+        # A dense grid whose every position lies within 1e-12 m of the node
+        # has no weight left.
         with pytest.raises(ArithmeticError, match="widen"):
-            grid_covariance(model.objective, center, sigmas, 3.0, 5)
+            grid_covariance(bayes_model(obs, est).objective, np.zeros(4),
+                            np.array([1e-14, 1e-14, 1.0, 1.0]), 3.0, 5)
 
 
 def assert_same_estimate(a, b):
@@ -1107,22 +1168,12 @@ class NodeLastFrames(_Frames):
             self.nodes[:, index], self.meas[:, index], self.noise, self.prior_sigmas, center
         )
 
-    def grid_objective(self, axes):
-        return self.evaluate(axes)[0]
-
     def evaluate(self, theta):
         prior = prior_rows = None
-        if isinstance(theta, np.ndarray):
-            x, y, vx, vy = theta[..., 0:1], theta[..., 1:2], theta[..., 2:3], theta[..., 3:4]
-            if self.prior_sigmas is not None:
-                prior_rows = (theta - self.center) / self.prior_sigmas
-                prior = (prior_rows * prior_rows).sum(axis=-1)
-        else:
-            x, y, vx, vy = (axis[..., None] for axis in theta)
-            if self.prior_sigmas is not None:
-                q = [((a - c) / s) ** 2
-                     for a, c, s in zip(theta, self.center[0], self.prior_sigmas)]
-                prior = ((q[0] + q[1]) + q[2]) + q[3]
+        x, y, vx, vy = theta[..., 0:1], theta[..., 1:2], theta[..., 2:3], theta[..., 3:4]
+        if self.prior_sigmas is not None:
+            prior_rows = (theta - self.center) / self.prior_sigmas
+            prior = (prior_rows * prior_rows).sum(axis=-1)
         px, py, pi_cos, pi_sin = self.nodes
         meas_r, meas_w, meas_v = self.meas
         noise = self.noise
@@ -1208,7 +1259,7 @@ class TestNodeFirstKernel:
 
         class Recording(NodeLastFrames):
             def evaluate(self, theta):
-                shapes.append(theta.shape if isinstance(theta, np.ndarray) else "axes")
+                shapes.append(theta.shape)
                 return super().evaluate(theta)
 
         monkeypatch.setattr(fusion_module, "_Frames", Recording)
@@ -1245,7 +1296,9 @@ class TestNodeFirstKernel:
             with monkeypatch.context() as patch:
                 self.node_last(patch, shapes)
                 want = posterior_covariance_grid(obs, TABLE_NOISE, PRIOR, est)
-            assert shapes == [(1, 4), "axes"]  # the Laplace Jacobian, then the grid
+            # The Laplace Jacobian, then the grid's positions at the prior
+            # center's velocity and at their optimal velocities.
+            assert shapes == [(1, 4), (15**2, 4), (15**2, 4)]
             assert got.tobytes() == want.tobytes()
             checked += 1
         assert checked == 6
@@ -1475,25 +1528,25 @@ class TestLeanKernels:
     def test_grid_underflow_cut_matches_unmasked_exp(self, monkeypatch):
         underflowing = 0
         for obs, est in grid_frames():
-            model = TestSeparableGrid.model(obs, est)
-            axes, _ = dense_grid(est.state.as_vector(), laplace_sigmas(obs, est))
-            values = TestSeparableGrid.separable(model, axes)
+            model = bayes_model(obs, est)
+            center, sigmas = est.state.as_vector(), laplace_sigmas(obs, est)
+            values = model.objective(dense_grid(center, sigmas)[1])
             exponents = -0.5 * (values - values.min())
             cut = exponents <= fusion_module._EXP_UNDERFLOW
             # exp of every exponent the cut skips is exactly 0.0.
             assert not np.exp(exponents[cut]).any()
             underflowing += np.count_nonzero(cut)
-            got = posterior_covariance_grid(obs, TABLE_NOISE, PRIOR, est)
+            got = grid_covariance(model.objective, center, sigmas)
             with monkeypatch.context() as patch:
                 # Every finite value through np.exp, as before the cut.
                 patch.setattr(fusion_module, "_EXP_UNDERFLOW", -np.inf)
-                want = posterior_covariance_grid(obs, TABLE_NOISE, PRIOR, est)
+                want = grid_covariance(model.objective, center, sigmas)
             assert got.tobytes() == want.tobytes()
         assert underflowing > 10_000
 
     def test_dense_grid_leaves_the_callers_values_alone(self):
         obs, est = next(grid_frames())
-        model = TestSeparableGrid.model(obs, est)
+        model = bayes_model(obs, est)
         returned = []
 
         def value_fn(thetas):

@@ -2,7 +2,8 @@
 depend on which node is called 0, nor on where the scene sits, which
 way it faces, or which side of the node line it is viewed from.
 
-Iteration counts may change under a relabelling, a rigid transform or a
+The grid posterior is checked under a relabelling too, at one
+estimate.  Iteration counts may change under a relabelling, a rigid transform or a
 reflection (the LM's stop tests are not yet scale-aware), so these
 tests compare states, covariances and, but for the reflection,
 `converged`, and only print how many counts changed.
@@ -18,9 +19,10 @@ import pytest
 
 from radarnet.calibration import calibrate_pair
 from radarnet.experiment import PIPELINE_PRIOR
-from radarnet.fusion import frame_table, solve_frames
+from radarnet.fusion import (FusionObservation, ObservationEntry, frame_table,
+                             posterior_covariance_grid, solve, solve_frames)
 from radarnet.geometry import angle_difference
-from radarnet.scene import builtin_scenario, simulate
+from radarnet.scene import Detection, builtin_scenario, simulate
 
 
 BUILTINS = list(product("ABC", ("straight", "random")))
@@ -61,6 +63,23 @@ def test_solve_frames_ignores_the_node_order(name, kind, mode):
     est = solve_frames(table, noise, mode, prior)
     relabelled = solve_frames(table[:, ::-1], noise, mode, prior)
     assert_same_estimates(relabelled, est, 1e-6, 1e-3, 1e-4)
+
+
+@pytest.mark.parametrize("name, kind", BUILTINS)
+def test_grid_posterior_ignores_the_node_order(name, kind):
+    # Every 50th all-node frame, relabelled and not, at the same estimate.
+    config = builtin_scenario(name, kind, seed=7)
+    sim = simulate(config)
+    frames = np.flatnonzero(sim.seen.all(axis=1))[::50].tolist()
+    assert len(frames) >= 6
+    for k in frames:
+        entries = tuple(ObservationEntry(node, Detection(*det))
+                        for node, det in zip(config.nodes, sim.detections[k].tolist()))
+        est = solve(FusionObservation(entries), config.noise, "bayes", PIPELINE_PRIOR)
+        cov, relabelled = (
+            posterior_covariance_grid(FusionObservation(order), config.noise, PIPELINE_PRIOR, est)
+            for order in (entries, entries[::-1]))
+        assert np.abs(relabelled - cov).max() <= 1e-9 * np.abs(cov).max()
 
 
 # The rigid transform of every node pose: a rotation by ROTATION about

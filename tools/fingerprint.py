@@ -1,7 +1,7 @@
 """Print SHA-256 fingerprints of the one-shot solver's and the CLI's outputs.
 
 A change meant to keep every output bit for bit prints the same lines
-before and after.  Four kinds of item, one line each:
+before and after.  Five kinds of item, one line each:
 
   solve_frames   the 36 batched solves over A/B/C x straight/random x
                  seeds 7-9 x ML/Bayes, at the true poses, on the frames
@@ -11,11 +11,15 @@ before and after.  Four kinds of item, one line each:
                  so that each mode is fingerprinted both as the table's
                  first solve and as its second, which shares the first's
                  start stage;
-  one-frame      `solve` (ML and Bayes), `posterior_covariance_grid`,
-                 `laplace_covariance`, `ml_objective`, `bayes_objective`
-                 and the closed-form initializers on every 25th frame
-                 both nodes detected, per built-in at seed 7; then
-                 ("bayes-first") `solve` Bayes then ML on each frame;
+  one-frame      `solve` (ML and Bayes), `laplace_covariance`,
+                 `ml_objective`, `bayes_objective` and the closed-form
+                 initializers on every 25th frame both nodes detected,
+                 per built-in at seed 7; then ("bayes-first") `solve`
+                 Bayes then ML on each frame;
+  grid           `posterior_covariance_grid` at the Bayes estimate on
+                 the same frames, made between the one-frame calls as
+                 the real-time path makes it, so that a change to the
+                 grid alone moves only these lines;
   measure        `measure` and `measurement_jacobian` from every node
                  at every 25th truth state, per built-in at seed 7;
   cli            every file under --out, stdout, stderr and exit code
@@ -128,18 +132,19 @@ def one_frame_items():
             ))
             for k in np.flatnonzero(sim.seen.all(axis=1))[::25].tolist()
         ]
-        values = []
+        values, grids = [], []
         for obs in observations:
             ml = solve(obs, config.noise, mode="ml")
             bayes = solve(obs, config.noise, mode="bayes", prior=PIPELINE_PRIOR)
+            grids.append(posterior_covariance_grid(obs, config.noise, PIPELINE_PRIOR, bayes))
             values += [*_estimate_values(ml), *_estimate_values(bayes),
-                       posterior_covariance_grid(obs, config.noise, PIPELINE_PRIOR, bayes),
                        laplace_covariance(obs, config.noise, PIPELINE_PRIOR, bayes.state),
                        *ml_objective(bayes.state, obs, config.noise),
                        *bayes_objective(bayes.state, obs, config.noise, PIPELINE_PRIOR,
                                         bayes.prior_center),
                        initial_position_estimate(obs), initial_velocity_estimate(obs)]
         yield f"one-frame {name} {kind} seed=7", _digest(*values)
+        yield f"grid {name} {kind} seed=7", _digest(*grids)
         values = []
         for obs in observations:
             bayes = solve(obs, config.noise, mode="bayes", prior=PIPELINE_PRIOR)

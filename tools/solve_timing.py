@@ -74,18 +74,12 @@ tree's row misses 1 when every round falls on one side, by chance with
 probability 2 x 0.5^R over R rounds: about 0.4% at the default 9, 6%
 at 5.  A single narrow miss in one run is noise; a miss that comes
 back in the same row is not.
-Each worker runs with glibc's MALLOC_MMAP_THRESHOLD_ and
-MALLOC_TRIM_THRESHOLD_ fixed at 1e8 bytes, so that a buffer's pages do
-not depend on the heap's history and the grid figure compares code.
-The figure therefore leaves out the page faults a default process pays
-on each grid call's large buffers.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import subprocess
 import sys
 import time
@@ -101,10 +95,6 @@ from revision import revision_src
 ROOT = Path(__file__).resolve().parent.parent
 
 SCENARIOS = list(product("ABC", ("straight", "random")))
-
-# Thresholds above every buffer the solver allocates: no allocation is
-# mmapped, and freed memory stays in the heap.
-_MALLOC_ENV = {"MALLOC_MMAP_THRESHOLD_": "100000000", "MALLOC_TRIM_THRESHOLD_": "100000000"}
 
 # Items a worker times before the other takes its turn.
 _BLOCK = 8
@@ -235,16 +225,14 @@ def worker() -> None:
 
 
 class _Worker:
-    """A `worker` process importing radarnet from `src`, with the fixed
-    malloc thresholds."""
+    """A `worker` process importing radarnet from `src`."""
 
     def __init__(self, src: Path):
         code = (f"import sys; sys.path.insert(0, {str(src)!r}); "
                 f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r}); "
                 "import solve_timing; solve_timing.worker()")
         self.process = subprocess.Popen([sys.executable, "-c", code], stdin=subprocess.PIPE,
-                                        stdout=subprocess.PIPE, text=True,
-                                        env={**os.environ, **_MALLOC_ENV})
+                                        stdout=subprocess.PIPE, text=True)
         self.kinds = self._read()
 
     def _read(self):

@@ -4,10 +4,16 @@ Given detections of the same target from N calibrated nodes, the
 target state theta = (x, y, vx, vy) is estimated by minimizing the
 sigma-normalized sum of squared measurement residuals (ML), optionally
 regularized by independent Gaussian priors on each state component
-(Bayes / MAP).  The minimization runs a Levenberg-Marquardt iteration
-from closed-form position and velocity initializers, its step matrix
-the full Hessian J'J + S of half the objective (S the residual
-curvature) where that is positive definite, else Gauss-Newton's J'J.
+(Bayes / MAP).  Every residual is linear in the velocity, so at a fixed
+position p the best velocity v*(p) is one 2x2 solve, and the objective
+is a function of p alone (variable projection: Golub & Pereyra 1973,
+"The differentiation of pseudo-inverses and nonlinear least squares
+problems whose variables separate").  The minimization runs a
+Levenberg-Marquardt iteration on the position only, from closed-form
+position initializers, its step matrix the Schur complement of the
+velocity block in the full Hessian J'J + S of half the objective (S the
+residual curvature) where that is positive definite, else in
+Gauss-Newton's J'J.
 `solve_frames` runs the whole solve, starts included, on
 many frames at once as arrays; `solve` is its one-frame case.  Its
 input is a frame table (`frame_table`): each frame's node poses and
@@ -46,8 +52,15 @@ _MAX_ITERATIONS = 100
 _LAMBDA_INIT = 1e-3
 _LAMBDA_MIN = 1e-12
 _LAMBDA_MAX = 1e12
-# J'J with a smaller singular-value ratio has no covariance.
+# J'J with a smaller singular-value ratio has no covariance, and a 2x2
+# velocity block with a smaller one is singular.
 _MIN_CONDITIONING = 1e-14
+# A frame whose velocity block's singular-value ratio is below this is
+# flagged `unobservable`: one direction of its velocity has a standard
+# deviation more than 100 times the other's.  The default Bayes prior
+# keeps a two-node frame's ratio above about 1.3e-3 at the default
+# Doppler noise.
+_UNOBSERVABLE_RATIO = 1e-4
 
 
 @dataclass(frozen=True)
@@ -108,6 +121,7 @@ class FusionEstimate:
     iterations: int
     converged: bool
     conditioning: float
+    unobservable: bool
     mode: str = "ml"
     prior_center: TargetState | None = None
 
@@ -118,9 +132,9 @@ class FusionEstimates(Sequence):
 
     `states` (F, 4), `covariances` (F, 4, 4), NaN where J'J is too
     ill-conditioned to invert, `objective_values`, `iterations`,
-    `converged` and `conditioning` (F,), and `prior_centers` (F, 4) in
-    Bayes mode (else None).  Indexing or iterating gives one
-    FusionEstimate per frame, built on access.
+    `converged`, `conditioning` and `unobservable` (F,), and
+    `prior_centers` (F, 4) in Bayes mode (else None).  Indexing or
+    iterating gives one FusionEstimate per frame, built on access.
     """
 
     states: np.ndarray
@@ -129,6 +143,7 @@ class FusionEstimates(Sequence):
     iterations: np.ndarray
     converged: np.ndarray
     conditioning: np.ndarray
+    unobservable: np.ndarray
     mode: str
     prior_centers: np.ndarray | None = None
 
@@ -144,6 +159,7 @@ class FusionEstimates(Sequence):
             iterations=int(self.iterations[k]),
             converged=bool(self.converged[k]),
             conditioning=conditioning,
+            unobservable=bool(self.unobservable[k]),
             mode=self.mode,
             prior_center=(None if self.prior_centers is None
                           else TargetState(*self.prior_centers[k].tolist())),
@@ -258,38 +274,115 @@ def initial_velocity_estimate(obs: FusionObservation) -> np.ndarray:
 _FLOAT_FORM_MAX_NODES = 7
 
 
+class _Terms(NamedTuple):
+    """What `_Frames.evaluate` computes besides the objective, node axis
+    first: the unit vectors to the nodes (2, N, F), the predicted range,
+    spatial frequency and radial velocity (3, N, F), their normalized
+    residuals (3, N, F), each node's pi (cos phi, sin phi) and the
+    velocity (2, 2, N, F), the prior rows (F, 4) or None, the states
+    scored (F, 4), and where the velocity was solved for the entries xx,
+    xy and yy of each frame's inverse velocity block A^-1 (`_entries`),
+    else None."""
+
+    unit: np.ndarray
+    predicted: np.ndarray
+    blocks: np.ndarray
+    directions: np.ndarray
+    prior_rows: np.ndarray | None
+    states: np.ndarray
+    velocity_inverse: tuple | None
+
+
+# The 2x2 kernels below take the entries of every frame's small matrices
+# and vectors as Python floats where there is one frame and as (F,)
+# arrays otherwise, and run the same operations in the same order on
+# either, so a one-frame solve gives the bits of its frame in a batch
+# while skipping numpy's per-call overhead on one-element arrays.
+
+def _entries(stack: np.ndarray) -> list:
+    """The entries of each row of `stack` (F, ...), in C order: floats
+    where F = 1, else one (F,) array per entry."""
+    if len(stack) == 1:
+        return stack.ravel().tolist()
+    return list(stack.reshape(len(stack), math.prod(stack.shape[1:])).T)
+
+
+def _stacked(entries) -> np.ndarray:
+    """`_entries`' inverse for flat rows: the entries as rows (F, K)."""
+    if isinstance(entries[0], float):
+        return np.array([entries])
+    return np.stack(entries, axis=-1)
+
+
+def _where(condition, x, y):
+    """`np.where` of the entries, or the conditional expression on floats."""
+    if isinstance(condition, bool):
+        return x if condition else y
+    return np.where(condition, x, y)
+
+
+def _quotient(x, y, default: float):
+    """x / y where y is nonzero, else `default`."""
+    if isinstance(y, float):
+        return x / y if y != 0.0 else default
+    return np.divide(x, y, out=np.full(np.shape(y), default), where=y != 0.0)
+
+
+def _symmetric_inverse(a, b, d) -> tuple:
+    """The entries xx, xy and yy of the inverse of each symmetric positive
+    semi-definite 2x2 matrix [[a, b], [b, d]], in closed form.  A matrix
+    whose determinant is at most `_MIN_CONDITIONING` times its squared
+    trace (its eigenvalue ratio, to first order) is singular: it gets the
+    pseudo-inverse of its rank-one part, the matrix over its squared
+    trace, and the zero matrix gets zero."""
+    det = a * d - b * b
+    trace = a + d
+    square = trace * trace
+    singular = det <= _MIN_CONDITIONING * square
+    # Singular: (a, b, d)/trace^2; else the adjugate (d, -b, a)/det.
+    scale = _quotient(1.0, _where(singular, square, det), 0.0)
+    return (_where(singular, a, d) * scale, _where(singular, b, -b) * scale,
+            _where(singular, d, a) * scale)
+
+
 class _Frames:
     """The residual model of F frames with N nodes each, node axis first.
 
     `nodes` holds (x, y, pi cos phi, pi sin phi) per node as (4, N, F),
     `meas` the measured (range, spatial frequency, radial velocity) as
     (3, N, F), and `center` each frame's prior center as (F, 4), or
-    None for ML.  `evaluate` takes one state row per frame, (F, 4): the
-    LM iterates, or the candidate starts of a model whose frames `take`
-    repeated once per candidate.  Its terms are the stacked blocks of
-    `geometry.measurement_model`: the unit vectors to the nodes as
-    (2, N, F), the predicted range, spatial frequency and radial
-    velocity as one (3, N, F) block, and each node's pi (cos phi, sin phi)
-    and the velocity as (2, 2, N, F).
-    A model of one frame (F = 1) also takes M states of that frame at
-    once, (M, 4), as `posterior_covariance_grid` evaluates its P^2 grid
-    positions: the frame's columns broadcast against the states.  Every
+    None for ML.  `evaluate` takes one row per frame: a state (F, 4), or
+    a position (F, 2) whose velocity is the best one there, v*(p), as
+    the LM iterates and its candidate starts are scored (on a model whose
+    frames `take` repeated once per candidate).  Its terms (`_Terms`) are
+    the stacked blocks of `geometry.measurement_model`.
+    A model of one frame (F = 1) also takes M rows of that frame at
+    once, as `posterior_covariance_grid` evaluates its P^2 grid
+    positions: the frame's columns broadcast against the rows.  Every
     term is computed per node with the state axes innermost, and the
     objective sums the three modalities, then the nodes in order.
 
     Residuals are (measured - predicted)/sigma, stacked as the N range
     rows, then N spatial-frequency rows, then N radial-velocity rows;
     with a prior, four prior rows (theta - center)/sigma are appended.
-    Objective values are +inf where a state is near a node (within
-    1e-12 m).
+    Every row is linear in the velocity: the radial-velocity rows'
+    velocity Jacobian is -u/sigma_v, the prior's the diagonal
+    1/sigma_v,prior.  So at a position the velocity block of J'J is
+    A = sum_i u_i u_i'/sigma_v^2 (+ the prior's diagonal 1/sigma^2), and
+    v*(p) = A^-1 (sum_i u_i V_i/sigma_v^2 (+ the prior center's velocity
+    over sigma^2)), by `_symmetric_inverse`: the minimum-norm velocity
+    where A is singular, as on a frame of one node without a prior or on
+    the line through two.  Objective values are +inf where a position is
+    near a node (within 1e-12 m).
 
     On one frame (F = 1) of at most `_FLOAT_FORM_MAX_NODES` nodes,
     `jacobian` and `curvature` compute every entry on Python floats and
     build each of their arrays once, since numpy's per-call overhead on
     (N, 1) arrays outweighs the arithmetic there.  Each entry takes the
     array form's operations in its order, the sums over nodes included,
-    so both forms give the same bits; `evaluate` stays on arrays at
-    every F.
+    so both forms give the same bits.  `evaluate` stays on arrays but for
+    v*, which `_best_velocity` computes with one code on floats or on
+    arrays.
     """
 
     def __init__(self, nodes, meas, noise, prior_sigmas=None, center=None):
@@ -304,6 +397,9 @@ class _Frames:
         self.sigmas = np.array([noise.sigma_r, noise.sigma_omega, noise.sigma_v]).reshape(3, 1, 1)
         self.negative_sigmas = -self.sigmas[::2, None]
         self.prior_jacobian = None if prior_sigmas is None else np.diag(1.0 / prior_sigmas)
+        # The velocity prior's diagonal of J'J, 1/sigma^2.
+        self.velocity_precision = (None if prior_sigmas is None
+                                   else (np.diagonal(self.prior_jacobian)[2:] ** 2).tolist())
 
     @classmethod
     def of(
@@ -338,10 +434,80 @@ class _Frames:
         taken.center = None if self.center is None else self.center.take(index, 0)
         return taken
 
-    def evaluate(self, theta):
-        """Objective values (F,) at the states `theta` (F, 4), and the terms
-        `jacobian` reuses."""
+    def best_velocities(self, unit) -> tuple[tuple, tuple]:
+        """Each frame's best velocity v*, as its entries vx and vy, at the
+        positions whose unit vectors to the nodes are `unit` (2, N, F), and
+        `_symmetric_inverse`'s entries of its velocity block A, both as
+        `_entries` gives them (`_best_velocity`).  Up to `_MAX_STARTS`
+        frames (one frame's candidate starts) run frame by frame on
+        floats, more as (F,) arrays.
+        """
+        frames = unit.shape[-1]
+        if not 0 < frames <= _MAX_STARTS:
+            return self._best_velocity(*unit, self.meas[2], None if self.prior_sigmas is None
+                                       else self.center[:, 2:].T)
+        measured = self.meas[2].T.tolist()
+        centers = ([None] * len(measured) if self.prior_sigmas is None
+                   else self.center[:, 2:].tolist())
+        if len(measured) < frames:
+            # A one-frame model's columns broadcast against its rows.
+            measured, centers = measured * frames, centers * frames
+        solved = [self._best_velocity(ux, uy, v, c) for (ux, uy), v, c in zip(
+            unit.transpose(2, 0, 1).tolist(), measured, centers)]
+        if frames == 1:
+            return solved[0]
+        (vx, vy), inverse = (np.array(part).T for part in zip(*solved))
+        return (vx, vy), tuple(inverse)
+
+    def _best_velocity(self, ux, uy, measured, center) -> tuple[tuple, tuple]:
+        """One frame's best velocity on floats, or F frames' on (F,) arrays:
+        the unit vectors' x and y and the radial velocities over the nodes,
+        and the prior center's velocity (None for ML).  Returns (vx, vy)
+        and the inverse velocity block's entries (xx, xy, yy).
+
+        The normal equations square the velocity block's conditioning, so
+        the solve is refined once on its own residuals (Bjorck, Numerical
+        Methods for Least Squares Problems, 2.5.3): a near-singular A
+        then keeps the radial-velocity rows' fit to rounding.
+        """
+        sigma = self.noise.sigma_v
+        # The radial-velocity rows' -Jacobian on the velocity and their
+        # measurements, normalized, node by node.
+        rows = [(x / sigma, y / sigma, v / sigma) for x, y, v in zip(ux, uy, measured)]
+        a = b = d = rx = ry = 0.0
+        for x, y, v in rows:
+            a, b, d, rx, ry = a + x * x, b + x * y, d + y * y, rx + x * v, ry + y * v
+        if center is not None:
+            (px, py), (cx, cy) = self.velocity_precision, center
+            a, d = a + px, d + py
+            rx, ry = rx + px * cx, ry + py * cy
+        inverse = ixx, ixy, iyy = _symmetric_inverse(a, b, d)
+        vx, vy = ixx * rx + ixy * ry, ixy * rx + iyy * ry
+        # The velocity half of -J'r at (vx, vy), and the correction it gives.
+        gx = gy = 0.0
+        for x, y, v in rows:
+            fit = v - (x * vx + y * vy)
+            gx, gy = gx + x * fit, gy + y * fit
+        if center is not None:
+            gx, gy = gx - px * (vx - cx), gy - py * (vy - cy)
+        return (vx + (ixx * gx + ixy * gy), vy + (ixy * gx + iyy * gy)), inverse
+
+    def evaluate(self, theta) -> tuple[np.ndarray, _Terms]:
+        """Objective values (F,) at the states `theta` (F, 4), or at the
+        positions `theta` (F, 2) each with its best velocity v*(p), and the
+        terms (`_Terms`) `jacobian`, `curvature` and the LM reuse."""
+        profiled = theta.shape[-1] == 2
+        if profiled:
+            positions, theta = theta, np.zeros((len(theta), 4))
+            theta[:, :2] = positions
         _, unit, predicted, directions, near = measurement_model(self.nodes, theta.T)
+        inverse = None
+        if profiled:
+            # The radial velocity at v*, in `measurement_model`'s order.
+            velocity, inverse = self.best_velocities(unit)
+            theta[:, 2], theta[:, 3] = directions[1, 0], directions[1, 1] = velocity
+            product = directions[1] * unit
+            np.add(product[0], product[1], out=predicted[2])
         blocks = (self.meas - predicted) / self.sigmas
         # The modalities, then the nodes, each summed in order.
         value = (blocks * blocks).sum(0).sum(0)
@@ -351,10 +517,11 @@ class _Frames:
             value += (prior_rows * prior_rows).sum(axis=-1)
         if np.count_nonzero(near):
             value[near.any(axis=0)] = np.inf
-        return value, (unit, predicted, blocks, directions, prior_rows)
+        return value, _Terms(unit, predicted, blocks, directions, prior_rows, theta, inverse)
 
     def objective(self, theta) -> np.ndarray:
-        """Objective values (F,) at the states `theta` (F, 4); +inf where infeasible."""
+        """Objective values (F,) at the states (F, 4) or positions (F, 2)
+        `theta`; +inf where infeasible."""
         return self.evaluate(theta)[0]
 
     @staticmethod
@@ -363,7 +530,7 @@ class _Frames:
         predicted spatial frequency and radial velocity, pi cos phi,
         pi sin phi, vx, vy and the three normalized residuals; None unless
         the terms hold one frame of at most `_FLOAT_FORM_MAX_NODES` nodes."""
-        unit, predicted, blocks, directions, _ = terms
+        unit, predicted, blocks, directions = terms[:4]
         n, frames = unit.shape[1:]
         if frames != 1 or n > _FLOAT_FORM_MAX_NODES:
             return None
@@ -374,7 +541,7 @@ class _Frames:
     def jacobian(self, terms) -> tuple[np.ndarray, np.ndarray]:
         """Residuals (F, M) and their Jacobian (F, M, 4) from `evaluate`'s terms
         at (F, 4) states."""
-        unit, predicted, blocks, directions, prior_rows = terms
+        unit, predicted, blocks, directions, prior_rows = terms[:5]
         nodes = self._floats(terms)
         if nodes is not None:
             sigma_r, sigma_omega, sigma_v = self.sigmas.ravel().tolist()
@@ -429,7 +596,7 @@ class _Frames:
         -d/(sigma_v r) (I - uu'), and the velocity block 0; the prior rows
         are linear.  Each block is summed over the nodes in order.
         """
-        unit, predicted, blocks, directions, _ = terms
+        unit, predicted, blocks, directions = terms[:4]
         nodes = self._floats(terms)
         if nodes is not None:
             sigma_r, sigma_omega, sigma_v = self.sigmas.ravel().tolist()
@@ -485,11 +652,27 @@ def _normal_equations(frames: _Frames, terms) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _step_matrices(frames: _Frames, terms, hessian: np.ndarray) -> np.ndarray:
-    """The LM step matrix (F, 4, 4): J'J + S where that is positive
-    definite, else J'J."""
-    step_matrix = hessian + frames.curvature(terms)
-    np.copyto(step_matrix, hessian, where=~_positive_definite(step_matrix)[:, None, None])
-    return step_matrix
+    """The LM step matrix on the positions as its entries xx, yx and yy
+    (F, 3): the Schur complement M_pp - M_pv A^-1 M_vp of the velocity
+    block A in M = J'J + S where that is positive definite, else in
+    M = J'J.  Both share A, since S has no velocity-velocity part, so
+    this is the Hessian of half the objective at v*(p), or its
+    Gauss-Newton part; A^-1 is `terms`' (the pseudo-inverse where A is
+    singular)."""
+    gauss = _entries(hessian)
+    newton = [h + s for h, s in zip(gauss, _entries(frames.curvature(terms)))]
+    ixx, ixy, iyy = terms.velocity_inverse
+
+    def reduced(m):
+        # M_pv A^-1 by rows, then its products with M_vp; m is row-major.
+        xx, xy = m[2] * ixx + m[3] * ixy, m[2] * ixy + m[3] * iyy
+        yx, yy = m[6] * ixx + m[7] * ixy, m[6] * ixy + m[7] * iyy
+        return (m[0] - (xx * m[8] + xy * m[12]), m[4] - (yx * m[8] + yy * m[12]),
+                m[5] - (yx * m[9] + yy * m[13]))
+
+    newton, gauss = reduced(newton), reduced(gauss)
+    definite = _positive_definite(*newton)
+    return _stacked([_where(definite, n, g) for n, g in zip(newton, gauss)])
 
 
 def _stationary(gradient_half: np.ndarray) -> np.ndarray:
@@ -499,17 +682,25 @@ def _stationary(gradient_half: np.ndarray) -> np.ndarray:
     return np.abs(gradient_half).max(axis=-1) < _GRADIENT_TOL / 2.0
 
 
-def _positive_definite(m: np.ndarray) -> np.ndarray:
-    """Whether each symmetric 4x4 matrix of `m` (F, 4, 4) is positive
-    definite (F,): whether its Cholesky factor exists (Golub & Van Loan,
-    Matrix Computations, 4.2), taken from the lower triangle by the
-    LAPACK gufunc `np.linalg.cholesky` wraps.  A factorization that
-    fails comes back as a NaN block, and a NaN in the lower triangle
-    reaches the factor's last diagonal entry; both read False.
-    """
-    with np.errstate(all="ignore"):
-        factor = _umath_linalg.cholesky_lo(m, signature="d->d")
-    return ~np.isnan(factor[:, -1, -1])
+def _positive_definite(xx, yx, yy):
+    """Whether each symmetric 2x2 matrix of entries xx, yx and yy is
+    positive definite, read from its lower triangle as a Cholesky
+    factorization reads it: its first pivot xx and its determinant both
+    positive.  A NaN entry reads False."""
+    return (xx > 0.0) & (xx * yy - yx * yx > 0.0)
+
+
+def _damped_steps(step_matrix: np.ndarray, lam: np.ndarray, gradient_half: np.ndarray):
+    """The steps (F, 2) that solve (A + lam I) step = -g per frame, the step
+    matrix A as `_step_matrices` gives it, by Cramer's rule; a NaN row
+    where that system is singular (a zero determinant)."""
+    xx, yx, yy = _entries(step_matrix)
+    (damping,), (gx, gy) = _entries(lam), _entries(gradient_half)
+    a, d = xx + damping, yy + damping
+    det = a * d - yx * yx
+    # -adj(A + lam I) g over the determinant.
+    return _stacked([_quotient(yx * gy - d * gx, det, math.nan),
+                     _quotient(yx * gx - a * gy, det, math.nan)])
 
 
 def _model(obs, noise, prior=None, prior_center: TargetState | None = None) -> _Frames:
@@ -606,25 +797,23 @@ def _start_table(nodes: _Columns, fov_half_angle: float) -> tuple[np.ndarray, np
     """Every frame's candidate LM starts.
 
     The candidates are the closed-form position initializer and the two
-    range-circle intersections, each with the closed-form velocity: the
-    precise ranges admit a mirror solution the coarse angles may fail to
-    rule out.  A frame keeps those that exist and that every detecting node
-    could actually see (within `fov_half_angle` plus a 15 deg margin
-    off its boresight, and not on the node itself), since the detection
-    event excludes the others; if that would drop them all, it keeps
-    every one that exists.
-    Returns the candidates as (F, 3, 4), the initializer first and
-    standing in for a missing one, and which candidates each frame
+    range-circle intersections: the precise ranges admit a mirror
+    solution the coarse angles may fail to rule out.  A frame keeps those
+    that exist and that every detecting node could actually see (within
+    `fov_half_angle` plus a 15 deg margin off its boresight, and not on
+    the node itself), since the detection event excludes the others; if
+    that would drop them all, it keeps every one that exists.
+    Returns the candidate positions as (F, 3, 2), the initializer first
+    and standing in for a missing one, and which candidates each frame
     keeps (F, 3).  Every |omega| <= pi must have been checked.
     """
-    start = _start_states(nodes)
+    start = _start_states(nodes)[:2]
     points, meet = _range_circles(nodes)
     frames = start.shape[1]
-    starts = np.empty((frames, _MAX_STARTS, 4))
-    starts[..., 2:] = start[2:].T[:, None]
-    # The candidates' positions (3, 2, F), written through a view of `starts`.
-    candidates = starts[..., :2].transpose(1, 2, 0)
-    candidates[...] = start[:2]
+    starts = np.empty((frames, _MAX_STARTS, 2))
+    # The candidates (3, 2, F), written through a view of `starts`.
+    candidates = starts.transpose(1, 2, 0)
+    candidates[...] = start
     np.copyto(candidates[1:], points, where=meet[:, None])
     # Each candidate's offset to each node (3, 2, N, F), and its angle
     # off the node's boresight; a NaN angle is not out of view.
@@ -678,36 +867,46 @@ def solve_frames(
     FusionEstimates.
 
     Each frame is solved on its own: its result does not depend on the
-    other frames in the batch.  A frame starts from the best-scoring
-    feasible candidate among the closed-form position/velocity
-    initializer and the two range-circle intersections, dropping those
-    more than `fov_half_angle` (the nodes' field-of-view half-angle)
-    plus a 15 deg margin off a detecting node's boresight.  That start
-    stage (the groups, their columns, candidates and kept flags) does
-    not depend on the mode, and the last table's is kept: a call on a
-    table of the same shape and floats at the same `fov_half_angle`,
-    as the second mode's solve of one table is, reads it instead of
-    computing it again, with the same results.  The stage stays in
-    memory until a call on another table replaces it: a copy of the
-    table's bytes as its key (each call makes one), the columns, the
-    starts and the keep flags, about 3.4 times the table's own size
-    for two-node frames.
-    A step solves (A + lam I) step = -J'r, where the step matrix A is
-    J'J + S, S = sum_i r_i Hess(r_i) the residual curvature
-    (`_Frames.curvature`), wherever that is positive definite, and
-    Gauss-Newton's J'J elsewhere; J'J + S is the full Hessian of half
-    the objective, which J'J underestimates where residuals are large.
-    Where one frame of at most 7 nodes is left to iterate, as in every
-    `solve`, the Jacobian and S are computed on floats, bit for bit as
-    the array code gives them (`_Frames`).
+    other frames in the batch.  The LM searches the position p alone: at
+    each position the velocity is the best one, v*(p), one 2x2 solve
+    (`_Frames`), so the objective is a function of p.  A frame starts
+    from the best-scoring feasible candidate position among the
+    closed-form position initializer and the two range-circle
+    intersections, dropping those more than `fov_half_angle` (the nodes'
+    field-of-view half-angle) plus a 15 deg margin off a detecting node's
+    boresight.  That start stage (the groups, their columns, candidates
+    and kept flags) does not depend on the mode, and the last table's is
+    kept: a call on a table of the same shape and floats at the same
+    `fov_half_angle`, as the second mode's solve of one table is, reads
+    it instead of computing it again, with the same results.  The stage
+    stays in memory until a call on another table replaces it: a copy of
+    the table's bytes as its key (each call makes one), the columns, the
+    candidate positions and the keep flags, about 2.9 times the table's
+    own size for two-node frames.
+    A step solves (A + lam I) step = -g, g the position half of J'r (its
+    velocity half vanishes at v*) and the step matrix A the Schur
+    complement of the velocity block in J'J + S, S = sum_i r_i Hess(r_i)
+    the residual curvature (`_Frames.curvature`), wherever that is
+    positive definite, and in Gauss-Newton's J'J elsewhere: the Hessian
+    of half the objective over the position, or its Gauss-Newton part,
+    which underestimates it where residuals are large.  The 2x2 systems
+    are solved in closed form.  Where one frame is left to iterate, as in
+    every `solve`, the 2x2 kernels, and with at most 7 nodes the Jacobian
+    and S, are computed on floats, bit for bit as the array code gives
+    them.
     A frame stops when the objective gradient infinity-norm falls below
     1e-8 or a step is shorter than 1e-10 (both `converged`), when its
     damping reaches the upper limit, or after 100 iterations.  A step
     that is singular, raises the objective, or leaves the feasible
     region (zero range to a node) raises that frame's damping tenfold;
-    an accepted step lowers it tenfold.  The returned covariances and
-    conditioning are those of J'J.  A table of no frames gives estimates
-    of no rows.
+    an accepted step lowers it tenfold.  The returned states hold v*(p),
+    and the covariances and conditioning are those of the 4x4 J'J there.
+    A frame is `unobservable` where the singular-value ratio of its
+    velocity block (the radial-velocity rows' and the velocity prior's
+    J'J) is below 1e-4: the data and prior then pin one direction of the
+    velocity nearly alone, as for one node without a prior, where the
+    block is singular and v* is its minimum-norm solution.  A table of
+    no frames gives estimates of no rows.
     """
     return _solve_frames(table, noise, mode, prior, fov_half_angle)
 
@@ -732,7 +931,7 @@ def _solve_frames(table, noise, mode, prior, fov_half_angle) -> FusionEstimates:
     # Several node counts: put each group's rows back in input order.
     order = np.argsort(np.concatenate([group.rows for group in groups]))
     fields = ("states", "covariances", "objective_values", "iterations", "converged",
-              "conditioning") + (("prior_centers",) if mode == "bayes" else ())
+              "conditioning", "unobservable") + (("prior_centers",) if mode == "bayes" else ())
     return FusionEstimates(mode=mode, **{
         name: np.concatenate([getattr(part, name) for part in parts])[order] for name in fields
     })
@@ -813,7 +1012,9 @@ def _solve_group(group: _StartGroup, noise, mode, prior) -> FusionEstimates:
 
     One LAPACK call inverts every frame's J'J, each on its own, as
     `np.linalg.inv` does; a frame whose conditioning is not above
-    `_MIN_CONDITIONING` gets a NaN covariance.
+    `_MIN_CONDITIONING` gets a NaN covariance.  A frame whose velocity
+    block's singular-value ratio is below `_UNOBSERVABLE_RATIO` is
+    flagged `unobservable`.
     """
     starts, keep = group.starts, group.keep
     frames_count = len(starts)
@@ -821,14 +1022,14 @@ def _solve_group(group: _StartGroup, noise, mode, prior) -> FusionEstimates:
     if mode == "bayes":
         # The prior centres on the closed-form position start.
         centers = np.zeros((frames_count, 4))
-        centers[:, :2] = starts[:, 0, :2]
+        centers[:, :2] = starts[:, 0]
     frames = _Frames.of(group.nodes, noise, prior if mode == "bayes" else None, centers)
     # The best-scoring feasible kept start seeds each frame; ties go to
     # the first in candidate order.  The candidates are scored as frame
     # rows, each frame repeated once per candidate.
     repeated = frames.take(np.repeat(np.arange(frames_count), _MAX_STARTS))
     with np.errstate(over="ignore"):  # an overflowing objective raises below
-        start_values = repeated.objective(starts.reshape(-1, 4)).reshape(starts.shape[:2])
+        start_values = repeated.objective(starts.reshape(-1, 2)).reshape(starts.shape[:2])
     start_values[~keep] = np.inf
     best = start_values.argmin(axis=1)
     rows = np.arange(frames_count)
@@ -850,24 +1051,19 @@ def _solve_group(group: _StartGroup, noise, mode, prior) -> FusionEstimates:
         inverse = _umath_linalg.inv(hessian, signature="d->d")
         covariances = 0.5 * (inverse + inverse.swapaxes(-1, -2))
     covariances[conditioning <= _MIN_CONDITIONING] = np.nan
+    # For a positive semi-definite 2x2 matrix, det/trace^2 = r/(1 + r)^2
+    # rises with its eigenvalue ratio r.
+    (a, b), (_, d) = hessian[:, 2:, 2:].transpose(1, 2, 0)
+    trace = a + d
+    ratio = _UNOBSERVABLE_RATIO
+    unobservable = a * d - b * b < ratio / ((1.0 + ratio) * (1.0 + ratio)) * (trace * trace)
     return FusionEstimates(theta, covariances, value, iterations, converged, conditioning,
-                           mode, centers)
+                           unobservable, mode, centers)
 
 
-_IDENTITY = np.eye(4)
-
-
-def _solve_systems(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The solutions x of the stacked systems a x = b, a (F, 4, 4) and
-    b (F, 4, 1), by the LAPACK gufunc `np.linalg.solve` wraps, called
-    without that wrapper's checks: a system LAPACK finds exactly
-    singular comes back as a NaN block instead of raising."""
-    with np.errstate(all="ignore"):
-        return _umath_linalg.solve(a, b, signature="dd->d")
-
-
-def _levenberg_marquardt(frames: _Frames, theta: np.ndarray, value: np.ndarray):
-    """Per-frame LM from `theta`; see `solve_frames` for the stop tests.
+def _levenberg_marquardt(frames: _Frames, position: np.ndarray, value: np.ndarray):
+    """Per-frame LM on the positions from `position` (F, 2), each at its
+    best velocity; see `solve_frames` for the stop tests.
 
     The working arrays hold the frames still iterating.  They are
     compacted only when some frame stops, and that frame's results are
@@ -876,12 +1072,12 @@ def _levenberg_marquardt(frames: _Frames, theta: np.ndarray, value: np.ndarray):
     accepts its step, and its step matrix only when some accepting frame
     is not stationary, since a stationary frame stops before it steps
     again; when only some frames accept, each working array takes their
-    rows in place with one `np.copyto`.  Returns the final states,
-    objective values, Hessians J'J (not the step matrices), iteration
-    counts and converged flags.
+    rows in place with one `np.copyto`.  Returns the final states (F, 4),
+    objective values, Hessians J'J (F, 4, 4, not the step matrices),
+    iteration counts and converged flags.
     """
-    count = len(theta)
-    out_theta = np.empty_like(theta)
+    count = len(position)
+    out_theta = np.empty((count, 4))
     out_value = np.empty_like(value)
     out_hessian = np.empty((count, 4, 4))
     iterations = np.full(count, _MAX_ITERATIONS)
@@ -889,8 +1085,12 @@ def _levenberg_marquardt(frames: _Frames, theta: np.ndarray, value: np.ndarray):
     if not count:
         return out_theta, out_value, out_hessian, iterations, converged
 
-    terms = frames.evaluate(theta)[1]
+    terms = frames.evaluate(position)[1]
+    theta = terms.states
     hessian, gradient_half = _normal_equations(frames, terms)
+    # The velocity half of J'r vanishes at v*: the position half is the
+    # gradient of the objective over the positions.
+    gradient_half = gradient_half[:, :2]
     # A gradient is tested once, in the pass that accepts it: a frame
     # whose step was rejected keeps the gradient that did not stop it.
     # A frame found stationary stops at the start of the next pass.
@@ -923,21 +1123,20 @@ def _levenberg_marquardt(frames: _Frames, theta: np.ndarray, value: np.ndarray):
     for iteration in range(1, _MAX_ITERATIONS + 1):
         if np.count_nonzero(stationary) and not finish(stationary, iteration, stationary):
             break
-        # (A + lam I) step = -J'r per frame, a NaN row where that is singular.
-        damped = step_matrix + lam[:, None, None] * _IDENTITY
-        step = _solve_systems(damped, -gradient_half[..., None])[..., 0]
+        # (A + lam I) step = -g per frame, a NaN row where that is singular.
+        step = _damped_steps(step_matrix, lam, gradient_half)
         length = np.sqrt((step * step).sum(axis=-1))
         short = length < _STEP_TOL
         # A singular frame's NaN step is neither short nor moving: it has
         # not converged, and it raises its damping but never stops on it.
         moving = length >= _STEP_TOL
-        candidate = theta + step
-        cand_value, cand_terms = frames.evaluate(candidate)
+        cand_value, cand_terms = frames.evaluate(theta[:, :2] + step)
         accept = (cand_value < value) & moving
         accepted = np.count_nonzero(accept)
         if accepted == len(accept):
-            theta, value = candidate, cand_value
+            theta, value = cand_terms.states, cand_value
             hessian, gradient_half = _normal_equations(frames, cand_terms)
+            gradient_half = gradient_half[:, :2]
             stationary = _stationary(gradient_half)
             if np.count_nonzero(stationary) < accepted:
                 step_matrix = _step_matrices(frames, cand_terms, hessian)
@@ -945,11 +1144,12 @@ def _levenberg_marquardt(frames: _Frames, theta: np.ndarray, value: np.ndarray):
             continue
         if accepted:
             cand_hessian, cand_gradient_half = _normal_equations(frames, cand_terms)
+            cand_gradient_half = cand_gradient_half[:, :2]
             stationary = _stationary(cand_gradient_half) & accept
             if np.count_nonzero(stationary) < accepted:
                 cand_step = _step_matrices(frames, cand_terms, cand_hessian)
-                np.copyto(step_matrix, cand_step, where=accept[:, None, None])
-            np.copyto(theta, candidate, where=accept[:, None])
+                np.copyto(step_matrix, cand_step, where=accept[:, None])
+            np.copyto(theta, cand_terms.states, where=accept[:, None])
             np.copyto(value, cand_value, where=accept)
             np.copyto(hessian, cand_hessian, where=accept[:, None, None])
             np.copyto(gradient_half, cand_gradient_half, where=accept[:, None])
@@ -1075,11 +1275,10 @@ def posterior_covariance_grid(
     posterior sigmas, taken from the Laplace approximation at the
     center, with the velocity integrated in closed form.  At a fixed
     position every residual is linear in the velocity, so exp(-L/2) is
-    exactly Gaussian in it: with A = J'J and g = J'r, the velocity
-    blocks of the normal equations at the prior center's velocity v0,
-    its mean is v*(p) = v0 - A^-1 g and its covariance A^-1.  Each of
-    the P^2 positions weighs exp(-L(p, v*)/2)/sqrt(det A), and the
-    covariance is that of the rows (p, v*) under those weights plus
+    exactly Gaussian in it: with A the velocity block of J'J, its mean
+    is the best velocity v*(p) (`_Frames`) and its covariance A^-1.
+    Each of the P^2 positions weighs exp(-L(p, v*)/2)/sqrt(det A), and
+    the covariance is that of the rows (p, v*) under those weights plus
     their weighted sum of A^-1 in the velocity block.
     """
     prior_center = center.prior_center or _resolve_prior_center(obs)
@@ -1089,15 +1288,11 @@ def posterior_covariance_grid(
     # Guard against a collapsed Laplace direction producing a zero-width axis.
     sigmas = np.maximum(sigmas, 1e-9 * np.max(sigmas))
     x, y, _, _ = _grid_axes(theta, sigmas, GRID_HALF_WIDTH_SIGMAS, GRID_POINTS_PER_DIM)
-    states = np.repeat(model.center, len(x) * len(y), axis=0)
-    states[:, 0], states[:, 1] = np.repeat(x, len(y)), np.tile(y, len(x))
-    hessian, gradient_half = _normal_equations(model, model.evaluate(states)[1])
-    # A^-1 in the closed form of a 2x2 inverse; the prior makes A
-    # positive definite.
-    (a, b), (_, d) = hessian[:, 2:, 2:].transpose(1, 2, 0)
-    det = a * d - b * b
-    inverse = np.stack((d, -b, -b, a), axis=-1).reshape(-1, 2, 2) / det[:, None, None]
-    states[:, 2:] -= (inverse @ gradient_half[:, 2:, None])[..., 0]
-    weights, cov = _weighted_moments(model.objective(states) + np.log(det), states)
-    cov[2:, 2:] += np.tensordot(weights, inverse, 1)
+    positions = np.stack((np.repeat(x, len(y)), np.tile(y, len(x))), axis=-1)
+    values, terms = model.evaluate(positions)
+    # log det A = -log det A^-1; the prior makes A positive definite.
+    xx, xy, yy = terms.velocity_inverse
+    values -= np.log(xx * yy - xy * xy)
+    weights, cov = _weighted_moments(values, terms.states)
+    cov[2:, 2:] += [[weights @ xx, weights @ xy], [weights @ xy, weights @ yy]]
     return cov

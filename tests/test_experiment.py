@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from radarnet import experiment
 from radarnet.experiment import (
     BURN_IN_FRAMES,
     CALIBRATION_SEED_OFFSET,
@@ -18,6 +19,7 @@ from radarnet.experiment import (
     calibrate_scenario,
     calibration_stage_config,
     emit_plot_data,
+    fuse_frames,
     paired_positions,
     run_experiment,
     run_monte_carlo,
@@ -190,15 +192,24 @@ class TestRunExperiment:
         )
         assert 0.05 <= report.rmse["truth"]["position_bayes"] <= 0.5
 
-    def test_c_random_ml_fails_bayes_bounded(self):
+    def test_c_random_ml_fails_bayes_bounded(self, monkeypatch):
         # Facing nodes: instantaneous ML vector-velocity estimation
-        # collapses near the baseline while the regularized solve stays
-        # bounded.
-        report = run_experiment(
-            builtin_scenario("C", "random", seed=4),
-            PipelineOptions(write_outputs=False),
-        )
-        assert report.rmse["truth"]["velocity_ml"] > 5.0
+        # collapses near the baseline, on the frames whose velocity ML
+        # flags unobservable, while the regularized solve stays bounded.
+        fused = {}
+
+        def recording(config, sim, poses, frames, options):
+            fused.update(frames=frames, estimates=fuse_frames(config, sim, poses, frames, options))
+            return fused["estimates"]
+
+        monkeypatch.setattr(experiment, "fuse_frames", recording)
+        config = builtin_scenario("C", "random", seed=4)
+        report = run_experiment(config, PipelineOptions(write_outputs=False))
+        ml = fused["estimates"]["ml"]
+        flagged = ml.unobservable
+        assert np.count_nonzero(flagged) > 0
+        error = ml.states[flagged, 2:] - simulate(config).truth[fused["frames"]][flagged, 2:]
+        assert math.sqrt(np.mean((error * error).sum(axis=1))) > 5.0
         assert report.rmse["truth"]["velocity_bayes"] < 1.0
 
     def test_zero_noise_pipeline_recovers_truth(self, tmp_path):

@@ -7,6 +7,7 @@ import warnings
 from contextlib import nullcontext
 from dataclasses import replace
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -591,6 +592,7 @@ def assert_same_estimate(a, b):
     assert a.converged == b.converged
     assert a.objective_value == b.objective_value
     assert a.conditioning == b.conditioning
+    assert a.unobservable == b.unobservable
     assert a.prior_center == b.prior_center
     if a.covariance is None or b.covariance is None:
         assert a.covariance is None and b.covariance is None
@@ -606,16 +608,17 @@ class TestSolveFrames:
         assert len(est) == 0 and est.mode == mode.lower()
         shapes = {field: getattr(est, field).shape for field in (
             "states", "covariances", "objective_values", "iterations", "converged",
-            "conditioning")}
+            "conditioning", "unobservable")}
         assert shapes == {"states": (0, 4), "covariances": (0, 4, 4), "objective_values": (0,),
-                          "iterations": (0,), "converged": (0,), "conditioning": (0,)}
+                          "iterations": (0,), "converged": (0,), "conditioning": (0,),
+                          "unobservable": (0,)}
         assert (est.prior_centers is None) == (prior is None)
         if prior is not None:
             assert est.prior_centers.shape == (0, 4)
 
     def test_single_frame_solve_matches_batch_on_builtin_scenario(self, monkeypatch):
         # A random whole, then 100 frames along C's degenerate baseline
-        # with the iteration cap lowered to 15: several stop at the cap,
+        # with the iteration cap lowered to 10: several stop at the cap,
         # so the capped exit, compaction after a partial acceptance and
         # the damping's lower clip all run.
         cases = (("A", "random", slice(None)), ("C", "straight", slice(265, 365)))
@@ -626,12 +629,12 @@ class TestSolveFrames:
             assert len(observations) > 400 if name == "A" else len(observations) == 100
             with monkeypatch.context() as patch:
                 if name == "C":
-                    patch.setattr(fusion_module, "_MAX_ITERATIONS", 15)
+                    patch.setattr(fusion_module, "_MAX_ITERATIONS", 10)
                 for mode, prior in (("ml", None), ("bayes", PRIOR)):
                     batch = solve_frames(table, config.noise, mode=mode, prior=prior)
                     assert len(batch) == len(observations)
                     if name == "C":
-                        capped = (batch.iterations == 15) & ~batch.converged
+                        capped = (batch.iterations == 10) & ~batch.converged
                         assert np.count_nonzero(capped) >= 5
                     for obs, est in zip(observations, batch):
                         assert_same_estimate(solve(obs, config.noise, mode=mode, prior=prior), est)
@@ -705,26 +708,27 @@ class TestSolveFrames:
         table = frame_table(config_b_nodes(), [detections_of(obs) for obs in observations])
         reference = solve_frames(table, TABLE_NOISE, mode="ml")
 
-        # Record frame 1's first damped system, then have the linear
-        # solver find it singular wherever it appears: its solution
-        # comes back as NaN, as LAPACK returns it.
-        real_solve = fusion_module._solve_systems
+        # Record frame 1's first damped system, then have the damped
+        # solve find it singular wherever it appears: its step comes back
+        # as NaN, as for a zero determinant.
+        real_steps = fusion_module._damped_steps
         recorded = []
 
-        def recording(a, b):
-            recorded.append(np.array(a))
-            return real_solve(a, b)
+        def recording(step_matrix, lam, gradient_half):
+            recorded.append((np.array(step_matrix), np.array(lam)))
+            return real_steps(step_matrix, lam, gradient_half)
 
-        monkeypatch.setattr(fusion_module, "_solve_systems", recording)
+        monkeypatch.setattr(fusion_module, "_damped_steps", recording)
         solve(observations[1], TABLE_NOISE, mode="ml")
-        singular = recorded[0][0]
+        singular = recorded[0][0][0], recorded[0][1][0]
 
-        def refusing(a, b):
-            x = real_solve(a, b)
-            x[[np.array_equal(m, singular) for m in a]] = np.nan
-            return x
+        def refusing(step_matrix, lam, gradient_half):
+            step = real_steps(step_matrix, lam, gradient_half)
+            step[[np.array_equal(m, singular[0]) and damping == singular[1]
+                  for m, damping in zip(step_matrix, lam)]] = np.nan
+            return step
 
-        monkeypatch.setattr(fusion_module, "_solve_systems", refusing)
+        monkeypatch.setattr(fusion_module, "_damped_steps", refusing)
         batch = solve_frames(table, TABLE_NOISE, mode="ml")
         assert_same_estimate(batch[0], reference[0])
         assert_same_estimate(batch[2], reference[2])
@@ -738,6 +742,17 @@ class TestSolveFrames:
             batch[1].state.as_vector(), reference[1].state.as_vector(), rtol=0, atol=1e-6
         )
         assert batch[1].objective_value == pytest.approx(reference[1].objective_value, rel=1e-9)
+
+
+def positive_definite(m):
+    """`_positive_definite` of each symmetric 2x2 matrix of `m` (F, 2, 2),
+    from its lower triangle."""
+    return _positive_definite(m[:, 0, 0], m[:, 1, 0], m[:, 1, 1])
+
+
+def lower_entries(m):
+    """Each 2x2 matrix of `m` (F, 2, 2) as the step-matrix rows xx, yx, yy."""
+    return np.stack((m[:, 0, 0], m[:, 1, 0], m[:, 1, 1]), axis=-1)
 
 
 def central_hessian(model, theta, step=1e-4):
@@ -796,23 +811,22 @@ class TestNewtonStep:
 
     def test_pivot_test_matches_eigenvalues(self):
         rng = np.random.default_rng(32)
-        x = rng.standard_normal((2000, 4, 4))
-        shift = rng.uniform(-1.0, 6.0, (2000, 1, 1))
-        matrices = x + x.swapaxes(1, 2) + shift * np.eye(4)
+        x = rng.standard_normal((2000, 2, 2))
+        shift = rng.uniform(-1.0, 3.0, (2000, 1, 1))
+        matrices = x + x.swapaxes(1, 2) + shift * np.eye(2)
         want = np.linalg.eigvalsh(matrices)[:, 0] > 0.0
         assert 0.1 < want.mean() < 0.9
-        np.testing.assert_array_equal(_positive_definite(matrices), want)
+        np.testing.assert_array_equal(positive_definite(matrices), want)
 
     def test_pivot_test_rejects_singular_and_nan(self):
         # PSD with a zero second pivot, PSD with a zero first pivot, PD
         # but for one NaN entry, and the identity.
-        singular = np.eye(4)
-        singular[:2, :2] = 1.0
-        first_zero = np.diag([0.0, 1.0, 2.0, 3.0])
-        with_nan = 2.0 * np.eye(4)
-        with_nan[2, 3] = with_nan[3, 2] = np.nan
-        matrices = np.array([singular, first_zero, with_nan, np.eye(4)])
-        np.testing.assert_array_equal(_positive_definite(matrices), [False, False, False, True])
+        singular = np.ones((2, 2))
+        first_zero = np.diag([0.0, 1.0])
+        with_nan = 2.0 * np.eye(2)
+        with_nan[1, 0] = with_nan[0, 1] = np.nan
+        matrices = np.array([singular, first_zero, with_nan, np.eye(2)])
+        np.testing.assert_array_equal(positive_definite(matrices), [False, False, False, True])
 
     def test_crawl_frames_reach_the_long_run_minimum(self, monkeypatch):
         # C's on-baseline frames, where the Gauss-Newton step crawls.
@@ -829,6 +843,7 @@ class TestNewtonStep:
         crawl = want.iterations > 100
         assert np.count_nonzero(crawl) >= 5 and want.converged.all()
         assert got.converged[crawl].all()
+        across = 0
         for obs, est, ref in zip(observations, got, want):
             if not est.converged:
                 continue
@@ -836,10 +851,17 @@ class TestNewtonStep:
                 est.state, obs, config.noise, PRIOR, est.prior_center
             )
             assert np.max(np.abs(2.0 * jac.T @ residuals)) < 1e-6
+            # A long run may cross the baseline (x = 0) into the mirror
+            # basin, a minimum the Newton step from the same start does
+            # not reach; one frame's does.
+            if math.copysign(1.0, est.state.x) != math.copysign(1.0, ref.state.x):
+                across += 1
+                continue
             assert est.objective_value <= ref.objective_value + 1e-9 * (1.0 + ref.objective_value)
             # Position to within a micrometre.
             np.testing.assert_allclose(est.state.as_vector()[:2], ref.state.as_vector()[:2],
                                        rtol=0, atol=1e-6)
+        assert across <= 1
 
 
 def line_config():
@@ -988,10 +1010,10 @@ def reference_range_circle_intersections(obs):
 
 
 def reference_candidate_starts(obs, fov_half_angle=FOV_HALF_ANGLE):
-    """The LM starts as built with array initializers and one TargetState
-    per start, the off-boresight angle written out per node."""
+    """The LM start positions as built with array initializers and one
+    TargetState per start, the off-boresight angle written out per node."""
     n = obs.num_nodes
-    px = py = vx = vy = 0.0
+    px = py = 0.0
     for entry in obs.entries:
         node, det = entry.node_pose, entry.detection
         theta = math.asin(min(1.0, max(-1.0, det.spatial_freq / math.pi)))
@@ -999,11 +1021,7 @@ def reference_candidate_starts(obs, fov_half_angle=FOV_HALF_ANGLE):
         c, s = math.cos(node.phi), math.sin(node.phi)
         px += c * lx - s * ly + node.x
         py += s * lx + c * ly + node.y
-        los = node.phi + 0.5 * math.pi - math.asin(det.spatial_freq / math.pi)
-        vx += det.radial_vel * math.cos(los)
-        vy += det.radial_vel * math.sin(los)
     pos0 = np.array([px, py]) / n
-    vx, vy = np.array([vx, vy]) / n
     positions = [(pos0[0], pos0[1])] + reference_range_circle_intersections(obs)
     limit = fov_half_angle + math.radians(15.0)
 
@@ -1020,7 +1038,7 @@ def reference_candidate_starts(obs, fov_half_angle=FOV_HALF_ANGLE):
         return True
 
     kept = [p for p in positions if visible(p)]
-    return pos0, [(x, y, vx, vy) for x, y in (kept or positions)]
+    return pos0, kept or positions
 
 
 def assert_same_starts(obs, fov_half_angle=FOV_HALF_ANGLE):
@@ -1028,7 +1046,7 @@ def assert_same_starts(obs, fov_half_angle=FOV_HALF_ANGLE):
     returns the kept starts."""
     starts, keep = _start_table(_columns(_table(obs)), fov_half_angle)
     want_pos0, want_starts = reference_candidate_starts(obs, fov_half_angle)
-    assert starts[0, 0, :2].tobytes() == want_pos0.tobytes()
+    assert starts[0, 0].tobytes() == want_pos0.tobytes()
     assert starts[0][keep[0]].tobytes() == np.asarray(want_starts, dtype=float).tobytes()
     return [tuple(start) for start in starts[0][keep[0]].tolist()]
 
@@ -1054,7 +1072,7 @@ class TestCandidateStarts:
         ))
         assert reference_range_circle_intersections(obs) == [(0.0, 7.0)]
         starts = assert_same_starts(obs)
-        assert len(starts) == 1 and starts[0][:2] != (0.0, 7.0)
+        assert len(starts) == 1 and starts[0] != (0.0, 7.0)
 
     def test_all_candidates_invisible_keeps_them_all(self):
         # A target far off both boresights: the initializer and both
@@ -1077,10 +1095,10 @@ def builtin_frame_tables(name):
 def assert_array_starts_match_reference(table, observations):
     """The array front end on a whole frame table against the reference, frame by frame."""
     starts, keep = _start_table(_columns(table), FOV_HALF_ANGLE)
-    assert starts.shape == (len(observations), 3, 4)
+    assert starts.shape == (len(observations), 3, 2)
     for j, obs in enumerate(observations):
         want_pos0, want_starts = reference_candidate_starts(obs)
-        assert starts[j, 0, :2].tobytes() == want_pos0.tobytes()
+        assert starts[j, 0].tobytes() == want_pos0.tobytes()
         assert starts[j][keep[j]].tobytes() == np.asarray(want_starts, dtype=float).tobytes()
 
 
@@ -1148,6 +1166,23 @@ class TestArrayCandidateStarts:
         assert kept["start_on_facing_node"] == 2
 
 
+class NodeLastTerms(NamedTuple):
+    """NodeLastFrames' terms: its own, then the states and velocity block
+    inverse the LM reads."""
+
+    vx: np.ndarray
+    vy: np.ndarray
+    blocks: tuple
+    prior_rows: np.ndarray | None
+    r: np.ndarray
+    ux: np.ndarray
+    uy: np.ndarray
+    omega: np.ndarray
+    vel: np.ndarray
+    states: np.ndarray
+    velocity_inverse: np.ndarray | None
+
+
 class NodeLastFrames(_Frames):
     """The residual model with the node axis last: tables (4, F, N) and
     (3, F, N), each term computed with the nodes innermost and summed
@@ -1169,16 +1204,14 @@ class NodeLastFrames(_Frames):
         )
 
     def evaluate(self, theta):
-        prior = prior_rows = None
-        x, y, vx, vy = theta[..., 0:1], theta[..., 1:2], theta[..., 2:3], theta[..., 3:4]
-        if self.prior_sigmas is not None:
-            prior_rows = (theta - self.center) / self.prior_sigmas
-            prior = (prior_rows * prior_rows).sum(axis=-1)
+        profiled = theta.shape[-1] == 2
+        if profiled:
+            theta = np.concatenate((theta, np.zeros_like(theta)), axis=-1)
         px, py, pi_cos, pi_sin = self.nodes
         meas_r, meas_w, meas_v = self.meas
         noise = self.noise
-        dx = x - px
-        dy = y - py
+        dx = theta[..., 0:1] - px
+        dy = theta[..., 1:2] - py
         r2 = dx * dx + dy * dy
         infeasible = r2 < 1e-24
         any_infeasible = infeasible.any()
@@ -1187,6 +1220,34 @@ class NodeLastFrames(_Frames):
         r = np.sqrt(r2)
         ux = dx / r
         uy = dy / r
+        inverse = None
+        if profiled:
+            # The velocity block A, sum of s s' with s = u/sigma_v, and
+            # A v = sum of s V/sigma_v (+ the prior's), solved and then
+            # refined once on its residuals.
+            sx, sy = ux / noise.sigma_v, uy / noise.sigma_v
+            target = meas_v / noise.sigma_v
+            a, b, d = (sx * sx).sum(-1), (sx * sy).sum(-1), (sy * sy).sum(-1)
+            rx, ry = (sx * target).sum(-1), (sy * target).sum(-1)
+            if self.prior_sigmas is not None:
+                precision = (1.0 / self.prior_sigmas[2:]) ** 2
+                a, d = a + precision[0], d + precision[1]
+                rx = rx + precision[0] * self.center[..., 2]
+                ry = ry + precision[1] * self.center[..., 3]
+            inverse = fusion_module._symmetric_inverse(a, b, d)
+            ixx, ixy, iyy = inverse
+            vx, vy = ixx * rx + ixy * ry, ixy * rx + iyy * ry
+            fit = target - (sx * vx[:, None] + sy * vy[:, None])
+            cx, cy = (sx * fit).sum(-1), (sy * fit).sum(-1)
+            if self.prior_sigmas is not None:
+                cx = cx - precision[0] * (vx - self.center[..., 2])
+                cy = cy - precision[1] * (vy - self.center[..., 3])
+            theta[:, 2], theta[:, 3] = vx + (ixx * cx + ixy * cy), vy + (ixy * cx + iyy * cy)
+        vx, vy = theta[..., 2:3], theta[..., 3:4]
+        prior = prior_rows = None
+        if self.prior_sigmas is not None:
+            prior_rows = (theta - self.center) / self.prior_sigmas
+            prior = (prior_rows * prior_rows).sum(axis=-1)
         omega = ux * pi_cos + uy * pi_sin
         vel = vx * ux + vy * uy
         blocks = (
@@ -1199,10 +1260,11 @@ class NodeLastFrames(_Frames):
             value += prior
         if any_infeasible:
             value[np.broadcast_to(infeasible.any(axis=-1), value.shape)] = np.inf
-        return value, (vx, vy, blocks, prior_rows, r, ux, uy, omega, vel)
+        return value, NodeLastTerms(vx, vy, blocks, prior_rows, r, ux, uy, omega, vel, theta,
+                                    inverse)
 
     def jacobian(self, terms):
-        vx, vy, blocks, prior_rows, r, ux, uy, omega, vel = terms
+        vx, vy, blocks, prior_rows, r, ux, uy, omega, vel = terms[:9]
         _, _, pi_cos, pi_sin = self.nodes
         noise = self.noise
         n = r.shape[-1]
@@ -1225,7 +1287,7 @@ class NodeLastFrames(_Frames):
 
     def curvature(self, terms):
         """Sum over nodes of residual times residual Hessian, entry by entry."""
-        vx, vy, (rho, w, d), _, r, ux, uy, omega, vel = terms
+        vx, vy, (rho, w, d), _, r, ux, uy, omega, vel = terms[:9]
         _, _, pi_cos, pi_sin = self.nodes
         noise = self.noise
         a = -(rho / (noise.sigma_r * r))
@@ -1275,15 +1337,15 @@ class TestNodeFirstKernel:
             with monkeypatch.context() as patch:
                 self.node_last(patch, shapes)
                 want = solve_frames(table, config.noise, mode=mode, prior=prior)
-            # The reference scored the candidate starts and ran every LM
-            # iteration: one evaluation for the starts, one at the start
-            # state and one per iteration of the slowest frame, whose last
+            # The reference scored the candidate start positions and ran
+            # every LM iteration: one evaluation for the starts, one at the
+            # start and one per iteration of the slowest frame, whose last
             # iteration evaluates nothing if it stops on its gradient.
-            assert (3 * len(table), 4) in shapes
+            assert (3 * len(table), 2) in shapes
             slowest = int(want.iterations.max())
             assert len(shapes) in (slowest + 1, slowest + 2)
             for field in ("states", "covariances", "objective_values", "iterations",
-                          "converged", "conditioning"):
+                          "converged", "conditioning", "unobservable"):
                 assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
             if prior is not None:
                 assert got.prior_centers.tobytes() == want.prior_centers.tobytes()
@@ -1296,9 +1358,9 @@ class TestNodeFirstKernel:
             with monkeypatch.context() as patch:
                 self.node_last(patch, shapes)
                 want = posterior_covariance_grid(obs, TABLE_NOISE, PRIOR, est)
-            # The Laplace Jacobian, then the grid's positions at the prior
-            # center's velocity and at their optimal velocities.
-            assert shapes == [(1, 4), (15**2, 4), (15**2, 4)]
+            # The Laplace Jacobian, then the grid's positions, each at its
+            # best velocity.
+            assert shapes == [(1, 4), (15**2, 2)]
             assert got.tobytes() == want.tobytes()
             checked += 1
         assert checked == 6
@@ -1344,8 +1406,8 @@ class TestSingleFrameKernel:
         capped = nodes_seen = 0
         for k, (obs, prior) in enumerate(oneshot_frames()):
             # The first six are C's on-baseline frames: with the iteration
-            # cap lowered to 7 for them, several stop at it.
-            cap = 7 if k < 6 else 100
+            # cap lowered to 5 for them, several stop at it.
+            cap = 5 if k < 6 else 100
             for mode, mode_prior in (("ml", None), ("bayes", prior)):
                 with monkeypatch.context() as patch:
                     patch.setattr(fusion_module, "_MAX_ITERATIONS", cap)
@@ -1355,7 +1417,7 @@ class TestSingleFrameKernel:
                     want = solve(obs, TABLE_NOISE, mode=mode, prior=mode_prior)
                     if mode == "bayes":
                         want_grid = posterior_covariance_grid(obs, TABLE_NOISE, prior, want)
-                assert (3, 4) in shapes and (1, 4) in shapes
+                assert (3, 2) in shapes and (1, 2) in shapes
                 assert_same_estimate(got, want)
                 capped += got.iterations == cap and not got.converged
             got_grid = posterior_covariance_grid(obs, TABLE_NOISE, prior, got)
@@ -1439,7 +1501,7 @@ class TestOneFrameFloatForms:
 
 
 def elementwise_positive_definite(m):
-    """Whether each matrix of `m` (F, 4, 4) has a Cholesky factor, by
+    """Whether each matrix of `m` (F, 2, 2) has a Cholesky factor, by
     `np.linalg.cholesky` one matrix at a time: False where it raises, or
     where a NaN entry carried into the factor.  The reference the stacked
     `_positive_definite` must match boolean for boolean."""
@@ -1453,77 +1515,89 @@ def elementwise_positive_definite(m):
 
 
 class TestLeanKernels:
-    """The stacked Cholesky test against `np.linalg.cholesky` one matrix
-    at a time, boolean for boolean; the one-call damped solve and the
-    grid's underflow cut against the formulations they replace, bit for
-    bit."""
+    """The closed-form 2x2 definiteness test against `np.linalg.cholesky`
+    one matrix at a time, boolean for boolean; the closed-form damped solve
+    against `np.linalg.solve`; and the grid's underflow cut against the
+    formulation it replaces, bit for bit."""
 
     def test_pivot_test_matches_elementwise_pivots(self):
         rng = np.random.default_rng(33)
-        x = rng.standard_normal((2000, 4, 4))
-        shift = rng.uniform(-1.0, 6.0, (2000, 1, 1))
-        random = x + x.swapaxes(1, 2) + shift * np.eye(4)
-        # L D L' with a unit lower-triangular integer L and power-of-two
-        # pivots, one of them 0, -1 or 1.  The Cholesky pivots are their
-        # square roots, which round: an exactly singular one may read
-        # positive definite, on both sides alike.
-        exact = []
-        for k in range(4):
-            for bad in (0.0, -1.0, 1.0):
-                lower = np.eye(4) + np.tril(rng.integers(-2, 3, (4, 4)), -1)
-                pivots = 2.0 ** rng.integers(0, 3, 4)
-                pivots[k] = bad
-                exact.append(lower @ np.diag(pivots) @ lower.T)
+        x = rng.standard_normal((2000, 2, 2))
+        shift = rng.uniform(-1.0, 3.0, (2000, 1, 1))
+        random = x + x.swapaxes(1, 2) + shift * np.eye(2)
         # A positive definite matrix with a NaN at each entry in turn
         # (a NaN above the diagonal only is not read), and all NaN.
         with_nan = []
-        for k in range(16):
-            m = 4.0 * np.eye(4) + 0.5
+        for k in range(4):
+            m = 4.0 * np.eye(2) + 0.5
             m.flat[k] = np.nan
             with_nan.append(m)
-        with_nan.append(np.full((4, 4), np.nan))
-        for stack in (random, np.array(exact), np.array(with_nan)):
+        with_nan.append(np.full((2, 2), np.nan))
+        for stack in (random, np.array(with_nan)):
             want = elementwise_positive_definite(stack)
             assert 0 < np.count_nonzero(want) < len(stack)
-            np.testing.assert_array_equal(_positive_definite(stack), want)
+            np.testing.assert_array_equal(positive_definite(stack), want)
+        # L D L' with a unit lower-triangular integer L and power-of-two
+        # pivots, one of them 0, -1 or 1: the test's products are exact, so
+        # it reads the pivots' signs exactly, where a Cholesky factor's
+        # rounded square roots may call an exactly singular one definite.
+        exact, signs = [], []
+        for k in range(2):
+            for bad in (0.0, -1.0, 1.0):
+                lower = np.eye(2) + np.tril(rng.integers(-2, 3, (2, 2)), -1)
+                pivots = 2.0 ** rng.integers(0, 3, 2)
+                pivots[k] = bad
+                exact.append(lower @ np.diag(pivots) @ lower.T)
+                signs.append(bool((pivots > 0.0).all()))
+        np.testing.assert_array_equal(positive_definite(np.array(exact)), signs)
 
-    def test_solve_seam_matches_numpy_solve_bit_for_bit(self):
+    def test_damped_solve_matches_numpy_solve(self):
         rng = np.random.default_rng(34)
-        x = rng.standard_normal((400, 4, 4))
-        general = rng.standard_normal((400, 4, 4))
+        x = rng.standard_normal((400, 2, 2))
+        indefinite = x + x.swapaxes(1, 2)
         # Positive definite systems over a wide range of conditioning.
-        spd = x @ x.swapaxes(1, 2) + 10.0 ** rng.uniform(-8.0, 1.0, (400, 1, 1)) * np.eye(4)
-        b = rng.standard_normal((400, 4, 1))
-        for a in (general, spd):
-            got = fusion_module._solve_systems(a, b)
-            assert got.tobytes() == np.linalg.solve(a, b).tobytes()
+        spd = x @ x.swapaxes(1, 2) + 10.0 ** rng.uniform(-8.0, 1.0, (400, 1, 1)) * np.eye(2)
+        lam = 10.0 ** rng.uniform(-12.0, 2.0, 400)
+        g = rng.standard_normal((400, 2))
+        for a in (indefinite, spd):
+            got = fusion_module._damped_steps(lower_entries(a), lam, g)
+            damped = a + lam[:, None, None] * np.eye(2)
+            want = np.linalg.solve(damped, -g[..., None])[..., 0]
+            # Cramer's rule is as accurate as the system's conditioning allows.
+            scale = np.linalg.cond(damped) * np.abs(want).max(axis=-1)
+            assert np.all(np.abs(got - want).max(axis=-1) <= 1e-13 * scale)
+            # One frame, on floats, gives the bits of its row in the batch.
             for k in range(5):
-                one = fusion_module._solve_systems(a[k:k + 1], b[k:k + 1])
-                assert one.tobytes() == np.linalg.solve(a[k:k + 1], b[k:k + 1]).tobytes()
+                one = fusion_module._damped_steps(lower_entries(a[k:k + 1]), lam[k:k + 1],
+                                                  g[k:k + 1])
+                assert one.tobytes() == got[k:k + 1].tobytes()
 
-    def test_solve_seam_returns_nan_rows_for_singular_systems(self):
-        rank_one = np.ones((4, 4))
-        zero_row = 2.0 * np.eye(4)
-        zero_row[2] = 0.0
-        a = np.array([np.eye(4), rank_one, 3.0 * np.eye(4), np.zeros((4, 4)), zero_row])
-        b = np.arange(20.0).reshape(5, 4, 1)
-        got = fusion_module._solve_systems(a, b)
-        singular = np.isnan(got[..., 0]).all(axis=-1)
+    def test_damped_solve_returns_nan_rows_for_singular_systems(self):
+        rank_one = np.ones((2, 2))
+        zero_row = np.diag([2.0, 0.0])
+        a = np.array([np.eye(2), rank_one, 3.0 * np.eye(2), np.zeros((2, 2)), zero_row])
+        g = np.arange(10.0).reshape(5, 2)
+        got = fusion_module._damped_steps(lower_entries(a), np.zeros(5), g)
+        singular = np.isnan(got).all(axis=-1)
         np.testing.assert_array_equal(singular, [False, True, False, True, True])
         assert not np.isnan(got[~singular]).any()
-        for k in np.flatnonzero(~singular):
-            assert got[k].tobytes() == np.linalg.solve(a[k:k + 1], b[k:k + 1])[0].tobytes()
+        np.testing.assert_allclose(got[~singular], -g[~singular] / [[1.0], [3.0]], rtol=1e-15)
+        for k in range(5):
+            one = fusion_module._damped_steps(lower_entries(a[k:k + 1]), np.zeros(1), g[k:k + 1])
+            assert one.tobytes() == got[k:k + 1].tobytes()
 
     def test_always_singular_frame_runs_to_the_cap(self, monkeypatch):
         # A singular frame raises its damping every pass but never stops
         # on it, and never moves from its start.
         obs = observation_of(config_b_nodes(), TargetState(1.5, 3.5, 0.2, 0.1), TABLE_NOISE,
                              np.random.default_rng(35))
-        monkeypatch.setattr(fusion_module, "_solve_systems", lambda a, b: np.full(b.shape, np.nan))
+        monkeypatch.setattr(fusion_module, "_damped_steps",
+                            lambda step_matrix, lam, gradient_half: np.full(gradient_half.shape,
+                                                                             np.nan))
         est = solve(obs, TABLE_NOISE, mode="ml")
         assert est.iterations == 100 and not est.converged
-        start = _start_table(_columns(_table(obs)), FOV_HALF_ANGLE)[0][0]
-        assert est.state.as_vector().tolist() in start.tolist()
+        starts = _start_table(_columns(_table(obs)), FOV_HALF_ANGLE)[0][0]
+        assert est.state.as_vector()[:2].tolist() in starts.tolist()
 
     def test_grid_underflow_cut_matches_unmasked_exp(self, monkeypatch):
         underflowing = 0
@@ -1564,9 +1638,9 @@ class TestStationaryStop:
     matrix is never built."""
 
     # `solve`'s iteration counts on `oneshot_frames`, ML then Bayes per
-    # frame, as they were when every accepted pass built its step matrix.
-    ITERATIONS = [9, 17, 8, 6, 11, 6, 8, 7, 5, 5, 58, 7, 9, 9, 12, 14, 4, 4, 5, 5, 5, 5, 13, 7,
-                  7, 8, 5, 5, 4, 4, 11, 10]
+    # frame, with the LM on the position alone.
+    ITERATIONS = [12, 7, 6, 6, 5, 4, 6, 6, 5, 5, 4, 6, 8, 5, 6, 5, 3, 3, 8, 4, 3, 3, 8, 5, 4, 4,
+                  10, 8, 3, 3, 4, 4]
 
     def test_last_accepted_pass_skips_the_step_matrix(self, monkeypatch):
         calls = dict.fromkeys(("evaluate", "jacobian", "curvature"), 0)
@@ -1605,6 +1679,109 @@ class TestStationaryStop:
         assert on_gradient >= 20
 
 
+def criterion_07_table():
+    """Criterion 07's 500 frames (tests/test_acceptance.py) as a frame table:
+    targets on C's baseline walking along it at 1 m/s, each detection's
+    spatial frequency, range and radial velocity noise drawn in that order
+    from seed 707."""
+    nodes = config_c_nodes()
+    rng = np.random.default_rng(707)
+    detections = []
+    for k in range(500):
+        target = TargetState(0.0, 2.0 + 3.0 * (k / 499.0), 0.0, 1.0 if k % 2 == 0 else -1.0)
+        frame = []
+        for node in nodes:
+            m = measure(node, target)
+            omega = m.spatial_freq + TABLE_NOISE.sigma_omega * rng.standard_normal()
+            frame.append((m.range + TABLE_NOISE.sigma_r * rng.standard_normal(),
+                          min(math.pi, max(-math.pi, omega)),
+                          m.radial_vel + TABLE_NOISE.sigma_v * rng.standard_normal()))
+        detections.append(frame)
+    return frame_table(nodes, detections)
+
+
+class TestVelocityInClosedForm:
+    """The LM searches the position alone, each position at its best
+    velocity v*(p), which fits the radial-velocity rows (and the prior)
+    exactly."""
+
+    @staticmethod
+    def random_frames():
+        for name in "ABC":
+            config = builtin_scenario(name, "random", seed=7)
+            table, observations = detected_frames(config)
+            yield config.noise, table, observations
+
+    def test_two_node_ml_velocity_inverts_the_line_of_sight_matrix(self):
+        # Two Doppler rows in two unknowns: v = U(p)^-1 V, U's rows the
+        # unit vectors from the nodes at the returned position.
+        checked = flagged = 0
+        for noise, table, observations in self.random_frames():
+            batch = solve_frames(table, noise, "ml")
+            for obs, est in zip(observations, batch):
+                _, residuals, jac = ml_objective(est.state, obs, noise)
+                assert float(residuals[4:] @ residuals[4:]) <= 1e-12
+                lines = -noise.sigma_v * jac[4:, 2:]
+                want = np.linalg.solve(lines, [e.detection.radial_vel for e in obs.entries])
+                scale = np.linalg.cond(lines) * max(1.0, np.abs(want).max())
+                assert np.abs(est.state.as_vector()[2:] - want).max() <= 1e-13 * scale
+                checked += 1
+                flagged += est.unobservable
+        assert checked > 1400 and flagged > 0
+
+    def test_bayes_velocity_solves_its_normal_equations(self):
+        # (U'U/sigma_v^2 + P) v = U'V/sigma_v^2 + P c, P the velocity
+        # prior's precision and c the prior center's velocity (zero).
+        checked = 0
+        for noise, table, observations in self.random_frames():
+            batch = solve_frames(table, noise, "bayes", PRIOR)
+            for obs, est in zip(observations, batch):
+                _, _, jac = ml_objective(est.state, obs, noise)
+                lines = -noise.sigma_v * jac[4:, 2:]
+                measured = np.array([e.detection.radial_vel for e in obs.entries])
+                block = lines.T @ lines / noise.sigma_v**2 + np.diag(1.0 / PRIOR.sigmas[2:] ** 2)
+                velocity = est.state.as_vector()[2:]
+                rhs = lines.T @ measured / noise.sigma_v**2
+                scale = np.abs(block).max() * np.abs(velocity).max() + np.abs(rhs).max()
+                assert np.abs(block @ velocity - rhs).max() <= 1e-13 * scale
+                assert not est.unobservable
+                checked += 1
+        assert checked > 1400
+
+    def test_no_ml_solve_reaches_the_iteration_cap(self):
+        for obs, _ in oneshot_frames():
+            est = solve(obs, TABLE_NOISE, mode="ml")
+            assert est.converged and est.iterations < fusion_module._MAX_ITERATIONS
+        # Criterion 07's frames, batched: each frame's result is its solve's.
+        batch = solve_frames(criterion_07_table(), TABLE_NOISE, "ml")
+        assert batch.converged.all() and batch.iterations.max() < fusion_module._MAX_ITERATIONS
+
+    @pytest.mark.parametrize("case", ["one node", "on the baseline"])
+    def test_singular_velocity_block_gives_the_minimum_norm_velocity(self, case):
+        # One node's radial velocity pins only the velocity along its line
+        # of sight; two facing nodes' lines of sight coincide on their
+        # baseline.  The velocity across is free, and the minimum-norm
+        # solution leaves it zero.
+        if case == "one node":
+            obs = FusionObservation((ObservationEntry(Pose2D(0, 0, 0), Detection(5.0, 0.3, 0.4)),))
+        else:
+            obs = observation_of(config_c_nodes(), TargetState(0.0, 3.5, 0.0, 1.0))
+        with pytest.warns(UserWarning) if obs.num_nodes == 1 else nullcontext():
+            est = solve(obs, TABLE_NOISE, mode="ml")
+            batch = solve_frames(frame_table([e.node_pose for e in obs.entries],
+                                             [detections_of(obs)] * 3), TABLE_NOISE, "ml")
+        assert np.isfinite(est.state.as_vector()).all() and est.converged
+        assert est.unobservable and est.covariance is None
+        assert np.isnan(batch.covariances).all() and batch.unobservable.all()
+        for frame in batch:
+            assert_same_estimate(frame, est)
+        node = obs.entries[0].node_pose
+        line = np.array([est.state.x - node.x, est.state.y - node.y])
+        line /= np.hypot(*line)
+        velocity = est.state.as_vector()[2:]
+        assert abs(line[0] * velocity[1] - line[1] * velocity[0]) <= 1e-12 * np.abs(velocity).max()
+
+
 class TestFieldOfView:
     """The candidate starts are filtered by the field of view the caller
     gives: a start more than the half-angle plus 15 deg off a detecting
@@ -1626,7 +1803,7 @@ class TestFieldOfView:
         assert len(assert_same_starts(obs)) == 1
         kept = assert_same_starts(obs, wide)
         assert len(kept) == 3
-        assert kept[0][:2] == pytest.approx((target.x, target.y), abs=1e-9)
+        assert kept[0] == pytest.approx((target.x, target.y), abs=1e-9)
         np.testing.assert_array_equal(_start_table(_columns(_table(obs)), wide)[1],
                                       [[True, True, True]])
         table = _table(obs)
@@ -1649,7 +1826,7 @@ class TestFieldOfView:
             pytest.approx(70.0, abs=0.1)
         assert len(assert_same_starts(obs)) == 3
         kept = assert_same_starts(obs, math.radians(30.0))
-        assert len(kept) == 2 and mirror not in [start[:2] for start in kept]
+        assert len(kept) == 2 and mirror not in kept
         table = _table(obs)
         est = solve(obs, TABLE_NOISE, mode="ml", fov_half_angle=math.radians(30.0))
         assert_same_estimate(est, solve_frames(table, TABLE_NOISE, mode="ml",
@@ -1678,7 +1855,7 @@ class TestSharedStartStage:
     def assert_same(got, want):
         assert got.mode == want.mode
         for field in ("states", "covariances", "objective_values", "iterations", "converged",
-                      "conditioning"):
+                      "conditioning", "unobservable"):
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
         if want.prior_centers is None:
             assert got.prior_centers is None

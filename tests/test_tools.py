@@ -69,7 +69,8 @@ def test_code_lines_prints_every_module_and_a_total(argv, capsys):
     assert names[-1] == "total"
 
 
-@pytest.mark.parametrize("tool", ["code_lines", "drift", "fingerprint", "solve_timing"])
+@pytest.mark.parametrize("tool", ["code_lines", "drift", "fingerprint", "solve_timing",
+                                  "solver_table"])
 def test_help_exits_zero(tool):
     done = subprocess.run([sys.executable, str(TOOLS / f"{tool}.py"), "--help"],
                           capture_output=True, text=True, timeout=60)

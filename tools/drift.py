@@ -12,13 +12,17 @@ run it prints one line against REV:
   cal      the calibration's |delta| of node 1's position (m) and
            orientation (deg)
   ml bayes per mode: the frames whose LM iteration count changed, the
-           converged flags that flipped, and the median and largest
-           |delta state| (a frame's largest |delta| of x, y, vx, vy)
+           converged flags that flipped, the frames converged on both
+           sides whose state moved by more than 1e-6 m in position or
+           1e-4 m/s in velocity (a change of basin, not of rounding), and
+           the median and largest |delta state| (a frame's largest
+           |delta| of x, y, vx, vy)
   rmse     the largest relative |delta| of the report's RMSEs
   nc       the ML and Bayes non-converged fractions, REV's -> this
            checkout's
 
-and a last line with the largest of each over the 18 runs.  Each side
+and a last line with the largest of each over the 18 runs (for the
+converged flips and the moved frames, their totals).  Each side
 runs in its own Python process.  Stdlib plus numpy and radarnet; runs
 from any directory.
 
@@ -88,16 +92,26 @@ def _side(src: Path, out: Path) -> dict:
         return dict(data)
 
 
+# A frame converged on both sides whose state moved by more than these
+# (m, m/s) changed basin.
+MOVE_TOLERANCES = (1e-6, 1e-4)
+
+
 def _mode_drift(old: dict, new: dict, key: str, mode: str) -> tuple:
-    """Iteration changes, converged flips, median and largest |delta state|."""
+    """Iteration changes, converged flips, moved frames, median and largest
+    |delta state|."""
     if old[f"{key}.frames"].tobytes() != new[f"{key}.frames"].tobytes():
         return None
     changed = int(np.count_nonzero(old[f"{key}.{mode}.iterations"]
                                    != new[f"{key}.{mode}.iterations"]))
-    flips = int(np.count_nonzero(old[f"{key}.{mode}.converged"]
-                                 != new[f"{key}.{mode}.converged"]))
-    delta = np.abs(new[f"{key}.{mode}.states"] - old[f"{key}.{mode}.states"]).max(axis=1)
-    return changed, flips, float(np.median(delta)), float(delta.max())
+    converged = old[f"{key}.{mode}.converged"], new[f"{key}.{mode}.converged"]
+    flips = int(np.count_nonzero(converged[0] != converged[1]))
+    delta = np.abs(new[f"{key}.{mode}.states"] - old[f"{key}.{mode}.states"])
+    beyond = ((delta[:, :2] > MOVE_TOLERANCES[0]).any(axis=1)
+              | (delta[:, 2:] > MOVE_TOLERANCES[1]).any(axis=1))
+    moved = int(np.count_nonzero(beyond & converged[0] & converged[1]))
+    delta = delta.max(axis=1)
+    return changed, flips, moved, float(np.median(delta)), float(delta.max())
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -114,7 +128,7 @@ def main(argv: list[str] | None = None) -> int:
         old = _side(src, Path(work) / "old.npz")
         new = _side(ROOT / "src", Path(work) / "new.npz")
 
-    worst = {"det": 0.0, "cal_m": 0.0, "cal_deg": 0.0, "rmse": 0.0, "flips": 0}
+    worst = {"det": 0.0, "cal_m": 0.0, "cal_deg": 0.0, "rmse": 0.0, "flips": 0, "moved": 0}
     for name, kind, seed in RUNS:
         key = f"{name}_{kind}_{seed}"
         fields = [f"{name} {kind} {seed}"]
@@ -138,9 +152,11 @@ def main(argv: list[str] | None = None) -> int:
             if drift is None:
                 fields.append(f"{mode} frames differ")
                 continue
-            changed, flips, median, largest = drift
-            fields.append(f"{mode} it {changed} flip {flips} med {median:.1e} max {largest:.1e}")
+            changed, flips, moved, median, largest = drift
+            fields.append(f"{mode} it {changed} flip {flips} moved {moved} med {median:.1e} "
+                          f"max {largest:.1e}")
             worst["flips"] += flips
+            worst["moved"] += moved
         rmse_old, rmse_new = old[f"{key}.rmse"], new[f"{key}.rmse"]
         rmse = float((np.abs(rmse_new - rmse_old) / np.abs(rmse_old)).max())
         fields.append(f"rmse {rmse:.1e}")
@@ -151,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
         print("  ".join(fields), flush=True)
     print(f"largest: det {worst['det']:.1e}  cal {worst['cal_m']:.1e} m "
           f"{worst['cal_deg']:.1e} deg  rmse {worst['rmse']:.1e}  "
-          f"converged flips {worst['flips']}")
+          f"converged flips {worst['flips']}  moved {worst['moved']}")
     return 0
 
 

@@ -12,18 +12,25 @@ table's ML and Bayes from the round of their least sum):
                           over the inputs;
   grid                    µs per `posterior_covariance_grid` call on a
                           Bayes estimate, median over the grid inputs;
-  start stage, evaluate,  µs per call of a kernel on one frame (F = 1) at
-  normal equations,       its closed-form start: `_start_stage` with its
-  curvature, step         memo cleared (the work a Bayes solve skips after
-  matrix, damped solve    the ML solve of its frame), `_Frames.evaluate`,
-                          `_normal_equations` (the Jacobian, J'J and J'r),
-                          `_Frames.curvature`, `_step_matrices` (J'J + S
-                          and its definiteness test), and the damped
-                          system, step matrix + lam I at `_LAMBDA_INIT`,
-                          formed and solved by `_solve_systems`.  Each the
-                          mean of _KERNEL_CALLS calls on the ML model then
-                          as many on the Bayes model; the median over the
-                          inputs;
+  start stage, evaluate,  µs per call of a kernel of the LM's 2-D pass on
+  normal equations,       one frame (F = 1) at its closed-form start
+  curvature, step         position: `_start_stage` with its memo cleared
+  matrix, damped solve    (the work a Bayes solve skips after the ML solve
+                          of its frame), `_Frames.evaluate` at the position
+                          (the best velocity v* solved for, then the
+                          objective at it), `_normal_equations` (the
+                          Jacobian, J'J and J'r), `_Frames.curvature`,
+                          `_step_matrices` (J'J + S and J'J reduced to the
+                          position by the Schur complement, and the
+                          definiteness test between them), and
+                          `_damped_steps` (the 2x2 system step matrix +
+                          lam I at `_LAMBDA_INIT`, solved in closed form).
+                          Each the mean of _KERNEL_CALLS calls on the ML
+                          model then as many on the Bayes model; the
+                          median over the inputs.  A kernel a tree lacks
+                          (one whose LM is not this 2-D one lacks all but
+                          the start stage) prints blank, and so does every
+                          pass row that contains it;
   accepted pass,          µs per LM pass of either kind, as the sum of the
   rejected pass           kernels it runs, taken per input, then the median
                           over the inputs: damped solve, evaluate, normal
@@ -80,6 +87,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import subprocess
 import sys
 import time
@@ -144,40 +152,61 @@ def _seconds(call) -> float:
     return time.perf_counter() - start
 
 
-def _kernel_seconds(obs, noise, prior) -> list[float]:
-    """Seconds per call of each of KERNELS on the one-frame ML and Bayes
-    models of `obs` at its closed-form start, each the mean of
-    _KERNEL_CALLS calls per model."""
+def _kernel_calls(obs, noise, prior) -> list:
+    """Each of KERNELS as a list of zero-argument calls, one on the
+    one-frame ML and one on the Bayes model of `obs` at its closed-form
+    start position, or None where this tree's radarnet cannot run it."""
     from radarnet import fusion
 
     table = fusion._table(obs)
-    start = np.concatenate((fusion.initial_position_estimate(obs),
-                            fusion.initial_velocity_estimate(obs)))[None]
+    start = fusion.initial_position_estimate(obs)[None]
     center = np.zeros((1, 4))
-    center[0, :2] = start[0, :2]
+    center[0, :2] = start[0]
     lam = np.full(1, fusion._LAMBDA_INIT)
 
     def start_stage():
         fusion._last_start_stage = None
         fusion._start_stage(table, fusion.FOV_HALF_ANGLE)
 
-    def damped_solve(step_matrix, gradient_half):
-        damped = step_matrix + lam[:, None, None] * fusion._IDENTITY
-        return fusion._solve_systems(damped, -gradient_half[..., None])[..., 0]
+    def attempt(build):
+        """`build()`'s call list, once each call has run, or None where a
+        name or a shape this tree does not have stops it."""
+        try:
+            calls = build()
+            for call in calls:
+                call()
+            return calls
+        except (AttributeError, TypeError, ValueError, IndexError):
+            return None
 
-    per_model = []
-    for model in (fusion._Frames.build(obs, noise), fusion._Frames.build(obs, noise, prior, center)):
-        terms = model.evaluate(start)[1]
-        hessian, gradient_half = fusion._normal_equations(model, terms)
-        step_matrix = fusion._step_matrices(model, terms, hessian)
-        per_model.append((start_stage,
-                          partial(model.evaluate, start),
-                          partial(fusion._normal_equations, model, terms),
-                          partial(model.curvature, terms),
-                          partial(fusion._step_matrices, model, terms, hessian),
-                          partial(damped_solve, step_matrix, gradient_half)))
+    models = [fusion._Frames.build(obs, noise), fusion._Frames.build(obs, noise, prior, center)]
+    evaluate = attempt(lambda: [partial(model.evaluate, start) for model in models])
+    kernels = [[start_stage] * len(models), evaluate]
+    if evaluate is None:
+        return kernels + [None] * (len(KERNELS) - len(kernels))
+    terms = [call()[1] for call in evaluate]
+    normal = [fusion._normal_equations(model, t) for model, t in zip(models, terms)]
+    step = attempt(lambda: [partial(fusion._step_matrices, model, t, hessian)
+                            for model, t, (hessian, _) in zip(models, terms, normal)])
+    damped = None if step is None else attempt(
+        lambda: [partial(fusion._damped_steps, call(), lam, gradient_half[:, :2])
+                 for call, (_, gradient_half) in zip(step, normal)])
+    return kernels + [
+        [partial(fusion._normal_equations, model, t) for model, t in zip(models, terms)],
+        [partial(model.curvature, t) for model, t in zip(models, terms)],
+        step,
+        damped,
+    ]
+
+
+def _kernel_seconds(obs, noise, prior) -> list[float]:
+    """Seconds per call of each of KERNELS (`_kernel_calls`), each the mean of
+    _KERNEL_CALLS calls per model; NaN for a kernel this tree lacks."""
     seconds = []
-    for kernel in zip(*per_model):
+    for kernel in _kernel_calls(obs, noise, prior):
+        if kernel is None:
+            seconds.append(math.nan)
+            continue
         begin = time.perf_counter()
         for call in kernel:
             for _ in range(_KERNEL_CALLS):
@@ -193,7 +222,7 @@ def worker() -> None:
     Then each line read is a JSON list of item indices, answered by one
     line with each item's timings in seconds, in the list's order: ML and
     Bayes for a frame or a table, one call for a grid input, and each of
-    KERNELS for a kernel input.
+    KERNELS for a kernel input (NaN for one this tree lacks).
     """
     from radarnet import fusion
     from radarnet.experiment import PIPELINE_PRIOR as prior
@@ -308,8 +337,14 @@ def figures(kinds, timings) -> dict[str, float]:
 
 def _best(rounds: list[list[list[float]]]) -> list[list[float]]:
     """Each item's least timings over the rounds, a frame's or a table's ML
-    and Bayes taken from the round of their least sum."""
-    return [min(timings, key=sum) for timings in zip(*rounds)]
+    and Bayes, or a kernel input's kernels, taken from the round of their
+    least sum (NaN for a kernel a tree lacks in every round)."""
+    return [min(timings, key=np.nansum) for timings in zip(*rounds)]
+
+
+def _cell(value: float, spec: str) -> str:
+    """`value` formatted by `spec`, or blank where it is NaN."""
+    return " " * len(format(0.0, spec)) if math.isnan(value) else format(value, spec)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -335,13 +370,14 @@ def main(argv: list[str] | None = None) -> int:
     print(header + ("       ratio  min-max" if len(labels) == 2 else ""))
     per_round = {label: [figures(kinds, r) for r in rounds[label]] for label in labels}
     for name in best[labels[0]]:
-        line = f"{name:<{width}}" + "".join(f"{best[label][name]:12.2f}" for label in labels)
+        line = f"{name:<{width}}" + "".join(_cell(best[label][name], "12.2f") for label in labels)
         if len(labels) == 2:
             ratios = [mine[name] / theirs[name]
                       for theirs, mine in zip(*(per_round[label] for label in labels))]
-            line += (f"{best[labels[1]][name] / best[labels[0]][name]:12.3f}"
-                     f"  {min(ratios):.3f}-{max(ratios):.3f}")
-        print(line)
+            if not math.isnan(sum(ratios)):
+                line += (f"{best[labels[1]][name] / best[labels[0]][name]:12.3f}"
+                         f"  {min(ratios):.3f}-{max(ratios):.3f}")
+        print(line.rstrip())
     return 0
 
 

@@ -2,10 +2,15 @@
 
 Each node runs an EKF with a constant-velocity motion model over its
 own (range, spatial frequency, radial velocity) detections, producing
-a track in the node's local frame.  Tracks can be rigidly transformed
-into the reference frame and fused per frame with a covariance-
-weighted combination, which serves as the smoothed multi-frame
-benchmark for the one-shot estimates.
+a track in the node's local frame.  `run_tracker` runs each frame as
+one fused step on local floats (predict, innovation covariance and its
+Cholesky factor, whitened gain, gate and posterior), calling only the
+measurement model on every update; `_predict` and `_update` remain the
+one-step kernels of the public `ekf_predict` and `ekf_update`, and the
+chain the fused step matches bit for bit.  Tracks can be rigidly
+transformed into the reference frame and fused per frame with a
+covariance-weighted combination, which serves as the smoothed
+multi-frame benchmark for the one-shot estimates.
 """
 
 from __future__ import annotations
@@ -167,6 +172,21 @@ def _cholesky_3(s00, s01, s02, s11, s12, s22) -> tuple | None:
     if not d2 > 0.0:
         return None
     return l00, l10, l20, l11, l21, math.sqrt(d2)
+
+
+def _factor_innovation(s00, s01, s02, s11, s12, s22) -> tuple:
+    """`_cholesky_3` of the innovation covariance S, or a LinAlgError.
+
+    The factor proves S positive definite; one jitter retry absorbs the
+    rounding dust extreme noise scales can leave on a weak direction.
+    """
+    factor = _cholesky_3(s00, s01, s02, s11, s12, s22)
+    if factor is None:
+        jitter = 1e-12 * (s00 + s11 + s22) / 3.0 + 1e-300
+        factor = _cholesky_3(s00 + jitter, s01, s02, s11 + jitter, s12, s22 + jitter)
+        if factor is None:
+            raise np.linalg.LinAlgError("singular innovation covariance")
+    return factor
 
 
 def _is_positive_definite_4(p: tuple) -> bool:
@@ -358,15 +378,7 @@ def _update(
         h10 * v0 + h11 * v1 + r1, h10 * w0 + h11 * w1,
         h20 * w0 + h21 * w1 + h00 * w2 + h01 * w3 + r2,
     )
-    # The Cholesky factor proves S positive definite; one jitter retry
-    # absorbs the rounding dust extreme noise scales can leave on a weak
-    # direction.
-    factor = _cholesky_3(*s)
-    if factor is None:
-        jitter = 1e-12 * (s[0] + s[3] + s[5]) / 3.0 + 1e-300
-        factor = _cholesky_3(s[0] + jitter, s[1], s[2], s[3] + jitter, s[4], s[5] + jitter)
-        if factor is None:
-            raise np.linalg.LinAlgError("singular innovation covariance")
+    factor = _factor_innovation(*s)
     # With K = B S^-1 and S = L L', the gain is K = W L^-1 for the
     # whitened gain W = B L^-T, so theta + K e = theta + W z for the
     # whitened innovation z = L^-1 e, and the exact-gain posterior
@@ -458,13 +470,6 @@ def ekf_update(
     return TargetState(*theta), _full(_psd(p)), np.array(innovation)
 
 
-def _node_rows(sim: Simulation, node_index: int) -> list[list[float] | None]:
-    """One node's detections, frame by frame, as (range, spatial frequency,
-    radial velocity) float rows, None where it saw nothing."""
-    rows = sim.detections[:, node_index].tolist()
-    return [row if v else None for row, v in zip(rows, sim.seen[:, node_index].tolist())]
-
-
 def run_tracker(
     frames: Simulation,
     node_index: int,
@@ -486,6 +491,15 @@ def run_tracker(
     Filtering happens in the node-local frame, where the radar sits at
     the identity pose.
 
+    Each frame is one fused step on local floats: the CV predict, the
+    innovation covariance S and its unrolled Cholesky factor, the
+    whitened gain, the gate and the posterior, with both PSD guards,
+    bit for bit the chain of `_predict`, `geometry._measure_at` and
+    `_update` (the kernels of `ekf_predict` and `ekf_update`).  Only the
+    measurement model is a call on every update; `_psd`, the jitter
+    retry and the start's `_local_cartesian` are calls on their rare
+    paths.
+
     The local measurement model cannot distinguish a target from its
     mirror image behind the array (identical range, spatial frequency,
     and Doppler), so states that cross into the back half-plane are
@@ -493,62 +507,139 @@ def run_tracker(
     """
     if not dt > 0.0:
         raise ValueError("dt must be > 0")
-    q = _process_noise_terms(dt, cfg.process_noise_accel)
+    rows = frames.detections[:, node_index].tolist()
+    seen = frames.seen[:, node_index].tolist()
+    # A start within MIN_UPDATE_RANGE would never move, so never update.
+    start = next((k for k, (z, v) in enumerate(zip(rows, seen))
+                  if v and z[0] >= MIN_UPDATE_RANGE), None)
+    if start is None:
+        raise ValueError(f"node {node_index} never detected the target at a range of at least "
+                         f"{MIN_UPDATE_RANGE} m in {len(frames)} frames, so it has no track")
+    q = q_pos, q_cross, q_vel = _process_noise_terms(dt, cfg.process_noise_accel)
     # Every covariance entering a predict is positive definite: the
     # diagonal initial one, or one that passed the PSD test, provably
     # would have (the update guard), or came from its eigh clip (the
     # reflection keeps that), so the bound applies.
     trace_bound = _predict_trace_bound(dt, q)
-    r = _noise_variances(noise)
+    r = r0, r1, r2 = _noise_variances(noise)
     update_bound = _update_guard_bound(q, r, trace_bound)
-    gate_threshold = cfg.gate_threshold
-    hypot, isfinite = math.hypot, math.isfinite
-    frame_indices, states, covariances, flags = [], [], [], []
-    theta: tuple | None = None
-    p: tuple = ()
-    for k, z in enumerate(_node_rows(frames, node_index)):
-        updated = False
-        if theta is None:
-            # A start within MIN_UPDATE_RANGE would never move, so never update.
-            if z is None or not z[0] >= MIN_UPDATE_RANGE:
-                continue
-            theta = (*_local_cartesian(z[0], z[1]), 0.0, 0.0)
-            p = (INIT_POS_VAR, 0.0, 0.0, 0.0, INIT_POS_VAR, 0.0, 0.0, INIT_VEL_VAR, 0.0, INIT_VEL_VAR)
-            updated = True
-        else:
-            theta, p = _predict(theta, p, dt, q, trace_bound)
-            if z is not None and hypot(theta[0], theta[1]) >= MIN_UPDATE_RANGE:
+    # An infinite gate rejects nothing, as no gate does.
+    gate = math.inf if cfg.gate_threshold is None else cfg.gate_threshold
+    sqrt, hypot, isfinite = math.sqrt, math.hypot, math.isfinite
+    x, y = _local_cartesian(rows[start][0], rows[start][1])
+    vx = vy = 0.0
+    p00, p01, p02, p03, p11, p12, p13, p22, p23, p33 = (
+        INIT_POS_VAR, 0.0, 0.0, 0.0, INIT_POS_VAR, 0.0, 0.0, INIT_VEL_VAR, 0.0, INIT_VEL_VAR)
+    updated = True
+    states, covariances, flags = [], [], []
+    for k in range(start, len(rows)):
+        if k > start:
+            # Predict: x += v dt, P <- F P F' + Q, from rows 0 and 1 of F P.
+            x += vx * dt
+            y += vy * dt
+            a00, a01, a02, a03 = p00 + dt * p02, p01 + dt * p12, p02 + dt * p22, p03 + dt * p23
+            a11, a12, a13 = p11 + dt * p13, p12 + dt * p23, p13 + dt * p33
+            p00, p01, p02, p03 = a00 + dt * a02 + q_pos, a01 + dt * a03, a02 + q_cross, a03
+            p11, p12, p13 = a11 + dt * a13 + q_pos, a12, a13 + q_cross
+            p22 += q_vel
+            p33 += q_vel
+            if not p00 + p11 + p22 + p33 < trace_bound:
+                p00, p01, p02, p03, p11, p12, p13, p22, p23, p33 = _psd(
+                    (p00, p01, p02, p03, p11, p12, p13, p22, p23, p33))
+            updated = False
+            if seen[k] and hypot(x, y) >= MIN_UPDATE_RANGE:
                 # The radar sits at the local frame's identity pose.
-                model = _measure_at(0.0, 0.0, 1.0, 0.0, *theta)
-                trace = p[0] + p[4] + p[7] + p[9]
-                theta, p, _, updated = _update(theta, p, model, z, r, gate_threshold)
-                if updated:
-                    _, _, _, h00, h01, h10, h11, h20, h21 = model
-                    weight = 1.0 + (h00 * h00 + h01 * h01 + h10 * h10 + h11 * h11
-                                    + h20 * h20 + h21 * h21)
-                    if not trace * weight < update_bound:
-                        p = _psd(p)
-        x, y, vx, vy = theta
+                pred_r, pred_omega, pred_v, h00, h01, h10, h11, h20, h21 = _measure_at(
+                    0.0, 0.0, 1.0, 0.0, x, y, vx, vy)
+                meas_r, meas_omega, meas_v = rows[k]
+                e0 = meas_r - pred_r
+                e1 = meas_omega - pred_omega
+                e2 = meas_v - pred_v
+                # B = P H' with row i = (ui, vi, wi), for the Jacobian
+                # H = [[h00 h01 0 0] [h10 h11 0 0] [h20 h21 h00 h01]].
+                u0, v0 = p00 * h00 + p01 * h01, p00 * h10 + p01 * h11
+                u1, v1 = p01 * h00 + p11 * h01, p01 * h10 + p11 * h11
+                u2, v2 = p02 * h00 + p12 * h01, p02 * h10 + p12 * h11
+                u3, v3 = p03 * h00 + p13 * h01, p03 * h10 + p13 * h11
+                w0 = p00 * h20 + p01 * h21 + p02 * h00 + p03 * h01
+                w1 = p01 * h20 + p11 * h21 + p12 * h00 + p13 * h01
+                w2 = p02 * h20 + p12 * h21 + p22 * h00 + p23 * h01
+                w3 = p03 * h20 + p13 * h21 + p23 * h00 + p33 * h01
+                s00, s01, s02 = h00 * u0 + h01 * u1 + r0, h00 * v0 + h01 * v1, h00 * w0 + h01 * w1
+                s11, s12 = h10 * v0 + h11 * v1 + r1, h10 * w0 + h11 * w1
+                s22 = h20 * w0 + h21 * w1 + h00 * w2 + h01 * w3 + r2
+                # S = L L', `_cholesky_3` unrolled; a pivot that is not
+                # positive takes `_factor_innovation`'s jitter retry.
+                d2 = 0.0
+                if s00 > 0.0:
+                    l00 = sqrt(s00)
+                    l10, l20 = s01 / l00, s02 / l00
+                    d1 = s11 - l10 * l10
+                    if d1 > 0.0:
+                        l11 = sqrt(d1)
+                        l21 = (s12 - l20 * l10) / l11
+                        d2 = s22 - l20 * l20 - l21 * l21
+                if d2 > 0.0:
+                    l22 = sqrt(d2)
+                else:
+                    l00, l10, l20, l11, l21, l22 = _factor_innovation(s00, s01, s02, s11, s12, s22)
+                # The whitened innovation z = L^-1 e; |z|^2 is the gate's
+                # squared Mahalanobis distance.
+                z0 = e0 / l00
+                z1 = (e1 - l10 * z0) / l11
+                z2 = (e2 - l20 * z0 - l21 * z1) / l22
+                if not z0 * z0 + z1 * z1 + z2 * z2 > gate:
+                    updated = True
+                    # The update guard, on the prior's trace.
+                    guarded = (p00 + p11 + p22 + p33) * (
+                        1.0 + (h00 * h00 + h01 * h01 + h10 * h10 + h11 * h11
+                               + h20 * h20 + h21 * h21)) < update_bound
+                    # Row i of the whitened gain W = B L^-T is L^-1 (ui, vi, wi).
+                    g00 = u0 / l00
+                    g01 = (v0 - l10 * g00) / l11
+                    g02 = (w0 - l20 * g00 - l21 * g01) / l22
+                    g10 = u1 / l00
+                    g11 = (v1 - l10 * g10) / l11
+                    g12 = (w1 - l20 * g10 - l21 * g11) / l22
+                    g20 = u2 / l00
+                    g21 = (v2 - l10 * g20) / l11
+                    g22 = (w2 - l20 * g20 - l21 * g21) / l22
+                    g30 = u3 / l00
+                    g31 = (v3 - l10 * g30) / l11
+                    g32 = (w3 - l20 * g30 - l21 * g31) / l22
+                    # The posterior theta + W z, P - W W'.
+                    x += g00 * z0 + g01 * z1 + g02 * z2
+                    y += g10 * z0 + g11 * z1 + g12 * z2
+                    vx += g20 * z0 + g21 * z1 + g22 * z2
+                    vy += g30 * z0 + g31 * z1 + g32 * z2
+                    p00 -= g00 * g00 + g01 * g01 + g02 * g02
+                    p01 -= g00 * g10 + g01 * g11 + g02 * g12
+                    p02 -= g00 * g20 + g01 * g21 + g02 * g22
+                    p03 -= g00 * g30 + g01 * g31 + g02 * g32
+                    p11 -= g10 * g10 + g11 * g11 + g12 * g12
+                    p12 -= g10 * g20 + g11 * g21 + g12 * g22
+                    p13 -= g10 * g30 + g11 * g31 + g12 * g32
+                    p22 -= g20 * g20 + g21 * g21 + g22 * g22
+                    p23 -= g20 * g30 + g21 * g31 + g22 * g32
+                    p33 -= g30 * g30 + g31 * g31 + g32 * g32
+                    if not guarded:
+                        p00, p01, p02, p03, p11, p12, p13, p22, p23, p33 = _psd(
+                            (p00, p01, p02, p03, p11, p12, p13, p22, p23, p33))
         if not (isfinite(x) and isfinite(y) and isfinite(vx) and isfinite(vy)):
-            raise ValueError(f"EKF state must be finite, got {theta!r}")
+            raise ValueError(f"EKF state must be finite, got {(x, y, vx, vy)!r}")
         if y < 0.0:
             # Reflect a behind-the-array state across the array line (cost-free):
             # diag(1, -1, 1, -1) flips y, vy and every entry pairing one with x or vx.
-            p00, p01, p02, p03, p11, p12, p13, p22, p23, p33 = p
-            theta = (x, -y, vx, -vy)
-            p = (p00, -p01, p02, -p03, p11, -p12, p13, p22, -p23, p33)
-        frame_indices.append(k)
-        states.append(theta)
-        covariances.append(p)
+            y, vy, p01, p03, p12, p23 = -y, -vy, -p01, -p03, -p12, -p23
+        states.append((x, y, vx, vy))
+        covariances.append((p00, p01, p02, p03, p11, p12, p13, p22, p23, p33))
         flags.append(updated)
-    count = len(frame_indices)
-    if not count:
-        raise ValueError(f"node {node_index} never detected the target at a range of at least "
-                         f"{MIN_UPDATE_RANGE} m in {len(frames)} frames, so it has no track")
-    # np.fromiter reads the loop's floats in one pass, about twice as
-    # fast as np.asarray over the list of tuples.
+    count = len(flags)
+    # Every frame from the start emits a point.  np.fromiter reads the
+    # loop's floats in one pass, about twice as fast as np.asarray over
+    # the list of tuples.
     return Track(
-        node_index=node_index, frame="local", frame_index=frame_indices,
+        node_index=node_index, frame="local", frame_index=np.arange(start, start + count),
         states=np.fromiter(chain.from_iterable(states), float, 4 * count),
         covariances=_full(
             np.fromiter(chain.from_iterable(covariances), float, 10 * count).reshape(count, 10)

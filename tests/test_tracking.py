@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -18,6 +19,7 @@ from radarnet.geometry import (
     measurement_jacobian,
 )
 from radarnet.scene import (
+    DEFAULT_FRAME_DURATION,
     Detection,
     NoiseConfig,
     ScenarioConfig,
@@ -61,11 +63,30 @@ def detection_of(radar, target):
     return Detection(m.range, m.spatial_freq, m.radial_vel)
 
 
+def node_rows(sim, node_index):
+    """One node's detections of a Simulation, frame by frame, as (range,
+    spatial frequency, radial velocity) float lists, None where it saw nothing."""
+    rows = sim.detections[:, node_index].tolist()
+    return [row if seen else None for row, seen in zip(rows, sim.seen[:, node_index].tolist())]
+
+
 def node_detections(sim, node_index):
     """One node's detections of a Simulation, frame by frame, None where it saw nothing."""
-    rows = sim.detections[:, node_index].tolist()
-    return [Detection(*row) if seen else None
-            for row, seen in zip(rows, sim.seen[:, node_index].tolist())]
+    return [None if row is None else Detection(*row) for row in node_rows(sim, node_index)]
+
+
+def straight_truth(start, velocity, num_frames, dt=0.15):
+    """(F, 4) states of a target moving from `start` at the constant `velocity`."""
+    k = np.arange(num_frames)[:, None] * dt
+    return np.column_stack([start[0] + velocity[0] * k, start[1] + velocity[1] * k,
+                            np.full((num_frames, 2), velocity)])
+
+
+def measured_simulation(truth):
+    """A one-node Simulation of `truth` seen noise-free from ORIGIN in every
+    frame, with no field-of-view limit."""
+    detections = [_measure_at(0.0, 0.0, 1.0, 0.0, *row)[:3] for row in truth.tolist()]
+    return Simulation(truth, np.array(detections)[:, None, :])
 
 
 def without_detections(sim, node_index, frames):
@@ -447,14 +468,18 @@ class TestRunTracker:
         return float(np.mean(values[20:]))
 
 
-def manual_chain(sim, node_index, cfg, noise, dt):
-    """The tracker's recursion written with the public predict/update steps."""
+def manual_chain(sim, node_index, cfg, noise, dt, folds=None):
+    """The tracker's recursion written with the public predict/update steps.
+
+    Appends to `folds`, if given, each frame whose state it reflected
+    across the array line.
+    """
     rows = []
     state = None
     for k, det in enumerate(node_detections(sim, node_index)):
         updated = False
         if state is None:
-            if det is None:
+            if det is None or not det.range >= MIN_UPDATE_RANGE:
                 continue
             pos = detection_to_local_cartesian(det)
             state = TargetState(pos[0], pos[1], 0.0, 0.0)
@@ -469,8 +494,23 @@ def manual_chain(sim, node_index, cfg, noise, dt):
         if state.y < 0.0:
             fold = np.diag([1.0, -1.0, 1.0, -1.0])
             state, cov = TargetState(state.x, -state.y, state.vx, -state.vy), fold @ cov @ fold
+            if folds is not None:
+                folds.append(k)
         rows.append((k, state.x, state.y, state.vx, state.vy, cov.tobytes(), updated))
     return rows
+
+
+def assert_tracker_matches_chain(sim, cfg, noise, dt=DEFAULT_FRAME_DURATION, node_index=0,
+                                 folds=None):
+    """Assert `run_tracker` equals `manual_chain` bit for bit; return its track."""
+    track = run_tracker(sim, node_index, cfg, noise, dt)
+    got = [
+        (k, *state, cov.tobytes(), u)
+        for k, state, cov, u in zip(track.frame_index.tolist(), track.states.tolist(),
+                                    track.covariances, track.updated.tolist())
+    ]
+    assert got == manual_chain(sim, node_index, cfg, noise, dt, folds)
+    return track
 
 
 class TestStepWrappersMatchTracker:
@@ -481,14 +521,7 @@ class TestStepWrappersMatchTracker:
         sim = simulate(config)
         cfg = EkfConfig(process_noise_accel=0.4, gate_threshold=gate)
         for i in range(len(config.nodes)):
-            track = run_tracker(sim, i, cfg, config.noise, config.frame_duration)
-            got = [
-                (k, *state, cov.tobytes(), u)
-                for k, state, cov, u in zip(track.frame_index.tolist(), track.states.tolist(),
-                                            track.covariances, track.updated.tolist())
-            ]
-            expected = manual_chain(sim, i, cfg, config.noise, config.frame_duration)
-            assert got == expected
+            track = assert_tracker_matches_chain(sim, cfg, config.noise, config.frame_duration, i)
             if gate is not None:
                 # The gate rejected at least one detection.
                 detected = sim.seen[track.frame_index[1:], i]
@@ -513,6 +546,106 @@ class TestStepWrappersMatchTracker:
         assert calls == {"eigh": 0, "cholesky": 0, "inv": 0}
         np.linalg.eigh(np.eye(2))  # the counter itself is live
         assert calls["eigh"] == 1
+
+
+class TestFusedStepRareBranches:
+    """The fused loop's rare branches, bit for bit against the public step chain."""
+
+    def test_gate_rejection(self):
+        sim = measured_simulation(straight_truth((-2.0, 3.0), (0.8, 0.1), 60))
+        sim.detections[40, 0, 0] += 3.0
+        track = assert_tracker_matches_chain(sim, EkfConfig(gate_threshold=16.27), TABLE_NOISE)
+        assert track.updated.tolist() == [k != 40 for k in range(60)]
+
+    def test_jitter_retry(self, monkeypatch):
+        # The tracker's own model leaves S singular only where H's angle row
+        # vanishes, on the array line, which a float state does not reach.
+        # So the one model call both paths share zeroes that row; with an
+        # angle variance that underflows to 0, S's second pivot is 0.
+        model = tracking._measure_at
+        monkeypatch.setattr(tracking, "_measure_at", lambda *a: (*model(*a)[:5], 0.0, 0.0,
+                                                                 *model(*a)[7:]))
+        retries = []
+        factor = tracking._factor_innovation
+        monkeypatch.setattr(tracking, "_factor_innovation",
+                            lambda *s: retries.append(s) or factor(*s))
+        noise = NoiseConfig(sigma_omega=1e-200)
+        assert noise.sigma_omega**2 == 0.0
+        sim = measured_simulation(straight_truth((-2.0, 3.0), (0.8, 0.1), 40))
+        track = assert_tracker_matches_chain(sim, EkfConfig(), noise)
+        # The tracker's retries, then the chain's: one per update each.
+        assert len(retries) == 2 * 39 and track.updated.all()
+
+    def test_singular_innovation_covariance_raises(self, monkeypatch):
+        # A Jacobian of NaNs from frame 20 on fails both factorizations.
+        model = tracking._measure_at
+        monkeypatch.setattr(tracking, "_measure_at", lambda *a: model(*a) if a[4] < -0.5 else (
+            *model(*a)[:3], *[math.nan] * 6))
+        sim = measured_simulation(straight_truth((-2.0, 3.0), (0.5, 0.0), 40))
+        for tracker in (run_tracker, manual_chain):
+            with pytest.raises(np.linalg.LinAlgError, match="^singular innovation covariance$"):
+                tracker(sim, 0, EkfConfig(), TABLE_NOISE, DEFAULT_FRAME_DURATION)
+        assert_tracker_matches_chain(Simulation(sim.truth[:20], sim.detections[:20]),
+                                     EkfConfig(), TABLE_NOISE)
+
+    def test_psd_test_after_an_unguarded_predict(self):
+        # A long coast from the start at a small process noise takes the
+        # predicted trace past the guard's bound, so the predicts test it.
+        accel = 1e-3
+        truth = straight_truth((-2.0, 3.0), (0.5, 0.1), 60)
+        sim = without_detections(measured_simulation(truth), 0, range(1, 40))
+        track = assert_tracker_matches_chain(sim, EkfConfig(process_noise_accel=accel),
+                                             TABLE_NOISE)
+        bound = tracking._predict_trace_bound(
+            DEFAULT_FRAME_DURATION, tracking._process_noise_terms(DEFAULT_FRAME_DURATION, accel))
+        traces = np.einsum("tii->t", track.covariances)
+        assert np.any(traces[1:40] > bound) and track.updated[40:].all()
+
+    def test_eigh_clip_after_unguarded_updates(self, monkeypatch):
+        # Zero process noise leaves both guards without their premise, and
+        # near-exact measurements leave posteriors the eigh clip must mend.
+        clips = []
+        original = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: clips.append(1) or original(a))
+        sim = measured_simulation(straight_truth((-2.0, 3.0), (0.8, 0.1), 60))
+        run_tracker(sim, 0, EkfConfig(process_noise_accel=0.0), TINY_NOISE)
+        assert clips
+        assert_tracker_matches_chain(sim, EkfConfig(process_noise_accel=0.0), TINY_NOISE)
+
+    def test_fold_behind_the_array(self):
+        # The target crosses the array line; its detections there are its
+        # mirror's, and the predicted states that cross are folded back.
+        folds = []
+        sim = measured_simulation(straight_truth((1.0, 2.0), (0.2, -1.0), 40))
+        assert_tracker_matches_chain(sim, EkfConfig(), TABLE_NOISE, folds=folds)
+        assert folds
+
+    @pytest.mark.parametrize("frame, column, bad", [
+        (0, 0, math.inf), (5, 2, math.inf), (5, 2, math.nan), (5, 1, math.nan)])
+    def test_non_finite_state_raises_as_the_kernel_chain(self, frame, column, bad):
+        sim = measured_simulation(straight_truth((-2.0, 3.0), (0.8, 0.1), 10))
+        sim.detections[frame, 0, column] = bad
+        with pytest.raises(ValueError, match="^EKF state must be finite") as fused:
+            run_tracker(sim, 0, EkfConfig(), TABLE_NOISE)
+        with pytest.raises(ValueError) as chained:
+            kernel_run_tracker(sim, 0, EkfConfig(), TABLE_NOISE)
+        assert str(fused.value) == str(chained.value)
+
+    def test_min_update_range_start_and_skip(self):
+        # The first detections sit within MIN_UPDATE_RANGE, so the track
+        # starts at the first that does not; the pass near the node skips
+        # updates.
+        truth = straight_truth((0.1, 0.2), (0.4, 0.1), 40)
+        track = assert_tracker_matches_chain(measured_simulation(truth), EkfConfig(), TABLE_NOISE)
+        first = np.flatnonzero(np.hypot(truth[:, 0], truth[:, 1]) >= MIN_UPDATE_RANGE)[0]
+        assert first > 0 and track.frame_index[0] == first and track.updated.all()
+        truth = straight_truth((-3.0, 0.3), (0.8, 0.0), 60)
+        track = assert_tracker_matches_chain(measured_simulation(truth), EkfConfig(), TABLE_NOISE)
+        # A point left without an update keeps its predicted state.
+        skipped = ~track.updated
+        assert skipped.any() and track.frame_index[0] == 0
+        assert np.all(np.hypot(track.states[skipped, 0], track.states[skipped, 1])
+                      < MIN_UPDATE_RANGE)
 
 
 def reference_numpy_tracker(sim, node_index, cfg, noise, dt):
@@ -1043,13 +1176,15 @@ def joseph_update(
     return posterior, cov, innovation, True
 
 
-def tracks_and_calibrations(monkeypatch, configs, cfg):
-    """Every node's track of each config under `cfg`, and its calibration-stage poses."""
+def tracks_and_calibrations(monkeypatch, configs, cfg, tracker=run_tracker):
+    """Every node's `tracker` track of each config under `cfg`, and its
+    calibration-stage poses with that tracker."""
     monkeypatch.setattr(experiment, "PIPELINE_EKF", cfg)
+    monkeypatch.setattr(experiment, "run_tracker", tracker)
     out = []
     for config in configs:
         sim = simulate(config)
-        tracks = [run_tracker(sim, i, cfg, config.noise, config.frame_duration)
+        tracks = [tracker(sim, i, cfg, config.noise, config.frame_duration)
                   for i in range(len(config.nodes))]
         out.append((tracks, [(res.p21, res.phi21) for res in calibrate_scenario(config)]))
     return out
@@ -1062,8 +1197,8 @@ class TestWhitenedUpdate:
                    for kind in ("straight", "random") for seed in (7, 8, 9)]
         cfg = EkfConfig(process_noise_accel=0.4, gate_threshold=gate)
         got = tracks_and_calibrations(monkeypatch, configs, cfg)
-        monkeypatch.setattr(tracking, "_update", joseph_update)
-        expected = tracks_and_calibrations(monkeypatch, configs, cfg)
+        expected = tracks_and_calibrations(monkeypatch, configs, cfg,
+                                           partial(untrimmed_run_tracker, update=joseph_update))
         for (tracks, calibrations), (ref_tracks, ref_calibrations) in zip(got, expected):
             for track, ref in zip(tracks, ref_tracks):
                 assert track.frame_index.tolist() == ref.frame_index.tolist()
@@ -1122,29 +1257,47 @@ def untrimmed_predict(theta, p, dt, q):
     ))
 
 
-def untrimmed_run_tracker(frames, node_index, cfg, noise, dt=0.150):
-    """`run_tracker` with the PSD test after every predict and every update
-    and the pose-taking measurement model: the reference the guarded,
-    trig-free step must match bit for bit."""
+def kernel_run_tracker(frames, node_index, cfg, noise, dt=DEFAULT_FRAME_DURATION, *,
+                       guards=True, update=None):
+    """`run_tracker` as a chain of the one-step kernels, per frame a predict,
+    the measurement model and `update` (default `tracking._update`).
+
+    With `guards`, these are `_predict`, `_measure_at` and the update
+    guard as the tracker applies them: the reference its fused loop must
+    match bit for bit.  Without, every predicted and every updated
+    covariance takes the PSD test (`untrimmed_predict`) and the model is
+    the pose-taking `untrimmed_measure_floats`: the reference the guards
+    and the trig-free model must match bit for bit.
+    """
+    update = update or tracking._update
     q = tracking._process_noise_terms(dt, cfg.process_noise_accel)
+    trace_bound = tracking._predict_trace_bound(dt, q)
     r = tracking._noise_variances(noise)
+    update_bound = tracking._update_guard_bound(q, r, trace_bound) if guards else -math.inf
     frame_indices, states, covariances, flags = [], [], [], []
     theta = None
-    for k, z in enumerate(tracking._node_rows(frames, node_index)):
+    for k, z in enumerate(node_rows(frames, node_index)):
         updated = False
         if theta is None:
-            if z is None:
+            if z is None or not z[0] >= MIN_UPDATE_RANGE:
                 continue
             theta = (*tracking._local_cartesian(z[0], z[1]), 0.0, 0.0)
             pos_var, vel_var = INIT_POS_VAR, INIT_VEL_VAR
             p = (pos_var, 0.0, 0.0, 0.0, pos_var, 0.0, 0.0, vel_var, 0.0, vel_var)
             updated = True
         else:
-            theta, p = untrimmed_predict(theta, p, dt, q)
+            if guards:
+                theta, p = tracking._predict(theta, p, dt, q, trace_bound)
+            else:
+                theta, p = untrimmed_predict(theta, p, dt, q)
             if z is not None and math.hypot(theta[0], theta[1]) >= MIN_UPDATE_RANGE:
-                model = untrimmed_measure_floats(ORIGIN, *theta)
-                theta, p, _, updated = tracking._update(theta, p, model, z, r, cfg.gate_threshold)
-                if updated:
+                if guards:
+                    model = tracking._measure_at(0.0, 0.0, 1.0, 0.0, *theta)
+                else:
+                    model = untrimmed_measure_floats(ORIGIN, *theta)
+                trace = p[0] + p[4] + p[7] + p[9]
+                theta, p, _, updated = update(theta, p, model, z, r, cfg.gate_threshold)
+                if updated and not trace * guard_weight(model) < update_bound:
                     p = _psd(p)
         if not all(map(math.isfinite, theta)):
             raise ValueError(f"EKF state must be finite, got {theta!r}")
@@ -1159,6 +1312,9 @@ def untrimmed_run_tracker(frames, node_index, cfg, noise, dt=0.150):
         flags.append(updated)
     return Track(node_index=node_index, frame_index=frame_indices, states=states,
                  covariances=_full(covariances), updated=flags)
+
+
+untrimmed_run_tracker = partial(kernel_run_tracker, guards=False)
 
 
 def calibration_stage_runs(monkeypatch, configs, cfg, tracker):
@@ -1242,12 +1398,15 @@ class TestPredictGuard:
     ):
         # Zero process noise leaves both guards without their premise, so
         # every predict and every posterior is tested.  At 0.4 the predict
-        # guard skips every test and the update guard all but a few.
-        calls = []  # per PSD test: whether a predict ran it
+        # guard skips every test and the update guard all but a few.  The
+        # fused loop tests the same matrices in the same order as the
+        # kernel chain, whose `_predict` tells which tests a predict ran,
+        # and gives the same track bit for bit.
+        tested = []  # per PSD test: its matrix and whether a predict ran it
         in_predict = []
         original = tracking._is_positive_definite_4
         monkeypatch.setattr(tracking, "_is_positive_definite_4",
-                            lambda p: calls.append(bool(in_predict)) or original(p))
+                            lambda p: tested.append((p, bool(in_predict))) or original(p))
         original_predict = tracking._predict
 
         def predict(*args):
@@ -1267,8 +1426,15 @@ class TestPredictGuard:
             config = builtin_scenario(name, "random", seed=7)
             sim = simulate(config)
             for i in range(len(config.nodes)):
-                calls.clear()
+                tested.clear()
                 track = run_tracker(sim, i, cfg, config.noise, config.frame_duration)
+                fused = [p for p, _ in tested]
+                tested.clear()
+                reference = kernel_run_tracker(sim, i, cfg, config.noise, config.frame_duration)
+                assert fused == [p for p, _ in tested]
+                for field in ("frame_index", "states", "covariances", "updated"):
+                    assert getattr(track, field).tobytes() == getattr(reference, field).tobytes()
+                calls = [by_predict for _, by_predict in tested]
                 updates = int(track.updated.sum()) - 1  # the first point is the start
                 predicts = len(track) - 1
                 assert calls.count(True) == unguarded * predicts

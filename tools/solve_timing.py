@@ -1,4 +1,4 @@
-"""Time the one-shot solver layer by layer.
+"""Time the one-shot solver layer by layer, and the EKF per node-frame.
 
 Figures, each from every item's best round of --rounds (a frame's or a
 table's ML and Bayes from the round of their least sum):
@@ -42,7 +42,14 @@ table's ML and Bayes from the round of their least sum):
   solve_frames ...        ms per batched `solve_frames` call on one
                           built-in's frame table (the frames two or more
                           nodes detected, true poses), ML then Bayes as
-                          for one frame, and the sum of those pairs.
+                          for one frame, and the sum of those pairs;
+  run_tracker             µs per node-frame of the EKF, the calibration
+                          stage: `run_tracker` with the pipeline's EKF
+                          settings on every node of one built-in's
+                          calibration-stage simulation at seed 7
+                          (`experiment.calibration_stage_config`), over
+                          its nodes times its frames; the median over
+                          the six built-ins.
 
 Every figure is a timing or a sum of printed kernel timings, so a change
 to one kernel moves only the rows that contain it.  The inputs are
@@ -58,14 +65,15 @@ process's memory layout can make it a few per cent faster or slower
 for its whole life, which alternating turns cannot cancel, so each
 round draws a new layout and such a difference shows in the per-round
 min-max instead of in every round alike.  The items are cut into
-blocks of 8, the tables into blocks of two, each table block run
-_TABLE_REPEATS times per round; a round runs each block on every
-worker in turn, one worker at a time, alternating which goes first
-from block to block, so that both trees run under the same drift of
-the machine's speed.  A round keeps each table's pair of least sum
-over its repeats, since one slow moment of the machine would otherwise
-move a whole 8-19 ms table; in a block of two tables each ML call
-still follows the other table's solve.  The ratio column is this
+blocks of 8, the tables and then the trackers into blocks of two,
+each such block run _TABLE_REPEATS times per round; a round runs each
+block on every worker in turn, one worker at a time, alternating which
+goes first from block to block, so that both trees run under the same
+drift of the machine's speed.  A round keeps each table's pair of
+least sum over its repeats, and each tracker input its least time,
+since one slow moment of the machine would otherwise move a whole
+8-19 ms table or 6 ms tracker input; in a block of two tables each ML
+call still follows the other table's solve.  The ratio column is this
 tree's figure over REV's; the min-max that follows is that of the same
 ratio taken from each round's timings alone.  Runs from any directory.
 
@@ -123,13 +131,17 @@ PASSES = {
 
 def _inputs():
     """The single-frame inputs as FusionObservations, with whether each runs
-    the grid, and the six built-ins' frame tables."""
+    the grid, the six built-ins' frame tables, and their calibration-stage
+    configs and simulations."""
+    from radarnet.experiment import PipelineOptions, calibration_stage_config
     from radarnet.fusion import FusionObservation, ObservationEntry, frame_table
     from radarnet.scene import Detection, builtin_scenario, simulate
 
-    frames, tables = [], {}
+    frames, tables, trackers = [], {}, {}
     for name, kind in SCENARIOS:
         config = builtin_scenario(name, kind, seed=7)
+        calibration = calibration_stage_config(config, PipelineOptions())
+        trackers[f"{name} {kind}"] = (calibration, simulate(calibration))
         sim = simulate(config)
         tables[f"{name} {kind}"] = (frame_table(config.nodes,
                                                 sim.detections[sim.seen.sum(axis=1) >= 2]),
@@ -143,7 +155,7 @@ def _inputs():
                 ObservationEntry(node, Detection(*det))
                 for node, det in zip(config.nodes, sim.detections[k].tolist())))
             frames.append((obs, config.noise, count % 20 == 0))
-    return frames, tables
+    return frames, tables, trackers
 
 
 def _seconds(call) -> float:
@@ -221,13 +233,16 @@ def worker() -> None:
     The first line written is the items' kinds, each a kind and a label.
     Then each line read is a JSON list of item indices, answered by one
     line with each item's timings in seconds, in the list's order: ML and
-    Bayes for a frame or a table, one call for a grid input, and each of
-    KERNELS for a kernel input (NaN for one this tree lacks).
+    Bayes for a frame or a table, one call for a grid input, each of
+    KERNELS for a kernel input (NaN for one this tree lacks), and the
+    seconds per node-frame of a tracker input.
     """
     from radarnet import fusion
+    from radarnet.experiment import PIPELINE_EKF
     from radarnet.experiment import PIPELINE_PRIOR as prior
+    from radarnet.tracking import run_tracker
 
-    frames, tables = _inputs()
+    frames, tables, trackers = _inputs()
     calls, kinds = [], []
     for obs, noise, _ in frames:
         calls.append(lambda obs=obs, noise=noise: (
@@ -248,6 +263,12 @@ def worker() -> None:
             _seconds(lambda: fusion.solve_frames(table, noise, "ml")),
             _seconds(lambda: fusion.solve_frames(table, noise, "bayes", prior))))
         kinds.append(("table", label))
+    for label, (config, sim) in trackers.items():
+        nodes = range(len(config.nodes))
+        calls.append(lambda config=config, sim=sim, nodes=nodes: (_seconds(lambda: [
+            run_tracker(sim, i, PIPELINE_EKF, config.noise, config.frame_duration) for i in nodes
+        ]) / (len(nodes) * len(sim)),))
+        kinds.append(("tracker", label))
     print(json.dumps(kinds), flush=True)
     for line in sys.stdin:
         print(json.dumps([calls[k]() for k in json.loads(line)]), flush=True)
@@ -290,6 +311,7 @@ def _round(trees: dict[str, Path]) -> tuple[list, dict[str, list[list[float]]]]:
         kinds = workers["this tree"].kinds
         if any(w.kinds != kinds for w in workers.values()):
             raise RuntimeError("the trees simulate different inputs")
+        # The tables, then the trackers, are the items timed in repeated blocks.
         tables = [kind for kind, _ in kinds].index("table")
         blocks = [list(range(k, min(k + _BLOCK, tables))) for k in range(0, tables, _BLOCK)]
         blocks += [list(range(k, min(k + 2, len(kinds))))
@@ -309,7 +331,7 @@ def _round(trees: dict[str, Path]) -> tuple[list, dict[str, list[list[float]]]]:
 
 def figures(kinds, timings) -> dict[str, float]:
     """Every figure from each item's timings in seconds, in µs (ms for
-    solve_frames)."""
+    solve_frames, µs per node-frame for run_tracker)."""
     def of(kind):
         return np.array([t for (k, _), t in zip(kinds, timings) if k == kind])
 
@@ -332,13 +354,15 @@ def figures(kinds, timings) -> dict[str, float]:
             result[f"solve_frames {label} bayes (ms)"] = 1e3 * t[1]
             pairs += 1e3 * (t[0] + t[1])
     result["solve_frames pairs (ms)"] = pairs
+    result["run_tracker (us per node-frame)"] = 1e6 * np.median(of("tracker"))
     return {name: float(value) for name, value in result.items()}
 
 
 def _best(rounds: list[list[list[float]]]) -> list[list[float]]:
     """Each item's least timings over the rounds, a frame's or a table's ML
-    and Bayes, or a kernel input's kernels, taken from the round of their
-    least sum (NaN for a kernel a tree lacks in every round)."""
+    and Bayes, a kernel input's kernels or a tracker input's time, taken
+    from the round of their least sum (NaN for a kernel a tree lacks in
+    every round)."""
     return [min(timings, key=np.nansum) for timings in zip(*rounds)]
 
 

@@ -42,8 +42,8 @@ from typing import NamedTuple
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .geometry import (FOV_HALF_ANGLE, Detection, Pose2D, TargetState, boresight_angles,
-                       elementwise, measurement_model)
+from .geometry import (_MIN_RANGE, FOV_HALF_ANGLE, Detection, Pose2D, TargetState,
+                       boresight_angles, elementwise, measurement_model)
 from .scene import NoiseConfig
 
 _GRADIENT_TOL = 1e-8
@@ -272,6 +272,8 @@ def initial_velocity_estimate(obs: FusionObservation) -> np.ndarray:
 # numpy sums an axis of up to this many entries one by one in order, as
 # the one-frame float forms of `_Frames` do, and a longer one in blocks.
 _FLOAT_FORM_MAX_NODES = 7
+# `measurement_model` clamps r^2 to this near a node.
+_MIN_RANGE_SQUARED = _MIN_RANGE * _MIN_RANGE
 
 
 class _Terms(NamedTuple):
@@ -282,15 +284,22 @@ class _Terms(NamedTuple):
     velocity (2, 2, N, F), the prior rows (F, 4) or None, the states
     scored (F, 4), and where the velocity was solved for the entries xx,
     xy and yy of each frame's inverse velocity block A^-1 (`_entries`),
-    else None."""
+    else None.
 
-    unit: np.ndarray
-    predicted: np.ndarray
-    blocks: np.ndarray
-    directions: np.ndarray
-    prior_rows: np.ndarray | None
+    The float form of one row (`_Frames`) leaves the four node blocks
+    None and holds instead, per node, the floats ux, uy, r, the predicted
+    spatial frequency and radial velocity, pi cos phi, pi sin phi, vx, vy
+    and the three normalized residuals (`rows`), its prior rows as four
+    floats."""
+
+    unit: np.ndarray | None
+    predicted: np.ndarray | None
+    blocks: np.ndarray | None
+    directions: np.ndarray | None
+    prior_rows: np.ndarray | list | None
     states: np.ndarray
     velocity_inverse: tuple | None
+    rows: list | None = None
 
 
 # The 2x2 kernels below take the entries of every frame's small matrices
@@ -376,13 +385,13 @@ class _Frames:
     near a node (within 1e-12 m).
 
     On one frame (F = 1) of at most `_FLOAT_FORM_MAX_NODES` nodes,
-    `jacobian` and `curvature` compute every entry on Python floats and
-    build each of their arrays once, since numpy's per-call overhead on
-    (N, 1) arrays outweighs the arithmetic there.  Each entry takes the
-    array form's operations in its order, the sums over nodes included,
-    so both forms give the same bits.  `evaluate` stays on arrays but for
-    v*, which `_best_velocity` computes with one code on floats or on
-    arrays.
+    `evaluate` of one row, and `jacobian` and `curvature` of its terms,
+    compute every entry on Python floats and build each of their arrays
+    once, since numpy's per-call overhead on (N, 1) arrays outweighs the
+    arithmetic there.  Each entry takes the array form's operations in
+    its order (`geometry.measurement_model`'s, then the radial velocity
+    once at v*), the sums over nodes included, so both forms give the
+    same bits.  The model keeps that frame's columns as floats (`floats`).
     """
 
     def __init__(self, nodes, meas, noise, prior_sigmas=None, center=None):
@@ -393,13 +402,27 @@ class _Frames:
         self.center = center
         # The modalities' sigmas, shaped against the (3, N, F) blocks,
         # and -sigma of range and radial velocity against (2, N, F) unit
-        # vectors.
+        # vectors; and as floats.
         self.sigmas = np.array([noise.sigma_r, noise.sigma_omega, noise.sigma_v]).reshape(3, 1, 1)
+        self.sigma_floats = self.sigmas.ravel().tolist()
         self.negative_sigmas = -self.sigmas[::2, None]
         self.prior_jacobian = None if prior_sigmas is None else np.diag(1.0 / prior_sigmas)
         # The velocity prior's diagonal of J'J, 1/sigma^2.
         self.velocity_precision = (None if prior_sigmas is None
                                    else (np.diagonal(self.prior_jacobian)[2:] ** 2).tolist())
+        self.prior_sigma_floats = None if prior_sigmas is None else prior_sigmas.tolist()
+        self.floats = self._float_columns()
+
+    def _float_columns(self) -> tuple[list, list | None] | None:
+        """One frame of at most `_FLOAT_FORM_MAX_NODES` nodes as floats: per
+        node x, y, pi cos phi, pi sin phi and the measured range, spatial
+        frequency and radial velocity, and the prior center (None for ML);
+        None for any other model."""
+        n, frames = self.meas.shape[1:]
+        if frames != 1 or n > _FLOAT_FORM_MAX_NODES:
+            return None
+        columns = list(zip(*self.nodes[..., 0].tolist(), *self.meas[..., 0].tolist()))
+        return columns, None if self.center is None else self.center[0].tolist()
 
     @classmethod
     def of(
@@ -432,6 +455,7 @@ class _Frames:
         taken = copy.copy(self)
         taken.nodes, taken.meas = self.nodes.take(index, -1), self.meas.take(index, -1)
         taken.center = None if self.center is None else self.center.take(index, 0)
+        taken.floats = taken._float_columns()
         return taken
 
     def best_velocities(self, unit) -> tuple[tuple, tuple]:
@@ -496,6 +520,8 @@ class _Frames:
         """Objective values (F,) at the states `theta` (F, 4), or at the
         positions `theta` (F, 2) each with its best velocity v*(p), and the
         terms (`_Terms`) `jacobian`, `curvature` and the LM reuse."""
+        if self.floats is not None and len(theta) == 1:
+            return self._evaluate_floats(theta)
         profiled = theta.shape[-1] == 2
         if profiled:
             positions, theta = theta, np.zeros((len(theta), 4))
@@ -519,35 +545,60 @@ class _Frames:
             value[near.any(axis=0)] = np.inf
         return value, _Terms(unit, predicted, blocks, directions, prior_rows, theta, inverse)
 
+    def _evaluate_floats(self, theta) -> tuple[np.ndarray, _Terms]:
+        """`evaluate`'s float form: one state (1, 4) or position (1, 2) on
+        the model's float columns, the nodes summed one by one in order."""
+        columns, center = self.floats
+        x, y, *velocity = theta[0].tolist()
+        sigma_r, sigma_omega, sigma_v = self.sigma_floats
+        near = False
+        geometry = []
+        for px, py, *_ in columns:
+            dx, dy = x - px, y - py
+            r2 = dx * dx + dy * dy
+            if r2 < _MIN_RANGE_SQUARED:
+                near, r2 = True, _MIN_RANGE_SQUARED
+            r = math.sqrt(r2)
+            geometry.append((dx / r, dy / r, r))
+        inverse = None
+        if not velocity:
+            ux, uy, _ = zip(*geometry)
+            velocity, inverse = self._best_velocity(ux, uy, [node[6] for node in columns],
+                                                    None if center is None else center[2:])
+        vx, vy = velocity
+        rows, value = [], 0.0
+        for (ux, uy, r), (_, _, pi_c, pi_s, range_, freq, radial) in zip(geometry, columns):
+            omega, vel = pi_c * ux + pi_s * uy, vx * ux + vy * uy
+            rho = (range_ - r) / sigma_r
+            w = (freq - omega) / sigma_omega
+            d = (radial - vel) / sigma_v
+            value += rho * rho + w * w + d * d
+            rows.append((ux, uy, r, omega, vel, pi_c, pi_s, vx, vy, rho, w, d))
+        state = [x, y, vx, vy]
+        prior_rows = None
+        if center is not None:
+            prior_rows = [(t - c) / s for t, c, s in zip(state, center, self.prior_sigma_floats)]
+            p0, p1, p2, p3 = prior_rows
+            value += p0 * p0 + p1 * p1 + p2 * p2 + p3 * p3
+        if near:
+            value = math.inf
+        return np.array([value]), _Terms(None, None, None, None, prior_rows, np.array([state]),
+                                         inverse, rows)
+
     def objective(self, theta) -> np.ndarray:
         """Objective values (F,) at the states (F, 4) or positions (F, 2)
         `theta`; +inf where infeasible."""
         return self.evaluate(theta)[0]
 
-    @staticmethod
-    def _floats(terms) -> list[list[float]] | None:
-        """One frame's terms as floats, one list per node: ux, uy, r, the
-        predicted spatial frequency and radial velocity, pi cos phi,
-        pi sin phi, vx, vy and the three normalized residuals; None unless
-        the terms hold one frame of at most `_FLOAT_FORM_MAX_NODES` nodes."""
-        unit, predicted, blocks, directions = terms[:4]
-        n, frames = unit.shape[1:]
-        if frames != 1 or n > _FLOAT_FORM_MAX_NODES:
-            return None
-        flat = (unit.ravel().tolist() + predicted.ravel().tolist()
-                + directions.ravel().tolist() + blocks.ravel().tolist())
-        return [flat[i::n] for i in range(n)]
-
     def jacobian(self, terms) -> tuple[np.ndarray, np.ndarray]:
         """Residuals (F, M) and their Jacobian (F, M, 4) from `evaluate`'s terms
         at (F, 4) states."""
         unit, predicted, blocks, directions, prior_rows = terms[:5]
-        nodes = self._floats(terms)
-        if nodes is not None:
-            sigma_r, sigma_omega, sigma_v = self.sigmas.ravel().tolist()
-            res = blocks.ravel().tolist()
+        if terms.rows is not None:
+            sigma_r, sigma_omega, sigma_v = self.sigma_floats
+            res = [node[k] for k in (9, 10, 11) for node in terms.rows]
             ranges, angles, dopplers = [], [], []
-            for ux, uy, r, omega, vel, pi_c, pi_s, vx, vy, *_ in nodes:
+            for ux, uy, r, omega, vel, pi_c, pi_s, vx, vy, *_ in terms.rows:
                 ranges += (ux / -sigma_r, uy / -sigma_r, 0.0, 0.0)
                 r_w, r_v = r * sigma_omega, r * sigma_v
                 angles += ((omega * ux - pi_c) / r_w, (omega * uy - pi_s) / r_w, 0.0, 0.0)
@@ -555,7 +606,7 @@ class _Frames:
                              ux / -sigma_v, uy / -sigma_v)
             jac = ranges + angles + dopplers
             if prior_rows is not None:
-                res += prior_rows.ravel().tolist()
+                res += prior_rows
                 jac += self.prior_jacobian.ravel().tolist()
             return np.array([res]), np.array(jac).reshape(1, -1, 4)
         n, frames = predicted.shape[1:]
@@ -597,13 +648,12 @@ class _Frames:
         are linear.  Each block is summed over the nodes in order.
         """
         unit, predicted, blocks, directions = terms[:4]
-        nodes = self._floats(terms)
-        if nodes is not None:
-            sigma_r, sigma_omega, sigma_v = self.sigmas.ravel().tolist()
+        if terms.rows is not None:
+            sigma_r, sigma_omega, sigma_v = self.sigma_floats
             # The position and cross blocks' distinct entries, each summed
             # over the nodes in order from 0.0.
             xx = xy = yy = cross_xx = cross_xy = cross_yy = 0.0
-            for ux, uy, r, omega, vel, pi_c, pi_s, vx, vy, rho, w, d in nodes:
+            for ux, uy, r, omega, vel, pi_c, pi_s, vx, vy, rho, w, d in terms.rows:
                 minus_a, e = rho / (sigma_r * r), d / (sigma_v * r)
                 c_w, c_v = w / (sigma_omega * r) / r, e / r
                 m = c_w * omega + c_v * vel
@@ -891,9 +941,10 @@ def solve_frames(
     of half the objective over the position, or its Gauss-Newton part,
     which underestimates it where residuals are large.  The 2x2 systems
     are solved in closed form.  Where one frame is left to iterate, as in
-    every `solve`, the 2x2 kernels, and with at most 7 nodes the Jacobian
-    and S, are computed on floats, bit for bit as the array code gives
-    them.
+    every `solve`, the 2x2 kernels, and with at most 7 nodes the
+    objective with v*, the Jacobian and S, are computed on floats, bit
+    for bit as the array code gives them; the scoring of the candidate
+    starts stays on arrays.
     A frame stops when the objective gradient infinity-norm falls below
     1e-8 or a step is shorter than 1e-10 (both `converged`), when its
     damping reaches the upper limit, or after 100 iterations.  A step

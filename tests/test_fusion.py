@@ -1428,33 +1428,49 @@ class TestSingleFrameKernel:
 
 
 class TestOneFrameFloatForms:
-    """`_Frames.jacobian` and `_Frames.curvature` on one frame's terms, where
-    they compute on floats, against their array forms, bit for bit."""
+    """`_Frames.evaluate` of one row on a one-frame model, and
+    `_Frames.jacobian` and `_Frames.curvature` of its terms, where they
+    compute on floats, against their array forms, bit for bit."""
 
     @staticmethod
-    def kernels(model, theta):
-        """The residuals, Jacobian and curvature of `model` at `theta` (1, 4)."""
-        _, terms = model.evaluate(theta)
-        return (*model.jacobian(terms), model.curvature(terms))
+    def nodes():
+        """B's two nodes and six more around the targets' region: one more
+        node than the float forms take."""
+        return config_b_nodes() + tuple(
+            Pose2D(x, y, math.radians(phi)) for x, y, phi in
+            ((4.0, 3.5, 125.0), (-1.5, 3.0, -30.0), (2.0, 7.0, 200.0), (5.5, 1.0, 100.0),
+             (-1.0, 6.5, -60.0), (2.5, -1.0, 60.0)))
 
     @staticmethod
-    def cases():
-        """One-frame models of 1, 2 and 3 nodes, ML and Bayes, each at states
-        where the residuals take both signs, where they vanish or nearly
-        vanish, and a few cm from node 0 (one straight ahead of it)."""
+    def outputs(model, theta):
+        """The terms of `model` at `theta` (1, 2) or (1, 4) and what the
+        solver reads of them, each as an array: the objective, the states
+        (v* among them at a position), the inverse velocity block's
+        entries, and the residuals, Jacobian and curvature."""
+        value, terms = model.evaluate(theta)
+        inverse = np.array(terms.velocity_inverse or ())
+        return terms, (value, terms.states, inverse, *model.jacobian(terms),
+                       model.curvature(terms))
+
+    def cases(self):
+        """One-frame models of 1 to 7 nodes, ML and Bayes, each at states
+        and positions where the residuals take both signs, where they
+        vanish or nearly vanish, a few cm from a node (one straight ahead
+        of it), and within 1e-12 m of it."""
         rng = np.random.default_rng(50)
-        nodes3 = config_b_nodes() + (Pose2D(4.0, 3.5, math.radians(125.0)),)
-        node = nodes3[0]
-        for n in (1, 2, 3):
-            for _ in range(3):
+        nodes = self.nodes()
+        for n in range(1, fusion_module._FLOAT_FORM_MAX_NODES + 1):
+            for k in range(3):
                 target = TargetState(rng.uniform(1.0, 3.0), rng.uniform(2.5, 4.0),
                                      *rng.uniform(-1.0, 1.0, 2).tolist())
                 truth = target.as_vector()
+                node = nodes[k % n]
                 states = (truth, truth + 1e-7, truth + rng.normal(0.0, 0.3, 4),
                           np.array([node.x + 0.03, node.y - 0.02, *truth[2:]]),
-                          np.array([node.x, node.y + 0.04, *truth[2:]]))
+                          np.array([node.x, node.y + 0.04, *truth[2:]]),
+                          np.array([node.x + 5e-13, node.y, *truth[2:]]))
                 for noisy_rng in (rng, None):
-                    obs = observation_of(nodes3[:n], target, TABLE_NOISE, noisy_rng)
+                    obs = observation_of(nodes[:n], target, TABLE_NOISE, noisy_rng)
                     for prior in (None, PRIOR):
                         center = None
                         if prior is not None:
@@ -1462,33 +1478,52 @@ class TestOneFrameFloatForms:
                             center[0, :2] = truth[:2] + rng.normal(0.0, 0.5, 2)
                         model = _Frames.build(obs, TABLE_NOISE, prior, center)
                         for theta in states:
-                            yield model, theta[None]
+                            for columns in (4, 2):
+                                yield model, theta[None, :columns]
 
     def test_float_forms_match_array_forms(self, monkeypatch):
-        residuals, largest, checked = [], 0.0, 0
+        names = ("objective", "states", "velocity inverse", "residuals", "jacobian", "curvature")
+        residuals, largest, infinite, checked = [], 0.0, 0, 0
         for model, theta in self.cases():
-            assert _Frames._floats(model.evaluate(theta)[1]) is not None
-            got = self.kernels(model, theta)
+            terms, got = self.outputs(model, theta)
+            assert terms.rows is not None
             with monkeypatch.context() as patch:
                 patch.setattr(fusion_module, "_FLOAT_FORM_MAX_NODES", 0)
-                want = self.kernels(model, theta)
-            for name, g, w in zip(("residuals", "jacobian", "curvature"), got, want):
+                # `take` rebuilds the model, here without its float columns.
+                terms, want = self.outputs(model.take([0]), theta)
+            assert terms.rows is None
+            for name, g, w in zip(names, got, want):
                 assert g.shape == w.shape, name
                 assert g.tobytes() == np.ascontiguousarray(w).tobytes(), name
-            residuals += got[0].ravel().tolist()
-            largest = max(largest, float(np.abs(got[2]).max()))
+            assert len(got[2]) == (3 if theta.shape[-1] == 2 else 0)
+            infinite += got[0][0] == np.inf
+            residuals += got[3].ravel().tolist()
+            largest = max(largest, float(np.abs(got[5]).max()))
             checked += 1
-        assert checked == 3 * 3 * 5 * 2 * 2
+        assert checked == 7 * 3 * 6 * 2 * 2 * 2
+        # Within 1e-12 m of a node, as a state and as a position, in every model.
+        assert infinite == checked // 6
         residuals = np.array(residuals)
         assert (residuals > 1.0).any() and (residuals < -1.0).any()
         assert (residuals == 0.0).any() and ((residuals != 0.0) & (np.abs(residuals) < 1e-5)).any()
         # Near the node the curvature is large.
         assert largest > 1e4
 
+    def test_eight_nodes_stay_on_arrays(self):
+        nodes = self.nodes()
+        assert len(nodes) == fusion_module._FLOAT_FORM_MAX_NODES + 1
+        target = TargetState(2.0, 3.0, 0.5, -0.5)
+        model = _Frames.build(observation_of(nodes, target), TABLE_NOISE)
+        assert model.floats is None
+        for theta in (target.as_vector()[None], target.as_vector()[None, :2]):
+            terms = model.evaluate(theta)[1]
+            assert terms.rows is None and terms.unit.shape == (2, 8, 1)
+
     def test_numpy_sums_the_node_blocks_in_order(self):
-        # The float curvature sums each entry over the nodes one by one
-        # from 0.0; the array form's sum over the node axis of its
-        # (4, 4, N, 1) blocks must do the same for every N it serves.
+        # The float curvature and objective sum each entry over the nodes
+        # one by one from 0.0; the array forms' sums over the node axis of
+        # the curvature's (4, 4, N, 1) blocks and of the objective's
+        # (N, 1) node terms must do the same for every N they serve.
         rng = np.random.default_rng(51)
         for n in range(1, fusion_module._FLOAT_FORM_MAX_NODES + 1):
             for _ in range(50):
@@ -1498,6 +1533,8 @@ class TestOneFrameFloatForms:
                 for k in range(n):
                     want = want + blocks[:, :, k]
                 assert blocks.sum(axis=2).tobytes() == want.tobytes()
+                terms = blocks[0, 0]
+                assert terms.sum(0).tobytes() == want[0, 0].tobytes()
 
 
 def elementwise_positive_definite(m):

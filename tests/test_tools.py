@@ -22,10 +22,11 @@ def test_solve_timing_pass_rows_are_kernel_sums():
     kernels, not a sum of kernel medians, and nothing is fitted; the EKF
     row is the median of the tracker inputs."""
     kernels = np.array([
-        # start stage, evaluate, normal equations, curvature, step matrix, damped solve
-        [90.0, 10.0, 5.0, 2.0, 6.0, 1.0],
-        [80.0, 30.0, 1.0, 3.0, 2.0, 4.0],
-        [70.0, 20.0, 9.0, 1.0, 4.0, 2.0],
+        # start stage, score starts, evaluate, normal equations, curvature,
+        # step matrix, damped solve
+        [90.0, 40.0, 10.0, 5.0, 2.0, 6.0, 1.0],
+        [80.0, 60.0, 30.0, 1.0, 3.0, 2.0, 4.0],
+        [70.0, 50.0, 20.0, 9.0, 1.0, 4.0, 2.0],
     ]) * 1e-6
     kinds = ([("frame", "")] * 3 + [("grid", "")] + [("kernels", "")] * 3
              + [("table", "A straight"), ("table", "C random")]
@@ -40,6 +41,8 @@ def test_solve_timing_pass_rows_are_kernel_sums():
     assert result["accepted pass (us)"] == pytest.approx(35.0)
     for name, column in zip(solve_timing.KERNELS, kernels.T):
         assert result[f"{name} (us)"] == pytest.approx(1e6 * float(np.median(column)))
+    # The start scoring is a row of its own, in no pass.
+    assert result["score starts (us)"] == pytest.approx(50.0)
     assert result["pair (us)"] == pytest.approx(1000.0)
     assert result["grid (us)"] == pytest.approx(900.0)
     assert result["solve_frames pairs (ms)"] == pytest.approx(53.0)
@@ -52,6 +55,27 @@ def test_solve_timing_pass_rows_are_kernel_sums():
           for table in ("A straight", "C random") for mode in ("ml", "bayes")),
         "solve_frames pairs (ms)", "run_tracker (us per node-frame)",
     }
+
+
+def test_solve_timing_runs_every_kernel_on_this_tree():
+    """Every kernel row times a call this tree can run; the start scoring
+    objective of the frame's three candidates on the repeated models."""
+    from radarnet.experiment import PIPELINE_PRIOR
+    from radarnet.fusion import FusionObservation, ObservationEntry
+    from radarnet.geometry import TargetState, measure
+    from radarnet.scene import Detection, NoiseConfig, builtin_scenario
+
+    target = TargetState(2.0, 3.0, 0.5, -0.5)
+    entries = []
+    for node in builtin_scenario("A").nodes:
+        m = measure(node, target)
+        entries.append(ObservationEntry(node, Detection(m.range, m.spatial_freq, m.radial_vel)))
+    calls = solve_timing._kernel_calls(FusionObservation(tuple(entries)), NoiseConfig(),
+                                       PIPELINE_PRIOR)
+    assert len(calls) == len(solve_timing.KERNELS) and None not in calls
+    for call in calls[solve_timing.KERNELS.index("score starts")]:
+        values = call()
+        assert values.shape == (3,) and np.isfinite(values).all()
 
 
 def test_solver_table_observable_velocity_rmse_skips_flagged_and_burn_in_frames():

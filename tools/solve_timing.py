@@ -12,11 +12,15 @@ table's ML and Bayes from the round of their least sum):
                           over the inputs;
   grid                    µs per `posterior_covariance_grid` call on a
                           Bayes estimate, median over the grid inputs;
-  start stage, evaluate,  µs per call of a kernel of the LM's 2-D pass on
-  normal equations,       one frame (F = 1) at its closed-form start
-  curvature, step         position: `_start_stage` with its memo cleared
-  matrix, damped solve    (the work a Bayes solve skips after the ML solve
-                          of its frame), `_Frames.evaluate` at the position
+  start stage, score      µs per call of a kernel of the LM's 2-D pass on
+  starts, evaluate,       one frame (F = 1) at its closed-form start
+  normal equations,       position: `_start_stage` with its memo cleared
+  curvature, step         (the work a Bayes solve skips after the ML solve
+  matrix, damped solve    of its frame), the objective of the frame's
+                          three candidate starts on its model repeated
+                          once per candidate, as `_solve_group` scores
+                          them (one-frame work that stays on arrays),
+                          `_Frames.evaluate` at the position
                           (the best velocity v* solved for, then the
                           objective at it), `_normal_equations` (the
                           Jacobian, J'J and J'r), `_Frames.curvature`,
@@ -120,8 +124,8 @@ _TABLE_REPEATS = 9
 # Calls per kernel and model in one kernel timing.
 _KERNEL_CALLS = 20
 
-KERNELS = ("start stage", "evaluate", "normal equations", "curvature", "step matrix",
-           "damped solve")
+KERNELS = ("start stage", "score starts", "evaluate", "normal equations", "curvature",
+           "step matrix", "damped solve")
 # The kernels each kind of LM pass runs.
 PASSES = {
     "accepted pass": ("damped solve", "evaluate", "normal equations", "step matrix"),
@@ -192,8 +196,15 @@ def _kernel_calls(obs, noise, prior) -> list:
             return None
 
     models = [fusion._Frames.build(obs, noise), fusion._Frames.build(obs, noise, prior, center)]
+
+    def score_starts():
+        starts = fusion._start_table(fusion._columns(table), fusion.FOV_HALF_ANGLE)[0]
+        return [partial(model.take([0] * fusion._MAX_STARTS).objective, starts.reshape(-1, 2))
+                for model in models]
+
+    score = attempt(score_starts)
     evaluate = attempt(lambda: [partial(model.evaluate, start) for model in models])
-    kernels = [[start_stage] * len(models), evaluate]
+    kernels = [[start_stage] * len(models), score, evaluate]
     if evaluate is None:
         return kernels + [None] * (len(KERNELS) - len(kernels))
     terms = [call()[1] for call in evaluate]

@@ -323,11 +323,33 @@ def _stacked(entries) -> np.ndarray:
     return np.stack(entries, axis=-1)
 
 
+def _taken(entries, index) -> list:
+    """The rows at the integer `index` of each (F,) array of `entries`, as
+    `_entries` gives them: Python floats and bools where one is kept."""
+    taken = [entry.take(index) for entry in entries]
+    return [entry.item() for entry in taken] if len(index) == 1 else taken
+
+
+def _count(flags) -> int:
+    """How many of the flags are set; a bool is one flag."""
+    return int(flags) if isinstance(flags, bool) else np.count_nonzero(flags)
+
+
 def _where(condition, x, y):
     """`np.where` of the entries, or the conditional expression on floats."""
     if isinstance(condition, bool):
         return x if condition else y
     return np.where(condition, x, y)
+
+
+def _sqrt(x):
+    """The square root of the entries."""
+    return math.sqrt(x) if isinstance(x, float) else np.sqrt(x)
+
+
+def _clip(x, low: float, high: float):
+    """The entries clipped to [low, high]."""
+    return min(max(x, low), high) if isinstance(x, float) else x.clip(low, high)
 
 
 def _quotient(x, y, default: float):
@@ -694,16 +716,19 @@ class _Frames:
         return node_blocks.sum(axis=2).transpose(2, 0, 1)
 
 
-def _normal_equations(frames: _Frames, terms) -> tuple[np.ndarray, np.ndarray]:
-    """Per-frame Gauss-Newton Hessian J'J (F, 4, 4) and J'r (F, 4)."""
+def _normal_equations(frames: _Frames, terms) -> tuple[np.ndarray, list]:
+    """Per-frame Gauss-Newton Hessian J'J (F, 4, 4), and the position half
+    of J'r as its entries gx and gy (`_entries`).  The velocity half of
+    J'r vanishes at v*: the position half is half the gradient of the
+    objective over the positions."""
     res, jac = frames.jacobian(terms)
     jac_t = jac.swapaxes(-1, -2)
-    return jac_t @ jac, (jac_t @ res[..., None])[..., 0]
+    return jac_t @ jac, _entries((jac_t @ res[..., None])[:, :2, 0])
 
 
-def _step_matrices(frames: _Frames, terms, hessian: np.ndarray) -> np.ndarray:
+def _step_matrices(frames: _Frames, terms, hessian: np.ndarray) -> list:
     """The LM step matrix on the positions as its entries xx, yx and yy
-    (F, 3): the Schur complement M_pp - M_pv A^-1 M_vp of the velocity
+    (`_entries`): the Schur complement M_pp - M_pv A^-1 M_vp of the velocity
     block A in M = J'J + S where that is positive definite, else in
     M = J'J.  Both share A, since S has no velocity-velocity part, so
     this is the Hessian of half the objective at v*(p), or its
@@ -722,14 +747,16 @@ def _step_matrices(frames: _Frames, terms, hessian: np.ndarray) -> np.ndarray:
 
     newton, gauss = reduced(newton), reduced(gauss)
     definite = _positive_definite(*newton)
-    return _stacked([_where(definite, n, g) for n, g in zip(newton, gauss)])
+    return [_where(definite, n, g) for n, g in zip(newton, gauss)]
 
 
-def _stationary(gradient_half: np.ndarray) -> np.ndarray:
+def _stationary(gradient_half):
     """Whether each frame's objective gradient 2 J'r has infinity-norm
-    below the tolerance (F,)."""
+    below the tolerance, from the entries of J'r's position half."""
+    gx, gy = gradient_half
     # |J'r| < tol/2 is |2 J'r| < tol exactly: both scalings are by 2.
-    return np.abs(gradient_half).max(axis=-1) < _GRADIENT_TOL / 2.0
+    tol = _GRADIENT_TOL / 2.0
+    return (abs(gx) < tol) & (abs(gy) < tol)
 
 
 def _positive_definite(xx, yx, yy):
@@ -740,17 +767,19 @@ def _positive_definite(xx, yx, yy):
     return (xx > 0.0) & (xx * yy - yx * yx > 0.0)
 
 
-def _damped_steps(step_matrix: np.ndarray, lam: np.ndarray, gradient_half: np.ndarray):
-    """The steps (F, 2) that solve (A + lam I) step = -g per frame, the step
-    matrix A as `_step_matrices` gives it, by Cramer's rule; a NaN row
-    where that system is singular (a zero determinant)."""
-    xx, yx, yy = _entries(step_matrix)
-    (damping,), (gx, gy) = _entries(lam), _entries(gradient_half)
-    a, d = xx + damping, yy + damping
+def _damped_steps(step_matrix, lam, gradient_half) -> tuple:
+    """The entries sx and sy of the steps that solve (A + lam I) step = -g
+    per frame, by Cramer's rule, from the entries of the step matrix A as
+    `_step_matrices` gives them, of the damping lam and of g, J'r's
+    position half; both NaN where that system is singular (a zero
+    determinant)."""
+    xx, yx, yy = step_matrix
+    gx, gy = gradient_half
+    a, d = xx + lam, yy + lam
     det = a * d - yx * yx
     # -adj(A + lam I) g over the determinant.
-    return _stacked([_quotient(yx * gy - d * gx, det, math.nan),
-                     _quotient(yx * gx - a * gy, det, math.nan)])
+    return (_quotient(yx * gy - d * gx, det, math.nan),
+            _quotient(yx * gx - a * gy, det, math.nan))
 
 
 def _model(obs, noise, prior=None, prior_center: TargetState | None = None) -> _Frames:
@@ -941,10 +970,11 @@ def solve_frames(
     of half the objective over the position, or its Gauss-Newton part,
     which underestimates it where residuals are large.  The 2x2 systems
     are solved in closed form.  Where one frame is left to iterate, as in
-    every `solve`, the 2x2 kernels, and with at most 7 nodes the
-    objective with v*, the Jacobian and S, are computed on floats, bit
-    for bit as the array code gives them; the scoring of the candidate
-    starts stays on arrays.
+    every `solve`, the LM loop (its objective values, damping, gradient,
+    step matrix, step and stop and accept tests) and its 2x2 kernels,
+    and with at most 7 nodes the objective with v*, the Jacobian and S,
+    are computed on floats, bit for bit as the array code gives them;
+    the scoring of the candidate starts stays on arrays.
     A frame stops when the objective gradient infinity-norm falls below
     1e-8 or a step is shorter than 1e-10 (both `converged`), when its
     damping reaches the upper limit, or after 100 iterations.  A step
@@ -1116,110 +1146,126 @@ def _levenberg_marquardt(frames: _Frames, position: np.ndarray, value: np.ndarra
     """Per-frame LM on the positions from `position` (F, 2), each at its
     best velocity; see `solve_frames` for the stop tests.
 
-    The working arrays hold the frames still iterating.  They are
-    compacted only when some frame stops, and that frame's results are
-    written out then, each array compacted by one `take` of the kept
-    rows.  A candidate's J'J and J'r are built only when some frame
-    accepts its step, and its step matrix only when some accepting frame
-    is not stationary, since a stationary frame stops before it steps
-    again; when only some frames accept, each working array takes their
-    rows in place with one `np.copyto`.  Returns the final states (F, 4),
-    objective values, Hessians J'J (F, 4, 4, not the step matrices),
-    iteration counts and converged flags.
+    The loop's per-frame working values (the objective value, the damping,
+    the position, the entries of J'r's position half and of the step
+    matrix, the step, its length and the stop and accept flags) are
+    `_entries`: Python floats and bools where one frame iterates, (F,)
+    arrays otherwise, and the same statements run on either.  Compaction
+    happens only while several frames iterate: when some frame stops, its
+    results are written out and each working value is compacted by one
+    `take` of the kept rows (to floats where one frame is kept); where
+    one frame iterates, its stop ends the loop and its result arrays are
+    built then.  A candidate's J'J and
+    J'r are built only when some frame accepts its step, and its step
+    matrix only when some accepting frame is not stationary, since a
+    stationary frame stops before it steps again; when only some frames
+    accept, each working array and entry takes their rows in place with
+    one `np.copyto`.  Returns the final states (F, 4), objective values,
+    Hessians J'J (F, 4, 4, not the step matrices), iteration counts and
+    converged flags.
     """
     count = len(position)
-    out_theta = np.empty((count, 4))
-    out_value = np.empty_like(value)
-    out_hessian = np.empty((count, 4, 4))
-    iterations = np.full(count, _MAX_ITERATIONS)
-    converged = np.zeros(count, dtype=bool)
-    if not count:
-        return out_theta, out_value, out_hessian, iterations, converged
+    # The results, written row by row as frames stop; one frame's are
+    # built when it stops.
+    results = None
+    if count != 1:
+        results = (np.empty((count, 4)), np.empty(count), np.empty((count, 4, 4)),
+                   np.full(count, _MAX_ITERATIONS), np.zeros(count, dtype=bool))
+        if not count:
+            return results
 
     terms = frames.evaluate(position)[1]
-    theta = terms.states
+    states = terms.states
+    (value,), position = _entries(value), _entries(states[:, :2])
     hessian, gradient_half = _normal_equations(frames, terms)
-    # The velocity half of J'r vanishes at v*: the position half is the
-    # gradient of the objective over the positions.
-    gradient_half = gradient_half[:, :2]
     # A gradient is tested once, in the pass that accepts it: a frame
     # whose step was rejected keeps the gradient that did not stop it.
     # A frame found stationary stops at the start of the next pass.
     stationary = _stationary(gradient_half)
     step_matrix = (_step_matrices(frames, terms, hessian)
-                   if np.count_nonzero(stationary) < count else None)
-    lam = np.full(count, _LAMBDA_INIT)
+                   if _count(stationary) < count else None)
+    lam = _LAMBDA_INIT if count == 1 else np.full(count, _LAMBDA_INIT)
     active = np.arange(count)
 
     def finish(stop, iteration, reached) -> bool:
         """Write out the frames `stop` marks; False once none is left."""
-        nonlocal theta, value, hessian, gradient_half, step_matrix, stationary, lam, active
-        nonlocal frames
+        nonlocal states, value, position, hessian, gradient_half, step_matrix, stationary, lam
+        nonlocal active, frames, results
+        if isinstance(stop, bool):
+            # The one frame left stops.
+            last = (states, np.array([value]), hessian, np.array([iteration]),
+                    np.array([reached]))
+            if results is None:
+                results = last
+            else:
+                for result, row in zip(results, last):
+                    result[active] = row
+            return False
         rows = np.flatnonzero(stop)
         done = active.take(rows)
-        out_theta[done] = theta.take(rows, 0)
-        out_value[done] = value.take(rows)
-        out_hessian[done] = hessian.take(rows, 0)
-        iterations[done] = iteration
-        converged[done] = reached.take(rows)
+        for result, rows_done in zip(results, (states.take(rows, 0), value.take(rows),
+                                               hessian.take(rows, 0), iteration,
+                                               reached.take(rows))):
+            result[done] = rows_done
         if len(done) == len(active):
             return False
         keep = np.flatnonzero(~stop)
-        theta, value, hessian = theta.take(keep, 0), value.take(keep), hessian.take(keep, 0)
-        gradient_half, step_matrix = gradient_half.take(keep, 0), step_matrix.take(keep, 0)
-        stationary, lam, active = stationary.take(keep), lam.take(keep), active.take(keep)
+        states, hessian, active = states.take(keep, 0), hessian.take(keep, 0), active.take(keep)
+        value, lam, stationary, *entries = _taken(
+            (value, lam, stationary, *gradient_half, *step_matrix), keep)
+        gradient_half, step_matrix = entries[:2], entries[2:]
+        position = _entries(states[:, :2])
         frames = frames.take(keep)
         return True
 
     for iteration in range(1, _MAX_ITERATIONS + 1):
-        if np.count_nonzero(stationary) and not finish(stationary, iteration, stationary):
+        if _count(stationary) and not finish(stationary, iteration, stationary):
             break
-        # (A + lam I) step = -g per frame, a NaN row where that is singular.
-        step = _damped_steps(step_matrix, lam, gradient_half)
-        length = np.sqrt((step * step).sum(axis=-1))
+        # (A + lam I) step = -g per frame, NaN where that is singular.
+        sx, sy = _damped_steps(step_matrix, lam, gradient_half)
+        length = _sqrt(sx * sx + sy * sy)
         short = length < _STEP_TOL
         # A singular frame's NaN step is neither short nor moving: it has
         # not converged, and it raises its damping but never stops on it.
         moving = length >= _STEP_TOL
-        cand_value, cand_terms = frames.evaluate(theta[:, :2] + step)
+        cand_position = position[0] + sx, position[1] + sy
+        cand_value, cand_terms = frames.evaluate(_stacked(cand_position))
+        (cand_value,) = _entries(cand_value)
         accept = (cand_value < value) & moving
-        accepted = np.count_nonzero(accept)
-        if accepted == len(accept):
-            theta, value = cand_terms.states, cand_value
+        accepted = _count(accept)
+        # Clipping both ways is the one-sided clip of each case: an
+        # accepting frame's lam / 10 stays below the maximum and a
+        # rejecting frame's lam * 10 above the minimum.
+        lam = _clip(_where(accept, lam / 10.0, lam * 10.0), _LAMBDA_MIN, _LAMBDA_MAX)
+        if accepted == len(active):
+            position, states, value = cand_position, cand_terms.states, cand_value
             hessian, gradient_half = _normal_equations(frames, cand_terms)
-            gradient_half = gradient_half[:, :2]
             stationary = _stationary(gradient_half)
-            if np.count_nonzero(stationary) < accepted:
+            if _count(stationary) < accepted:
                 step_matrix = _step_matrices(frames, cand_terms, hessian)
-            lam = np.maximum(lam / 10.0, _LAMBDA_MIN)
             continue
         if accepted:
             cand_hessian, cand_gradient_half = _normal_equations(frames, cand_terms)
-            cand_gradient_half = cand_gradient_half[:, :2]
             stationary = _stationary(cand_gradient_half) & accept
             if np.count_nonzero(stationary) < accepted:
                 cand_step = _step_matrices(frames, cand_terms, cand_hessian)
-                np.copyto(step_matrix, cand_step, where=accept[:, None])
-            np.copyto(theta, cand_terms.states, where=accept[:, None])
-            np.copyto(value, cand_value, where=accept)
+                for entry, cand in zip(step_matrix, cand_step):
+                    np.copyto(entry, cand, where=accept)
+            np.copyto(states, cand_terms.states, where=accept[:, None])
             np.copyto(hessian, cand_hessian, where=accept[:, None, None])
-            np.copyto(gradient_half, cand_gradient_half, where=accept[:, None])
-            # Clipping both ways is the one-sided clip of each branch: an
-            # accepting frame's lam / 10 stays below the maximum and a
-            # rejecting frame's lam * 10 above the minimum.
-            lam = np.where(accept, lam / 10.0, lam * 10.0)
-            lam.clip(_LAMBDA_MIN, _LAMBDA_MAX, out=lam)
+            for entry, cand in zip((value, *gradient_half), (cand_value, *cand_gradient_half)):
+                np.copyto(entry, cand, where=accept)
+            position = _entries(states[:, :2])
             # A frame that accepted its step does not stop on its damping.
             moving &= ~accept
-        else:
-            lam = np.minimum(lam * 10.0, _LAMBDA_MAX)
         stop = short | (moving & (lam >= _LAMBDA_MAX))
-        if np.count_nonzero(stop) and not finish(stop, iteration, short):
+        if _count(stop) and not finish(stop, iteration, short):
             break
     else:
-        capped = np.ones(len(active), dtype=bool)
-        finish(capped, _MAX_ITERATIONS, ~capped)
-    return out_theta, out_value, out_hessian, iterations, converged
+        # Every frame left stops at the cap, none converged.
+        capped = True if len(active) == 1 else np.ones(len(active), dtype=bool)
+        finish(capped, _MAX_ITERATIONS, capped & False)
+    return results
 
 
 def laplace_covariance(

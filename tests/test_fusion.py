@@ -20,9 +20,11 @@ from radarnet.fusion import (
     ObservationEntry,
     PriorConfig,
     _columns,
+    _entries,
     _Frames,
     _frame_groups,
     _positive_definite,
+    _stacked,
     _start_states,
     _start_table,
     _table,
@@ -639,6 +641,51 @@ class TestSolveFrames:
                     for obs, est in zip(observations, batch):
                         assert_same_estimate(solve(obs, config.noise, mode=mode, prior=prior), est)
 
+    @pytest.mark.parametrize("mode, prior", [("ml", None), ("bayes", PRIOR)])
+    def test_stationary_starts_stop_at_the_first_pass(self, mode, prior, monkeypatch):
+        # With the gradient tolerance out of reach every start is
+        # stationary: each frame stops at the start of its first pass,
+        # converged, and no step matrix or damped step is ever computed.
+        config = builtin_scenario("A", "random", seed=7)
+        table, observations = detected_frames(config)
+        table, observations = table[::5], observations[::5]
+        monkeypatch.setattr(fusion_module, "_GRADIENT_TOL", math.inf)
+        for name in ("_step_matrices", "_damped_steps"):
+            monkeypatch.setattr(fusion_module, name, None)
+        batch = solve_frames(table, config.noise, mode=mode, prior=prior)
+        assert len(batch) == len(observations) > 50
+        assert (batch.iterations == 1).all() and batch.converged.all()
+        for obs, est in zip(observations, batch):
+            assert_same_estimate(solve(obs, config.noise, mode=mode, prior=prior), est)
+
+    @pytest.mark.parametrize("mode, prior", [("ml", None), ("bayes", PRIOR)])
+    def test_damping_limit_stops_frames_below_the_cap(self, mode, prior, monkeypatch):
+        # With the damping limit lowered to 1e-1, two rejected steps in a
+        # row from the initial 1e-3 reach it: C's on-baseline frames then
+        # stop on it, not converged, in the pass whose rejection raised
+        # the damping to the limit, never a pass later.
+        config = builtin_scenario("C", "straight", seed=7)
+        table, observations = detected_frames(config)
+        table, observations = table[265:365], observations[265:365]
+        monkeypatch.setattr(fusion_module, "_LAMBDA_MAX", 1e-1)
+        batch = solve_frames(table, config.noise, mode=mode, prior=prior)
+        real_steps = fusion_module._damped_steps
+        limited = 0
+        for obs, est in zip(observations, batch):
+            dampings = []
+
+            def recording(step_matrix, lam, gradient_half):
+                dampings.append(lam)
+                return real_steps(step_matrix, lam, gradient_half)
+
+            monkeypatch.setattr(fusion_module, "_damped_steps", recording)
+            assert_same_estimate(solve(obs, config.noise, mode=mode, prior=prior), est)
+            if not est.converged and est.iterations < fusion_module._MAX_ITERATIONS:
+                limited += 1
+                assert len(dampings) == est.iterations
+                assert dampings[-1] < fusion_module._LAMBDA_MAX <= 10.0 * dampings[-1]
+        assert limited >= 5
+
     def test_mixed_node_counts_keep_input_order(self):
         rng = np.random.default_rng(21)
         nodes3 = config_b_nodes() + (Pose2D(4.0, 3.5, math.radians(125.0)),)
@@ -708,25 +755,29 @@ class TestSolveFrames:
         table = frame_table(config_b_nodes(), [detections_of(obs) for obs in observations])
         reference = solve_frames(table, TABLE_NOISE, mode="ml")
 
-        # Record frame 1's first damped system, then have the damped
-        # solve find it singular wherever it appears: its step comes back
-        # as NaN, as for a zero determinant.
+        # Record frame 1's first damped system, its step matrix's entries
+        # and damping (floats, as one frame iterates), then have the
+        # damped solve find it singular wherever it appears: its step
+        # comes back as NaN, as for a zero determinant.
         real_steps = fusion_module._damped_steps
         recorded = []
 
         def recording(step_matrix, lam, gradient_half):
-            recorded.append((np.array(step_matrix), np.array(lam)))
+            recorded.append((*step_matrix, lam))
             return real_steps(step_matrix, lam, gradient_half)
 
         monkeypatch.setattr(fusion_module, "_damped_steps", recording)
         solve(observations[1], TABLE_NOISE, mode="ml")
-        singular = recorded[0][0][0], recorded[0][1][0]
+        singular = recorded[0]
+        assert all(type(entry) is float for entry in singular)
 
         def refusing(step_matrix, lam, gradient_half):
             step = real_steps(step_matrix, lam, gradient_half)
-            step[[np.array_equal(m, singular[0]) and damping == singular[1]
-                  for m, damping in zip(step_matrix, lam)]] = np.nan
-            return step
+            found = np.all([np.equal(entry, want)
+                            for entry, want in zip((*step_matrix, lam), singular)], axis=0)
+            if isinstance(lam, float):
+                return (math.nan, math.nan) if found else step
+            return tuple(np.where(found, np.nan, entry) for entry in step)
 
         monkeypatch.setattr(fusion_module, "_damped_steps", refusing)
         batch = solve_frames(table, TABLE_NOISE, mode="ml")
@@ -753,6 +804,15 @@ def positive_definite(m):
 def lower_entries(m):
     """Each 2x2 matrix of `m` (F, 2, 2) as the step-matrix rows xx, yx, yy."""
     return np.stack((m[:, 0, 0], m[:, 1, 0], m[:, 1, 1]), axis=-1)
+
+
+def damped_steps(a, lam, g):
+    """`_damped_steps` of the 2x2 matrices `a` (F, 2, 2), the dampings `lam`
+    (F,) and the gradient halves `g` (F, 2), each taken in as `_entries`
+    gives it (floats where F = 1), the steps given back as rows (F, 2)."""
+    (damping,) = _entries(lam)
+    return _stacked(fusion_module._damped_steps(_entries(lower_entries(a)), damping,
+                                                _entries(g)))
 
 
 def central_hessian(model, theta, step=1e-4):
@@ -1168,7 +1228,7 @@ class TestArrayCandidateStarts:
 
 class NodeLastTerms(NamedTuple):
     """NodeLastFrames' terms: its own, then the states and velocity block
-    inverse the LM reads."""
+    inverse the LM reads, the latter's entries as `_entries` gives them."""
 
     vx: np.ndarray
     vy: np.ndarray
@@ -1180,7 +1240,7 @@ class NodeLastTerms(NamedTuple):
     omega: np.ndarray
     vel: np.ndarray
     states: np.ndarray
-    velocity_inverse: np.ndarray | None
+    velocity_inverse: list | None
 
 
 class NodeLastFrames(_Frames):
@@ -1260,6 +1320,9 @@ class NodeLastFrames(_Frames):
             value += prior
         if any_infeasible:
             value[np.broadcast_to(infeasible.any(axis=-1), value.shape)] = np.inf
+        if inverse is not None and len(theta) == 1:
+            # One row's entries as floats, as `_entries` gives them.
+            inverse = _entries(np.stack(inverse, axis=-1))
         return value, NodeLastTerms(vx, vy, blocks, prior_rows, r, ux, uy, omega, vel, theta,
                                     inverse)
 
@@ -1597,7 +1660,7 @@ class TestLeanKernels:
         lam = 10.0 ** rng.uniform(-12.0, 2.0, 400)
         g = rng.standard_normal((400, 2))
         for a in (indefinite, spd):
-            got = fusion_module._damped_steps(lower_entries(a), lam, g)
+            got = damped_steps(a, lam, g)
             damped = a + lam[:, None, None] * np.eye(2)
             want = np.linalg.solve(damped, -g[..., None])[..., 0]
             # Cramer's rule is as accurate as the system's conditioning allows.
@@ -1605,8 +1668,7 @@ class TestLeanKernels:
             assert np.all(np.abs(got - want).max(axis=-1) <= 1e-13 * scale)
             # One frame, on floats, gives the bits of its row in the batch.
             for k in range(5):
-                one = fusion_module._damped_steps(lower_entries(a[k:k + 1]), lam[k:k + 1],
-                                                  g[k:k + 1])
+                one = damped_steps(a[k:k + 1], lam[k:k + 1], g[k:k + 1])
                 assert one.tobytes() == got[k:k + 1].tobytes()
 
     def test_damped_solve_returns_nan_rows_for_singular_systems(self):
@@ -1614,13 +1676,13 @@ class TestLeanKernels:
         zero_row = np.diag([2.0, 0.0])
         a = np.array([np.eye(2), rank_one, 3.0 * np.eye(2), np.zeros((2, 2)), zero_row])
         g = np.arange(10.0).reshape(5, 2)
-        got = fusion_module._damped_steps(lower_entries(a), np.zeros(5), g)
+        got = damped_steps(a, np.zeros(5), g)
         singular = np.isnan(got).all(axis=-1)
         np.testing.assert_array_equal(singular, [False, True, False, True, True])
         assert not np.isnan(got[~singular]).any()
         np.testing.assert_allclose(got[~singular], -g[~singular] / [[1.0], [3.0]], rtol=1e-15)
         for k in range(5):
-            one = fusion_module._damped_steps(lower_entries(a[k:k + 1]), np.zeros(1), g[k:k + 1])
+            one = damped_steps(a[k:k + 1], np.zeros(1), g[k:k + 1])
             assert one.tobytes() == got[k:k + 1].tobytes()
 
     def test_always_singular_frame_runs_to_the_cap(self, monkeypatch):
@@ -1629,8 +1691,7 @@ class TestLeanKernels:
         obs = observation_of(config_b_nodes(), TargetState(1.5, 3.5, 0.2, 0.1), TABLE_NOISE,
                              np.random.default_rng(35))
         monkeypatch.setattr(fusion_module, "_damped_steps",
-                            lambda step_matrix, lam, gradient_half: np.full(gradient_half.shape,
-                                                                             np.nan))
+                            lambda step_matrix, lam, gradient_half: (math.nan, math.nan))
         est = solve(obs, TABLE_NOISE, mode="ml")
         assert est.iterations == 100 and not est.converged
         starts = _start_table(_columns(_table(obs)), FOV_HALF_ANGLE)[0][0]

@@ -23,10 +23,10 @@ def test_solve_timing_pass_rows_are_kernel_sums():
     row is the median of the tracker inputs."""
     kernels = np.array([
         # start stage, score starts, evaluate, normal equations, curvature,
-        # step matrix, damped solve
-        [90.0, 40.0, 10.0, 5.0, 2.0, 6.0, 1.0],
-        [80.0, 60.0, 30.0, 1.0, 3.0, 2.0, 4.0],
-        [70.0, 50.0, 20.0, 9.0, 1.0, 4.0, 2.0],
+        # step matrix, damped solve, lm loop
+        [90.0, 40.0, 10.0, 5.0, 2.0, 6.0, 1.0, 150.0],
+        [80.0, 60.0, 30.0, 1.0, 3.0, 2.0, 4.0, 250.0],
+        [70.0, 50.0, 20.0, 9.0, 1.0, 4.0, 2.0, 200.0],
     ]) * 1e-6
     kinds = ([("frame", "")] * 3 + [("grid", "")] + [("kernels", "")] * 3
              + [("table", "A straight"), ("table", "C random")]
@@ -41,8 +41,9 @@ def test_solve_timing_pass_rows_are_kernel_sums():
     assert result["accepted pass (us)"] == pytest.approx(35.0)
     for name, column in zip(solve_timing.KERNELS, kernels.T):
         assert result[f"{name} (us)"] == pytest.approx(1e6 * float(np.median(column)))
-    # The start scoring is a row of its own, in no pass.
+    # The start scoring and the whole LM loop are rows of their own, in no pass.
     assert result["score starts (us)"] == pytest.approx(50.0)
+    assert result["lm loop (us)"] == pytest.approx(200.0)
     assert result["pair (us)"] == pytest.approx(1000.0)
     assert result["grid (us)"] == pytest.approx(900.0)
     assert result["solve_frames pairs (ms)"] == pytest.approx(53.0)
@@ -59,9 +60,10 @@ def test_solve_timing_pass_rows_are_kernel_sums():
 
 def test_solve_timing_runs_every_kernel_on_this_tree():
     """Every kernel row times a call this tree can run; the start scoring
-    objective of the frame's three candidates on the repeated models."""
+    objective of the frame's three candidates on the repeated models, and
+    the LM loop `solve`'s from the start it picks."""
     from radarnet.experiment import PIPELINE_PRIOR
-    from radarnet.fusion import FusionObservation, ObservationEntry
+    from radarnet.fusion import FusionObservation, ObservationEntry, solve
     from radarnet.geometry import TargetState, measure
     from radarnet.scene import Detection, NoiseConfig, builtin_scenario
 
@@ -70,12 +72,20 @@ def test_solve_timing_runs_every_kernel_on_this_tree():
     for node in builtin_scenario("A").nodes:
         m = measure(node, target)
         entries.append(ObservationEntry(node, Detection(m.range, m.spatial_freq, m.radial_vel)))
-    calls = solve_timing._kernel_calls(FusionObservation(tuple(entries)), NoiseConfig(),
-                                       PIPELINE_PRIOR)
+    obs = FusionObservation(tuple(entries))
+    calls = solve_timing._kernel_calls(obs, NoiseConfig(), PIPELINE_PRIOR)
     assert len(calls) == len(solve_timing.KERNELS) and None not in calls
     for call in calls[solve_timing.KERNELS.index("score starts")]:
         values = call()
         assert values.shape == (3,) and np.isfinite(values).all()
+    lm_loop = calls[solve_timing.KERNELS.index("lm loop")]
+    for call, (mode, prior) in zip(lm_loop, (("ml", None), ("bayes", PIPELINE_PRIOR))):
+        est = solve(obs, NoiseConfig(), mode=mode, prior=prior)
+        for _ in range(2):
+            states, values, _, iterations, converged = call()
+            assert states[0].tolist() == est.state.as_vector().tolist()
+            assert (values[0], iterations[0], converged[0]) == (
+                est.objective_value, est.iterations, est.converged)
 
 
 def test_solver_table_observable_velocity_rmse_skips_flagged_and_burn_in_frames():
@@ -92,6 +102,17 @@ def test_solver_table_observable_velocity_rmse_skips_flagged_and_burn_in_frames(
     estimates.unobservable[:] = True
     assert np.isnan(solver_table._observable_velocity_rmse(SimpleNamespace(truth=truth), frames,
                                                           estimates))
+
+
+def test_solver_table_all_runs_line_gives_lm_iteration_percentiles():
+    # 200 frames: 100 of 3 iterations, 98 of 5, one of 40 and one of 100.
+    iterations = np.array([3] * 100 + [5] * 98 + [40, 100])
+    total = {"nc": 2, "cap": 1, "unobs": 0, "frames": 200}
+    line = solver_table._all_runs_line("bayes", total, np.random.default_rng(1).permutation(
+        iterations))
+    # Nearest rank: p50 is the 100th smallest, p99 the 198th.
+    assert line == ("all runs bayes: nc 2 of 200 (1.00%), cap 1 of 200 (0.50%), "
+                    "unobs 0 of 200 (0.00%), lm iterations p50 3 p99 5 max 100")
 
 
 def _has_git_metadata() -> bool:

@@ -16,7 +16,8 @@ table's ML and Bayes from the round of their least sum):
   starts, evaluate,       one frame (F = 1) at its closed-form start
   normal equations,       position: `_start_stage` with its memo cleared
   curvature, step         (the work a Bayes solve skips after the ML solve
-  matrix, damped solve    of its frame), the objective of the frame's
+  matrix, damped solve,   of its frame), the objective of the frame's
+  lm loop
                           three candidate starts on its model repeated
                           once per candidate, as `_solve_group` scores
                           them (one-frame work that stays on arrays),
@@ -26,9 +27,14 @@ table's ML and Bayes from the round of their least sum):
                           Jacobian, J'J and J'r), `_Frames.curvature`,
                           `_step_matrices` (J'J + S and J'J reduced to the
                           position by the Schur complement, and the
-                          definiteness test between them), and
+                          definiteness test between them),
                           `_damped_steps` (the 2x2 system step matrix +
-                          lam I at `_LAMBDA_INIT`, solved in closed form).
+                          lam I at `_LAMBDA_INIT`, solved in closed form),
+                          and `_levenberg_marquardt`, the whole LM loop
+                          with its bookkeeping, from the start
+                          `_solve_group` picks for the frame (the start
+                          stage, the start scoring and the covariance tail
+                          left out).
                           Each the mean of _KERNEL_CALLS calls on the ML
                           model then as many on the Bayes model; the
                           median over the inputs.  A kernel a tree lacks
@@ -42,7 +48,8 @@ table's ML and Bayes from the round of their least sum):
                           accepts its step, damped solve and evaluate for
                           one that rejects it.  The LM's own bookkeeping
                           (step lengths, the accept and stop tests, the
-                          damping update, compaction) is left out;
+                          damping update, compaction) is left out, and
+                          shows in lm loop;
   solve_frames ...        ms per batched `solve_frames` call on one
                           built-in's frame table (the frames two or more
                           nodes detected, true poses), ML then Bayes as
@@ -125,7 +132,7 @@ _TABLE_REPEATS = 9
 _KERNEL_CALLS = 20
 
 KERNELS = ("start stage", "score starts", "evaluate", "normal equations", "curvature",
-           "step matrix", "damped solve")
+           "step matrix", "damped solve", "lm loop")
 # The kernels each kind of LM pass runs.
 PASSES = {
     "accepted pass": ("damped solve", "evaluate", "normal equations", "step matrix"),
@@ -178,7 +185,6 @@ def _kernel_calls(obs, noise, prior) -> list:
     start = fusion.initial_position_estimate(obs)[None]
     center = np.zeros((1, 4))
     center[0, :2] = start[0]
-    lam = np.full(1, fusion._LAMBDA_INIT)
 
     def start_stage():
         fusion._last_start_stage = None
@@ -202,6 +208,26 @@ def _kernel_calls(obs, noise, prior) -> list:
         return [partial(model.take([0] * fusion._MAX_STARTS).objective, starts.reshape(-1, 2))
                 for model in models]
 
+    def lm_loop():
+        """The LM from the best-scoring kept start, as `_solve_group` picks it."""
+        starts, keep = fusion._start_table(fusion._columns(table), fusion.FOV_HALF_ANGLE)
+        calls = []
+        for model, call in zip(models, score):
+            values = call()
+            values[~keep[0]] = np.inf
+            best = int(values.argmin())
+            calls.append(partial(fusion._levenberg_marquardt, model, starts[0, best:best + 1],
+                                 values[best:best + 1]))
+        return calls
+
+    def damped_arguments(gradient):
+        """The damping at `_LAMBDA_INIT` and J'r's position half as this
+        tree's `_damped_steps` takes them: floats where the LM loop runs on
+        `_entries`, else (1,) and (1, 2) arrays from J'r (1, 4)."""
+        if isinstance(gradient, np.ndarray):
+            return np.full(1, fusion._LAMBDA_INIT), gradient[:, :2]
+        return fusion._LAMBDA_INIT, gradient
+
     score = attempt(score_starts)
     evaluate = attempt(lambda: [partial(model.evaluate, start) for model in models])
     kernels = [[start_stage] * len(models), score, evaluate]
@@ -212,13 +238,14 @@ def _kernel_calls(obs, noise, prior) -> list:
     step = attempt(lambda: [partial(fusion._step_matrices, model, t, hessian)
                             for model, t, (hessian, _) in zip(models, terms, normal)])
     damped = None if step is None else attempt(
-        lambda: [partial(fusion._damped_steps, call(), lam, gradient_half[:, :2])
-                 for call, (_, gradient_half) in zip(step, normal)])
+        lambda: [partial(fusion._damped_steps, call(), *damped_arguments(gradient))
+                 for call, (_, gradient) in zip(step, normal)])
     return kernels + [
         [partial(fusion._normal_equations, model, t) for model, t in zip(models, terms)],
         [partial(model.curvature, t) for model, t in zip(models, terms)],
         step,
         damped,
+        None if score is None else attempt(lm_loop),
     ]
 
 

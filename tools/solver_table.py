@@ -11,7 +11,9 @@ then whether `radarnet run` would exit 4 at the default
 against truth (the report's), and the ML velocity RMSE over the frames
 ML does not flag unobservable (vel_ml_obs_mps), where a near-singular
 velocity block cannot dominate it.  A last line per mode gives the
-fractions over all 18 runs.  Stdlib plus numpy and radarnet; runs from
+fractions over all 18 runs and the LM iterations per frame
+(`FusionEstimates.iterations`) over them: p50, p99 and max, the
+percentiles nearest-rank.  Stdlib plus numpy and radarnet; runs from
 any directory.
 
     python3 tools/solver_table.py
@@ -45,6 +47,16 @@ def _fractions(estimates) -> dict[str, float]:
             "unobs": int(estimates.unobservable.sum()), "frames": len(estimates)}
 
 
+def _all_runs_line(mode: str, total: dict[str, int], iterations: np.ndarray) -> str:
+    """One mode's last line: its counts over all runs (`_fractions`) and
+    the p50, p99 and max of its LM iterations per frame."""
+    p50, p99 = np.percentile(iterations, (50, 99), method="inverted_cdf").tolist()
+    return f"all runs {mode}: " + ", ".join(
+        [f"{figure} {total[figure]} of {total['frames']} ({total[figure] / total['frames']:.2%})"
+         for figure in ("nc", "cap", "unobs")]
+        + [f"lm iterations p50 {p50:.0f} p99 {p99:.0f} max {iterations.max()}"])
+
+
 def _observable_velocity_rmse(sim, frames, estimates) -> float:
     """The ML velocity RMSE against truth as `run_experiment` forms it, over
     its RMSE frames (past the burn-in) that ML does not flag unobservable;
@@ -71,6 +83,7 @@ def main(argv: list[str] | None = None) -> int:
     print(" | ".join(COLUMNS))
     exits = 0
     totals = {mode: dict.fromkeys(("nc", "cap", "unobs", "frames"), 0) for mode in MODES}
+    iterations = {mode: [] for mode in MODES}
     try:
         for name in ("A", "B", "C"):
             for kind in ("straight", "random"):
@@ -82,6 +95,7 @@ def main(argv: list[str] | None = None) -> int:
                     for mode in MODES:
                         for key, value in counts[mode].items():
                             totals[mode][key] += value
+                        iterations[mode].append(fused[mode].iterations)
                     exit4 = (max(report.nonconverged_fraction.values())
                              > options.max_nonconverged_fraction)
                     exits += exit4
@@ -95,10 +109,7 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         experiment.fuse_frames = fuse_frames
     for mode in MODES:
-        total = totals[mode]
-        print(f"all runs {mode}: " + ", ".join(
-            f"{figure} {total[figure]} of {total['frames']} ({total[figure] / total['frames']:.2%})"
-            for figure in ("nc", "cap", "unobs")))
+        print(_all_runs_line(mode, totals[mode], np.concatenate(iterations[mode])))
     print(f"runs that would exit 4: {exits} of 18")
     return 0
 
